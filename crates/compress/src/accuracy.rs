@@ -287,13 +287,8 @@ impl ExitAccuracyEstimator for EmpiricalAccuracyEstimator {
         // A panicked evaluation must not brick the estimator: the pooled
         // plans are plain buffers, safe to reuse after a poisoned lock.
         let mut pool = self.plan_pool.lock().unwrap_or_else(|e| e.into_inner());
-        let accs = ie_nn::train::evaluate_batched_with_pool(
-            &compressed,
-            &self.samples,
-            batch,
-            threads,
-            &mut pool,
-        )?;
+        let accs =
+            ie_nn::train::evaluate_batched(&compressed, &self.samples, batch, threads, &mut pool)?;
         Ok(accs.into_iter().map(f64::from).collect())
     }
 
@@ -310,7 +305,7 @@ impl ExitAccuracyEstimator for EmpiricalAccuracyEstimator {
         let config = crate::apply::apply_policy_quantized(&mut compressed, policy, calibration)?;
         // As for the batched pool: buffers survive a poisoned lock fine.
         let mut pool = self.quant_plan_pool.lock().unwrap_or_else(|e| e.into_inner());
-        let accs = ie_nn::train::evaluate_quantized_with_pool(
+        let accs = ie_nn::train::evaluate_quantized(
             &compressed,
             &config,
             &self.samples,
@@ -433,7 +428,7 @@ mod tests {
     fn empirical_estimator_matches_real_network_behaviour() {
         use ie_nn::dataset::SyntheticDataset;
         use ie_nn::spec::tiny_multi_exit;
-        use ie_nn::train::{train, TrainConfig};
+        use ie_nn::train::{train, BatchBackwardPlan, TrainConfig};
         use rand::rngs::StdRng;
         use rand::SeedableRng;
 
@@ -444,7 +439,8 @@ mod tests {
         let mut cfg = TrainConfig::for_exits(2);
         cfg.epochs = 5;
         cfg.learning_rate = 0.1;
-        train(&mut net, data.train(), data.test(), &cfg).unwrap();
+        let mut plan = BatchBackwardPlan::new();
+        train(&mut net, data.train(), data.test(), &cfg, 1, &mut plan).unwrap();
 
         let estimator = EmpiricalAccuracyEstimator::new(net, data.test().to_vec());
         let ls = arch.compressible_layers();

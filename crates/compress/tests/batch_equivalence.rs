@@ -2,14 +2,15 @@
 //! **compressed** networks: random pruning/quantization policies are applied
 //! through the real `apply_policy` path (which zeroes channels, fake-quantizes
 //! weights and sets the sparse GEMM hint), then every sample's batched logits
-//! must be bit-identical to a separate single-input planned pass, and the
-//! sharded batched dataset evaluation must equal the sequential one for every
-//! worker count.
+//! must be bit-identical to a separate allocating pass
+//! (`MultiExitNetwork::forward_to_exit`), and the sharded batched dataset
+//! evaluation must equal the sequential one for every worker count.
 
 use ie_compress::apply::apply_policy;
 use ie_compress::{CompressionPolicy, LayerPolicy};
 use ie_nn::dataset::SyntheticDataset;
 use ie_nn::spec::tiny_multi_exit;
+use ie_nn::train::BatchPlanPool;
 use ie_nn::MultiExitNetwork;
 use ie_tensor::Tensor;
 use proptest::prelude::*;
@@ -27,7 +28,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Random compression policies (pruned + quantized, sparse-hinted convs):
-    /// batched logits stay bit-identical to N single-input planned passes.
+    /// batched logits stay bit-identical to N single-input allocating passes.
     #[test]
     fn batched_logits_match_single_planned_on_compressed_networks(
         seed in 0u64..500,
@@ -50,14 +51,13 @@ proptest! {
             .collect();
         let refs: Vec<&Tensor> = inputs.iter().collect();
         let mut batch_plan = net.batch_plan(batch);
-        let mut single_plan = net.execution_plan();
         for exit in 0..net.num_exits() {
             let out = net.forward_to_exit_batch_with(&mut batch_plan, &refs, exit).unwrap();
             for (i, input) in inputs.iter().enumerate() {
-                net.forward_to_exit_with(&mut single_plan, input, exit).unwrap();
+                let (single, _) = net.forward_to_exit(input, exit).unwrap();
                 let batched: Vec<u32> = out.logits(i).iter().map(|v| v.to_bits()).collect();
                 let single: Vec<u32> =
-                    single_plan.logits(exit).iter().map(|v| v.to_bits()).collect();
+                    single.logits.as_slice().iter().map(|v| v.to_bits()).collect();
                 prop_assert_eq!(batched, single, "exit {} sample {}", exit, i);
             }
         }
@@ -80,8 +80,9 @@ proptest! {
         apply_policy(&mut net, &policy).unwrap();
         let data = SyntheticDataset::generate(3, 8, 60, 0.1, seed);
         let sequential = ie_nn::train::evaluate(&net, data.test()).unwrap();
+        let mut pool = BatchPlanPool::new();
         let sharded =
-            ie_nn::train::evaluate_batched(&net, data.test(), 4, threads).unwrap();
+            ie_nn::train::evaluate_batched(&net, data.test(), 4, threads, &mut pool).unwrap();
         prop_assert_eq!(sharded, sequential, "threads {}", threads);
     }
 }

@@ -48,8 +48,8 @@ fn planned_and_allocating_paths_agree_on_compressed_networks() {
                 let (reference, _) = net.forward_to_exit(&x, exit).unwrap();
                 let planned = net.forward_to_exit_with(&mut plan, &x, exit).unwrap();
                 assert_eq!(planned.prediction, reference.prediction);
-                assert_eq!(plan.logits(exit), reference.logits.as_slice());
-                assert_eq!(plan.probs(exit), reference.probs.as_slice());
+                assert_eq!(plan.output(exit).logits(0), reference.logits.as_slice());
+                assert_eq!(plan.output(exit).probs(0), reference.probs.as_slice());
             }
         }
     }

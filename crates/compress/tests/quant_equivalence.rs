@@ -1,11 +1,12 @@
 //! Equivalence property tests of the quantized (integer) execution backend.
 //!
 //! Over random per-layer policies — mixing i8, i16 and f32 kernels — and
-//! random batch sizes 1..=16, the optimized quantized plans must reproduce
-//! the naive fake-quant reference ([`ie_nn::quant::fake_quant_logits`])
-//! **bit for bit**: integer accumulation is associative, so any divergence
-//! is a real bug in the kernels, the lowering, the requantization epilogue
-//! or the mixed-precision chaining, never harmless float reassociation.
+//! random batch sizes 1..=16, every sample of the optimized quantized plan
+//! must reproduce the naive fake-quant reference
+//! ([`ie_nn::quant::fake_quant_logits`]) **bit for bit**: integer
+//! accumulation is associative, so any divergence is a real bug in the
+//! kernels, the lowering, the requantization epilogue or the mixed-precision
+//! chaining, never harmless float reassociation.
 
 use ie_compress::apply::apply_policy_quantized;
 use ie_compress::{CompressionPolicy, LayerPolicy};
@@ -44,9 +45,9 @@ fn policy_from(choices: &[(usize, usize, f32)]) -> CompressionPolicy {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The planned quantized path (single-input and batched, including
-    /// incremental continuation) is bit-identical to the naive fake-quant
-    /// reference for arbitrary kernel mixes and batch sizes.
+    /// The planned quantized path (including incremental continuation) is
+    /// bit-identical to the naive fake-quant reference for arbitrary kernel
+    /// mixes and batch sizes.
     #[test]
     fn quantized_plans_match_the_fake_quant_reference_bit_for_bit(
         choices in proptest::collection::vec(arb_layer(), 5usize),
@@ -62,7 +63,6 @@ proptest! {
         // the calibrated ranges (the epilogue's saturation is exercised).
         let cfg = apply_policy_quantized(&mut qnet, &policy, &data.train()[..8]).expect("config");
         let model = QuantizedModel::for_network(&qnet, &cfg).expect("model");
-        let mut single = qnet.execution_plan_quantized(&cfg).expect("single plan");
         let mut batched = qnet.batch_plan_quantized(&cfg, batch).expect("batch plan");
         let inputs: Vec<&Tensor> =
             data.train().iter().take(batch).map(|s| &s.image).collect();
@@ -73,21 +73,18 @@ proptest! {
                 .expect("batched forward");
             for (i, input) in inputs.iter().enumerate() {
                 let reference = fake_quant_logits(&qnet, &model, input, exit).expect("reference");
-                qnet.forward_to_exit_with(&mut single, input, exit).expect("planned forward");
-                let single_bits: Vec<u32> =
-                    single.logits(exit).iter().map(|v| v.to_bits()).collect();
                 let ref_bits: Vec<u32> = reference.iter().map(|v| v.to_bits()).collect();
                 let batch_bits: Vec<u32> = out.logits(i).iter().map(|v| v.to_bits()).collect();
-                prop_assert_eq!(&single_bits, &ref_bits, "planned vs reference, exit {} sample {}", exit, i);
-                prop_assert_eq!(&batch_bits, &ref_bits, "batched vs reference, exit {} sample {}", exit, i);
+                prop_assert_eq!(&batch_bits, &ref_bits, "exit {} sample {}", exit, i);
             }
         }
         // Incremental continuation from exit 0 agrees with the reference too.
-        let input = inputs[0];
-        qnet.forward_to_exit_with(&mut single, input, 0).expect("planned forward");
-        qnet.continue_to_exit_with(&mut single, 1).expect("continuation");
-        let reference = fake_quant_logits(&qnet, &model, input, 1).expect("reference");
-        prop_assert_eq!(single.logits(1), reference.as_slice());
+        qnet.forward_to_exit_batch_with(&mut batched, &inputs, 0).expect("batched forward");
+        let deeper = qnet.continue_to_exit_batch_with(&mut batched, 1).expect("continuation");
+        for (i, input) in inputs.iter().enumerate() {
+            let reference = fake_quant_logits(&qnet, &model, input, 1).expect("reference");
+            prop_assert_eq!(deeper.logits(i), reference.as_slice(), "sample {}", i);
+        }
     }
 }
 
@@ -95,7 +92,9 @@ proptest! {
 fn an_i8_dominant_policy_keeps_usable_accuracy_through_the_integer_backend() {
     // End-to-end sanity beyond bit-identity: 8-bit integer execution of a
     // trained tiny network scores close to the fake-quant f32 path.
-    use ie_nn::train::{evaluate, evaluate_quantized, train, TrainConfig};
+    use ie_nn::train::{
+        evaluate, evaluate_quantized, train, BatchBackwardPlan, QuantPlanPool, TrainConfig,
+    };
 
     let data = SyntheticDataset::generate(3, 8, 140, 0.05, 41);
     let mut rng = StdRng::seed_from_u64(42);
@@ -103,14 +102,15 @@ fn an_i8_dominant_policy_keeps_usable_accuracy_through_the_integer_backend() {
     let mut cfg = TrainConfig::for_exits(2);
     cfg.epochs = 5;
     cfg.learning_rate = 0.1;
-    train(&mut net, data.train(), data.test(), &cfg).unwrap();
+    train(&mut net, data.train(), data.test(), &cfg, 1, &mut BatchBackwardPlan::new()).unwrap();
 
     let n = net.architecture().compressible_layers().len();
     let policy = CompressionPolicy::uniform(n, 1.0, 8, 8).unwrap();
     let mut qnet = net.clone();
     let quant_cfg = apply_policy_quantized(&mut qnet, &policy, data.train()).unwrap();
     let float_accs = evaluate(&net, data.test()).unwrap();
-    let int_accs = evaluate_quantized(&qnet, &quant_cfg, data.test(), 8, 2).unwrap();
+    let mut pool = QuantPlanPool::new();
+    let int_accs = evaluate_quantized(&qnet, &quant_cfg, data.test(), 8, 2, &mut pool).unwrap();
     for (f, q) in float_accs.iter().zip(&int_accs) {
         assert!((f - q).abs() < 0.15, "8-bit integer accuracy {q} strays too far from float {f}");
     }

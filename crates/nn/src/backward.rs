@@ -1,5 +1,5 @@
 //! Statically planned, allocation-free training: [`BackwardPlan`] is the
-//! backward-pass counterpart of [`crate::ExecutionPlan`].
+//! backward-pass counterpart of the inference executor [`crate::BatchPlan`].
 //!
 //! The plan walks the architecture once at construction time and pre-sizes
 //! every buffer the combined forward + backward pass of

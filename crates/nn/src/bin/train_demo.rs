@@ -1,5 +1,5 @@
 //! Batched-training determinism demo: train a multi-exit network from a
-//! fixed seed through [`ie_nn::train::train_batched`] and print the loss
+//! fixed seed through [`ie_nn::train::train`] and print the loss
 //! trajectory as JSON.
 //!
 //! The trajectory is byte-identical for every worker count — the batched
@@ -22,7 +22,7 @@
 
 use ie_nn::dataset::SyntheticDataset;
 use ie_nn::spec::tiny_multi_exit;
-use ie_nn::train::{train_batched, train_threads, BatchBackwardPlan, TrainConfig};
+use ie_nn::train::{train, train_threads, BatchBackwardPlan, TrainConfig};
 use ie_nn::MultiExitNetwork;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -69,14 +69,13 @@ fn main() {
     let mut plan = BatchBackwardPlan::new();
 
     println!("train: seed {seed}, {} worker thread(s), {} epochs", threads, config.epochs);
-    let history =
-        match train_batched(&mut net, data.train(), data.test(), &config, threads, &mut plan) {
-            Ok(history) => history,
-            Err(err) => {
-                eprintln!("error: training failed: {err}");
-                std::process::exit(1);
-            }
-        };
+    let history = match train(&mut net, data.train(), data.test(), &config, threads, &mut plan) {
+        Ok(history) => history,
+        Err(err) => {
+            eprintln!("error: training failed: {err}");
+            std::process::exit(1);
+        }
+    };
 
     // Losses are serialized both as decimal and as raw bits: the trajectory
     // must match byte for byte across worker counts, not just approximately.

@@ -80,7 +80,7 @@ impl fmt::Display for NnError {
             NnError::InvalidSpec(msg) => write!(f, "invalid architecture spec: {msg}"),
             NnError::MissingPlannedState => write!(
                 f,
-                "continue_to_exit_with called on an execution plan with no cached forward state"
+                "continue_to_exit_batch_with called on a plan with no cached forward state"
             ),
             NnError::WorkerPanic { worker, shard_start, shard_len, message } => write!(
                 f,

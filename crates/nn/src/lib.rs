@@ -8,22 +8,23 @@
 //! * a [`MultiExitNetwork`] that mirrors the paper's early-exit LeNet backbone
 //!   and supports **incremental inference** (run to exit *i*, later continue to
 //!   exit *i + 1* without recomputing the shared trunk),
-//! * an [`ExecutionPlan`] for statically planned, **allocation-free**
-//!   inference: pre-sized buffers, fused bias+ReLU GEMM epilogues, and planned
-//!   `*_with` variants of every forward entry point that are bit-identical to
-//!   the allocating ones,
-//! * a [`BatchPlan`] that runs N inputs per pass through one widened GEMM per
-//!   layer, bit-identical per sample to the single-input plan, plus a sharded
-//!   multi-threaded dataset evaluator ([`train::evaluate_batched`]),
+//! * one planned, **allocation-free** inference executor, [`BatchPlan`]: it
+//!   runs N inputs per pass through one widened GEMM per layer (f32 or
+//!   i8/i16 integer kernels) with fused bias+ReLU epilogues and cached trunk
+//!   state for incremental inference, bit-identical per sample to the
+//!   allocating path. A single input is a batch of one ([`ExecutionPlan`],
+//!   [`MultiExitNetwork::forward_to_exit_with`]),
+//! * three dataset evaluators over that executor ([`train::evaluate`],
+//!   [`train::evaluate_batched`], [`train::evaluate_quantized`]), the last
+//!   two sharded across worker threads with caller-owned plan pools,
 //! * a [`BackwardPlan`] for statically planned, **allocation-free** training
 //!   steps — bit-identical loss and gradients to the allocating
 //!   [`MultiExitNetwork::backward`], with an optional fake-quant-in-the-loop
-//!   forward half — and a sharded batched trainer
-//!   ([`train::BatchBackwardPlan`]) whose results are byte-identical across
-//!   worker counts,
+//!   forward half — and one training loop ([`train::train`]) sharded through
+//!   [`train::BatchBackwardPlan`], byte-identical across worker counts,
 //! * softmax / cross-entropy losses and the **entropy-based confidence**
 //!   measure used to decide whether an exit's prediction is trustworthy,
-//! * an SGD optimiser and a tiny training loop,
+//! * an SGD optimiser,
 //! * an architecture description ([`spec`]) with exact FLOPs and parameter
 //!   accounting, including the paper's 11-layer multi-exit LeNet,
 //! * a procedurally generated synthetic image dataset so the full

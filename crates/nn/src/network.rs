@@ -163,7 +163,8 @@ impl MultiExitNetwork {
         self.segments.iter_mut().flatten().chain(self.branches.iter_mut().flatten())
     }
 
-    fn check_exit(&self, exit: usize) -> Result<()> {
+    /// Errors with [`NnError::InvalidExit`] when `exit` does not exist.
+    pub(crate) fn check_exit(&self, exit: usize) -> Result<()> {
         if exit >= self.num_exits() {
             return Err(NnError::InvalidExit { requested: exit, available: self.num_exits() });
         }

@@ -1,20 +1,14 @@
-//! Statically planned, allocation-free inference.
+//! Single-input planned inference: a batch of one.
 //!
-//! An [`ExecutionPlan`] is built once from a [`MultiExitArchitecture`]: it
-//! pre-sizes every buffer the forward pass will ever touch — the `im2col`
-//! column scratch, two ping-pong activation buffers for the trunk, two for the
-//! branch being evaluated, and per-exit logits/probability buffers. The
-//! planned entry points ([`MultiExitNetwork::forward_to_exit_with`],
-//! [`MultiExitNetwork::continue_to_exit_with`],
-//! [`MultiExitNetwork::forward_all_with`]) then run entirely inside those
-//! buffers: after the plan is constructed, a forward pass performs **zero
-//! heap allocations** (asserted by a counting-allocator regression test).
-//!
-//! Conv→ReLU and Dense→ReLU pairs are fused — the bias add and activation run
-//! in the GEMM epilogue — and convolution filters are read in their native
-//! row-major layout, so the weight reshape/copy of the allocating path
-//! disappears. Results are bit-identical to the allocating
-//! [`MultiExitNetwork::forward_to_exit`] path, which shares the same kernels.
+//! An [`ExecutionPlan`] is a [`BatchPlan`] built for one sample
+//! ([`MultiExitNetwork::execution_plan`]). It pre-sizes every buffer the
+//! forward pass will ever touch, and [`MultiExitNetwork::forward_to_exit_with`]
+//! then runs one input entirely inside those buffers: after the plan is
+//! constructed, a forward pass performs **zero heap allocations** (asserted
+//! by a counting-allocator regression test). The plan caches the trunk
+//! activation, so [`MultiExitNetwork::continue_to_exit_batch_with`] resumes
+//! at a deeper exit without recomputing the shared trunk. Results are
+//! bit-identical to the allocating [`MultiExitNetwork::forward_to_exit`].
 //!
 //! ```
 //! use ie_nn::{spec::tiny_multi_exit, MultiExitNetwork};
@@ -27,47 +21,24 @@
 //! let x = Tensor::zeros(&[1, 8, 8]);
 //! let out = net.forward_to_exit_with(&mut plan, &x, 0)?;
 //! assert_eq!(out.exit, 0);
-//! let deeper = net.continue_to_exit_with(&mut plan, 1)?;
-//! assert_eq!(deeper.exit, 1);
-//! assert_eq!(plan.probs(1).len(), 3);
+//! let deeper = net.continue_to_exit_batch_with(&mut plan, 1)?;
+//! assert_eq!(deeper.exit(), 1);
+//! assert_eq!(plan.output(1).probs(0).len(), 3);
 //! # Ok::<(), ie_nn::NnError>(())
 //! ```
 
-use crate::loss::{argmax_slice, confidence_slice, softmax_into};
-use crate::quant::{
-    quant_conv_forward, quant_dense_forward, quantize_slice, Domain, QuantBuffers, QuantConfig,
-    QuantCtx, QuantDst, QuantState, QuantizedLayer, QuantizedModel,
-};
-use crate::spec::{LayerSpecKind, MultiExitArchitecture};
-use crate::{Layer, MultiExitNetwork, NnError, Result};
-use ie_tensor::{Tensor, Workspace};
+use crate::quant::QuantConfig;
+use crate::{BatchPlan, MultiExitNetwork, Result};
+use ie_tensor::Tensor;
 
-/// Slot indices of the two-slot ping-pong workspaces.
-const SLOT_A: usize = 0;
-const SLOT_B: usize = 1;
+/// A plan for single-input inference: a [`BatchPlan`] holding one sample.
+pub type ExecutionPlan = BatchPlan;
 
-/// Shape of the activation currently held in a ping-pong slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ActDims {
-    /// A `[C, H, W]` feature map.
-    Spatial([usize; 3]),
-    /// A flat feature vector.
-    Flat(usize),
-}
-
-impl ActDims {
-    fn len(&self) -> usize {
-        match self {
-            ActDims::Spatial([c, h, w]) => c * h * w,
-            ActDims::Flat(n) => *n,
-        }
-    }
-}
-
-/// The lightweight, non-allocating result of a planned forward pass.
+/// The lightweight, non-allocating result of a planned forward pass over one
+/// sample.
 ///
 /// The full logits and probabilities live in the plan's per-exit buffers;
-/// read them through [`ExecutionPlan::logits`] / [`ExecutionPlan::probs`].
+/// read them through [`BatchPlan::output`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlannedOutput {
     /// Which exit produced the result.
@@ -78,592 +49,42 @@ pub struct PlannedOutput {
     pub confidence: f32,
 }
 
-/// Pre-sized buffers plus cached trunk state for allocation-free inference.
-///
-/// Build once per (architecture, thread) with
-/// [`ExecutionPlan::for_architecture`] or
-/// [`MultiExitNetwork::execution_plan`], then reuse across any number of
-/// forward passes. The plan also caches the deepest trunk activation it has
-/// computed, which is what makes zero-allocation *incremental* inference
-/// ([`MultiExitNetwork::continue_to_exit_with`]) possible.
-#[derive(Debug, Clone)]
-pub struct ExecutionPlan {
-    num_exits: usize,
-    /// Trunk activation ping-pong buffers (slots A/B).
-    trunk: Workspace,
-    /// Branch activation ping-pong buffers (slots A/B).
-    branch: Workspace,
-    /// Shared `im2col` column scratch, sized for the largest convolution.
-    col: Vec<f32>,
-    /// Raw logits of each exit, written by the most recent pass over it.
-    logits: Vec<Vec<f32>>,
-    /// Softmax probabilities of each exit.
-    probs: Vec<Vec<f32>>,
-    /// Slot of `trunk` holding the current trunk activation.
-    trunk_slot: usize,
-    /// Shape of the cached trunk activation.
-    trunk_dims: ActDims,
-    /// Trunk segments already executed (`0` when no state is cached).
-    segments_done: usize,
-    /// Exit most recently evaluated from the cached state.
-    last_exit: Option<usize>,
-    /// Quantized model + integer buffers when the plan executes ≤8/≤16-bit
-    /// layers through the integer kernels (`None` → pure `f32` engine).
-    quant: Option<QuantState>,
-}
-
-impl ExecutionPlan {
-    /// Builds a plan for `arch`, pre-sizing every buffer so that planned
-    /// forward passes never allocate.
-    pub fn for_architecture(arch: &MultiExitArchitecture) -> Self {
-        let (max_act, max_col) = buffer_requirements(arch);
-        let mut trunk = Workspace::new();
-        trunk.ensure_slot(SLOT_A, max_act);
-        trunk.ensure_slot(SLOT_B, max_act);
-        let mut branch = Workspace::new();
-        branch.ensure_slot(SLOT_A, max_act);
-        branch.ensure_slot(SLOT_B, max_act);
-        let classes = arch.num_classes();
-        ExecutionPlan {
-            num_exits: arch.num_exits(),
-            trunk,
-            branch,
-            col: vec![0.0; max_col],
-            logits: vec![vec![0.0; classes]; arch.num_exits()],
-            probs: vec![vec![0.0; classes]; arch.num_exits()],
-            trunk_slot: SLOT_A,
-            trunk_dims: ActDims::Flat(0),
-            segments_done: 0,
-            last_exit: None,
-            quant: None,
-        }
-    }
-
-    /// Builds a **quantized** plan for `net`: layers covered by `config` run
-    /// the i8/i16 integer kernels with weights quantized and packed here,
-    /// once; everything else stays on the `f32` engine. The plan additionally
-    /// pre-sizes the integer scratch (code ping-pong slots, i8/i16 column
-    /// buffers, the `i32` accumulator), so warmed quantized passes perform
-    /// zero heap allocations, exactly like the float plan.
-    ///
-    /// The quantized parameters are baked from `net`'s **current** weights;
-    /// use the plan only with that network (the compatibility check catches
-    /// architecture mismatches, not weight changes).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InvalidSpec`] when `config` does not match the
-    /// network's compressible layers (see
-    /// [`QuantizedModel::for_network`]).
-    pub fn for_network_quantized(
-        net: &MultiExitNetwork,
-        config: &QuantConfig,
-    ) -> Result<ExecutionPlan> {
-        let model = QuantizedModel::for_network(net, config)?;
-        let mut plan = ExecutionPlan::for_architecture(net.architecture());
-        plan.quant =
-            Some(QuantState { model, bufs: QuantBuffers::for_architecture(net.architecture(), 1) });
-        Ok(plan)
-    }
-
-    /// The quantized model baked into this plan, if any.
-    pub fn quantized_model(&self) -> Option<&QuantizedModel> {
-        self.quant.as_ref().map(|q| &q.model)
-    }
-
-    /// Number of exits the plan covers.
-    pub fn num_exits(&self) -> usize {
-        self.num_exits
-    }
-
-    /// Raw logits of `exit` from the most recent planned pass over it.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `exit` is out of range.
-    pub fn logits(&self, exit: usize) -> &[f32] {
-        &self.logits[exit]
-    }
-
-    /// Softmax probabilities of `exit` from the most recent planned pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `exit` is out of range.
-    pub fn probs(&self, exit: usize) -> &[f32] {
-        &self.probs[exit]
-    }
-
-    /// The exit most recently evaluated from the cached trunk state, if any.
-    pub fn last_exit(&self) -> Option<usize> {
-        self.last_exit
-    }
-
-    /// Number of trunk segments whose output is currently cached.
-    pub fn segments_done(&self) -> usize {
-        self.segments_done
-    }
-
-    /// Drops the cached trunk state (buffers stay warm).
-    pub fn reset(&mut self) {
-        self.segments_done = 0;
-        self.last_exit = None;
-        self.trunk_dims = ActDims::Flat(0);
-        self.trunk_slot = SLOT_A;
-    }
-
-    /// Runs `layers` over the activation held in `ws` (ping-pong between its
-    /// two slots), fusing Conv→ReLU / Dense→ReLU pairs into the kernel
-    /// epilogue.
-    ///
-    /// With a quantized context, layers whose aligned entry is `Some` run the
-    /// i8/i16 integer kernels instead: the activation is quantized at the
-    /// float→int boundary (or arrives as codes from the previous chained
-    /// quantized layer), the GEMM accumulates in `i32`, and the
-    /// requantization epilogue emits either codes for the next quantized
-    /// layer or `f32` at the mixed-precision boundary. ReLU and max-pool
-    /// operate directly in the code domain between chained layers
-    /// (quantization is monotone, so both commute with it exactly). Every
-    /// list starts and ends in the f32 domain.
-    fn run_layers(
-        layers: &[Layer],
-        ws: &mut Workspace,
-        col: &mut [f32],
-        slot: &mut usize,
-        dims: &mut ActDims,
-        quant: QuantCtx<'_>,
-    ) -> Result<()> {
-        let (qlist, mut qbufs): (&[Option<QuantizedLayer>], Option<&mut QuantBuffers>) = match quant
-        {
-            Some((list, bufs)) => (list, Some(bufs)),
-            None => (&[], None),
-        };
-        let mut domain = Domain::F32;
-        let mut i = 0;
-        while i < layers.len() {
-            let fuse = matches!(layers.get(i + 1), Some(Layer::Relu(_)));
-            let qentry = qlist.get(i).and_then(|e| e.as_ref());
-            match &layers[i] {
-                Layer::Conv2d(conv) => {
-                    let geom = conv.geometry();
-                    let expected = [geom.in_channels, geom.in_h, geom.in_w];
-                    if *dims != ActDims::Spatial(expected) {
-                        return Err(shape_error("conv2d", &expected, dims));
-                    }
-                    let in_len = conv.input_len();
-                    let out_len = conv.output_len();
-                    if let Some(ql) = qentry {
-                        let bufs = qbufs.as_deref_mut().expect("quantized entry implies buffers");
-                        let QuantBuffers { codes, col8, rows16, acc, .. } = bufs;
-                        let (src_c, dst_c) = crate::quant::code_pair(codes, *slot);
-                        if domain == Domain::F32 {
-                            quantize_slice(
-                                &ws.slot(*slot)[..in_len],
-                                &ql.input,
-                                &mut src_c[..in_len],
-                            );
-                        }
-                        match ql.out {
-                            None => {
-                                quant_conv_forward(
-                                    conv,
-                                    ql,
-                                    &src_c[..in_len],
-                                    1,
-                                    fuse,
-                                    col8,
-                                    rows16,
-                                    acc,
-                                    QuantDst::F32(&mut ws.slot_mut(1 - *slot)[..out_len]),
-                                )?;
-                                domain = Domain::F32;
-                            }
-                            Some(p) => {
-                                quant_conv_forward(
-                                    conv,
-                                    ql,
-                                    &src_c[..in_len],
-                                    1,
-                                    fuse,
-                                    col8,
-                                    rows16,
-                                    acc,
-                                    QuantDst::Codes(&mut dst_c[..out_len]),
-                                )?;
-                                domain = Domain::Codes(p);
-                            }
-                        }
-                    } else {
-                        debug_assert_eq!(domain, Domain::F32, "float conv fed from code domain");
-                        let (src, dst) = ws.pair_mut(*slot, 1 - *slot);
-                        conv.forward_into(
-                            &src[..in_len],
-                            &mut dst[..out_len],
-                            &mut col[..conv.col_len()],
-                            fuse,
-                        )?;
-                    }
-                    *slot = 1 - *slot;
-                    *dims = ActDims::Spatial(conv.output_dims());
-                    i += if fuse { 2 } else { 1 };
-                }
-                Layer::Dense(dense) => {
-                    if dims.len() != dense.in_features() {
-                        return Err(shape_error("dense", &[dense.in_features()], dims));
-                    }
-                    let (in_f, out_f) = (dense.in_features(), dense.out_features());
-                    if let Some(ql) = qentry {
-                        let bufs = qbufs.as_deref_mut().expect("quantized entry implies buffers");
-                        let QuantBuffers { codes, xs16, acc, .. } = bufs;
-                        let (src_c, dst_c) = crate::quant::code_pair(codes, *slot);
-                        if domain == Domain::F32 {
-                            quantize_slice(&ws.slot(*slot)[..in_f], &ql.input, &mut src_c[..in_f]);
-                        }
-                        match ql.out {
-                            None => {
-                                quant_dense_forward(
-                                    ql,
-                                    &src_c[..in_f],
-                                    in_f,
-                                    1,
-                                    fuse,
-                                    xs16,
-                                    acc,
-                                    QuantDst::F32(&mut ws.slot_mut(1 - *slot)[..out_f]),
-                                );
-                                domain = Domain::F32;
-                            }
-                            Some(p) => {
-                                quant_dense_forward(
-                                    ql,
-                                    &src_c[..in_f],
-                                    in_f,
-                                    1,
-                                    fuse,
-                                    xs16,
-                                    acc,
-                                    QuantDst::Codes(&mut dst_c[..out_f]),
-                                );
-                                domain = Domain::Codes(p);
-                            }
-                        }
-                    } else {
-                        debug_assert_eq!(domain, Domain::F32, "float dense fed from code domain");
-                        let (src, dst) = ws.pair_mut(*slot, 1 - *slot);
-                        dense.forward_into(&src[..in_f], &mut dst[..out_f], fuse)?;
-                    }
-                    *slot = 1 - *slot;
-                    *dims = ActDims::Flat(out_f);
-                    i += if fuse { 2 } else { 1 };
-                }
-                Layer::Relu(_) => {
-                    let len = dims.len();
-                    match domain {
-                        Domain::F32 => {
-                            ie_tensor::relu_slice(&mut ws.slot_mut(*slot)[..len]);
-                        }
-                        Domain::Codes(p) => {
-                            let bufs = qbufs.as_deref_mut().expect("code domain implies buffers");
-                            let zp = p.zero_point() as i8;
-                            ie_tensor::relu_codes_floor(&mut bufs.codes[*slot][..len], zp);
-                        }
-                    }
-                    i += 1;
-                }
-                Layer::MaxPool2d(pool) => {
-                    let ActDims::Spatial(d) = *dims else {
-                        return Err(shape_error("maxpool2d", &[0, 0, 0], dims));
-                    };
-                    let out_dims = pool.output_dims(&d);
-                    let in_len = d.iter().product();
-                    let out_len = out_dims.iter().product();
-                    match domain {
-                        Domain::F32 => {
-                            let (src, dst) = ws.pair_mut(*slot, 1 - *slot);
-                            pool.forward_slice_into(&src[..in_len], d, &mut dst[..out_len])?;
-                        }
-                        Domain::Codes(_) => {
-                            let bufs = qbufs.as_deref_mut().expect("code domain implies buffers");
-                            let (src_c, dst_c) = crate::quant::code_pair(&mut bufs.codes, *slot);
-                            pool.forward_codes_into(&src_c[..in_len], d, &mut dst_c[..out_len])?;
-                        }
-                    }
-                    *slot = 1 - *slot;
-                    *dims = ActDims::Spatial(out_dims);
-                    i += 1;
-                }
-                Layer::Flatten(_) => {
-                    *dims = ActDims::Flat(dims.len());
-                    i += 1;
-                }
-            }
-        }
-        if domain != Domain::F32 {
-            return Err(NnError::InvalidSpec(
-                "layer list ended in the code domain (quantized chaining bug)".into(),
-            ));
-        }
-        Ok(())
-    }
-
-    /// Evaluates branch `exit` on the cached trunk activation, filling the
-    /// per-exit logits/probability buffers.
-    fn eval_branch(&mut self, net: &MultiExitNetwork, exit: usize) -> Result<PlannedOutput> {
-        // Copy the trunk activation into the branch ping-pong so the trunk
-        // stays intact for later incremental continuations.
-        let len = self.trunk_dims.len();
-        let src = &self.trunk.slot(self.trunk_slot)[..len];
-        self.branch.slot_mut(SLOT_A)[..len].copy_from_slice(src);
-        let mut slot = SLOT_A;
-        let mut dims = self.trunk_dims;
-        let quant = self.quant.as_mut().map(|q| (q.model.branch(exit), &mut q.bufs));
-        ExecutionPlan::run_layers(
-            &net.branches()[exit],
-            &mut self.branch,
-            &mut self.col,
-            &mut slot,
-            &mut dims,
-            quant,
-        )?;
-        let classes = self.logits[exit].len();
-        if dims.len() != classes {
-            return Err(shape_error("branch(logits)", &[classes], &dims));
-        }
-        let logits_src = &self.branch.slot(slot)[..classes];
-        self.logits[exit].copy_from_slice(logits_src);
-        softmax_into(&self.logits[exit], &mut self.probs[exit])?;
-        let probs = &self.probs[exit];
-        let prediction = argmax_slice(probs).expect("exit produces at least one class");
-        Ok(PlannedOutput { exit, prediction, confidence: confidence_slice(probs) })
-    }
-
-    /// Errors when `net` does not fit this plan's buffers: different exit or
-    /// class count, or activation / column scratch requirements exceeding the
-    /// plan's capacities. Allocation-free on the success path; the
-    /// requirements walk is integer math over the layer specs (≤ ~20 of
-    /// them), well under 0.1 % of one planned forward pass.
-    fn check_compatible(&self, net: &MultiExitNetwork) -> Result<()> {
-        let arch = net.architecture();
-        let (max_act, max_col) = buffer_requirements(arch);
-        let compatible = self.num_exits == arch.num_exits()
-            && self.logits.first().map(Vec::len) == Some(arch.num_classes())
-            && max_act <= self.trunk.slot_len(SLOT_A)
-            && max_col <= self.col.len()
-            && self.quant.as_ref().is_none_or(|q| q.model.matches(net));
-        if !compatible {
-            return Err(NnError::InvalidSpec(format!(
-                "execution plan ({} exits, {} classes, act {}, col {}) does not fit the \
-                 network ({} exits, {} classes, act {max_act}, col {max_col})",
-                self.num_exits,
-                self.logits.first().map(Vec::len).unwrap_or(0),
-                self.trunk.slot_len(SLOT_A),
-                self.col.len(),
-                arch.num_exits(),
-                arch.num_classes()
-            )));
-        }
-        Ok(())
-    }
-
-    fn forward_to_exit(
-        &mut self,
-        net: &MultiExitNetwork,
-        input: &Tensor,
-        exit: usize,
-    ) -> Result<PlannedOutput> {
-        self.check_compatible(net)?;
-        check_exit(net, exit)?;
-        let dims = input.dims();
-        let mut act_dims = match dims.len() {
-            3 => ActDims::Spatial([dims[0], dims[1], dims[2]]),
-            _ => ActDims::Flat(input.len()),
-        };
-        if input.len() > self.trunk.slot_len(SLOT_A) {
-            return Err(NnError::InputShapeMismatch {
-                layer: "plan(input)".into(),
-                expected: vec![self.trunk.slot_len(SLOT_A)],
-                actual: vec![input.len()],
-            });
-        }
-        // The trunk buffers are about to be clobbered: invalidate the cached
-        // state now and mark it valid again only when the whole pass succeeds,
-        // so a failed pass can never leave stale metadata pointing at a
-        // half-overwritten activation.
-        self.last_exit = None;
-        self.segments_done = 0;
-        self.trunk.slot_mut(SLOT_A)[..input.len()].copy_from_slice(input.as_slice());
-        let mut slot = SLOT_A;
-        for (seg, segment) in net.segments()[..=exit].iter().enumerate() {
-            let quant = self.quant.as_mut().map(|q| (q.model.segment(seg), &mut q.bufs));
-            ExecutionPlan::run_layers(
-                segment,
-                &mut self.trunk,
-                &mut self.col,
-                &mut slot,
-                &mut act_dims,
-                quant,
-            )?;
-        }
-        self.trunk_slot = slot;
-        self.trunk_dims = act_dims;
-        let out = self.eval_branch(net, exit)?;
-        self.segments_done = exit + 1;
-        self.last_exit = Some(exit);
-        Ok(out)
-    }
-
-    fn continue_to_exit(&mut self, net: &MultiExitNetwork, exit: usize) -> Result<PlannedOutput> {
-        self.check_compatible(net)?;
-        check_exit(net, exit)?;
-        let Some(last) = self.last_exit else {
-            return Err(NnError::MissingPlannedState);
-        };
-        if exit <= last {
-            return Err(NnError::NonMonotonicExit { current: last, requested: exit });
-        }
-        let segments_done = self.segments_done;
-        // As above: the trunk mutates below, so the cached state is invalid
-        // until the continuation completes.
-        self.last_exit = None;
-        self.segments_done = 0;
-        let mut slot = self.trunk_slot;
-        let mut dims = self.trunk_dims;
-        for (seg, segment) in net.segments()[segments_done..=exit].iter().enumerate() {
-            let quant =
-                self.quant.as_mut().map(|q| (q.model.segment(segments_done + seg), &mut q.bufs));
-            ExecutionPlan::run_layers(
-                segment,
-                &mut self.trunk,
-                &mut self.col,
-                &mut slot,
-                &mut dims,
-                quant,
-            )?;
-        }
-        self.trunk_slot = slot;
-        self.trunk_dims = dims;
-        let out = self.eval_branch(net, exit)?;
-        self.segments_done = exit + 1;
-        self.last_exit = Some(exit);
-        Ok(out)
-    }
-}
-
-/// Largest activation and `im2col` column buffer (element counts) any layer
-/// of `arch` needs. Shared by plan construction and the per-call
-/// compatibility check (for both the single-input and the batched plan);
-/// iterates the specs without allocating.
-pub(crate) fn buffer_requirements(arch: &MultiExitArchitecture) -> (usize, usize) {
-    let mut max_act: usize = arch.input_dims().iter().product();
-    let mut max_col = 0usize;
-    for spec in arch.all_layers() {
-        max_act = max_act.max(spec.output_dims.iter().product());
-        if let LayerSpecKind::Conv { in_channels, kernel, .. } = &spec.kind {
-            let cols: usize = spec.output_dims[1] * spec.output_dims[2];
-            max_col = max_col.max(in_channels * kernel * kernel * cols);
-        }
-    }
-    (max_act, max_col)
-}
-
-/// Validates an exit index against `net` (shared with the batched plan).
-pub(crate) fn check_exit(net: &MultiExitNetwork, exit: usize) -> Result<()> {
-    if exit >= net.num_exits() {
-        return Err(NnError::InvalidExit { requested: exit, available: net.num_exits() });
-    }
-    Ok(())
-}
-
-fn shape_error(layer: &str, expected: &[usize], dims: &ActDims) -> NnError {
-    let actual = match dims {
-        ActDims::Spatial(d) => d.to_vec(),
-        ActDims::Flat(n) => vec![*n],
-    };
-    NnError::InputShapeMismatch { layer: layer.into(), expected: expected.to_vec(), actual }
-}
-
 impl MultiExitNetwork {
-    /// Builds an [`ExecutionPlan`] sized for this network's architecture.
+    /// Builds an [`ExecutionPlan`] (a batch plan for one sample) sized for
+    /// this network's architecture.
     pub fn execution_plan(&self) -> ExecutionPlan {
-        ExecutionPlan::for_architecture(self.architecture())
+        self.batch_plan(1)
     }
 
     /// Builds a **quantized** [`ExecutionPlan`]: layers covered by `config`
     /// run the i8/i16 integer kernels with this network's weights quantized
-    /// and packed at construction (see
-    /// [`ExecutionPlan::for_network_quantized`]).
+    /// and packed at construction (see [`BatchPlan::for_network_quantized`]).
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::InvalidSpec`] when `config` does not match this
-    /// network's compressible layers.
+    /// Returns [`crate::NnError::InvalidSpec`] when `config` does not match
+    /// this network's compressible layers.
     pub fn execution_plan_quantized(&self, config: &QuantConfig) -> Result<ExecutionPlan> {
-        ExecutionPlan::for_network_quantized(self, config)
+        self.batch_plan_quantized(config, 1)
     }
 
-    /// Planned counterpart of [`MultiExitNetwork::forward_to_exit`]: runs
-    /// inference up to (and including) `exit` entirely inside `plan`'s
-    /// pre-sized buffers. After the plan's first (warm-up) use this performs
-    /// zero heap allocations. Results are bit-identical to the allocating
-    /// path; the full logits/probabilities are available from
-    /// [`ExecutionPlan::logits`] / [`ExecutionPlan::probs`].
-    ///
-    /// The plan caches the trunk activation, replacing any previously cached
-    /// state, so a later [`MultiExitNetwork::continue_to_exit_with`] resumes
-    /// from here.
+    /// Runs one input up to (and including) `exit` inside `plan` — the
+    /// batched pass over a batch of one. After the plan's first (warm-up)
+    /// use this performs zero heap allocations. Results are bit-identical to
+    /// the allocating [`MultiExitNetwork::forward_to_exit`]; the full
+    /// logits/probabilities are available from [`BatchPlan::output`].
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::InvalidExit`] for an unknown exit or a shape error
-    /// when the input does not match the architecture.
+    /// Returns [`crate::NnError::InvalidExit`] for an unknown exit or a shape
+    /// error when the input does not match the architecture.
     pub fn forward_to_exit_with(
         &self,
         plan: &mut ExecutionPlan,
         input: &Tensor,
         exit: usize,
     ) -> Result<PlannedOutput> {
-        plan.forward_to_exit(self, input, exit)
-    }
-
-    /// Planned counterpart of [`MultiExitNetwork::continue_to_exit`]:
-    /// continues the inference cached in `plan` to a strictly deeper exit
-    /// without recomputing the shared trunk and without allocating.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::MissingPlannedState`] when no planned forward pass
-    /// has populated the plan, [`NnError::NonMonotonicExit`] when `exit` is
-    /// not deeper than the cached one, or [`NnError::InvalidExit`] when it
-    /// does not exist.
-    pub fn continue_to_exit_with(
-        &self,
-        plan: &mut ExecutionPlan,
-        exit: usize,
-    ) -> Result<PlannedOutput> {
-        plan.continue_to_exit(self, exit)
-    }
-
-    /// Planned counterpart of [`MultiExitNetwork::forward_all`]: evaluates
-    /// every exit on `input`, invoking `visit` with each exit's
-    /// [`PlannedOutput`] in order. Allocation-free like the other planned
-    /// entry points; per-exit logits/probabilities remain readable from the
-    /// plan after the call.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors from the layers.
-    pub fn forward_all_with<F: FnMut(PlannedOutput)>(
-        &self,
-        plan: &mut ExecutionPlan,
-        input: &Tensor,
-        mut visit: F,
-    ) -> Result<()> {
-        let first = plan.forward_to_exit(self, input, 0)?;
-        visit(first);
-        for exit in 1..self.num_exits() {
-            visit(plan.continue_to_exit(self, exit)?);
-        }
-        Ok(())
+        Ok(self.forward_to_exit_batch_with(plan, &[input], exit)?.sample(0))
     }
 }
 
@@ -671,6 +92,7 @@ impl MultiExitNetwork {
 mod tests {
     use super::*;
     use crate::spec::{lenet_multi_exit, tiny_multi_exit};
+    use crate::NnError;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -692,8 +114,8 @@ mod tests {
                 assert_eq!(planned.exit, reference.exit);
                 assert_eq!(planned.prediction, reference.prediction);
                 assert_eq!(planned.confidence.to_bits(), reference.confidence.to_bits());
-                assert_eq!(plan.logits(exit), reference.logits.as_slice());
-                assert_eq!(plan.probs(exit), reference.probs.as_slice());
+                assert_eq!(plan.output(exit).logits(0), reference.logits.as_slice());
+                assert_eq!(plan.output(exit).probs(0), reference.probs.as_slice());
             }
         }
     }
@@ -708,7 +130,7 @@ mod tests {
             let (reference, _) = net.forward_to_exit(&x, exit).unwrap();
             let planned = net.forward_to_exit_with(&mut plan, &x, exit).unwrap();
             assert_eq!(planned.prediction, reference.prediction);
-            assert_eq!(plan.logits(exit), reference.logits.as_slice());
+            assert_eq!(plan.output(exit).logits(0), reference.logits.as_slice());
         }
     }
 
@@ -721,10 +143,10 @@ mod tests {
         let (_, state) = net.forward_to_exit(&x, 0).unwrap();
         let (reference, _) = net.continue_to_exit(&state, 1).unwrap();
         net.forward_to_exit_with(&mut plan, &x, 0).unwrap();
-        let planned = net.continue_to_exit_with(&mut plan, 1).unwrap();
-        assert_eq!(planned.prediction, reference.prediction);
-        assert_eq!(plan.logits(1), reference.logits.as_slice());
-        assert_eq!(plan.probs(1), reference.probs.as_slice());
+        let planned = net.continue_to_exit_batch_with(&mut plan, 1).unwrap();
+        assert_eq!(planned.prediction(0), reference.prediction);
+        assert_eq!(planned.logits(0), reference.logits.as_slice());
+        assert_eq!(planned.probs(0), reference.probs.as_slice());
     }
 
     #[test]
@@ -735,12 +157,12 @@ mod tests {
         let x = Tensor::randn(&mut rng, &[1, 8, 8], 0.0, 1.0);
         let reference = net.forward_all(&x).unwrap();
         let mut seen = Vec::new();
-        net.forward_all_with(&mut plan, &x, |out| seen.push(out)).unwrap();
+        net.forward_all_batch_with(&mut plan, &[&x], |out| seen.push(out.sample(0))).unwrap();
         assert_eq!(seen.len(), reference.len());
         for (planned, reference) in seen.iter().zip(&reference) {
             assert_eq!(planned.exit, reference.exit);
             assert_eq!(planned.prediction, reference.prediction);
-            assert_eq!(plan.probs(planned.exit), reference.probs.as_slice());
+            assert_eq!(plan.output(planned.exit).probs(0), reference.probs.as_slice());
         }
     }
 
@@ -754,12 +176,12 @@ mod tests {
             Err(NnError::InvalidExit { .. })
         ));
         assert!(matches!(
-            net.continue_to_exit_with(&mut plan, 1),
+            net.continue_to_exit_batch_with(&mut plan, 1),
             Err(NnError::MissingPlannedState)
         ));
         net.forward_to_exit_with(&mut plan, &x, 1).unwrap();
         assert!(matches!(
-            net.continue_to_exit_with(&mut plan, 0),
+            net.continue_to_exit_batch_with(&mut plan, 0),
             Err(NnError::NonMonotonicExit { .. })
         ));
         // Wrong input shape is rejected by the first conv layer.
@@ -785,7 +207,7 @@ mod tests {
         assert!(net.forward_to_exit_with(&mut plan, &bad, 0).is_err());
         assert_eq!(plan.last_exit(), None);
         assert!(matches!(
-            net.continue_to_exit_with(&mut plan, 1),
+            net.continue_to_exit_batch_with(&mut plan, 1),
             Err(NnError::MissingPlannedState)
         ));
     }
@@ -820,16 +242,17 @@ mod tests {
             for exit in 0..net.num_exits() {
                 let out = net.forward_to_exit_with(&mut plan, &x, exit).unwrap();
                 let reference = fake_quant_logits(&net, &model, &x, exit).unwrap();
-                let plan_bits: Vec<u32> = plan.logits(exit).iter().map(|v| v.to_bits()).collect();
+                let plan_bits: Vec<u32> =
+                    plan.output(exit).logits(0).iter().map(|v| v.to_bits()).collect();
                 let ref_bits: Vec<u32> = reference.iter().map(|v| v.to_bits()).collect();
                 assert_eq!(plan_bits, ref_bits, "exit {exit}");
                 assert_eq!(out.exit, exit);
             }
             // Incremental continuation reuses the cached f32 trunk.
             net.forward_to_exit_with(&mut plan, &x, 0).unwrap();
-            net.continue_to_exit_with(&mut plan, 1).unwrap();
+            let deeper = net.continue_to_exit_batch_with(&mut plan, 1).unwrap();
             let reference = fake_quant_logits(&net, &model, &x, 1).unwrap();
-            assert_eq!(plan.logits(1), reference.as_slice());
+            assert_eq!(deeper.logits(0), reference.as_slice());
         }
     }
 
@@ -852,7 +275,7 @@ mod tests {
         for exit in 0..net.num_exits() {
             net.forward_to_exit_with(&mut plan, &x, exit).unwrap();
             let reference = fake_quant_logits(&net, &model, &x, exit).unwrap();
-            assert_eq!(plan.logits(exit), reference.as_slice(), "exit {exit}");
+            assert_eq!(plan.output(exit).logits(0), reference.as_slice(), "exit {exit}");
         }
     }
 

@@ -30,7 +30,7 @@
 //!   helpers. Integer accumulation is associative, so the blocked kernels
 //!   must (and do — property-tested) reproduce it bit for bit.
 
-use crate::plan::buffer_requirements;
+use crate::batch::buffer_requirements;
 use crate::spec::{LayerSpecKind, MultiExitArchitecture};
 use crate::{Conv2d, Dense, Layer, MultiExitNetwork, NnError, Result};
 use ie_tensor::{
@@ -274,8 +274,7 @@ fn validate_entry(index: usize, cfg: &LayerQuantConfig) -> Result<()> {
 
 /// A network's pre-quantized layer parameters, aligned with its trunk
 /// segments and branches — the per-layer side of a quantized
-/// [`crate::ExecutionPlan`] / [`crate::BatchPlan`], built once at plan
-/// construction.
+/// [`crate::BatchPlan`], built once at plan construction.
 #[derive(Debug, Clone)]
 pub struct QuantizedModel {
     segments: Vec<Vec<Option<QuantizedLayer>>>,
@@ -459,8 +458,9 @@ impl QuantizedModel {
 /// Pre-sized integer scratch buffers of a quantized plan: activation-code
 /// ping-pong slots, the transposed `im2row` patch buffer, the widened
 /// sample-major dense-input buffer and the `i32` accumulator. Sized once at
-/// plan construction; forward passes never allocate.
-#[derive(Debug, Clone)]
+/// plan construction; forward passes never allocate. The default is empty,
+/// which is what an `f32` plan holds.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct QuantBuffers {
     /// Activation-code ping-pong slots (indexed like the f32 workspace slots).
     pub(crate) codes: [Vec<i8>; 2],
@@ -543,18 +543,6 @@ pub(crate) enum Domain {
     /// parameters.
     Codes(QuantParams),
 }
-
-/// The quantized side of a plan: the pre-packed integer model plus the
-/// integer scratch buffers, both built once at plan construction.
-#[derive(Debug, Clone)]
-pub(crate) struct QuantState {
-    pub(crate) model: QuantizedModel,
-    pub(crate) bufs: QuantBuffers,
-}
-
-/// Per-list quantized context handed to a plan's layer runner: the list's
-/// aligned quantized entries and the shared integer buffers.
-pub(crate) type QuantCtx<'a> = Option<(&'a [Option<QuantizedLayer>], &'a mut QuantBuffers)>;
 
 /// Splits the code ping-pong array into `(current, other)` slot borrows.
 pub(crate) fn code_pair(codes: &mut [Vec<i8>; 2], slot: usize) -> (&mut Vec<i8>, &mut Vec<i8>) {
@@ -1088,7 +1076,7 @@ mod tests {
         let reference = fake_quant_logits(&net, &model, &x, 1).unwrap();
         let mut plan = net.execution_plan_quantized(&cfg).unwrap();
         net.forward_to_exit_with(&mut plan, &x, 1).unwrap();
-        assert_eq!(plan.logits(1), reference.as_slice());
+        assert_eq!(plan.output(1).logits(0), reference.as_slice());
     }
 
     #[test]

@@ -1,5 +1,12 @@
-//! A small training loop for multi-exit networks on in-memory datasets, plus
-//! the batched, sharded multi-threaded dataset evaluator.
+//! The training loop for multi-exit networks on in-memory datasets and the
+//! dataset evaluators.
+//!
+//! There is one training loop, [`train`]: planned, allocation-free once warm,
+//! sharded across worker threads with a deterministic reduction. There are
+//! three evaluators, all running the same shard/reduce skeleton over
+//! [`BatchPlan`]s: [`evaluate`] (one batch-1 plan on the calling thread),
+//! [`evaluate_batched`] (pooled `f32` plans) and [`evaluate_quantized`]
+//! (pooled integer plans).
 
 use crate::dataset::Sample;
 use crate::quant::QuantConfig;
@@ -46,47 +53,11 @@ pub struct EpochStats {
     pub exit_accuracy: Vec<f32>,
 }
 
-/// Trains `network` on the training samples and evaluates each exit on the
-/// test samples after every epoch.
+/// Evaluates the accuracy of every exit on the given samples, one sample per
+/// pass on the calling thread.
 ///
-/// # Errors
-///
-/// Propagates layer shape errors or invalid labels from the dataset.
-pub fn train(
-    network: &mut MultiExitNetwork,
-    train_set: &[Sample],
-    test_set: &[Sample],
-    config: &TrainConfig,
-) -> Result<Vec<EpochStats>> {
-    let mut sgd = Sgd::new(config.learning_rate).with_decay(config.lr_decay);
-    let mut history = Vec::with_capacity(config.epochs);
-    for epoch in 0..config.epochs {
-        let mut total_loss = 0.0;
-        let mut count = 0usize;
-        for batch in train_set.chunks(config.batch_size.max(1)) {
-            for sample in batch {
-                total_loss +=
-                    network.backward(&sample.image, sample.label, &config.exit_weights)?;
-                count += 1;
-            }
-            // Average the gradient over the batch by scaling the step.
-            network.apply_gradients(sgd.learning_rate() / batch.len() as f32);
-        }
-        sgd.end_epoch();
-        let exit_accuracy = evaluate(network, test_set)?;
-        history.push(EpochStats {
-            epoch,
-            mean_loss: if count > 0 { total_loss / count as f32 } else { 0.0 },
-            exit_accuracy,
-        });
-    }
-    Ok(history)
-}
-
-/// Evaluates the accuracy of every exit on the given samples.
-///
-/// Runs the planned (allocation-free) forward path — one
-/// [`crate::ExecutionPlan`] is built up front and reused across every sample,
+/// Runs the shared evaluation skeleton on one batch-1 plan
+/// ([`crate::ExecutionPlan`]) built up front and reused across every sample,
 /// so the evaluation loop itself performs no per-sample tensor allocations.
 /// Accuracies are identical to running the allocating
 /// [`MultiExitNetwork::forward_all`] per sample, because the planned path is
@@ -96,18 +67,11 @@ pub fn train(
 ///
 /// Propagates layer shape errors.
 pub fn evaluate(network: &MultiExitNetwork, samples: &[Sample]) -> Result<Vec<f32>> {
-    let num_exits = network.num_exits();
-    let mut plan = network.execution_plan();
-    let mut correct = vec![0usize; num_exits];
-    for sample in samples {
-        network.forward_all_with(&mut plan, &sample.image, |out| {
-            correct[out.exit] += usize::from(out.prediction == sample.label);
-        })?;
-    }
     if samples.is_empty() {
-        return Ok(vec![0.0; num_exits]);
+        return Ok(vec![0.0; network.num_exits()]);
     }
-    Ok(correct.iter().map(|&c| c as f32 / samples.len() as f32).collect())
+    let mut plan = network.execution_plan();
+    evaluate_with_plans(network, samples, 1, std::slice::from_mut(&mut plan))
 }
 
 /// Default batch size of the batched evaluators (8 samples per widened pass).
@@ -194,18 +158,17 @@ pub fn eval_threads() -> usize {
     threads_from_env("IE_EVAL_THREADS")
 }
 
-/// A reusable pool of per-worker [`BatchPlan`]s for the sharded evaluators.
+/// A reusable pool of per-worker [`BatchPlan`]s for [`evaluate_batched`].
 ///
-/// `evaluate_batched` historically rebuilt one plan per worker on **every**
-/// call; a search loop scores thousands of candidate policies, so those
-/// buffers were re-allocated thousands of times. A pool owned by the caller
-/// (e.g. the accuracy estimator) keeps the warmed plans across calls:
-/// compression changes a network's weights but never its architecture, so
-/// the same plans serve every candidate policy. Incompatible or undersized
-/// plans are dropped and rebuilt transparently.
+/// A search loop scores thousands of candidate policies; a pool owned by the
+/// caller (e.g. the accuracy estimator) keeps the warmed plans across those
+/// calls instead of re-allocating them per evaluation: compression changes a
+/// network's weights but never its architecture, so the same plans serve
+/// every candidate policy. Incompatible or undersized plans are dropped and
+/// rebuilt transparently.
 ///
 /// Plans in the pool are plain `f32` plans; quantized plans bake per-policy
-/// weights in and are rebuilt per evaluation instead.
+/// weights in and live in a [`QuantPlanPool`] instead.
 #[derive(Debug, Default)]
 pub struct BatchPlanPool {
     plans: Vec<BatchPlan>,
@@ -260,7 +223,7 @@ impl BatchPlanPool {
     }
 }
 
-/// The shared shard/reduce skeleton of the batched evaluators: splits the
+/// The shared shard/reduce skeleton of the evaluators: splits the (non-empty)
 /// samples into one contiguous shard per plan, runs each shard through its
 /// plan (inline for a single worker, scoped threads otherwise) and reduces
 /// the per-shard correct counts in shard order.
@@ -354,15 +317,13 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// passes sharded across `threads` worker threads.
 ///
 /// The samples are split into `threads` contiguous shards; each worker owns
-/// one [`BatchPlan`] (the per-thread sharding unit) and streams its shard
-/// through [`MultiExitNetwork::forward_all_batch_with`] in chunks of `batch`
-/// samples. Per-shard correct counts are reduced in shard order — integer
-/// sums over a fixed partition — so the result is identical for every thread
-/// count, and because the batched pass is bit-identical to the single-input
-/// planned path, identical to [`evaluate`] as well.
-///
-/// Builds fresh plans per call; hot loops should hold a [`BatchPlanPool`]
-/// and call [`evaluate_batched_with_pool`] instead.
+/// one [`BatchPlan`] (the per-thread sharding unit), taken from and kept warm
+/// in the caller's `pool`, and streams its shard through
+/// [`MultiExitNetwork::forward_all_batch_with`] in chunks of `batch` samples.
+/// Per-shard correct counts are reduced in shard order — integer sums over a
+/// fixed partition — so the result is identical for every thread count and
+/// every pool state, and because the batched pass is bit-identical per
+/// sample, identical to [`evaluate`] as well.
 ///
 /// # Errors
 ///
@@ -374,36 +335,13 @@ pub fn evaluate_batched(
     samples: &[Sample],
     batch: usize,
     threads: usize,
-) -> Result<Vec<f32>> {
-    let mut pool = BatchPlanPool::new();
-    evaluate_batched_with_pool(network, samples, batch, threads, &mut pool)
-}
-
-/// [`evaluate_batched`] with caller-owned plans: per-worker [`BatchPlan`]s
-/// are taken from (and kept warm in) `pool` across calls instead of being
-/// rebuilt every time. Results are identical to [`evaluate_batched`] for
-/// every pool state — a reused plan is reset by the first batched pass of
-/// each evaluation.
-///
-/// # Errors
-///
-/// Propagates layer shape errors from the workers (first shard's error wins).
-/// A panicking worker is caught at join and surfaced as
-/// [`NnError::WorkerPanic`] naming the worker and its shard.
-pub fn evaluate_batched_with_pool(
-    network: &MultiExitNetwork,
-    samples: &[Sample],
-    batch: usize,
-    threads: usize,
     pool: &mut BatchPlanPool,
 ) -> Result<Vec<f32>> {
-    let num_exits = network.num_exits();
     if samples.is_empty() {
-        return Ok(vec![0.0; num_exits]);
+        return Ok(vec![0.0; network.num_exits()]);
     }
     let batch = batch.max(1);
-    let threads = threads.clamp(1, samples.len());
-    let plans = pool.ensure(network, batch, threads);
+    let plans = pool.ensure(network, batch, threads.clamp(1, samples.len()));
     evaluate_with_plans(network, samples, batch, plans)
 }
 
@@ -439,7 +377,7 @@ impl QuantPlanPool {
 
     /// Hands out `count` quantized plans baked for `network` under `config`:
     /// pooled plans are re-packed in place, missing ones are built fresh
-    /// (packing once and cloning the packed model, like the pool-less path).
+    /// (packing once and cloning the packed model into each).
     fn ensure(
         &mut self,
         network: &MultiExitNetwork,
@@ -498,16 +436,16 @@ impl QuantPlanPool {
 }
 
 /// Evaluates the accuracy of every exit with the **integer** execution
-/// backend: each worker owns a quantized [`BatchPlan`] built from `network`
+/// backend: each worker owns a quantized [`BatchPlan`] baked from `network`
 /// and `config` (pre-quantized packed weights, i8/i16 GEMM + requantization
 /// epilogues), so the measured accuracy is that of true integer inference
 /// rather than the fake-quant `f32` round trip.
 ///
-/// Sharding and reduction are identical to [`evaluate_batched`]; results are
-/// deterministic and independent of `batch` and `threads` (the quantized
-/// batched pass is bit-identical per sample to the quantized single-input
-/// plan). Quantized plans bake in per-policy weights, so they are built per
-/// call rather than pooled.
+/// The plans come from the caller's `pool`: each call re-packs the policy's
+/// weight codes into the pooled plans' existing buffers instead of
+/// re-allocating them (see [`QuantPlanPool`]). Sharding and reduction are
+/// those of [`evaluate_batched`]; results are deterministic and independent
+/// of `batch`, `threads` and the pool state.
 ///
 /// # Errors
 ///
@@ -521,54 +459,19 @@ pub fn evaluate_quantized(
     samples: &[Sample],
     batch: usize,
     threads: usize,
-) -> Result<Vec<f32>> {
-    let mut pool = QuantPlanPool::new();
-    evaluate_quantized_with_pool(network, config, samples, batch, threads, &mut pool)
-}
-
-/// [`evaluate_quantized`] with caller-owned plans: per-worker quantized
-/// [`BatchPlan`]s are taken from (and kept warm in) `pool` across calls —
-/// each call re-packs the policy's weight codes into the pooled plans'
-/// existing buffers instead of re-allocating them (see [`QuantPlanPool`]).
-/// Results are identical to [`evaluate_quantized`] for every pool state.
-///
-/// # Errors
-///
-/// Returns [`crate::NnError::InvalidSpec`] when `config` does not match the
-/// network, and propagates layer shape errors from the workers.
-/// A panicking worker is caught at join and surfaced as
-/// [`NnError::WorkerPanic`] naming the worker and its shard.
-pub fn evaluate_quantized_with_pool(
-    network: &MultiExitNetwork,
-    config: &QuantConfig,
-    samples: &[Sample],
-    batch: usize,
-    threads: usize,
     pool: &mut QuantPlanPool,
 ) -> Result<Vec<f32>> {
-    let num_exits = network.num_exits();
     if samples.is_empty() {
-        return Ok(vec![0.0; num_exits]);
+        return Ok(vec![0.0; network.num_exits()]);
     }
     let batch = batch.max(1);
-    let threads = threads.clamp(1, samples.len());
-    let plans = pool.ensure(network, config, batch, threads)?;
+    let plans = pool.ensure(network, config, batch, threads.clamp(1, samples.len()))?;
     evaluate_with_plans(network, samples, batch, plans)
 }
 
-/// [`evaluate_batched`] with the default batch size and the environment-driven
-/// worker count ([`eval_threads`]).
-///
-/// # Errors
-///
-/// Propagates layer shape errors from the workers.
-pub fn evaluate_batched_auto(network: &MultiExitNetwork, samples: &[Sample]) -> Result<Vec<f32>> {
-    evaluate_batched(network, samples, DEFAULT_EVAL_BATCH, eval_threads())
-}
-
-/// Worker-thread count for the batched trainer: `IE_TRAIN_THREADS` via
+/// Worker-thread count for [`train`]: `IE_TRAIN_THREADS` via
 /// [`threads_from_env`] (what the CI train-determinism job varies). Like all
-/// thread knobs this never changes results — the batched trainer's gradient
+/// thread knobs this never changes results — the trainer's gradient
 /// reduction is deterministic and byte-identical across worker counts.
 pub fn train_threads() -> usize {
     threads_from_env("IE_TRAIN_THREADS")
@@ -720,7 +623,7 @@ impl BatchBackwardPlan {
 
     /// [`Self::train_step`] folding the per-sample losses into an external
     /// accumulator in ascending sample order, so an epoch-level sum is
-    /// bit-identical to the legacy per-sample loop's.
+    /// bit-identical to a sequential per-sample loop's.
     fn train_step_into(
         &mut self,
         network: &mut MultiExitNetwork,
@@ -813,19 +716,23 @@ impl BatchBackwardPlan {
     }
 }
 
-/// Batched counterpart of [`train`]: same mini-batch schedule, learning-rate
-/// decay and per-epoch evaluation, but each mini-batch runs through
-/// [`BatchBackwardPlan::train_step`] — allocation-free once warm, sharded
-/// across `threads` workers, and (when `plan` carries a fake-quant
-/// configuration) with the deployment-time quantization in the training
-/// loop. With a full-precision `plan` the returned history and the trained
-/// weights are bit-identical to [`train`]'s for every `threads` value.
+/// Trains `network` on the training samples and evaluates each exit on the
+/// test samples after every epoch.
+///
+/// Each mini-batch runs through [`BatchBackwardPlan::train_step`] —
+/// allocation-free once warm, sharded across `threads` workers, and (when
+/// `plan` carries a fake-quant configuration) with the deployment-time
+/// quantization in the training loop. Gradients are averaged over the
+/// mini-batch and the learning rate decays once per epoch. The returned
+/// history and the trained weights are byte-identical for every `threads`
+/// value, and with a full-precision `plan` bit-identical to a sequential
+/// loop of [`MultiExitNetwork::backward`] calls.
 ///
 /// # Errors
 ///
 /// Propagates layer shape errors, invalid labels from the dataset, and
 /// worker panics (as [`NnError::WorkerPanic`]).
-pub fn train_batched(
+pub fn train(
     network: &mut MultiExitNetwork,
     train_set: &[Sample],
     test_set: &[Sample],
@@ -876,7 +783,8 @@ mod tests {
         let mut config = TrainConfig::for_exits(2);
         config.epochs = 6;
         config.learning_rate = 0.1;
-        let history = train(&mut net, data.train(), data.test(), &config).unwrap();
+        let mut plan = BatchBackwardPlan::new();
+        let history = train(&mut net, data.train(), data.test(), &config, 1, &mut plan).unwrap();
         let last = history.last().unwrap();
         // Chance level is 1/3; both exits should comfortably beat it.
         assert!(
@@ -912,13 +820,33 @@ mod tests {
         config.epochs = 2;
         config.learning_rate = 0.1;
 
+        // The oracle: the allocating per-sample backward pass, one sample at
+        // a time, with the batch-averaged step and per-epoch decay spelled
+        // out here rather than shared with `train`.
         let mut legacy = reference.clone();
-        let legacy_history = train(&mut legacy, data.train(), data.test(), &config).unwrap();
+        let mut sgd = Sgd::new(config.learning_rate).with_decay(config.lr_decay);
+        let mut legacy_history = Vec::new();
+        for epoch in 0..config.epochs {
+            let mut total_loss = 0.0f32;
+            for batch in data.train().chunks(config.batch_size) {
+                for sample in batch {
+                    total_loss +=
+                        legacy.backward(&sample.image, sample.label, &config.exit_weights).unwrap();
+                }
+                legacy.apply_gradients(sgd.learning_rate() / batch.len() as f32);
+            }
+            sgd.end_epoch();
+            legacy_history.push(EpochStats {
+                epoch,
+                mean_loss: total_loss / data.train().len() as f32,
+                exit_accuracy: evaluate(&legacy, data.test()).unwrap(),
+            });
+        }
 
         let mut batched = reference.clone();
         let mut plan = BatchBackwardPlan::new();
         let batched_history =
-            train_batched(&mut batched, data.train(), data.test(), &config, 1, &mut plan).unwrap();
+            train(&mut batched, data.train(), data.test(), &config, 1, &mut plan).unwrap();
 
         assert_eq!(legacy_history, batched_history);
         assert_eq!(weight_bits(&legacy), weight_bits(&batched));
@@ -935,15 +863,14 @@ mod tests {
         let mut single = reference.clone();
         let mut plan1 = BatchBackwardPlan::new();
         let history1 =
-            train_batched(&mut single, data.train(), data.test(), &config, 1, &mut plan1).unwrap();
+            train(&mut single, data.train(), data.test(), &config, 1, &mut plan1).unwrap();
         let bits1 = weight_bits(&single);
 
         for threads in [2usize, 3, 4] {
             let mut net = reference.clone();
             let mut plan = BatchBackwardPlan::new();
             let history =
-                train_batched(&mut net, data.train(), data.test(), &config, threads, &mut plan)
-                    .unwrap();
+                train(&mut net, data.train(), data.test(), &config, threads, &mut plan).unwrap();
             assert_eq!(history, history1, "{threads} workers diverged from 1");
             assert_eq!(weight_bits(&net), bits1, "{threads}-worker weights diverged from 1");
         }
@@ -968,7 +895,7 @@ mod tests {
         let mut plan1 = BatchBackwardPlan::fake_quant(cfg.clone());
         assert_eq!(plan1.quant_config(), Some(&cfg));
         let history1 =
-            train_batched(&mut single, data.train(), data.test(), &config, 1, &mut plan1).unwrap();
+            train(&mut single, data.train(), data.test(), &config, 1, &mut plan1).unwrap();
         assert!(
             history1.last().unwrap().mean_loss < history1[0].mean_loss,
             "fake-quant training loss did not decrease: {history1:?}"
@@ -977,7 +904,7 @@ mod tests {
         let mut multi = reference.clone();
         let mut plan4 = BatchBackwardPlan::fake_quant(cfg);
         let history4 =
-            train_batched(&mut multi, data.train(), data.test(), &config, 4, &mut plan4).unwrap();
+            train(&mut multi, data.train(), data.test(), &config, 4, &mut plan4).unwrap();
         assert_eq!(history1, history4);
         assert_eq!(weight_bits(&single), weight_bits(&multi));
     }
@@ -1047,7 +974,9 @@ mod tests {
         let reference = evaluate(&net, data.test()).unwrap();
         for batch in [1usize, 3, 8] {
             for threads in [1usize, 2, 4] {
-                let sharded = evaluate_batched(&net, data.test(), batch, threads).unwrap();
+                let sharded =
+                    evaluate_batched(&net, data.test(), batch, threads, &mut BatchPlanPool::new())
+                        .unwrap();
                 assert_eq!(
                     sharded, reference,
                     "batch {batch} x {threads} threads must match the single-input evaluation"
@@ -1056,7 +985,11 @@ mod tests {
         }
         // More workers than samples degrades gracefully to one per sample.
         let few = &data.test()[..2];
-        assert_eq!(evaluate_batched(&net, few, 4, 16).unwrap(), evaluate(&net, few).unwrap());
+        let mut pool = BatchPlanPool::new();
+        assert_eq!(
+            evaluate_batched(&net, few, 4, 16, &mut pool).unwrap(),
+            evaluate(&net, few).unwrap()
+        );
     }
 
     #[test]
@@ -1068,14 +1001,14 @@ mod tests {
         let mut pool = BatchPlanPool::new();
         assert!(pool.is_empty());
         for _ in 0..3 {
-            let pooled = evaluate_batched_with_pool(&net, data.test(), 4, 2, &mut pool).unwrap();
+            let pooled = evaluate_batched(&net, data.test(), 4, 2, &mut pool).unwrap();
             assert_eq!(pooled, reference);
             assert_eq!(pool.len(), 2, "both worker plans stay pooled across calls");
         }
         // A different (incompatible) network flushes the stale plans.
         let other = MultiExitNetwork::from_architecture(&tiny_multi_exit(4), &mut rng).unwrap();
         let small = SyntheticDataset::generate(4, 8, 20, 0.1, 11);
-        let fresh = evaluate_batched_with_pool(&other, small.test(), 4, 2, &mut pool).unwrap();
+        let fresh = evaluate_batched(&other, small.test(), 4, 2, &mut pool).unwrap();
         assert_eq!(fresh, evaluate(&other, small.test()).unwrap());
     }
 
@@ -1093,14 +1026,17 @@ mod tests {
         let entries: Vec<Option<(u8, QuantParams)>> =
             (0..n).map(|i| Some((8, if i == 0 { first } else { act }))).collect();
         let cfg = config_from_bits(&net, &entries).unwrap();
-        let reference = evaluate_quantized(&net, &cfg, data.test(), 1, 1).unwrap();
+        let mut pool = QuantPlanPool::new();
+        let reference = evaluate_quantized(&net, &cfg, data.test(), 1, 1, &mut pool).unwrap();
         for batch in [3usize, 8] {
             for threads in [1usize, 2, 4] {
-                let accs = evaluate_quantized(&net, &cfg, data.test(), batch, threads).unwrap();
+                let mut pool = QuantPlanPool::new();
+                let accs =
+                    evaluate_quantized(&net, &cfg, data.test(), batch, threads, &mut pool).unwrap();
                 assert_eq!(accs, reference, "batch {batch} x {threads} threads");
             }
         }
-        assert_eq!(evaluate_quantized(&net, &cfg, &[], 8, 4).unwrap(), vec![0.0; 2]);
+        assert_eq!(evaluate_quantized(&net, &cfg, &[], 8, 4, &mut pool).unwrap(), vec![0.0; 2]);
     }
 
     #[test]
@@ -1129,9 +1065,9 @@ mod tests {
         let mut pool = QuantPlanPool::new();
         assert!(pool.is_empty());
         for cfg in [&cfg_a, &cfg_b, &cfg_a] {
-            let fresh = evaluate_quantized(&net, cfg, data.test(), 4, 2).unwrap();
-            let pooled =
-                evaluate_quantized_with_pool(&net, cfg, data.test(), 4, 2, &mut pool).unwrap();
+            let fresh = evaluate_quantized(&net, cfg, data.test(), 4, 2, &mut QuantPlanPool::new())
+                .unwrap();
+            let pooled = evaluate_quantized(&net, cfg, data.test(), 4, 2, &mut pool).unwrap();
             assert_eq!(pooled, fresh, "pooled quantized evaluation must match the fresh path");
             assert_eq!(pool.len(), 2, "both worker plans stay pooled across policies");
         }
@@ -1221,7 +1157,8 @@ mod tests {
     fn batched_evaluation_handles_empty_sample_sets() {
         let mut rng = StdRng::seed_from_u64(8);
         let net = MultiExitNetwork::from_architecture(&tiny_multi_exit(2), &mut rng).unwrap();
-        assert_eq!(evaluate_batched(&net, &[], 8, 4).unwrap(), vec![0.0, 0.0]);
+        let mut pool = BatchPlanPool::new();
+        assert_eq!(evaluate_batched(&net, &[], 8, 4, &mut pool).unwrap(), vec![0.0, 0.0]);
     }
 
     #[test]
@@ -1324,7 +1261,8 @@ mod tests {
         assert!(pool.is_empty());
         // The handed-out plan runs the integer engine and matches the
         // pool-less quantized evaluation.
-        let reference = evaluate_quantized(&net, &cfg, data.test(), 4, 1).unwrap();
+        let reference =
+            evaluate_quantized(&net, &cfg, data.test(), 4, 1, &mut QuantPlanPool::new()).unwrap();
         let pooled =
             evaluate_with_plans(&net, data.test(), 4, std::slice::from_mut(&mut plan)).unwrap();
         assert_eq!(pooled, reference);

@@ -17,7 +17,7 @@ use intermittent_multiexit::compress::{
 };
 use intermittent_multiexit::nn::dataset::SyntheticDataset;
 use intermittent_multiexit::nn::spec::tiny_multi_exit;
-use intermittent_multiexit::nn::train::{train, TrainConfig};
+use intermittent_multiexit::nn::train::{train, BatchBackwardPlan, TrainConfig};
 use intermittent_multiexit::nn::MultiExitNetwork;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -38,7 +38,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut config = TrainConfig::for_exits(arch.num_exits());
     config.epochs = 12;
     config.learning_rate = 0.1;
-    let history = train(&mut network, data.train(), data.test(), &config)?;
+    let mut plan = BatchBackwardPlan::new();
+    let history = train(&mut network, data.train(), data.test(), &config, 1, &mut plan)?;
     for stats in history.iter().step_by(3) {
         println!(
             "epoch {:>2}: loss {:.3}, exit accuracy {:?}",
