@@ -861,7 +861,7 @@ fn main() {
         })
         .collect();
     let overload_server = |policy: ShedPolicy, pool: &mut BatchPlanPool| {
-        let overload = OverloadConfig { queue_cap: 4, policy, ..OverloadConfig::default() };
+        let overload = OverloadConfig { queue_cap: 4, policy };
         Server::new(&tiny_net, ServeConfig { window: serve_window, threads: 1, overload }, pool)
             .expect("overload config is valid")
     };

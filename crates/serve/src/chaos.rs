@@ -58,8 +58,8 @@ pub struct ChaosPlan {
     /// test).
     pub stall_max_ms: u64,
     /// When `true`, the panic draw is repeated on every retry attempt —
-    /// a batch that draws a panic keeps panicking until its retry budget is
-    /// exhausted. Off by default (panics hit only attempt 0), used by tests
+    /// a batch that draws a panic panics again on its retry, and its members
+    /// are shed. Off by default (panics hit only attempt 0), used by tests
     /// that exercise the [`RetryExhausted`](crate::ShedReason) path.
     pub panic_every_attempt: bool,
 }
@@ -125,7 +125,7 @@ impl ChaosPlan {
     /// Whether the worker serving `(key, attempt)` loses itself to an
     /// injected panic. Unless [`ChaosPlan::panic_every_attempt`] is set,
     /// only attempt 0 draws — the retried batch then completes, which keeps
-    /// the default chaos mix recoverable within a retry budget of 1.
+    /// the default chaos mix recoverable by the server's one retry.
     pub fn panics(&self, key: u64, attempt: u32) -> bool {
         if self.seed == 0 || self.panic_probability <= 0.0 {
             return false;

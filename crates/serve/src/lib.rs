@@ -8,8 +8,10 @@
 //! * worker threads each own a warmed [`ie_nn::BatchPlan`] (f32 or
 //!   quantized), taken from the caller's plan pool — the handoff that keeps
 //!   serving allocation-free after startup;
-//! * a **dynamic batching window** ([`WindowConfig`], [`compose_batches`])
-//!   closes each batch at size `N` or deadline `T`, whichever comes first;
+//! * a **dynamic batching window** ([`WindowConfig`]) closes each batch at
+//!   size `N` or deadline `T`, whichever comes first — one close rule,
+//!   planned on the virtual clock by [`plan_overload`] and applied to the
+//!   wall clock by the live server;
 //! * the runtime exit policies act as **admission control**
 //!   ([`ie_runtime::LatencyAdmission`]): per request, the deepest exit whose
 //!   predicted latency fits the request's budget — or load shedding when
@@ -20,8 +22,9 @@
 //!   composition and repeated run (see [`Server::replay`]);
 //! * an **overload layer** ([`OverloadConfig`]) bounds the queue and sheds
 //!   or *degrades* under pressure — the multi-exit network doubling as the
-//!   load-shedding actuator — while **worker supervision** catches panics,
-//!   recycles plans and re-enqueues lost batches under a retry budget;
+//!   load-shedding actuator — while one **worker supervision** path, shared
+//!   by both modes, catches panics, recycles plans and retries a lost batch
+//!   once;
 //! * a seeded [`ChaosPlan`] injects panics, stalls and arrival bursts to
 //!   prove it, with byte-identical replay outcomes per seed.
 //!
@@ -49,7 +52,7 @@ pub use overload::{
 pub use report::{percentile, ServeReport};
 pub use request::{Request, Response, Verdict};
 pub use server::{serve_threads, LiveHandle, ServeConfig, ServeOutcome, Server};
-pub use window::{compose_batches, WindowBatch, WindowConfig};
+pub use window::WindowConfig;
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, ServeError>;

@@ -35,7 +35,8 @@ pub struct ServeReport {
     pub deadline_met: usize,
     /// Served responses per exit index (length = number of exits).
     pub per_exit: Vec<usize>,
-    /// Number of closed batching windows.
+    /// Batching windows. Replay counts every planned window, retry-exhausted
+    /// ones included; live counts the batches that completed.
     pub batches: usize,
     /// Mean requests per batch (0 when no batch closed).
     pub mean_batch_fill: f64,

@@ -34,8 +34,7 @@ pub enum Verdict {
     Rejected,
     /// The overload layer shed the request after admission — the bounded
     /// queue was full, the deadline became unmeetable under load, or the
-    /// request's batch exhausted its retry budget after repeated worker
-    /// losses.
+    /// request's batch lost its worker again on its one retry.
     Shed {
         /// Why the overload layer gave up on the request.
         reason: ShedReason,

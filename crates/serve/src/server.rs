@@ -1,45 +1,47 @@
 //! The serving loop itself: worker threads own warmed [`BatchPlan`]s, a
 //! dynamic batching window groups admitted requests, a runtime policy (via
 //! [`LatencyAdmission`]) picks each request's early exit under its latency
-//! budget, and an overload layer ([`OverloadConfig`]) bounds the queue,
-//! sheds or degrades under pressure, and supervises the workers.
+//! budget, and an overload layer ([`OverloadConfig`]) bounds the queue and
+//! sheds or degrades under pressure.
 //!
-//! Two execution modes share all decision logic:
+//! Two execution modes share all decision logic, one supervision path and
+//! one tally of outcomes:
 //!
 //! * **replay** ([`Server::replay`]) runs a pre-recorded request stream on a
 //!   virtual clock. Batching, shedding and degradation are planned by the
-//!   pure [`plan_overload`] (which reduces to [`compose_batches`] when the
-//!   queue is unbounded), so the whole run — responses, shed decisions *and*
+//!   pure [`plan_overload`], the one virtual-clock implementation of the
+//!   window close rule, so the whole run — responses, shed decisions *and*
 //!   queue waits — is deterministic for a fixed stream and chaos seed,
 //!   independent of worker count. This is what the tests, the CI chaos
 //!   matrix and the `serve_loop/*` / `overload_loop/*` bench families use.
 //! * **live** ([`Server::run_live`]) accepts requests pushed from a load
-//!   generator and closes windows against the wall clock. Response *content*
-//!   is still deterministic for a fixed submission order under the default
-//!   overload config; with a bounded queue the shed/degrade decisions read
-//!   the *real* queue occupancy and are honestly racy.
+//!   generator and applies the same close rule against the wall clock.
+//!   Response *content* is still deterministic for a fixed submission order
+//!   under the default overload config; with a bounded queue the
+//!   shed/degrade decisions read the *real* queue occupancy and are honestly
+//!   racy.
 //!
 //! Admission happens strictly in arrival order before batching, and no
 //! outcome feedback reaches the policy, so batch composition can never
 //! change a decision — the key to byte-identical responses across thread
-//! counts.
+//! counts. Both modes refuse an input shaped unlike the network's before it
+//! can reach a batch: replay checks the whole stream up front, live checks
+//! each submission.
 //!
-//! **Worker supervision** (both modes): a worker that panics mid-batch —
-//! injected by a [`ChaosPlan`] or genuine — is caught with `catch_unwind`,
-//! its possibly-corrupt plan is recycled through a plan pool for a fresh
-//! warmed one, and its in-flight batch is re-enqueued exactly once per loss
-//! under the bounded [`OverloadConfig::retry_budget`] with deterministic
-//! exponential backoff. A batch that exhausts the budget resolves to
-//! [`Verdict::Shed`] with [`ShedReason::RetryExhausted`] — the conservation
-//! invariant (every submitted request answered exactly once) survives any
-//! panic schedule.
-//!
-//! [`compose_batches`]: crate::compose_batches
+//! **Worker supervision**: both modes run every batch through one supervised
+//! attempt. A worker that panics mid-batch — injected by a [`ChaosPlan`] or
+//! genuine — is caught with `catch_unwind`, its possibly-corrupt plan is
+//! replaced by a fresh warmed one from a spare plan pool, and the batch is
+//! retried once after a fixed backoff: replay re-enqueues the batch, live
+//! puts its members back at the queue front. A request whose batch is lost
+//! again resolves to [`Verdict::Shed`] with [`ShedReason::RetryExhausted`] —
+//! the conservation invariant (every submitted request answered exactly
+//! once) survives any panic schedule.
 
 use crate::chaos::{silence_chaos_panics, ChaosPlan};
 use crate::overload::{
-    plan_overload, pressure_exit_cap, AdmitOutcome, OverloadConfig, OverloadPlan, ShedPolicy,
-    ShedReason,
+    plan_overload, pressure_exit_cap, AdmitOutcome, OverloadConfig, ShedPolicy, ShedReason,
+    VirtualServers,
 };
 use crate::window::WindowConfig;
 use crate::{percentile, Request, Response, Result, ServeError, ServeReport, Verdict};
@@ -52,8 +54,17 @@ use ie_tensor::Tensor;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
+use std::thread::ScopedJoinHandle;
 use std::time::{Duration, Instant};
+
+/// How many more times a batch that lost its worker runs before its
+/// members are shed as [`ShedReason::RetryExhausted`].
+const RETRY_BUDGET: u32 = 1;
+
+/// Pause before a lost batch's retry runs: a constant, never a function of
+/// the worker or the clock, so chaos replays stay reproducible.
+const RETRY_BACKOFF: Duration = Duration::from_millis(1);
 
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,9 +73,9 @@ pub struct ServeConfig {
     pub window: WindowConfig,
     /// Worker threads; each owns one warmed [`BatchPlan`].
     pub threads: usize,
-    /// Overload protection: queue bound, shed policy, retry budget. The
-    /// default (unbounded, [`ShedPolicy::Reject`], one retry) reproduces
-    /// the original unbounded-queue serving behaviour exactly.
+    /// Overload protection: queue bound and shed policy. The default
+    /// (unbounded, [`ShedPolicy::Reject`]) reproduces the original
+    /// unbounded-queue serving behaviour exactly.
     pub overload: OverloadConfig,
 }
 
@@ -107,62 +118,6 @@ pub struct ServeOutcome {
     pub responses: Vec<Response>,
     /// Aggregate statistics; see [`ServeReport`] for what is deterministic.
     pub report: ServeReport,
-}
-
-/// How one planned batch ultimately resolved under supervision.
-enum Resolution {
-    /// The batch ran to completion (possibly after retries).
-    Completed { verdicts: Vec<Verdict>, compute_s: f64 },
-    /// Every attempt lost its worker; the members are shed.
-    Exhausted,
-}
-
-/// Spare-plan pools used by supervision to recycle a panicked worker's
-/// plan: the corrupt plan is dropped and a fresh warmed one is taken from
-/// the pool (which builds one when empty — the same fallback the caller's
-/// pool uses at construction).
-struct PlanSpares {
-    plain: Mutex<BatchPlanPool>,
-    quant: Mutex<QuantPlanPool>,
-}
-
-impl PlanSpares {
-    fn new() -> Self {
-        PlanSpares {
-            plain: Mutex::new(BatchPlanPool::new()),
-            quant: Mutex::new(QuantPlanPool::new()),
-        }
-    }
-}
-
-/// Replaces a lost worker's plan from the spare pools.
-fn recycle_plan(
-    network: &MultiExitNetwork,
-    quant: Option<&QuantConfig>,
-    spares: &PlanSpares,
-    max_batch: usize,
-) -> Result<BatchPlan> {
-    match quant {
-        None => Ok(spares
-            .plain
-            .lock()
-            .map_err(|_| poisoned("serve spare plans"))?
-            .take(network, max_batch)),
-        Some(q) => spares
-            .quant
-            .lock()
-            .map_err(|_| poisoned("serve spare plans"))?
-            .take(network, q, max_batch)
-            .map_err(ServeError::from),
-    }
-}
-
-/// Deterministic exponential backoff before a lost batch's retry runs:
-/// 1 ms · 2^attempt, capped at 16 ms. A pure function of the attempt
-/// number — never of the worker or the clock — so chaos replays stay
-/// reproducible.
-fn backoff(attempt: u32) -> Duration {
-    Duration::from_millis(1u64 << attempt.min(4))
 }
 
 /// An inference server over one multi-exit network. Worker plans are taken
@@ -258,7 +213,8 @@ impl<'n> Server<'n> {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::InvalidRequest`] for an unsorted stream,
+    /// Returns [`ServeError::InvalidRequest`] for an unsorted stream or a
+    /// request whose input is shaped unlike the network's (naming its id),
     /// [`ServeError::InvalidConfig`] for an admission table that does not
     /// match the network, [`ServeError::WorkerLost`] when a worker dies
     /// outside supervision, and propagates inference errors.
@@ -287,6 +243,9 @@ impl<'n> Server<'n> {
         chaos: &ChaosPlan,
     ) -> Result<ServeOutcome> {
         self.check_admission(admission)?;
+        for r in requests {
+            check_input(self.network, r.id, &r.input)?;
+        }
         if chaos.is_active() {
             silence_chaos_panics();
         }
@@ -310,222 +269,113 @@ impl<'n> Server<'n> {
             &self.config.overload,
         )?;
         debug_assert!(plan.check_conservation().is_ok(), "planner broke conservation");
-        // 4. Supervised execution of the planned batches.
-        let exec = self.run_supervised(&plan, requests, chaos)?;
-        // 5. Merge everything back into request order.
-        let mut responses: Vec<Response> = requests
-            .iter()
-            .zip(&plan.outcomes)
-            .map(|(r, outcome)| {
-                let verdict = match outcome {
-                    AdmitOutcome::Rejected => Verdict::Rejected,
-                    AdmitOutcome::Shed(reason) => Verdict::Shed { reason: *reason },
-                    // Placeholder — overwritten from the batch verdicts below.
-                    AdmitOutcome::Scheduled { .. } => Verdict::Rejected,
-                };
-                Response { id: r.id, verdict }
-            })
-            .collect();
-        let rejected = plan.outcomes.iter().filter(|o| matches!(o, AdmitOutcome::Rejected)).count();
-        let mut shed = plan.shed();
-        let mut served = 0usize;
-        let mut deadline_met = 0usize;
-        let mut per_exit = vec![0usize; self.network.num_exits()];
-        let mut waits = Vec::new();
-        let mut completed: Vec<(f64, Vec<f64>, f64)> = Vec::new();
-        let mut compute_s = 0.0;
-        for (batch, resolution) in plan.batches.iter().zip(&exec.resolutions) {
-            match resolution {
-                Resolution::Completed { verdicts, compute_s: c } => {
-                    compute_s += c;
-                    let mut member_arrivals = Vec::with_capacity(batch.members.len());
-                    for (&(i, _), verdict) in batch.members.iter().zip(verdicts) {
-                        responses[i].verdict = verdict.clone();
-                        if let Verdict::Served { exit, .. } = verdict {
-                            per_exit[*exit] += 1;
-                        }
-                        served += 1;
-                        waits.push(batch.close_s - arrivals[i]);
-                        member_arrivals.push(arrivals[i]);
-                        // Goodput on the deterministic service model: did the
-                        // modeled completion meet the budget?
-                        if batch.done_s - arrivals[i] <= budgets[i] {
-                            deadline_met += 1;
-                        }
-                    }
-                    completed.push((batch.close_s, member_arrivals, *c));
-                }
-                Resolution::Exhausted => {
-                    for &(i, _) in &batch.members {
-                        responses[i].verdict = Verdict::Shed { reason: ShedReason::RetryExhausted };
-                        shed += 1;
-                    }
-                }
-            }
-        }
-        // 6. Latency model: batches start at their (virtual) close time or
-        //    when a worker frees up, and run for their measured compute time.
-        let (latencies, first_arrival, last_done) =
-            model_latencies(&completed, self.config.threads);
-        let makespan_s = if latencies.is_empty() { 0.0 } else { last_done - first_arrival };
-        let report = build_report(ReportParts {
-            submitted: requests.len(),
-            served,
-            rejected,
-            shed,
-            degraded: plan.degraded,
-            retried: exec.retried,
-            restarted: exec.restarted,
-            stalled: exec.stalled,
-            deadline_met,
-            per_exit,
-            batches: plan.batches.len(),
-            waits,
-            latencies,
-            compute_s,
-            makespan_s,
-        });
-        debug_assert!(report.conservation_holds(), "replay broke request conservation");
-        Ok(ServeOutcome { responses, report })
-    }
-
-    /// Runs the planned batches on the worker threads under supervision:
-    /// jobs are `(batch, attempt)` pairs in a shared queue; a panicking
-    /// worker is caught, its plan recycled, and the batch re-enqueued with
-    /// the next attempt number until the retry budget exhausts. Pull order
-    /// is racy but resolution content is not — each batch's fate depends
-    /// only on its own `(batch, attempt)` chaos draws.
-    fn run_supervised(
-        &mut self,
-        plan: &OverloadPlan,
-        requests: &[Request],
-        chaos: &ChaosPlan,
-    ) -> Result<ExecOutcome> {
-        let network = self.network;
-        let retry_budget = self.config.overload.retry_budget;
-        let max_batch = self.config.window.max_batch;
-        let quant = self.quant.clone();
-        let spares = PlanSpares::new();
+        // 4. Supervised execution: workers pop `(batch, attempt)` jobs, and a
+        //    lost batch is re-enqueued with the next attempt number. Pull
+        //    order is racy but resolution content is not — each batch's fate
+        //    depends only on its own `(batch, attempt)` chaos draws.
+        let sup = Supervisor::new(self.network, self.quant.as_ref(), *chaos);
         let jobs: Mutex<VecDeque<(usize, u32)>> =
             Mutex::new((0..plan.batches.len()).map(|b| (b, 0)).collect());
         let remaining = AtomicUsize::new(plan.batches.len());
-        let resolutions: Mutex<Vec<Option<Resolution>>> =
-            Mutex::new((0..plan.batches.len()).map(|_| None).collect());
+        let completed = Mutex::new(vec![None; plan.batches.len()]);
         let aborted = AtomicBool::new(false);
-        let (restarted, retried, stalled) =
-            (AtomicUsize::new(0), AtomicUsize::new(0), AtomicUsize::new(0));
-        let joined: Vec<Result<()>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
+        let worker = |plan_buf: &mut BatchPlan| -> Result<()> {
+            loop {
+                if aborted.load(Ordering::Relaxed) {
+                    return Ok(());
+                }
+                let job = jobs.lock().map_err(|_| poisoned("serve jobs"))?.pop_front();
+                let Some((b, attempt)) = job else {
+                    if remaining.load(Ordering::Acquire) == 0 {
+                        return Ok(());
+                    }
+                    // Another worker still holds an unresolved batch that
+                    // may yet be re-enqueued.
+                    std::thread::yield_now();
+                    continue;
+                };
+                let members = &plan.batches[b].members;
+                let inputs: Vec<&Tensor> =
+                    members.iter().map(|&(i, _)| &requests[i].input).collect();
+                let exits: Vec<usize> = members.iter().map(|&(_, e)| e).collect();
+                let retry = attempt < RETRY_BUDGET;
+                match sup.attempt(plan_buf, b as u64, attempt, retry, &inputs, &exits)? {
+                    Some((verdicts, start)) => {
+                        let compute_s = start.elapsed().as_secs_f64();
+                        completed.lock().map_err(|_| poisoned("serve results"))?[b] =
+                            Some((verdicts, compute_s));
+                    }
+                    None if retry => {
+                        sup.tally()?.retried += members.len();
+                        jobs.lock()
+                            .map_err(|_| poisoned("serve jobs"))?
+                            .push_back((b, attempt + 1));
+                        continue;
+                    }
+                    None => {
+                        let mut tally = sup.tally()?;
+                        for &(i, _) in members {
+                            tally.shed(i as u64, requests[i].id, ShedReason::RetryExhausted);
+                        }
+                    }
+                }
+                remaining.fetch_sub(1, Ordering::Release);
+            }
+        };
+        let joined = std::thread::scope(|scope| {
+            let handles = self
                 .plans
                 .iter_mut()
                 .map(|plan_buf| {
-                    let (jobs, remaining, resolutions, aborted) =
-                        (&jobs, &remaining, &resolutions, &aborted);
-                    let (restarted, retried, stalled) = (&restarted, &retried, &stalled);
-                    let (spares, quant) = (&spares, &quant);
-                    scope.spawn(move || -> Result<()> {
-                        loop {
-                            if aborted.load(Ordering::Relaxed) {
-                                return Ok(());
-                            }
-                            let job = jobs.lock().map_err(|_| poisoned("serve jobs"))?.pop_front();
-                            let Some((b, attempt)) = job else {
-                                if remaining.load(Ordering::Acquire) == 0 {
-                                    return Ok(());
-                                }
-                                // Another worker still holds an unresolved
-                                // batch that may yet be re-enqueued.
-                                std::thread::yield_now();
-                                continue;
-                            };
-                            let batch = &plan.batches[b];
-                            if let Some(ms) = chaos.stall_ms(b as u64, attempt) {
-                                stalled.fetch_add(1, Ordering::Relaxed);
-                                std::thread::sleep(Duration::from_millis(ms));
-                            }
-                            let inputs: Vec<&Tensor> =
-                                batch.members.iter().map(|&(i, _)| &requests[i].input).collect();
-                            let exits: Vec<usize> = batch.members.iter().map(|&(_, e)| e).collect();
-                            let t0 = Instant::now();
-                            let attempt_run = catch_unwind(AssertUnwindSafe(|| {
-                                chaos.maybe_panic(b as u64, attempt);
-                                run_batch(network, plan_buf, &inputs, &exits)
-                            }));
-                            match attempt_run {
-                                Ok(Ok(verdicts)) => {
-                                    resolutions.lock().map_err(|_| poisoned("serve results"))?[b] =
-                                        Some(Resolution::Completed {
-                                            verdicts,
-                                            compute_s: t0.elapsed().as_secs_f64(),
-                                        });
-                                    remaining.fetch_sub(1, Ordering::Release);
-                                }
-                                Ok(Err(e)) => {
-                                    // A genuine inference error is not a
-                                    // worker loss: abort the run, waking the
-                                    // siblings out of their idle spin.
-                                    aborted.store(true, Ordering::Relaxed);
-                                    return Err(e);
-                                }
-                                Err(_panic) => {
-                                    // Worker lost mid-batch: recycle the
-                                    // possibly-corrupt plan, back off, and
-                                    // either retry the batch once more or
-                                    // shed its members.
-                                    restarted.fetch_add(1, Ordering::Relaxed);
-                                    match recycle_plan(network, quant.as_ref(), spares, max_batch) {
-                                        Ok(fresh) => *plan_buf = fresh,
-                                        Err(e) => {
-                                            aborted.store(true, Ordering::Relaxed);
-                                            return Err(e);
-                                        }
-                                    }
-                                    if attempt < retry_budget {
-                                        std::thread::sleep(backoff(attempt));
-                                        retried.fetch_add(batch.members.len(), Ordering::Relaxed);
-                                        jobs.lock()
-                                            .map_err(|_| poisoned("serve jobs"))?
-                                            .push_back((b, attempt + 1));
-                                    } else {
-                                        resolutions
-                                            .lock()
-                                            .map_err(|_| poisoned("serve results"))?[b] =
-                                            Some(Resolution::Exhausted);
-                                        remaining.fetch_sub(1, Ordering::Release);
-                                    }
-                                }
-                            }
+                    let (worker, aborted) = (&worker, &aborted);
+                    scope.spawn(move || {
+                        let run = worker(plan_buf);
+                        if run.is_err() {
+                            // Wake the siblings out of their idle spin.
+                            aborted.store(true, Ordering::Relaxed);
                         }
+                        run
                     })
                 })
                 .collect();
-            handles
-                .into_iter()
-                .enumerate()
-                .map(|(worker, h)| {
-                    h.join().unwrap_or_else(|_| {
-                        Err(ServeError::WorkerLost(format!(
-                            "serve worker {worker} panicked outside supervision"
-                        )))
-                    })
-                })
-                .collect()
+            join_workers(handles)
         });
-        for r in joined {
-            r?;
+        joined?;
+        // 5. Fold the plan's rejections and sheds and the completed batches
+        //    into the tally. Latency model: a batch starts at its virtual
+        //    close time or when a worker frees up, and runs for its measured
+        //    compute time.
+        let completed = completed.into_inner().map_err(|_| poisoned("serve results"))?;
+        let mut tally = sup.into_tally()?;
+        tally.degraded = plan.degraded;
+        tally.batches = plan.batches.len();
+        for (i, (r, outcome)) in requests.iter().zip(&plan.outcomes).enumerate() {
+            match outcome {
+                AdmitOutcome::Rejected => tally.reject(i as u64, r.id),
+                AdmitOutcome::Shed(reason) => tally.shed(i as u64, r.id, *reason),
+                AdmitOutcome::Scheduled { .. } => {}
+            }
         }
-        let resolutions = resolutions
-            .into_inner()
-            .map_err(|_| poisoned("serve results"))?
-            .into_iter()
-            .map(|r| r.ok_or_else(|| ServeError::WorkerLost("a batch was never resolved".into())))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(ExecOutcome {
-            resolutions,
-            restarted: restarted.into_inner(),
-            retried: retried.into_inner(),
-            stalled: stalled.into_inner(),
-        })
+        let mut workers = VirtualServers::new(self.config.threads);
+        let (mut first_arrival, mut last_done) = (f64::INFINITY, f64::NEG_INFINITY);
+        for (batch, ran) in plan.batches.iter().zip(completed) {
+            // A retry-exhausted batch was shed by the worker that lost it.
+            let Some((verdicts, compute_s)) = ran else { continue };
+            let (_, done_s) = workers.run(batch.close_s, compute_s);
+            last_done = last_done.max(done_s);
+            tally.compute_s += compute_s;
+            for (&(i, _), verdict) in batch.members.iter().zip(verdicts) {
+                let arrival = arrivals[i];
+                first_arrival = first_arrival.min(arrival);
+                // Goodput on the deterministic service model: did the
+                // modeled completion meet the budget?
+                let met = batch.done_s - arrival <= budgets[i];
+                let (wait_s, latency_s) = (batch.close_s - arrival, done_s - arrival);
+                tally.serve(i as u64, requests[i].id, verdict, wait_s, latency_s, met);
+            }
+        }
+        let makespan_s = if first_arrival.is_finite() { last_done - first_arrival } else { 0.0 };
+        Ok(tally.into_outcome(requests.len(), makespan_s))
     }
 
     /// Runs the live server: spawns the workers, hands the load generator a
@@ -549,11 +399,12 @@ impl<'n> Server<'n> {
 
     /// [`Server::run_live`] under a chaos schedule: submissions may be held
     /// and released in bursts, and workers may stall or panic mid-batch —
-    /// supervision catches the panic, recycles the plan, re-enqueues the
-    /// batch at the queue front (preserving arrival order) with backoff,
-    /// and sheds it as [`ShedReason::RetryExhausted`] past the retry
-    /// budget. Live chaos perturbs *timing*; per-request verdicts stay
-    /// content-deterministic because exits are fixed at submission.
+    /// supervision catches the panic, recycles the plan, and puts the
+    /// batch's members back at the queue front (preserving arrival order)
+    /// for their one retry, shedding a member lost again as
+    /// [`ShedReason::RetryExhausted`]. Live chaos perturbs *timing*;
+    /// per-request verdicts stay content-deterministic because exits are
+    /// fixed at submission.
     ///
     /// # Errors
     ///
@@ -571,27 +422,18 @@ impl<'n> Server<'n> {
         if chaos.is_active() {
             silence_chaos_panics();
         }
-        let shared = LiveShared {
-            state: Mutex::new(LiveState { queue: VecDeque::new(), closed: false }),
-            cond: Condvar::new(),
-        };
-        let num_exits = self.network.num_exits();
-        let results = Mutex::new(LiveResults::new(num_exits));
-        let spares = PlanSpares::new();
+        let sup = Supervisor::new(self.network, self.quant.as_ref(), *chaos);
         let started = Instant::now();
         let ctx = LiveCtx {
-            network: self.network,
-            shared: &shared,
-            results: &results,
+            sup: &sup,
+            state: Mutex::new(LiveState { queue: VecDeque::new(), closed: false }),
+            cond: Condvar::new(),
             window: self.config.window,
             overload: self.config.overload,
-            chaos: *chaos,
-            quant: self.quant.clone(),
-            spares: &spares,
         };
         let submitted = AtomicUsize::new(0);
-        let joined: Vec<Result<()>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
+        let (joined, flushed) = std::thread::scope(|scope| {
+            let handles = self
                 .plans
                 .iter_mut()
                 .map(|plan| {
@@ -603,7 +445,6 @@ impl<'n> Server<'n> {
                 ctx: &ctx,
                 admission: Mutex::new(admission),
                 burst: Mutex::new(BurstState::default()),
-                num_exits,
                 submitted: &submitted,
             };
             load(&handle);
@@ -613,59 +454,48 @@ impl<'n> Server<'n> {
             // Shutdown must reach the workers even if a panicking worker
             // poisoned the queue — the state (a flag and a drainable queue)
             // is still structurally sound, so recover it and close.
-            match shared.state.lock() {
+            match ctx.state.lock() {
                 Ok(mut st) => st.closed = true,
                 Err(p) => p.into_inner().closed = true,
             }
-            shared.cond.notify_all();
-            let mut joined: Vec<Result<()>> = handles
-                .into_iter()
-                .enumerate()
-                .map(|(worker, h)| {
-                    h.join().unwrap_or_else(|_| {
-                        Err(ServeError::WorkerLost(format!(
-                            "serve worker {worker} panicked outside supervision"
-                        )))
-                    })
-                })
-                .collect();
-            joined.push(flushed);
-            joined
+            ctx.cond.notify_all();
+            (join_workers(handles), flushed)
         });
         let makespan_s = started.elapsed().as_secs_f64();
-        for r in joined {
-            r?;
-        }
-        let mut res = results.into_inner().map_err(|_| poisoned("serve results"))?;
-        res.responses.sort_by_key(|r| r.id);
-        let report = build_report(ReportParts {
-            submitted: submitted.into_inner(),
-            served: res.served,
-            rejected: res.rejected,
-            shed: res.shed,
-            degraded: res.degraded,
-            retried: res.retried,
-            restarted: res.restarted,
-            stalled: res.stalled,
-            deadline_met: res.deadline_met,
-            per_exit: res.per_exit,
-            batches: res.batches,
-            waits: res.waits,
-            latencies: res.latencies,
-            compute_s: res.compute_s,
-            makespan_s,
-        });
-        debug_assert!(report.conservation_holds(), "live serving broke request conservation");
-        Ok(ServeOutcome { responses: res.responses, report })
+        joined?;
+        flushed?;
+        Ok(sup.into_tally()?.into_outcome(submitted.into_inner(), makespan_s))
     }
 }
 
-/// What [`Server::run_supervised`] hands back to the merge step.
-struct ExecOutcome {
-    resolutions: Vec<Resolution>,
-    restarted: usize,
-    retried: usize,
-    stalled: usize,
+/// Refuses an input shaped unlike the network's input: it would fail the
+/// whole batch that carries it, not just itself.
+fn check_input(network: &MultiExitNetwork, id: u64, input: &Tensor) -> Result<()> {
+    let expected = network.architecture().input_dims();
+    if input.dims() != expected {
+        return Err(ServeError::InvalidRequest(format!(
+            "request {id} has input shape {:?} but the network takes {expected:?}",
+            input.dims()
+        )));
+    }
+    Ok(())
+}
+
+/// Joins the workers and returns the first error in worker order; a worker
+/// that panicked outside supervision is a lost worker.
+fn join_workers(handles: Vec<ScopedJoinHandle<'_, Result<()>>>) -> Result<()> {
+    let results: Vec<Result<()>> = handles
+        .into_iter()
+        .enumerate()
+        .map(|(worker, h)| {
+            h.join().unwrap_or_else(|_| {
+                Err(ServeError::WorkerLost(format!(
+                    "serve worker {worker} panicked outside supervision"
+                )))
+            })
+        })
+        .collect();
+    results.into_iter().collect()
 }
 
 /// Runs one batch to every exit its requests were admitted to, shallowest
@@ -703,35 +533,107 @@ fn run_batch(
     Ok(verdicts)
 }
 
-/// Deterministic multi-server queueing model over the virtual clock: each
-/// completed batch `(close_s, member arrivals, measured compute)` starts at
-/// its close time or when one of `servers` workers frees up, whichever is
-/// later, and occupies that worker for its compute time. Returns one
-/// latency (completion − arrival) per member in batch order, the earliest
-/// member arrival, and the completion time of the last batch.
-fn model_latencies(completed: &[(f64, Vec<f64>, f64)], servers: usize) -> (Vec<f64>, f64, f64) {
-    let mut free = vec![f64::NEG_INFINITY; servers.max(1)];
-    let mut latencies = Vec::new();
-    let mut first_arrival = f64::INFINITY;
-    let mut last_done = f64::NEG_INFINITY;
-    for (close_s, member_arrivals, compute_s) in completed {
-        let (slot, &soonest) =
-            free.iter().enumerate().min_by(|a, b| a.1.total_cmp(b.1)).expect("at least one server");
-        let start = close_s.max(soonest);
-        let done = start + compute_s;
-        free[slot] = done;
-        last_done = last_done.max(done);
-        for &arrival in member_arrivals {
-            latencies.push(done - arrival);
-            first_arrival = first_arrival.min(arrival);
-        }
-    }
-    (latencies, first_arrival, last_done)
+/// A shared mutex poisoned by a panicking worker: degrade to a recoverable
+/// [`ServeError::WorkerLost`] instead of cascading the panic into the caller.
+fn poisoned(what: &str) -> ServeError {
+    ServeError::WorkerLost(format!("{what} mutex poisoned by a panicked worker"))
 }
 
-/// Everything [`build_report`] folds into a [`ServeReport`].
-struct ReportParts {
-    submitted: usize,
+/// The supervision path both modes run every batch through, and the tally
+/// both record into.
+struct Supervisor<'a> {
+    network: &'a MultiExitNetwork,
+    quant: Option<&'a QuantConfig>,
+    chaos: ChaosPlan,
+    /// Pools a lost worker's replacement plan is taken from; each builds a
+    /// fresh warmed plan when empty.
+    spare_plans: Mutex<BatchPlanPool>,
+    spare_quant_plans: Mutex<QuantPlanPool>,
+    tally: Mutex<Tally>,
+}
+
+impl<'a> Supervisor<'a> {
+    fn new(
+        network: &'a MultiExitNetwork,
+        quant: Option<&'a QuantConfig>,
+        chaos: ChaosPlan,
+    ) -> Self {
+        Supervisor {
+            network,
+            quant,
+            chaos,
+            spare_plans: Mutex::new(BatchPlanPool::new()),
+            spare_quant_plans: Mutex::new(QuantPlanPool::new()),
+            tally: Mutex::new(Tally::new(network.num_exits())),
+        }
+    }
+
+    fn tally(&self) -> Result<MutexGuard<'_, Tally>> {
+        self.tally.lock().map_err(|_| poisoned("serve tally"))
+    }
+
+    fn into_tally(self) -> Result<Tally> {
+        self.tally.into_inner().map_err(|_| poisoned("serve tally"))
+    }
+
+    /// One supervised attempt of a batch on `plan`, chaos keyed on
+    /// `(key, attempt)`: an injected stall first, then the batch under
+    /// `catch_unwind`. Returns the verdicts and the instant compute started,
+    /// or `None` when the worker was lost — `plan` has then been replaced by
+    /// a fresh warmed one of the same capacity, and if `retry` says another
+    /// attempt follows, the backoff has elapsed. A genuine inference error
+    /// is not a worker loss: it comes back as `Err` and aborts the run.
+    fn attempt(
+        &self,
+        plan: &mut BatchPlan,
+        key: u64,
+        attempt: u32,
+        retry: bool,
+        inputs: &[&Tensor],
+        exits: &[usize],
+    ) -> Result<Option<(Vec<Verdict>, Instant)>> {
+        if let Some(ms) = self.chaos.stall_ms(key, attempt) {
+            self.tally()?.stalled += 1;
+            std::thread::sleep(Duration::from_millis(ms));
+        }
+        let start = Instant::now();
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            self.chaos.maybe_panic(key, attempt);
+            run_batch(self.network, plan, inputs, exits)
+        }));
+        match run {
+            Ok(verdicts) => Ok(Some((verdicts?, start))),
+            Err(_lost) => {
+                self.tally()?.restarted += 1;
+                let max_batch = plan.max_batch();
+                *plan = match self.quant {
+                    None => self
+                        .spare_plans
+                        .lock()
+                        .map_err(|_| poisoned("serve spare plans"))?
+                        .take(self.network, max_batch),
+                    Some(quant) => self
+                        .spare_quant_plans
+                        .lock()
+                        .map_err(|_| poisoned("serve spare plans"))?
+                        .take(self.network, quant, max_batch)?,
+                };
+                if retry {
+                    std::thread::sleep(RETRY_BACKOFF);
+                }
+                Ok(None)
+            }
+        }
+    }
+}
+
+/// What a serving run produced, counted the same way by both modes and
+/// folded into its [`ServeOutcome`] by [`Tally::into_outcome`].
+#[derive(Default)]
+struct Tally {
+    /// `(order key, response)`: the stream position in replay, the request
+    /// id live. Responses come back sorted by it.
+    responses: Vec<(u64, Response)>,
     served: usize,
     rejected: usize,
     shed: usize,
@@ -745,53 +647,80 @@ struct ReportParts {
     waits: Vec<f64>,
     latencies: Vec<f64>,
     compute_s: f64,
-    makespan_s: f64,
 }
 
-fn build_report(parts: ReportParts) -> ServeReport {
-    let rate = |count: usize| {
-        if parts.makespan_s > 0.0 {
-            count as f64 / parts.makespan_s
-        } else {
-            0.0
+impl Tally {
+    fn new(num_exits: usize) -> Self {
+        Tally { per_exit: vec![0; num_exits], ..Tally::default() }
+    }
+
+    fn reject(&mut self, key: u64, id: u64) {
+        self.rejected += 1;
+        self.responses.push((key, Response { id, verdict: Verdict::Rejected }));
+    }
+
+    fn shed(&mut self, key: u64, id: u64, reason: ShedReason) {
+        self.shed += 1;
+        self.responses.push((key, Response { id, verdict: Verdict::Shed { reason } }));
+    }
+
+    /// Records a request its batch answered, with its queue wait, its
+    /// latency and whether it met its budget.
+    fn serve(
+        &mut self,
+        key: u64,
+        id: u64,
+        verdict: Verdict,
+        wait_s: f64,
+        latency_s: f64,
+        met: bool,
+    ) {
+        self.served += 1;
+        if let Verdict::Served { exit, .. } = verdict {
+            self.per_exit[exit] += 1;
         }
-    };
-    ServeReport {
-        submitted: parts.submitted,
-        served: parts.served,
-        rejected: parts.rejected,
-        shed: parts.shed,
-        degraded: parts.degraded,
-        retried: parts.retried,
-        restarted: parts.restarted,
-        stalled: parts.stalled,
-        deadline_met: parts.deadline_met,
-        per_exit: parts.per_exit,
-        batches: parts.batches,
-        mean_batch_fill: if parts.batches > 0 {
-            parts.served as f64 / parts.batches as f64
-        } else {
-            0.0
-        },
-        wait_p50_s: percentile(&parts.waits, 0.50),
-        wait_p99_s: percentile(&parts.waits, 0.99),
-        latency_p50_s: percentile(&parts.latencies, 0.50),
-        latency_p99_s: percentile(&parts.latencies, 0.99),
-        throughput_rps: rate(parts.served),
-        goodput_rps: rate(parts.deadline_met),
-        compute_s: parts.compute_s,
+        self.deadline_met += usize::from(met);
+        self.waits.push(wait_s);
+        self.latencies.push(latency_s);
+        self.responses.push((key, Response { id, verdict }));
+    }
+
+    fn into_outcome(mut self, submitted: usize, makespan_s: f64) -> ServeOutcome {
+        self.responses.sort_by_key(|&(key, _)| key);
+        let rate = |count: usize| if makespan_s > 0.0 { count as f64 / makespan_s } else { 0.0 };
+        let report = ServeReport {
+            submitted,
+            served: self.served,
+            rejected: self.rejected,
+            shed: self.shed,
+            degraded: self.degraded,
+            retried: self.retried,
+            restarted: self.restarted,
+            stalled: self.stalled,
+            deadline_met: self.deadline_met,
+            per_exit: self.per_exit,
+            batches: self.batches,
+            mean_batch_fill: if self.batches > 0 {
+                self.served as f64 / self.batches as f64
+            } else {
+                0.0
+            },
+            wait_p50_s: percentile(&self.waits, 0.50),
+            wait_p99_s: percentile(&self.waits, 0.99),
+            latency_p50_s: percentile(&self.latencies, 0.50),
+            latency_p99_s: percentile(&self.latencies, 0.99),
+            throughput_rps: rate(self.served),
+            goodput_rps: rate(self.deadline_met),
+            compute_s: self.compute_s,
+        };
+        debug_assert!(report.conservation_holds(), "serving broke request conservation");
+        ServeOutcome { responses: self.responses.into_iter().map(|(_, r)| r).collect(), report }
     }
 }
 
 // ---------------------------------------------------------------------------
 // Live mode plumbing
 // ---------------------------------------------------------------------------
-
-/// A shared mutex poisoned by a panicking worker: degrade to a recoverable
-/// [`ServeError::WorkerLost`] instead of cascading the panic into the caller.
-fn poisoned(what: &str) -> ServeError {
-    ServeError::WorkerLost(format!("{what} mutex poisoned by a panicked worker"))
-}
 
 struct LiveRequest {
     id: u64,
@@ -807,59 +736,13 @@ struct LiveState {
     closed: bool,
 }
 
-struct LiveShared {
-    state: Mutex<LiveState>,
-    cond: Condvar,
-}
-
-struct LiveResults {
-    responses: Vec<Response>,
-    waits: Vec<f64>,
-    latencies: Vec<f64>,
-    compute_s: f64,
-    batches: usize,
-    served: usize,
-    rejected: usize,
-    shed: usize,
-    degraded: usize,
-    retried: usize,
-    restarted: usize,
-    stalled: usize,
-    deadline_met: usize,
-    per_exit: Vec<usize>,
-}
-
-impl LiveResults {
-    fn new(num_exits: usize) -> Self {
-        LiveResults {
-            responses: Vec::new(),
-            waits: Vec::new(),
-            latencies: Vec::new(),
-            compute_s: 0.0,
-            batches: 0,
-            served: 0,
-            rejected: 0,
-            shed: 0,
-            degraded: 0,
-            retried: 0,
-            restarted: 0,
-            stalled: 0,
-            deadline_met: 0,
-            per_exit: vec![0; num_exits],
-        }
-    }
-}
-
 /// Shared context of the live workers and the submission path.
 struct LiveCtx<'a> {
-    network: &'a MultiExitNetwork,
-    shared: &'a LiveShared,
-    results: &'a Mutex<LiveResults>,
+    sup: &'a Supervisor<'a>,
+    state: Mutex<LiveState>,
+    cond: Condvar,
     window: WindowConfig,
     overload: OverloadConfig,
-    chaos: ChaosPlan,
-    quant: Option<QuantConfig>,
-    spares: &'a PlanSpares,
 }
 
 /// Chaos burst buffer on the submission path: a burst-opening submission
@@ -879,7 +762,6 @@ pub struct LiveHandle<'a> {
     ctx: &'a LiveCtx<'a>,
     admission: Mutex<&'a mut LatencyAdmission>,
     burst: Mutex<BurstState>,
-    num_exits: usize,
     submitted: &'a AtomicUsize,
 }
 
@@ -893,17 +775,20 @@ impl LiveHandle<'_> {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::WorkerLost`] when a panicked worker poisoned the
-    /// shared queue or results — the load generator can stop submitting and
-    /// let `run_live` report the lost worker.
+    /// Returns [`ServeError::InvalidRequest`], naming `id`, when `input` is
+    /// shaped unlike the network's input; such a request does not count as
+    /// submitted and the run goes on. Returns [`ServeError::WorkerLost`]
+    /// when a panicked worker poisoned the shared queue or tally — the load
+    /// generator can stop submitting and let `run_live` report the lost
+    /// worker.
     pub fn submit(&self, id: u64, budget_s: f64, input: Tensor) -> Result<()> {
+        let sup = self.ctx.sup;
+        check_input(sup.network, id, &input)?;
         self.submitted.fetch_add(1, Ordering::Relaxed);
         let decision =
             self.admission.lock().map_err(|_| poisoned("serve admission"))?.admit(id, budget_s);
         let Some(admitted_exit) = decision else {
-            let mut res = self.ctx.results.lock().map_err(|_| poisoned("serve results"))?;
-            res.rejected += 1;
-            res.responses.push(Response { id, verdict: Verdict::Rejected });
+            sup.tally()?.reject(id, id);
             return Ok(());
         };
         // Degrade policy, live flavour: the pressure cap reads the *real*
@@ -912,13 +797,12 @@ impl LiveHandle<'_> {
         // live runs trade away cross-thread-count determinism.
         let mut exit = admitted_exit;
         if self.ctx.overload.policy == ShedPolicy::Degrade {
-            let occupancy =
-                self.ctx.shared.state.lock().map_err(|_| poisoned("serve queue"))?.queue.len();
-            exit =
-                exit.min(pressure_exit_cap(occupancy, self.ctx.overload.queue_cap, self.num_exits));
+            let occupancy = self.ctx.state.lock().map_err(|_| poisoned("serve queue"))?.queue.len();
+            let num_exits = sup.network.num_exits();
+            exit = exit.min(pressure_exit_cap(occupancy, self.ctx.overload.queue_cap, num_exits));
         }
         if exit < admitted_exit {
-            self.ctx.results.lock().map_err(|_| poisoned("serve results"))?.degraded += 1;
+            sup.tally()?.degraded += 1;
         }
         let req = LiveRequest { id, exit, input, arrival: Instant::now(), budget_s, attempt: 0 };
         // Chaos burst buffer: a burst-opening submission holds the next few
@@ -927,8 +811,8 @@ impl LiveHandle<'_> {
             let mut burst = self.burst.lock().map_err(|_| poisoned("serve burst buffer"))?;
             let s = burst.counter;
             burst.counter += 1;
-            if burst.hold_remaining == 0 && self.ctx.chaos.burst_at(s) {
-                burst.hold_remaining = self.ctx.chaos.burst_len;
+            if burst.hold_remaining == 0 && sup.chaos.burst_at(s) {
+                burst.hold_remaining = sup.chaos.burst_len;
             }
             if burst.hold_remaining > 0 {
                 burst.pending.push(req);
@@ -968,7 +852,7 @@ impl LiveHandle<'_> {
     fn enqueue(&self, requests: Vec<LiveRequest>) -> Result<()> {
         let mut shed_events: Vec<(u64, ShedReason)> = Vec::new();
         {
-            let mut st = self.ctx.shared.state.lock().map_err(|_| poisoned("serve queue"))?;
+            let mut st = self.ctx.state.lock().map_err(|_| poisoned("serve queue"))?;
             for mut req in requests {
                 if st.queue.len() >= self.ctx.overload.queue_cap {
                     match self.ctx.overload.policy {
@@ -991,12 +875,11 @@ impl LiveHandle<'_> {
                 st.queue.push_back(req);
             }
         }
-        self.ctx.shared.cond.notify_all();
+        self.ctx.cond.notify_all();
         if !shed_events.is_empty() {
-            let mut res = self.ctx.results.lock().map_err(|_| poisoned("serve results"))?;
+            let mut tally = self.ctx.sup.tally()?;
             for (id, reason) in shed_events {
-                res.shed += 1;
-                res.responses.push(Response { id, verdict: Verdict::Shed { reason } });
+                tally.shed(id, id, reason);
             }
         }
         Ok(())
@@ -1004,16 +887,16 @@ impl LiveHandle<'_> {
 }
 
 /// One live worker: waits for the window to close (size-N, deadline-T or
-/// shutdown drain), claims up to `max_batch` requests, runs them on its own
-/// plan under supervision and records the responses. A panic mid-batch is
-/// caught: the plan is recycled, the batch re-enqueued at the queue front
-/// (arrival order preserved) with deterministic backoff, and requests past
-/// the retry budget are shed — the condvar queue never deadlocks and no
-/// request is executed-and-recorded twice.
+/// shutdown drain), claims up to `max_batch` requests and runs them through
+/// the supervised attempt on its own plan. When the worker is lost, members
+/// with a retry left go back to the queue front (arrival order preserved —
+/// they were at the front when claimed) and the rest are shed, so the
+/// condvar queue never deadlocks and no request is executed-and-recorded
+/// twice.
 fn live_worker(ctx: &LiveCtx<'_>, plan: &mut BatchPlan) -> Result<()> {
     let deadline = Duration::from_secs_f64(ctx.window.deadline_s);
     loop {
-        let mut st = ctx.shared.state.lock().map_err(|_| poisoned("serve queue"))?;
+        let mut st = ctx.state.lock().map_err(|_| poisoned("serve queue"))?;
         // Wait for work (or shutdown with an empty queue).
         loop {
             if !st.queue.is_empty() {
@@ -1022,7 +905,7 @@ fn live_worker(ctx: &LiveCtx<'_>, plan: &mut BatchPlan) -> Result<()> {
             if st.closed {
                 return Ok(());
             }
-            st = ctx.shared.cond.wait(st).map_err(|_| poisoned("serve queue"))?;
+            st = ctx.cond.wait(st).map_err(|_| poisoned("serve queue"))?;
         }
         // Window phase: hold until filled, the deadline passes, or shutdown
         // starts draining. The front's arrival opens the window.
@@ -1035,7 +918,6 @@ fn live_worker(ctx: &LiveCtx<'_>, plan: &mut BatchPlan) -> Result<()> {
                 break;
             }
             let (guard, _) = ctx
-                .shared
                 .cond
                 .wait_timeout(st, deadline - elapsed)
                 .map_err(|_| poisoned("serve queue"))?;
@@ -1046,85 +928,46 @@ fn live_worker(ctx: &LiveCtx<'_>, plan: &mut BatchPlan) -> Result<()> {
             continue;
         }
         let n = st.queue.len().min(ctx.window.max_batch);
-        let mut batch: Vec<LiveRequest> = st.queue.drain(..n).collect();
+        let batch: Vec<LiveRequest> = st.queue.drain(..n).collect();
         drop(st);
         // Chaos keys on the batch head's id and the highest member attempt —
         // stable content keys, never worker identity.
         let key = batch.first().map_or(0, |r| r.id);
         let attempt = batch.iter().map(|r| r.attempt).max().unwrap_or(0);
-        if let Some(ms) = ctx.chaos.stall_ms(key, attempt) {
-            ctx.results.lock().map_err(|_| poisoned("serve results"))?.stalled += 1;
-            std::thread::sleep(Duration::from_millis(ms));
-        }
-        let close = Instant::now();
+        let retry = batch.iter().any(|r| r.attempt < RETRY_BUDGET);
         let inputs: Vec<&Tensor> = batch.iter().map(|r| &r.input).collect();
         let exits: Vec<usize> = batch.iter().map(|r| r.exit).collect();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            ctx.chaos.maybe_panic(key, attempt);
-            run_batch(ctx.network, plan, &inputs, &exits)
-        }));
-        match outcome {
-            Ok(Ok(verdicts)) => {
-                let done = Instant::now();
-                let mut res = ctx.results.lock().map_err(|_| poisoned("serve results"))?;
-                res.batches += 1;
-                res.compute_s += (done - close).as_secs_f64();
-                for (req, verdict) in batch.iter().zip(verdicts) {
-                    res.served += 1;
-                    if let Verdict::Served { exit, .. } = verdict {
-                        res.per_exit[exit] += 1;
-                    }
-                    let latency = (done - req.arrival).as_secs_f64();
-                    if latency <= req.budget_s {
-                        res.deadline_met += 1;
-                    }
-                    res.waits.push((close - req.arrival).as_secs_f64());
-                    res.latencies.push(latency);
-                    res.responses.push(Response { id: req.id, verdict });
+        let Some((verdicts, start)) =
+            ctx.sup.attempt(plan, key, attempt, retry, &inputs, &exits)?
+        else {
+            let (again, exhausted): (Vec<_>, Vec<_>) =
+                batch.into_iter().partition(|r| r.attempt < RETRY_BUDGET);
+            {
+                let mut tally = ctx.sup.tally()?;
+                tally.retried += again.len();
+                for req in &exhausted {
+                    tally.shed(req.id, req.id, ShedReason::RetryExhausted);
                 }
             }
-            Ok(Err(e)) => return Err(e),
-            Err(_panic) => {
-                // Supervision: recycle the plan, back off, re-enqueue the
-                // survivors at the front (arrival order preserved — they were
-                // at the front when claimed), shed the exhausted.
-                *plan = recycle_plan(
-                    ctx.network,
-                    ctx.quant.as_ref(),
-                    ctx.spares,
-                    ctx.window.max_batch,
-                )?;
-                std::thread::sleep(backoff(attempt));
-                let mut res = ctx.results.lock().map_err(|_| poisoned("serve results"))?;
-                res.restarted += 1;
-                let mut exhausted = Vec::new();
-                let mut retry = Vec::new();
-                for mut req in batch.drain(..) {
-                    if req.attempt < ctx.overload.retry_budget {
-                        req.attempt += 1;
-                        retry.push(req);
-                    } else {
-                        exhausted.push(req.id);
-                    }
+            if !again.is_empty() {
+                let mut st = ctx.state.lock().map_err(|_| poisoned("serve queue"))?;
+                for mut req in again.into_iter().rev() {
+                    req.attempt += 1;
+                    st.queue.push_front(req);
                 }
-                res.retried += retry.len();
-                for id in exhausted {
-                    res.shed += 1;
-                    res.responses.push(Response {
-                        id,
-                        verdict: Verdict::Shed { reason: ShedReason::RetryExhausted },
-                    });
-                }
-                drop(res);
-                if !retry.is_empty() {
-                    let mut st = ctx.shared.state.lock().map_err(|_| poisoned("serve queue"))?;
-                    for req in retry.into_iter().rev() {
-                        st.queue.push_front(req);
-                    }
-                    drop(st);
-                    ctx.shared.cond.notify_all();
-                }
+                drop(st);
+                ctx.cond.notify_all();
             }
+            continue;
+        };
+        let done = Instant::now();
+        let mut tally = ctx.sup.tally()?;
+        tally.batches += 1;
+        tally.compute_s += (done - start).as_secs_f64();
+        for (req, verdict) in batch.iter().zip(verdicts) {
+            let wait_s = (start - req.arrival).as_secs_f64();
+            let latency_s = (done - req.arrival).as_secs_f64();
+            tally.serve(req.id, req.id, verdict, wait_s, latency_s, latency_s <= req.budget_s);
         }
     }
 }

@@ -1,13 +1,13 @@
 //! The dynamic batching window: batches close at size `N` or deadline `T`,
 //! whichever comes first.
 //!
-//! [`compose_batches`] is a pure function over arrival times, shared by the
-//! deterministic replay path and the tests; the live server implements the
-//! same close rule against the wall clock. Keeping the rule in one pure
-//! function is what makes "no request is ever dropped or duplicated" a
-//! property-testable statement.
+//! The close rule has one virtual-clock implementation, the replay planner
+//! [`plan_overload`](crate::plan_overload), whose proptests state that no
+//! request is ever dropped or duplicated; the live server applies the same
+//! rule against the wall clock.
 
 use crate::{Result, ServeError};
+use std::time::Duration;
 
 /// Configuration of the dynamic batching window.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -19,7 +19,8 @@ pub struct WindowConfig {
     /// configuration error, not a degenerate loop.
     pub max_batch: usize,
     /// Seconds a window stays open after its first request arrives. `0.0`
-    /// batches only simultaneous arrivals. Must be finite and non-negative.
+    /// batches only simultaneous arrivals. Must be finite, non-negative and
+    /// representable as a [`Duration`] (the live server waits on it).
     pub deadline_s: f64,
 }
 
@@ -29,88 +30,21 @@ impl WindowConfig {
     /// # Errors
     ///
     /// Returns [`ServeError::InvalidConfig`] when `max_batch` is zero or
-    /// `deadline_s` is negative or non-finite.
+    /// `deadline_s` is negative, non-finite or beyond [`Duration::MAX`].
     pub fn validate(&self) -> Result<()> {
         if self.max_batch == 0 {
             return Err(ServeError::InvalidConfig(
                 "batching window must admit at least one request".into(),
             ));
         }
-        if !self.deadline_s.is_finite() || self.deadline_s < 0.0 {
+        if Duration::try_from_secs_f64(self.deadline_s).is_err() {
             return Err(ServeError::InvalidConfig(format!(
-                "window deadline must be finite and non-negative, got {}",
+                "window deadline must be a finite, non-negative duration, got {} s",
                 self.deadline_s
             )));
         }
         Ok(())
     }
-}
-
-/// One closed batching window over an arrival-ordered request stream.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WindowBatch {
-    /// Arrival time of the first request in the window.
-    pub open_s: f64,
-    /// When the window closed: the `max_batch`-th arrival when it filled,
-    /// otherwise `open_s + deadline_s`.
-    pub close_s: f64,
-    /// Positions (into the arrival-ordered stream) of the batched requests.
-    pub indices: Vec<usize>,
-}
-
-impl WindowBatch {
-    /// Queue wait of the `k`-th request in this batch (seconds).
-    pub fn wait_s(&self, arrival_s: f64) -> f64 {
-        self.close_s - arrival_s
-    }
-}
-
-/// Splits an arrival-ordered stream into dynamic batches: a window opens at
-/// the first pending arrival and closes at `open + deadline` or as soon as
-/// `max_batch` requests arrived, whichever comes first. Every position in
-/// `0..arrivals.len()` lands in exactly one batch, in order — the windows
-/// partition the stream — and no request ever waits longer than the
-/// deadline.
-///
-/// # Errors
-///
-/// Returns [`ServeError::InvalidConfig`] for an invalid window and
-/// [`ServeError::InvalidRequest`] when arrivals are non-finite or decrease.
-pub fn compose_batches(arrivals: &[f64], config: &WindowConfig) -> Result<Vec<WindowBatch>> {
-    config.validate()?;
-    for (i, w) in arrivals.windows(2).enumerate() {
-        if w[1] < w[0] {
-            return Err(ServeError::InvalidRequest(format!(
-                "arrivals must be non-decreasing: position {} at {} precedes position {} at {}",
-                i + 1,
-                w[1],
-                i,
-                w[0]
-            )));
-        }
-    }
-    if let Some(bad) = arrivals.iter().find(|a| !a.is_finite()) {
-        return Err(ServeError::InvalidRequest(format!("non-finite arrival time {bad}")));
-    }
-    let mut batches = Vec::new();
-    let mut start = 0;
-    while start < arrivals.len() {
-        let open_s = arrivals[start];
-        let deadline = open_s + config.deadline_s;
-        let mut end = start + 1;
-        while end < arrivals.len() && end - start < config.max_batch && arrivals[end] <= deadline {
-            end += 1;
-        }
-        let close_s = if end - start == config.max_batch {
-            // Filled early: the window closes the moment the last slot fills.
-            arrivals[end - 1]
-        } else {
-            deadline
-        };
-        batches.push(WindowBatch { open_s, close_s, indices: (start..end).collect() });
-        start = end;
-    }
-    Ok(batches)
 }
 
 #[cfg(test)]
@@ -125,45 +59,10 @@ mod tests {
         ));
         assert!(WindowConfig { max_batch: 1, deadline_s: -0.1 }.validate().is_err());
         assert!(WindowConfig { max_batch: 1, deadline_s: f64::NAN }.validate().is_err());
+        assert!(
+            WindowConfig { max_batch: 1, deadline_s: 1e20 }.validate().is_err(),
+            "a deadline beyond Duration::MAX cannot be waited on"
+        );
         assert!(WindowConfig { max_batch: 1, deadline_s: 0.0 }.validate().is_ok());
-    }
-
-    #[test]
-    fn windows_close_at_size_or_deadline_whichever_first() {
-        let cfg = WindowConfig { max_batch: 3, deadline_s: 1.0 };
-        // 0.0,0.1,0.2 fill a batch (close at 0.2); 5.0 then waits out the
-        // full deadline alone (close 6.0); 7.5,7.6 close at 8.5.
-        let arrivals = [0.0, 0.1, 0.2, 5.0, 7.5, 7.6];
-        let batches = compose_batches(&arrivals, &cfg).unwrap();
-        assert_eq!(batches.len(), 3);
-        assert_eq!(batches[0].indices, vec![0, 1, 2]);
-        assert_eq!(batches[0].close_s, 0.2, "a filled window closes at the last arrival");
-        assert_eq!(batches[1].indices, vec![3]);
-        assert_eq!(batches[1].close_s, 6.0, "an unfilled window waits out the deadline");
-        assert_eq!(batches[2].indices, vec![4, 5]);
-        assert_eq!(batches[2].close_s, 8.5);
-        for b in &batches {
-            for &i in &b.indices {
-                let wait = b.wait_s(arrivals[i]);
-                assert!((0.0..=cfg.deadline_s).contains(&wait), "wait {wait} within deadline");
-            }
-        }
-    }
-
-    #[test]
-    fn a_zero_deadline_batches_only_simultaneous_arrivals() {
-        let cfg = WindowConfig { max_batch: 8, deadline_s: 0.0 };
-        let arrivals = [0.0, 0.0, 0.0, 1.0, 2.0];
-        let batches = compose_batches(&arrivals, &cfg).unwrap();
-        let sizes: Vec<usize> = batches.iter().map(|b| b.indices.len()).collect();
-        assert_eq!(sizes, vec![3, 1, 1]);
-    }
-
-    #[test]
-    fn unsorted_or_nonfinite_arrivals_are_rejected() {
-        let cfg = WindowConfig { max_batch: 2, deadline_s: 1.0 };
-        assert!(matches!(compose_batches(&[1.0, 0.5], &cfg), Err(ServeError::InvalidRequest(_))));
-        assert!(compose_batches(&[0.0, f64::NAN], &cfg).is_err());
-        assert!(compose_batches(&[], &cfg).unwrap().is_empty());
     }
 }

@@ -76,8 +76,7 @@ fn replay(
 #[test]
 fn chaotic_replay_is_byte_identical_across_worker_counts() {
     let requests = request_stream(96);
-    let overload =
-        OverloadConfig { queue_cap: 3, policy: ShedPolicy::Degrade, ..OverloadConfig::default() };
+    let overload = OverloadConfig { queue_cap: 3, policy: ShedPolicy::Degrade };
     let chaos = ChaosPlan::seeded(7);
     let one = replay(1, &requests, overload, &chaos);
     let four = replay(4, &requests, overload, &chaos);
@@ -131,7 +130,7 @@ fn exhausted_retry_budget_sheds_deterministically() {
     assert_eq!(format!("{:?}", one.responses), format!("{:?}", four.responses));
     assert_eq!(one.report.served, 0, "every batch's workers were killed on every attempt");
     assert!(one.report.conservation_holds());
-    // Each batch burns attempt 0 plus `retry_budget` retries before shedding.
+    // Each batch burns attempt 0 plus its one retry before shedding.
     assert_eq!(one.report.restarted, one.report.batches * 2);
     for r in &one.responses {
         assert!(
@@ -143,6 +142,51 @@ fn exhausted_retry_budget_sheds_deterministically() {
             r.id,
             r.verdict
         );
+    }
+}
+
+/// Worker recycling on the integer engine: a lost quantized worker's plan is
+/// replaced from the spare quantized pool, and the chaotic replay answers
+/// exactly as the fault-free one does, at any worker count.
+#[test]
+fn quantized_chaotic_replay_recycles_plans_and_matches_the_fault_free_run() {
+    use ie_nn::quant::config_from_bits;
+    use ie_nn::train::QuantPlanPool;
+    use ie_tensor::QuantParams;
+
+    let net = network(5);
+    let n = net.architecture().compressible_layers().len();
+    let first = QuantParams::from_range(-3.0, 3.0, 8);
+    let act = QuantParams::from_range(0.0, 8.0, 8);
+    let cfg = config_from_bits(
+        &net,
+        &(0..n).map(|i| Some((8, if i == 0 { first } else { act }))).collect::<Vec<_>>(),
+    )
+    .unwrap();
+    let requests = request_stream(96);
+    let run = |threads: usize, chaos: &ChaosPlan| {
+        let mut pool = QuantPlanPool::new();
+        let config = ServeConfig::new(WindowConfig { max_batch: 4, deadline_s: 0.004 }, threads);
+        let mut server = Server::new_quantized(&net, &cfg, config, &mut pool).unwrap();
+        let outcome = server.replay_chaotic(&mut admission(), &requests, chaos).unwrap();
+        for plan in server.into_plans() {
+            pool.put(plan);
+        }
+        outcome
+    };
+    let fault_free = run(1, &ChaosPlan::none());
+    for threads in [1, 4] {
+        let chaotic = run(threads, &ChaosPlan::seeded(7));
+        assert_eq!(
+            format!("{:?}", chaotic.responses),
+            format!("{:?}", fault_free.responses),
+            "{threads}-worker chaotic quantized replay diverged from the fault-free run"
+        );
+        assert!(chaotic.report.restarted >= 1, "no quantized worker was lost at seed 7");
+        assert!(!chaotic
+            .responses
+            .iter()
+            .any(|r| matches!(r.verdict, Verdict::Shed { reason: ShedReason::RetryExhausted })));
     }
 }
 

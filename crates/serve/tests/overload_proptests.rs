@@ -6,16 +6,14 @@
 //! * **conservation**: every request gets exactly one outcome (scheduled,
 //!   rejected, or shed), and the planned batches hold exactly the scheduled
 //!   requests, once each, in arrival order;
-//! * the unbounded planner is **exactly** `compose_batches` over the
-//!   admitted sub-stream (the overload layer is a strict extension);
+//! * the unbounded planner is **exactly** the window close rule over the
+//!   admitted sub-stream, with nothing shed or degraded;
 //! * batches respect the size cap, are never empty, and no scheduled
 //!   request waits past the window deadline;
 //! * degradation only ever *lowers* an exit (and flags it), never invents
 //!   capacity, and rejected requests stay rejected whatever the policy.
 
-use ie_serve::{
-    compose_batches, plan_overload, AdmitOutcome, OverloadConfig, ShedPolicy, WindowConfig,
-};
+use ie_serve::{plan_overload, AdmitOutcome, OverloadConfig, ShedPolicy, WindowConfig};
 use proptest::prelude::*;
 
 /// Fixed three-exit cost table (seconds) — the planner only reads relative
@@ -51,7 +49,7 @@ proptest! {
         let decisions: Vec<Option<usize>> =
             decisions_raw[..n].iter().map(|&d| (d < 3).then_some(d)).collect();
         let window = WindowConfig { max_batch, deadline_s: deadline_ms / 1000.0 };
-        let config = OverloadConfig { queue_cap, policy, ..OverloadConfig::default() };
+        let config = OverloadConfig { queue_cap, policy };
         let plan = plan_overload(&arrivals, budgets, &decisions, &COSTS, &window, &config).unwrap();
 
         // Conservation: exactly one outcome each, batches = scheduled set.
@@ -105,28 +103,30 @@ proptest! {
             }
         }
         prop_assert_eq!(plan.degraded, degraded_total);
-        prop_assert!(plan.deadline_met <= scheduled);
     }
 
     #[test]
-    fn unbounded_plan_reduces_to_compose_batches(
-        gaps in proptest::collection::vec(0.0f64..0.02, 0..80),
+    fn unbounded_plan_applies_the_close_rule(
+        // Times on a 1/1024 s grid are exact in f64, so arrivals landing
+        // exactly on a window's deadline exercise the edge rule.
+        gap_ticks in proptest::collection::vec(0u32..20, 0..80),
         // 0..3 = admitted exit, 3 = rejected by admission.
         decisions_raw in proptest::collection::vec(0usize..4, 80),
         max_batch in 1usize..=9,
-        deadline_ms in 0.0f64..15.0,
+        deadline_ticks in 0u32..16,
     ) {
-        let mut arrivals = Vec::with_capacity(gaps.len());
+        let tick = 1.0 / 1024.0;
+        let mut arrivals = Vec::with_capacity(gap_ticks.len());
         let mut t = 0.0;
-        for g in &gaps {
-            t += g;
+        for &g in &gap_ticks {
+            t += f64::from(g) * tick;
             arrivals.push(t);
         }
         let n = arrivals.len();
         let decisions: Vec<Option<usize>> =
             decisions_raw[..n].iter().map(|&d| (d < 3).then_some(d)).collect();
         let budgets = vec![1.0; n];
-        let window = WindowConfig { max_batch, deadline_s: deadline_ms / 1000.0 };
+        let window = WindowConfig { max_batch, deadline_s: f64::from(deadline_ticks) * tick };
         let plan = plan_overload(
             &arrivals,
             &budgets,
@@ -144,18 +144,32 @@ proptest! {
         prop_assert_eq!(plan.shed(), 0, "an unbounded queue never sheds");
         prop_assert_eq!(plan.degraded, 0, "Reject never degrades");
 
-        // The reference: compose_batches over the admitted sub-stream, the
-        // exact pipeline the pre-overload server ran.
+        // The close rule over the admitted sub-stream, stated directly.
         let admitted: Vec<usize> = (0..n).filter(|&i| decisions[i].is_some()).collect();
-        let admitted_arrivals: Vec<f64> = admitted.iter().map(|&i| arrivals[i]).collect();
-        let reference = compose_batches(&admitted_arrivals, &window).unwrap();
-        prop_assert_eq!(plan.batches.len(), reference.len());
-        for (p, r) in plan.batches.iter().zip(&reference) {
-            prop_assert_eq!(p.open_s, r.open_s);
-            prop_assert_eq!(p.close_s, r.close_s);
-            let positions: Vec<usize> = p.members.iter().map(|&(i, _)| i).collect();
-            let expected: Vec<usize> = r.indices.iter().map(|&j| admitted[j]).collect();
-            prop_assert_eq!(positions, expected);
+        let mut next = 0;
+        for b in &plan.batches {
+            let positions: Vec<usize> = b.members.iter().map(|&(i, _)| i).collect();
+            // A window opens at the first admitted arrival not yet batched
+            // and takes the admitted arrivals that follow, in order…
+            prop_assert_eq!(b.open_s, arrivals[admitted[next]]);
+            prop_assert_eq!(Some(&positions[..]), admitted.get(next..next + positions.len()));
+            next += positions.len();
+            let deadline = b.open_s + window.deadline_s;
+            for &i in &positions {
+                prop_assert!(arrivals[i] <= deadline, "member {} joined past the deadline", i);
+            }
+            if positions.len() == max_batch {
+                // …closing at its `max_batch`-th member's arrival…
+                prop_assert_eq!(b.close_s, arrivals[positions[max_batch - 1]]);
+            } else {
+                // …or at its deadline, and the first admitted arrival after
+                // that opens the next window.
+                prop_assert_eq!(b.close_s, deadline);
+                if let Some(&following) = admitted.get(next) {
+                    prop_assert!(arrivals[following] > deadline);
+                }
+            }
         }
+        prop_assert_eq!(next, admitted.len(), "every admitted request was batched");
     }
 }

@@ -12,7 +12,10 @@ use ie_nn::spec::tiny_multi_exit;
 use ie_nn::train::{BatchPlanPool, QuantPlanPool};
 use ie_nn::MultiExitNetwork;
 use ie_runtime::{LatencyAdmission, StateDiscretizer};
-use ie_serve::{Request, Response, ServeConfig, ServeOutcome, Server, Verdict, WindowConfig};
+use ie_serve::{
+    Request, Response, ServeConfig, ServeError, ServeOutcome, Server, Verdict, WindowConfig,
+};
+use ie_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -192,4 +195,53 @@ fn mismatched_admission_tables_are_rejected() {
         server.replay(&mut three_exit_adm, &[]),
         Err(ie_serve::ServeError::InvalidConfig(_))
     ));
+}
+
+/// A wrong-shaped input is refused at submission: it does not count as
+/// submitted, and it cannot fail the batch of its neighbours.
+#[test]
+fn live_submit_refuses_a_wrong_shaped_input_and_serves_the_rest() {
+    let net = network(5);
+    let requests = request_stream(16);
+    let mut pool = BatchPlanPool::new();
+    let config = ServeConfig::new(WindowConfig { max_batch: 4, deadline_s: 0.001 }, 2);
+    let mut server = Server::new(&net, config, &mut pool).unwrap();
+    let mut adm = admission();
+    let mut refused = None;
+    let outcome = server
+        .run_live(&mut adm, |handle| {
+            for r in &requests {
+                handle.submit(r.id, r.budget_s, r.input.clone()).expect("live submit");
+                if r.id == 7 {
+                    refused = Some(handle.submit(99, 1.0, Tensor::zeros(&[1, 4, 4])));
+                }
+            }
+        })
+        .unwrap();
+    match refused {
+        Some(Err(ServeError::InvalidRequest(msg))) => assert!(msg.contains("request 99"), "{msg}"),
+        other => panic!("expected InvalidRequest naming request 99, got {other:?}"),
+    }
+    assert_eq!(outcome.report.submitted, requests.len());
+    assert!(outcome.report.conservation_holds());
+    assert_eq!(
+        format!("{:?}", outcome.responses),
+        format!("{:?}", replay_f32(1, &requests).responses),
+        "every well-formed request is answered as in replay"
+    );
+}
+
+/// Replay checks every input's shape up front, before any worker starts.
+#[test]
+fn replay_refuses_a_wrong_shaped_input_naming_its_id() {
+    let net = network(5);
+    let mut requests = request_stream(16);
+    requests[5].input = Tensor::zeros(&[1, 4, 4]);
+    let mut pool = BatchPlanPool::new();
+    let config = ServeConfig::new(WindowConfig { max_batch: 4, deadline_s: 0.004 }, 2);
+    let mut server = Server::new(&net, config, &mut pool).unwrap();
+    match server.replay(&mut admission(), &requests) {
+        Err(ServeError::InvalidRequest(msg)) => assert!(msg.contains("request 5"), "{msg}"),
+        other => panic!("expected InvalidRequest naming request 5, got {other:?}"),
+    }
 }

@@ -1,9 +1,10 @@
 //! Property: the dynamic batching window partitions the request stream —
-//! for ANY sorted arrival schedule, window size and deadline, every request
-//! lands in exactly one batch (never dropped, never duplicated), batches
-//! respect the size cap, and no request waits past the deadline.
+//! for ANY sorted arrival schedule, window size and deadline, the replay
+//! planner under the default (unbounded) overload config puts every request
+//! in exactly one batch (never dropped, never duplicated), batches respect
+//! the size cap, and no request waits past the deadline.
 
-use ie_serve::{compose_batches, WindowConfig};
+use ie_serve::{plan_overload, OverloadConfig, WindowConfig};
 use proptest::prelude::*;
 
 proptest! {
@@ -22,21 +23,31 @@ proptest! {
             t += g;
             arrivals.push(t);
         }
+        let n = arrivals.len();
         let cfg = WindowConfig { max_batch, deadline_s: deadline_ms / 1000.0 };
-        let batches = compose_batches(&arrivals, &cfg).unwrap();
+        let plan = plan_overload(
+            &arrivals,
+            &vec![1.0; n],
+            &vec![Some(0); n],
+            &[0.001],
+            &cfg,
+            &OverloadConfig::default(),
+        )
+        .unwrap();
 
-        // Exactly once, in order: the concatenated indices are 0..n.
-        let flat: Vec<usize> = batches.iter().flat_map(|b| b.indices.iter().copied()).collect();
-        prop_assert_eq!(flat, (0..arrivals.len()).collect::<Vec<_>>());
+        // Exactly once, in order: the concatenated members are 0..n.
+        let flat: Vec<usize> =
+            plan.batches.iter().flat_map(|b| b.members.iter().map(|&(i, _)| i)).collect();
+        prop_assert_eq!(flat, (0..n).collect::<Vec<_>>());
 
-        for b in &batches {
-            prop_assert!(!b.indices.is_empty(), "no empty windows");
-            prop_assert!(b.indices.len() <= max_batch, "size cap respected");
+        for b in &plan.batches {
+            prop_assert!(!b.members.is_empty(), "no empty windows");
+            prop_assert!(b.members.len() <= max_batch, "size cap respected");
             prop_assert!(b.close_s >= b.open_s);
             // A filled window closes at its last arrival, an unfilled one at
             // the deadline — either way nobody waits past the deadline.
-            for &i in &b.indices {
-                let wait = b.wait_s(arrivals[i]);
+            for &(i, _) in &b.members {
+                let wait = b.close_s - arrivals[i];
                 prop_assert!(
                     (-1e-9..=cfg.deadline_s + 1e-9).contains(&wait),
                     "wait {} vs deadline {}", wait, cfg.deadline_s
