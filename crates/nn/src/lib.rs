@@ -70,7 +70,7 @@ pub use conv::Conv2d;
 pub use dense::Dense;
 pub use error::NnError;
 pub use layer::{Flatten, Layer};
-pub use mlp::{Mlp, OutputActivation};
+pub use mlp::{Mlp, MlpScratch, OutputActivation};
 pub use network::{ExitOutput, ForwardState, MultiExitNetwork};
 pub use optim::Sgd;
 pub use plan::{ExecutionPlan, PlannedOutput};

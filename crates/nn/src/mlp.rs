@@ -1,4 +1,4 @@
-use crate::{Dense, Relu, Result};
+use crate::{Dense, NnError, Relu, Result};
 use ie_tensor::Tensor;
 use rand::Rng;
 
@@ -20,7 +20,10 @@ pub enum OutputActivation {
 /// This is the function approximator behind the DDPG actor and critic in
 /// `ie-rl`. It supports forward evaluation, backward propagation of an output
 /// gradient, SGD updates and the soft ("Polyak") parameter blending DDPG uses
-/// for its target networks.
+/// for its target networks. The passes run one sample at a time through
+/// allocating [`Tensor`]s, or a whole batch at a time through a
+/// caller-owned [`MlpScratch`] without allocating; the two agree bit for
+/// bit.
 ///
 /// # Example
 ///
@@ -40,6 +43,37 @@ pub struct Mlp {
     layers: Vec<Dense>,
     relu: Relu,
     output_activation: OutputActivation,
+}
+
+/// Caller-owned buffers of the batched [`Mlp`] passes
+/// ([`Mlp::forward_batch`], [`Mlp::backward_batch`] and
+/// [`Mlp::input_grad_batch`]).
+///
+/// A scratch holds the sample-major activation rows of the last forward
+/// pass, which the backward passes read, and two gradient buffers. Its
+/// buffers grow to the largest batch and widest layer they have served and
+/// never shrink, so once warm the batched passes allocate nothing.
+#[derive(Debug, Clone, Default)]
+pub struct MlpScratch {
+    /// Layer sizes of the network that last ran forward (`sizes[0]` inputs).
+    sizes: Vec<usize>,
+    /// Samples of the last forward pass.
+    batch: usize,
+    /// `acts[0]`: the input rows; `acts[i]`: the ReLU output rows of layer
+    /// `i - 1`; `acts[layers]`: the output rows after the output activation.
+    acts: Vec<Vec<f32>>,
+    /// Gradient rows at the output of the layer being back-propagated.
+    grad: Vec<f32>,
+    /// Gradient rows at its input (swapped with `grad` after each layer).
+    dx: Vec<f32>,
+}
+
+/// The first `len` elements of `buf`, growing it first when it is shorter.
+fn rows(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    &mut buf[..len]
 }
 
 impl Mlp {
@@ -140,6 +174,186 @@ impl Mlp {
             g = self.layers[i].backward(&caches[i], &g)?;
         }
         Ok(g)
+    }
+
+    /// Layer sizes, `sizes[0]` inputs and the last one outputs.
+    fn sizes(&self) -> impl Iterator<Item = usize> + '_ {
+        std::iter::once(self.input_size()).chain(self.layers.iter().map(Dense::out_features))
+    }
+
+    /// Batched forward pass over `batch` sample-major input rows
+    /// (`[batch, input_size]`). Returns the output rows
+    /// (`[batch, output_size]`) and keeps every layer's activations in
+    /// `scratch` for [`Self::backward_batch`] and [`Self::input_grad_batch`].
+    ///
+    /// Each row of the result is bit-identical to [`Self::forward`] on that
+    /// input row: every layer runs [`Dense::forward_batch_into`] with the
+    /// hidden ReLU fused, and the output activation is the same scalar
+    /// function.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::InputShapeMismatch`] when `input` does not hold
+    /// `batch` rows of [`Self::input_size`] values.
+    pub fn forward_batch<'s>(
+        &self,
+        input: &[f32],
+        batch: usize,
+        scratch: &'s mut MlpScratch,
+    ) -> Result<&'s [f32]> {
+        if input.len() != batch * self.input_size() {
+            return Err(NnError::InputShapeMismatch {
+                layer: "mlp(batch)".into(),
+                expected: vec![batch, self.input_size()],
+                actual: vec![input.len()],
+            });
+        }
+        let depth = self.layers.len();
+        scratch.sizes.clear();
+        scratch.sizes.extend(self.sizes());
+        scratch.batch = batch;
+        // Both gradient buffers fit the widest layer, so the swaps in
+        // `propagate` never leave a short one behind to regrow.
+        let widest = scratch.sizes.iter().copied().max().unwrap_or(0);
+        rows(&mut scratch.grad, batch * widest);
+        rows(&mut scratch.dx, batch * widest);
+        if scratch.acts.len() <= depth {
+            scratch.acts.resize_with(depth + 1, Vec::new);
+        }
+        rows(&mut scratch.acts[0], input.len()).copy_from_slice(input);
+        for (i, layer) in self.layers.iter().enumerate() {
+            let (done, next) = scratch.acts.split_at_mut(i + 1);
+            let x = &done[i][..batch * layer.in_features()];
+            let y = rows(&mut next[0], batch * layer.out_features());
+            layer.forward_batch_into(x, y, batch, i + 1 < depth)?;
+        }
+        let out = &mut scratch.acts[depth][..batch * self.output_size()];
+        match self.output_activation {
+            OutputActivation::Linear => {}
+            OutputActivation::Sigmoid => {
+                out.iter_mut().for_each(|v| *v = 1.0 / (1.0 + (-*v).exp()));
+            }
+            OutputActivation::Tanh => out.iter_mut().for_each(|v| *v = v.tanh()),
+        }
+        Ok(out)
+    }
+
+    /// Batched backward pass of the batch that last ran
+    /// [`Self::forward_batch`] through `scratch`: accumulates the parameter
+    /// gradients for the output-gradient rows `grad_output`
+    /// (`[batch, output_size]`) and computes no input gradient.
+    ///
+    /// Every layer adds the samples' contributions in ascending sample order
+    /// with the kernels the training plans use
+    /// ([`ie_tensor::outer_accumulate_into`],
+    /// [`ie_tensor::accumulate_slice_into`] and
+    /// [`ie_tensor::matvec_t_into`]), so the gradients are bit-identical to
+    /// calling [`Self::backward`] on every row in order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::InputShapeMismatch`] when `scratch` does not hold a
+    /// forward pass of a network of this shape, or `grad_output` does not
+    /// hold one row per sample of it.
+    pub fn backward_batch(&mut self, grad_output: &[f32], scratch: &mut MlpScratch) -> Result<()> {
+        self.output_grad_batch(grad_output, scratch)?;
+        let batch = scratch.batch;
+        for i in (0..self.layers.len()).rev() {
+            let layer = &mut self.layers[i];
+            let (n_in, n_out) = (layer.in_features(), layer.out_features());
+            for s in 0..batch {
+                let g = &scratch.grad[s * n_out..(s + 1) * n_out];
+                let x = &scratch.acts[i][s * n_in..(s + 1) * n_in];
+                ie_tensor::outer_accumulate_into(g, x, layer.grad_weight_mut().as_mut_slice());
+                ie_tensor::accumulate_slice_into(layer.grad_bias_mut().as_mut_slice(), g);
+            }
+            if i > 0 {
+                self.propagate(i, scratch);
+            }
+        }
+        Ok(())
+    }
+
+    /// Batched input gradient of the batch that last ran
+    /// [`Self::forward_batch`] through `scratch`: returns `dL/d_input` rows
+    /// (`[batch, input_size]`) for the output-gradient rows `grad_output`,
+    /// each bit-identical to the input gradient [`Self::backward`] returns
+    /// for that row. Parameter gradients are left untouched.
+    ///
+    /// # Errors
+    ///
+    /// The same as [`Self::backward_batch`].
+    pub fn input_grad_batch<'s>(
+        &self,
+        grad_output: &[f32],
+        scratch: &'s mut MlpScratch,
+    ) -> Result<&'s [f32]> {
+        self.output_grad_batch(grad_output, scratch)?;
+        for i in (0..self.layers.len()).rev() {
+            self.propagate(i, scratch);
+        }
+        Ok(&scratch.grad[..scratch.batch * self.input_size()])
+    }
+
+    /// Checks that `scratch` holds a forward pass of a network of this shape
+    /// and writes the gradient at the last dense layer's output into
+    /// `scratch.grad`. The activation slopes are taken from the activated
+    /// outputs, the values [`Self::backward`] recomputes from the
+    /// pre-activation.
+    fn output_grad_batch(&self, grad_output: &[f32], scratch: &mut MlpScratch) -> Result<()> {
+        if !scratch.sizes.iter().copied().eq(self.sizes()) {
+            return Err(NnError::InputShapeMismatch {
+                layer: "mlp(scratch)".into(),
+                expected: self.sizes().collect(),
+                actual: scratch.sizes.clone(),
+            });
+        }
+        let len = scratch.batch * self.output_size();
+        if grad_output.len() != len {
+            return Err(NnError::InputShapeMismatch {
+                layer: "mlp(batch grad)".into(),
+                expected: vec![scratch.batch, self.output_size()],
+                actual: vec![grad_output.len()],
+            });
+        }
+        let out = &scratch.acts[self.layers.len()][..len];
+        for ((g, &y), &go) in scratch.grad[..len].iter_mut().zip(out).zip(grad_output) {
+            *g = match self.output_activation {
+                OutputActivation::Linear => go,
+                OutputActivation::Sigmoid => (y * (1.0 - y)) * go,
+                OutputActivation::Tanh => (1.0 - y * y) * go,
+            };
+        }
+        Ok(())
+    }
+
+    /// Back-propagates the gradient rows in `scratch.grad` through layer `i`
+    /// (`dx = Wᵀ·g` per sample), masks them with the ReLU of layer `i - 1`
+    /// when there is one, and leaves the result in `scratch.grad`.
+    fn propagate(&self, i: usize, scratch: &mut MlpScratch) {
+        let layer = &self.layers[i];
+        let (n_in, n_out) = (layer.in_features(), layer.out_features());
+        let batch = scratch.batch;
+        let dx = &mut scratch.dx[..batch * n_in];
+        for s in 0..batch {
+            ie_tensor::matvec_t_into(
+                layer.weight().as_slice(),
+                &scratch.grad[s * n_out..(s + 1) * n_out],
+                &mut dx[s * n_in..(s + 1) * n_in],
+                n_in,
+                n_out,
+            );
+        }
+        if i > 0 {
+            // Layer i's input is the ReLU output of layer i - 1, which is
+            // positive exactly where that layer's pre-activation was. The
+            // mask multiplies, like `Relu::backward`, so a masked negative
+            // gradient stays `-0.0`.
+            for (d, &a) in dx.iter_mut().zip(&scratch.acts[i]) {
+                *d *= if a > 0.0 { 1.0 } else { 0.0 };
+            }
+        }
+        std::mem::swap(&mut scratch.grad, &mut scratch.dx);
     }
 
     /// Applies accumulated gradients with learning rate `lr` and clears them.
@@ -282,6 +496,84 @@ mod tests {
         assert!((after - (0.5 * target + 0.5 * before)).abs() < 1e-6);
         b.copy_from(&a);
         assert_eq!(b.layers()[0].weight().as_slice()[0], target);
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn batched_passes_match_per_sample_passes_bit_for_bit() {
+        let mut r = rng();
+        // One scratch for every case, so it also serves smaller batches after
+        // larger ones.
+        let mut scratch = MlpScratch::default();
+        for output in [OutputActivation::Linear, OutputActivation::Sigmoid, OutputActivation::Tanh]
+        {
+            for batch in 1..=16 {
+                let mut mlp = Mlp::new(&mut r, &[5, 7, 6, 3], output);
+                // A zero weight row gives an exact-zero pre-activation (the
+                // biases start at zero) on every sample, in both hidden layers.
+                for layer in &mut mlp.layers[..2] {
+                    let n_in = layer.in_features();
+                    layer.weight_mut().as_mut_slice()[..n_in].fill(0.0);
+                }
+                // Every third sample is all zeros, so whole rows of both hidden
+                // layers sit exactly at zero.
+                let mut input = Tensor::randn(&mut r, &[batch * 5], 0.0, 1.0).into_vec();
+                for row in input.chunks_exact_mut(5).skip(2).step_by(3) {
+                    row.fill(0.0);
+                }
+                let grad_output = Tensor::randn(&mut r, &[batch * 3], 0.0, 1.0).into_vec();
+
+                let mut oracle = mlp.clone();
+                let (mut want_y, mut want_dx) = (Vec::new(), Vec::new());
+                for s in 0..batch {
+                    let x = Tensor::from_vec(input[s * 5..(s + 1) * 5].to_vec(), &[5]).unwrap();
+                    let g =
+                        Tensor::from_vec(grad_output[s * 3..(s + 1) * 3].to_vec(), &[3]).unwrap();
+                    want_y.extend(mlp.forward(&x).unwrap().into_vec());
+                    want_dx.extend(oracle.backward(&x, &g).unwrap().into_vec());
+                }
+
+                let y = mlp.forward_batch(&input, batch, &mut scratch).unwrap();
+                assert_eq!(bits(y), bits(&want_y), "{output:?} batch {batch}: outputs");
+                let dx = mlp.input_grad_batch(&grad_output, &mut scratch).unwrap();
+                assert_eq!(bits(dx), bits(&want_dx), "{output:?} batch {batch}: input grads");
+                mlp.backward_batch(&grad_output, &mut scratch).unwrap();
+                for (i, (got, want)) in mlp.layers().iter().zip(oracle.layers()).enumerate() {
+                    let what = format!("{output:?} batch {batch} layer {i}");
+                    assert_eq!(
+                        bits(got.grad_weight().as_slice()),
+                        bits(want.grad_weight().as_slice()),
+                        "{what}: weight grads"
+                    );
+                    assert_eq!(
+                        bits(got.grad_bias().as_slice()),
+                        bits(want.grad_bias().as_slice()),
+                        "{what}: bias grads"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batched_passes_reject_mismatched_shapes() {
+        let mut r = rng();
+        let mut mlp = Mlp::new(&mut r, &[4, 6, 2], OutputActivation::Sigmoid);
+        let other = Mlp::new(&mut r, &[4, 5, 2], OutputActivation::Sigmoid);
+        let mut scratch = MlpScratch::default();
+        // Nothing has run forward yet.
+        assert!(mlp.backward_batch(&[0.0; 6], &mut scratch).is_err());
+        assert!(mlp.forward_batch(&[0.0; 11], 3, &mut scratch).is_err());
+        mlp.forward_batch(&[0.5; 12], 3, &mut scratch).unwrap();
+        assert!(mlp.backward_batch(&[1.0; 4], &mut scratch).is_err(), "two rows for three");
+        assert!(mlp.input_grad_batch(&[1.0; 8], &mut scratch).is_err(), "four rows for three");
+        // A scratch filled by a differently shaped network is refused.
+        other.forward_batch(&[0.5; 12], 3, &mut scratch).unwrap();
+        assert!(mlp.backward_batch(&[1.0; 6], &mut scratch).is_err());
+        assert!(mlp.layers().iter().all(|l| l.grad_weight().sum() == 0.0));
     }
 
     #[test]

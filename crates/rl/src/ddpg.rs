@@ -2,7 +2,7 @@
 //! networks, as used by the paper's compression agents.
 
 use crate::{OrnsteinUhlenbeck, ReplayBuffer};
-use ie_nn::{Mlp, OutputActivation, Result as NnResult};
+use ie_nn::{Mlp, MlpScratch, NnError, OutputActivation, Result as NnResult};
 use ie_tensor::Tensor;
 use rand::Rng;
 
@@ -69,6 +69,44 @@ pub struct DdpgAgent {
     config: DdpgConfig,
     state_dim: usize,
     action_dim: usize,
+    buffers: UpdateBuffers,
+}
+
+/// The rows of one mini-batch, packed once per update, and the scratch of
+/// the batched network passes; all reused from update to update.
+#[derive(Debug, Clone, Default)]
+struct UpdateBuffers {
+    /// `[n, state_dim]` states.
+    states: Vec<f32>,
+    /// `[n, state_dim]` next states.
+    next_states: Vec<f32>,
+    /// `[n, state_dim + action_dim]` critic inputs: `(s, a)` for the critic
+    /// update, then `(s, µ(s))` for the actor update.
+    state_actions: Vec<f32>,
+    /// `[n, state_dim + action_dim]` target-critic inputs `(s', µ'(s'))`.
+    next_state_actions: Vec<f32>,
+    /// Rewards, turned into the critic targets `y`.
+    targets: Vec<f32>,
+    /// Episode-end flags.
+    done: Vec<bool>,
+    /// Output-gradient rows of the pass being back-propagated.
+    grad: Vec<f32>,
+    /// Scratch of the actor-shaped passes (actor and target actor).
+    actor: MlpScratch,
+    /// Scratch of the critic-shaped passes (critic and target critic).
+    critic: MlpScratch,
+}
+
+impl UpdateBuffers {
+    /// Empties the rows; capacities stay.
+    fn clear(&mut self) {
+        self.states.clear();
+        self.next_states.clear();
+        self.state_actions.clear();
+        self.next_state_actions.clear();
+        self.targets.clear();
+        self.done.clear();
+    }
 }
 
 impl DdpgAgent {
@@ -103,6 +141,7 @@ impl DdpgAgent {
             config,
             state_dim,
             action_dim,
+            buffers: UpdateBuffers::default(),
         }
     }
 
@@ -132,7 +171,7 @@ impl DdpgAgent {
     ///
     /// Returns an error when `state` has the wrong dimension.
     pub fn act(&self, state: &[f32]) -> NnResult<Vec<f32>> {
-        let s = Tensor::from_vec(state.to_vec(), &[state.len()]).map_err(ie_nn::NnError::from)?;
+        let s = Tensor::from_vec(state.to_vec(), &[state.len()]).map_err(NnError::from)?;
         Ok(self.actor.forward(&s)?.into_vec())
     }
 
@@ -174,87 +213,115 @@ impl DdpgAgent {
         let mut input = state.to_vec();
         input.extend_from_slice(action);
         let len = input.len();
-        let x = Tensor::from_vec(input, &[len]).map_err(ie_nn::NnError::from)?;
+        let x = Tensor::from_vec(input, &[len]).map_err(NnError::from)?;
         Ok(self.critic.forward(&x)?.as_slice()[0])
     }
 
-    fn target_q(&self, state: &[f32]) -> NnResult<f32> {
-        let s = Tensor::from_vec(state.to_vec(), &[state.len()]).map_err(ie_nn::NnError::from)?;
-        let a = self.target_actor.forward(&s)?;
-        let mut input = state.to_vec();
-        input.extend_from_slice(a.as_slice());
-        let len = input.len();
-        let x = Tensor::from_vec(input, &[len]).map_err(ie_nn::NnError::from)?;
-        Ok(self.target_critic.forward(&x)?.as_slice()[0])
-    }
-
     /// Performs one mini-batch update of the critic and actor and soft-updates
-    /// the target networks. Returns the mean critic TD error of the batch, or
-    /// `None` when the replay buffer is still empty.
+    /// the target networks. Returns the mean absolute critic TD error
+    /// `|Q(s, a) − y|` of the batch, or `None` when the replay buffer is
+    /// still empty.
+    ///
+    /// The batch holds `batch_size.max(1)` transitions drawn uniformly with
+    /// replacement, and each network pass runs once over the whole batch
+    /// ([`Mlp::forward_batch`], [`Mlp::backward_batch`],
+    /// [`Mlp::input_grad_batch`]). Gradients accumulate in ascending sample
+    /// order, so every weight and the returned error are bit-identical to
+    /// updating from one transition at a time. Once warm, an update
+    /// allocates nothing.
     ///
     /// # Errors
     ///
-    /// Propagates shape errors from the underlying networks.
+    /// Returns [`ie_nn::NnError::InputShapeMismatch`], before any network
+    /// changes, when a drawn transition's `state`, `action` or `next_state`
+    /// has the wrong length.
     pub fn update<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
         batch_size: usize,
     ) -> NnResult<Option<f32>> {
-        if self.replay.is_empty() {
-            return Ok(None);
-        }
-        let batch = self.replay.sample(rng, batch_size.max(1));
-        let n = batch.len() as f32;
-
-        // --- Critic update: minimise (Q(s,a) − y)² with y = r + γ·Q'(s', µ'(s')).
-        let mut td_error_sum = 0.0;
-        for t in &batch {
-            let target = if t.done {
-                t.reward
-            } else {
-                t.reward + self.config.gamma * self.target_q(&t.next_state)?
+        let n = batch_size.max(1);
+        let (s_dim, a_dim) = (self.state_dim, self.action_dim);
+        let width = s_dim + a_dim;
+        let b = &mut self.buffers;
+        b.clear();
+        for _ in 0..n {
+            let Some(t) = self.replay.sample_one(rng) else {
+                return Ok(None);
             };
-            let mut input = t.state.clone();
-            input.extend_from_slice(&t.action);
-            let len = input.len();
-            let x = Tensor::from_vec(input, &[len]).map_err(ie_nn::NnError::from)?;
-            let q = self.critic.forward(&x)?.as_slice()[0];
-            let td = q - target;
-            td_error_sum += td.abs();
-            let grad = Tensor::from_vec(vec![2.0 * td], &[1]).map_err(ie_nn::NnError::from)?;
-            self.critic.backward(&x, &grad)?;
+            check_len("state", s_dim, &t.state)?;
+            check_len("action", a_dim, &t.action)?;
+            check_len("next_state", s_dim, &t.next_state)?;
+            b.states.extend_from_slice(&t.state);
+            b.next_states.extend_from_slice(&t.next_state);
+            b.state_actions.extend_from_slice(&t.state);
+            b.state_actions.extend_from_slice(&t.action);
+            b.targets.push(t.reward);
+            b.done.push(t.done);
         }
-        self.critic.apply_gradients(self.config.critic_lr / n);
+
+        // --- Critic targets y = r + γ·Q'(s', µ'(s')), evaluated on every row
+        // and kept where the episode goes on.
+        let next_actions = self.target_actor.forward_batch(&b.next_states, n, &mut b.actor)?;
+        for i in 0..n {
+            b.next_state_actions.extend_from_slice(&b.next_states[i * s_dim..(i + 1) * s_dim]);
+            b.next_state_actions.extend_from_slice(&next_actions[i * a_dim..(i + 1) * a_dim]);
+        }
+        let next_q = self.target_critic.forward_batch(&b.next_state_actions, n, &mut b.critic)?;
+        for ((y, &q), &done) in b.targets.iter_mut().zip(next_q).zip(&b.done) {
+            if !done {
+                *y += self.config.gamma * q;
+            }
+        }
+
+        // --- Critic update: minimise (Q(s,a) − y)².
+        let q = self.critic.forward_batch(&b.state_actions, n, &mut b.critic)?;
+        let mut td_error_sum = 0.0;
+        b.grad.clear();
+        for (&q, &y) in q.iter().zip(&b.targets) {
+            let td = q - y;
+            td_error_sum += td.abs();
+            b.grad.push(2.0 * td);
+        }
+        self.critic.backward_batch(&b.grad, &mut b.critic)?;
+        self.critic.apply_gradients(self.config.critic_lr / n as f32);
 
         // --- Actor update: ascend ∇_a Q(s, µ(s)) ∇_θ µ(s).
-        for t in &batch {
-            let s = Tensor::from_vec(t.state.clone(), &[t.state.len()])
-                .map_err(ie_nn::NnError::from)?;
-            let action = self.actor.forward(&s)?;
-            let mut input = t.state.clone();
-            input.extend_from_slice(action.as_slice());
-            let len = input.len();
-            let x = Tensor::from_vec(input, &[len]).map_err(ie_nn::NnError::from)?;
-            // dQ/d(input) through the critic; we only want the action part and
-            // must not leave gradients behind in the critic.
-            let ones = Tensor::from_vec(vec![1.0], &[1]).map_err(ie_nn::NnError::from)?;
-            let dq_dinput = self.critic.backward(&x, &ones)?;
-            self.critic.zero_grad();
-            let dq_daction = &dq_dinput.as_slice()[t.state.len()..];
-            // Gradient ascent on Q == descent on −Q.
-            let grad =
-                Tensor::from_vec(dq_daction.iter().map(|g| -g).collect(), &[self.action_dim])
-                    .map_err(ie_nn::NnError::from)?;
-            self.actor.backward(&s, &grad)?;
+        let actions = self.actor.forward_batch(&b.states, n, &mut b.actor)?;
+        for i in 0..n {
+            b.state_actions[i * width + s_dim..(i + 1) * width]
+                .copy_from_slice(&actions[i * a_dim..(i + 1) * a_dim]);
         }
-        self.actor.apply_gradients(self.config.actor_lr / n);
+        self.critic.forward_batch(&b.state_actions, n, &mut b.critic)?;
+        b.grad.clear();
+        b.grad.resize(n, 1.0);
+        let dq_dinput = self.critic.input_grad_batch(&b.grad, &mut b.critic)?;
+        // Gradient ascent on Q == descent on −Q, through the action columns.
+        b.grad.clear();
+        for i in 0..n {
+            b.grad.extend(dq_dinput[i * width + s_dim..(i + 1) * width].iter().map(|g| -g));
+        }
+        self.actor.backward_batch(&b.grad, &mut b.actor)?;
+        self.actor.apply_gradients(self.config.actor_lr / n as f32);
 
         // --- Target network soft updates.
         self.target_actor.blend_from(&self.actor, self.config.tau);
         self.target_critic.blend_from(&self.critic, self.config.tau);
 
-        Ok(Some(td_error_sum / n))
+        Ok(Some(td_error_sum / n as f32))
     }
+}
+
+/// Refuses a transition field of the wrong length.
+fn check_len(field: &str, expected: usize, values: &[f32]) -> NnResult<()> {
+    if values.len() == expected {
+        return Ok(());
+    }
+    Err(NnError::InputShapeMismatch {
+        layer: format!("ddpg(transition {field})"),
+        expected: vec![expected],
+        actual: vec![values.len()],
+    })
 }
 
 #[cfg(test)]
@@ -262,6 +329,160 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    fn vector(values: Vec<f32>) -> Tensor {
+        let len = values.len();
+        Tensor::from_vec(values, &[len]).unwrap()
+    }
+
+    /// The oracle of the batched update: the same draws, then one transition
+    /// at a time through the allocating `Mlp::forward` / `Mlp::backward`.
+    fn reference_update<R: Rng + ?Sized>(
+        agent: &mut DdpgAgent,
+        rng: &mut R,
+        batch_size: usize,
+    ) -> Option<f32> {
+        let len = agent.replay.len();
+        if len == 0 {
+            return None;
+        }
+        let batch: Vec<Transition> = (0..batch_size.max(1))
+            .map(|_| agent.replay.iter().nth(rng.gen_range(0..len)).unwrap().clone())
+            .collect();
+        let n = batch.len() as f32;
+
+        let mut td_error_sum = 0.0;
+        for t in &batch {
+            let target = if t.done {
+                t.reward
+            } else {
+                let next = vector(t.next_state.clone());
+                let a = agent.target_actor.forward(&next).unwrap();
+                let x = vector([&t.next_state[..], a.as_slice()].concat());
+                t.reward
+                    + agent.config.gamma * agent.target_critic.forward(&x).unwrap().as_slice()[0]
+            };
+            let x = vector([&t.state[..], &t.action[..]].concat());
+            let q = agent.critic.forward(&x).unwrap().as_slice()[0];
+            let td = q - target;
+            td_error_sum += td.abs();
+            agent.critic.backward(&x, &vector(vec![2.0 * td])).unwrap();
+        }
+        agent.critic.apply_gradients(agent.config.critic_lr / n);
+
+        for t in &batch {
+            let s = vector(t.state.clone());
+            let action = agent.actor.forward(&s).unwrap();
+            let x = vector([&t.state[..], action.as_slice()].concat());
+            let dq_dinput = agent.critic.backward(&x, &vector(vec![1.0])).unwrap();
+            agent.critic.zero_grad();
+            let grad = dq_dinput.as_slice()[t.state.len()..].iter().map(|g| -g).collect();
+            agent.actor.backward(&s, &vector(grad)).unwrap();
+        }
+        agent.actor.apply_gradients(agent.config.actor_lr / n);
+
+        agent.target_actor.blend_from(&agent.actor, agent.config.tau);
+        agent.target_critic.blend_from(&agent.critic, agent.config.tau);
+        Some(td_error_sum / n)
+    }
+
+    /// Every parameter and gradient bit of the four networks.
+    fn network_bits(agent: &DdpgAgent) -> Vec<u32> {
+        [&agent.actor, &agent.critic, &agent.target_actor, &agent.target_critic]
+            .into_iter()
+            .flat_map(Mlp::layers)
+            .flat_map(|l| [l.weight(), l.bias(), l.grad_weight(), l.grad_bias()])
+            .flat_map(|t| t.as_slice().iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
+    fn random_transition(rng: &mut StdRng, state_dim: usize, action_dim: usize) -> Transition {
+        Transition {
+            state: (0..state_dim).map(|_| rng.gen_range(-1.0..1.0)).collect(),
+            action: (0..action_dim).map(|_| rng.gen()).collect(),
+            reward: rng.gen_range(-1.0..1.0),
+            next_state: (0..state_dim).map(|_| rng.gen_range(-1.0..1.0)).collect(),
+            done: rng.gen_range(0..3) == 0,
+        }
+    }
+
+    /// Runs 50 consecutive batched updates beside the oracle for each batch
+    /// size and compares the TD error, the replay draws and every network bit
+    /// after each one.
+    fn assert_update_matches_the_oracle(state_dim: usize, action_dim: usize, hidden: usize) {
+        const CAPACITY: usize = 40;
+        // The last batch size exceeds what the replay buffer can hold.
+        for batch_size in [1, 7, 48, CAPACITY + 1] {
+            let case = format!("({state_dim}, {action_dim}, {hidden}) batch {batch_size}");
+            let mut rng = StdRng::seed_from_u64(batch_size as u64 * 31 + state_dim as u64);
+            let config = DdpgConfig { hidden, replay_capacity: CAPACITY, ..DdpgConfig::default() };
+            let mut batched = DdpgAgent::new(&mut rng, state_dim, action_dim, config);
+            let mut oracle = batched.clone();
+            for _ in 0..CAPACITY / 2 {
+                let t = random_transition(&mut rng, state_dim, action_dim);
+                batched.observe(t.clone());
+                oracle.observe(t);
+            }
+            // The buffer fills up and starts evicting during the run.
+            for step in 0..50 {
+                let t = random_transition(&mut rng, state_dim, action_dim);
+                batched.observe(t.clone());
+                oracle.observe(t);
+                let mut oracle_rng = rng.clone();
+                let got = batched.update(&mut rng, batch_size).unwrap();
+                let want = reference_update(&mut oracle, &mut oracle_rng, batch_size);
+                assert_eq!(got.map(f32::to_bits), want.map(f32::to_bits), "{case} step {step}");
+                assert_eq!(rng, oracle_rng, "{case} step {step}: replay draws");
+                assert!(
+                    network_bits(&batched) == network_bits(&oracle),
+                    "{case} step {step}: network bits differ"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn batched_update_matches_the_oracle_for_the_pruning_agent() {
+        assert_update_matches_the_oracle(12, 1, 48);
+    }
+
+    #[test]
+    fn batched_update_matches_the_oracle_for_the_quantization_agent() {
+        assert_update_matches_the_oracle(12, 2, 48);
+    }
+
+    #[test]
+    fn batched_update_matches_the_oracle_for_small_shapes() {
+        assert_update_matches_the_oracle(3, 2, 5);
+        assert_update_matches_the_oracle(1, 1, 24);
+    }
+
+    #[test]
+    fn malformed_transitions_are_refused_before_any_change() {
+        let good = Transition {
+            state: vec![0.1, 0.2],
+            action: vec![0.5],
+            reward: 1.0,
+            next_state: vec![0.3, 0.4],
+            done: false,
+        };
+        let bad = [
+            Transition { state: vec![0.1], ..good.clone() },
+            Transition { action: vec![0.5, 0.5], ..good.clone() },
+            // The target of a done transition never reads its next state, but
+            // the batch rows still have a fixed width.
+            Transition { next_state: vec![0.3, 0.4, 0.5], done: true, ..good.clone() },
+        ];
+        for t in bad {
+            let mut rng = StdRng::seed_from_u64(6);
+            let mut agent = DdpgAgent::new(&mut rng, 2, 1, DdpgConfig::default());
+            agent.observe(t.clone());
+            let before = network_bits(&agent);
+            let err = agent.update(&mut rng, 4).unwrap_err();
+            assert!(matches!(err, NnError::InputShapeMismatch { .. }), "{t:?}: {err}");
+            assert!(network_bits(&agent) == before, "{t:?}: networks changed");
+        }
+    }
 
     #[test]
     fn actions_are_in_the_unit_box() {

@@ -4,7 +4,8 @@ use std::collections::VecDeque;
 /// A bounded experience-replay buffer.
 ///
 /// Oldest experiences are evicted when the capacity is reached; sampling is
-/// uniform with replacement, which is all DDPG needs at this scale.
+/// uniform with replacement, one borrowed experience per draw, which is all
+/// DDPG needs at this scale.
 ///
 /// # Example
 ///
@@ -18,7 +19,8 @@ use std::collections::VecDeque;
 /// }
 /// assert_eq!(buffer.len(), 8);
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-/// assert_eq!(buffer.sample(&mut rng, 4).len(), 4);
+/// let drawn = buffer.sample_one(&mut rng).copied();
+/// assert!(drawn.is_some_and(|i| (12..20).contains(&i)));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplayBuffer<T> {
@@ -26,7 +28,7 @@ pub struct ReplayBuffer<T> {
     items: VecDeque<T>,
 }
 
-impl<T: Clone> ReplayBuffer<T> {
+impl<T> ReplayBuffer<T> {
     /// Creates a buffer holding at most `capacity` experiences.
     ///
     /// # Panics
@@ -60,13 +62,14 @@ impl<T: Clone> ReplayBuffer<T> {
         self.items.push_back(item);
     }
 
-    /// Uniformly samples `count` experiences with replacement. Returns an
-    /// empty vector when the buffer is empty.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R, count: usize) -> Vec<T> {
+    /// Uniformly samples one stored experience with one
+    /// `gen_range(0..len)` draw, or returns `None` without drawing when the
+    /// buffer is empty. Repeated calls sample with replacement.
+    pub fn sample_one<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<&T> {
         if self.items.is_empty() {
-            return Vec::new();
+            return None;
         }
-        (0..count).map(|_| self.items[rng.gen_range(0..self.items.len())].clone()).collect()
+        self.items.get(rng.gen_range(0..self.items.len()))
     }
 
     /// Iterates over the stored experiences, oldest first.
@@ -105,16 +108,17 @@ mod tests {
             b.push(i * 10);
         }
         let mut rng = StdRng::seed_from_u64(2);
-        let sample = b.sample(&mut rng, 100);
-        assert_eq!(sample.len(), 100);
-        assert!(sample.iter().all(|x| x % 10 == 0 && *x < 100));
+        for _ in 0..100 {
+            let x = *b.sample_one(&mut rng).unwrap();
+            assert!(x % 10 == 0 && x < 100);
+        }
     }
 
     #[test]
     fn empty_buffer_samples_nothing() {
         let b: ReplayBuffer<u8> = ReplayBuffer::new(4);
         let mut rng = StdRng::seed_from_u64(0);
-        assert!(b.sample(&mut rng, 5).is_empty());
+        assert!(b.sample_one(&mut rng).is_none());
         assert!(b.is_empty());
     }
 
