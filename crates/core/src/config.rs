@@ -121,10 +121,24 @@ impl ExperimentConfig {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] for nonsensical values (no events,
-    /// non-positive durations or capacities, thresholds outside `[0, 1]`).
+    /// non-positive durations or capacities, thresholds outside `[0, 1]`) and
+    /// for a trace duration, capacity, initial energy or peak power that is
+    /// not finite.
     pub fn validate(&self) -> Result<()> {
         if self.num_events == 0 {
             return Err(CoreError::InvalidConfig("num_events must be non-zero".into()));
+        }
+        for (name, value) in [
+            ("trace duration", self.trace_duration_s),
+            ("storage capacity", self.storage_capacity_mj),
+            ("initial energy", self.initial_energy_mj),
+            ("solar peak power", self.solar_peak_power_mw),
+        ] {
+            if !value.is_finite() {
+                return Err(CoreError::InvalidConfig(format!(
+                    "{name} must be finite, got {value}"
+                )));
+            }
         }
         if self.trace_duration_s <= 0.0 {
             return Err(CoreError::InvalidConfig("trace duration must be positive".into()));
@@ -222,6 +236,58 @@ mod tests {
         assert!(c.validate().is_err());
         c.fault = Some(FaultConfig::from_seed(1));
         c.validate().unwrap();
+    }
+
+    /// Asserts that `config` fails `validate()` and that the simulator
+    /// rejects it up front instead of panicking, hanging or returning a
+    /// meaningless run.
+    fn assert_rejected(config: ExperimentConfig) {
+        assert!(matches!(config.validate(), Err(CoreError::InvalidConfig(_))));
+        let model =
+            crate::DeployedModel::uncompressed_reference(&ExperimentConfig::small_test()).unwrap();
+        let mut policy = crate::policies::GreedyAffordablePolicy::new();
+        let run = crate::EventLoopSimulator::new(&config).run(&model, &mut policy);
+        assert!(matches!(run, Err(CoreError::InvalidConfig(_))));
+    }
+
+    #[test]
+    fn nan_storage_capacity_is_rejected() {
+        assert_rejected(ExperimentConfig {
+            storage_capacity_mj: f64::NAN,
+            ..ExperimentConfig::small_test()
+        });
+    }
+
+    #[test]
+    fn nan_trace_duration_is_rejected() {
+        assert_rejected(ExperimentConfig {
+            trace_duration_s: f64::NAN,
+            ..ExperimentConfig::small_test()
+        });
+    }
+
+    #[test]
+    fn infinite_trace_duration_is_rejected() {
+        assert_rejected(ExperimentConfig {
+            trace_duration_s: f64::INFINITY,
+            ..ExperimentConfig::small_test()
+        });
+    }
+
+    #[test]
+    fn nan_initial_energy_is_rejected() {
+        assert_rejected(ExperimentConfig {
+            initial_energy_mj: f64::NAN,
+            ..ExperimentConfig::small_test()
+        });
+    }
+
+    #[test]
+    fn nan_solar_peak_power_is_rejected() {
+        assert_rejected(ExperimentConfig {
+            solar_peak_power_mw: f64::NAN,
+            ..ExperimentConfig::small_test()
+        });
     }
 
     #[test]

@@ -37,8 +37,8 @@ use crate::{
     ContinueContext, CoreError, DeployedModel, EventContext, ExitChoice, ExitPolicy, Result,
 };
 use ie_energy::{
-    fork_rng, fork_seed, EnergyStorage, EventDistribution, EventGenerator, HarvestSimulator,
-    KineticBurstTrace, PowerTrace, SolarTrace, StochasticArrivalTrace,
+    fork_rng, fork_seed, wrap_time, EnergyStorage, EventDistribution, EventGenerator,
+    HarvestSimulator, KineticBurstTrace, PowerTrace, SolarTrace, StochasticArrivalTrace,
 };
 use ie_mcu::{FaultInjector, FaultPlan, TaskCut};
 use rand::rngs::StdRng;
@@ -121,8 +121,9 @@ impl FleetConfig {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] for an empty fleet, a zero
-    /// event count or worker count, a non-positive window, a fault fraction
-    /// outside `[0, 1]`, or a probe id outside the fleet.
+    /// event count or worker count, a window that is not positive and
+    /// finite, a fault fraction outside `[0, 1]`, or a probe id outside the
+    /// fleet.
     pub fn validate(&self) -> Result<()> {
         if self.num_devices == 0 {
             return Err(CoreError::InvalidConfig("fleet needs at least one device".into()));
@@ -130,8 +131,10 @@ impl FleetConfig {
         if self.events_per_device == 0 {
             return Err(CoreError::InvalidConfig("devices need at least one event".into()));
         }
-        if self.device_duration_s <= 0.0 {
-            return Err(CoreError::InvalidConfig("device window must be positive".into()));
+        if !(self.device_duration_s.is_finite() && self.device_duration_s > 0.0) {
+            return Err(CoreError::InvalidConfig(
+                "device window must be positive and finite".into(),
+            ));
         }
         if !(0.0..=1.0).contains(&self.fault_fraction) {
             return Err(CoreError::InvalidConfig("fault fraction must be in [0, 1]".into()));
@@ -267,7 +270,7 @@ struct WindowedTrace {
 
 impl PowerTrace for WindowedTrace {
     fn power_mw(&self, t_s: f64) -> f64 {
-        self.inner.power_mw(self.offset_s + t_s.rem_euclid(self.window_s))
+        self.inner.power_mw(self.offset_s + wrap_time(t_s, self.window_s))
     }
 
     fn duration_s(&self) -> f64 {
@@ -638,9 +641,11 @@ impl FleetSimulator {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfig`] for an id outside the fleet and
-    /// propagates simulation errors.
+    /// Returns [`CoreError::InvalidConfig`] for an invalid configuration (as
+    /// [`Self::run`] does) or an id outside the fleet, and propagates
+    /// simulation errors.
     pub fn replay_device(&self, model: &DeployedModel, device_id: u64) -> Result<DeviceOutcome> {
+        self.config.validate()?;
         if device_id >= self.config.num_devices {
             return Err(CoreError::InvalidConfig(format!(
                 "device {device_id} outside fleet of {}",
@@ -1095,6 +1100,29 @@ mod tests {
         c.probe_device = Some(4);
         assert!(FleetSimulator::new(&c).run(&m).is_err());
         assert!(FleetSimulator::new(&FleetConfig::new(4, 1)).replay_device(&m, 99).is_err());
+    }
+
+    /// Asserts that a fleet with window `duration_s` fails `validate()`, and
+    /// that both the fleet run and a single-device replay reject it instead
+    /// of panicking a worker inside the trace constructors.
+    fn assert_window_rejected(duration_s: f64) {
+        let m = model();
+        let config = FleetConfig { device_duration_s: duration_s, ..FleetConfig::new(4, 1) };
+        let invalid = |e: Option<CoreError>| matches!(e, Some(CoreError::InvalidConfig(_)));
+        assert!(invalid(config.validate().err()));
+        let sim = FleetSimulator::new(&config);
+        assert!(invalid(sim.run(&m).err()));
+        assert!(invalid(sim.replay_device(&m, 0).err()));
+    }
+
+    #[test]
+    fn infinite_device_window_is_rejected() {
+        assert_window_rejected(f64::INFINITY);
+    }
+
+    #[test]
+    fn nan_device_window_is_rejected() {
+        assert_window_rejected(f64::NAN);
     }
 
     #[test]

@@ -47,8 +47,8 @@ pub use seed::{fork_rng, fork_seed};
 pub use simulator::HarvestSimulator;
 pub use storage::EnergyStorage;
 pub use trace::{
-    ConstantTrace, KineticBurstTrace, PiecewiseTrace, PowerTrace, SolarTrace, SolarTraceBuilder,
-    StochasticArrivalTrace,
+    wrap_time, ConstantTrace, KineticBurstTrace, PiecewiseTrace, PowerTrace, SolarTrace,
+    SolarTraceBuilder, StochasticArrivalTrace,
 };
 
 /// Crate-wide result alias.

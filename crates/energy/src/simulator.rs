@@ -154,6 +154,14 @@ mod tests {
     }
 
     #[test]
+    fn advancing_to_infinity_harvests_nothing_and_returns() {
+        let mut sim = constant_sim(2.0, 100.0);
+        sim.advance_to(10.0);
+        assert_eq!(sim.advance_to(f64::INFINITY), 0.0);
+        assert!((sim.storage().level_mj() - 20.0).abs() < 1e-6);
+    }
+
+    #[test]
     fn consume_and_wait_for_energy() {
         let mut sim = constant_sim(1.0, 50.0);
         sim.advance_to(5.0);

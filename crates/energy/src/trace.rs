@@ -4,11 +4,28 @@ use crate::{EnergyError, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Wraps `t_s` onto a trace of length `duration_s`. The result is bit for bit
+/// `t_s.rem_euclid(duration_s)` for every input, but the `fmod` call behind
+/// it is skipped when `0 <= t_s < duration_s`: `fmod` is exact and returns
+/// `t_s` unchanged there, and traces wrap every sample they are asked for.
+#[inline]
+pub fn wrap_time(t_s: f64, duration_s: f64) -> f64 {
+    if (0.0..duration_s).contains(&t_s) {
+        t_s
+    } else {
+        t_s.rem_euclid(duration_s)
+    }
+}
+
 /// Harvested power as a function of time.
 ///
 /// Implementors must return non-negative power (milliwatts) for any time in
-/// `[0, duration_s]`; queries beyond the duration wrap around, which lets the
-/// runtime loop over a day-long trace for arbitrarily long experiments.
+/// `[0, duration_s]`; queries beyond the duration wrap around (see
+/// [`wrap_time`]), which lets the runtime loop over a day-long trace for
+/// arbitrarily long experiments.
+///
+/// `power_mw` must be a pure function of `t_s`: [`Self::energy_mj`] samples
+/// each grid point once and reuses it as the left end of the next step.
 pub trait PowerTrace: std::fmt::Debug + Send + Sync {
     /// Instantaneous harvested power at time `t` seconds, in milliwatts.
     fn power_mw(&self, t_s: f64) -> f64;
@@ -17,19 +34,34 @@ pub trait PowerTrace: std::fmt::Debug + Send + Sync {
     fn duration_s(&self) -> f64;
 
     /// Harvested energy between `t0` and `t1` (both seconds), in millijoules,
-    /// obtained by trapezoidal integration at a 1-second resolution.
+    /// obtained by trapezoidal integration on a 1-second grid anchored at
+    /// `t0`: whole 1-second steps while a whole second remains, then the
+    /// partial remainder.
+    ///
+    /// Returns 0.0 when `t1 <= t0` and when either end is not finite (NaN or
+    /// ±∞), so an unbounded interval cannot loop forever.
     fn energy_mj(&self, t0_s: f64, t1_s: f64) -> f64 {
-        if t1_s <= t0_s {
+        if !(t0_s.is_finite() && t1_s.is_finite()) || t1_s <= t0_s {
             return 0.0;
         }
         let mut total = 0.0;
         let mut t = t0_s;
+        let mut p0 = self.power_mw(t);
+        // While a whole second remains, the general step below would be
+        // exactly 1.0 and its `* step` exact, so this loop adds the same bits
+        // without computing either.
+        while t1_s - t >= 1.0 {
+            t += 1.0;
+            let p1 = self.power_mw(t);
+            total += 0.5 * (p0 + p1);
+            p0 = p1;
+        }
         while t < t1_s {
             let step = (t1_s - t).min(1.0);
-            let p0 = self.power_mw(t);
             let p1 = self.power_mw(t + step);
             total += 0.5 * (p0 + p1) * step;
             t += step;
+            p0 = p1;
         }
         total
     }
@@ -193,7 +225,7 @@ impl PowerTrace for SolarTrace {
         if self.samples.is_empty() || self.duration_s <= 0.0 {
             return 0.0;
         }
-        let t = t_s.rem_euclid(self.duration_s);
+        let t = wrap_time(t_s, self.duration_s);
         let idx = ((t / 60.0) as usize).min(self.samples.len() - 1);
         self.samples[idx]
     }
@@ -235,7 +267,7 @@ impl PowerTrace for KineticBurstTrace {
         if self.samples.is_empty() || self.duration_s <= 0.0 {
             return 0.0;
         }
-        let t = t_s.rem_euclid(self.duration_s);
+        let t = wrap_time(t_s, self.duration_s);
         self.samples[(t as usize).min(self.samples.len() - 1)]
     }
 
@@ -304,7 +336,7 @@ impl PowerTrace for StochasticArrivalTrace {
         if self.samples.is_empty() || self.duration_s <= 0.0 {
             return 0.0;
         }
-        let t = t_s.rem_euclid(self.duration_s);
+        let t = wrap_time(t_s, self.duration_s);
         self.samples[(t as usize).min(self.samples.len() - 1)]
     }
 
@@ -373,7 +405,7 @@ impl PiecewiseTrace {
 impl PowerTrace for PiecewiseTrace {
     fn power_mw(&self, t_s: f64) -> f64 {
         let duration = self.duration_s();
-        let t = if duration > 0.0 { t_s.rem_euclid(duration) + self.points[0].0 } else { t_s };
+        let t = if duration > 0.0 { wrap_time(t_s, duration) + self.points[0].0 } else { t_s };
         if t <= self.points[0].0 {
             return self.points[0].1;
         }
@@ -406,6 +438,17 @@ mod tests {
         assert!((t.mean_power_mw() - 2.0).abs() < 1e-9);
         assert_eq!(t.energy_mj(10.0, 10.0), 0.0);
         assert_eq!(t.energy_mj(10.0, 5.0), 0.0);
+    }
+
+    #[test]
+    fn non_finite_ends_integrate_to_zero() {
+        // Stepping towards an infinite end would count seconds until
+        // `t + 1.0 == t` and then never finish.
+        let t = SolarTrace::builder().seed(1).build();
+        assert_eq!(t.energy_mj(f64::NEG_INFINITY, 0.0), 0.0);
+        assert_eq!(t.energy_mj(0.0, f64::INFINITY), 0.0);
+        assert_eq!(t.energy_mj(f64::NAN, 10.0), 0.0);
+        assert_eq!(t.energy_mj(0.0, f64::NAN), 0.0);
     }
 
     #[test]

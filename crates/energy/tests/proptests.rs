@@ -2,11 +2,48 @@
 
 use ie_energy::test_support::seeded_rng;
 use ie_energy::{
-    fork_rng, fork_seed, ConstantTrace, EnergyStorage, EventDistribution, EventGenerator,
-    HarvestSimulator, PiecewiseTrace, PowerTrace, SolarTrace,
+    fork_rng, fork_seed, wrap_time, ConstantTrace, EnergyStorage, EventDistribution,
+    EventGenerator, HarvestSimulator, KineticBurstTrace, PiecewiseTrace, PowerTrace, SolarTrace,
+    StochasticArrivalTrace,
 };
 use proptest::prelude::*;
 use rand::{Rng, RngCore};
+
+/// The oracle of the trace integral: the plain 1-second trapezoid, sampling
+/// both ends of every step and taking `(t1 - t).min(1.0)` each time.
+/// `PowerTrace::energy_mj` must match it bit for bit.
+fn reference_energy_mj(trace: &dyn PowerTrace, t0_s: f64, t1_s: f64) -> f64 {
+    if t1_s <= t0_s {
+        return 0.0;
+    }
+    let mut total = 0.0;
+    let mut t = t0_s;
+    while t < t1_s {
+        let step = (t1_s - t).min(1.0);
+        let p0 = trace.power_mw(t);
+        let p1 = trace.power_mw(t + step);
+        total += 0.5 * (p0 + p1) * step;
+        t += step;
+    }
+    total
+}
+
+/// One trace of every kind: the paper's day-long solar trace (seed 17, peak
+/// 0.012 mW), a short solar trace that wraps at a fractional second, the
+/// fleet's 30-minute kinetic and stochastic traces, and a piecewise trace.
+fn oracle_traces() -> Vec<Box<dyn PowerTrace>> {
+    vec![
+        Box::new(ConstantTrace::new(1.3, 86_400.0)),
+        Box::new(SolarTrace::builder().seed(17).peak_power_mw(0.012).build()),
+        Box::new(SolarTrace::builder().seed(5).duration_s(7.0 * 3600.0 + 0.5).build()),
+        Box::new(KineticBurstTrace::new(1800.0, 0.3, 0.4, 11)),
+        Box::new(StochasticArrivalTrace::new(1800.0, 120.0, 0.5, 3.0, 12)),
+        Box::new(
+            PiecewiseTrace::from_points(vec![(0.0, 0.0), (40_000.0, 2.0), (86_400.0, 0.5)])
+                .expect("valid"),
+        ),
+    ]
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -94,6 +131,83 @@ proptest! {
             prop_assert!((sim.now_s() - t).abs() < 1e-9);
             let eff = sim.charging_efficiency();
             prop_assert!((0.0..=1.0).contains(&eff));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `energy_mj` equals the oracle bit for bit on every trace kind. Starts
+    /// come from `[-2d, 3d]` (negative and wrapped times), from whole
+    /// seconds, and from just below 2^8..2^17, where `t + 1.0` rounds; lengths
+    /// are under a second, whole seconds, or up to two days.
+    #[test]
+    fn energy_matches_the_two_sample_oracle_bit_for_bit(
+        start_kind in 0u8..3,
+        position in 0.0f64..1.0,
+        power in 8i32..18,
+        below in 0.0f64..4.0,
+        length_kind in 0u8..3,
+        fraction in 0.0f64..1.0,
+        seconds in 0u32..4_000,
+    ) {
+        for trace in &oracle_traces() {
+            let d = trace.duration_s();
+            let t0 = match start_kind {
+                0 => -2.0 * d + 5.0 * d * position,
+                1 => (-2.0 * d + 5.0 * d * position).floor(),
+                _ => 2f64.powi(power) - below,
+            };
+            let length = match length_kind {
+                0 => fraction,
+                1 => f64::from(seconds),
+                _ => 2.0 * 86_400.0 * fraction,
+            };
+            let t1 = t0 + length;
+            let got = trace.energy_mj(t0, t1);
+            let want = reference_energy_mj(trace.as_ref(), t0, t1);
+            prop_assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "{:?} over [{}, {}]: {} vs oracle {}", trace, t0, t1, got, want
+            );
+        }
+    }
+
+    /// `wrap_time` is `rem_euclid` bit for bit: at the edges of the range
+    /// (signed zeros, `d` and just below it, `-d`), at non-finite and
+    /// subnormal times, in range, and for random bit patterns of both the
+    /// time and the duration.
+    #[test]
+    fn wrap_time_is_rem_euclid_bit_for_bit(
+        t_bits in any::<u64>(),
+        d_bits in any::<u64>(),
+        position in 0.0f64..1.0,
+    ) {
+        let random_d = f64::from_bits(d_bits);
+        let subnormal = f64::from_bits(t_bits & 0x000f_ffff_ffff_ffff);
+        for d in [86_400.0, 1800.0, 7.0 * 3600.0 + 0.5, 1.0, f64::MIN_POSITIVE, random_d] {
+            for t in [
+                -0.0,
+                0.0,
+                d,
+                d.next_down(),
+                -d,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::NAN,
+                subnormal,
+                -subnormal,
+                position * d,
+                f64::from_bits(t_bits),
+            ] {
+                prop_assert_eq!(
+                    wrap_time(t, d).to_bits(),
+                    t.rem_euclid(d).to_bits(),
+                    "wrap_time({:e}, {:e})", t, d
+                );
+            }
         }
     }
 }
