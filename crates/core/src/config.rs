@@ -5,6 +5,13 @@ use ie_energy::{
 use ie_mcu::{CostModel, McuDevice};
 use ie_nn::spec::{lenet_multi_exit, MultiExitArchitecture};
 
+/// The longest trace or device window a config may ask for: 366 days, in
+/// seconds. [`ExperimentConfig::validate`] and
+/// [`crate::FleetConfig::validate`] reject a longer duration, because the
+/// trace builders allocate one sample per minute or second of it and the
+/// harvest integral steps through every second.
+pub const MAX_DURATION_S: f64 = 366.0 * 24.0 * 3600.0;
+
 /// The full experimental setup of Section V-A of the paper, with every knob
 /// the benches, examples and ablations need.
 ///
@@ -121,9 +128,9 @@ impl ExperimentConfig {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] for nonsensical values (no events,
-    /// non-positive durations or capacities, thresholds outside `[0, 1]`) and
-    /// for a trace duration, capacity, initial energy or peak power that is
-    /// not finite.
+    /// non-positive durations or capacities, thresholds outside `[0, 1]`), for
+    /// a trace duration, capacity, initial energy or peak power that is not
+    /// finite, and for a trace duration above [`MAX_DURATION_S`].
     pub fn validate(&self) -> Result<()> {
         if self.num_events == 0 {
             return Err(CoreError::InvalidConfig("num_events must be non-zero".into()));
@@ -142,6 +149,12 @@ impl ExperimentConfig {
         }
         if self.trace_duration_s <= 0.0 {
             return Err(CoreError::InvalidConfig("trace duration must be positive".into()));
+        }
+        if self.trace_duration_s > MAX_DURATION_S {
+            return Err(CoreError::InvalidConfig(format!(
+                "trace_duration_s must be at most {MAX_DURATION_S} s (366 days), got {}",
+                self.trace_duration_s
+            )));
         }
         if self.storage_capacity_mj <= 0.0 {
             return Err(CoreError::InvalidConfig("storage capacity must be positive".into()));
@@ -272,6 +285,18 @@ mod tests {
             trace_duration_s: f64::INFINITY,
             ..ExperimentConfig::small_test()
         });
+    }
+
+    #[test]
+    fn trace_durations_above_the_bound_are_rejected() {
+        let with_duration =
+            |d| ExperimentConfig { trace_duration_s: d, ..ExperimentConfig::small_test() };
+        with_duration(MAX_DURATION_S).validate().unwrap();
+        for duration in [MAX_DURATION_S.next_up(), 1e13, 1e300, f64::MAX] {
+            let message = with_duration(duration).validate().unwrap_err().to_string();
+            assert!(message.contains("trace_duration_s") && message.contains("31622400"));
+            assert_rejected(with_duration(duration));
+        }
     }
 
     #[test]

@@ -35,6 +35,7 @@ use crate::metrics::RecoveryStats;
 use crate::policies::{FixedExitPolicy, GreedyAffordablePolicy, ReserveMarginPolicy};
 use crate::{
     ContinueContext, CoreError, DeployedModel, EventContext, ExitChoice, ExitPolicy, Result,
+    MAX_DURATION_S,
 };
 use ie_energy::{
     fork_rng, fork_seed, wrap_time, EnergyStorage, EventDistribution, EventGenerator,
@@ -122,8 +123,8 @@ impl FleetConfig {
     ///
     /// Returns [`CoreError::InvalidConfig`] for an empty fleet, a zero
     /// event count or worker count, a window that is not positive and
-    /// finite, a fault fraction outside `[0, 1]`, or a probe id outside the
-    /// fleet.
+    /// finite or is longer than [`MAX_DURATION_S`], a fault fraction outside
+    /// `[0, 1]`, or a probe id outside the fleet.
     pub fn validate(&self) -> Result<()> {
         if self.num_devices == 0 {
             return Err(CoreError::InvalidConfig("fleet needs at least one device".into()));
@@ -135,6 +136,12 @@ impl FleetConfig {
             return Err(CoreError::InvalidConfig(
                 "device window must be positive and finite".into(),
             ));
+        }
+        if self.device_duration_s > MAX_DURATION_S {
+            return Err(CoreError::InvalidConfig(format!(
+                "device_duration_s must be at most {MAX_DURATION_S} s (366 days), got {}",
+                self.device_duration_s
+            )));
         }
         if !(0.0..=1.0).contains(&self.fault_fraction) {
             return Err(CoreError::InvalidConfig("fault fraction must be in [0, 1]".into()));
@@ -734,6 +741,8 @@ impl FleetSimulator {
             time_s: 0.0,
             available_energy_mj: 0.0,
             capacity_mj: sim.storage().capacity_mj(),
+            // No `PolicyKind` reads the charging efficiency, so it is never
+            // computed here.
             charging_efficiency: 0.0,
             exit_energy_mj: model.exit_energies_mj(),
             exit_accuracy: model.exit_accuracies(),
@@ -753,7 +762,6 @@ impl FleetSimulator {
             ctx.event_id = event.id;
             ctx.time_s = event.time_s;
             ctx.available_energy_mj = sim.storage().level_mj();
-            ctx.charging_efficiency = sim.charging_efficiency();
 
             let attempted = match policy.choose_exit(&ctx) {
                 ExitChoice::Skip => None,
@@ -1123,6 +1131,17 @@ mod tests {
     #[test]
     fn nan_device_window_is_rejected() {
         assert_window_rejected(f64::NAN);
+    }
+
+    #[test]
+    fn device_windows_above_the_bound_are_rejected() {
+        let with_window = |d| FleetConfig { device_duration_s: d, ..FleetConfig::new(4, 1) };
+        with_window(MAX_DURATION_S).validate().unwrap();
+        for duration in [MAX_DURATION_S.next_up(), 1e13, 1e300, f64::MAX] {
+            let message = with_window(duration).validate().unwrap_err().to_string();
+            assert!(message.contains("device_duration_s") && message.contains("31622400"));
+            assert_window_rejected(duration);
+        }
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub mod policies;
 mod policy;
 mod simulator;
 
-pub use config::{ExperimentConfig, FaultConfig};
+pub use config::{ExperimentConfig, FaultConfig, MAX_DURATION_S};
 pub use deployed::DeployedModel;
 pub use error::CoreError;
 pub use fleet::{FleetAccumulator, FleetConfig, FleetReport, FleetSimulator};

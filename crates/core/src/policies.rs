@@ -36,6 +36,10 @@ impl ExitPolicy for GreedyAffordablePolicy {
     fn name(&self) -> &str {
         "greedy-affordable"
     }
+
+    fn reads_charging_efficiency(&self) -> bool {
+        false
+    }
 }
 
 /// Always requests the same exit (missing the event when it is unaffordable).
@@ -69,6 +73,10 @@ impl ExitPolicy for FixedExitPolicy {
 
     fn name(&self) -> &str {
         "fixed-exit"
+    }
+
+    fn reads_charging_efficiency(&self) -> bool {
+        false
     }
 }
 
@@ -122,11 +130,16 @@ impl ExitPolicy for ReserveMarginPolicy {
     fn name(&self) -> &str {
         "reserve-margin"
     }
+
+    fn reads_charging_efficiency(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn ctx(available: f64) -> EventContext {
         EventContext {
@@ -187,5 +200,64 @@ mod tests {
         let mut reserved = ReserveMarginPolicy::new(0.5);
         assert!(greedy.choose_continue(&cc));
         assert!(!reserved.choose_continue(&cc), "reserve of 2 mJ blocks the continuation");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The three policies that return `false` from
+        /// `reads_charging_efficiency` decide the same whatever the field
+        /// holds.
+        #[test]
+        fn decisions_ignore_the_charging_efficiency(
+            available in 0.0f64..5.0,
+            capacity in 0.5f64..5.0,
+            costs in proptest::collection::vec(0.0f64..3.0, 1..5),
+            fixed in 0usize..5,
+            reserve in 0.0f64..1.0,
+            (confidence, incremental) in (0.0f64..1.0, 0.0f64..3.0),
+            efficiency_bits in any::<u64>(),
+            uniform in -2.0f64..2.0,
+        ) {
+            let ctx = EventContext {
+                event_id: 3,
+                time_s: 100.0,
+                available_energy_mj: available,
+                capacity_mj: capacity,
+                charging_efficiency: 0.0,
+                exit_accuracy: vec![0.5; costs.len()],
+                exit_energy_mj: costs,
+            };
+            let cc = ContinueContext {
+                event_id: 3,
+                current_exit: 0,
+                next_exit: 1,
+                confidence,
+                available_energy_mj: available,
+                capacity_mj: capacity,
+                incremental_energy_mj: incremental,
+            };
+            let policies: [&dyn Fn() -> Box<dyn ExitPolicy>; 3] = [
+                &|| Box::new(GreedyAffordablePolicy::new()),
+                &|| Box::new(FixedExitPolicy::new(fixed)),
+                &|| Box::new(ReserveMarginPolicy::new(reserve)),
+            ];
+            for policy in policies {
+                prop_assert!(!policy().reads_charging_efficiency());
+                // A fresh policy decides the event, then a continuation.
+                let decide = |efficiency: f64| {
+                    let mut p = policy();
+                    let choice = p
+                        .choose_exit(&EventContext { charging_efficiency: efficiency, ..ctx.clone() });
+                    (choice, p.choose_continue(&cc))
+                };
+                let want = decide(0.0);
+                for efficiency in
+                    [0.5, 1.0, -1.0, f64::NAN, f64::from_bits(efficiency_bits), uniform]
+                {
+                    prop_assert_eq!(decide(efficiency), want);
+                }
+            }
+        }
     }
 }

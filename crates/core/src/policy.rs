@@ -16,6 +16,11 @@ pub struct EventContext {
     pub capacity_mj: f64,
     /// Charging-efficiency observable in `[0, 1]` (recent harvested power
     /// relative to the trace's peak).
+    ///
+    /// `EventLoopSimulator` computes it fresh before each event only for a
+    /// policy whose [`ExitPolicy::reads_charging_efficiency`] returns `true`
+    /// (the runtime Q-learning agent, and any policy that keeps the
+    /// default). Every other policy, and every fleet policy, sees 0.0 here.
     pub charging_efficiency: f64,
     /// Energy cost of running each exit from scratch, millijoules.
     pub exit_energy_mj: Vec<f64>,
@@ -144,6 +149,17 @@ pub trait ExitPolicy {
     fn name(&self) -> &str {
         "policy"
     }
+
+    /// Whether [`Self::choose_exit`] reads
+    /// [`EventContext::charging_efficiency`]. `EventLoopSimulator`
+    /// integrates the efficiency window before an event only when this
+    /// returns `true`.
+    ///
+    /// The default is `true`. Return `false` only when `choose_exit` never
+    /// reads that field: the policy then sees 0.0 there.
+    fn reads_charging_efficiency(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]
@@ -228,5 +244,6 @@ mod tests {
             missed: false,
         });
         assert_eq!(p.name(), "policy");
+        assert!(p.reads_charging_efficiency(), "an unknown policy keeps the fresh value");
     }
 }

@@ -152,7 +152,13 @@ impl EventLoopSimulator {
                 ctx.time_s = event.time_s;
                 ctx.available_energy_mj = sim.storage().level_mj();
                 ctx.capacity_mj = sim.storage().capacity_mj();
-                ctx.charging_efficiency = sim.charging_efficiency();
+                // The efficiency window is the costliest integral per event,
+                // so a policy that never reads it keeps the 0.0 above.
+                // `charging_efficiency` takes `&self`: skipping it changes no
+                // later state.
+                if policy.reads_charging_efficiency() {
+                    ctx.charging_efficiency = sim.charging_efficiency();
+                }
                 let choice = policy.choose_exit(&ctx);
 
                 let (record, feedback) = match choice {
@@ -545,6 +551,88 @@ mod tests {
             EventLoopSimulator::new(&c).run(&model, &mut ReserveMarginPolicy::new(0.6)).unwrap();
         // The reserve policy must use exit 0 at least as often as greedy does.
         assert!(reserved.exit_counts[0] >= greedy.exit_counts[0]);
+    }
+
+    /// Forwards every decision to `P`, but asks for a fresh charging
+    /// efficiency before each event, as a policy that reads it would.
+    struct Eager<P>(P);
+
+    impl<P: ExitPolicy> ExitPolicy for Eager<P> {
+        fn choose_exit(&mut self, ctx: &EventContext) -> ExitChoice {
+            self.0.choose_exit(ctx)
+        }
+
+        fn choose_continue(&mut self, ctx: &ContinueContext) -> bool {
+            self.0.choose_continue(ctx)
+        }
+
+        fn observe_outcome(&mut self, feedback: &EventFeedback) {
+            self.0.observe_outcome(feedback)
+        }
+
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+
+        fn reads_charging_efficiency(&self) -> bool {
+            true
+        }
+    }
+
+    /// Runs `policy` with and without [`Eager`], with and without faults,
+    /// unbatched and in wake windows of 5: every pair of reports is equal.
+    fn assert_skipping_the_efficiency_changes_nothing<P: ExitPolicy + Clone>(policy: P) {
+        assert!(!policy.reads_charging_efficiency());
+        let faulted = ExperimentConfig {
+            fault: Some(crate::FaultConfig { seed: 9, cut_probability: 0.3, max_cuts: 64 }),
+            ..config()
+        };
+        for c in [config(), faulted] {
+            let model = DeployedModel::uncompressed_reference(&c).unwrap();
+            let sim = EventLoopSimulator::new(&c);
+            let lazy = sim.run(&model, &mut policy.clone()).unwrap();
+            assert_eq!(lazy, sim.run(&model, &mut Eager(policy.clone())).unwrap());
+            let lazy = sim.run_batched(&model, &mut policy.clone(), 5).unwrap();
+            assert_eq!(lazy, sim.run_batched(&model, &mut Eager(policy.clone()), 5).unwrap());
+        }
+    }
+
+    #[test]
+    fn policies_that_ignore_the_efficiency_run_the_same_without_it() {
+        assert_skipping_the_efficiency_changes_nothing(GreedyAffordablePolicy::new());
+        for exit in 0..3 {
+            assert_skipping_the_efficiency_changes_nothing(FixedExitPolicy::new(exit));
+        }
+        assert_skipping_the_efficiency_changes_nothing(ReserveMarginPolicy::new(0.3));
+    }
+
+    #[test]
+    fn a_policy_that_reads_the_efficiency_gets_the_eager_bits() {
+        /// Skips every event, so the harvester sits at each arrival time,
+        /// and records the efficiency it was shown.
+        struct Recorder(Vec<f64>);
+        impl ExitPolicy for Recorder {
+            fn choose_exit(&mut self, ctx: &EventContext) -> ExitChoice {
+                self.0.push(ctx.charging_efficiency);
+                ExitChoice::Skip
+            }
+        }
+        let c = config();
+        let model = DeployedModel::uncompressed_reference(&c).unwrap();
+        let mut recorder = Recorder(Vec::new());
+        EventLoopSimulator::new(&c).run(&model, &mut recorder).unwrap();
+        let mut harvest = c.build_harvest_simulator();
+        let want: Vec<u64> = c
+            .build_events()
+            .iter()
+            .map(|event| {
+                harvest.advance_to(event.time_s);
+                harvest.charging_efficiency().to_bits()
+            })
+            .collect();
+        let got: Vec<u64> = recorder.0.iter().map(|e| e.to_bits()).collect();
+        assert_eq!(got, want);
+        assert!(recorder.0.iter().any(|&e| e > 0.0), "daytime events see a positive value");
     }
 
     #[test]

@@ -1,4 +1,5 @@
 use crate::{EnergyError, EnergyStorage, PowerTrace, Result};
+use std::sync::OnceLock;
 
 /// Combines a [`PowerTrace`] with an [`EnergyStorage`] and tracks simulated
 /// time.
@@ -7,34 +8,42 @@ use crate::{EnergyError, EnergyStorage, PowerTrace, Result};
 /// harvested energy accumulated in between is charged into the storage. The
 /// simulator also exposes the *charging efficiency* observable used as part of
 /// the Q-learning state: the mean harvested power over a recent window,
-/// normalised by the trace's peak power.
+/// normalised by the trace's peak power. The peak is estimated on the first
+/// [`Self::charging_efficiency`] read, so a simulator whose efficiency is
+/// never read never samples the trace for it.
 #[derive(Debug)]
 pub struct HarvestSimulator {
     trace: Box<dyn PowerTrace>,
     storage: EnergyStorage,
     now_s: f64,
     recent_window_s: f64,
-    peak_power_mw: f64,
+    peak_power_mw: OnceLock<f64>,
 }
 
 impl HarvestSimulator {
     /// Creates a simulator at time zero.
     pub fn new(trace: Box<dyn PowerTrace>, storage: EnergyStorage) -> Self {
-        // Estimate the trace's peak power by coarse sampling; used only to
-        // normalise the charging-efficiency observable into [0, 1].
-        let duration = trace.duration_s().max(1.0);
-        let mut peak: f64 = 0.0;
-        let samples = 512;
-        for i in 0..=samples {
-            peak = peak.max(trace.power_mw(duration * i as f64 / samples as f64));
-        }
         HarvestSimulator {
             trace,
             storage,
             now_s: 0.0,
             recent_window_s: 600.0,
-            peak_power_mw: peak.max(1e-9),
+            peak_power_mw: OnceLock::new(),
         }
+    }
+
+    /// The trace's peak power, estimated by coarse sampling on first use; it
+    /// only normalises the charging-efficiency observable into [0, 1].
+    fn peak_power_mw(&self) -> f64 {
+        *self.peak_power_mw.get_or_init(|| {
+            let duration = self.trace.duration_s().max(1.0);
+            let mut peak: f64 = 0.0;
+            let samples = 512;
+            for i in 0..=samples {
+                peak = peak.max(self.trace.power_mw(duration * i as f64 / samples as f64));
+            }
+            peak.max(1e-9)
+        })
     }
 
     /// Sets the averaging window (seconds) for the charging-efficiency
@@ -120,12 +129,13 @@ impl HarvestSimulator {
     }
 
     /// Charging efficiency observable in `[0, 1]`: mean harvested power over
-    /// the recent window divided by the trace's peak power.
+    /// the recent window divided by the trace's peak power. The first call
+    /// also estimates that peak (513 trace samples).
     pub fn charging_efficiency(&self) -> f64 {
         let t0 = (self.now_s - self.recent_window_s).max(0.0);
         let window = (self.now_s - t0).max(1e-9);
         let mean = self.trace.energy_mj(t0, self.now_s.max(t0 + 1e-9)) / window;
-        (mean / self.peak_power_mw).clamp(0.0, 1.0)
+        (mean / self.peak_power_mw()).clamp(0.0, 1.0)
     }
 }
 

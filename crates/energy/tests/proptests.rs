@@ -8,6 +8,8 @@ use ie_energy::{
 };
 use proptest::prelude::*;
 use rand::{Rng, RngCore};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// The oracle of the trace integral: the plain 1-second trapezoid, sampling
 /// both ends of every step and taking `(t1 - t).min(1.0)` each time.
@@ -43,6 +45,108 @@ fn oracle_traces() -> Vec<Box<dyn PowerTrace>> {
                 .expect("valid"),
         ),
     ]
+}
+
+/// The oracle of the charging efficiency: the simulator's former eager
+/// peak scan (513 samples over the trace, done at construction) and its
+/// efficiency formula over the window that `recent_window_s` sets (600 s,
+/// or the `with_recent_window_s` argument clamped to at least 1 s).
+fn reference_efficiency(trace: &dyn PowerTrace, now_s: f64, recent_window_s: Option<f64>) -> f64 {
+    let duration = trace.duration_s().max(1.0);
+    let mut peak: f64 = 0.0;
+    let samples = 512;
+    for i in 0..=samples {
+        peak = peak.max(trace.power_mw(duration * i as f64 / samples as f64));
+    }
+    let peak = peak.max(1e-9);
+    let recent_window_s = recent_window_s.map_or(600.0, |w| w.max(1.0));
+    let t0 = (now_s - recent_window_s).max(0.0);
+    let window = (now_s - t0).max(1e-9);
+    let mean = trace.energy_mj(t0, now_s.max(t0 + 1e-9)) / window;
+    (mean / peak).clamp(0.0, 1.0)
+}
+
+/// A constant 1 mW hour that counts its `power_mw` calls.
+#[derive(Debug)]
+struct CountingTrace {
+    calls: Arc<AtomicUsize>,
+}
+
+impl PowerTrace for CountingTrace {
+    fn power_mw(&self, _t_s: f64) -> f64 {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        1.0
+    }
+
+    fn duration_s(&self) -> f64 {
+        3600.0
+    }
+}
+
+/// The peak is estimated on the first efficiency read, not in `new`: the
+/// first read costs the 513-sample scan plus its window, a second read at
+/// the same time only its window (601 samples for the default 600 s).
+#[test]
+fn the_peak_is_sampled_on_the_first_efficiency_read_only() {
+    fn send_and_sync<T: Send + Sync>() {}
+    send_and_sync::<HarvestSimulator>();
+
+    let calls = Arc::new(AtomicUsize::new(0));
+    let count = || calls.load(Ordering::Relaxed);
+    let mut sim = HarvestSimulator::new(
+        Box::new(CountingTrace { calls: Arc::clone(&calls) }),
+        EnergyStorage::new(10.0, 1.0),
+    );
+    assert_eq!(count(), 0, "construction must not sample the trace");
+    sim.advance_to(1000.0);
+    let before = count();
+    let first = sim.charging_efficiency();
+    let first_calls = count() - before;
+    let second = sim.charging_efficiency();
+    let second_calls = count() - before - first_calls;
+    assert_eq!(first.to_bits(), second.to_bits());
+    assert_eq!(second_calls, 601, "a later read integrates only its window");
+    assert_eq!(first_calls, second_calls + 513, "the first read adds the peak scan");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The lazily estimated peak gives the eager oracle's efficiency bit for
+    /// bit on every trace kind: at t = 0 before any advance, along a random
+    /// advance schedule that runs past the trace's duration, and with the
+    /// default or a custom averaging window.
+    #[test]
+    fn charging_efficiency_matches_the_eager_oracle_bit_for_bit(
+        hops in proptest::collection::vec(0.0f64..0.4, 0..10),
+        custom_window in proptest::option::of(0.0f64..5_000.0),
+        past in 1.0f64..3.0,
+    ) {
+        for trace in oracle_traces() {
+            let d = trace.duration_s();
+            let mut sim = HarvestSimulator::new(trace, EnergyStorage::new(10.0, 0.9));
+            if let Some(window) = custom_window {
+                sim = sim.with_recent_window_s(window);
+            }
+            let mut times = vec![0.0];
+            let mut t = 0.0;
+            for hop in &hops {
+                t += hop * d;
+                times.push(t);
+            }
+            times.push(t.max(past * d));
+            for t in times {
+                sim.advance_to(t);
+                let got = sim.charging_efficiency();
+                let want = reference_efficiency(sim.trace(), sim.now_s(), custom_window);
+                prop_assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{:?} at {}: {} vs oracle {}", sim.trace(), t, got, want
+                );
+            }
+        }
+    }
 }
 
 proptest! {

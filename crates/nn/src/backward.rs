@@ -133,8 +133,8 @@ struct FqState {
     branch_entries: Vec<Vec<Option<FqEntry>>>,
 }
 
-/// A pre-sized training plan for a [`MultiExitNetwork`]; see the
-/// [module documentation](self) for the full story.
+/// A pre-sized training plan for a [`MultiExitNetwork`]; the documentation
+/// of its source module, `backward`, tells the full story.
 #[derive(Debug, Clone)]
 pub struct BackwardPlan {
     arch: MultiExitArchitecture,

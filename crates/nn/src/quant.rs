@@ -11,7 +11,7 @@
 //!   class when it is ≤ 16; layers without a config (or with wider weights)
 //!   keep the `f32` kernels. Activation codes are always at most 8 bits and
 //!   are stored as `i8`. Both integer classes execute through the shared
-//!   transposed madd GEMM (see [`QuantizedLayer`]).
+//!   transposed madd GEMM (see `QuantizedLayer`).
 //! * **Packed weights** — [`QuantizedModel::for_network`] quantizes every
 //!   configured layer's weights **once**, into depth-padded `[O, kp]` i16
 //!   code rows with pruned-away input channels dropped, together with the

@@ -235,6 +235,7 @@ mod tests {
             assert_eq!(p.events_seen(), i + 1);
         }
         assert_eq!(p.name(), "q-learning");
+        assert!(p.reads_charging_efficiency(), "the efficiency is part of the exit state");
     }
 
     #[test]

@@ -87,12 +87,17 @@ impl ExitPolicy for StaticLutPolicy {
     fn name(&self) -> &str {
         "static-lut"
     }
+
+    fn reads_charging_efficiency(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ie_core::ExperimentConfig;
+    use ie_core::{EventFeedback, EventLoopSimulator, ExperimentConfig, FaultConfig};
+    use proptest::prelude::*;
 
     fn model() -> (ExperimentConfig, DeployedModel) {
         let config = ExperimentConfig::small_test();
@@ -162,5 +167,98 @@ mod tests {
         assert!(lut.choose_continue(&cc));
         let broke = ContinueContext { available_energy_mj: 0.5, ..cc };
         assert!(!lut.choose_continue(&broke));
+    }
+
+    /// Forwards every decision to `P`, but asks for a fresh charging
+    /// efficiency before each event, as a policy that reads it would.
+    struct Eager<P>(P);
+
+    impl<P: ExitPolicy> ExitPolicy for Eager<P> {
+        fn choose_exit(&mut self, ctx: &EventContext) -> ExitChoice {
+            self.0.choose_exit(ctx)
+        }
+
+        fn choose_continue(&mut self, ctx: &ContinueContext) -> bool {
+            self.0.choose_continue(ctx)
+        }
+
+        fn observe_outcome(&mut self, feedback: &EventFeedback) {
+            self.0.observe_outcome(feedback)
+        }
+
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+
+        fn reads_charging_efficiency(&self) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn the_lut_runs_the_same_without_the_efficiency() {
+        let (config, model) = model();
+        let lut = StaticLutPolicy::build(
+            &model,
+            config.storage_capacity_mj,
+            StateDiscretizer::paper_default(),
+        );
+        assert!(!lut.reads_charging_efficiency());
+        let faulted = ExperimentConfig {
+            fault: Some(FaultConfig { seed: 9, cut_probability: 0.3, max_cuts: 64 }),
+            ..config.clone()
+        };
+        for c in [config, faulted] {
+            let sim = EventLoopSimulator::new(&c);
+            let lazy = sim.run(&model, &mut lut.clone()).unwrap();
+            assert_eq!(lazy, sim.run(&model, &mut Eager(lut.clone())).unwrap());
+            let lazy = sim.run_batched(&model, &mut lut.clone(), 5).unwrap();
+            assert_eq!(lazy, sim.run_batched(&model, &mut Eager(lut.clone()), 5).unwrap());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The LUT decides the same whatever `charging_efficiency` holds.
+        #[test]
+        fn lut_decisions_ignore_the_charging_efficiency(
+            fraction in -0.5f64..1.5,
+            (confidence, incremental) in (0.0f64..1.0, 0.0f64..3.0),
+            efficiency_bits in any::<u64>(),
+            uniform in -2.0f64..2.0,
+        ) {
+            let (config, model) = model();
+            let capacity = config.storage_capacity_mj;
+            let lut = StaticLutPolicy::build(&model, capacity, StateDiscretizer::paper_default());
+            let ctx = EventContext {
+                event_id: 3,
+                time_s: 100.0,
+                available_energy_mj: fraction * capacity,
+                capacity_mj: capacity,
+                charging_efficiency: 0.0,
+                exit_energy_mj: model.exit_energies_mj(),
+                exit_accuracy: model.exit_accuracies(),
+            };
+            let cc = ContinueContext {
+                event_id: 3,
+                current_exit: 0,
+                next_exit: 1,
+                confidence,
+                available_energy_mj: fraction * capacity,
+                capacity_mj: capacity,
+                incremental_energy_mj: incremental,
+            };
+            let decide = |efficiency: f64| {
+                let mut p = lut.clone();
+                let choice =
+                    p.choose_exit(&EventContext { charging_efficiency: efficiency, ..ctx.clone() });
+                (choice, p.choose_continue(&cc))
+            };
+            let want = decide(0.0);
+            for efficiency in [0.5, 1.0, -1.0, f64::NAN, f64::from_bits(efficiency_bits), uniform] {
+                prop_assert_eq!(decide(efficiency), want);
+            }
+        }
     }
 }

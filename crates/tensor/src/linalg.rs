@@ -571,7 +571,7 @@ fn matvec_batch_body(a: &[f32], xs: &[f32], out: &mut [f32], m: usize, k: usize,
 /// Matrix–vector product into a caller-provided buffer: `a` is `[m, k]`, `x`
 /// has `k` elements, `out` has `m` elements. Never allocates.
 ///
-/// Uses the lane-parallel dot product ([`dot_lanes`]): deterministic, but the
+/// Uses the lane-parallel dot product (`dot_lanes`): deterministic, but the
 /// summation order differs from a strictly sequential fold.
 ///
 /// # Panics

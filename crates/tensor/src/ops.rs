@@ -428,7 +428,7 @@ fn softmax_body(logits: &[f32], out: &mut [f32]) {
 /// Numerically stable softmax over a logits slice, written into `out`.
 ///
 /// The maximum is subtracted before exponentiation; the exponential is the
-/// shared polynomial kernel ([`expc`]), identical on every tier, and the
+/// shared polynomial kernel (`expc`), identical on every tier, and the
 /// max/sum reductions use a fixed 8-lane tree so the result is a
 /// deterministic function of the input alone. Dispatched to the active ISA
 /// tier; bit-identical across tiers.

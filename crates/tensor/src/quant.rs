@@ -712,7 +712,7 @@ pub fn transpose_widen_into(cols: &[i8], k: usize, n: usize, kp: usize, out: &mu
 /// Transposed-operand integer GEMM: `out[i][j] = Σ_p a[i][p] · bt[j][p]`
 /// with `a` as `[m, kp]` and `bt` as `[n, kp]`, both row-major — i.e. `bt`
 /// is the **transposed** right operand, so every output element is a dot of
-/// two contiguous rows (see [`dot_i16`] for why that shape is the fast one
+/// two contiguous rows (see `dot_i16` for why that shape is the fast one
 /// on x86). `kp` is the padded depth; callers align it to
 /// [`MADD_DEPTH_ALIGN`] with zero fill, which changes no result.
 ///
