@@ -120,7 +120,6 @@ impl BaselineRunner {
             }
         }
 
-        sim.advance_to(self.config.trace_duration_s);
         let total_harvested = self.config.total_harvestable_mj();
         Ok(SimulationReport::from_records(records, 1, total_harvested).with_recovery(recovery))
     }

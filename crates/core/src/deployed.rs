@@ -25,8 +25,33 @@ pub struct DeployedModel {
 
 impl DeployedModel {
     /// Wraps an already-evaluated compression profile with a device cost model.
+    /// Any profile is accepted; the simulators reject a malformed one
+    /// ([`Self::validate`]) before they index its per-exit tables.
     pub fn new(profile: CompressedProfile, cost: CostModel) -> Self {
         DeployedModel { profile, cost }
+    }
+
+    /// Checks that the profile describes a usable model: at least one exit,
+    /// and one `exit_flops`, `branch_flops` and `exit_accuracy` entry per
+    /// exit. A profile's fields are public, so [`Self::new`] cannot rule a
+    /// malformed one out; `EventLoopSimulator::run_batched` and
+    /// `FleetSimulator::simulate_device_into` call this first.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidConfig`] naming the three lengths.
+    pub fn validate(&self) -> Result<()> {
+        let p = &self.profile;
+        let exits = p.exit_flops.len();
+        if exits == 0 || p.branch_flops.len() != exits || p.exit_accuracy.len() != exits {
+            return Err(CoreError::InvalidConfig(format!(
+                "deployed model needs at least one exit and equal-length per-exit tables; \
+                 got {exits} exit_flops, {} branch_flops, {} exit_accuracy",
+                p.branch_flops.len(),
+                p.exit_accuracy.len()
+            )));
+        }
+        Ok(())
     }
 
     /// The uncompressed (full-precision) backbone on the configured device,
@@ -245,5 +270,52 @@ mod tests {
     fn unknown_exit_errors_are_reported() {
         let m = DeployedModel::uncompressed_reference(&config()).unwrap();
         assert!(m.incremental_flops(5, 6).is_err());
+    }
+
+    #[test]
+    fn malformed_models_are_rejected_by_both_simulators() {
+        use crate::fleet::{FleetConfig, FleetSimulator};
+        use crate::policies::GreedyAffordablePolicy;
+        use crate::EventLoopSimulator;
+        use ie_compress::CompressedProfile;
+
+        fn invalid<T>(result: Result<T>) -> bool {
+            matches!(result, Err(CoreError::InvalidConfig(_)))
+        }
+        let c = ExperimentConfig::small_test();
+        let good = DeployedModel::uncompressed_reference(&c).unwrap();
+        let edited = |edit: fn(&mut CompressedProfile)| {
+            let mut profile = good.profile().clone();
+            edit(&mut profile);
+            DeployedModel::new(profile, good.cost_model().clone())
+        };
+        let malformed = [
+            edited(|p| {
+                p.exit_flops.clear();
+                p.branch_flops.clear();
+                p.exit_accuracy.clear();
+            }),
+            edited(|p| p.exit_accuracy.truncate(1)),
+            edited(|p| p.branch_flops.truncate(1)),
+        ];
+        let sim = EventLoopSimulator::new(&c);
+        let fleet =
+            |threads| FleetSimulator::new(&FleetConfig { threads, ..FleetConfig::new(8, 7) });
+        for model in &malformed {
+            assert!(invalid(model.validate()));
+            assert!(invalid(sim.run(model, &mut GreedyAffordablePolicy::new())));
+            assert!(invalid(sim.run_batched(model, &mut GreedyAffordablePolicy::new(), 5)));
+            for threads in [1, 4] {
+                assert!(invalid(fleet(threads).run(model)), "{threads} fleet workers");
+            }
+            assert!(invalid(fleet(1).replay_device(model, 0)));
+        }
+        good.validate().unwrap();
+        sim.run(&good, &mut GreedyAffordablePolicy::new()).unwrap();
+        sim.run_batched(&good, &mut GreedyAffordablePolicy::new(), 5).unwrap();
+        for threads in [1, 4] {
+            assert_eq!(fleet(threads).run(&good).unwrap().metrics.devices, 8);
+        }
+        fleet(1).replay_device(&good, 0).unwrap();
     }
 }

@@ -17,8 +17,8 @@
 //!   many other devices exist — which is what makes single-device extraction
 //!   replay bit-identical ([`FleetSimulator::replay_device`]).
 //! * [`FleetSimulator::run`] — shards the device-id range contiguously
-//!   across `std::thread::scope` workers (the same discipline as
-//!   `evaluate_batched`'s sharded reduction) and streams every device into a
+//!   across workers through the shard loop the evaluators and the trainer
+//!   share ([`ie_nn::train::run_sharded`]) and streams every device into a
 //!   fixed-size [`FleetAccumulator`], so memory stays flat no matter how
 //!   many devices run.
 //! * [`FleetAccumulator`] — a mergeable, order-invariant aggregate: all
@@ -42,6 +42,7 @@ use ie_energy::{
     HarvestSimulator, KineticBurstTrace, PowerTrace, SolarTrace, StochasticArrivalTrace,
 };
 use ie_mcu::{FaultInjector, FaultPlan, TaskCut};
+use ie_nn::train::run_sharded;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -592,52 +593,48 @@ impl FleetSimulator {
     }
 
     /// Runs the whole fleet, sharding contiguous device-id ranges across
-    /// `config.threads` scoped workers. Each worker streams its devices into
-    /// a private [`FleetAccumulator`]; shards are merged after the scope
-    /// joins. Because per-device streams are forked from the master seed and
-    /// the merge is order-invariant, the report is bit-identical for every
-    /// worker count.
+    /// `config.threads` workers through the shared shard loop
+    /// ([`ie_nn::train::run_sharded`]; one worker runs inline). Each worker
+    /// streams its devices into a private [`FleetAccumulator`], and the
+    /// shards are merged in shard order. Because per-device streams are
+    /// forked from the master seed and the merge is order-invariant, the
+    /// report is bit-identical for every worker count.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfig`] for an invalid configuration and
-    /// propagates any per-device simulation error.
+    /// Returns [`CoreError::InvalidConfig`] for an invalid configuration or
+    /// a malformed model ([`DeployedModel::validate`]), propagates any
+    /// per-device simulation error, and returns [`CoreError::Nn`] wrapping
+    /// [`ie_nn::NnError::WorkerPanic`] when a worker panics.
     pub fn run(&self, model: &DeployedModel) -> Result<FleetReport> {
         self.config.validate()?;
-        let devices = self.config.num_devices;
-        let workers = (self.config.threads as u64).clamp(1, devices);
-        let shard = devices.div_ceil(workers);
-
-        let results: Vec<Result<(FleetAccumulator, Option<DeviceOutcome>)>> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let start = w * shard;
-                        let end = ((w + 1) * shard).min(devices);
-                        scope.spawn(move || {
-                            let mut acc = FleetAccumulator::default();
-                            let mut probe = None;
-                            for device_id in start..end {
-                                let outcome =
-                                    self.simulate_device_into(model, device_id, &mut acc)?;
-                                if self.config.probe_device == Some(device_id) {
-                                    probe = Some(outcome);
-                                }
-                            }
-                            Ok((acc, probe))
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("fleet worker panicked")).collect()
-            });
-
+        let devices = usize::try_from(self.config.num_devices)
+            .map_err(|_| CoreError::InvalidConfig("fleet larger than the address space".into()))?;
+        let shard_len = devices.div_ceil(self.config.threads.clamp(1, devices));
         let mut metrics = FleetAccumulator::default();
         let mut probe = None;
-        for result in results {
-            let (shard_acc, shard_probe) = result?;
-            metrics.merge(&shard_acc);
-            probe = probe.or(shard_probe);
-        }
+        run_sharded(
+            devices,
+            shard_len,
+            std::iter::repeat(()),
+            |range, ()| -> Result<(FleetAccumulator, Option<DeviceOutcome>)> {
+                let mut acc = FleetAccumulator::default();
+                let mut probe = None;
+                for device_id in range.start as u64..range.end as u64 {
+                    let outcome = self.simulate_device_into(model, device_id, &mut acc)?;
+                    if self.config.probe_device == Some(device_id) {
+                        probe = Some(outcome);
+                    }
+                }
+                Ok((acc, probe))
+            },
+            |shard| {
+                let (shard_acc, shard_probe) = shard?;
+                metrics.merge(&shard_acc);
+                probe = probe.or(shard_probe);
+                Ok(())
+            },
+        )?;
         Ok(FleetReport { metrics, probe })
     }
 
@@ -648,9 +645,9 @@ impl FleetSimulator {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfig`] for an invalid configuration (as
-    /// [`Self::run`] does) or an id outside the fleet, and propagates
-    /// simulation errors.
+    /// Returns [`CoreError::InvalidConfig`] for an invalid configuration or
+    /// a malformed model (as [`Self::run`] does) or an id outside the fleet,
+    /// and propagates simulation errors.
     pub fn replay_device(&self, model: &DeployedModel, device_id: u64) -> Result<DeviceOutcome> {
         self.config.validate()?;
         if device_id >= self.config.num_devices {
@@ -702,14 +699,16 @@ impl FleetSimulator {
     ///
     /// # Errors
     ///
-    /// Propagates energy-accounting errors (which indicate a bug — every
-    /// draw is affordability-checked first).
+    /// Returns [`CoreError::InvalidConfig`] for a malformed model
+    /// ([`DeployedModel::validate`]) and propagates energy-accounting errors
+    /// (which indicate a bug — every draw is affordability-checked first).
     pub fn simulate_device_into(
         &self,
         model: &DeployedModel,
         device_id: u64,
         acc: &mut FleetAccumulator,
     ) -> Result<DeviceOutcome> {
+        model.validate()?;
         let master = self.config.master_seed;
         let spec = DeviceSpec::derive(&self.config, device_id);
         let trace = self.build_trace(&spec);

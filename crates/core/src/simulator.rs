@@ -72,6 +72,7 @@ impl EventLoopSimulator {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] for an invalid configuration or
+    /// a malformed model ([`DeployedModel::validate`]), and
     /// [`CoreError::UnknownExit`] when the policy requests a non-existent exit.
     pub fn run(
         &self,
@@ -102,15 +103,17 @@ impl EventLoopSimulator {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfig`] for an invalid configuration or a
-    /// zero window, and [`CoreError::UnknownExit`] when the policy requests a
-    /// non-existent exit.
+    /// Returns [`CoreError::InvalidConfig`] for an invalid configuration, a
+    /// malformed model ([`DeployedModel::validate`]) or a zero window, and
+    /// [`CoreError::UnknownExit`] when the policy requests a non-existent
+    /// exit.
     pub fn run_batched(
         &self,
         model: &DeployedModel,
         policy: &mut dyn ExitPolicy,
         window: usize,
     ) -> Result<SimulationReport> {
+        model.validate()?;
         if window == 0 {
             return Err(CoreError::InvalidConfig("wake window must be at least one event".into()));
         }
@@ -192,9 +195,6 @@ impl EventLoopSimulator {
             }
         }
 
-        // Harvest the remainder of the trace so E_total covers the full fixed
-        // energy budget of the environment.
-        sim.advance_to(self.config.trace_duration_s);
         let total_harvested = self.config.total_harvestable_mj();
         let recovery = faults.map(|f| f.stats).unwrap_or_default();
         Ok(SimulationReport::from_records(records, num_exits, total_harvested)

@@ -289,22 +289,11 @@ impl BatchPlan {
         max_batch: usize,
     ) -> Result<BatchPlan> {
         let model = QuantizedModel::for_network(net, config)?;
-        Ok(BatchPlan::for_quantized_model(net.architecture(), model, max_batch))
-    }
-
-    /// [`Self::for_network_quantized`] from an already-built model: the
-    /// sharded quantized evaluator packs the weights **once** per policy and
-    /// clones the packed model into each worker's plan instead of
-    /// re-quantizing per thread.
-    pub(crate) fn for_quantized_model(
-        arch: &MultiExitArchitecture,
-        model: QuantizedModel,
-        max_batch: usize,
-    ) -> BatchPlan {
+        let arch = net.architecture();
         let mut plan = BatchPlan::for_architecture(arch, max_batch);
         plan.quant = Some(model);
         plan.qbufs = QuantBuffers::for_architecture(arch, max_batch);
-        plan
+        Ok(plan)
     }
 
     /// The quantized model baked into this plan, if any.

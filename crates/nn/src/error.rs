@@ -43,16 +43,17 @@ pub enum NnError {
     /// A planned continuation was requested before any planned forward pass
     /// populated the execution plan's cached trunk state.
     MissingPlannedState,
-    /// A sharded-evaluation worker thread panicked. Instead of aborting the
-    /// whole process on join, the panic is surfaced as an error naming the
-    /// worker and its sample shard so long-running callers (the serving
-    /// loop) can degrade gracefully.
+    /// A worker thread of the shard loop ([`crate::train::run_sharded`])
+    /// panicked: an evaluator's, the trainer's or the fleet simulator's.
+    /// Instead of aborting the whole process on join, the panic is surfaced
+    /// as an error naming the worker and its shard so long-running callers
+    /// (the serving loop) can degrade gracefully.
     WorkerPanic {
         /// Index of the panicking worker (= shard index).
         worker: usize,
-        /// First sample index of the worker's shard.
+        /// First item (sample or device) index of the worker's shard.
         shard_start: usize,
-        /// Number of samples in the worker's shard.
+        /// Number of items in the worker's shard.
         shard_len: usize,
         /// The panic payload, when it was a string.
         message: String,
@@ -84,8 +85,8 @@ impl fmt::Display for NnError {
             ),
             NnError::WorkerPanic { worker, shard_start, shard_len, message } => write!(
                 f,
-                "evaluation worker {worker} panicked on samples \
-                 {shard_start}..{} ({shard_len} samples): {message}",
+                "shard worker {worker} panicked on items \
+                 {shard_start}..{} ({shard_len} items): {message}",
                 shard_start + shard_len
             ),
         }

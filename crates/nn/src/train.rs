@@ -6,12 +6,15 @@
 //! three evaluators, all running the same shard/reduce skeleton over
 //! [`BatchPlan`]s: [`evaluate`] (one batch-1 plan on the calling thread),
 //! [`evaluate_batched`] (pooled `f32` plans) and [`evaluate_quantized`]
-//! (pooled integer plans).
+//! (pooled integer plans). Every warmed plan, forward or backward, comes
+//! from the one [`PlanPool`], and every contiguous-shard worker loop, the
+//! fleet simulator's included, is the one [`run_sharded`].
 
 use crate::dataset::Sample;
 use crate::quant::QuantConfig;
 use crate::{BackwardPlan, BatchPlan, GradStore, MultiExitNetwork, NnError, Result, Sgd};
 use ie_tensor::Tensor;
+use std::ops::Range;
 
 /// Configuration of a multi-exit training run.
 #[derive(Debug, Clone, PartialEq)]
@@ -152,32 +155,206 @@ pub fn threads_from_env(var: &'static str) -> usize {
     }
 }
 
+/// The one contiguous-shard loop behind the evaluators, the trainer and the
+/// fleet simulator: splits `0..len` into shards of `shard_len` items (the
+/// last one shorter), pairs shard `i` with the `i`-th item of `states`, runs
+/// `work(range, state)` on every shard, and hands each result to `fold` in
+/// shard order, stopping at the first error `fold` returns.
+///
+/// A single shard runs inline on the calling thread, with no spawn and no
+/// heap allocation. More shards each get one scoped worker thread, and
+/// every worker is joined before the first result is folded. A panicking
+/// worker is caught at join and folded as [`NnError::WorkerPanic`] naming
+/// the worker and its range, converted into the caller's error type, so a
+/// caller degrades instead of dying. A panic in an inline shard propagates
+/// as usual.
+///
+/// `states` must yield at least one item per shard.
+///
+/// # Errors
+///
+/// Returns the first error `fold` returns.
+pub fn run_sharded<S, R, E>(
+    len: usize,
+    shard_len: usize,
+    states: impl IntoIterator<Item = S>,
+    work: impl Fn(Range<usize>, S) -> std::result::Result<R, E> + Sync,
+    mut fold: impl FnMut(std::result::Result<R, E>) -> std::result::Result<(), E>,
+) -> std::result::Result<(), E>
+where
+    S: Send,
+    R: Send,
+    E: From<NnError> + Send,
+{
+    let shard_len = shard_len.max(1);
+    let mut shards =
+        (0..len).step_by(shard_len).map(|start| start..(start + shard_len).min(len)).zip(states);
+    if len <= shard_len {
+        return shards.try_for_each(|(range, state)| fold(work(range, state)));
+    }
+    let work = &work;
+    let results: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = shards
+            .map(|(range, state)| (range.clone(), scope.spawn(move || work(range, state))))
+            .collect();
+        handles
+            .into_iter()
+            .enumerate()
+            .map(|(worker, (range, handle))| {
+                handle.join().unwrap_or_else(|payload| {
+                    Err(NnError::WorkerPanic {
+                        worker,
+                        shard_start: range.start,
+                        shard_len: range.len(),
+                        message: panic_message(payload.as_ref()),
+                    }
+                    .into())
+                })
+            })
+            .collect()
+    });
+    results.into_iter().try_for_each(fold)
+}
+
+/// Best-effort extraction of a panic payload's message.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
 /// Worker-thread count for sharded evaluation: `IE_EVAL_THREADS` via
 /// [`threads_from_env`] (what the CI thread-matrix job varies).
 pub fn eval_threads() -> usize {
     threads_from_env("IE_EVAL_THREADS")
 }
 
-/// A reusable pool of per-worker [`BatchPlan`]s for [`evaluate_batched`].
-///
-/// A search loop scores thousands of candidate policies; a pool owned by the
-/// caller (e.g. the accuracy estimator) keeps the warmed plans across those
-/// calls instead of re-allocating them per evaluation: compression changes a
-/// network's weights but never its architecture, so the same plans serve
-/// every candidate policy. Incompatible or undersized plans are dropped and
-/// rebuilt transparently.
-///
-/// Plans in the pool are plain `f32` plans; quantized plans bake per-policy
-/// weights in and live in a [`QuantPlanPool`] instead.
-#[derive(Debug, Default)]
-pub struct BatchPlanPool {
-    plans: Vec<BatchPlan>,
+/// A warmed plan a [`PlanPool`] can hand out. Every plan kind is built for
+/// the same key: an architecture plus an optional [`QuantConfig`]. For a
+/// [`BatchPlan`] the config selects the integer kernels; for a
+/// [`BackwardPlan`] it selects fake-quant training.
+pub trait PooledPlan: Clone {
+    /// Whether this pooled plan can serve `network` under `quant` for
+    /// batches of up to `batch` samples once [`PooledPlan::rebind`] has run.
+    /// A plan never fits a request for the other engine: an `f32` request
+    /// never gets a quantized plan, and a quantized request never gets an
+    /// `f32` plan. A [`BackwardPlan`] runs one sample at a time and ignores
+    /// `batch`.
+    fn fits(&self, network: &MultiExitNetwork, quant: Option<&QuantConfig>, batch: usize) -> bool;
+
+    /// Builds a fresh plan for the key.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::InvalidSpec`] when `quant` does not match the
+    /// network.
+    fn build(network: &MultiExitNetwork, quant: Option<&QuantConfig>, batch: usize)
+        -> Result<Self>;
+
+    /// Re-bakes a fitting pooled plan for `quant` before it is handed out
+    /// again. Only a quantized [`BatchPlan`] has work to do: it re-packs the
+    /// new weight codes into its existing buffers
+    /// ([`BatchPlan::repack_quantized`]) instead of being rebuilt.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::InvalidSpec`] when `quant` does not match the
+    /// network.
+    fn rebind(&mut self, network: &MultiExitNetwork, quant: Option<&QuantConfig>) -> Result<()>;
 }
 
-impl BatchPlanPool {
+impl PooledPlan for BatchPlan {
+    fn fits(&self, network: &MultiExitNetwork, quant: Option<&QuantConfig>, batch: usize) -> bool {
+        match quant {
+            Some(_) => self.can_repack_quantized(network, batch),
+            None => {
+                self.quantized_model().is_none()
+                    && self.is_compatible(network)
+                    && self.max_batch() >= batch
+            }
+        }
+    }
+
+    fn build(
+        network: &MultiExitNetwork,
+        quant: Option<&QuantConfig>,
+        batch: usize,
+    ) -> Result<Self> {
+        match quant {
+            Some(config) => BatchPlan::for_network_quantized(network, config, batch),
+            None => Ok(BatchPlan::for_architecture(network.architecture(), batch)),
+        }
+    }
+
+    fn rebind(&mut self, network: &MultiExitNetwork, quant: Option<&QuantConfig>) -> Result<()> {
+        match quant {
+            Some(config) => self.repack_quantized(network, config),
+            None => Ok(()),
+        }
+    }
+}
+
+impl PooledPlan for BackwardPlan {
+    fn fits(&self, network: &MultiExitNetwork, quant: Option<&QuantConfig>, _: usize) -> bool {
+        self.is_compatible(network) && self.quant_config() == quant
+    }
+
+    fn build(network: &MultiExitNetwork, quant: Option<&QuantConfig>, _: usize) -> Result<Self> {
+        match quant {
+            Some(config) => {
+                BackwardPlan::for_architecture_fake_quant(network.architecture(), config)
+            }
+            None => Ok(BackwardPlan::for_architecture(network.architecture())),
+        }
+    }
+
+    fn rebind(&mut self, _: &MultiExitNetwork, _: Option<&QuantConfig>) -> Result<()> {
+        Ok(())
+    }
+}
+
+/// The one reusable pool of warmed plans, for every [`PooledPlan`] kind.
+///
+/// A search loop scores thousands of candidate policies, a trainer runs
+/// thousands of steps and a server keeps one plan per worker. Compression
+/// and training change a network's weights but never its architecture, so
+/// a caller-owned pool keeps the warmed plans across those calls instead of
+/// re-allocating them. Pooled plans that do not fit a request are dropped
+/// and rebuilt transparently, and a pooled quantized [`BatchPlan`] is
+/// re-packed in place for the next policy, never rebuilt. `f32` and
+/// quantized [`BatchPlan`]s may share one pool: each request names its
+/// engine, and a plan only serves requests of its own.
+#[derive(Debug)]
+pub struct PlanPool<P> {
+    plans: Vec<P>,
+}
+
+/// The pool of `f32` [`BatchPlan`]s for [`evaluate_batched`] and the serve
+/// workers. The same type as [`QuantPlanPool`]: each request names its
+/// engine.
+pub type BatchPlanPool = PlanPool<BatchPlan>;
+
+/// The pool of quantized [`BatchPlan`]s for [`evaluate_quantized`] and the
+/// integer serve workers. The same type as [`BatchPlanPool`].
+pub type QuantPlanPool = PlanPool<BatchPlan>;
+
+/// The pool of per-worker [`BackwardPlan`]s behind [`BatchBackwardPlan`].
+pub type BackwardPlanPool = PlanPool<BackwardPlan>;
+
+impl<P> Default for PlanPool<P> {
+    fn default() -> Self {
+        PlanPool { plans: Vec::new() }
+    }
+}
+
+impl<P> PlanPool<P> {
     /// Creates an empty pool.
     pub fn new() -> Self {
-        BatchPlanPool::default()
+        PlanPool::default()
     }
 
     /// Number of plans currently pooled.
@@ -190,43 +367,69 @@ impl BatchPlanPool {
         self.plans.is_empty()
     }
 
-    /// Hands out `count` plans compatible with `network` and `batch`,
-    /// reusing pooled ones and building only what is missing.
+    /// Returns a plan to the pool for later reuse.
+    pub fn put(&mut self, plan: P) {
+        self.plans.push(plan);
+    }
+}
+
+impl<P: PooledPlan> PlanPool<P> {
+    /// Hands out `count` plans for `network` under `quant`: drops pooled
+    /// plans that do not fit, rebinds the pooled ones it hands out and
+    /// builds only what is missing, building once and cloning the fresh
+    /// plan (a quantized model is packed once, not once per worker).
     fn ensure(
         &mut self,
         network: &MultiExitNetwork,
+        quant: Option<&QuantConfig>,
         batch: usize,
         count: usize,
-    ) -> &mut [BatchPlan] {
-        self.plans.retain(|p| p.is_compatible(network) && p.max_batch() >= batch);
-        while self.plans.len() < count {
-            self.plans.push(BatchPlan::for_architecture(network.architecture(), batch));
+    ) -> Result<&mut [P]> {
+        self.plans.retain(|p| p.fits(network, quant, batch));
+        for plan in self.plans.iter_mut().take(count) {
+            plan.rebind(network, quant)?;
         }
-        &mut self.plans[..count]
+        if self.plans.len() < count {
+            let fresh = P::build(network, quant, batch)?;
+            self.plans.resize(count, fresh);
+        }
+        Ok(&mut self.plans[..count])
     }
 
-    /// Hands one warmed plan compatible with `network` and `batch` out of the
-    /// pool, building a fresh one when nothing pooled fits. Ownership moves
-    /// to the caller — this is the serve-worker handoff: each worker takes a
-    /// plan at startup, owns it for its lifetime, and [`BatchPlanPool::put`]s
-    /// it back on shutdown.
-    pub fn take(&mut self, network: &MultiExitNetwork, batch: usize) -> BatchPlan {
-        match self.plans.iter().position(|p| p.is_compatible(network) && p.max_batch() >= batch) {
-            Some(i) => self.plans.swap_remove(i),
-            None => BatchPlan::for_architecture(network.architecture(), batch),
+    /// Hands one plan for `network` under `quant` out of the pool: a fitting
+    /// pooled plan is rebound and moved to the caller, otherwise a fresh one
+    /// is built, and pooled plans that do not fit stay put. `quant` is
+    /// `None` for the `f32` engine and a config for the integer (or
+    /// fake-quant) one. This is the serve-worker handoff: each worker takes
+    /// a plan at startup, owns it for its lifetime, and the caller
+    /// [`PlanPool::put`]s it back on shutdown.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::InvalidSpec`] when `quant` does not match the
+    /// network.
+    pub fn take<'q>(
+        &mut self,
+        network: &MultiExitNetwork,
+        quant: impl Into<Option<&'q QuantConfig>>,
+        batch: usize,
+    ) -> Result<P> {
+        let quant = quant.into();
+        match self.plans.iter().position(|p| p.fits(network, quant, batch)) {
+            Some(i) => {
+                let mut plan = self.plans.swap_remove(i);
+                plan.rebind(network, quant)?;
+                Ok(plan)
+            }
+            None => P::build(network, quant, batch),
         }
-    }
-
-    /// Returns a plan to the pool for later reuse.
-    pub fn put(&mut self, plan: BatchPlan) {
-        self.plans.push(plan);
     }
 }
 
 /// The shared shard/reduce skeleton of the evaluators: splits the (non-empty)
 /// samples into one contiguous shard per plan, runs each shard through its
-/// plan (inline for a single worker, scoped threads otherwise) and reduces
-/// the per-shard correct counts in shard order.
+/// plan ([`run_sharded`]) and reduces the per-shard correct counts in shard
+/// order.
 fn evaluate_with_plans(
     network: &MultiExitNetwork,
     samples: &[Sample],
@@ -234,83 +437,33 @@ fn evaluate_with_plans(
     plans: &mut [BatchPlan],
 ) -> Result<Vec<f32>> {
     let num_exits = network.num_exits();
-    let eval_shard = |shard: &[Sample], plan: &mut BatchPlan| -> Result<Vec<usize>> {
-        let mut correct = vec![0usize; num_exits];
-        let mut refs: Vec<&Tensor> = Vec::with_capacity(batch);
-        for chunk in shard.chunks(batch) {
-            refs.clear();
-            refs.extend(chunk.iter().map(|s| &s.image));
-            network.forward_all_batch_with(plan, &refs, |out| {
-                for (i, sample) in chunk.iter().enumerate() {
-                    correct[out.exit()] += usize::from(out.prediction(i) == sample.label);
-                }
-            })?;
-        }
-        Ok(correct)
-    };
-    let threads = plans.len();
-    let counts: Vec<Result<Vec<usize>>> = if threads == 1 {
-        vec![eval_shard(samples, &mut plans[0])]
-    } else {
-        join_sharded(samples, plans, eval_shard)
-    };
     let mut total = vec![0usize; num_exits];
-    for shard_counts in counts {
-        for (t, c) in total.iter_mut().zip(shard_counts?) {
-            *t += c;
-        }
-    }
+    run_sharded(
+        samples.len(),
+        samples.len().div_ceil(plans.len()),
+        plans.iter_mut(),
+        |range, plan| -> Result<Vec<usize>> {
+            let mut correct = vec![0usize; num_exits];
+            let mut refs: Vec<&Tensor> = Vec::with_capacity(batch);
+            for chunk in samples[range].chunks(batch) {
+                refs.clear();
+                refs.extend(chunk.iter().map(|s| &s.image));
+                network.forward_all_batch_with(plan, &refs, |out| {
+                    for (i, sample) in chunk.iter().enumerate() {
+                        correct[out.exit()] += usize::from(out.prediction(i) == sample.label);
+                    }
+                })?;
+            }
+            Ok(correct)
+        },
+        |counts| {
+            for (t, c) in total.iter_mut().zip(counts?) {
+                *t += c;
+            }
+            Ok(())
+        },
+    )?;
     Ok(total.iter().map(|&c| c as f32 / samples.len() as f32).collect())
-}
-
-/// The scoped-thread shard/join skeleton: one contiguous shard per plan,
-/// results collected in shard order. A panicking worker is caught at join
-/// and surfaced as [`NnError::WorkerPanic`] naming the worker and its shard
-/// instead of aborting the whole process — a serving loop that shares this
-/// path must degrade gracefully, not die.
-fn join_sharded<F>(
-    samples: &[Sample],
-    plans: &mut [BatchPlan],
-    eval_shard: F,
-) -> Vec<Result<Vec<usize>>>
-where
-    F: Fn(&[Sample], &mut BatchPlan) -> Result<Vec<usize>> + Sync,
-{
-    let shard_len = samples.len().div_ceil(plans.len());
-    let eval_shard = &eval_shard;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = samples
-            .chunks(shard_len)
-            .zip(plans.iter_mut())
-            .enumerate()
-            .map(|(worker, (shard, plan))| {
-                (worker, shard.len(), scope.spawn(move || eval_shard(shard, plan)))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|(worker, len, handle)| match handle.join() {
-                Ok(result) => result,
-                Err(payload) => Err(NnError::WorkerPanic {
-                    worker,
-                    shard_start: worker * shard_len,
-                    shard_len: len,
-                    message: panic_message(payload.as_ref()),
-                }),
-            })
-            .collect()
-    })
-}
-
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// Evaluates the accuracy of every exit on the given samples using batched
@@ -341,98 +494,8 @@ pub fn evaluate_batched(
         return Ok(vec![0.0; network.num_exits()]);
     }
     let batch = batch.max(1);
-    let plans = pool.ensure(network, batch, threads.clamp(1, samples.len()));
+    let plans = pool.ensure(network, None, batch, threads.clamp(1, samples.len()))?;
     evaluate_with_plans(network, samples, batch, plans)
-}
-
-/// A reusable pool of per-worker **quantized** [`BatchPlan`]s.
-///
-/// Quantized plans bake per-policy weight codes in, so unlike
-/// [`BatchPlanPool`] the pooled plans cannot be reused as-is — but their
-/// buffers can: [`BatchPlan::repack_quantized`] re-packs the next policy's
-/// codes into the previous policy's (grow-only) code matrices and keeps all
-/// integer scratch. A search loop scoring thousands of candidate policies
-/// through the integer backend therefore stops re-allocating the packed
-/// weights on every evaluation (the ROADMAP's "QuantizedModel pool").
-#[derive(Debug, Default)]
-pub struct QuantPlanPool {
-    plans: Vec<BatchPlan>,
-}
-
-impl QuantPlanPool {
-    /// Creates an empty pool.
-    pub fn new() -> Self {
-        QuantPlanPool::default()
-    }
-
-    /// Number of plans currently pooled.
-    pub fn len(&self) -> usize {
-        self.plans.len()
-    }
-
-    /// Returns `true` when no plans are pooled yet.
-    pub fn is_empty(&self) -> bool {
-        self.plans.is_empty()
-    }
-
-    /// Hands out `count` quantized plans baked for `network` under `config`:
-    /// pooled plans are re-packed in place, missing ones are built fresh
-    /// (packing once and cloning the packed model into each).
-    fn ensure(
-        &mut self,
-        network: &MultiExitNetwork,
-        config: &QuantConfig,
-        batch: usize,
-        count: usize,
-    ) -> Result<&mut [BatchPlan]> {
-        self.plans.retain(|p| p.can_repack_quantized(network, batch));
-        self.plans.truncate(count);
-        for plan in &mut self.plans {
-            plan.repack_quantized(network, config)?;
-        }
-        if self.plans.len() < count {
-            let model = crate::quant::QuantizedModel::for_network(network, config)?;
-            let arch = network.architecture();
-            while self.plans.len() < count - 1 {
-                self.plans.push(BatchPlan::for_quantized_model(arch, model.clone(), batch));
-            }
-            self.plans.push(BatchPlan::for_quantized_model(arch, model, batch));
-        }
-        Ok(&mut self.plans[..count])
-    }
-
-    /// Hands one quantized plan baked for `network` under `config` out of
-    /// the pool: a repackable pooled plan is re-packed in place and moved to
-    /// the caller, otherwise a fresh plan is built. The serve-worker
-    /// counterpart of [`BatchPlanPool::take`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::NnError::InvalidSpec`] when `config` does not match
-    /// the network.
-    pub fn take(
-        &mut self,
-        network: &MultiExitNetwork,
-        config: &QuantConfig,
-        batch: usize,
-    ) -> Result<BatchPlan> {
-        match self.plans.iter().position(|p| p.can_repack_quantized(network, batch)) {
-            Some(i) => {
-                let mut plan = self.plans.swap_remove(i);
-                plan.repack_quantized(network, config)?;
-                Ok(plan)
-            }
-            None => {
-                let model = crate::quant::QuantizedModel::for_network(network, config)?;
-                Ok(BatchPlan::for_quantized_model(network.architecture(), model, batch))
-            }
-        }
-    }
-
-    /// Returns a plan to the pool for later repacking and reuse.
-    pub fn put(&mut self, plan: BatchPlan) {
-        self.plans.push(plan);
-    }
 }
 
 /// Evaluates the accuracy of every exit with the **integer** execution
@@ -443,9 +506,9 @@ impl QuantPlanPool {
 ///
 /// The plans come from the caller's `pool`: each call re-packs the policy's
 /// weight codes into the pooled plans' existing buffers instead of
-/// re-allocating them (see [`QuantPlanPool`]). Sharding and reduction are
-/// those of [`evaluate_batched`]; results are deterministic and independent
-/// of `batch`, `threads` and the pool state.
+/// re-allocating them (see [`PlanPool`]). Sharding and reduction are those
+/// of [`evaluate_batched`]; results are deterministic and independent of
+/// `batch`, `threads` and the pool state.
 ///
 /// # Errors
 ///
@@ -465,7 +528,7 @@ pub fn evaluate_quantized(
         return Ok(vec![0.0; network.num_exits()]);
     }
     let batch = batch.max(1);
-    let plans = pool.ensure(network, config, batch, threads.clamp(1, samples.len()))?;
+    let plans = pool.ensure(network, Some(config), batch, threads.clamp(1, samples.len()))?;
     evaluate_with_plans(network, samples, batch, plans)
 }
 
@@ -477,95 +540,18 @@ pub fn train_threads() -> usize {
     threads_from_env("IE_TRAIN_THREADS")
 }
 
-/// A reusable pool of per-worker [`BackwardPlan`]s, mirroring
-/// [`BatchPlanPool`] for the training side: compression and training change
-/// a network's weights but never its architecture, so the same warmed plans
-/// serve every step. Plans built with a different architecture or fake-quant
-/// configuration are dropped and rebuilt transparently.
-#[derive(Debug, Default)]
-pub struct BackwardPlanPool {
-    plans: Vec<BackwardPlan>,
-}
-
-impl BackwardPlanPool {
-    /// Creates an empty pool.
-    pub fn new() -> Self {
-        BackwardPlanPool::default()
-    }
-
-    /// Number of plans currently pooled.
-    pub fn len(&self) -> usize {
-        self.plans.len()
-    }
-
-    /// Returns `true` when no plans are pooled yet.
-    pub fn is_empty(&self) -> bool {
-        self.plans.is_empty()
-    }
-
-    /// Hands out `count` plans compatible with `network` (and the given
-    /// fake-quant configuration), reusing pooled ones and building only what
-    /// is missing.
-    fn ensure(
-        &mut self,
-        network: &MultiExitNetwork,
-        quant: Option<&QuantConfig>,
-        count: usize,
-    ) -> Result<&mut [BackwardPlan]> {
-        self.plans.retain(|p| p.is_compatible(network) && p.quant_config() == quant);
-        while self.plans.len() < count {
-            self.plans.push(match quant {
-                Some(config) => {
-                    BackwardPlan::for_architecture_fake_quant(network.architecture(), config)?
-                }
-                None => BackwardPlan::for_architecture(network.architecture()),
-            });
-        }
-        Ok(&mut self.plans[..count])
-    }
-
-    /// Hands one plan compatible with `network` (and the given fake-quant
-    /// configuration) out of the pool, building a fresh one when nothing
-    /// pooled fits.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`BackwardPlan::for_architecture_fake_quant`]'s validation
-    /// errors when a fake-quant plan has to be built.
-    pub fn take(
-        &mut self,
-        network: &MultiExitNetwork,
-        quant: Option<&QuantConfig>,
-    ) -> Result<BackwardPlan> {
-        match self.plans.iter().position(|p| p.is_compatible(network) && p.quant_config() == quant)
-        {
-            Some(i) => Ok(self.plans.swap_remove(i)),
-            None => match quant {
-                Some(config) => {
-                    BackwardPlan::for_architecture_fake_quant(network.architecture(), config)
-                }
-                None => Ok(BackwardPlan::for_architecture(network.architecture())),
-            },
-        }
-    }
-
-    /// Returns a plan to the pool for later reuse.
-    pub fn put(&mut self, plan: BackwardPlan) {
-        self.plans.push(plan);
-    }
-}
-
 /// A batched, sharded training step: one [`BackwardPlan`] per worker, one
 /// [`GradStore`] per sample, deterministic reduction.
 ///
-/// `train_step` splits the mini-batch into one contiguous shard per worker.
-/// Each worker runs its samples through its own plan, accumulating every
-/// sample's gradients into that sample's store. The reduction then folds the
-/// per-sample losses and flushes the per-sample stores **in ascending sample
-/// order** — float addition is not associative, so a per-worker reduction
-/// would change bits with the worker count; a per-sample one cannot. The
-/// result is bit-identical to calling [`MultiExitNetwork::backward`] on each
-/// sample sequentially, and byte-identical for every `threads` value.
+/// `train_step` splits the mini-batch into one contiguous shard per worker
+/// ([`run_sharded`]). Each worker runs its samples through its own plan,
+/// accumulating every sample's gradients into that sample's store. The
+/// reduction then folds the per-sample losses and flushes the per-sample
+/// stores **in ascending sample order** — float addition is not
+/// associative, so a per-worker reduction would change bits with the worker
+/// count; a per-sample one cannot. The result is bit-identical to calling
+/// [`MultiExitNetwork::backward`] on each sample sequentially, and
+/// byte-identical for every `threads` value.
 ///
 /// An optional fake-quant configuration ([`BatchBackwardPlan::fake_quant`])
 /// makes every worker run the quantize–dequantize forward half (see
@@ -638,7 +624,7 @@ impl BatchBackwardPlan {
         }
         let n = samples.len();
         let threads = threads.clamp(1, n);
-        let plans = self.pool.ensure(network, self.quant.as_ref(), threads)?;
+        let plans = self.pool.ensure(network, self.quant.as_ref(), 1, threads)?;
         let want = plans[0].store_len();
         self.stores.retain(|s| s.len() == want);
         while self.stores.len() < n {
@@ -648,61 +634,26 @@ impl BatchBackwardPlan {
             self.losses.resize(n, 0.0);
         }
         let shard_len = n.div_ceil(threads);
-        if threads == 1 {
-            let plan = &mut plans[0];
-            for ((sample, store), loss) in
-                samples.iter().zip(&mut self.stores).zip(&mut self.losses)
-            {
-                *loss = plan.backward_into_store(
-                    network,
-                    &sample.image,
-                    sample.label,
-                    exit_weights,
-                    store,
-                )?;
-            }
-        } else {
-            let net_ref: &MultiExitNetwork = network;
-            let results: Vec<Result<()>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = samples
-                    .chunks(shard_len)
-                    .zip(self.stores.chunks_mut(shard_len))
-                    .zip(self.losses.chunks_mut(shard_len))
-                    .zip(plans.iter_mut())
-                    .enumerate()
-                    .map(|(worker, (((shard, stores), losses), plan))| {
-                        let handle = scope.spawn(move || -> Result<()> {
-                            for ((sample, store), loss) in shard.iter().zip(stores).zip(losses) {
-                                *loss = plan.backward_into_store(
-                                    net_ref,
-                                    &sample.image,
-                                    sample.label,
-                                    exit_weights,
-                                    store,
-                                )?;
-                            }
-                            Ok(())
-                        });
-                        (worker, shard.len(), handle)
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|(worker, len, handle)| match handle.join() {
-                        Ok(result) => result,
-                        Err(payload) => Err(NnError::WorkerPanic {
-                            worker,
-                            shard_start: worker * shard_len,
-                            shard_len: len,
-                            message: panic_message(payload.as_ref()),
-                        }),
-                    })
-                    .collect()
-            });
-            for result in results {
-                result?;
-            }
-        }
+        let net: &MultiExitNetwork = network;
+        let shards = self.stores.chunks_mut(shard_len).zip(self.losses.chunks_mut(shard_len));
+        run_sharded(
+            n,
+            shard_len,
+            shards.zip(plans.iter_mut()),
+            |range, ((stores, losses), plan)| -> Result<()> {
+                for ((sample, store), loss) in samples[range].iter().zip(stores).zip(losses) {
+                    *loss = plan.backward_into_store(
+                        net,
+                        &sample.image,
+                        sample.label,
+                        exit_weights,
+                        store,
+                    )?;
+                }
+                Ok(())
+            },
+            |shard| shard,
+        )?;
         // Deterministic reduction: per-sample losses and stores are folded
         // in ascending sample order regardless of how the shards were cut.
         for loss in &self.losses[..n] {
@@ -930,17 +881,17 @@ mod tests {
         let net = MultiExitNetwork::from_architecture(&tiny_multi_exit(3), &mut rng).unwrap();
         let mut pool = BackwardPlanPool::new();
         assert!(pool.is_empty());
-        let plan = pool.take(&net, None).unwrap();
+        let plan = pool.take(&net, None, 1).unwrap();
         assert!(plan.is_compatible(&net));
         pool.put(plan);
         assert_eq!(pool.len(), 1);
-        let again = pool.take(&net, None).unwrap();
+        let again = pool.take(&net, None, 1).unwrap();
         assert!(pool.is_empty(), "the pooled plan was handed back out");
         pool.put(again);
         // A fake-quant request does not match the plain pooled plan.
         let n = net.architecture().compressible_layers().len();
         let cfg = crate::quant::QuantConfig::from_layers(vec![None; n]);
-        let fq = pool.take(&net, Some(&cfg)).unwrap();
+        let fq = pool.take(&net, Some(&cfg), 1).unwrap();
         assert_eq!(fq.quant_config(), Some(&cfg));
         assert_eq!(pool.len(), 1, "the plain pooled plan stays put");
     }
@@ -1191,20 +1142,27 @@ mod tests {
 
     #[test]
     fn worker_panic_surfaces_as_an_error_naming_the_shard() {
-        // Drive a panicking shard closure through the production join path:
-        // the panic must come back as `NnError::WorkerPanic`, not abort.
+        // Drive a panicking shard closure through the one shard loop: the
+        // panic must come back as `NnError::WorkerPanic`, not abort.
         let data = SyntheticDataset::generate(2, 8, 20, 0.1, 17);
         let mut rng = StdRng::seed_from_u64(18);
         let net = MultiExitNetwork::from_architecture(&tiny_multi_exit(2), &mut rng).unwrap();
         let mut pool = BatchPlanPool::new();
-        let plans = pool.ensure(&net, 4, 3);
+        let plans = pool.ensure(&net, None, 4, 3).unwrap();
         let samples = &data.train()[..12];
-        let results = super::join_sharded(samples, plans, |shard, _plan| {
+        let mut results = Vec::new();
+        let shard_work = |range: Range<usize>, _plan| -> Result<Vec<usize>> {
+            let shard = &samples[range];
             if std::ptr::eq(&shard[0], &samples[4]) {
                 panic!("injected shard failure");
             }
             Ok(vec![shard.len(), 0])
-        });
+        };
+        super::run_sharded(samples.len(), 4, plans.iter_mut(), shard_work, |result| {
+            results.push(result);
+            Ok(())
+        })
+        .unwrap();
         assert_eq!(results.len(), 3);
         assert!(results[0].is_ok() && results[2].is_ok(), "healthy shards still report");
         match &results[1] {
@@ -1224,18 +1182,18 @@ mod tests {
         let net = MultiExitNetwork::from_architecture(&tiny_multi_exit(3), &mut rng).unwrap();
         let mut pool = BatchPlanPool::new();
         // Taking from an empty pool builds; putting back pools it.
-        let plan = pool.take(&net, 4);
+        let plan = pool.take(&net, None, 4).unwrap();
         assert!(plan.is_compatible(&net) && plan.max_batch() >= 4);
         assert!(pool.is_empty());
         pool.put(plan);
         assert_eq!(pool.len(), 1);
         // A compatible request reuses the pooled plan instead of building.
-        let again = pool.take(&net, 4);
+        let again = pool.take(&net, None, 4).unwrap();
         assert!(pool.is_empty(), "the pooled plan was handed back out");
         pool.put(again);
         // An incompatible request leaves the pooled plan alone.
         let other = MultiExitNetwork::from_architecture(&tiny_multi_exit(4), &mut rng).unwrap();
-        let fresh = pool.take(&other, 4);
+        let fresh = pool.take(&other, None, 4).unwrap();
         assert!(fresh.is_compatible(&other));
         assert_eq!(pool.len(), 1, "the incompatible pooled plan stays put");
     }
@@ -1272,5 +1230,27 @@ mod tests {
         let warmed = pool.take(&net, &cfg, 4).unwrap();
         assert!(pool.is_empty(), "the pooled plan was repacked and handed out");
         assert!(warmed.quantized_model().is_some());
+
+        // f32 and quantized plans may share one pool. Each order asks first
+        // for the engine pooled second, so a request that matched the other
+        // engine's plan would take the first one.
+        let plain = pool.take(&net, None, 4).unwrap();
+        assert!(plain.quantized_model().is_none());
+        for quant_first in [true, false] {
+            let mut mixed = QuantPlanPool::new();
+            let (first, second) = if quant_first { (&warmed, &plain) } else { (&plain, &warmed) };
+            mixed.put(first.clone());
+            mixed.put(second.clone());
+            let requests = if quant_first { [None, Some(&cfg)] } else { [Some(&cfg), None] };
+            for quant in requests {
+                let plan = mixed.take(&net, quant, 4).unwrap();
+                assert_eq!(
+                    plan.quantized_model().is_some(),
+                    quant.is_some(),
+                    "a request received the other engine's plan"
+                );
+            }
+            assert!(mixed.is_empty(), "both requests reused their own engine's pooled plan");
+        }
     }
 }

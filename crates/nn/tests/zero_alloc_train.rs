@@ -1,14 +1,18 @@
 //! Counting-allocator regression test: a warmed-up planned **training step**
 //! (planned backward + gradient application) performs **zero** heap
-//! allocations, in both the plain and the fake-quant-in-the-loop modes.
+//! allocations, in both the plain and the fake-quant-in-the-loop modes, and
+//! so does a one-worker batched step (`BatchBackwardPlan::train_step`), whose
+//! single shard runs inline.
 //!
 //! The counting is per-thread (a `const`-initialised thread-local `Cell`, so
 //! the bookkeeping itself never allocates and never races with the other test
 //! threads of the harness), and the whole file contains a single test so no
 //! sibling test can interleave allocations on this thread.
 
+use ie_nn::dataset::Sample;
 use ie_nn::quant::config_from_bits;
 use ie_nn::spec::{lenet_multi_exit, tiny_multi_exit};
+use ie_nn::train::BatchBackwardPlan;
 use ie_nn::MultiExitNetwork;
 use ie_tensor::{QuantParams, Tensor};
 use rand::rngs::StdRng;
@@ -70,6 +74,9 @@ fn warmed_planned_training_step_performs_zero_heap_allocations() {
     let entries: Vec<Option<(u8, QuantParams)>> = (0..n).map(|_| Some((8, act))).collect();
     let cfg = config_from_bits(&tiny, &entries).unwrap();
     let mut fq_plan = tiny.backward_plan_fake_quant(&cfg).unwrap();
+    let batch: Vec<Sample> =
+        (0..4).map(|i| Sample { image: tiny_input.clone(), label: i % 3 }).collect();
+    let mut batch_plan = BatchBackwardPlan::fake_quant(cfg.clone());
 
     let tiny_weights = [0.3f32, 0.7];
     let skip_first = [0.0f32, 1.0];
@@ -85,6 +92,7 @@ fn warmed_planned_training_step_performs_zero_heap_allocations() {
         tiny.apply_gradients(0.0);
         lenet.backward_with(&mut lenet_plan, &lenet_input, 2, &lenet_weights).unwrap();
         lenet.apply_gradients(0.0);
+        batch_plan.train_step(&mut tiny, &batch, &tiny_weights, 0.0, 1).unwrap();
     }
 
     let before = allocations_on_this_thread();
@@ -103,6 +111,8 @@ fn warmed_planned_training_step_performs_zero_heap_allocations() {
         checksum +=
             lenet.backward_with(&mut lenet_plan, &lenet_input, 2, &lenet_weights).unwrap() as f64;
         lenet.apply_gradients(0.0);
+        // The one-worker batched step: pool handout, inline shard, reduction.
+        checksum += batch_plan.train_step(&mut tiny, &batch, &tiny_weights, 0.0, 1).unwrap() as f64;
     }
     let after = allocations_on_this_thread();
 

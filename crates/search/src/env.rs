@@ -4,20 +4,6 @@ use ie_core::policies::GreedyAffordablePolicy;
 use ie_core::{DeployedModel, EventLoopSimulator, ExperimentConfig};
 use ie_nn::spec::CompressibleLayer;
 
-/// Which execution backend scores a candidate policy's accuracy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecutionBackend {
-    /// Fake-quant `f32`: weights take the quantize→dequantize round trip and
-    /// inference runs the float kernels (the historical behaviour).
-    #[default]
-    FakeQuantF32,
-    /// True integer execution: ≤8/≤16-bit layers run the i8/i16 GEMM with
-    /// requantization epilogues, so the search's accuracy/latency signal
-    /// reflects MCU-class integer arithmetic (estimators without a real
-    /// network fall back to their analytical model).
-    QuantizedInteger,
-}
-
 /// How the accuracy part of the reward is computed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RewardMode {
@@ -62,7 +48,6 @@ pub struct CompressionEnv {
     evaluator: PolicyEvaluator,
     layers: Vec<CompressibleLayer>,
     reward_mode: RewardMode,
-    backend: ExecutionBackend,
     lambda_prune: f64,
     lambda_quant: f64,
 }
@@ -86,7 +71,6 @@ impl CompressionEnv {
             evaluator,
             layers,
             reward_mode,
-            backend: ExecutionBackend::default(),
             lambda_prune: 1.0,
             lambda_quant: 1.0,
         })
@@ -97,18 +81,6 @@ impl CompressionEnv {
         self.lambda_prune = lambda_prune;
         self.lambda_quant = lambda_quant;
         self
-    }
-
-    /// Selects the execution backend that scores candidate policies (see
-    /// [`ExecutionBackend`]). The default is the fake-quant `f32` path.
-    pub fn with_backend(mut self, backend: ExecutionBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// The execution backend in use.
-    pub fn backend(&self) -> ExecutionBackend {
-        self.backend
     }
 
     /// The experiment configuration.
@@ -147,13 +119,9 @@ impl CompressionEnv {
         // Whole-policy scoring goes through the batched evaluator: estimators
         // that run a real calibration set shard it across worker threads (one
         // `BatchPlan` per worker, pooled across candidates), and analytic
-        // estimators fall back to the plain path. Results are identical
-        // either way. The integer backend instead runs the quantized plans,
-        // so the reward reflects true i8/i16 arithmetic.
-        let profile = match self.backend {
-            ExecutionBackend::FakeQuantF32 => self.evaluator.evaluate_batched(&snapped)?,
-            ExecutionBackend::QuantizedInteger => self.evaluator.evaluate_quantized(&snapped)?,
-        };
+        // estimators such as this environment's calibrated model fall back
+        // to the plain path. Results are identical either way.
+        let profile = self.evaluator.evaluate_batched(&snapped)?;
         let model = DeployedModel::new(profile.clone(), self.config.cost_model());
         let mut selection_policy = GreedyAffordablePolicy::new();
         let report = EventLoopSimulator::new(&self.config).run(&model, &mut selection_policy)?;
@@ -250,25 +218,6 @@ mod tests {
         // at least as large as the exit-guided reward.
         assert!(b.accuracy_reward >= a.accuracy_reward);
         assert_eq!(exit_guided.reward_mode(), RewardMode::ExitGuided);
-    }
-
-    #[test]
-    fn integer_backend_matches_fake_quant_for_the_analytic_estimator() {
-        // The default env uses the calibrated analytical accuracy model,
-        // which has no real network to run: the integer backend must fall
-        // back to identical rewards (the flag only changes empirical setups).
-        let config = ExperimentConfig::small_test();
-        let fake = CompressionEnv::new(&config, RewardMode::ExitGuided).unwrap();
-        let integer = CompressionEnv::new(&config, RewardMode::ExitGuided)
-            .unwrap()
-            .with_backend(ExecutionBackend::QuantizedInteger);
-        assert_eq!(integer.backend(), ExecutionBackend::QuantizedInteger);
-        assert_eq!(fake.backend(), ExecutionBackend::FakeQuantF32);
-        let policy = aggressive_policy(&fake);
-        let a = fake.evaluate(&policy).unwrap();
-        let b = integer.evaluate(&policy).unwrap();
-        assert_eq!(a.profile, b.profile);
-        assert_eq!(a.accuracy_reward, b.accuracy_reward);
     }
 
     #[test]

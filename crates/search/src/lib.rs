@@ -41,7 +41,7 @@ mod observation;
 mod uniform;
 
 pub use ddpg_search::{DdpgCompressionSearch, EpisodeStats, SearchConfig, SearchResult};
-pub use env::{CompressionEnv, ExecutionBackend, PolicyOutcome, RewardMode};
+pub use env::{CompressionEnv, PolicyOutcome, RewardMode};
 pub use error::SearchError;
 pub use observation::{observation_for_layer, OBSERVATION_DIM};
 pub use uniform::{best_uniform_policy, random_search};

@@ -153,10 +153,7 @@ impl<'n> Server<'n> {
         config: ServeConfig,
         pool: &mut BatchPlanPool,
     ) -> Result<Self> {
-        config.validate()?;
-        let plans =
-            (0..config.threads).map(|_| pool.take(network, config.window.max_batch)).collect();
-        Ok(Server { network, config, plans, quant: None })
+        Server::with_pool(network, None, config, pool)
     }
 
     /// Builds a server running the **integer** engine: each worker plan is
@@ -172,12 +169,21 @@ impl<'n> Server<'n> {
         config: ServeConfig,
         pool: &mut QuantPlanPool,
     ) -> Result<Self> {
+        Server::with_pool(network, Some(quant), config, pool)
+    }
+
+    /// Takes one plan per worker for the engine `quant` names out of `pool`.
+    fn with_pool(
+        network: &'n MultiExitNetwork,
+        quant: Option<&QuantConfig>,
+        config: ServeConfig,
+        pool: &mut BatchPlanPool,
+    ) -> Result<Self> {
         config.validate()?;
         let plans = (0..config.threads)
             .map(|_| pool.take(network, quant, config.window.max_batch))
-            .collect::<std::result::Result<Vec<_>, ie_nn::NnError>>()
-            .map_err(ServeError::from)?;
-        Ok(Server { network, config, plans, quant: Some(quant.clone()) })
+            .collect::<std::result::Result<_, _>>()?;
+        Ok(Server { network, config, plans, quant: quant.cloned() })
     }
 
     /// The server's configuration.
@@ -186,9 +192,9 @@ impl<'n> Server<'n> {
     }
 
     /// Tears the server down, handing the worker plans back so the caller
-    /// can [`BatchPlanPool::put`] (or [`QuantPlanPool::put`]) them for the
-    /// next server. A plan recycled after a worker loss is handed back in
-    /// place of the one that died.
+    /// can [`ie_nn::train::PlanPool::put`] them for the next server. A plan
+    /// recycled after a worker loss is handed back in place of the one that
+    /// died.
     pub fn into_plans(self) -> Vec<BatchPlan> {
         self.plans
     }
@@ -545,10 +551,9 @@ struct Supervisor<'a> {
     network: &'a MultiExitNetwork,
     quant: Option<&'a QuantConfig>,
     chaos: ChaosPlan,
-    /// Pools a lost worker's replacement plan is taken from; each builds a
-    /// fresh warmed plan when empty.
+    /// The pool a lost worker's replacement plan is taken from, for the
+    /// engine `quant` names; it builds a fresh warmed plan when empty.
     spare_plans: Mutex<BatchPlanPool>,
-    spare_quant_plans: Mutex<QuantPlanPool>,
     tally: Mutex<Tally>,
 }
 
@@ -563,7 +568,6 @@ impl<'a> Supervisor<'a> {
             quant,
             chaos,
             spare_plans: Mutex::new(BatchPlanPool::new()),
-            spare_quant_plans: Mutex::new(QuantPlanPool::new()),
             tally: Mutex::new(Tally::new(network.num_exits())),
         }
     }
@@ -605,19 +609,11 @@ impl<'a> Supervisor<'a> {
             Ok(verdicts) => Ok(Some((verdicts?, start))),
             Err(_lost) => {
                 self.tally()?.restarted += 1;
-                let max_batch = plan.max_batch();
-                *plan = match self.quant {
-                    None => self
-                        .spare_plans
-                        .lock()
-                        .map_err(|_| poisoned("serve spare plans"))?
-                        .take(self.network, max_batch),
-                    Some(quant) => self
-                        .spare_quant_plans
-                        .lock()
-                        .map_err(|_| poisoned("serve spare plans"))?
-                        .take(self.network, quant, max_batch)?,
-                };
+                *plan = self.spare_plans.lock().map_err(|_| poisoned("serve spare plans"))?.take(
+                    self.network,
+                    self.quant,
+                    plan.max_batch(),
+                )?;
                 if retry {
                     std::thread::sleep(RETRY_BACKOFF);
                 }
