@@ -1,9 +1,13 @@
 use crate::{BaselineNetwork, Result};
 use ie_core::metrics::{EventOutcome, EventRecord, RecoveryStats, SimulationReport};
 use ie_core::ExperimentConfig;
-use ie_mcu::{CostModel, FaultPlan, IntermittentExecutor, NonvolatileMemory};
+use ie_mcu::{CostModel, IntermittentExecutor, NonvolatileMemory};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// How long one inference may wait for energy before its event is abandoned,
+/// seconds.
+const MAX_WAIT_S: f64 = 1_800.0;
 
 /// Replays the experiment's event sequence for a single-exit baseline network
 /// executed by the SONIC-style intermittent runtime.
@@ -14,8 +18,8 @@ use rand::{Rng, SeedableRng};
 ///   waiting out) a previous inference, the event is **missed** — the sensor
 ///   cannot buffer stale events indefinitely,
 /// * otherwise the inference's task graph runs across as many power cycles as
-///   needed; if even that starves (no energy for longer than
-///   [`BaselineRunner::with_max_wait_s`]) the event is missed,
+///   needed; if even that starves (no energy for longer than 30 minutes)
+///   the event is missed,
 /// * correctness of a completed inference is sampled from the baseline's
 ///   published per-inference accuracy.
 ///
@@ -26,24 +30,12 @@ use rand::{Rng, SeedableRng};
 pub struct BaselineRunner {
     config: ExperimentConfig,
     cost: CostModel,
-    max_wait_s: f64,
 }
 
 impl BaselineRunner {
     /// Creates a runner over the given experiment environment.
     pub fn new(config: &ExperimentConfig) -> Self {
-        BaselineRunner {
-            cost: CostModel::for_device(&config.device),
-            config: config.clone(),
-            max_wait_s: 1_800.0,
-        }
-    }
-
-    /// Overrides how long one inference may wait for energy before the event
-    /// is abandoned.
-    pub fn with_max_wait_s(mut self, max_wait_s: f64) -> Self {
-        self.max_wait_s = max_wait_s.max(0.0);
-        self
+        BaselineRunner { cost: CostModel::for_device(&config.device), config: config.clone() }
     }
 
     /// The experiment configuration.
@@ -59,8 +51,7 @@ impl BaselineRunner {
     /// events is not an error (they are reported as missed).
     pub fn run(&self, network: &BaselineNetwork) -> Result<SimulationReport> {
         self.config.validate()?;
-        let executor =
-            IntermittentExecutor::new(self.cost.clone()).with_max_wait_s(self.max_wait_s);
+        let executor = IntermittentExecutor::new(self.cost.clone()).with_max_wait_s(MAX_WAIT_S);
         let graph = network.task_graph();
         let mut sim = self.config.build_harvest_simulator();
         let mut nv = NonvolatileMemory::new(self.config.device.nonvolatile_bytes() as usize);
@@ -68,10 +59,7 @@ impl BaselineRunner {
         // One injector for the whole run: the cut schedule spans all events,
         // and because every inference shares `nv`, checkpoint generations are
         // monotone across the entire replay.
-        let mut injector = match &self.config.fault {
-            Some(f) => FaultPlan::random(f.seed, f.cut_probability, f.max_cuts).injector(),
-            None => FaultPlan::None.injector(),
-        };
+        let mut injector = self.config.fault_injector();
         let mut recovery = RecoveryStats::default();
         let events = self.config.build_events();
         let mut records = Vec::with_capacity(events.len());
@@ -171,7 +159,9 @@ mod tests {
     #[test]
     fn fault_injected_replay_is_deterministic_and_reports_recovery() {
         let mut c = config();
-        c.fault = Some(ie_core::FaultConfig { seed: 9, cut_probability: 0.6, max_cuts: 48 });
+        // `IE_FAULT_SEED` picks the schedule family, as in the CI fault job.
+        let seed = 9 ^ ie_mcu::fault_seed_from_env().unwrap_or(0);
+        c.fault = Some(ie_core::FaultConfig { seed, cut_probability: 0.6, max_cuts: 48 });
         let a = BaselineRunner::new(&c).run(&BaselineNetwork::sonic_net()).unwrap();
         let b = BaselineRunner::new(&c).run(&BaselineNetwork::sonic_net()).unwrap();
         assert_eq!(a, b, "fault-injected replays must be deterministic");

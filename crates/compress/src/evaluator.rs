@@ -95,44 +95,14 @@ impl PolicyEvaluator {
 
     /// Evaluates a policy.
     ///
-    /// Allocating wrapper over [`Self::evaluate_into`].
-    ///
     /// # Errors
     ///
     /// Returns a length-mismatch error when the policy does not cover every
     /// compressible layer, or whatever the accuracy estimator reports.
     pub fn evaluate(&self, policy: &CompressionPolicy) -> Result<CompressedProfile> {
-        let mut profile = CompressedProfile {
-            exit_flops: Vec::new(),
-            branch_flops: Vec::new(),
-            exit_accuracy: Vec::new(),
-            total_flops: 0,
-            model_size_bytes: 0,
-        };
-        self.evaluate_into(policy, &mut profile)?;
-        Ok(profile)
-    }
-
-    /// Evaluates a policy into an existing profile, reusing its buffers.
-    ///
-    /// The compression search evaluates thousands of candidate policies; with
-    /// a reused profile the cost accounting allocates nothing per candidate
-    /// (the accuracy estimator may still allocate internally, e.g. the
-    /// calibrated model returns one `Vec` of per-exit accuracies).
-    ///
-    /// # Errors
-    ///
-    /// Returns a length-mismatch error when the policy does not cover every
-    /// compressible layer, or whatever the accuracy estimator reports. On
-    /// error the profile contents are unspecified.
-    pub fn evaluate_into(
-        &self,
-        policy: &CompressionPolicy,
-        profile: &mut CompressedProfile,
-    ) -> Result<()> {
-        self.account_costs(policy, profile)?;
+        let mut profile = self.account_costs(policy)?;
         profile.exit_accuracy = self.estimator.exit_accuracy(&self.layers, policy)?;
-        Ok(())
+        Ok(profile)
     }
 
     /// Evaluates a policy with the batched, sharded accuracy path: the
@@ -169,34 +139,10 @@ impl PolicyEvaluator {
         batch: usize,
         threads: usize,
     ) -> Result<CompressedProfile> {
-        let mut profile = CompressedProfile {
-            exit_flops: Vec::new(),
-            branch_flops: Vec::new(),
-            exit_accuracy: Vec::new(),
-            total_flops: 0,
-            model_size_bytes: 0,
-        };
-        self.evaluate_batched_into(policy, batch, threads, &mut profile)?;
-        Ok(profile)
-    }
-
-    /// Batched counterpart of [`Self::evaluate_into`], reusing the profile's
-    /// buffers across candidates.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Self::evaluate_into`].
-    pub fn evaluate_batched_into(
-        &self,
-        policy: &CompressionPolicy,
-        batch: usize,
-        threads: usize,
-        profile: &mut CompressedProfile,
-    ) -> Result<()> {
-        self.account_costs(policy, profile)?;
+        let mut profile = self.account_costs(policy)?;
         profile.exit_accuracy =
             self.estimator.exit_accuracy_batched(&self.layers, policy, batch, threads)?;
-        Ok(())
+        Ok(profile)
     }
 
     /// Evaluates a policy with the **integer** execution backend: the
@@ -236,50 +182,23 @@ impl PolicyEvaluator {
         batch: usize,
         threads: usize,
     ) -> Result<CompressedProfile> {
+        let mut profile = self.account_costs(policy)?;
+        profile.exit_accuracy =
+            self.estimator.exit_accuracy_quantized(&self.layers, policy, batch, threads)?;
+        Ok(profile)
+    }
+
+    /// The FLOPs/size accounting every evaluation path shares: the profile
+    /// it returns leaves `exit_accuracy` empty for the caller's estimate.
+    fn account_costs(&self, policy: &CompressionPolicy) -> Result<CompressedProfile> {
+        policy.check_length(self.layers.len())?;
         let mut profile = CompressedProfile {
-            exit_flops: Vec::new(),
-            branch_flops: Vec::new(),
+            exit_flops: vec![0; self.num_exits],
+            branch_flops: vec![0; self.num_exits],
             exit_accuracy: Vec::new(),
             total_flops: 0,
             model_size_bytes: 0,
         };
-        self.evaluate_quantized_into(policy, batch, threads, &mut profile)?;
-        Ok(profile)
-    }
-
-    /// Integer-backend counterpart of [`Self::evaluate_into`], reusing the
-    /// profile's buffers across candidates.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Self::evaluate_quantized`].
-    pub fn evaluate_quantized_into(
-        &self,
-        policy: &CompressionPolicy,
-        batch: usize,
-        threads: usize,
-        profile: &mut CompressedProfile,
-    ) -> Result<()> {
-        self.account_costs(policy, profile)?;
-        profile.exit_accuracy =
-            self.estimator.exit_accuracy_quantized(&self.layers, policy, batch, threads)?;
-        Ok(())
-    }
-
-    /// The allocation-free FLOPs/size accounting shared by the plain and
-    /// batched evaluation paths (everything except the accuracy estimate).
-    fn account_costs(
-        &self,
-        policy: &CompressionPolicy,
-        profile: &mut CompressedProfile,
-    ) -> Result<()> {
-        policy.check_length(self.layers.len())?;
-        profile.exit_flops.clear();
-        profile.exit_flops.resize(self.num_exits, 0);
-        profile.branch_flops.clear();
-        profile.branch_flops.resize(self.num_exits, 0);
-        profile.total_flops = 0;
-        profile.model_size_bytes = 0;
         for (layer, lp) in self.layers.iter().zip(policy.layers()) {
             let ratio = f64::from(lp.preserve_ratio.clamp(0.0, 1.0));
             let eff_macs = (layer.macs as f64 * ratio).round() as u64;
@@ -295,7 +214,7 @@ impl PolicyEvaluator {
                 }
             }
         }
-        Ok(())
+        Ok(profile)
     }
 }
 
@@ -452,19 +371,5 @@ mod tests {
         for (q, f) in one.exit_accuracy.iter().zip(&fake.exit_accuracy) {
             assert!((q - f).abs() < 0.25, "integer {q} vs fake-quant {f}");
         }
-    }
-
-    #[test]
-    fn evaluate_into_reuses_a_profile_without_stale_state() {
-        let ev = evaluator();
-        let full = CompressionPolicy::full_precision(ev.layers().len());
-        let half = CompressionPolicy::uniform(ev.layers().len(), 0.5, 4, 8).unwrap();
-        let mut reused = ev.evaluate(&half).unwrap();
-        // Re-evaluating a different policy into the same profile must equal a
-        // fresh evaluation (no accumulation from the previous contents).
-        ev.evaluate_into(&full, &mut reused).unwrap();
-        assert_eq!(reused, ev.evaluate(&full).unwrap());
-        ev.evaluate_into(&half, &mut reused).unwrap();
-        assert_eq!(reused, ev.evaluate(&half).unwrap());
     }
 }

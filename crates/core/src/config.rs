@@ -2,7 +2,7 @@ use crate::{CoreError, Result};
 use ie_energy::{
     EnergyStorage, Event, EventDistribution, EventGenerator, HarvestSimulator, SolarTrace,
 };
-use ie_mcu::{CostModel, McuDevice};
+use ie_mcu::{CostModel, FaultInjector, FaultPlan, McuDevice};
 use ie_nn::spec::{lenet_multi_exit, MultiExitArchitecture};
 
 /// The longest trace or device window a config may ask for: 366 days, in
@@ -56,16 +56,21 @@ pub struct ExperimentConfig {
     /// Seed for the event-loop simulator's stochastic correctness draws.
     pub simulation_seed: u64,
     /// Optional power-cut fault injection; `None` (the default) reproduces
-    /// the paper's fault-free environment bit-for-bit.
+    /// the paper's fault-free environment bit-for-bit. Every simulator of
+    /// the config builds the same `ie_mcu::FaultPlan::Random` from it
+    /// ([`Self::fault_injector`]).
     pub fault: Option<FaultConfig>,
 }
 
 /// Deterministic power-cut fault injection for the deployed-system paths.
 ///
-/// The analytic [`crate::EventLoopSimulator`] interprets this as a
-/// per-event cut probability; the task-level baseline runner turns it into an
-/// `ie_mcu::FaultPlan::Random` whose cuts strike between tasks, mid-task and
-/// inside checkpoint writes.
+/// Every simulator of an [`ExperimentConfig`] turns this into one
+/// `ie_mcu::FaultPlan::Random` ([`ExperimentConfig::fault_injector`]), whose
+/// cuts strike before or partway through a task and inside checkpoint
+/// writes. [`crate::EventLoopSimulator`] consults it once per inference and
+/// once per checkpoint commit, as a fault-exposed fleet device consults its
+/// own plan; the task-level baseline runner consults it at every task and
+/// checkpoint commit of its task graphs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
     /// Master seed of the fault schedule (harnesses may override it from the
@@ -129,17 +134,27 @@ impl ExperimentConfig {
     ///
     /// Returns [`CoreError::InvalidConfig`] for nonsensical values (no events,
     /// non-positive durations or capacities, thresholds outside `[0, 1]`), for
-    /// a trace duration, capacity, initial energy or peak power that is not
-    /// finite, and for a trace duration above [`MAX_DURATION_S`].
+    /// a trace duration, capacity, initial energy, peak power or cluster
+    /// centre or spread that is not finite, and for a trace duration above
+    /// [`MAX_DURATION_S`].
     pub fn validate(&self) -> Result<()> {
         if self.num_events == 0 {
             return Err(CoreError::InvalidConfig("num_events must be non-zero".into()));
         }
+        // Only a clustered distribution has parameters; the others check 0.0.
+        let (center, spread) = match self.event_distribution {
+            EventDistribution::Clustered { center_fraction, spread_fraction } => {
+                (center_fraction, spread_fraction)
+            }
+            EventDistribution::Uniform | EventDistribution::Poisson => (0.0, 0.0),
+        };
         for (name, value) in [
             ("trace duration", self.trace_duration_s),
             ("storage capacity", self.storage_capacity_mj),
             ("initial energy", self.initial_energy_mj),
             ("solar peak power", self.solar_peak_power_mw),
+            ("event_distribution center_fraction", center),
+            ("event_distribution spread_fraction", spread),
         ] {
             if !value.is_finite() {
                 return Err(CoreError::InvalidConfig(format!(
@@ -199,6 +214,15 @@ impl ExperimentConfig {
     /// Builds a harvesting simulator over a fresh trace and storage.
     pub fn build_harvest_simulator(&self) -> HarvestSimulator {
         HarvestSimulator::new(Box::new(self.build_trace()), self.build_storage())
+    }
+
+    /// Builds the power-cut injector of [`Self::fault`] in its initial
+    /// state: a `FaultPlan::Random` of its seed, cut probability and cut
+    /// budget, or an injector that never cuts.
+    pub fn fault_injector(&self) -> FaultInjector {
+        self.fault
+            .map(|f| FaultPlan::random(f.seed, f.cut_probability, f.max_cuts).injector())
+            .unwrap_or_else(FaultInjector::none)
     }
 
     /// The cost model of the configured device.
@@ -313,6 +337,24 @@ mod tests {
             solar_peak_power_mw: f64::NAN,
             ..ExperimentConfig::small_test()
         });
+    }
+
+    #[test]
+    fn nan_cluster_center_is_rejected() {
+        let event_distribution =
+            EventDistribution::Clustered { center_fraction: f64::NAN, spread_fraction: 0.1 };
+        let config = ExperimentConfig { event_distribution, ..ExperimentConfig::small_test() };
+        assert!(config.validate().unwrap_err().to_string().contains("center_fraction"));
+        assert_rejected(config);
+    }
+
+    #[test]
+    fn infinite_cluster_spread_is_rejected() {
+        let event_distribution =
+            EventDistribution::Clustered { center_fraction: 0.5, spread_fraction: f64::INFINITY };
+        let config = ExperimentConfig { event_distribution, ..ExperimentConfig::small_test() };
+        assert!(config.validate().unwrap_err().to_string().contains("spread_fraction"));
+        assert_rejected(config);
     }
 
     #[test]

@@ -31,19 +31,16 @@
 //!
 //! See DESIGN.md, "Fleet simulation", for the determinism contract.
 
-use crate::metrics::RecoveryStats;
+use crate::metrics::{EventOutcome, RecoveryStats};
 use crate::policies::{FixedExitPolicy, GreedyAffordablePolicy, ReserveMarginPolicy};
-use crate::{
-    ContinueContext, CoreError, DeployedModel, EventContext, ExitChoice, ExitPolicy, Result,
-    MAX_DURATION_S,
-};
+use crate::replay::Device;
+use crate::{CoreError, DeployedModel, ExitPolicy, Result, MAX_DURATION_S};
 use ie_energy::{
     fork_rng, fork_seed, wrap_time, EnergyStorage, EventDistribution, EventGenerator,
     HarvestSimulator, KineticBurstTrace, PowerTrace, SolarTrace, StochasticArrivalTrace,
 };
-use ie_mcu::{FaultInjector, FaultPlan, TaskCut};
+use ie_mcu::{FaultInjector, FaultPlan};
 use ie_nn::train::run_sharded;
-use rand::rngs::StdRng;
 use rand::Rng;
 
 /// Purpose component of a device's fork path: the spec (heterogeneity) draws.
@@ -64,9 +61,9 @@ pub const EXIT_SLOTS: usize = 8;
 /// Number of log-spaced bins in the energy/latency histograms.
 pub const HIST_BINS: usize = 48;
 
-/// Analytic checkpoint record length (bytes) consulted for torn-write
-/// injection after each processed event.
-const CHECKPOINT_RECORD_LEN: usize = 64;
+/// Every device offers a result whose confidence falls below this a
+/// continuation to the next exit.
+const CONTINUATION_THRESHOLD: f64 = 0.55;
 
 /// log10 range of the per-event energy histogram, in millijoules.
 const ENERGY_LOG10_RANGE: (f64, f64) = (-3.0, 2.0);
@@ -287,14 +284,15 @@ impl PowerTrace for WindowedTrace {
 }
 
 /// Summary of one simulated device, used for extraction replay: the digest
-/// folds every per-event outcome (exit, correctness, energy and latency
-/// bits), so two runs agree on the digest only if the device behaved
-/// bit-identically.
+/// folds, per event, whether it was processed, whether it was correct, and
+/// the bits of its energy. Two runs agree on the digest only if every event
+/// agreed on those three; the exit and the latency are not folded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeviceOutcome {
     /// The device's id.
     pub device_id: u64,
-    /// Order-sensitive fold of every per-event outcome.
+    /// Order-sensitive fold of every event's processed and correct flags and
+    /// energy bits.
     pub digest: u64,
     /// Events the device saw.
     pub events: u64,
@@ -695,7 +693,8 @@ impl FleetSimulator {
     /// Simulates one device and streams its events into `acc`. This single
     /// function is used both by the fleet workers and by
     /// [`Self::replay_device`], so in-fleet and isolated behaviour cannot
-    /// diverge structurally.
+    /// diverge structurally. The device runs the replay loop and inference
+    /// step of [`crate::EventLoopSimulator`], one event per wake-up.
     ///
     /// # Errors
     ///
@@ -711,40 +710,30 @@ impl FleetSimulator {
         model.validate()?;
         let master = self.config.master_seed;
         let spec = DeviceSpec::derive(&self.config, device_id);
-        let trace = self.build_trace(&spec);
         let storage = EnergyStorage::new(spec.capacity_mj, spec.charge_efficiency)
             .with_initial_level(spec.initial_fraction * spec.capacity_mj);
-        let mut sim = HarvestSimulator::new(trace, storage);
-        let events = EventGenerator::new(
-            spec.event_distribution,
-            fork_seed(master, &[device_id, PURPOSE_EVENTS]),
-        )
-        .generate(self.config.events_per_device, self.config.device_duration_s);
-        let mut rng = fork_rng(master, &[device_id, PURPOSE_SIM]);
-        let mut injector = spec
-            .fault
-            .map(|(p, max_cuts)| {
-                FaultPlan::random(fork_seed(master, &[device_id, PURPOSE_FAULT]), p, max_cuts)
-                    .injector()
-            })
-            .unwrap_or_else(FaultInjector::none);
+        let device = Device {
+            harvest: HarvestSimulator::new(self.build_trace(&spec), storage),
+            events: EventGenerator::new(
+                spec.event_distribution,
+                fork_seed(master, &[device_id, PURPOSE_EVENTS]),
+            )
+            .generate(self.config.events_per_device, self.config.device_duration_s),
+            rng: fork_rng(master, &[device_id, PURPOSE_SIM]),
+            faults: spec
+                .fault
+                .map(|(p, max_cuts)| {
+                    FaultPlan::random(fork_seed(master, &[device_id, PURPOSE_FAULT]), p, max_cuts)
+                        .injector()
+                })
+                .unwrap_or_else(FaultInjector::none),
+            continuation_threshold: Some(CONTINUATION_THRESHOLD),
+        };
         let num_exits = model.num_exits();
         let mut policy: Box<dyn ExitPolicy> = match spec.policy {
             PolicyKind::Greedy => Box::new(GreedyAffordablePolicy::new()),
             PolicyKind::Fixed(exit) => Box::new(FixedExitPolicy::new(exit.min(num_exits - 1))),
             PolicyKind::Reserve(fraction) => Box::new(ReserveMarginPolicy::new(fraction)),
-        };
-
-        let mut ctx = EventContext {
-            event_id: 0,
-            time_s: 0.0,
-            available_energy_mj: 0.0,
-            capacity_mj: sim.storage().capacity_mj(),
-            // No `PolicyKind` reads the charging efficiency, so it is never
-            // computed here.
-            charging_efficiency: 0.0,
-            exit_energy_mj: model.exit_energies_mj(),
-            exit_accuracy: model.exit_accuracies(),
         };
 
         let mut outcome = DeviceOutcome {
@@ -755,174 +744,36 @@ impl FleetSimulator {
             correct: 0,
             consumed_nj: 0,
         };
-
-        for event in &events {
-            sim.advance_to(event.time_s);
-            ctx.event_id = event.id;
-            ctx.time_s = event.time_s;
-            ctx.available_energy_mj = sim.storage().level_mj();
-
-            let attempted = match policy.choose_exit(&ctx) {
-                ExitChoice::Skip => None,
-                // Built-in policies only choose exits they saw costs for, but
-                // clamp anyway so a future policy kind cannot panic the fleet.
-                ExitChoice::Exit(exit) => Some(exit.min(num_exits - 1)),
-            };
-
-            let event_result = match attempted {
-                Some(exit) if sim.storage().can_supply(model.exit_energy_mj(exit)) => self
-                    .process_event(
-                        model,
-                        policy.as_mut(),
-                        &mut sim,
-                        &mut rng,
-                        &mut injector,
-                        event.id,
-                        exit,
-                        acc,
-                    )?,
-                _ => EventResult { processed: false, correct: false, energy_mj: 0.0 },
-            };
-
-            // Per-event bookkeeping shared by both branches.
-            acc.total_events += 1;
+        device.replay(model, policy.as_mut(), 1, |record, recovery| {
+            acc.recovered_boots += recovery.recovered_boots;
+            acc.torn_writes += recovery.torn_writes;
+            acc.wasted_nj += mj_to_nj(recovery.wasted_reexecution_mj);
+            if let EventOutcome::Processed { exit, incremental, .. } = record.outcome {
+                acc.exit_counts[exit.min(EXIT_SLOTS - 1)] += 1;
+                acc.incremental_events += u64::from(incremental);
+                acc.energy_hist[log_bin(record.energy_mj, ENERGY_LOG10_RANGE)] += 1;
+                acc.latency_hist[log_bin(record.latency_s, LATENCY_LOG10_RANGE)] += 1;
+            }
+            let (processed, correct) = (record.outcome.is_processed(), record.outcome.is_correct());
             outcome.events += 1;
-            if event_result.processed {
-                outcome.processed += 1;
-            } else {
-                acc.missed_events += 1;
-            }
-            if event_result.correct {
-                outcome.correct += 1;
-            }
-            outcome.consumed_nj += mj_to_nj(event_result.energy_mj);
+            outcome.processed += u64::from(processed);
+            outcome.correct += u64::from(correct);
+            outcome.consumed_nj += mj_to_nj(record.energy_mj);
             outcome.digest = fork_seed(
                 outcome.digest,
-                &[
-                    u64::from(event_result.processed) | (u64::from(event_result.correct) << 1),
-                    event_result.energy_mj.to_bits(),
-                ],
+                &[u64::from(processed) | (u64::from(correct) << 1), record.energy_mj.to_bits()],
             );
-        }
+        })?;
 
         acc.devices += 1;
+        acc.total_events += outcome.events;
         acc.processed_events += outcome.processed;
+        acc.missed_events += outcome.events - outcome.processed;
         acc.correct_events += outcome.correct;
         acc.consumed_nj += outcome.consumed_nj;
         acc.absorb_digest(outcome.digest);
         Ok(outcome)
     }
-
-    /// Runs one affordably chosen inference: fault cut (analytic retry),
-    /// the inference itself, optional incremental continuation, and the
-    /// post-inference checkpoint commit's torn-write opportunity. Updates
-    /// the histogram/exit/fault fields of `acc`; the caller handles the
-    /// event-level counters.
-    #[allow(clippy::too_many_arguments)]
-    fn process_event(
-        &self,
-        model: &DeployedModel,
-        policy: &mut dyn ExitPolicy,
-        sim: &mut HarvestSimulator,
-        rng: &mut StdRng,
-        injector: &mut FaultInjector,
-        event_id: usize,
-        exit: usize,
-        acc: &mut FleetAccumulator,
-    ) -> Result<EventResult> {
-        let cost = model.exit_energy_mj(exit);
-        let inference_latency = model.exit_latency_s(exit);
-        let mut energy = 0.0;
-        let mut latency = 0.0;
-
-        // Injected power cut at task start: the analytic model of the
-        // `ie_mcu` executor's recovery — partial work is destroyed, the
-        // device reboots and retries the whole inference if the remaining
-        // charge affords it.
-        match injector.on_task_start() {
-            Some(TaskCut::Before) => {
-                // Cut before any work: recovery costs a boot but no energy.
-                acc.recovered_boots += 1;
-            }
-            Some(TaskCut::Mid { fraction }) => {
-                let partial = fraction.clamp(0.0, 1.0) * cost;
-                sim.consume(partial)?;
-                sim.advance_by(fraction.clamp(0.0, 1.0) * inference_latency);
-                acc.recovered_boots += 1;
-                acc.wasted_nj += mj_to_nj(partial);
-                energy += partial;
-                latency += fraction.clamp(0.0, 1.0) * inference_latency;
-                if !sim.storage().can_supply(cost) {
-                    // The retry is unaffordable: the event is missed with the
-                    // destroyed partial work on its ledger.
-                    return Ok(EventResult { processed: false, correct: false, energy_mj: energy });
-                }
-            }
-            None => {}
-        }
-
-        sim.consume(cost)?;
-        sim.advance_by(inference_latency);
-        energy += cost;
-        latency += inference_latency;
-        let mut final_exit = exit;
-        let mut correct = rng.gen::<f64>() < model.exit_accuracy(exit);
-        let confidence =
-            if correct { 0.55 + 0.45 * rng.gen::<f64>() } else { 0.75 * rng.gen::<f64>() };
-
-        // Incremental continuation, same analytic refinement as the
-        // single-device simulator.
-        if confidence < 0.55 && exit + 1 < model.num_exits() {
-            let next_exit = exit + 1;
-            let inc_energy = model.incremental_energy_mj(exit, next_exit)?;
-            let cc = ContinueContext {
-                event_id,
-                current_exit: exit,
-                next_exit,
-                confidence,
-                available_energy_mj: sim.storage().level_mj(),
-                capacity_mj: sim.storage().capacity_mj(),
-                incremental_energy_mj: inc_energy,
-            };
-            if policy.choose_continue(&cc) && sim.storage().can_supply(inc_energy) {
-                sim.consume(inc_energy)?;
-                let inc_latency = model.incremental_latency_s(exit, next_exit)?;
-                sim.advance_by(inc_latency);
-                energy += inc_energy;
-                latency += inc_latency;
-                final_exit = next_exit;
-                acc.incremental_events += 1;
-                if !correct {
-                    let a_shallow = model.exit_accuracy(exit);
-                    let a_deep = model.exit_accuracy(next_exit);
-                    let fix_probability =
-                        ((a_deep - a_shallow) / (1.0 - a_shallow).max(1e-9)).clamp(0.0, 1.0);
-                    correct = rng.gen::<f64>() < fix_probability;
-                }
-            }
-        }
-
-        // Post-inference checkpoint commit: a cut here tears the NV write;
-        // the previous checkpoint stays valid, so recovery costs a boot.
-        if let Some(torn_at) = injector.on_commit(CHECKPOINT_RECORD_LEN) {
-            if torn_at < CHECKPOINT_RECORD_LEN {
-                acc.torn_writes += 1;
-                acc.recovered_boots += 1;
-            }
-        }
-
-        acc.exit_counts[final_exit.min(EXIT_SLOTS - 1)] += 1;
-        acc.energy_hist[log_bin(energy, ENERGY_LOG10_RANGE)] += 1;
-        acc.latency_hist[log_bin(latency, LATENCY_LOG10_RANGE)] += 1;
-        Ok(EventResult { processed: true, correct, energy_mj: energy })
-    }
-}
-
-/// What one event came to, from the per-event processing helper.
-struct EventResult {
-    processed: bool,
-    correct: bool,
-    energy_mj: f64,
 }
 
 #[cfg(test)]

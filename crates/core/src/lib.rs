@@ -8,13 +8,14 @@
 //!   continuation costs,
 //! * [`ExitPolicy`] — the decision interface the runtime implements (choose an
 //!   exit for an event, decide whether to run an incremental inference, learn
-//!   from the outcome); simple built-in policies (greedy, fixed, oracle-energy)
-//!   live in [`policies`],
+//!   from the outcome); simple built-in policies (greedy, fixed, reserve
+//!   margin) live in [`policies`],
 //! * [`EventLoopSimulator`] — replays an event sequence against a power trace
 //!   and a policy and produces a [`SimulationReport`],
 //! * [`FleetSimulator`] — thousands-to-millions of heterogeneous virtual
 //!   devices advanced in parallel under one master seed, with byte-identical
-//!   aggregates at any worker count ([`fleet`]),
+//!   aggregates at any worker count ([`fleet`]); each device runs the same
+//!   replay loop and inference step as [`EventLoopSimulator`],
 //! * [`metrics`] — the IEpmJ figure of merit and the per-run statistics every
 //!   experiment in the paper reports,
 //! * [`ExperimentConfig`] — the Section V-A experimental setup (solar trace,
@@ -45,6 +46,7 @@ pub mod fleet;
 pub mod metrics;
 pub mod policies;
 mod policy;
+mod replay;
 mod simulator;
 
 pub use config::{ExperimentConfig, FaultConfig, MAX_DURATION_S};

@@ -17,10 +17,11 @@ pub struct EventContext {
     /// Charging-efficiency observable in `[0, 1]` (recent harvested power
     /// relative to the trace's peak).
     ///
-    /// `EventLoopSimulator` computes it fresh before each event only for a
-    /// policy whose [`ExitPolicy::reads_charging_efficiency`] returns `true`
-    /// (the runtime Q-learning agent, and any policy that keeps the
-    /// default). Every other policy, and every fleet policy, sees 0.0 here.
+    /// `EventLoopSimulator` and the fleet share one replay loop, which
+    /// computes it fresh before each event only for a policy whose
+    /// [`ExitPolicy::reads_charging_efficiency`] returns `true` (the runtime
+    /// Q-learning agent, and any policy that keeps the default). Every other
+    /// policy, including every fleet policy, sees 0.0 here.
     pub charging_efficiency: f64,
     /// Energy cost of running each exit from scratch, millijoules.
     pub exit_energy_mj: Vec<f64>,
@@ -151,9 +152,9 @@ pub trait ExitPolicy {
     }
 
     /// Whether [`Self::choose_exit`] reads
-    /// [`EventContext::charging_efficiency`]. `EventLoopSimulator`
-    /// integrates the efficiency window before an event only when this
-    /// returns `true`.
+    /// [`EventContext::charging_efficiency`]. Both simulators,
+    /// `EventLoopSimulator` and the fleet, integrate the efficiency window
+    /// before an event only when this returns `true`.
     ///
     /// The default is `true`. Return `false` only when `choose_exit` never
     /// reads that field: the policy then sees 0.0 there.

@@ -1,33 +1,8 @@
-use crate::metrics::{EventOutcome, EventRecord, RecoveryStats, SimulationReport};
-use crate::{
-    ContinueContext, CoreError, DeployedModel, EventContext, EventFeedback, ExitChoice, ExitPolicy,
-    ExperimentConfig, Result,
-};
+use crate::metrics::{RecoveryStats, SimulationReport};
+use crate::replay::Device;
+use crate::{CoreError, DeployedModel, ExitPolicy, ExperimentConfig, Result};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-/// Volatile state of the analytic fault injector: its own RNG stream (so
-/// enabling faults never perturbs the correctness/confidence draws), the cut
-/// budget, and the recovery statistics accumulated so far.
-struct FaultState {
-    rng: StdRng,
-    cut_probability: f64,
-    max_cuts: u64,
-    cuts: u64,
-    stats: RecoveryStats,
-}
-
-impl FaultState {
-    /// Draws whether a power cut strikes the current inference and, if so, at
-    /// which fraction of its progress.
-    fn draw_cut(&mut self) -> Option<f64> {
-        if self.cuts >= self.max_cuts || !self.rng.gen_bool(self.cut_probability) {
-            return None;
-        }
-        self.cuts += 1;
-        Some(self.rng.gen::<f64>())
-    }
-}
+use rand::SeedableRng;
 
 /// Replays the configured event sequence over the configured power trace,
 /// letting an [`ExitPolicy`] decide how each event is handled, and produces a
@@ -37,7 +12,8 @@ impl FaultState {
 /// per-exit accuracy (the analytic counterpart of running the real compressed
 /// network on a labelled input — see `DESIGN.md`); the result's confidence is
 /// sampled so that wrong answers tend to look less confident, which is what
-/// makes entropy-triggered incremental inference useful.
+/// makes entropy-triggered incremental inference useful. The replay loop and
+/// the inference step are the ones [`crate::FleetSimulator`] runs per device.
 #[derive(Debug, Clone)]
 pub struct EventLoopSimulator {
     config: ExperimentConfig,
@@ -52,16 +28,6 @@ impl EventLoopSimulator {
     /// The experiment configuration.
     pub fn config(&self) -> &ExperimentConfig {
         &self.config
-    }
-
-    /// Samples a normalised confidence for a result that is `correct` or not:
-    /// correct results are usually confident, wrong results usually are not.
-    fn sample_confidence(rng: &mut StdRng, correct: bool) -> f64 {
-        if correct {
-            0.55 + 0.45 * rng.gen::<f64>()
-        } else {
-            0.75 * rng.gen::<f64>()
-        }
     }
 
     /// Runs the simulation, handling every event at its arrival instant.
@@ -117,236 +83,42 @@ impl EventLoopSimulator {
         if window == 0 {
             return Err(CoreError::InvalidConfig("wake window must be at least one event".into()));
         }
-        self.config.validate()?;
-        let mut rng = StdRng::seed_from_u64(self.config.simulation_seed);
-        let mut faults = self.config.fault.map(|f| FaultState {
-            rng: StdRng::seed_from_u64(f.seed),
-            cut_probability: f.cut_probability,
-            max_cuts: f.max_cuts,
-            cuts: 0,
-            stats: RecoveryStats::default(),
-        });
-        let mut sim = self.config.build_harvest_simulator();
-        let events = self.config.build_events();
-        let num_exits = model.num_exits();
-        let exit_energy = model.exit_energies_mj();
-        let mut records = Vec::with_capacity(events.len());
-
-        // The per-exit cost/accuracy tables are fixed for the whole run, so
-        // the context is built once and only its scalar fields change per
-        // event — the event loop itself performs no per-event allocations.
-        let mut ctx = EventContext {
-            event_id: 0,
-            time_s: 0.0,
-            available_energy_mj: 0.0,
-            capacity_mj: sim.storage().capacity_mj(),
-            charging_efficiency: 0.0,
-            exit_energy_mj: exit_energy.clone(),
-            exit_accuracy: model.exit_accuracies(),
+        let c = &self.config;
+        c.validate()?;
+        let device = Device {
+            harvest: c.build_harvest_simulator(),
+            events: c.build_events(),
+            rng: StdRng::seed_from_u64(c.simulation_seed),
+            faults: c.fault_injector(),
+            continuation_threshold: c.incremental_enabled.then_some(c.confidence_threshold),
         };
-
-        for batch in events.chunks(window) {
-            // One wake-up per window: harvest up to the latest arrival before
-            // any queued event is considered.
-            let wake_time = batch.last().expect("chunks are non-empty").time_s;
-            sim.advance_to(wake_time);
-            for event in batch {
-                ctx.event_id = event.id;
-                ctx.time_s = event.time_s;
-                ctx.available_energy_mj = sim.storage().level_mj();
-                ctx.capacity_mj = sim.storage().capacity_mj();
-                // The efficiency window is the costliest integral per event,
-                // so a policy that never reads it keeps the 0.0 above.
-                // `charging_efficiency` takes `&self`: skipping it changes no
-                // later state.
-                if policy.reads_charging_efficiency() {
-                    ctx.charging_efficiency = sim.charging_efficiency();
-                }
-                let choice = policy.choose_exit(&ctx);
-
-                let (record, feedback) = match choice {
-                    ExitChoice::Skip => self.miss(event.id, event.time_s, None, 0.0),
-                    ExitChoice::Exit(exit) => {
-                        if exit >= num_exits {
-                            return Err(CoreError::UnknownExit {
-                                requested: exit,
-                                available: num_exits,
-                            });
-                        }
-                        if !sim.storage().can_supply(exit_energy[exit]) {
-                            self.miss(event.id, event.time_s, Some(exit), 0.0)
-                        } else {
-                            self.process(
-                                event.id,
-                                event.time_s,
-                                wake_time - event.time_s,
-                                exit,
-                                model,
-                                policy,
-                                &mut sim,
-                                &mut rng,
-                                &mut faults,
-                            )?
-                        }
-                    }
-                };
-                policy.observe_outcome(&feedback);
-                records.push(record);
-            }
-        }
-
-        let total_harvested = self.config.total_harvestable_mj();
-        let recovery = faults.map(|f| f.stats).unwrap_or_default();
-        Ok(SimulationReport::from_records(records, num_exits, total_harvested)
+        let mut records = Vec::with_capacity(c.num_events);
+        let mut recovery = RecoveryStats::default();
+        device.replay(model, policy, window, |record, cut| {
+            records.push(record);
+            recovery.absorb(&cut);
+        })?;
+        Ok(SimulationReport::from_records(records, model.num_exits(), c.total_harvestable_mj())
             .with_recovery(recovery))
-    }
-
-    fn miss(
-        &self,
-        event_id: usize,
-        time_s: f64,
-        chosen: Option<usize>,
-        energy_mj: f64,
-    ) -> (EventRecord, EventFeedback) {
-        (
-            EventRecord {
-                event_id,
-                time_s,
-                outcome: EventOutcome::Missed,
-                latency_s: 0.0,
-                energy_mj,
-                flops: 0,
-            },
-            EventFeedback {
-                event_id,
-                chosen_exit: chosen,
-                final_exit: None,
-                expected_accuracy: 0.0,
-                correct: false,
-                energy_spent_mj: energy_mj,
-                missed: true,
-            },
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn process(
-        &self,
-        event_id: usize,
-        time_s: f64,
-        wait_s: f64,
-        exit: usize,
-        model: &DeployedModel,
-        policy: &mut dyn ExitPolicy,
-        sim: &mut ie_energy::HarvestSimulator,
-        rng: &mut StdRng,
-        faults: &mut Option<FaultState>,
-    ) -> Result<(EventRecord, EventFeedback)> {
-        let mut final_exit = exit;
-        let mut energy = model.exit_energy_mj(exit);
-        // Queueing delay (zero outside batched runs) counts towards the
-        // event's end-to-end latency but does not occupy the device — the
-        // harvester already advanced to the wake time, so only the inference
-        // itself advances the trace further.
-        let inference_latency = model.exit_latency_s(exit);
-        let mut latency = wait_s + inference_latency;
-        let mut flops = model.exit_flops(exit);
-
-        // Injected power cut: the analytic path models whole-inference
-        // retries (per-task recovery lives in `ie_mcu`'s executor) — the
-        // partial work is lost, the device reboots, and the inference
-        // restarts from scratch if the remaining charge still affords it.
-        if let Some(fs) = faults.as_mut() {
-            if let Some(fraction) = fs.draw_cut() {
-                let partial = fraction * model.exit_energy_mj(exit);
-                sim.consume(partial)?;
-                sim.advance_by(fraction * inference_latency);
-                fs.stats.recovered_boots += 1;
-                fs.stats.wasted_reexecution_mj += partial;
-                if !sim.storage().can_supply(model.exit_energy_mj(exit)) {
-                    // The retry is unaffordable: the event is missed, with
-                    // the destroyed partial work on its energy ledger.
-                    return Ok(self.miss(event_id, time_s, Some(exit), partial));
-                }
-                energy += partial;
-                latency += fraction * inference_latency;
-            }
-        }
-        sim.consume(model.exit_energy_mj(exit))?;
-        sim.advance_by(inference_latency);
-        let mut correct = rng.gen::<f64>() < model.exit_accuracy(exit);
-        let mut incremental = false;
-        let confidence = Self::sample_confidence(rng, correct);
-
-        // Incremental inference: only if enabled, a deeper exit exists and the
-        // confidence fell below the configured threshold.
-        if self.config.incremental_enabled
-            && confidence < self.config.confidence_threshold
-            && exit + 1 < model.num_exits()
-        {
-            let next_exit = exit + 1;
-            let inc_energy = model.incremental_energy_mj(exit, next_exit)?;
-            let cc = ContinueContext {
-                event_id,
-                current_exit: exit,
-                next_exit,
-                confidence,
-                available_energy_mj: sim.storage().level_mj(),
-                capacity_mj: sim.storage().capacity_mj(),
-                incremental_energy_mj: inc_energy,
-            };
-            if policy.choose_continue(&cc) && sim.storage().can_supply(inc_energy) {
-                sim.consume(inc_energy)?;
-                let inc_latency = model.incremental_latency_s(exit, next_exit)?;
-                sim.advance_by(inc_latency);
-                energy += inc_energy;
-                latency += inc_latency;
-                flops += model.incremental_flops(exit, next_exit)?;
-                final_exit = next_exit;
-                incremental = true;
-                // Conditional refinement: inputs the shallow exit already got
-                // right stay right; inputs it got wrong are *hard*, so the
-                // deeper exit only fixes the fraction that makes its
-                // unconditional accuracy come out at `exit_accuracy(next)`.
-                if !correct {
-                    let a_shallow = model.exit_accuracy(exit);
-                    let a_deep = model.exit_accuracy(next_exit);
-                    let fix_probability =
-                        ((a_deep - a_shallow) / (1.0 - a_shallow).max(1e-9)).clamp(0.0, 1.0);
-                    correct = rng.gen::<f64>() < fix_probability;
-                }
-            }
-        }
-
-        Ok((
-            EventRecord {
-                event_id,
-                time_s,
-                outcome: EventOutcome::Processed { exit: final_exit, correct, incremental },
-                latency_s: latency,
-                energy_mj: energy,
-                flops,
-            },
-            EventFeedback {
-                event_id,
-                chosen_exit: Some(exit),
-                final_exit: Some(final_exit),
-                expected_accuracy: model.exit_accuracy(final_exit),
-                correct,
-                energy_spent_mj: energy,
-                missed: false,
-            },
-        ))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::EventOutcome;
     use crate::policies::{FixedExitPolicy, GreedyAffordablePolicy, ReserveMarginPolicy};
+    use crate::{ContinueContext, EventContext, EventFeedback, ExitChoice};
 
     fn config() -> ExperimentConfig {
         ExperimentConfig::small_test()
+    }
+
+    /// A fault schedule whose seed mixes in `IE_FAULT_SEED`, so each seed of
+    /// the CI fault job replays a different schedule family.
+    fn faults(seed: u64, cut_probability: f64, max_cuts: u64) -> Option<crate::FaultConfig> {
+        let seed = seed ^ ie_mcu::fault_seed_from_env().unwrap_or(0);
+        Some(crate::FaultConfig { seed, cut_probability, max_cuts })
     }
 
     #[test]
@@ -474,7 +246,7 @@ mod tests {
     #[test]
     fn fault_injection_is_deterministic_and_accounted() {
         let mut c = config();
-        c.fault = Some(crate::FaultConfig { seed: 11, cut_probability: 0.5, max_cuts: 40 });
+        c.fault = faults(11, 0.5, 40);
         let model = DeployedModel::uncompressed_reference(&c).unwrap();
         let a =
             EventLoopSimulator::new(&c).run(&model, &mut GreedyAffordablePolicy::new()).unwrap();
@@ -490,12 +262,29 @@ mod tests {
     }
 
     #[test]
+    fn faulted_runs_count_torn_checkpoint_commits() {
+        // A cut inside the checkpoint commit after an inference tears the
+        // write and costs a boot, as in the fleet.
+        let c = ExperimentConfig { fault: faults(11, 0.5, 40), ..config() };
+        let model = DeployedModel::uncompressed_reference(&c).unwrap();
+        let a =
+            EventLoopSimulator::new(&c).run(&model, &mut GreedyAffordablePolicy::new()).unwrap();
+        assert!(a.recovery.torn_writes > 0, "p=0.5 over every commit must tear one");
+        assert!(a.recovery.recovered_boots >= a.recovery.torn_writes);
+        assert!(a.recovery.recovered_boots <= 40);
+        assert!(a.recovery.wasted_reexecution_mj >= 0.0);
+        assert_eq!(a.total_events, c.num_events);
+        assert_eq!(a.processed_events + a.missed_events, a.total_events);
+        assert!(a.total_consumed_mj <= a.total_harvested_mj + c.initial_energy_mj + 1e-6);
+    }
+
+    #[test]
     fn fault_injection_never_perturbs_the_fault_free_stream() {
         // The cut RNG is separate from the correctness RNG, so a zero-cut
         // fault config must reproduce the fault-free run bit-for-bit.
         let c = config();
         let mut zero_cut = config();
-        zero_cut.fault = Some(crate::FaultConfig { seed: 3, cut_probability: 0.0, max_cuts: 64 });
+        zero_cut.fault = faults(3, 0.0, 64);
         let model = DeployedModel::uncompressed_reference(&c).unwrap();
         let free =
             EventLoopSimulator::new(&c).run(&model, &mut GreedyAffordablePolicy::new()).unwrap();
@@ -510,7 +299,7 @@ mod tests {
     fn injected_cuts_cost_energy_or_events() {
         let c = config();
         let mut faulty = config();
-        faulty.fault = Some(crate::FaultConfig { seed: 5, cut_probability: 0.8, max_cuts: 200 });
+        faulty.fault = faults(5, 0.8, 200);
         let model = DeployedModel::uncompressed_reference(&c).unwrap();
         let free =
             EventLoopSimulator::new(&c).run(&model, &mut GreedyAffordablePolicy::new()).unwrap();
@@ -583,10 +372,7 @@ mod tests {
     /// unbatched and in wake windows of 5: every pair of reports is equal.
     fn assert_skipping_the_efficiency_changes_nothing<P: ExitPolicy + Clone>(policy: P) {
         assert!(!policy.reads_charging_efficiency());
-        let faulted = ExperimentConfig {
-            fault: Some(crate::FaultConfig { seed: 9, cut_probability: 0.3, max_cuts: 64 }),
-            ..config()
-        };
+        let faulted = ExperimentConfig { fault: faults(9, 0.3, 64), ..config() };
         for c in [config(), faulted] {
             let model = DeployedModel::uncompressed_reference(&c).unwrap();
             let sim = EventLoopSimulator::new(&c);
