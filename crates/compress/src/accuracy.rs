@@ -189,7 +189,7 @@ impl ExitAccuracyEstimator for CalibratedAccuracyModel {
         layers: &[CompressibleLayer],
         policy: &CompressionPolicy,
     ) -> Result<Vec<f64>> {
-        policy.check_length(layers.len())?;
+        policy.validate(layers.len())?;
         let mut out = Vec::with_capacity(self.num_exits());
         for exit in 0..self.num_exits() {
             let members: Vec<(&CompressibleLayer, &crate::LayerPolicy)> =
@@ -267,7 +267,7 @@ impl ExitAccuracyEstimator for EmpiricalAccuracyEstimator {
         layers: &[CompressibleLayer],
         policy: &CompressionPolicy,
     ) -> Result<Vec<f64>> {
-        policy.check_length(layers.len())?;
+        policy.validate(layers.len())?;
         let mut compressed = self.network.clone();
         apply_policy(&mut compressed, policy)?;
         let accs = ie_nn::train::evaluate(&compressed, &self.samples)?;
@@ -281,7 +281,7 @@ impl ExitAccuracyEstimator for EmpiricalAccuracyEstimator {
         batch: usize,
         threads: usize,
     ) -> Result<Vec<f64>> {
-        policy.check_length(layers.len())?;
+        policy.validate(layers.len())?;
         let mut compressed = self.network.clone();
         apply_policy(&mut compressed, policy)?;
         // A panicked evaluation must not brick the estimator: the pooled
@@ -299,7 +299,7 @@ impl ExitAccuracyEstimator for EmpiricalAccuracyEstimator {
         batch: usize,
         threads: usize,
     ) -> Result<Vec<f64>> {
-        policy.check_length(layers.len())?;
+        policy.validate(layers.len())?;
         let mut compressed = self.network.clone();
         let calibration = &self.samples[..self.samples.len().min(QUANT_CALIBRATION_SAMPLES)];
         let config = crate::apply::apply_policy_quantized(&mut compressed, policy, calibration)?;

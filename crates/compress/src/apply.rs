@@ -23,11 +23,11 @@ use ie_tensor::QuantParams;
 ///
 /// # Errors
 ///
-/// Returns [`crate::CompressError::PolicyLengthMismatch`] when the policy does
-/// not cover every parameterised layer.
+/// Returns [`CompressionPolicy::validate`]'s errors for a policy that does
+/// not cover every parameterised layer or has an out-of-range entry.
 pub fn apply_policy(network: &mut MultiExitNetwork, policy: &CompressionPolicy) -> Result<()> {
     let expected = network.architecture().compressible_layers().len();
-    policy.check_length(expected)?;
+    policy.validate(expected)?;
     let mut index = 0usize;
     let num_exits = network.num_exits();
     for exit in 0..num_exits {
@@ -127,8 +127,8 @@ pub(crate) fn calibrate_ranges(
 ///
 /// # Errors
 ///
-/// Returns [`CompressError::PolicyLengthMismatch`] when the policy does not
-/// cover every parameterised layer and
+/// Returns [`CompressionPolicy::validate`]'s errors for a policy that does
+/// not cover every parameterised layer or has an out-of-range entry, and
 /// [`CompressError::EmptyCalibrationSet`] when no calibration samples are
 /// given.
 pub fn apply_policy_quantized(
@@ -137,7 +137,7 @@ pub fn apply_policy_quantized(
     calibration: &[Sample],
 ) -> Result<QuantConfig> {
     let expected = network.architecture().compressible_layers().len();
-    policy.check_length(expected)?;
+    policy.validate(expected)?;
     if calibration.is_empty() {
         return Err(CompressError::EmptyCalibrationSet);
     }

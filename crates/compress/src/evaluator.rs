@@ -97,8 +97,9 @@ impl PolicyEvaluator {
     ///
     /// # Errors
     ///
-    /// Returns a length-mismatch error when the policy does not cover every
-    /// compressible layer, or whatever the accuracy estimator reports.
+    /// Returns [`CompressionPolicy::validate`]'s errors for a policy that
+    /// does not cover every compressible layer or has an out-of-range entry,
+    /// or whatever the accuracy estimator reports.
     pub fn evaluate(&self, policy: &CompressionPolicy) -> Result<CompressedProfile> {
         let mut profile = self.account_costs(policy)?;
         profile.exit_accuracy = self.estimator.exit_accuracy(&self.layers, policy)?;
@@ -191,7 +192,7 @@ impl PolicyEvaluator {
     /// The FLOPs/size accounting every evaluation path shares: the profile
     /// it returns leaves `exit_accuracy` empty for the caller's estimate.
     fn account_costs(&self, policy: &CompressionPolicy) -> Result<CompressedProfile> {
-        policy.check_length(self.layers.len())?;
+        policy.validate(self.layers.len())?;
         let mut profile = CompressedProfile {
             exit_flops: vec![0; self.num_exits],
             branch_flops: vec![0; self.num_exits],

@@ -35,15 +35,24 @@ impl LayerPolicy {
     /// Returns [`CompressError::InvalidPreserveRatio`] or
     /// [`CompressError::InvalidBitwidth`] for out-of-range values.
     pub fn new(preserve_ratio: f32, weight_bits: u8, activation_bits: u8) -> Result<Self> {
-        if !(MIN_PRESERVE_RATIO..=1.0).contains(&preserve_ratio) || !preserve_ratio.is_finite() {
-            return Err(CompressError::InvalidPreserveRatio { ratio: preserve_ratio });
+        let policy = LayerPolicy { preserve_ratio, weight_bits, activation_bits };
+        policy.validate()?;
+        Ok(policy)
+    }
+
+    /// Checks the entry against [`LayerPolicy::new`]'s rules. The fields are
+    /// public, so an entry built field by field has not been checked yet.
+    fn validate(&self) -> Result<()> {
+        let ratio = self.preserve_ratio;
+        if !(MIN_PRESERVE_RATIO..=1.0).contains(&ratio) || !ratio.is_finite() {
+            return Err(CompressError::InvalidPreserveRatio { ratio });
         }
-        for bits in [weight_bits, activation_bits] {
+        for bits in [self.weight_bits, self.activation_bits] {
             if bits == 0 || bits > 32 {
                 return Err(CompressError::InvalidBitwidth { bits });
             }
         }
-        Ok(LayerPolicy { preserve_ratio, weight_bits, activation_bits })
+        Ok(())
     }
 
     /// Snaps the preserve ratio to the paper's 0.05 grid and the bitwidths to
@@ -137,19 +146,22 @@ impl CompressionPolicy {
         CompressionPolicy { layers: self.layers.iter().map(LayerPolicy::snapped).collect() }
     }
 
-    /// Validates that the policy covers exactly `model_layers` layers.
+    /// Validates that the policy covers exactly `model_layers` layers and
+    /// that every entry obeys [`LayerPolicy::new`]'s rules.
     ///
     /// # Errors
     ///
-    /// Returns [`CompressError::PolicyLengthMismatch`] otherwise.
-    pub fn check_length(&self, model_layers: usize) -> Result<()> {
+    /// Returns [`CompressError::PolicyLengthMismatch`] for a wrong entry
+    /// count, and [`CompressError::InvalidPreserveRatio`] or
+    /// [`CompressError::InvalidBitwidth`] for the first out-of-range entry.
+    pub fn validate(&self, model_layers: usize) -> Result<()> {
         if self.layers.len() != model_layers {
             return Err(CompressError::PolicyLengthMismatch {
                 policy_layers: self.layers.len(),
                 model_layers,
             });
         }
-        Ok(())
+        self.layers.iter().try_for_each(LayerPolicy::validate)
     }
 
     /// Mean preserve ratio across layers (a coarse summary used in logs).
@@ -217,7 +229,31 @@ mod tests {
     #[test]
     fn length_check() {
         let p = CompressionPolicy::full_precision(5);
-        assert!(p.check_length(5).is_ok());
-        assert!(p.check_length(11).is_err());
+        assert!(p.validate(5).is_ok());
+        assert!(p.validate(11).is_err());
+        // Entries built field by field are checked like `LayerPolicy::new`.
+        let valid = LayerPolicy::new(0.5, 4, 8).unwrap();
+        let bad = [
+            (LayerPolicy { weight_bits: 0, ..valid }, CompressError::InvalidBitwidth { bits: 0 }),
+            (
+                LayerPolicy { activation_bits: 0, ..valid },
+                CompressError::InvalidBitwidth { bits: 0 },
+            ),
+            (
+                LayerPolicy { weight_bits: 200, ..valid },
+                CompressError::InvalidBitwidth { bits: 200 },
+            ),
+            (
+                LayerPolicy { preserve_ratio: 0.01, ..valid },
+                CompressError::InvalidPreserveRatio { ratio: 0.01 },
+            ),
+        ];
+        for (entry, err) in bad {
+            let p = CompressionPolicy::from_layers(vec![valid, entry, valid]);
+            assert_eq!(p.validate(3), Err(err), "{entry:?}");
+        }
+        let nan = LayerPolicy { preserve_ratio: f32::NAN, ..valid };
+        let p = CompressionPolicy::from_layers(vec![valid, nan]);
+        assert!(matches!(p.validate(2), Err(CompressError::InvalidPreserveRatio { .. })));
     }
 }

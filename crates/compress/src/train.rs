@@ -112,7 +112,7 @@ fn prepare(
     calibration: &[Sample],
 ) -> Result<(QuantConfig, Vec<PruneMask>)> {
     let expected = network.architecture().compressible_layers().len();
-    policy.check_length(expected)?;
+    policy.validate(expected)?;
     if calibration.is_empty() {
         return Err(CompressError::EmptyCalibrationSet);
     }
@@ -195,10 +195,10 @@ fn reapply_masks(network: &mut MultiExitNetwork, masks: &[PruneMask]) -> Result<
 ///
 /// # Errors
 ///
-/// Returns [`CompressError::PolicyLengthMismatch`] when the policy does not
-/// cover every parameterised layer, [`CompressError::EmptyCalibrationSet`]
-/// when no calibration samples are given, and propagates training errors as
-/// [`CompressError::Nn`].
+/// Returns [`CompressionPolicy::validate`]'s errors for a policy that does
+/// not cover every parameterised layer or has an out-of-range entry,
+/// [`CompressError::EmptyCalibrationSet`] when no calibration samples are
+/// given, and propagates training errors as [`CompressError::Nn`].
 pub fn finetune_compressed(
     network: &mut MultiExitNetwork,
     policy: &CompressionPolicy,

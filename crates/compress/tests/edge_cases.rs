@@ -1,8 +1,17 @@
 //! Edge-case unit tests for the compression primitives: policy validation
 //! boundaries and the extreme 1-bit quantization path.
 
-use ie_compress::{quantize, CompressError, LayerPolicy};
+use ie_compress::apply::{apply_policy, apply_policy_quantized};
+use ie_compress::{
+    finetune_compressed, quantize, CompressError, CompressionPolicy, EmpiricalAccuracyEstimator,
+    FinetuneConfig, LayerPolicy, PolicyEvaluator,
+};
+use ie_nn::dataset::SyntheticDataset;
+use ie_nn::spec::tiny_multi_exit;
+use ie_nn::MultiExitNetwork;
 use ie_tensor::Tensor;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 #[test]
 fn layer_policy_rejects_invalid_preserve_ratios() {
@@ -30,6 +39,56 @@ fn layer_policy_rejects_invalid_bitwidths() {
     // 1-bit and full-precision 32-bit are both inside the legal range.
     assert!(LayerPolicy::new(0.5, 1, 1).is_ok());
     assert!(LayerPolicy::new(0.5, 32, 32).is_ok());
+}
+
+/// `LayerPolicy`'s fields are public, so a policy can hold entries that
+/// `LayerPolicy::new` would refuse. Every entry point that applies a policy
+/// must reject them with an error, neither panicking nor accepting them.
+#[test]
+fn every_policy_entry_point_rejects_out_of_range_entries() {
+    let arch = tiny_multi_exit(3);
+    let net = MultiExitNetwork::from_architecture(&arch, &mut StdRng::seed_from_u64(5)).unwrap();
+    let data = SyntheticDataset::generate(3, 8, 12, 0.05, 6);
+    let evaluator = PolicyEvaluator::new(
+        &arch,
+        EmpiricalAccuracyEstimator::new(net.clone(), data.test().to_vec()),
+    );
+    let config = FinetuneConfig::for_exits(2);
+    let valid = LayerPolicy::new(0.5, 4, 8).unwrap();
+    let bad = [
+        LayerPolicy { weight_bits: 0, ..valid },
+        LayerPolicy { activation_bits: 0, ..valid },
+        LayerPolicy { preserve_ratio: f32::NAN, ..valid },
+        LayerPolicy { weight_bits: 200, ..valid },
+    ];
+    for entry in bad {
+        let mut layers = vec![valid; arch.compressible_layers().len()];
+        layers[1] = entry;
+        let policy = CompressionPolicy::from_layers(layers);
+        let rejected = |err: Option<CompressError>, entry_point: &str| {
+            assert!(
+                matches!(
+                    err,
+                    Some(
+                        CompressError::InvalidBitwidth { .. }
+                            | CompressError::InvalidPreserveRatio { .. }
+                    )
+                ),
+                "{entry_point} on {entry:?} returned {err:?}"
+            );
+        };
+        rejected(apply_policy(&mut net.clone(), &policy).err(), "apply_policy");
+        rejected(
+            apply_policy_quantized(&mut net.clone(), &policy, data.test()).err(),
+            "apply_policy_quantized",
+        );
+        rejected(
+            finetune_compressed(&mut net.clone(), &policy, data.train(), data.test(), &config)
+                .err(),
+            "finetune_compressed",
+        );
+        rejected(evaluator.evaluate_batched(&policy).err(), "evaluate_batched");
+    }
 }
 
 #[test]

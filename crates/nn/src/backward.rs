@@ -450,8 +450,15 @@ impl BackwardPlan {
 
     /// Refreshes the dequantized weight codes from the network's current
     /// full-precision weights. No-op for plans without fake-quant state.
-    fn prepare_fake_quant(&mut self, net: &MultiExitNetwork) {
-        let Some(fq) = &mut self.fq else { return };
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::InvalidSpec`] when the plan was built for a
+    /// different architecture (the refresh walks `net` with the plan's
+    /// per-layer entries).
+    pub(crate) fn refresh_fake_quant(&mut self, net: &MultiExitNetwork) -> Result<()> {
+        self.check_architecture(net)?;
+        let Some(fq) = &mut self.fq else { return Ok(()) };
         let groups = [(net.segments(), &fq.trunk_entries), (net.branches(), &fq.branch_entries)];
         for (layers, entries) in groups {
             for (s, group) in layers.iter().enumerate() {
@@ -470,13 +477,25 @@ impl BackwardPlan {
                 }
             }
         }
+        Ok(())
+    }
+
+    fn check_architecture(&self, net: &MultiExitNetwork) -> Result<()> {
+        if net.architecture() != &self.arch {
+            return Err(NnError::InvalidSpec(
+                "backward plan built for a different architecture".into(),
+            ));
+        }
+        Ok(())
     }
 
     /// Runs one forward + backward pass, accumulating the gradients of every
     /// trainable parameter into `store` (which is zeroed first) instead of
     /// the network's gradient tensors. Returns the weighted loss. Loss and
     /// gradient bits are identical to [`MultiExitNetwork::backward`];
-    /// performs no heap allocation.
+    /// performs no heap allocation. A fake-quant plan re-quantizes `net`'s
+    /// current weights on every call, so the weights may change between
+    /// calls.
     ///
     /// # Errors
     ///
@@ -494,11 +513,23 @@ impl BackwardPlan {
         exit_weights: &[f32],
         store: &mut GradStore,
     ) -> Result<f32> {
-        if net.architecture() != &self.arch {
-            return Err(NnError::InvalidSpec(
-                "backward plan built for a different architecture".into(),
-            ));
-        }
+        self.refresh_fake_quant(net)?;
+        self.backward_with_codes(net, input, label, exit_weights, store)
+    }
+
+    /// [`Self::backward_into_store`] with the dequantized weight codes as the
+    /// last [`Self::refresh_fake_quant`] left them: every check, no refresh.
+    /// A caller that changes no weight between samples refreshes once and
+    /// runs each sample through here.
+    pub(crate) fn backward_with_codes(
+        &mut self,
+        net: &MultiExitNetwork,
+        input: &Tensor,
+        label: usize,
+        exit_weights: &[f32],
+        store: &mut GradStore,
+    ) -> Result<f32> {
+        self.check_architecture(net)?;
         if exit_weights.len() != self.trunk_steps.len() {
             return Err(NnError::InvalidExit {
                 requested: exit_weights.len(),
@@ -519,7 +550,6 @@ impl BackwardPlan {
                 actual: input.dims().to_vec(),
             });
         }
-        self.prepare_fake_quant(net);
 
         let Self {
             classes,
@@ -995,6 +1025,39 @@ mod tests {
         }
         assert!(first.is_finite() && last.is_finite());
         assert!(last < first, "fake-quant loss did not decrease: {first} -> {last}");
+    }
+
+    #[test]
+    fn direct_backward_into_store_sees_edited_weights() {
+        // A direct caller may change weights between two calls on one plan:
+        // the public entry refreshes the dequantized codes on every call, so
+        // the second call matches a fresh plan bit for bit.
+        let arch = tiny_multi_exit(3);
+        let mut net = net_for(&arch, 81);
+        let entries: Vec<Option<(u8, QuantParams)>> = arch
+            .compressible_layers()
+            .iter()
+            .map(|_| Some((4, QuantParams::from_range(-3.0, 3.0, 8))))
+            .collect();
+        let config = config_from_bits(&net, &entries).unwrap();
+        let mut plan = BackwardPlan::for_architecture_fake_quant(&arch, &config).unwrap();
+        let mut store = plan.make_store();
+        let mut rng = StdRng::seed_from_u64(82);
+        let x = Tensor::randn(&mut rng, &[1, 8, 8], 0.0, 1.0);
+        let before = plan.backward_into_store(&net, &x, 1, &[1.0, 1.0], &mut store).unwrap();
+        // Negating a covered layer's weights flips every nonzero code.
+        let Layer::Conv2d(conv) = &mut net.segments_mut()[0][0] else {
+            panic!("the tiny net opens with a convolution")
+        };
+        conv.weight_mut().map_inplace(|w| -w);
+        let after = plan.backward_into_store(&net, &x, 1, &[1.0, 1.0], &mut store).unwrap();
+        let mut fresh = BackwardPlan::for_architecture_fake_quant(&arch, &config).unwrap();
+        let mut fresh_store = fresh.make_store();
+        let want = fresh.backward_into_store(&net, &x, 1, &[1.0, 1.0], &mut fresh_store).unwrap();
+        assert_ne!(before.to_bits(), want.to_bits(), "the edit must change the loss");
+        assert_eq!(after.to_bits(), want.to_bits());
+        let bits = |s: &GradStore| s.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&store), bits(&fresh_store));
     }
 
     #[test]

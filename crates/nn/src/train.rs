@@ -556,7 +556,9 @@ pub fn train_threads() -> usize {
 /// An optional fake-quant configuration ([`BatchBackwardPlan::fake_quant`])
 /// makes every worker run the quantize–dequantize forward half (see
 /// [`BackwardPlan::for_architecture_fake_quant`]) — training with the
-/// deployment-time quantization in the loop.
+/// deployment-time quantization in the loop. The weights change only after
+/// the batch, so each worker re-quantizes its plan's weight codes once per
+/// step, not once per sample.
 #[derive(Debug, Default)]
 pub struct BatchBackwardPlan {
     pool: BackwardPlanPool,
@@ -641,8 +643,11 @@ impl BatchBackwardPlan {
             shard_len,
             shards.zip(plans.iter_mut()),
             |range, ((stores, losses), plan)| -> Result<()> {
+                // The weights change only in `apply_gradients` below, so each
+                // worker's fake-quant codes are refreshed once per step.
+                plan.refresh_fake_quant(net)?;
                 for ((sample, store), loss) in samples[range].iter().zip(stores).zip(losses) {
-                    *loss = plan.backward_into_store(
+                    *loss = plan.backward_with_codes(
                         net,
                         &sample.image,
                         sample.label,
@@ -858,6 +863,49 @@ mod tests {
             train(&mut multi, data.train(), data.test(), &config, 4, &mut plan4).unwrap();
         assert_eq!(history1, history4);
         assert_eq!(weight_bits(&single), weight_bits(&multi));
+    }
+
+    #[test]
+    fn fake_quant_train_step_matches_per_sample_backward() {
+        // Each step must run on codes re-quantized from the weights the
+        // previous step wrote. The oracle is a per-sample `backward_with`
+        // loop, whose public entry refreshes the codes on every call.
+        use crate::quant::config_from_bits;
+        use ie_tensor::QuantParams;
+
+        let data = SyntheticDataset::generate(3, 8, 24, 0.05, 30);
+        let mut rng = StdRng::seed_from_u64(31);
+        let reference = MultiExitNetwork::from_architecture(&tiny_multi_exit(3), &mut rng).unwrap();
+        let n = reference.architecture().compressible_layers().len();
+        let act = QuantParams::from_range(-6.0, 6.0, 8);
+        let cfg = config_from_bits(&reference, &vec![Some((4, act)); n]).unwrap();
+        let (weights, lr) = ([1.0, 0.5], 0.2);
+
+        let mut oracle = reference.clone();
+        let mut plan = oracle.backward_plan_fake_quant(&cfg).unwrap();
+        let mut oracle_losses = Vec::new();
+        for batch in data.train().chunks(6) {
+            let mut total = 0.0f32;
+            for s in batch {
+                total += oracle.backward_with(&mut plan, &s.image, s.label, &weights).unwrap();
+            }
+            oracle.apply_gradients(lr / batch.len() as f32);
+            oracle_losses.push(total.to_bits());
+        }
+        assert!(oracle_losses.len() > 1, "several steps, so stale codes would show");
+        for threads in [1, 3] {
+            let mut net = reference.clone();
+            let mut batched = BatchBackwardPlan::fake_quant(cfg.clone());
+            let losses: Vec<u32> = data
+                .train()
+                .chunks(6)
+                .map(|batch| {
+                    batched.train_step(&mut net, batch, &weights, lr, threads).unwrap().to_bits()
+                })
+                .collect();
+            assert_eq!(losses, oracle_losses, "{threads} workers");
+            assert_eq!(weight_bits(&net), weight_bits(&oracle), "{threads} workers");
+        }
     }
 
     #[test]

@@ -51,10 +51,13 @@ use crate::dispatch::{self, IsaTier};
 ///
 /// The struct caches the reciprocal scale and the `f32`-domain clamp bounds
 /// so [`QuantParams::quantize`] is a multiply → `round_ties_even` → clamp →
-/// convert chain with no division and no 64-bit clamping: every step maps to
-/// one vector instruction, which is what lets LLVM vectorize the activation
-/// quantization and requantization epilogues that sweep whole feature maps.
-/// Fields are therefore private; construct via [`QuantParams::new`] /
+/// convert chain with no division and no 64-bit clamping. Each step has a
+/// one-instruction AVX2 form, which the hand-written AVX2 sweep
+/// ([`QuantParams::quantize_slice_into`]) uses lane for lane. The compiler
+/// does **not** find that form on its own: on the baseline x86-64 target
+/// (SSE2, no `roundps`) a scalar sweep through this function calls `rintf`
+/// once per element. Fields are private so the cached values stay
+/// consistent; construct via [`QuantParams::new`] /
 /// [`QuantParams::from_range`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantParams {
@@ -159,9 +162,11 @@ impl QuantParams {
     /// applied in the `f32` domain (bounds pre-shifted by the zero point).
     ///
     /// Deterministic for every input (NaN maps to the zero point, infinities
-    /// saturate at the range ends), and every step lowers to one vector
-    /// instruction — no division, no widening — so code sweeping a slice
-    /// through this function auto-vectorizes.
+    /// saturate at the range ends). No division and no widening, but a
+    /// scalar sweep through this function does not auto-vectorize on the
+    /// baseline x86-64 target: the rounding becomes a `rintf` call per
+    /// element. Sweep slices with [`QuantParams::quantize_slice_into`],
+    /// whose AVX2 tier rounds eight lanes per instruction.
     #[inline]
     pub fn quantize(&self, v: f32) -> i32 {
         let q = (v * self.inv_scale).round_ties_even().clamp(self.qlo, self.qhi);
