@@ -278,8 +278,10 @@ impl IntermittentExecutor {
         let entry_generation = generation;
 
         // One iteration of this loop is one boot: run tasks from `next_task`
-        // until completion or the next power cut.
-        'boot: loop {
+        // until completion, starvation or the next power cut. It ends with
+        // the index of the task that starved, or `None` once the inference
+        // has finished.
+        let starved_at = 'boot: loop {
             let mut index = next_task;
             while index < n {
                 let task = &graph.tasks()[index];
@@ -301,45 +303,15 @@ impl IntermittentExecutor {
                             // polls, so charge the time actually waited, not
                             // the full budget.
                             waiting_s += sim.now_s() - wait_start;
-                            return Ok(ExecutionReport {
-                                completed: false,
-                                elapsed_s: sim.now_s() - start_s,
-                                waiting_s,
-                                energy_consumed_mj: energy_consumed,
-                                power_cycles,
-                                checkpoints,
-                                failed_task: Some(index),
-                                recovered_boots,
-                                torn_writes,
-                                wasted_reexecution_mj: wasted,
-                                output_digest: digest,
-                                checkpoint_generation: generation,
-                            });
+                            break 'boot Some(index);
                         }
                     }
                 }
 
-                match faults.on_task_start() {
-                    Some(TaskCut::Before) => {
-                        // Cut between tasks: nothing consumed, volatile lost.
-                        match self.reboot(
-                            &ckpt,
-                            nv,
-                            n,
-                            entry_generation,
-                            generation,
-                            &mut power_cycles,
-                            &mut recovered_boots,
-                        ) {
-                            Some((g, t, d)) => {
-                                generation = g;
-                                next_task = t;
-                                digest = d;
-                                continue 'boot;
-                            }
-                            None => break 'boot,
-                        }
-                    }
+                // Whether an injected power cut ends this boot at this task.
+                let cut = match faults.on_task_start() {
+                    // Cut between tasks: nothing consumed, volatile lost.
+                    Some(TaskCut::Before) => true,
                     Some(TaskCut::Mid { fraction }) => {
                         // Cut mid-task: the partial energy and latency are
                         // spent and wasted — the task will re-run in full.
@@ -349,129 +321,105 @@ impl IntermittentExecutor {
                         energy_consumed += partial;
                         wasted += partial;
                         sim.advance_by(f * self.cost.inference_latency_s(task.flops));
-                        match self.reboot(
-                            &ckpt,
-                            nv,
-                            n,
-                            entry_generation,
-                            generation,
-                            &mut power_cycles,
-                            &mut recovered_boots,
-                        ) {
-                            Some((g, t, d)) => {
-                                generation = g;
-                                next_task = t;
-                                digest = d;
-                                continue 'boot;
+                        true
+                    }
+                    None => {
+                        // Run the task to completion.
+                        sim.consume(task_energy)?;
+                        energy_consumed += task_energy;
+                        if exec_counts[index] > 0 {
+                            // Re-execution of work a cut destroyed.
+                            wasted += task_energy;
+                        }
+                        exec_counts[index] += 1;
+                        sim.advance_by(self.cost.inference_latency_s(task.flops));
+                        digest = mix_digest(digest, index as u64, task.flops);
+
+                        // Commit the progress record into the stale bank.
+                        let record = CheckpointRecord {
+                            generation: generation + 1,
+                            next_task: (index + 1) as u32,
+                            done: index + 1 == n,
+                            digest,
+                        };
+                        match faults.on_commit(RECORD_BYTES) {
+                            Some(offset) if offset < RECORD_BYTES => {
+                                // Torn commit: only `offset` bytes reached
+                                // NV. The partial write is waste here; the
+                                // destroyed task work is charged when the
+                                // task re-executes, so the ledger
+                                // `consumed == fault_free + wasted` closes.
+                                let f = offset as f64 / RECORD_BYTES as f64;
+                                let partial = f * checkpoint_energy;
+                                sim.consume(partial)?;
+                                energy_consumed += partial;
+                                wasted += partial;
+                                sim.advance_by(f * checkpoint_latency);
+                                ckpt.commit_torn(nv, &record, offset)?;
+                                torn_writes += 1;
+                                true
                             }
-                            None => break 'boot,
+                            post_commit_cut => {
+                                sim.consume(checkpoint_energy)?;
+                                energy_consumed += checkpoint_energy;
+                                sim.advance_by(checkpoint_latency);
+                                ckpt.commit(nv, &record)?;
+                                checkpoints += 1;
+                                generation = record.generation;
+                                // A cut just after the commit became durable
+                                // loses no work, but the device still reboots.
+                                post_commit_cut.is_some()
+                            }
                         }
                     }
-                    None => {}
-                }
-
-                // Run the task to completion.
-                sim.consume(task_energy)?;
-                energy_consumed += task_energy;
-                if exec_counts[index] > 0 {
-                    // Re-execution of work a cut destroyed.
-                    wasted += task_energy;
-                }
-                exec_counts[index] += 1;
-                sim.advance_by(self.cost.inference_latency_s(task.flops));
-                digest = mix_digest(digest, index as u64, task.flops);
-
-                // Commit the progress record into the stale bank.
-                let record = CheckpointRecord {
-                    generation: generation + 1,
-                    next_task: (index + 1) as u32,
-                    done: index + 1 == n,
-                    digest,
                 };
-                match faults.on_commit(RECORD_BYTES) {
-                    Some(offset) if offset < RECORD_BYTES => {
-                        // Torn commit: only `offset` bytes reached NV. The
-                        // partial write is waste here; the destroyed task
-                        // work is charged when the task re-executes, so the
-                        // ledger `consumed == fault_free + wasted` closes.
-                        let f = offset as f64 / RECORD_BYTES as f64;
-                        let partial = f * checkpoint_energy;
-                        sim.consume(partial)?;
-                        energy_consumed += partial;
-                        wasted += partial;
-                        sim.advance_by(f * checkpoint_latency);
-                        ckpt.commit_torn(nv, &record, offset)?;
-                        torn_writes += 1;
-                        match self.reboot(
-                            &ckpt,
-                            nv,
-                            n,
-                            entry_generation,
-                            generation,
-                            &mut power_cycles,
-                            &mut recovered_boots,
-                        ) {
-                            Some((g, t, d)) => {
-                                generation = g;
-                                next_task = t;
-                                digest = d;
-                                continue 'boot;
-                            }
-                            None => break 'boot,
+                if cut {
+                    match self.reboot(
+                        &ckpt,
+                        nv,
+                        n,
+                        entry_generation,
+                        generation,
+                        &mut power_cycles,
+                        &mut recovered_boots,
+                    ) {
+                        Some((g, t, d)) => {
+                            generation = g;
+                            next_task = t;
+                            digest = d;
+                            continue 'boot;
                         }
-                    }
-                    post_commit_cut => {
-                        sim.consume(checkpoint_energy)?;
-                        energy_consumed += checkpoint_energy;
-                        sim.advance_by(checkpoint_latency);
-                        ckpt.commit(nv, &record)?;
-                        checkpoints += 1;
-                        generation = record.generation;
-                        if post_commit_cut.is_some() {
-                            // Cut just after the commit became durable: no
-                            // work is lost, but the device still reboots.
-                            match self.reboot(
-                                &ckpt,
-                                nv,
-                                n,
-                                entry_generation,
-                                generation,
-                                &mut power_cycles,
-                                &mut recovered_boots,
-                            ) {
-                                Some((g, t, d)) => {
-                                    generation = g;
-                                    next_task = t;
-                                    digest = d;
-                                    continue 'boot;
-                                }
-                                None => break 'boot,
-                            }
-                        }
+                        None => break 'boot None,
                     }
                 }
                 index += 1;
             }
-            break 'boot;
-        }
+            break None;
+        };
 
-        // Either the task loop ran off the end or a post-final-commit reboot
-        // recovered a done record; in both cases the newest durable record is
-        // the final one.
-        let final_record = ckpt.recover(nv).expect("completed run leaves a durable record");
-        debug_assert!(final_record.done && final_record.generation == generation);
+        // A starved run reports its volatile digest. A finished one — the
+        // task loop ran off the end, or a post-final-commit reboot recovered
+        // a done record — reports the newest durable record, the final one.
+        let output_digest = match starved_at {
+            Some(_) => digest,
+            None => {
+                let final_record = ckpt.recover(nv).expect("completed run leaves a durable record");
+                debug_assert!(final_record.done && final_record.generation == generation);
+                final_record.digest
+            }
+        };
         Ok(ExecutionReport {
-            completed: true,
+            completed: starved_at.is_none(),
             elapsed_s: sim.now_s() - start_s,
             waiting_s,
             energy_consumed_mj: energy_consumed,
             power_cycles,
             checkpoints,
-            failed_task: None,
+            failed_task: starved_at,
             recovered_boots,
             torn_writes,
             wasted_reexecution_mj: wasted,
-            output_digest: final_record.digest,
+            output_digest,
             checkpoint_generation: generation,
         })
     }

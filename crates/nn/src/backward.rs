@@ -742,32 +742,40 @@ fn forward_layer(
             ie_tensor::relu_slice(out);
             Ok(())
         }
-        Layer::MaxPool2d(p) => p.forward_slice_into(input, step.in_dims, out),
+        Layer::MaxPool2d(p) => p.forward_batch_slice_into(input, step.in_dims, 1, out),
         Layer::Conv2d(c) => {
             let col = &mut cols[step.col_off..step.col_off + c.col_len()];
-            if let Some(e) = entry {
-                let xq = &mut fq_acts[e.x_off..e.x_off + step.in_len];
-                for (q, &v) in xq.iter_mut().zip(input.iter()) {
-                    *q = e.input.dequantize(e.input.quantize(v));
-                }
-                c.forward_with_weight_into(&fq_weights[e.w_off..e.w_off + e.w_len], xq, out, col)
-            } else {
-                c.forward_into(input, out, col, false)
-            }
+            let (weight, x) = forward_operands(entry, fq_weights, fq_acts, c.weight(), input);
+            c.forward_batch_with(weight, x, out, col, 1, false)
         }
         Layer::Dense(d) => {
-            if let Some(e) = entry {
-                let xq = &mut fq_acts[e.x_off..e.x_off + step.in_len];
-                for (q, &v) in xq.iter_mut().zip(input.iter()) {
-                    *q = e.input.dequantize(e.input.quantize(v));
-                }
-                d.forward_with_weight_into(&fq_weights[e.w_off..e.w_off + e.w_len], xq, out);
-                Ok(())
-            } else {
-                d.forward_into(input, out, false)
-            }
+            let (weight, x) = forward_operands(entry, fq_weights, fq_acts, d.weight(), input);
+            d.forward_batch_with(weight, x, out, 1, false)
         }
         Layer::Flatten(_) => Ok(()),
+    }
+}
+
+/// The weights and input a parameterised layer's forward pass reads: its own,
+/// or — for a layer the fake-quant mode covers — its dequantized weight
+/// codes and the quantize–dequantize round trip of its input, written into
+/// the layer's region of `fq_acts`.
+fn forward_operands<'a>(
+    entry: Option<&FqEntry>,
+    fq_weights: &'a [f32],
+    fq_acts: &'a mut [f32],
+    weight: &'a Tensor,
+    input: &'a [f32],
+) -> (&'a [f32], &'a [f32]) {
+    match entry {
+        Some(e) => {
+            let xq = &mut fq_acts[e.x_off..e.x_off + input.len()];
+            for (q, &v) in xq.iter_mut().zip(input) {
+                *q = e.input.dequantize(e.input.quantize(v));
+            }
+            (&fq_weights[e.w_off..e.w_off + e.w_len], xq)
+        }
+        None => (weight.as_slice(), input),
     }
 }
 
@@ -907,7 +915,7 @@ mod tests {
     use crate::quant::config_from_bits;
     use crate::spec::{lenet_multi_exit, tiny_multi_exit};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn net_for(arch: &MultiExitArchitecture, seed: u64) -> MultiExitNetwork {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1081,6 +1089,97 @@ mod tests {
         plain.backward_with(&mut plan_plain, &x, 0, &[1.0, 1.0]).unwrap();
         quantized.backward_with(&mut plan_fq, &x, 0, &[1.0, 1.0]).unwrap();
         assert_ne!(grad_bits(&plain), grad_bits(&quantized));
+    }
+
+    /// The allocating oracle of one fake-quant forward pass to `exit`: a copy
+    /// of `net` whose covered weights hold their dequantized codes, run one
+    /// `Layer::forward` at a time with every covered layer's input passed
+    /// through its activation round trip, and the loss summed as the plan
+    /// sums it (from `0.0`, one exit weighted `1.0`).
+    fn fake_quant_reference_loss(
+        net: &MultiExitNetwork,
+        config: &QuantConfig,
+        x: &Tensor,
+        label: usize,
+        exit: usize,
+    ) -> f32 {
+        let mut q = net.clone();
+        let mut covered = config.layers().iter();
+        let mut path = Vec::new();
+        for e in 0..q.num_exits() {
+            for in_branch in [false, true] {
+                let list =
+                    if in_branch { &mut q.branches_mut()[e] } else { &mut q.segments_mut()[e] };
+                for layer in list.iter_mut() {
+                    let lq = match layer {
+                        Layer::Conv2d(_) | Layer::Dense(_) => *covered.next().unwrap(),
+                        _ => None,
+                    };
+                    if let Some(lq) = lq {
+                        let w = match layer {
+                            Layer::Conv2d(c) => c.weight_mut(),
+                            Layer::Dense(d) => d.weight_mut(),
+                            _ => unreachable!(),
+                        };
+                        w.map_inplace(|v| {
+                            ie_tensor::weight_code(v, lq.weight_scale, lq.weight_bits) as f32
+                                * lq.weight_scale
+                        });
+                    }
+                    if e <= exit && (!in_branch || e == exit) {
+                        path.push((layer.clone(), lq));
+                    }
+                }
+            }
+        }
+        let mut act = x.clone();
+        for (layer, lq) in &path {
+            if let Some(lq) = lq {
+                act.map_inplace(|v| lq.input.dequantize(lq.input.quantize(v)));
+            }
+            act = layer.forward(&act).unwrap();
+        }
+        let mut probs = vec![0.0f32; act.len()];
+        softmax_into(act.as_slice(), &mut probs).unwrap();
+        0.0f32 + 1.0f32 * -probs[label].max(1e-12).ln()
+    }
+
+    #[test]
+    fn fake_quant_loss_matches_the_allocating_reference() {
+        // The plan's forward half must run each covered layer on its
+        // dequantized weight codes *and* on the round trip of its input:
+        // dropping either changes the loss bits.
+        for (arch, seed) in [(tiny_multi_exit(3), 71u64), (lenet_multi_exit(), 72)] {
+            let net = net_for(&arch, seed);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xfa4e);
+            for round in 0..2 {
+                let entries: Vec<Option<(u8, QuantParams)>> = arch
+                    .compressible_layers()
+                    .iter()
+                    .map(|_| {
+                        let (w_bits, a_bits) = (rng.gen_range(2..=8), rng.gen_range(4..=8));
+                        Some((w_bits, QuantParams::from_range(-2.0, 2.0, a_bits)))
+                    })
+                    .collect();
+                let config = config_from_bits(&net, &entries).unwrap();
+                let mut plan = net.backward_plan_fake_quant(&config).unwrap();
+                let mut store = plan.make_store();
+                for exit in 0..arch.num_exits() {
+                    let mut weights = vec![0.0f32; arch.num_exits()];
+                    weights[exit] = 1.0;
+                    let x = Tensor::randn(&mut rng, &arch.input_dims(), 0.0, 1.0);
+                    let label = (round + exit) % arch.num_classes();
+                    let planned =
+                        plan.backward_into_store(&net, &x, label, &weights, &mut store).unwrap();
+                    let reference = fake_quant_reference_loss(&net, &config, &x, label, exit);
+                    assert_eq!(
+                        planned.to_bits(),
+                        reference.to_bits(),
+                        "seed {seed} round {round} exit {exit}: {planned} vs {reference}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,6 @@
 use crate::{NnError, Result};
 use ie_tensor::{
-    col2im, gemm_into, gemm_sparse_into, im2col, im2col_batch_into, im2col_into, Conv2dGeometry,
-    Tensor,
+    col2im, gemm_into, gemm_sparse_into, im2col, im2col_batch_into, Conv2dGeometry, Tensor,
 };
 use rand::Rng;
 
@@ -141,63 +140,25 @@ impl Conv2d {
         self.geom.col_len()
     }
 
-    /// Allocation-free forward pass: lowers `input` into `col`, multiplies by
-    /// the filter matrix with the bias add (and, when `fuse_relu` is set, the
-    /// ReLU of a following activation layer) fused into the GEMM epilogue, and
-    /// writes the `[out_channels, out_h, out_w]` activation into `out`.
+    /// Allocation-free forward pass over `batch` samples: lowers them into
+    /// `col`, multiplies by the filter matrix with the bias add (and, when
+    /// `fuse_relu` is set, the ReLU of a following activation layer) fused
+    /// into the GEMM epilogue, and writes the activations into `out`.
     ///
-    /// The filters are read in their native `[O, C·K·K]` row-major layout, so
-    /// no weight reshape/copy happens. Buffer sizes must be exactly
-    /// [`Self::input_len`], [`Self::output_len`] and [`Self::col_len`].
-    /// Bit-identical to [`Self::forward`] (+ separate ReLU when fused).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InputShapeMismatch`] when a buffer length does not
-    /// match the layer geometry.
-    pub fn forward_into(
-        &self,
-        input: &[f32],
-        out: &mut [f32],
-        col: &mut [f32],
-        fuse_relu: bool,
-    ) -> Result<()> {
-        if input.len() != self.input_len() {
-            return Err(NnError::InputShapeMismatch {
-                layer: "conv2d".into(),
-                expected: vec![self.geom.in_channels, self.geom.in_h, self.geom.in_w],
-                actual: vec![input.len()],
-            });
-        }
-        if out.len() != self.output_len() {
-            return Err(NnError::InputShapeMismatch {
-                layer: "conv2d(out)".into(),
-                expected: vec![self.output_len()],
-                actual: vec![out.len()],
-            });
-        }
-        im2col_into(input, &self.geom, col)?;
-        let (m, k, n) = (self.out_channels, self.geom.col_rows(), self.geom.col_cols());
-        if self.sparse_hint {
-            gemm_sparse_into(self.weight.as_slice(), col, out, m, k, n);
-        } else {
-            gemm_into(self.weight.as_slice(), col, out, m, k, n);
-        }
-        let plane = self.geom.out_h() * self.geom.out_w();
-        ie_tensor::add_bias_rows(out, plane, self.bias.as_slice(), fuse_relu);
-        Ok(())
-    }
-
-    /// Batched counterpart of [`Self::forward_into`]: runs `batch` samples
-    /// through one widened GEMM. Input and output use the channel-major wide
-    /// layout `[C, batch, H, W]` (see [`ie_tensor::im2col_batch_into`]); the
-    /// column scratch must hold `batch · col_len` elements. The batched
-    /// `im2col` lowers all samples into one `[C·K·K, batch·out_h·out_w]`
-    /// activation matrix, a single GEMM multiplies it against the filters,
-    /// and the bias (+ fused ReLU) epilogue sweeps each output-channel row
-    /// once. Per sample the results are bit-identical to
-    /// [`Self::forward_into`]: the GEMM accumulates every output element in
-    /// ascending depth order regardless of the matrix width.
+    /// Input and output use the channel-major wide layout `[C, batch, H, W]`
+    /// (see [`ie_tensor::im2col_batch_into`]); at `batch == 1` that is the
+    /// plain `[C, H, W]` layout, so a single sample is a batch of one. The
+    /// batched `im2col` lowers all samples into one
+    /// `[C·K·K, batch·out_h·out_w]` activation matrix, a single GEMM
+    /// multiplies it against the filters (read in their native `[O, C·K·K]`
+    /// row-major layout, so no weight reshape/copy happens), and the bias
+    /// (+ fused ReLU) epilogue sweeps each output-channel row once. Per
+    /// sample the results are bit-identical to a batch of one holding that
+    /// sample alone: the GEMM accumulates every output element in ascending
+    /// depth order regardless of the matrix width. Buffer sizes must be
+    /// `batch` times [`Self::input_len`], [`Self::output_len`] and
+    /// [`Self::col_len`]. At `batch == 1` without fusion this is
+    /// [`Self::forward`].
     ///
     /// # Errors
     ///
@@ -211,6 +172,28 @@ impl Conv2d {
         batch: usize,
         fuse_relu: bool,
     ) -> Result<()> {
+        self.forward_batch_with(self.weight.as_slice(), input, out, col, batch, fuse_relu)
+    }
+
+    /// [`Self::forward_batch_into`] with an explicit filter matrix (flattened
+    /// `[O, C·K·K]`, same length as [`Self::weight`]): the fake-quant
+    /// training path substitutes the dequantised weight codes here while the
+    /// bias stays full precision.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::InputShapeMismatch`] when a buffer length does not
+    /// match `batch` copies of the layer geometry.
+    pub(crate) fn forward_batch_with(
+        &self,
+        weight: &[f32],
+        input: &[f32],
+        out: &mut [f32],
+        col: &mut [f32],
+        batch: usize,
+        fuse_relu: bool,
+    ) -> Result<()> {
+        debug_assert_eq!(weight.len(), self.weight.len());
         if input.len() != self.input_len() * batch {
             return Err(NnError::InputShapeMismatch {
                 layer: "conv2d(batch)".into(),
@@ -228,18 +211,17 @@ impl Conv2d {
         im2col_batch_into(input, batch, &self.geom, col)?;
         let (m, k, n) = (self.out_channels, self.geom.col_rows(), batch * self.geom.col_cols());
         if self.sparse_hint {
-            gemm_sparse_into(self.weight.as_slice(), col, out, m, k, n);
+            gemm_sparse_into(weight, col, out, m, k, n);
         } else {
-            gemm_into(self.weight.as_slice(), col, out, m, k, n);
+            gemm_into(weight, col, out, m, k, n);
         }
-        let plane = batch * self.geom.out_h() * self.geom.out_w();
-        ie_tensor::add_bias_rows(out, plane, self.bias.as_slice(), fuse_relu);
+        ie_tensor::add_bias_rows(out, n, self.bias.as_slice(), fuse_relu);
         Ok(())
     }
 
     /// Forward pass over a `[in_channels, in_h, in_w]` input.
     ///
-    /// Allocating wrapper over [`Self::forward_into`].
+    /// Allocating wrapper over [`Self::forward_batch_into`] at `batch == 1`.
     ///
     /// # Errors
     ///
@@ -256,7 +238,7 @@ impl Conv2d {
         }
         let mut out = Tensor::zeros(&self.output_dims());
         let mut col = vec![0.0f32; self.col_len()];
-        self.forward_into(input.as_slice(), out.as_mut_slice(), &mut col, false)?;
+        self.forward_batch_into(input.as_slice(), out.as_mut_slice(), &mut col, 1, false)?;
         Ok(out)
     }
 
@@ -351,37 +333,6 @@ impl Conv2d {
             ie_tensor::gemm_into(wt, grad_out, colt, ckk, m, ohw);
             ie_tensor::col2im_into(colt, &self.geom, dx)?;
         }
-        Ok(())
-    }
-
-    /// Forward pass with an explicit filter tensor (flattened `[O, C·K·K]`,
-    /// same length as [`Self::weight`]) — the fake-quant training path
-    /// substitutes the dequantised weight codes here while the bias stays
-    /// full precision. With `weight == self.weight.as_slice()` this is
-    /// bit-identical to [`Self::forward_into`] without ReLU fusion.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InputShapeMismatch`] via `im2col` when `input` or
-    /// `col` does not match the layer geometry.
-    pub(crate) fn forward_with_weight_into(
-        &self,
-        weight: &[f32],
-        input: &[f32],
-        out: &mut [f32],
-        col: &mut [f32],
-    ) -> Result<()> {
-        debug_assert_eq!(weight.len(), self.weight.len());
-        debug_assert_eq!(out.len(), self.output_len());
-        im2col_into(input, &self.geom, col)?;
-        let (m, k, n) = (self.out_channels, self.geom.col_rows(), self.geom.col_cols());
-        if self.sparse_hint {
-            gemm_sparse_into(weight, col, out, m, k, n);
-        } else {
-            gemm_into(weight, col, out, m, k, n);
-        }
-        let plane = self.geom.out_h() * self.geom.out_w();
-        ie_tensor::add_bias_rows(out, plane, self.bias.as_slice(), false);
         Ok(())
     }
 

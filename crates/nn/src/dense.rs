@@ -115,47 +115,16 @@ impl Dense {
         self.weight.len() + self.bias.len()
     }
 
-    /// Allocation-free forward pass: computes `W·x + b` (and, when
-    /// `fuse_relu` is set, the ReLU of a following activation layer) into
-    /// `out`. Bit-identical to [`Self::forward`] (+ separate ReLU when fused).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InputShapeMismatch`] when `input` does not have
-    /// `in_features` elements or `out` does not have `out_features`.
-    pub fn forward_into(&self, input: &[f32], out: &mut [f32], fuse_relu: bool) -> Result<()> {
-        if input.len() != self.in_features {
-            return Err(NnError::InputShapeMismatch {
-                layer: "dense".into(),
-                expected: vec![self.in_features],
-                actual: vec![input.len()],
-            });
-        }
-        if out.len() != self.out_features {
-            return Err(NnError::InputShapeMismatch {
-                layer: "dense(out)".into(),
-                expected: vec![self.out_features],
-                actual: vec![out.len()],
-            });
-        }
-        ie_tensor::matvec_into(
-            self.weight.as_slice(),
-            input,
-            out,
-            self.out_features,
-            self.in_features,
-        );
-        ie_tensor::add_bias_samples(out, self.bias.as_slice(), fuse_relu);
-        Ok(())
-    }
-
-    /// Batched counterpart of [`Self::forward_into`]: `batch` input vectors
-    /// sample-major in `input` (`[batch, in_features]`), results sample-major
-    /// in `out` (`[batch, out_features]`). Each sample's result is
-    /// bit-identical to a separate [`Self::forward_into`] call (the batched
-    /// kernel runs the same lane-parallel dot product per row and sample, see
-    /// [`ie_tensor::matvec_batch_into`]); the win is that each weight row is
-    /// streamed from memory once per batch instead of once per sample.
+    /// Allocation-free forward pass over `batch` samples: computes `W·x + b`
+    /// (and, when `fuse_relu` is set, the ReLU of a following activation
+    /// layer) for each input vector. Inputs are sample-major in `input`
+    /// (`[batch, in_features]`), results sample-major in `out`
+    /// (`[batch, out_features]`); a single sample is a batch of one. Each
+    /// sample's result is bit-identical to a batch of one holding it alone
+    /// (the kernel runs the same lane-parallel dot product per row and
+    /// sample, see [`ie_tensor::matvec_batch_into`]); the win is that each
+    /// weight row is streamed from memory once per batch instead of once per
+    /// sample. At `batch == 1` without fusion this is [`Self::forward`].
     ///
     /// # Errors
     ///
@@ -168,6 +137,26 @@ impl Dense {
         batch: usize,
         fuse_relu: bool,
     ) -> Result<()> {
+        self.forward_batch_with(self.weight.as_slice(), input, out, batch, fuse_relu)
+    }
+
+    /// [`Self::forward_batch_into`] with an explicit weight matrix (same
+    /// shape as [`Self::weight`]): the fake-quant training path substitutes
+    /// the dequantised weight codes here while the bias stays full precision.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::InputShapeMismatch`] when a buffer length does not
+    /// match `batch` copies of the layer shape.
+    pub(crate) fn forward_batch_with(
+        &self,
+        weight: &[f32],
+        input: &[f32],
+        out: &mut [f32],
+        batch: usize,
+        fuse_relu: bool,
+    ) -> Result<()> {
+        debug_assert_eq!(weight.len(), self.weight.len());
         if input.len() != self.in_features * batch {
             return Err(NnError::InputShapeMismatch {
                 layer: "dense(batch)".into(),
@@ -183,7 +172,7 @@ impl Dense {
             });
         }
         ie_tensor::matvec_batch_into(
-            self.weight.as_slice(),
+            weight,
             input,
             out,
             self.out_features,
@@ -196,7 +185,7 @@ impl Dense {
 
     /// Forward pass for a flat input of `in_features` elements.
     ///
-    /// Allocating wrapper over [`Self::forward_into`].
+    /// Allocating wrapper over [`Self::forward_batch_into`] at `batch == 1`.
     ///
     /// # Errors
     ///
@@ -211,7 +200,7 @@ impl Dense {
             });
         }
         let mut y = Tensor::zeros(&[self.out_features]);
-        self.forward_into(input.as_slice(), y.as_mut_slice(), false)?;
+        self.forward_batch_into(input.as_slice(), y.as_mut_slice(), 1, false)?;
         Ok(y)
     }
 
@@ -276,19 +265,6 @@ impl Dense {
         if let Some(dx) = dx {
             ie_tensor::matvec_t_into(weight, grad_out, dx, self.in_features, self.out_features);
         }
-    }
-
-    /// Forward pass with an explicit weight matrix (same shape as
-    /// [`Self::weight`]) — the fake-quant training path substitutes the
-    /// dequantised weight codes here while the bias stays full precision.
-    /// With `weight == self.weight.as_slice()` this is bit-identical to
-    /// [`Self::forward_into`] without ReLU fusion.
-    pub(crate) fn forward_with_weight_into(&self, weight: &[f32], input: &[f32], out: &mut [f32]) {
-        debug_assert_eq!(weight.len(), self.weight.len());
-        debug_assert_eq!(input.len(), self.in_features);
-        debug_assert_eq!(out.len(), self.out_features);
-        ie_tensor::matvec_into(weight, input, out, self.out_features, self.in_features);
-        ie_tensor::add_bias_samples(out, self.bias.as_slice(), false);
     }
 
     pub(crate) fn grad_weight_mut(&mut self) -> &mut Tensor {

@@ -59,53 +59,21 @@ impl MaxPool2d {
         Ok((c, h, w))
     }
 
-    /// Allocation-free forward pass over a flat `[c, h, w]` input slice,
-    /// writing the pooled `[c, h/size, w/size]` activation into `out`.
-    /// Bit-identical to [`Self::forward`]. The window scan runs through the
-    /// dispatched [`ie_tensor::max_pool_planes_into`] kernel (AVX2 vectorized
-    /// for the 2×2 window; bit-identical on every ISA tier).
+    /// Allocation-free forward pass over `batch` samples in the
+    /// channel-major wide layout: `input` is `[c, batch, h, w]`, `out` is
+    /// `[c, batch, h/size, w/size]`; at `batch == 1` that is the plain
+    /// `[c, h, w]` layout, so a single sample is a batch of one. Each
+    /// `(channel, sample)` plane is pooled on its own, so every sample's
+    /// result is bit-identical to pooling it alone. The window scan runs
+    /// through the dispatched [`ie_tensor::max_pool_planes_into`] kernel
+    /// (AVX2 vectorized for the 2×2 window; bit-identical on every ISA
+    /// tier). At `batch == 1` this is [`Self::forward`].
     ///
     /// # Errors
     ///
     /// Returns [`NnError::InputShapeMismatch`] when the spatial size is not
-    /// divisible by the pool size or a buffer length does not match the
-    /// dimensions.
-    pub fn forward_slice_into(
-        &self,
-        input: &[f32],
-        dims: [usize; 3],
-        out: &mut [f32],
-    ) -> Result<()> {
-        let (c, h, w) = (dims[0], dims[1], dims[2]);
-        if input.len() != c * h * w || h % self.size != 0 || w % self.size != 0 {
-            return Err(NnError::InputShapeMismatch {
-                layer: "maxpool2d".into(),
-                expected: vec![c, h / self.size * self.size, w / self.size * self.size],
-                actual: vec![input.len()],
-            });
-        }
-        let (oh, ow) = (h / self.size, w / self.size);
-        if out.len() != c * oh * ow {
-            return Err(NnError::InputShapeMismatch {
-                layer: "maxpool2d(out)".into(),
-                expected: vec![c, oh, ow],
-                actual: vec![out.len()],
-            });
-        }
-        max_pool_planes_into(input, c, h, w, self.size, out);
-        Ok(())
-    }
-
-    /// Batched counterpart of [`Self::forward_slice_into`] over the
-    /// channel-major wide layout: `input` is `[c, batch, h, w]`, `out` is
-    /// `[c, batch, h/size, w/size]`. Each `(channel, sample)` plane is pooled
-    /// with the same window scan as the single-sample kernel, so every
-    /// sample's result is bit-identical to pooling it alone.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InputShapeMismatch`] under the same conditions as
-    /// [`Self::forward_slice_into`], with lengths scaled by `batch`.
+    /// divisible by the pool size or a buffer length does not match `batch`
+    /// copies of the dimensions.
     pub fn forward_batch_slice_into(
         &self,
         input: &[f32],
@@ -133,24 +101,13 @@ impl MaxPool2d {
         Ok(())
     }
 
-    /// [`Self::forward_slice_into`] over quantized activation codes.
+    /// [`Self::forward_batch_slice_into`] over quantized activation codes
+    /// (`[c, batch, h, w]` codes in, pooled codes out).
     ///
     /// Quantization is monotone, so the maximum of the codes is the code of
     /// the maximum: pooling in the code domain is exactly equivalent to
     /// pooling the real values and quantizing afterwards, which is what lets
     /// chained quantized layers keep their activations as `i8` across pools.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InputShapeMismatch`] under the same conditions as
-    /// [`Self::forward_slice_into`].
-    pub fn forward_codes_into(&self, input: &[i8], dims: [usize; 3], out: &mut [i8]) -> Result<()> {
-        self.forward_batch_codes_into(input, dims, 1, out)
-    }
-
-    /// Batched counterpart of [`Self::forward_codes_into`] over the
-    /// channel-major wide layout (`[c, batch, h, w]` codes in, pooled codes
-    /// out), mirroring [`Self::forward_batch_slice_into`].
     ///
     /// # Errors
     ///
@@ -185,7 +142,8 @@ impl MaxPool2d {
 
     /// Forward pass.
     ///
-    /// Allocating wrapper over [`Self::forward_slice_into`].
+    /// Allocating wrapper over [`Self::forward_batch_slice_into`] at
+    /// `batch == 1`.
     ///
     /// # Errors
     ///
@@ -195,7 +153,7 @@ impl MaxPool2d {
         let (c, h, w) = self.check_input(input)?;
         let (oh, ow) = (h / self.size, w / self.size);
         let mut out = Tensor::zeros(&[c, oh, ow]);
-        self.forward_slice_into(input.as_slice(), [c, h, w], out.as_mut_slice())?;
+        self.forward_batch_slice_into(input.as_slice(), [c, h, w], 1, out.as_mut_slice())?;
         Ok(out)
     }
 
@@ -298,14 +256,14 @@ mod tests {
         let pool = MaxPool2d::new(2);
         let codes: Vec<i8> = vec![-8, 3, 127, -128, 0, 5, -1, 2, 9, 9, 9, 9, 1, 2, 3, 4];
         let mut out = vec![0i8; 4];
-        pool.forward_codes_into(&codes, [1, 4, 4], &mut out).unwrap();
+        pool.forward_batch_codes_into(&codes, [1, 4, 4], 1, &mut out).unwrap();
         let floats: Vec<f32> = codes.iter().map(|&c| f32::from(c)).collect();
         let mut out_f = vec![0.0f32; 4];
-        pool.forward_slice_into(&floats, [1, 4, 4], &mut out_f).unwrap();
+        pool.forward_batch_slice_into(&floats, [1, 4, 4], 1, &mut out_f).unwrap();
         assert_eq!(out.iter().map(|&c| f32::from(c)).collect::<Vec<_>>(), out_f);
         // Length validation.
         let mut wrong = vec![0i8; 3];
-        assert!(pool.forward_codes_into(&codes, [1, 4, 4], &mut wrong).is_err());
+        assert!(pool.forward_batch_codes_into(&codes, [1, 4, 4], 1, &mut wrong).is_err());
     }
 
     #[test]

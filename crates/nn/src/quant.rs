@@ -838,7 +838,7 @@ fn ref_run_list(
                     let d = [dims[0], dims[1], dims[2]];
                     let out_dims = pool.output_dims(&d);
                     let mut out = vec![0i8; out_dims.iter().product()];
-                    pool.forward_codes_into(&codes, d, &mut out)?;
+                    pool.forward_batch_codes_into(&codes, d, 1, &mut out)?;
                     RefAct::Codes(out, p, out_dims.to_vec())
                 }
             },

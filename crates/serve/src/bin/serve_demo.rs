@@ -15,6 +15,10 @@
 //! * `IE_SERVE_SHED` — shed policy: `reject` | `drop-oldest` | `degrade`
 //! * `IE_CHAOS_SEED` — chaos schedule seed (default 0 = no chaos)
 //!
+//! An unparsable value warns on stderr and keeps the default. A zero passes
+//! through: a zero window or request count is refused with an error, a zero
+//! deadline closes every window at once.
+//!
 //! `--out <path>` writes the deterministic slice of the run (counters,
 //! virtual-clock percentiles, a response digest) as JSON — the CI chaos
 //! matrix diffs these files across worker counts per seed.
@@ -30,8 +34,28 @@ use ie_serve::{
 };
 use std::time::Instant;
 
+/// Reads a non-negative integer knob, warning on stderr (and keeping
+/// `default`) when it is set but unparsable.
 fn env_usize(var: &str, default: usize) -> usize {
-    std::env::var(var).ok().and_then(|v| v.parse().ok()).filter(|&n| n > 0).unwrap_or(default)
+    let (value, warning) = parse_usize_knob(var, std::env::var(var).ok().as_deref(), default);
+    if let Some(warning) = warning {
+        eprintln!("{warning}");
+    }
+    value
+}
+
+/// The value of a non-negative integer knob: unset is `default`; a zero
+/// passes through, so [`WindowConfig::validate`] rejects a zero window and
+/// accepts a zero deadline; an unparsable value is `default` plus the
+/// warning to print.
+fn parse_usize_knob(var: &str, value: Option<&str>, default: usize) -> (usize, Option<String>) {
+    let Some(raw) = value else { return (default, None) };
+    match raw.trim().parse() {
+        Ok(n) => (n, None),
+        Err(_) => {
+            (default, Some(format!("warning: ignoring {var}={raw:?} (not a non-negative integer)")))
+        }
+    }
 }
 
 /// Measures each exit's single-input latency (seconds) on the planned path.
@@ -101,6 +125,10 @@ fn main() {
     let overload = OverloadConfig::from_env();
     let chaos = ChaosPlan::from_env();
     let total = env_usize("IE_SERVE_REQUESTS", 512);
+    if total == 0 {
+        eprintln!("error: IE_SERVE_REQUESTS must be at least 1");
+        std::process::exit(2);
+    }
 
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -142,7 +170,13 @@ fn main() {
 
     let mut pool = BatchPlanPool::new();
     let config = ServeConfig { window, threads, overload };
-    let mut server = Server::new(&network, config, &mut pool).expect("server config");
+    let mut server = match Server::new(&network, config, &mut pool) {
+        Ok(server) => server,
+        Err(err) => {
+            eprintln!("error: invalid serving config: {err}");
+            std::process::exit(2);
+        }
+    };
     let outcome = server.replay_chaotic(&mut admission, &requests, &chaos).expect("replay");
     for plan in server.into_plans() {
         pool.put(plan);
@@ -219,5 +253,26 @@ fn main() {
         );
         std::fs::write(&path, json).expect("write --out file");
         println!("wrote {path}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn knobs_pass_zero_through_and_warn_on_garbage() {
+        assert_eq!(parse_usize_knob("IE_SERVE_WINDOW", None, 8), (8, None));
+        assert_eq!(parse_usize_knob("IE_SERVE_WINDOW", Some(" 16 "), 8), (16, None));
+        // Zero reaches the config validation instead of becoming the default.
+        assert_eq!(parse_usize_knob("IE_SERVE_DEADLINE_MS", Some("0"), 2), (0, None));
+        for bad in ["", "-1", "2ms", "1.5"] {
+            let (value, warning) = parse_usize_knob("IE_SERVE_DEADLINE_MS", Some(bad), 2);
+            assert_eq!(value, 2, "{bad:?} keeps the default");
+            let warning = warning.expect("an invalid value warns");
+            assert!(warning.contains(&format!("IE_SERVE_DEADLINE_MS={bad:?}")), "{warning}");
+        }
+        assert!(WindowConfig { max_batch: 0, deadline_s: 0.002 }.validate().is_err());
+        assert!(WindowConfig { max_batch: 8, deadline_s: 0.0 }.validate().is_ok());
     }
 }

@@ -38,8 +38,9 @@
 //! # Overriding for tests and benchmarks
 //!
 //! The `IE_ISA` environment variable forces a *lower* tier: `portable`,
-//! `avx2` or `vnni` (values are case-insensitive; unknown values are
-//! ignored). The override never raises the tier above what the hardware
+//! `avx2` or `vnni` (values are case-insensitive; an unknown value is
+//! ignored with one warning on stderr, so a typo cannot pass for "unset"
+//! unnoticed). The override never raises the tier above what the hardware
 //! supports — `IE_ISA=vnni` on an AVX2-only machine runs the AVX2 tier — so
 //! it is always safe to set. The CI portable-tier job runs the whole test
 //! suite under `IE_ISA=portable` to keep the fallback green, and in-process
@@ -113,16 +114,35 @@ pub fn detected() -> IsaTier {
 
 /// The tier the auto-dispatched kernels run: the detected tier, lowered by a
 /// valid `IE_ISA` override. Cached after the first call (the environment is
-/// read once per process), so a dispatch decision costs one atomic load.
+/// read once per process, and an invalid value warns once on stderr), so a
+/// dispatch decision costs one atomic load.
 pub fn active() -> IsaTier {
     static ACTIVE: OnceLock<IsaTier> = OnceLock::new();
     *ACTIVE.get_or_init(|| {
-        let hw = detected();
-        match std::env::var("IE_ISA").ok().as_deref().and_then(IsaTier::parse) {
-            Some(requested) => requested.min(hw),
-            None => hw,
+        let (tier, warning) = resolve_override(detected(), std::env::var("IE_ISA").ok().as_deref());
+        if let Some(warning) = warning {
+            eprintln!("{warning}");
         }
+        tier
     })
+}
+
+/// The tier an `IE_ISA` value selects on hardware whose best tier is `hw`:
+/// unset keeps `hw`, a tier name lowers it (never raises it), and any other
+/// value keeps `hw` and comes back with the warning to print.
+fn resolve_override(hw: IsaTier, value: Option<&str>) -> (IsaTier, Option<String>) {
+    let Some(raw) = value else { return (hw, None) };
+    match IsaTier::parse(raw) {
+        Some(requested) => (requested.min(hw), None),
+        None => (
+            hw,
+            Some(format!(
+                "warning: ignoring invalid IE_ISA={raw:?} (want portable, avx2 or vnni); \
+                 running the {} tier",
+                hw.name()
+            )),
+        ),
+    }
 }
 
 /// Clamps an explicitly requested tier to what the hardware supports —
@@ -167,6 +187,20 @@ mod tests {
         // job), the cached active tier must honour it.
         if let Some(requested) = std::env::var("IE_ISA").ok().as_deref().and_then(IsaTier::parse) {
             assert_eq!(active, requested.min(detected()));
+        }
+    }
+
+    #[test]
+    fn isa_override_lowers_the_tier_and_warns_on_an_invalid_value() {
+        assert_eq!(resolve_override(IsaTier::Avx2, None), (IsaTier::Avx2, None));
+        assert_eq!(resolve_override(IsaTier::Avx2, Some("portable")), (IsaTier::Portable, None));
+        // An override never raises the tier above the hardware.
+        assert_eq!(resolve_override(IsaTier::Avx2, Some(" VNNI ")), (IsaTier::Avx2, None));
+        for bad in ["portabel", "", "avx"] {
+            let (tier, warning) = resolve_override(IsaTier::Avx2, Some(bad));
+            assert_eq!(tier, IsaTier::Avx2, "{bad:?} keeps the detected tier");
+            let warning = warning.expect("an invalid value warns");
+            assert!(warning.contains(&format!("IE_ISA={bad:?}")), "{warning}");
         }
     }
 

@@ -127,9 +127,9 @@ impl KernelOffsetBounds {
     /// zero point for integer codes — both encode the real value zero).
     ///
     /// Generic over the scalar type so the `f32` path and the quantized
-    /// (`i8`/`i16` code) paths share one lowering: the loop moves values
-    /// without arithmetic, so the per-sample layout is identical for every
-    /// element type.
+    /// (`i8` code) path share one lowering: the loop moves values without
+    /// arithmetic, so the per-sample layout is identical for every element
+    /// type.
     fn lower_plane<T: Copy>(&self, geom: &Conv2dGeometry, chan: &[T], out_row: &mut [T], pad: T) {
         let out_w = geom.out_w();
         let (stride, in_w) = (geom.stride, geom.in_w);
@@ -159,14 +159,18 @@ impl KernelOffsetBounds {
     }
 }
 
-/// The shared, element-type-generic body of the batched lowering: validates
-/// lengths against `batch` copies of `geom` and fills the whole
-/// `[C·K·K, batch·out_h·out_w]` column buffer (padding cells get `pad`).
+/// The one lowering loop behind [`im2col_batch_into`] and
+/// [`im2col_quant_select_batch_into`]: validates lengths against `batch`
+/// copies of `geom`, then fills the `[len(channels)·K², batch·out_h·out_w]`
+/// column buffer with the rows of the listed input channels, in list order
+/// (padding cells get `pad`). The full lowering passes
+/// `0..geom.in_channels`.
 fn lower_batch<T: Copy>(
     input: &[T],
     batch: usize,
     geom: &Conv2dGeometry,
     pad: T,
+    channels: impl ExactSizeIterator<Item = usize> + Clone,
     out: &mut [T],
 ) -> Result<()> {
     geom.validate()?;
@@ -175,142 +179,7 @@ fn lower_batch<T: Copy>(
     if input.len() != in_len {
         return Err(TensorError::DataShapeMismatch { data_len: input.len(), shape_len: in_len });
     }
-    if out.len() != geom.col_len() * batch {
-        return Err(TensorError::DataShapeMismatch {
-            data_len: out.len(),
-            shape_len: geom.col_len() * batch,
-        });
-    }
-    let cols = geom.col_cols();
-    let row_stride = batch * cols;
-    let k = geom.kernel;
-    for ky in 0..k {
-        for kx in 0..k {
-            let bounds = KernelOffsetBounds::new(geom, ky, kx);
-            for c in 0..geom.in_channels {
-                let row = (c * k + ky) * k + kx;
-                let out_row = &mut out[row * row_stride..(row + 1) * row_stride];
-                for (s, block) in out_row.chunks_exact_mut(cols).enumerate() {
-                    let chan = &input[(c * batch + s) * plane..][..plane];
-                    bounds.lower_plane(geom, chan, block, pad);
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Lowers a `[C, H, W]` image (given as a flat slice) into a caller-provided
-/// `[C·K·K, out_h·out_w]` column buffer. Never allocates; every output cell —
-/// including zero padding — is written, so the buffer needs no prior clearing.
-///
-/// The single-sample instance of [`im2col_batch_into`]; both lower each
-/// sample bit-identically.
-///
-/// # Errors
-///
-/// Returns an error when the geometry is invalid or either buffer length does
-/// not match it.
-pub fn im2col_into(input: &[f32], geom: &Conv2dGeometry, out: &mut [f32]) -> Result<()> {
-    im2col_batch_into(input, 1, geom, out)
-}
-
-/// Lowers a batch of `[C, H, W]` images into one wide column matrix.
-///
-/// The input uses the *channel-major wide* batch layout `[C, batch, H, W]`
-/// (sample `s` of channel `c` starts at `(c·batch + s)·H·W`; for `batch == 1`
-/// this is exactly the ordinary `[C, H, W]` layout). The output is the
-/// `[C·K·K, batch·out_h·out_w]` column matrix in which sample `s` occupies
-/// columns `s·out_h·out_w ..` — one contiguous activation matrix a single
-/// widened GEMM can multiply against the filter matrix. Sample `s`'s column
-/// block is bit-identical to what [`im2col_into`] produces for that sample
-/// alone. Never allocates.
-///
-/// # Errors
-///
-/// Returns an error when the geometry is invalid or either buffer length does
-/// not match `batch` copies of it.
-pub fn im2col_batch_into(
-    input: &[f32],
-    batch: usize,
-    geom: &Conv2dGeometry,
-    out: &mut [f32],
-) -> Result<()> {
-    lower_batch(input, batch, geom, 0.0, out)
-}
-
-/// Quantized batched `im2col`: lowers a batch of `i8` activation-code images
-/// into one wide column matrix of codes, ready for [`crate::gemm_i8_into`].
-///
-/// Layouts match [`im2col_batch_into`] exactly (channel-major wide input,
-/// `[C·K·K, batch·out_h·out_w]` output); the only difference is the element
-/// type and that padding cells are filled with `pad` — the activation
-/// quantization's zero point, whose real value is exactly `0.0`, so the
-/// lowered codes represent the same padded image the `f32` path sees.
-///
-/// # Errors
-///
-/// Returns an error when the geometry is invalid or either buffer length does
-/// not match `batch` copies of it.
-pub fn im2col_quant_batch_into(
-    input: &[i8],
-    batch: usize,
-    geom: &Conv2dGeometry,
-    pad: i8,
-    out: &mut [i8],
-) -> Result<()> {
-    lower_batch(input, batch, geom, pad, out)
-}
-
-/// [`im2col_quant_batch_into`] over `i16` codes, feeding
-/// [`crate::gemm_i16_into`] (the i16 layers widen their 8-bit activation
-/// codes before lowering).
-///
-/// # Errors
-///
-/// Returns an error when the geometry is invalid or either buffer length does
-/// not match `batch` copies of it.
-pub fn im2col_quant_batch_i16_into(
-    input: &[i16],
-    batch: usize,
-    geom: &Conv2dGeometry,
-    pad: i16,
-    out: &mut [i16],
-) -> Result<()> {
-    lower_batch(input, batch, geom, pad, out)
-}
-
-/// Channel-selective quantized batched `im2col`: lowers only the listed
-/// input channels, producing a `[len(channels)·K², batch·out_h·out_w]`
-/// column matrix of codes.
-///
-/// Channel pruning zeroes whole input-channel blocks of the filter matrix;
-/// the quantized engine packs those blocks away from its weight codes and
-/// skips them here, so a pruned layer's integer GEMM does proportionally
-/// less work — the deployed-MCU behaviour ("pruned channels are physically
-/// removed") rather than the zero-multiplying simulation. Each kept
-/// channel's rows are lowered exactly as by [`im2col_quant_batch_into`];
-/// with the identity channel list the outputs match cell for cell.
-///
-/// # Errors
-///
-/// Returns an error when the geometry is invalid, a channel index is out of
-/// range, or a buffer length does not match.
-pub fn im2col_quant_select_batch_into(
-    input: &[i8],
-    batch: usize,
-    geom: &Conv2dGeometry,
-    pad: i8,
-    channels: &[usize],
-    out: &mut [i8],
-) -> Result<()> {
-    geom.validate()?;
-    let plane = geom.in_h * geom.in_w;
-    let in_len = geom.in_channels * batch * plane;
-    if input.len() != in_len {
-        return Err(TensorError::DataShapeMismatch { data_len: input.len(), shape_len: in_len });
-    }
-    if let Some(&bad) = channels.iter().find(|&&c| c >= geom.in_channels) {
+    if let Some(bad) = channels.clone().find(|&c| c >= geom.in_channels) {
         return Err(TensorError::InvalidConvGeometry(format!(
             "selected channel {bad} out of range for {} input channels",
             geom.in_channels
@@ -326,7 +195,7 @@ pub fn im2col_quant_select_batch_into(
     for ky in 0..k {
         for kx in 0..k {
             let bounds = KernelOffsetBounds::new(geom, ky, kx);
-            for (ci, &c) in channels.iter().enumerate() {
+            for (ci, c) in channels.clone().enumerate() {
                 let row = (ci * k + ky) * k + kx;
                 let out_row = &mut out[row * row_stride..(row + 1) * row_stride];
                 for (s, block) in out_row.chunks_exact_mut(cols).enumerate() {
@@ -339,10 +208,67 @@ pub fn im2col_quant_select_batch_into(
     Ok(())
 }
 
+/// Lowers a batch of `[C, H, W]` images into one wide column matrix.
+///
+/// The input uses the *channel-major wide* batch layout `[C, batch, H, W]`
+/// (sample `s` of channel `c` starts at `(c·batch + s)·H·W`; for `batch == 1`
+/// this is exactly the ordinary `[C, H, W]` layout, so a single image is a
+/// batch of one). The output is the `[C·K·K, batch·out_h·out_w]` column
+/// matrix in which sample `s` occupies columns `s·out_h·out_w ..` — one
+/// contiguous activation matrix a single widened GEMM can multiply against
+/// the filter matrix. Sample `s`'s column block is bit-identical to the
+/// lowering of a batch of one holding that sample alone. Every output cell —
+/// including zero padding — is written, so the buffer needs no prior
+/// clearing. Never allocates.
+///
+/// # Errors
+///
+/// Returns an error when the geometry is invalid or either buffer length does
+/// not match `batch` copies of it.
+pub fn im2col_batch_into(
+    input: &[f32],
+    batch: usize,
+    geom: &Conv2dGeometry,
+    out: &mut [f32],
+) -> Result<()> {
+    lower_batch(input, batch, geom, 0.0, 0..geom.in_channels, out)
+}
+
+/// Channel-selective quantized batched `im2col`: lowers only the listed
+/// input channels of a batch of `i8` activation-code images, producing a
+/// `[len(channels)·K², batch·out_h·out_w]` column matrix of codes.
+///
+/// Layouts match [`im2col_batch_into`] (channel-major wide input, one row
+/// block per kept channel); padding cells are filled with `pad` — the
+/// activation quantization's zero point, whose real value is exactly `0.0`,
+/// so the lowered codes represent the same padded image the `f32` path sees.
+///
+/// Channel pruning zeroes whole input-channel blocks of the filter matrix;
+/// the quantized engine packs those blocks away from its weight codes and
+/// skips them here, so a pruned layer's integer GEMM does proportionally
+/// less work — the deployed-MCU behaviour ("pruned channels are physically
+/// removed") rather than the zero-multiplying simulation. With the identity
+/// channel list every cell matches the `f32` lowering of the same values.
+///
+/// # Errors
+///
+/// Returns an error when the geometry is invalid, a channel index is out of
+/// range, or a buffer length does not match.
+pub fn im2col_quant_select_batch_into(
+    input: &[i8],
+    batch: usize,
+    geom: &Conv2dGeometry,
+    pad: i8,
+    channels: &[usize],
+    out: &mut [i8],
+) -> Result<()> {
+    lower_batch(input, batch, geom, pad, channels.iter().copied(), out)
+}
+
 /// Lowers a `[C, H, W]` image into a `[C·K·K, out_h·out_w]` column matrix.
 ///
-/// Allocating wrapper over [`im2col_into`]; both produce bit-identical
-/// columns.
+/// Allocating wrapper over [`im2col_batch_into`] at `batch == 1`; both
+/// produce bit-identical columns.
 ///
 /// # Errors
 ///
@@ -361,12 +287,13 @@ pub fn im2col(input: &Tensor, geom: &Conv2dGeometry) -> Result<Tensor> {
         });
     }
     let mut out = vec![0.0f32; geom.col_len()];
-    im2col_into(input.as_slice(), geom, &mut out)?;
+    im2col_batch_into(input.as_slice(), 1, geom, &mut out)?;
     Tensor::from_vec(out, &[geom.col_rows(), geom.col_cols()])
 }
 
 /// Scatters a `[C·K·K, out_h·out_w]` column-gradient slice back into a
-/// caller-provided `[C, H, W]` image buffer (the adjoint of [`im2col_into`]).
+/// caller-provided `[C, H, W]` image buffer (the adjoint of
+/// [`im2col_batch_into`] at `batch == 1`).
 /// The image buffer is zeroed first, then accumulated into; never allocates.
 ///
 /// # Errors
@@ -523,7 +450,7 @@ mod tests {
                 single.extend_from_slice(&wide[(c * batch + s) * plane..][..plane]);
             }
             let mut single_cols = vec![0.0f32; g.col_len()];
-            im2col_into(&single, &g, &mut single_cols).unwrap();
+            im2col_batch_into(&single, 1, &g, &mut single_cols).unwrap();
             for r in 0..g.col_rows() {
                 assert_eq!(
                     &wide_cols[r * batch * cols + s * cols..][..cols],
@@ -568,8 +495,9 @@ mod tests {
             })
             .collect();
         let pad: i8 = -7;
+        let all = [0, 1];
         let mut lowered = vec![0i8; g.col_len() * batch];
-        im2col_quant_batch_into(&codes, batch, &g, pad, &mut lowered).unwrap();
+        im2col_quant_select_batch_into(&codes, batch, &g, pad, &all, &mut lowered).unwrap();
         let floats: Vec<f32> = codes.iter().map(|&c| f32::from(c)).collect();
         let mut lowered_f = vec![f32::NAN; g.col_len() * batch];
         im2col_batch_into(&floats, batch, &g, &mut lowered_f).unwrap();
@@ -577,19 +505,11 @@ mod tests {
             let expected = if f == 0.0 { pad } else { f as i8 };
             assert_eq!(c, expected, "cell {i}");
         }
-        // The i16 variant produces the widened copy of the i8 lowering.
-        let codes16: Vec<i16> = codes.iter().map(|&c| i16::from(c)).collect();
-        let mut lowered16 = vec![0i16; g.col_len() * batch];
-        im2col_quant_batch_i16_into(&codes16, batch, &g, i16::from(pad), &mut lowered16).unwrap();
-        assert_eq!(lowered16, lowered.iter().map(|&c| i16::from(c)).collect::<Vec<_>>());
         // Length validation mirrors the float path.
         let mut short = vec![0i8; g.col_len()];
-        assert!(im2col_quant_batch_into(&codes, batch, &g, pad, &mut short).is_err());
-        // Channel selection: the identity list reproduces the full lowering,
-        // a subset extracts exactly its channels' row blocks.
-        let mut selected = vec![0i8; g.col_len() * batch];
-        im2col_quant_select_batch_into(&codes, batch, &g, pad, &[0, 1], &mut selected).unwrap();
-        assert_eq!(selected, lowered);
+        assert!(im2col_quant_select_batch_into(&codes, batch, &g, pad, &all, &mut short).is_err());
+        // Channel selection: a subset extracts exactly its channels' row
+        // blocks of the full lowering.
         let rows_per_chan = g.kernel * g.kernel * g.col_cols() * batch;
         let mut chan1 = vec![0i8; rows_per_chan];
         im2col_quant_select_batch_into(&codes, batch, &g, pad, &[1], &mut chan1).unwrap();

@@ -46,17 +46,15 @@ pub use backward::{
 pub use dispatch::IsaTier;
 pub use error::TensorError;
 pub use im2col::{
-    col2im, col2im_into, im2col, im2col_batch_into, im2col_into, im2col_quant_batch_i16_into,
-    im2col_quant_batch_into, im2col_quant_select_batch_into, Conv2dGeometry,
+    col2im, col2im_into, im2col, im2col_batch_into, im2col_quant_select_batch_into, Conv2dGeometry,
 };
-pub use linalg::{gemm_into, gemm_sparse_into, matvec_batch_into, matvec_into, matvec_t_into};
+pub use linalg::{gemm_into, gemm_sparse_into, matvec_batch_into, matvec_t_into};
 pub use ops::{
     add_bias_rows, add_bias_samples, max_pool_planes_i8_into, max_pool_planes_into,
     relu_codes_floor, relu_slice, softmax_slice_into,
 };
 pub use quant::{
-    dequant_acc, dequant_rows_slice_into, dequant_slice_into, gemm_i16_into, gemm_i16t_into,
-    gemm_i8_into, matvec_i16_batch_into, matvec_i16_into, matvec_i8_batch_into, matvec_i8_into,
+    dequant_acc, dequant_rows_slice_into, dequant_slice_into, gemm_i16t_into,
     requant_rows_slice_into, requant_slice_into, transpose_widen_into, weight_code, QuantParams,
     MADD_DEPTH_ALIGN,
 };
@@ -79,8 +77,7 @@ pub mod tiered {
     };
     pub use crate::linalg::{
         gemm_into_tier as gemm_into, gemm_sparse_into_tier as gemm_sparse_into,
-        matvec_batch_into_tier as matvec_batch_into, matvec_into_tier as matvec_into,
-        matvec_t_into_tier as matvec_t_into,
+        matvec_batch_into_tier as matvec_batch_into, matvec_t_into_tier as matvec_t_into,
     };
     pub use crate::ops::{
         add_bias_rows_tier as add_bias_rows, add_bias_samples_tier as add_bias_samples,

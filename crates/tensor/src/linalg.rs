@@ -3,8 +3,9 @@
 //! The heavy kernels are exposed in two layers:
 //!
 //! * slice-level out-parameter kernels ([`gemm_into`], [`gemm_sparse_into`],
-//!   [`matvec_into`]) that never allocate — these are what the execution-plan
-//!   hot path in `ie_nn` drives against reusable [`crate::Workspace`] buffers;
+//!   [`matvec_batch_into`]) that never allocate — these are what the
+//!   execution-plan hot path in `ie_nn` drives against reusable
+//!   [`crate::Workspace`] buffers; a single vector is a batch of one;
 //! * the allocating [`Tensor`] methods ([`Tensor::matmul`],
 //!   [`Tensor::matvec`], …), which are thin wrappers that allocate the output
 //!   once and delegate to the same kernels, so both paths produce bit-identical
@@ -258,23 +259,6 @@ mod x86 {
         true
     }
 
-    /// AVX2 matvec attempt; see [`try_gemm_accumulate`].
-    pub(super) fn try_matvec(
-        tier: IsaTier,
-        a: &[f32],
-        x: &[f32],
-        out: &mut [f32],
-        m: usize,
-        k: usize,
-    ) -> bool {
-        if dispatch::clamp(tier) < IsaTier::Avx2 {
-            return false;
-        }
-        // SAFETY: `clamp` only returns Avx2 or above when AVX2 is detected.
-        unsafe { matvec_avx2(a, x, out, m, k) };
-        true
-    }
-
     /// AVX2 batched matvec attempt; see [`try_gemm_accumulate`].
     pub(super) fn try_matvec_batch(
         tier: IsaTier,
@@ -331,14 +315,6 @@ mod x86 {
         n: usize,
     ) {
         gemm_accumulate_body(a, b, out, m, k, n);
-    }
-
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is supported.
-    #[target_feature(enable = "avx2")]
-    unsafe fn matvec_avx2(a: &[f32], x: &[f32], out: &mut [f32], m: usize, k: usize) {
-        matvec_body(a, x, out, m, k);
     }
 
     /// # Safety
@@ -549,16 +525,8 @@ fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
     sum
 }
 
-/// Portable body of [`matvec_into`] (recompiled for AVX2 by the dispatcher).
-#[inline(always)]
-fn matvec_body(a: &[f32], x: &[f32], out: &mut [f32], m: usize, k: usize) {
-    let _ = m;
-    for (o, row) in out.iter_mut().zip(a.chunks_exact(k)) {
-        *o = dot_lanes(row, x);
-    }
-}
-
-/// Portable body of [`matvec_batch_into`].
+/// Portable body of [`matvec_batch_into`] (recompiled for AVX2 by the
+/// dispatcher).
 #[inline(always)]
 fn matvec_batch_body(a: &[f32], xs: &[f32], out: &mut [f32], m: usize, k: usize, batch: usize) {
     for (i, row) in a.chunks_exact(k).enumerate() {
@@ -568,50 +536,18 @@ fn matvec_batch_body(a: &[f32], xs: &[f32], out: &mut [f32], m: usize, k: usize,
     }
 }
 
-/// Matrix–vector product into a caller-provided buffer: `a` is `[m, k]`, `x`
-/// has `k` elements, `out` has `m` elements. Never allocates.
-///
-/// Uses the lane-parallel dot product (`dot_lanes`): deterministic, but the
-/// summation order differs from a strictly sequential fold.
-///
-/// # Panics
-///
-/// Panics when a buffer length does not match its dimensions.
-pub fn matvec_into(a: &[f32], x: &[f32], out: &mut [f32], m: usize, k: usize) {
-    matvec_into_tier(dispatch::active(), a, x, out, m, k);
-}
-
-/// [`matvec_into`] on an explicitly chosen ISA tier (clamped to the
-/// hardware).
-///
-/// # Panics
-///
-/// Panics when a buffer length does not match its dimensions.
-pub fn matvec_into_tier(tier: IsaTier, a: &[f32], x: &[f32], out: &mut [f32], m: usize, k: usize) {
-    assert_eq!(a.len(), m * k, "matvec: matrix buffer length {} != {m}x{k}", a.len());
-    assert_eq!(x.len(), k, "matvec: vector length {} != {k}", x.len());
-    assert_eq!(out.len(), m, "matvec: out length {} != {m}", out.len());
-    if k == 0 {
-        out.fill(0.0);
-        return;
-    }
-    #[cfg(target_arch = "x86_64")]
-    if x86::try_matvec(tier, a, x, out, m, k) {
-        return;
-    }
-    let _ = tier;
-    matvec_body(a, x, out, m, k);
-}
-
 /// Batched matrix–vector product: one shared `[m, k]` matrix against `batch`
 /// input vectors. `xs` holds the vectors sample-major (`[batch, k]`), `out`
-/// receives the products sample-major (`[batch, m]`). Never allocates.
+/// receives the products sample-major (`[batch, m]`). Never allocates. A
+/// single matrix–vector product is the `batch == 1` case.
 ///
-/// Each `(row, sample)` dot product runs through the same lane-parallel
-/// kernel as [`matvec_into`], so every sample's result is bit-identical to a
-/// separate `matvec_into` call. The loop is row-major over the matrix with
-/// the samples innermost: each matrix row is streamed from memory once per
-/// batch instead of once per sample, which is where batched dense layers win.
+/// Every `(row, sample)` element is one lane-parallel dot product
+/// (`dot_lanes`): deterministic, but the summation order differs from a
+/// strictly sequential fold. The dot product does not depend on the other
+/// samples, so each sample's result is bit-identical to a batch of one
+/// holding it alone. The loop is row-major over the matrix with the samples
+/// innermost: each matrix row is streamed from memory once per batch instead
+/// of once per sample, which is where batched dense layers win.
 ///
 /// # Panics
 ///
@@ -697,12 +633,12 @@ fn matvec_t_body(a: &[f32], x: &[f32], out: &mut [f32], m: usize, k: usize) {
 /// materializing the transpose. `a` is `[k, m]` row-major, `x` has `k`
 /// elements and `out` has `m`. Never allocates.
 ///
-/// Each output element reproduces [`matvec_into`]'s lane-parallel dot product
-/// (same lane assignment, same reduction tree, same tail order) on the
-/// corresponding column of `a` — bit-identical to
-/// [`transpose_into`](crate::transpose_into) + [`matvec_into`], minus the
-/// transposed copy. This is what the training plans use for the dense
-/// input-gradient product `dx = Wᵀ·g`.
+/// Each output element reproduces [`matvec_batch_into`]'s lane-parallel dot
+/// product (same lane assignment, same reduction tree, same tail order) on
+/// the corresponding column of `a` — bit-identical to
+/// [`transpose_into`](crate::transpose_into) + [`matvec_batch_into`] at
+/// `batch == 1`, minus the transposed copy. This is what the training plans
+/// use for the dense input-gradient product `dx = Wᵀ·g`.
 ///
 /// # Panics
 ///
@@ -838,7 +774,7 @@ impl Tensor {
     pub fn matvec(&self, vec: &Tensor) -> Result<Tensor> {
         let (m, k) = self.check_matvec(vec)?;
         let mut out = Tensor::zeros(&[m]);
-        matvec_into(self.as_slice(), vec.as_slice(), out.as_mut_slice(), m, k);
+        matvec_batch_into(self.as_slice(), vec.as_slice(), out.as_mut_slice(), m, k, 1);
         Ok(out)
     }
 
@@ -855,7 +791,7 @@ impl Tensor {
         if out.len() != m {
             return Err(TensorError::ShapeMismatch { left: out.dims().to_vec(), right: vec![m] });
         }
-        matvec_into(self.as_slice(), vec.as_slice(), out.as_mut_slice(), m, k);
+        matvec_batch_into(self.as_slice(), vec.as_slice(), out.as_mut_slice(), m, k, 1);
         Ok(())
     }
 
@@ -1006,7 +942,8 @@ mod tests {
             matvec_batch_into(a.as_slice(), xs.as_slice(), &mut batched, m, k, batch);
             for s in 0..batch {
                 let mut single = vec![0.0f32; m];
-                matvec_into(a.as_slice(), &xs.as_slice()[s * k..(s + 1) * k], &mut single, m, k);
+                let x = &xs.as_slice()[s * k..(s + 1) * k];
+                matvec_batch_into(a.as_slice(), x, &mut single, m, k, 1);
                 assert_eq!(
                     batched[s * m..(s + 1) * m].iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                     single.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -1014,7 +951,7 @@ mod tests {
                 );
             }
         }
-        // k == 0 zero-fills like matvec_into.
+        // k == 0 zero-fills.
         let mut out = vec![1.0f32; 4];
         matvec_batch_into(&[], &[], &mut out, 2, 0, 2);
         assert_eq!(out, vec![0.0; 4]);
@@ -1030,7 +967,7 @@ mod tests {
             let mut at = vec![0.0f32; k * m];
             crate::transpose_into(a.as_slice(), k, m, &mut at);
             let mut reference = vec![0.0f32; m];
-            matvec_into(&at, x.as_slice(), &mut reference, m, k);
+            matvec_batch_into(&at, x.as_slice(), &mut reference, m, k, 1);
             let mut out = vec![f32::NAN; m];
             matvec_t_into(a.as_slice(), x.as_slice(), &mut out, m, k);
             assert_eq!(
@@ -1039,7 +976,7 @@ mod tests {
                 "shape {m}x{k}"
             );
         }
-        // k == 0 zero-fills like matvec_into.
+        // k == 0 zero-fills like matvec_batch_into.
         let mut out = vec![1.0f32; 4];
         matvec_t_into(&[], &[], &mut out, 4, 0);
         assert_eq!(out, vec![0.0; 4]);

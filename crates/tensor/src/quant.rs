@@ -15,15 +15,12 @@
 //!   fake-quant `f32` round trip in `ie_compress` and the integer plan
 //!   construction in `ie_nn`, so both paths derive bit-identical codes from
 //!   one scale;
-//! * two integer kernel families with `i32` accumulators: the
-//!   **classic-layout** kernels ([`gemm_i8_into`], [`gemm_i16_into`],
-//!   [`matvec_i8_into`], [`matvec_i16_into`] and their batched variants),
-//!   which mirror the `f32` GEMM's blocked register-tile structure and
-//!   operand layouts and serve as the cross-checked oracles, and the
-//!   **transposed madd** kernel ([`gemm_i16t_into`] with
-//!   [`transpose_widen_into`]) the execution plans actually run — on AVX2 an
-//!   `i32` lane multiply has no edge over `f32` FMA, so the fast path is the
-//!   `vpmaddwd`-shaped contiguous dot (see the kernel docs);
+//! * one integer GEMM with `i32` accumulators, the **transposed madd**
+//!   kernel [`gemm_i16t_into`] (with [`transpose_widen_into`] to build its
+//!   right operand), which both the quantized convolution and the quantized
+//!   dense layer run — on AVX2 an `i32` lane multiply has no edge over `f32`
+//!   FMA, so the fast path is the `vpmaddwd`-shaped contiguous dot (see the
+//!   kernel docs);
 //! * [`dequant_acc`] — the requantization epilogue's scalar step, fixed here
 //!   so the optimized kernels and the naive fake-quant reference agree bit
 //!   for bit.
@@ -31,13 +28,13 @@
 //! # Determinism and overflow
 //!
 //! Integer addition is associative, so — unlike the `f32` kernels — the
-//! blocked integer kernels are bit-identical to a naive triple loop by
-//! construction, regardless of tile shape. Accumulation uses **wrapping**
-//! `i32` arithmetic: a single `i8·i8` product is at most `2^14`, so the i8
-//! path is mathematically exact for depths up to `2^17`; the i16 path
-//! (products up to `2^30`) can wrap for adversarially large codes at large
-//! depths, in which case it wraps identically in the kernel and in the
-//! reference — deterministic on every platform, never undefined behaviour.
+//! vectorized integer GEMM is bit-identical to a naive triple loop by
+//! construction, whatever its evaluation order; that naive loop is its test
+//! oracle. Accumulation uses **wrapping** `i32` arithmetic: a single `i8·i8`
+//! product is at most `2^14`, so 8-bit codes are mathematically exact for
+//! depths up to `2^17`; full-range `i16` codes (products up to `2^30`) can
+//! wrap at large depths, in which case every tier wraps identically to the
+//! naive loop — deterministic on every platform, never undefined behaviour.
 
 use crate::dispatch::{self, IsaTier};
 
@@ -452,181 +449,6 @@ pub fn requant_rows_slice_into_tier(
         *o = p.quantize(dequant_acc(acc[i], corrs[i], scale, biases[i])).max(floor) as i8;
     }
 }
-
-/// Rows of `A` processed together by the integer register-tiled micro-kernel.
-const QGEMM_MR: usize = 4;
-/// Columns of `B` covered by one integer register tile.
-const QGEMM_NR: usize = 16;
-
-fn check_qgemm_lens<A, B>(a: &[A], b: &[B], out: &[i32], m: usize, k: usize, n: usize) {
-    assert_eq!(a.len(), m * k, "qgemm: lhs buffer length {} != {m}x{k}", a.len());
-    assert_eq!(b.len(), k * n, "qgemm: rhs buffer length {} != {k}x{n}", b.len());
-    assert_eq!(out.len(), m * n, "qgemm: out buffer length {} != {m}x{n}", out.len());
-}
-
-macro_rules! int_gemm {
-    ($name:ident, $ty:ty, $doc:literal) => {
-        #[doc = $doc]
-        ///
-        /// `a` is `[m, k]`, `b` is `[k, n]` and `out` is `[m, n]`, all
-        /// row-major. Accumulates in wrapping `i32`; integer addition is
-        /// associative, so the blocked tiles produce exactly the naive
-        /// triple-loop result. Never allocates.
-        ///
-        /// # Panics
-        ///
-        /// Panics when a buffer length does not match its `m`/`k`/`n`
-        /// dimensions.
-        pub fn $name(a: &[$ty], b: &[$ty], out: &mut [i32], m: usize, k: usize, n: usize) {
-            check_qgemm_lens(a, b, out, m, k, n);
-            out.fill(0);
-            if m == 0 || k == 0 || n == 0 {
-                return;
-            }
-            let n_main = n - n % QGEMM_NR;
-            for jb in (0..n_main).step_by(QGEMM_NR) {
-                let mut i = 0;
-                while i + QGEMM_MR <= m {
-                    let mut acc = [[0i32; QGEMM_NR]; QGEMM_MR];
-                    for p in 0..k {
-                        let brow: &[$ty; QGEMM_NR] =
-                            b[p * n + jb..p * n + jb + QGEMM_NR].try_into().expect("tile width");
-                        for (r, acc_row) in acc.iter_mut().enumerate() {
-                            let v = i32::from(a[(i + r) * k + p]);
-                            for t in 0..QGEMM_NR {
-                                acc_row[t] = acc_row[t].wrapping_add(v * i32::from(brow[t]));
-                            }
-                        }
-                    }
-                    for (r, acc_row) in acc.iter().enumerate() {
-                        let row = (i + r) * n + jb;
-                        out[row..row + QGEMM_NR].copy_from_slice(acc_row);
-                    }
-                    i += QGEMM_MR;
-                }
-                while i < m {
-                    let mut acc = [0i32; QGEMM_NR];
-                    let arow = &a[i * k..(i + 1) * k];
-                    for (p, &av) in arow.iter().enumerate() {
-                        let brow: &[$ty; QGEMM_NR] =
-                            b[p * n + jb..p * n + jb + QGEMM_NR].try_into().expect("tile width");
-                        let v = i32::from(av);
-                        for t in 0..QGEMM_NR {
-                            acc[t] = acc[t].wrapping_add(v * i32::from(brow[t]));
-                        }
-                    }
-                    out[i * n + jb..i * n + jb + QGEMM_NR].copy_from_slice(&acc);
-                    i += 1;
-                }
-            }
-            // Column remainder: plain row-major accumulation.
-            if n_main < n {
-                for i in 0..m {
-                    let arow = &a[i * k..(i + 1) * k];
-                    let orow = &mut out[i * n + n_main..(i + 1) * n];
-                    for (p, &av) in arow.iter().enumerate() {
-                        let v = i32::from(av);
-                        let brow = &b[p * n + n_main..(p + 1) * n];
-                        for (o, &bv) in orow.iter_mut().zip(brow) {
-                            *o = o.wrapping_add(v * i32::from(bv));
-                        }
-                    }
-                }
-            }
-        }
-    };
-}
-
-int_gemm!(
-    gemm_i8_into,
-    i8,
-    "Dense blocked i8 GEMM: writes `A·B` into the `i32` accumulator buffer."
-);
-int_gemm!(
-    gemm_i16_into,
-    i16,
-    "Dense blocked i16 GEMM: writes `A·B` into the `i32` accumulator buffer."
-);
-
-/// Lanes of the integer dot products (mirrors the `f32` `dot_lanes`).
-const QDOT_LANES: usize = 8;
-
-macro_rules! int_matvec {
-    ($name:ident, $batch_name:ident, $ty:ty) => {
-        /// Integer matrix–vector product into a caller-provided `i32`
-        /// accumulator buffer: `a` is `[m, k]`, `x` has `k` elements, `out`
-        /// has `m` elements. Wrapping `i32` accumulation; never allocates.
-        ///
-        /// # Panics
-        ///
-        /// Panics when a buffer length does not match its dimensions.
-        pub fn $name(a: &[$ty], x: &[$ty], out: &mut [i32], m: usize, k: usize) {
-            assert_eq!(a.len(), m * k, "qmatvec: matrix length {} != {m}x{k}", a.len());
-            assert_eq!(x.len(), k, "qmatvec: vector length {} != {k}", x.len());
-            assert_eq!(out.len(), m, "qmatvec: out length {} != {m}", out.len());
-            for (o, row) in out.iter_mut().zip(a.chunks_exact(k.max(1))) {
-                let mut acc = [0i32; QDOT_LANES];
-                let chunks = k / QDOT_LANES;
-                for c in 0..chunks {
-                    for t in 0..QDOT_LANES {
-                        let idx = c * QDOT_LANES + t;
-                        acc[t] = acc[t].wrapping_add(i32::from(row[idx]) * i32::from(x[idx]));
-                    }
-                }
-                let mut sum = 0i32;
-                for lane in acc {
-                    sum = sum.wrapping_add(lane);
-                }
-                for idx in chunks * QDOT_LANES..k {
-                    sum = sum.wrapping_add(i32::from(row[idx]) * i32::from(x[idx]));
-                }
-                *o = sum;
-            }
-            if k == 0 {
-                out.fill(0);
-            }
-        }
-
-        /// Batched integer matrix–vector product: one shared `[m, k]` matrix
-        /// against `batch` sample-major input vectors (`xs` is `[batch, k]`,
-        /// `out` is `[batch, m]`). Row-major over the matrix with samples
-        /// innermost, like the `f32` batched kernel; each sample's result is
-        /// identical to a separate single-vector call.
-        ///
-        /// # Panics
-        ///
-        /// Panics when a buffer length does not match its dimensions.
-        pub fn $batch_name(
-            a: &[$ty],
-            xs: &[$ty],
-            out: &mut [i32],
-            m: usize,
-            k: usize,
-            batch: usize,
-        ) {
-            assert_eq!(a.len(), m * k, "qmatvec_batch: matrix length {} != {m}x{k}", a.len());
-            assert_eq!(xs.len(), batch * k, "qmatvec_batch: vectors length mismatch");
-            assert_eq!(out.len(), batch * m, "qmatvec_batch: out length mismatch");
-            if k == 0 {
-                out.fill(0);
-                return;
-            }
-            for (i, row) in a.chunks_exact(k).enumerate() {
-                for s in 0..batch {
-                    let x = &xs[s * k..(s + 1) * k];
-                    let mut sum = 0i32;
-                    for (&w, &v) in row.iter().zip(x) {
-                        sum = sum.wrapping_add(i32::from(w) * i32::from(v));
-                    }
-                    out[s * m + i] = sum;
-                }
-            }
-        }
-    };
-}
-
-int_matvec!(matvec_i8_into, matvec_i8_batch_into, i8);
-int_matvec!(matvec_i16_into, matvec_i16_batch_into, i16);
 
 /// Depth alignment of the transposed madd GEMM operands: callers pad both
 /// operands' depth to a multiple of this (zero-filled — integer zeros
@@ -1234,66 +1056,57 @@ mod tests {
         out
     }
 
-    #[test]
-    fn i8_gemm_matches_naive_across_tile_boundaries() {
-        let mut rng = StdRng::seed_from_u64(1);
-        for (m, k, n) in [(1, 1, 1), (3, 5, 2), (4, 32, 16), (5, 33, 17), (8, 60, 40)] {
-            let a: Vec<i8> = (0..m * k).map(|_| rng.gen::<i8>()).collect();
-            let b: Vec<i8> = (0..k * n).map(|_| rng.gen::<i8>()).collect();
-            let mut out = vec![7i32; m * n];
-            gemm_i8_into(&a, &b, &mut out, m, k, n);
-            assert_eq!(out, naive_gemm(&a, &b, m, k, n), "shape {m}x{k}x{n}");
+    /// Widens and zero-pads `[m, k]` row-major codes to the `[m, kp]` rows
+    /// [`gemm_i16t_into`] reads, as the plans pack their operands.
+    fn pad_rows<T: Copy + Into<i16>>(codes: &[T], m: usize, k: usize, kp: usize) -> Vec<i16> {
+        let mut out = vec![0i16; m * kp];
+        for i in 0..m {
+            for p in 0..k {
+                out[i * kp + p] = codes[i * k + p].into();
+            }
         }
+        out
+    }
+
+    /// Transposes `[k, n]` row-major codes into the `[n, kp]` zero-padded
+    /// right operand of [`gemm_i16t_into`].
+    fn pad_cols<T: Copy + Into<i16>>(codes: &[T], k: usize, n: usize, kp: usize) -> Vec<i16> {
+        let mut out = vec![0i16; n * kp];
+        for p in 0..k {
+            for j in 0..n {
+                out[j * kp + p] = codes[p * n + j].into();
+            }
+        }
+        out
     }
 
     #[test]
-    fn i16_gemm_matches_naive_including_wrapping() {
+    fn madd_gemm_matches_naive_including_wrapping() {
         let mut rng = StdRng::seed_from_u64(2);
-        // Large codes at depth 40 force i32 wrap-around in some cells; the
-        // blocked kernel and the naive loop must wrap identically.
-        let (m, k, n) = (5, 40, 19);
-        let a: Vec<i16> = (0..m * k).map(|_| rng.gen::<i16>()).collect();
-        let b: Vec<i16> = (0..k * n).map(|_| rng.gen::<i16>()).collect();
-        let mut out = vec![0i32; m * n];
-        gemm_i16_into(&a, &b, &mut out, m, k, n);
-        assert_eq!(out, naive_gemm(&a, &b, m, k, n));
-    }
-
-    #[test]
-    fn matvec_kernels_match_gemm_column() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let (m, k) = (7, 29);
-        let a: Vec<i8> = (0..m * k).map(|_| rng.gen::<i8>()).collect();
-        let x: Vec<i8> = (0..k).map(|_| rng.gen::<i8>()).collect();
-        let mut out = vec![0i32; m];
-        matvec_i8_into(&a, &x, &mut out, m, k);
-        let mut reference = vec![0i32; m];
-        gemm_i8_into(&a, &x, &mut reference, m, k, 1);
-        assert_eq!(out, reference);
-        let a16: Vec<i16> = a.iter().map(|&v| i16::from(v)).collect();
-        let x16: Vec<i16> = x.iter().map(|&v| i16::from(v)).collect();
-        let mut out16 = vec![0i32; m];
-        matvec_i16_into(&a16, &x16, &mut out16, m, k);
-        assert_eq!(out16, reference);
-    }
-
-    #[test]
-    fn batched_matvec_matches_per_sample_matvec() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let (m, k, batch) = (5, 17, 6);
-        let a: Vec<i8> = (0..m * k).map(|_| rng.gen::<i8>()).collect();
-        let xs: Vec<i8> = (0..batch * k).map(|_| rng.gen::<i8>()).collect();
-        let mut batched = vec![0i32; batch * m];
-        matvec_i8_batch_into(&a, &xs, &mut batched, m, k, batch);
-        for s in 0..batch {
-            let mut single = vec![0i32; m];
-            matvec_i8_into(&a, &xs[s * k..(s + 1) * k], &mut single, m, k);
-            assert_eq!(&batched[s * m..(s + 1) * m], &single[..], "sample {s}");
+        // Full-range i16 codes at depths of 40 and more force i32
+        // wrap-around in some cells. Row 0 of A and column 0 of B hold only
+        // -32768, so cell (0, 0) sums `k` products of 2^30 and every
+        // multiply-add pair of it reaches 2^31: the vector tiers and the
+        // naive loop must wrap identically.
+        for (m, k, n) in [(5usize, 40usize, 19usize), (3, 64, 17), (4, 75, 9)] {
+            let mut a: Vec<i16> = (0..m * k).map(|_| rng.gen::<i16>()).collect();
+            let mut b: Vec<i16> = (0..k * n).map(|_| rng.gen::<i16>()).collect();
+            a[..k].fill(i16::MIN);
+            for p in 0..k {
+                b[p * n] = i16::MIN;
+            }
+            let expected = naive_gemm(&a, &b, m, k, n);
+            // The exact sum k·2^30 exceeds i32::MAX; the cell holds it mod 2^32.
+            assert_eq!(expected[0], (k as i64 * (1 << 30)) as i32);
+            for kp in [k, k.next_multiple_of(MADD_DEPTH_ALIGN)] {
+                let (at, bt) = (pad_rows(&a, m, k, kp), pad_cols(&b, k, n, kp));
+                for &tier in crate::dispatch::supported_tiers() {
+                    let mut out = vec![7i32; m * n];
+                    gemm_i16t_into_tier(tier, &at, &bt, &mut out, m, kp, n);
+                    assert_eq!(out, expected, "tier {tier:?} shape {m}x{k}x{n} padded to {kp}");
+                }
+            }
         }
-        // k == 0 zero-fills.
-        let mut out = vec![9i32; 4];
-        matvec_i8_batch_into(&[], &[], &mut out, 2, 0, 2);
-        assert_eq!(out, vec![0; 4]);
     }
 
     #[test]
@@ -1326,26 +1139,15 @@ mod tests {
 
     #[test]
     fn transposed_madd_gemm_matches_the_classic_layout_kernel() {
+        // The oracle is `naive_gemm`, the classic-layout triple loop.
         let mut rng = StdRng::seed_from_u64(5);
         for (m, k, n) in [(1usize, 1usize, 1usize), (4, 17, 9), (7, 75, 20), (16, 80, 33)] {
             let a8: Vec<i8> = (0..m * k).map(|_| rng.gen::<i8>()).collect();
             let b8: Vec<i8> = (0..k * n).map(|_| rng.gen::<i8>()).collect();
-            let mut classic = vec![0i32; m * n];
-            gemm_i8_into(&a8, &b8, &mut classic, m, k, n);
+            let classic = naive_gemm(&a8, &b8, m, k, n);
             // Widen + transpose + zero-pad the depth, as the plans do.
             let kp = k.next_multiple_of(MADD_DEPTH_ALIGN);
-            let mut at = vec![0i16; m * kp];
-            for i in 0..m {
-                for p in 0..k {
-                    at[i * kp + p] = i16::from(a8[i * k + p]);
-                }
-            }
-            let mut bt = vec![0i16; n * kp];
-            for p in 0..k {
-                for j in 0..n {
-                    bt[j * kp + p] = i16::from(b8[p * n + j]);
-                }
-            }
+            let (at, bt) = (pad_rows(&a8, m, k, kp), pad_cols(&b8, k, n, kp));
             let mut transposed = vec![7i32; m * n];
             gemm_i16t_into(&at, &bt, &mut transposed, m, kp, n);
             assert_eq!(transposed, classic, "shape {m}x{k}x{n}");

@@ -1,6 +1,6 @@
 //! A reusable scratch arena for allocation-free kernel pipelines.
 //!
-//! The out-parameter kernels ([`crate::gemm_into`], [`crate::im2col_into`],
+//! The out-parameter kernels ([`crate::gemm_into`], [`crate::im2col_batch_into`],
 //! …) need somewhere to write. A [`Workspace`] owns a small set of grow-only
 //! `f32` buffers ("slots") that a caller sizes once — typically from a static
 //! execution plan — and then borrows on every inference without touching the

@@ -1,6 +1,8 @@
 //! Property-based tests of the tensor substrate.
 
-use ie_tensor::{col2im, col2im_into, im2col, im2col_into, Conv2dGeometry, Tensor, Workspace};
+use ie_tensor::{
+    col2im, col2im_into, im2col, im2col_batch_into, Conv2dGeometry, Tensor, Workspace,
+};
 use proptest::prelude::*;
 
 fn arb_matrix(max_dim: usize) -> impl Strategy<Value = Tensor> {
@@ -119,8 +121,8 @@ proptest! {
         }
     }
 
-    /// `im2col_into` / `col2im_into` are bit-identical to the allocating
-    /// versions across random geometries, including when the target buffers
+    /// `im2col_batch_into` at batch 1 and `col2im_into` are bit-identical to
+    /// the allocating versions across random geometries, including when the target buffers
     /// start out dirty (reuse must fully overwrite them).
     #[test]
     fn im2col_and_col2im_into_are_bit_identical(
@@ -138,7 +140,7 @@ proptest! {
         let mut ws = Workspace::new();
         ws.ensure_slot(0, geom.col_len());
         ws.slot_mut(0).fill(f32::NAN); // poison: stale state must not leak
-        im2col_into(image.as_slice(), &geom, &mut ws.slot_mut(0)[..geom.col_len()])
+        im2col_batch_into(image.as_slice(), 1, &geom, &mut ws.slot_mut(0)[..geom.col_len()])
             .expect("valid geometry");
         for (w, r) in ws.slot(0)[..geom.col_len()].iter().zip(cols_ref.as_slice()) {
             prop_assert_eq!(w.to_bits(), r.to_bits());

@@ -77,12 +77,12 @@ proptest! {
         let data = mulberry(seed, m * k + batch * k);
         let (a, xs) = data.split_at(m * k);
         let mut base_single = vec![0.0f32; m];
-        tiered::matvec_into(IsaTier::Portable, a, &xs[..k], &mut base_single, m, k);
+        tiered::matvec_batch_into(IsaTier::Portable, a, &xs[..k], &mut base_single, m, k, 1);
         let mut base_batch = vec![0.0f32; batch * m];
         tiered::matvec_batch_into(IsaTier::Portable, a, xs, &mut base_batch, m, k, batch);
         for &tier in &supported_tiers()[1..] {
             let mut single = vec![0.0f32; m];
-            tiered::matvec_into(tier, a, &xs[..k], &mut single, m, k);
+            tiered::matvec_batch_into(tier, a, &xs[..k], &mut single, m, k, 1);
             prop_assert_eq!(bits_f32(&base_single), bits_f32(&single), "tier {:?}", tier);
             let mut batched = vec![0.0f32; batch * m];
             tiered::matvec_batch_into(tier, a, xs, &mut batched, m, k, batch);
