@@ -725,7 +725,7 @@ fn main() {
         .iter()
         .map(|l| {
             if l.is_conv {
-                if l.first_exit == 0 {
+                if l.first_exit() == 0 {
                     ie_compress::LayerPolicy::new(0.5, 8, 8).unwrap()
                 } else {
                     ie_compress::LayerPolicy::new(0.25, 4, 8).unwrap()

@@ -25,7 +25,7 @@ pub fn reference_nonuniform_policy(layers: &[CompressibleLayer]) -> CompressionP
         .iter()
         .map(|l| {
             if l.is_conv {
-                if l.first_exit == 0 {
+                if l.first_exit() == 0 {
                     LayerPolicy::new(0.5, 8, 8).expect("static policy values are valid")
                 } else {
                     LayerPolicy::new(0.25, 4, 8).expect("static policy values are valid")

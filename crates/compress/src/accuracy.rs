@@ -364,7 +364,7 @@ mod tests {
         let nonuniform: CompressionPolicy = ls
             .iter()
             .map(|l| {
-                if l.first_exit == 0 {
+                if l.first_exit() == 0 {
                     crate::LayerPolicy::new(0.9, 8, 8).unwrap()
                 } else if l.is_conv {
                     crate::LayerPolicy::new(0.6, 6, 6).unwrap()

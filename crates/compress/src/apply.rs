@@ -13,7 +13,7 @@ use ie_nn::dataset::Sample;
 use ie_nn::quant::{LayerQuantConfig, QuantConfig, QuantKernel};
 use ie_nn::{Layer, MultiExitNetwork};
 use ie_tensor::quant::MAX_ACT_BITS;
-use ie_tensor::QuantParams;
+use ie_tensor::{QuantParams, Tensor};
 
 /// Applies `policy` to `network` in place.
 ///
@@ -26,52 +26,40 @@ use ie_tensor::QuantParams;
 /// Returns [`CompressionPolicy::validate`]'s errors for a policy that does
 /// not cover every parameterised layer or has an out-of-range entry.
 pub fn apply_policy(network: &mut MultiExitNetwork, policy: &CompressionPolicy) -> Result<()> {
-    let expected = network.architecture().compressible_layers().len();
-    policy.validate(expected)?;
-    let mut index = 0usize;
-    let num_exits = network.num_exits();
-    for exit in 0..num_exits {
-        // Trunk segment `exit` first, then branch `exit`, matching the spec order.
-        for part in [true, false] {
-            let layers = if part {
-                &mut network.segments_mut()[exit]
-            } else {
-                &mut network.branches_mut()[exit]
-            };
-            for layer in layers.iter_mut() {
-                let Some(policy_entry) = policy.layer(index).copied() else {
-                    continue;
-                };
-                match layer {
-                    Layer::Conv2d(conv) => {
-                        prune_weight(conv.weight_mut(), policy_entry.preserve_ratio);
-                        let q = quantize_weights(conv.weight(), policy_entry.weight_bits);
-                        *conv.weight_mut() = q.values;
-                        // Pruned filters have zeroed channel blocks: route this
-                        // layer's forward passes through the sparsity-aware
-                        // GEMM, which skips them. The dense (unpruned) path
-                        // keeps the branch-free blocked kernel.
-                        conv.set_sparse_hint(policy_entry.preserve_ratio < 1.0);
-                        index += 1;
-                    }
-                    Layer::Dense(dense) => {
-                        prune_weight(dense.weight_mut(), policy_entry.preserve_ratio);
-                        let q = quantize_weights(dense.weight(), policy_entry.weight_bits);
-                        *dense.weight_mut() = q.values;
-                        index += 1;
-                    }
-                    _ => {}
-                }
-            }
-        }
+    policy.validate(network.architecture().compressible_layers().len())?;
+    for (layer, entry) in network.compressible_layers_mut().zip(policy.layers()) {
+        let (_, weight) = prune_layer(layer, entry.preserve_ratio);
+        *weight = quantize_weights(weight, entry.weight_bits).values;
     }
     Ok(())
+}
+
+/// The prune step every policy applier shares: zeroes the least important
+/// input channels of one compressible layer to `preserve_ratio`, and hands
+/// back the pruned channels and the layer's weights.
+///
+/// A convolution is flagged for the sparsity-aware GEMM exactly when a
+/// channel was pruned: that kernel skips zeroed channel blocks, while on an
+/// unpruned layer its zero test is pure cost. Both kernels give the same
+/// bits on finite inputs, so the flag only picks the kernel.
+pub(crate) fn prune_layer(layer: &mut Layer, preserve_ratio: f32) -> (Vec<usize>, &mut Tensor) {
+    match layer {
+        Layer::Conv2d(conv) => {
+            let pruned = prune_weight(conv.weight_mut(), preserve_ratio);
+            conv.set_sparse_hint(!pruned.is_empty());
+            (pruned, conv.weight_mut())
+        }
+        Layer::Dense(dense) => {
+            (prune_weight(dense.weight_mut(), preserve_ratio), dense.weight_mut())
+        }
+        _ => unreachable!("the compressible-layer walk yields only conv and dense layers"),
+    }
 }
 
 /// Observed `[min, max]` ranges of every compressible layer's input
 /// activation (canonical order), measured by running the calibration samples
 /// through the network's allocating forward path.
-pub(crate) fn calibrate_ranges(
+fn calibrate_ranges(
     network: &MultiExitNetwork,
     samples: &[Sample],
     layers: usize,
@@ -141,79 +129,45 @@ pub fn apply_policy_quantized(
     if calibration.is_empty() {
         return Err(CompressError::EmptyCalibrationSet);
     }
-    // Pass 1: prune in place; integer-kernel layers keep pruned f32 weights
-    // and record their MSE-searched scale, f32-kernel layers get the usual
+    // Prune in place; integer-kernel layers keep pruned f32 weights and
+    // record their MSE-searched scale, f32-kernel layers get the usual
     // fake-quant round trip.
-    let mut index = 0usize;
-    let mut weight_quant: Vec<Option<(u8, f32, u8)>> = Vec::with_capacity(expected);
-    let num_exits = network.num_exits();
-    for exit in 0..num_exits {
-        for part in [true, false] {
-            let layers = if part {
-                &mut network.segments_mut()[exit]
-            } else {
-                &mut network.branches_mut()[exit]
-            };
-            for layer in layers.iter_mut() {
-                let Some(policy_entry) = policy.layer(index).copied() else {
-                    continue;
-                };
-                let integer = QuantKernel::for_weight_bits(policy_entry.weight_bits).is_some()
-                    && policy_entry.activation_bits <= MAX_ACT_BITS;
-                match layer {
-                    Layer::Conv2d(conv) => {
-                        prune_weight(conv.weight_mut(), policy_entry.preserve_ratio);
-                        let q = quantize_weights(conv.weight(), policy_entry.weight_bits);
-                        if integer {
-                            weight_quant.push(Some((
-                                policy_entry.weight_bits,
-                                q.scale,
-                                policy_entry.activation_bits,
-                            )));
-                        } else {
-                            *conv.weight_mut() = q.values;
-                            weight_quant.push(None);
-                        }
-                        conv.set_sparse_hint(policy_entry.preserve_ratio < 1.0);
-                        index += 1;
-                    }
-                    Layer::Dense(dense) => {
-                        prune_weight(dense.weight_mut(), policy_entry.preserve_ratio);
-                        let q = quantize_weights(dense.weight(), policy_entry.weight_bits);
-                        if integer {
-                            weight_quant.push(Some((
-                                policy_entry.weight_bits,
-                                q.scale,
-                                policy_entry.activation_bits,
-                            )));
-                        } else {
-                            *dense.weight_mut() = q.values;
-                            weight_quant.push(None);
-                        }
-                        index += 1;
-                    }
-                    _ => {}
-                }
-            }
-        }
+    let mut weight_quant = Vec::with_capacity(expected);
+    for (layer, entry) in network.compressible_layers_mut().zip(policy.layers()) {
+        let (_, weight) = prune_layer(layer, entry.preserve_ratio);
+        let q = quantize_weights(weight, entry.weight_bits);
+        let integer = QuantKernel::for_weight_bits(entry.weight_bits).is_some()
+            && entry.activation_bits <= MAX_ACT_BITS;
+        weight_quant.push(if integer {
+            Some((entry.weight_bits, q.scale, entry.activation_bits))
+        } else {
+            *weight = q.values;
+            None
+        });
     }
-    // Pass 2: observe every quantized layer's input range on the pruned
-    // network, then assemble the per-layer integer parameters.
-    let ranges = calibrate_ranges(network, calibration, expected)?;
-    let layers = weight_quant
-        .into_iter()
-        .zip(ranges)
-        .map(|(entry, (min, max))| {
-            entry.map(|(weight_bits, weight_scale, act_bits)| LayerQuantConfig {
-                weight_bits,
-                weight_scale,
-                // Zero must stay representable (the quantized im2col pads
-                // with the zero point), so the range always includes it.
-                input: QuantParams::from_range(min.min(0.0), max.max(0.0), act_bits),
-            })
+    calibrated_config(network, calibration, weight_quant)
+}
+
+/// Assembles the [`QuantConfig`] of a pruned network: pairs each layer's
+/// `(weight bits, weight scale, activation bits)` — `None` keeps the layer on
+/// `f32` — with the input range `calibration` produces on `network`.
+pub(crate) fn calibrated_config(
+    network: &MultiExitNetwork,
+    calibration: &[Sample],
+    weight_quant: Vec<Option<(u8, f32, u8)>>,
+) -> Result<QuantConfig> {
+    let ranges = calibrate_ranges(network, calibration, weight_quant.len())?;
+    let layers = weight_quant.into_iter().zip(ranges).map(|(entry, (min, max))| {
+        entry.map(|(weight_bits, weight_scale, act_bits)| LayerQuantConfig {
+            weight_bits,
+            weight_scale,
+            // Zero must stay representable (post-ReLU activations include it
+            // and the quantized im2col pads with the zero point), so the
+            // range always includes it.
+            input: QuantParams::from_range(min.min(0.0), max.max(0.0), act_bits),
         })
-        .collect();
-    Ok(QuantConfig::from_layers(layers))
+    });
+    Ok(QuantConfig::from_layers(layers.collect()))
 }
 
 #[cfg(test)]

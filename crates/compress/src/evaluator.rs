@@ -206,8 +206,8 @@ impl PolicyEvaluator {
             let eff_params = (layer.weight_params as f64 * ratio).round() as u64;
             profile.total_flops += eff_macs;
             profile.model_size_bytes += storage_bytes(eff_params, lp.weight_bits.min(32));
-            if !layer.in_trunk {
-                profile.branch_flops[layer.first_exit] += eff_macs;
+            if !layer.in_trunk() {
+                profile.branch_flops[layer.first_exit()] += eff_macs;
             }
             for (exit, flops) in profile.exit_flops.iter_mut().enumerate() {
                 if layer.used_by_exit(exit) {
@@ -276,7 +276,7 @@ mod tests {
             .iter()
             .map(|l| {
                 if l.is_conv {
-                    if l.first_exit == 0 {
+                    if l.first_exit() == 0 {
                         LayerPolicy::new(0.5, 8, 8).unwrap()
                     } else {
                         LayerPolicy::new(0.25, 4, 8).unwrap()

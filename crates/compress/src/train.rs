@@ -10,15 +10,14 @@
 //! Pruned channels are re-zeroed after every optimiser step, so the sparsity
 //! structure the policy chose survives finetuning.
 
-use crate::apply::calibrate_ranges;
-use crate::pruning::{prune_weight, zero_channels};
+use crate::apply::{calibrated_config, prune_layer};
+use crate::pruning::zero_channels;
 use crate::quantize::quantize_weights;
 use crate::{CompressError, CompressionPolicy, Result};
 use ie_nn::dataset::Sample;
-use ie_nn::quant::{LayerQuantConfig, QuantConfig};
+use ie_nn::quant::QuantConfig;
 use ie_nn::train::BatchBackwardPlan;
-use ie_nn::{Layer, MultiExitNetwork};
-use ie_tensor::QuantParams;
+use ie_nn::MultiExitNetwork;
 
 /// Widest weight bitwidth the fake-quant training plan models; wider layers
 /// train in full precision (their policy entry becomes a `None` config).
@@ -67,120 +66,43 @@ pub struct FinetuneOutcome {
     pub epoch_loss: Vec<f32>,
 }
 
-/// One pruned layer's re-zeroing recipe: which compressible layer (canonical
-/// index) and which input channels to clear after each optimiser step.
-#[derive(Debug, Clone)]
-struct PruneMask {
-    index: usize,
-    channels: Vec<usize>,
-}
-
-/// Walks the network's parameterised layers in canonical compressible order
-/// (trunk segment 0, branch 0, trunk segment 1, …), calling `f` with the
-/// canonical index and the layer.
-fn for_each_compressible<F>(network: &mut MultiExitNetwork, mut f: F) -> Result<()>
-where
-    F: FnMut(usize, &mut Layer) -> Result<()>,
-{
-    let mut index = 0usize;
-    for exit in 0..network.num_exits() {
-        for part in [true, false] {
-            let layers = if part {
-                &mut network.segments_mut()[exit]
-            } else {
-                &mut network.branches_mut()[exit]
-            };
-            for layer in layers.iter_mut() {
-                if layer.is_parameterised() {
-                    f(index, layer)?;
-                    index += 1;
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Prunes `network` in place per `policy` and derives the fake-quant
 /// configuration: per-layer MSE-searched weight scales (on the pruned
 /// weights) plus activation ranges calibrated on `calibration`. Master
 /// weights stay full precision — quantization is applied inside the training
-/// forward pass, not to the stored tensors.
+/// forward pass, not to the stored tensors. Also returns each compressible
+/// layer's pruned input channels, in canonical order.
 fn prepare(
     network: &mut MultiExitNetwork,
     policy: &CompressionPolicy,
     calibration: &[Sample],
-) -> Result<(QuantConfig, Vec<PruneMask>)> {
+) -> Result<(QuantConfig, Vec<Vec<usize>>)> {
     let expected = network.architecture().compressible_layers().len();
     policy.validate(expected)?;
     if calibration.is_empty() {
         return Err(CompressError::EmptyCalibrationSet);
     }
-    let mut masks = Vec::new();
-    let mut scales: Vec<Option<(u8, f32, u8)>> = Vec::with_capacity(expected);
-    for_each_compressible(network, |index, layer| {
-        let Some(entry) = policy.layer(index).copied() else {
-            scales.push(None);
-            return Ok(());
-        };
-        let weight = match layer {
-            Layer::Conv2d(conv) => conv.weight_mut(),
-            Layer::Dense(dense) => dense.weight_mut(),
-            _ => unreachable!("parameterised layers are conv or dense"),
-        };
-        let pruned = prune_weight(weight, entry.preserve_ratio);
-        if entry.weight_bits <= MAX_FAKE_QUANT_WEIGHT_BITS {
-            let q = quantize_weights(weight, entry.weight_bits);
-            scales.push(Some((
-                entry.weight_bits,
-                q.scale,
-                entry.activation_bits.min(MAX_FAKE_QUANT_ACT_BITS),
-            )));
-        } else {
-            scales.push(None);
-        }
-        if !pruned.is_empty() {
-            if let Layer::Conv2d(conv) = layer {
-                conv.set_sparse_hint(true);
-            }
-            masks.push(PruneMask { index, channels: pruned });
-        }
-        Ok(())
-    })?;
-    // Observe every layer's input range on the pruned network and pair each
-    // weight scale with calibrated activation parameters. Zero stays
-    // representable (post-ReLU activations include it and the quantized
-    // kernels pad with the zero point).
-    let ranges = calibrate_ranges(network, calibration, expected)?;
-    let entries = scales
-        .into_iter()
-        .zip(ranges)
-        .map(|(entry, (min, max))| {
-            entry.map(|(weight_bits, weight_scale, act_bits)| LayerQuantConfig {
-                weight_bits,
-                weight_scale,
-                input: QuantParams::from_range(min.min(0.0), max.max(0.0), act_bits),
-            })
-        })
-        .collect();
-    Ok((QuantConfig::from_layers(entries), masks))
+    let mut masks = Vec::with_capacity(expected);
+    let mut scales = Vec::with_capacity(expected);
+    for (layer, entry) in network.compressible_layers_mut().zip(policy.layers()) {
+        let (pruned, weight) = prune_layer(layer, entry.preserve_ratio);
+        scales.push((entry.weight_bits <= MAX_FAKE_QUANT_WEIGHT_BITS).then(|| {
+            let scale = quantize_weights(weight, entry.weight_bits).scale;
+            (entry.weight_bits, scale, entry.activation_bits.min(MAX_FAKE_QUANT_ACT_BITS))
+        }));
+        masks.push(pruned);
+    }
+    Ok((calibrated_config(network, calibration, scales)?, masks))
 }
 
-/// Re-applies the pruning masks to the master weights.
-fn reapply_masks(network: &mut MultiExitNetwork, masks: &[PruneMask]) -> Result<()> {
-    let mut next = 0usize;
-    for_each_compressible(network, |index, layer| {
-        if next < masks.len() && masks[next].index == index {
-            let weight = match layer {
-                Layer::Conv2d(conv) => conv.weight_mut(),
-                Layer::Dense(dense) => dense.weight_mut(),
-                _ => unreachable!("parameterised layers are conv or dense"),
-            };
-            zero_channels(weight, &masks[next].channels);
-            next += 1;
+/// Re-zeroes each compressible layer's pruned input channels (`masks`, in
+/// canonical order) in the master weights.
+fn reapply_masks(network: &mut MultiExitNetwork, masks: &[Vec<usize>]) {
+    for (layer, channels) in network.compressible_layers_mut().zip(masks) {
+        if let Some(weight) = layer.weight_mut() {
+            zero_channels(weight, channels);
         }
-        Ok(())
-    })
+    }
 }
 
 /// Prunes `network` per `policy` and finetunes it with
@@ -222,7 +144,7 @@ pub fn finetune_compressed(
                 config.threads,
             )?;
             count += batch.len();
-            reapply_masks(network, &masks)?;
+            reapply_masks(network, &masks);
         }
         epoch_loss.push(if count == 0 { 0.0 } else { total / count as f32 });
     }
@@ -235,6 +157,7 @@ mod tests {
     use crate::LayerPolicy;
     use ie_nn::dataset::SyntheticDataset;
     use ie_nn::spec::tiny_multi_exit;
+    use ie_nn::Layer;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

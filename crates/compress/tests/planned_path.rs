@@ -3,7 +3,7 @@
 //! pruned channels and flipped the affected conv layers onto the
 //! sparsity-aware GEMM.
 
-use ie_compress::{apply::apply_policy, CompressionPolicy};
+use ie_compress::{apply::apply_policy, pruning::channel_importance, CompressionPolicy};
 use ie_nn::spec::tiny_multi_exit;
 use ie_nn::{Layer, MultiExitNetwork};
 use ie_tensor::Tensor;
@@ -20,11 +20,22 @@ fn pruning_flips_conv_layers_onto_the_sparse_kernel() {
     let mut net = network(1);
     let n = net.architecture().compressible_layers().len();
     apply_policy(&mut net, &CompressionPolicy::uniform(n, 0.5, 8, 8).unwrap()).unwrap();
+    // A conv takes the sparse-aware GEMM exactly when pruning zeroed one of
+    // its input-channel blocks; the tiny net's 1-channel Conv1 keeps its only
+    // channel at any ratio, so only Conv2 is flagged.
+    let mut flagged = 0;
     for layer in net.segments().iter().flatten() {
         if let Layer::Conv2d(conv) = layer {
-            assert!(conv.sparse_hint(), "pruned conv layers must use the sparse-aware GEMM");
+            let pruned = channel_importance(conv.weight()).contains(&0.0);
+            assert_eq!(
+                conv.sparse_hint(),
+                pruned,
+                "sparse flag set exactly when a channel is pruned"
+            );
+            flagged += usize::from(pruned);
         }
     }
+    assert!(flagged > 0, "a uniform 0.5 policy prunes at least one conv");
     let mut untouched = network(1);
     apply_policy(&mut untouched, &CompressionPolicy::full_precision(n)).unwrap();
     for layer in untouched.segments().iter().flatten() {

@@ -232,7 +232,7 @@ mod tests {
             .iter()
             .map(|l| {
                 if l.is_conv {
-                    if l.first_exit == 0 {
+                    if l.first_exit() == 0 {
                         LayerPolicy::new(0.5, 8, 8).unwrap()
                     } else {
                         LayerPolicy::new(0.25, 4, 8).unwrap()

@@ -43,6 +43,7 @@
 //! full-precision master weights. With an empty configuration the fake-quant
 //! plan is bitwise identical to the plain one.
 
+use crate::batch::pair;
 use crate::layer::Layer;
 use crate::loss::softmax_into;
 use crate::quant::QuantConfig;
@@ -328,62 +329,41 @@ impl BackwardPlan {
                 compressible.len()
             )));
         }
-        let mut weights_len = 0usize;
-        let mut acts_len = 0usize;
-        let mut trunk_entries: Vec<Vec<Option<FqEntry>>> =
-            plan.trunk_steps.iter().map(|s| vec![None; s.len()]).collect();
-        let mut branch_entries: Vec<Vec<Option<FqEntry>>> =
-            plan.branch_steps.iter().map(|s| vec![None; s.len()]).collect();
-        let mut ci = 0usize;
-        // Builds the fq entry for compressible layer `ci` (or advances past
-        // an uncovered one), returning the entry to record.
-        let mut build_entry =
-            |ci: usize, spec: &LayerSpec, in_len: usize| -> Result<Option<FqEntry>> {
-                let Some(lq) = &config.layers()[ci] else { return Ok(None) };
-                if !(1..=16).contains(&lq.weight_bits) {
-                    return Err(NnError::InvalidSpec(format!(
-                        "fake-quant layer {ci} has unsupported weight bits {}",
-                        lq.weight_bits
-                    )));
-                }
-                if !(lq.weight_scale.is_finite() && lq.weight_scale > 0.0) {
-                    return Err(NnError::InvalidSpec(format!(
-                        "fake-quant layer {ci} has invalid weight scale {}",
-                        lq.weight_scale
-                    )));
-                }
-                let w_len = spec.weight_params() as usize;
-                let entry = FqEntry {
-                    w_off: weights_len,
-                    w_len,
-                    x_off: acts_len,
-                    weight_bits: lq.weight_bits,
-                    weight_scale: lq.weight_scale,
-                    input: lq.input,
-                };
-                weights_len += w_len;
-                acts_len += in_len;
-                Ok(Some(entry))
-            };
-        // The compressible order interleaves per exit: segment `e`'s
-        // parameterised layers, then branch `e`'s.
-        for exit in 0..arch.num_exits() {
-            for (j, spec) in arch.segments()[exit].iter().enumerate() {
-                if !spec.is_parameterised() {
-                    continue;
-                }
-                trunk_entries[exit][j] = build_entry(ci, spec, plan.trunk_steps[exit][j].in_len)?;
-                ci += 1;
+        let unset = |steps: &[Vec<StepIo>]| -> Vec<Vec<Option<FqEntry>>> {
+            steps.iter().map(|s| vec![None; s.len()]).collect()
+        };
+        let (mut trunk_entries, mut branch_entries) =
+            (unset(&plan.trunk_steps), unset(&plan.branch_steps));
+        let (mut weights_len, mut acts_len) = (0usize, 0usize);
+        for (ci, (spec, lq)) in compressible.iter().zip(config.layers()).enumerate() {
+            let Some(lq) = lq else { continue };
+            if !(1..=16).contains(&lq.weight_bits) {
+                return Err(NnError::InvalidSpec(format!(
+                    "fake-quant layer {ci} has unsupported weight bits {}",
+                    lq.weight_bits
+                )));
             }
-            for (j, spec) in arch.branches()[exit].iter().enumerate() {
-                if !spec.is_parameterised() {
-                    continue;
-                }
-                branch_entries[exit][j] = build_entry(ci, spec, plan.branch_steps[exit][j].in_len)?;
-                ci += 1;
+            if !(lq.weight_scale.is_finite() && lq.weight_scale > 0.0) {
+                return Err(NnError::InvalidSpec(format!(
+                    "fake-quant layer {ci} has invalid weight scale {}",
+                    lq.weight_scale
+                )));
             }
+            let trunk = (&mut trunk_entries, &plan.trunk_steps);
+            let ((entries, steps), list, pos) =
+                spec.site.pick(trunk, (&mut branch_entries, &plan.branch_steps));
+            let w_len = spec.weight_params as usize;
+            entries[list][pos] = Some(FqEntry {
+                w_off: weights_len,
+                w_len,
+                x_off: acts_len,
+                weight_bits: lq.weight_bits,
+                weight_scale: lq.weight_scale,
+                input: lq.input,
+            });
+            weights_len += w_len;
+            acts_len += steps[list][pos].in_len;
         }
-        debug_assert_eq!(ci, compressible.len());
         plan.quant = Some(config.clone());
         plan.fq = Some(FqState {
             weights: vec![0.0; weights_len],
@@ -463,13 +443,9 @@ impl BackwardPlan {
         for (layers, entries) in groups {
             for (s, group) in layers.iter().enumerate() {
                 for (j, layer) in group.iter().enumerate() {
-                    let Some(e) = &entries[s][j] else { continue };
-                    let w = match layer {
-                        Layer::Conv2d(c) => c.weight().as_slice(),
-                        Layer::Dense(d) => d.weight().as_slice(),
-                        _ => continue,
-                    };
+                    let (Some(e), Some(w)) = (&entries[s][j], layer.weight()) else { continue };
                     debug_assert_eq!(w.len(), e.w_len);
+                    let w = w.as_slice();
                     for (q, &v) in fq.weights[e.w_off..e.w_off + e.w_len].iter_mut().zip(w) {
                         *q = ie_tensor::weight_code(v, e.weight_scale, e.weight_bits) as f32
                             * e.weight_scale;
@@ -808,12 +784,8 @@ fn backward_layer(
     if matches!(layer, Layer::Flatten(_)) {
         return Ok(());
     }
-    let (lo, hi) = grad.split_at_mut(1);
-    let (src, dst) = if *gslot == 0 {
-        (&lo[0][..step.out_len], &mut hi[0][..step.in_len])
-    } else {
-        (&hi[0][..step.out_len], &mut lo[0][..step.in_len])
-    };
+    let (src, dst) = pair(grad, *gslot);
+    let (src, dst) = (&src[..step.out_len], &mut dst[..step.in_len]);
     let input = &acts[step.in_off..step.in_off + step.in_len];
     match layer {
         Layer::Relu(_) => {
@@ -913,7 +885,7 @@ impl MultiExitNetwork {
 mod tests {
     use super::*;
     use crate::quant::config_from_bits;
-    use crate::spec::{lenet_multi_exit, tiny_multi_exit};
+    use crate::spec::{lenet_multi_exit, tiny_multi_exit, LayerSite};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1178,6 +1150,55 @@ mod tests {
                         "seed {seed} round {round} exit {exit}: {planned} vs {reference}"
                     );
                 }
+            }
+        }
+    }
+
+    /// The sites whose entry is set, in lists aligned with the trunk
+    /// segments (`trunk`) and the branches (`branch`).
+    fn set_sites<T>(trunk: &[&[Option<T>]], branch: &[&[Option<T>]]) -> Vec<LayerSite> {
+        let mut sites = Vec::new();
+        for (segment, list) in trunk.iter().enumerate() {
+            let set = list.iter().enumerate().filter(|(_, entry)| entry.is_some());
+            sites.extend(set.map(|(layer, _)| LayerSite::Trunk { segment, layer }));
+        }
+        for (exit, list) in branch.iter().enumerate() {
+            let set = list.iter().enumerate().filter(|(_, entry)| entry.is_some());
+            sites.extend(set.map(|(layer, _)| LayerSite::Branch { exit, layer }));
+        }
+        sites
+    }
+
+    #[test]
+    fn a_one_hot_config_lands_on_its_site_in_both_builders() {
+        // Config entry `i` belongs to the layer at `compressible_layers()[i]`'s
+        // site: `config_from_bits` takes its scale from that layer's weights,
+        // and the quantized model and the fake-quant plan cover that site and
+        // no other.
+        for (arch, seed) in [(lenet_multi_exit(), 91u64), (tiny_multi_exit(3), 92)] {
+            let net = net_for(&arch, seed);
+            let layers = arch.compressible_layers();
+            for (i, target) in layers.iter().enumerate() {
+                let mut entries = vec![None; layers.len()];
+                entries[i] = Some((8, QuantParams::from_range(-2.0, 2.0, 8)));
+                let config = config_from_bits(&net, &entries).unwrap();
+                let weights = net.layer_at(target.site).and_then(Layer::weight).unwrap();
+                let max_abs = weights.as_slice().iter().fold(0.0f32, |m, &w| m.max(w.abs()));
+                let scale = config.layers()[i].unwrap().weight_scale;
+                assert_eq!(scale, max_abs / 127.0, "{}: scale of another layer", target.name);
+
+                let model = crate::quant::QuantizedModel::for_network(&net, &config).unwrap();
+                let trunk: Vec<_> = (0..arch.num_exits()).map(|e| model.segment(e)).collect();
+                let branch: Vec<_> = (0..arch.num_exits()).map(|e| model.branch(e)).collect();
+                let sites = set_sites(&trunk, &branch);
+                assert_eq!(sites, [target.site], "quantized {}", target.name);
+
+                let plan = BackwardPlan::for_architecture_fake_quant(&arch, &config).unwrap();
+                let fq = plan.fq.as_ref().expect("a fake-quant plan");
+                let trunk: Vec<_> = fq.trunk_entries.iter().map(Vec::as_slice).collect();
+                let branch: Vec<_> = fq.branch_entries.iter().map(Vec::as_slice).collect();
+                let sites = set_sites(&trunk, &branch);
+                assert_eq!(sites, [target.site], "fake-quant {}", target.name);
             }
         }
     }

@@ -46,16 +46,26 @@
 
 use crate::loss::{argmax_slice, confidence_slice, softmax_into};
 use crate::quant::{
-    code_pair, quant_conv_forward, quant_dense_forward, quantize_slice, Domain, QuantBuffers,
-    QuantConfig, QuantDst, QuantizedLayer, QuantizedModel,
+    quant_conv_forward, quant_dense_forward, quantize_slice, Domain, QuantBuffers, QuantConfig,
+    QuantDst, QuantizedLayer, QuantizedModel,
 };
 use crate::spec::{LayerSpecKind, MultiExitArchitecture};
 use crate::{Layer, MultiExitNetwork, NnError, PlannedOutput, Result};
-use ie_tensor::{Tensor, Workspace};
+use ie_tensor::Tensor;
 
-/// Slot indices of the two-slot ping-pong workspaces.
+/// The slot of a ping-pong pair that a pass loads its inputs into.
 const SLOT_A: usize = 0;
-const SLOT_B: usize = 1;
+
+/// Splits a ping-pong pair (two buffers that trade the input and output
+/// roles at each layer) into `(current, other)`.
+pub(crate) fn pair<T>(bufs: &mut [Vec<T>; 2], current: usize) -> (&mut [T], &mut [T]) {
+    let (a, b) = bufs.split_at_mut(1);
+    if current == 0 {
+        (&mut a[0], &mut b[0])
+    } else {
+        (&mut b[0], &mut a[0])
+    }
+}
 
 /// Shape and layout of the batched activation currently held in a slot.
 ///
@@ -193,10 +203,10 @@ pub struct BatchPlan {
     act_capacity: usize,
     /// Per-sample `im2col` column capacity.
     col_capacity: usize,
-    /// Trunk activation ping-pong buffers, `max_batch` samples wide.
-    trunk: Workspace,
-    /// Branch activation ping-pong buffers, `max_batch` samples wide.
-    branch: Workspace,
+    /// Trunk activation ping-pong pair, `max_batch` samples wide.
+    trunk: [Vec<f32>; 2],
+    /// Branch activation ping-pong pair, `max_batch` samples wide.
+    branch: [Vec<f32>; 2],
     /// Shared `im2col` column scratch for the widened activation matrix.
     col: Vec<f32>,
     /// Per-exit logits, sample-major `[batch, classes]`.
@@ -237,12 +247,7 @@ impl BatchPlan {
     pub fn for_architecture(arch: &MultiExitArchitecture, max_batch: usize) -> Self {
         let max_batch = max_batch.max(1);
         let (act, col) = buffer_requirements(arch);
-        let mut trunk = Workspace::new();
-        trunk.ensure_slot(SLOT_A, act * max_batch);
-        trunk.ensure_slot(SLOT_B, act * max_batch);
-        let mut branch = Workspace::new();
-        branch.ensure_slot(SLOT_A, act * max_batch);
-        branch.ensure_slot(SLOT_B, act * max_batch);
+        let slots = || [vec![0.0; act * max_batch], vec![0.0; act * max_batch]];
         let classes = arch.num_classes();
         let exits = arch.num_exits();
         BatchPlan {
@@ -251,8 +256,8 @@ impl BatchPlan {
             classes,
             act_capacity: act,
             col_capacity: col,
-            trunk,
-            branch,
+            trunk: slots(),
+            branch: slots(),
             col: vec![0.0; col * max_batch],
             logits: vec![vec![0.0; classes * max_batch]; exits],
             probs: vec![vec![0.0; classes * max_batch]; exits],
@@ -455,7 +460,7 @@ impl BatchPlan {
     /// are only moved, never changed. At batch 1 the two layouts coincide,
     /// so only the shape is relabeled; a flat activation is left alone.
     fn flatten_to_sample_major(
-        ws: &mut Workspace,
+        ws: &mut [Vec<f32>; 2],
         codes: &mut [Vec<i8>; 2],
         domain: Domain,
         act: &mut Act,
@@ -470,11 +475,11 @@ impl BatchPlan {
         }
         match domain {
             Domain::F32 => {
-                let (src, dst) = ws.pair_mut(act.slot, 1 - act.slot);
+                let (src, dst) = pair(ws, act.slot);
                 transpose_wide(src, dst, c, h * w, batch);
             }
             Domain::Codes(_) => {
-                let (src, dst) = code_pair(codes, act.slot);
+                let (src, dst) = pair(codes, act.slot);
                 transpose_wide(src, dst, c, h * w, batch);
             }
         }
@@ -496,7 +501,7 @@ impl BatchPlan {
     fn run_layers(
         layers: &[Layer],
         qlist: &[Option<QuantizedLayer>],
-        ws: &mut Workspace,
+        ws: &mut [Vec<f32>; 2],
         col: &mut [f32],
         qbufs: &mut QuantBuffers,
         act: &mut Act,
@@ -518,12 +523,12 @@ impl BatchPlan {
                     let out_len = conv.output_len() * batch;
                     if let Some(ql) = qentry {
                         let QuantBuffers { codes, col8, rows16, acc, .. } = &mut *qbufs;
-                        let (src_c, dst_c) = code_pair(codes, s);
+                        let (src_c, dst_c) = pair(codes, s);
                         if domain == Domain::F32 {
-                            quantize_slice(&ws.slot(s)[..in_len], &ql.input, &mut src_c[..in_len]);
+                            quantize_slice(&ws[s][..in_len], &ql.input, &mut src_c[..in_len]);
                         }
                         let dst = match ql.out {
-                            None => QuantDst::F32(&mut ws.slot_mut(1 - s)[..out_len]),
+                            None => QuantDst::F32(&mut ws[1 - s][..out_len]),
                             Some(_) => QuantDst::Codes(&mut dst_c[..out_len]),
                         };
                         let src = &src_c[..in_len];
@@ -531,7 +536,7 @@ impl BatchPlan {
                         domain = ql.out.map_or(Domain::F32, Domain::Codes);
                     } else {
                         debug_assert_eq!(domain, Domain::F32, "float conv fed from code domain");
-                        let (src, dst) = ws.pair_mut(s, 1 - s);
+                        let (src, dst) = pair(ws, s);
                         conv.forward_batch_into(
                             &src[..in_len],
                             &mut dst[..out_len],
@@ -556,12 +561,12 @@ impl BatchPlan {
                     let (in_len, out_len) = (in_f * batch, out_f * batch);
                     if let Some(ql) = qentry {
                         let QuantBuffers { codes, xs16, acc, .. } = &mut *qbufs;
-                        let (src_c, dst_c) = code_pair(codes, s);
+                        let (src_c, dst_c) = pair(codes, s);
                         if domain == Domain::F32 {
-                            quantize_slice(&ws.slot(s)[..in_len], &ql.input, &mut src_c[..in_len]);
+                            quantize_slice(&ws[s][..in_len], &ql.input, &mut src_c[..in_len]);
                         }
                         let dst = match ql.out {
-                            None => QuantDst::F32(&mut ws.slot_mut(1 - s)[..out_len]),
+                            None => QuantDst::F32(&mut ws[1 - s][..out_len]),
                             Some(_) => QuantDst::Codes(&mut dst_c[..out_len]),
                         };
                         let src = &src_c[..in_len];
@@ -569,7 +574,7 @@ impl BatchPlan {
                         domain = ql.out.map_or(Domain::F32, Domain::Codes);
                     } else {
                         debug_assert_eq!(domain, Domain::F32, "float dense fed from code domain");
-                        let (src, dst) = ws.pair_mut(s, 1 - s);
+                        let (src, dst) = pair(ws, s);
                         dense.forward_batch_into(
                             &src[..in_len],
                             &mut dst[..out_len],
@@ -583,7 +588,7 @@ impl BatchPlan {
                 Layer::Relu(_) => {
                     let (s, len) = (act.slot, act.dims.per_sample() * batch);
                     match domain {
-                        Domain::F32 => ie_tensor::relu_slice(&mut ws.slot_mut(s)[..len]),
+                        Domain::F32 => ie_tensor::relu_slice(&mut ws[s][..len]),
                         Domain::Codes(p) => {
                             let zp = p.zero_point() as i8;
                             ie_tensor::relu_codes_floor(&mut qbufs.codes[s][..len], zp);
@@ -600,7 +605,7 @@ impl BatchPlan {
                     let out_len: usize = out_dims.iter().product::<usize>() * batch;
                     match domain {
                         Domain::F32 => {
-                            let (src, dst) = ws.pair_mut(s, 1 - s);
+                            let (src, dst) = pair(ws, s);
                             pool.forward_batch_slice_into(
                                 &src[..in_len],
                                 d,
@@ -609,7 +614,7 @@ impl BatchPlan {
                             )?;
                         }
                         Domain::Codes(_) => {
-                            let (src_c, dst_c) = code_pair(&mut qbufs.codes, s);
+                            let (src_c, dst_c) = pair(&mut qbufs.codes, s);
                             pool.forward_batch_codes_into(
                                 &src_c[..in_len],
                                 d,
@@ -659,8 +664,8 @@ impl BatchPlan {
         // stays intact for later incremental continuations.
         let batch = self.batch;
         let len = self.trunk_act.dims.per_sample() * batch;
-        let src = &self.trunk.slot(self.trunk_act.slot)[..len];
-        self.branch.slot_mut(SLOT_A)[..len].copy_from_slice(src);
+        let src = &self.trunk[self.trunk_act.slot][..len];
+        self.branch[SLOT_A][..len].copy_from_slice(src);
         let mut act = Act { slot: SLOT_A, dims: self.trunk_act.dims };
         let qlist = self.quant.as_ref().map_or(&[][..], |model| model.branch(exit));
         BatchPlan::run_layers(
@@ -680,7 +685,7 @@ impl BatchPlan {
         if act.dims.per_sample() != classes {
             return Err(shape_error("branch(batch logits)", &[classes], &act.dims));
         }
-        let logits_src = &self.branch.slot(act.slot)[..batch * classes];
+        let logits_src = &self.branch[act.slot][..batch * classes];
         self.logits[exit][..batch * classes].copy_from_slice(logits_src);
         for s in 0..batch {
             let logits = &self.logits[exit][s * classes..(s + 1) * classes];
@@ -722,7 +727,7 @@ impl BatchPlan {
                 actual: vec![per_sample],
             });
         }
-        let slot = self.trunk.slot_mut(SLOT_A);
+        let slot = &mut self.trunk[SLOT_A];
         match first.len() {
             3 => {
                 let (c, h, w) = (first[0], first[1], first[2]);

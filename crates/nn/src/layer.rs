@@ -102,6 +102,26 @@ impl Layer {
         matches!(self, Layer::Conv2d(_) | Layer::Dense(_))
     }
 
+    /// The weights of a convolution or dense layer; `None` for a layer
+    /// without parameters.
+    pub fn weight(&self) -> Option<&Tensor> {
+        match self {
+            Layer::Conv2d(l) => Some(l.weight()),
+            Layer::Dense(l) => Some(l.weight()),
+            _ => None,
+        }
+    }
+
+    /// Mutable access to the weights of a convolution or dense layer; `None`
+    /// for a layer without parameters.
+    pub fn weight_mut(&mut self) -> Option<&mut Tensor> {
+        match self {
+            Layer::Conv2d(l) => Some(l.weight_mut()),
+            Layer::Dense(l) => Some(l.weight_mut()),
+            _ => None,
+        }
+    }
+
     /// Applies accumulated gradients with learning rate `lr` and clears them.
     pub fn apply_gradients(&mut self, lr: f32) {
         match self {

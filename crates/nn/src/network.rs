@@ -1,5 +1,5 @@
 use crate::loss::{confidence, cross_entropy, softmax};
-use crate::spec::{LayerSpecKind, MultiExitArchitecture};
+use crate::spec::{LayerSite, LayerSpecKind, MultiExitArchitecture};
 use crate::{Conv2d, Dense, Flatten, Layer, MaxPool2d, NnError, Relu, Result};
 use ie_tensor::Tensor;
 use rand::Rng;
@@ -153,6 +153,34 @@ impl MultiExitNetwork {
     /// Shared access to the branch layers.
     pub fn branches(&self) -> &Vec<Vec<Layer>> {
         &self.branches
+    }
+
+    /// The parameterised layers in the canonical compressible order of
+    /// [`MultiExitArchitecture::compressible_layers`]: for each exit `i`,
+    /// trunk segment `i`'s, then branch `i`'s. The `n`-th layer yielded is
+    /// the one that architecture's `n`-th entry describes, so a per-layer
+    /// policy or config zips with this walk.
+    pub fn compressible_layers(&self) -> impl Iterator<Item = &Layer> {
+        let lists = self.segments.iter().zip(&self.branches);
+        lists
+            .flat_map(|(segment, branch)| segment.iter().chain(branch))
+            .filter(|l| l.is_parameterised())
+    }
+
+    /// Mutable flavour of [`Self::compressible_layers`], in the same order.
+    pub fn compressible_layers_mut(&mut self) -> impl Iterator<Item = &mut Layer> {
+        let lists = self.segments.iter_mut().zip(self.branches.iter_mut());
+        lists
+            .flat_map(|(segment, branch)| segment.iter_mut().chain(branch))
+            .filter(|l| l.is_parameterised())
+    }
+
+    /// The layer at `site`, or `None` when the site is out of range (a list
+    /// rebuilt through [`Self::segments_mut`] or [`Self::branches_mut`] may
+    /// no longer match the architecture).
+    pub(crate) fn layer_at(&self, site: LayerSite) -> Option<&Layer> {
+        let (lists, list, pos) = site.pick(&self.segments, &self.branches);
+        lists.get(list)?.get(pos)
     }
 
     /// All layers in gradient-application order: trunk segments flattened,

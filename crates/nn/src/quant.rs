@@ -31,7 +31,7 @@
 //!   must (and do — property-tested) reproduce it bit for bit.
 
 use crate::batch::buffer_requirements;
-use crate::spec::{LayerSpecKind, MultiExitArchitecture};
+use crate::spec::{CompressibleLayer, LayerSpecKind, MultiExitArchitecture};
 use crate::{Conv2d, Dense, Layer, MultiExitNetwork, NnError, Result};
 use ie_tensor::{
     dequant_acc, dequant_rows_slice_into, dequant_slice_into, gemm_i16t_into,
@@ -236,40 +236,47 @@ fn pack_blocks(
 }
 
 /// Validates a whole config against `net` — the exact error surface of
-/// [`QuantizedModel::for_network`] (entry count + per-entry ranges), exposed
-/// so [`crate::BatchPlan::repack_quantized`] can pre-validate *before*
-/// surrendering its old model's buffers to the recycling constructor (which
-/// consumes them; an error after that point would otherwise destroy the
-/// plan's quantized state).
-pub(crate) fn validate_config(net: &MultiExitNetwork, config: &QuantConfig) -> Result<()> {
-    let expected = net.architecture().compressible_layers().len();
-    if config.len() != expected {
+/// [`QuantizedModel::for_network`]: the entry count, each entry's ranges, and
+/// that every configured site holds a convolution or dense layer (a list
+/// rebuilt through [`MultiExitNetwork::segments_mut`] may not). Returns the
+/// compressible layers the entries belong to. Run before the recycling
+/// constructor consumes an old model's buffers, so
+/// [`crate::BatchPlan::repack_quantized`] can fail without destroying its
+/// plan's quantized state.
+pub(crate) fn validate_config(
+    net: &MultiExitNetwork,
+    config: &QuantConfig,
+) -> Result<Vec<CompressibleLayer>> {
+    let compressible = net.architecture().compressible_layers();
+    if config.len() != compressible.len() {
         return Err(NnError::InvalidSpec(format!(
-            "quant config covers {} layers, network has {expected} compressible layers",
-            config.len()
+            "quant config covers {} layers, network has {} compressible layers",
+            config.len(),
+            compressible.len()
         )));
     }
-    for (index, entry) in config.layers().iter().enumerate() {
-        if let Some(cfg) = entry {
-            validate_entry(index, cfg)?;
+    for (index, (layer, entry)) in compressible.iter().zip(config.layers()).enumerate() {
+        let Some(cfg) = entry else { continue };
+        let ok = (1..=16).contains(&cfg.weight_bits)
+            && cfg.weight_scale.is_finite()
+            && cfg.weight_scale > 0.0
+            && cfg.input.lo() >= i32::from(i8::MIN)
+            && cfg.input.hi() <= i32::from(i8::MAX);
+        if !ok {
+            return Err(NnError::InvalidSpec(format!(
+                "quant config for layer {index} is invalid: weight_bits {} scale {} input {:?}",
+                cfg.weight_bits, cfg.weight_scale, cfg.input
+            )));
+        }
+        if !net.layer_at(layer.site).is_some_and(Layer::is_parameterised) {
+            return Err(NnError::InvalidSpec(format!(
+                "compressible layer {index} ({}) is not a convolution or dense layer of the \
+                 network",
+                layer.name
+            )));
         }
     }
-    Ok(())
-}
-
-fn validate_entry(index: usize, cfg: &LayerQuantConfig) -> Result<()> {
-    let ok = (1..=16).contains(&cfg.weight_bits)
-        && cfg.weight_scale.is_finite()
-        && cfg.weight_scale > 0.0
-        && cfg.input.lo() >= i32::from(i8::MIN)
-        && cfg.input.hi() <= i32::from(i8::MAX);
-    if !ok {
-        return Err(NnError::InvalidSpec(format!(
-            "quant config for layer {index} is invalid: weight_bits {} scale {} input {:?}",
-            cfg.weight_bits, cfg.weight_scale, cfg.input
-        )));
-    }
-    Ok(())
+    Ok(compressible)
 }
 
 /// A network's pre-quantized layer parameters, aligned with its trunk
@@ -295,9 +302,9 @@ impl QuantizedModel {
     /// # Errors
     ///
     /// Returns [`NnError::InvalidSpec`] when the config length does not match
-    /// the network's compressible layers or an entry is out of range
-    /// (weight bits outside 1..=16, activation codes outside `i8`, or
-    /// non-positive scales).
+    /// the network's compressible layers, an entry is out of range (weight
+    /// bits outside 1..=16, activation codes outside `i8`, or non-positive
+    /// scales), or a configured site holds no convolution or dense layer.
     pub fn for_network(net: &MultiExitNetwork, config: &QuantConfig) -> Result<QuantizedModel> {
         QuantizedModel::for_network_recycling(net, config, None)
     }
@@ -313,95 +320,54 @@ impl QuantizedModel {
         config: &QuantConfig,
         recycle: Option<QuantizedModel>,
     ) -> Result<QuantizedModel> {
-        let expected = net.architecture().compressible_layers().len();
-        if config.len() != expected {
-            return Err(NnError::InvalidSpec(format!(
-                "quant config covers {} layers, network has {expected} compressible layers",
-                config.len()
-            )));
-        }
-        // Flatten the old model into per-(exit, part) recycled lists; a
-        // structural mismatch simply yields `None` recycle entries.
+        let compressible = validate_config(net, config)?;
+        // Recycle the old model's layer at the same site; a structural
+        // mismatch simply finds nothing to recycle.
         let (mut old_segments, mut old_branches) = match recycle {
             Some(model) => (model.segments, model.branches),
             None => (Vec::new(), Vec::new()),
         };
-        let mut index = 0usize;
-        let mut segments = Vec::with_capacity(net.segments().len());
-        let mut branches = Vec::with_capacity(net.branches().len());
-        for exit in 0..net.num_exits() {
-            for part in [true, false] {
-                let layers = if part { &net.segments()[exit] } else { &net.branches()[exit] };
-                let old = if part { &mut old_segments } else { &mut old_branches };
-                let mut old_list =
-                    if exit < old.len() { std::mem::take(&mut old[exit]) } else { Vec::new() };
-                let mut recycle_at = |i: usize| -> Option<QuantizedLayer> {
-                    old_list.get_mut(i).and_then(Option::take)
-                };
-                let mut list: Vec<Option<QuantizedLayer>> = Vec::with_capacity(layers.len());
-                for (li, layer) in layers.iter().enumerate() {
-                    let entry = match layer {
-                        Layer::Conv2d(conv) => {
-                            let cfg = config.layers()[index];
-                            index += 1;
-                            cfg.map(|cfg| -> Result<QuantizedLayer> {
-                                validate_entry(index - 1, &cfg)?;
-                                let geom = conv.geometry();
-                                let mut ql = pack_blocks(
-                                    conv.weight().as_slice(),
-                                    conv.out_channels(),
-                                    geom.in_channels,
-                                    geom.kernel * geom.kernel,
-                                    &cfg,
-                                    recycle_at(li),
-                                );
-                                ql.bias.extend_from_slice(conv.bias().as_slice());
-                                Ok(ql)
-                            })
-                            .transpose()?
-                        }
-                        Layer::Dense(dense) => {
-                            let cfg = config.layers()[index];
-                            index += 1;
-                            cfg.map(|cfg| -> Result<QuantizedLayer> {
-                                validate_entry(index - 1, &cfg)?;
-                                let mut ql = pack_blocks(
-                                    dense.weight().as_slice(),
-                                    dense.out_features(),
-                                    dense.in_features(),
-                                    1,
-                                    &cfg,
-                                    recycle_at(li),
-                                );
-                                ql.bias.extend_from_slice(dense.bias().as_slice());
-                                Ok(ql)
-                            })
-                            .transpose()?
-                        }
-                        _ => None,
-                    };
-                    list.push(entry);
+        let unset = |lists: &[Vec<Layer>]| -> Vec<Vec<Option<QuantizedLayer>>> {
+            lists.iter().map(|list| vec![None; list.len()]).collect()
+        };
+        let (mut segments, mut branches) = (unset(net.segments()), unset(net.branches()));
+        for (spec, cfg) in compressible.iter().zip(config.layers()) {
+            let Some(cfg) = cfg else { continue };
+            let trunk = (&mut segments, &mut old_segments);
+            let ((lists, old), list, pos) =
+                spec.site.pick(trunk, (&mut branches, &mut old_branches));
+            let recycled = old.get_mut(list).and_then(|l| l.get_mut(pos)).and_then(Option::take);
+            let (weights, rows, channels, block, bias) = match net.layer_at(spec.site) {
+                Some(Layer::Conv2d(conv)) => {
+                    let geom = conv.geometry();
+                    let block = geom.kernel * geom.kernel;
+                    (conv.weight(), conv.out_channels(), geom.in_channels, block, conv.bias())
                 }
-                // Chain consecutive quantized layers of this list: each one
-                // emits the next one's input codes; the last always emits
-                // f32. A *float* parameterised layer breaks the chain — it
-                // consumes f32, so the quantized layer before it must emit
-                // f32 even when a later layer of the list is quantized again.
-                let mut next_input: Option<QuantParams> = None;
-                for (layer, entry) in layers.iter().zip(list.iter_mut()).rev() {
-                    match entry {
-                        Some(ql) => {
-                            ql.out = next_input;
-                            next_input = Some(ql.input);
-                        }
-                        None if layer.is_parameterised() => next_input = None,
-                        None => {}
+                Some(Layer::Dense(dense)) => {
+                    (dense.weight(), dense.out_features(), dense.in_features(), 1, dense.bias())
+                }
+                _ => unreachable!("validate_config checked every configured site"),
+            };
+            let mut ql = pack_blocks(weights.as_slice(), rows, channels, block, cfg, recycled);
+            ql.bias.extend_from_slice(bias.as_slice());
+            lists[list][pos] = Some(ql);
+        }
+        // Chain consecutive quantized layers of each list: each one emits the
+        // next one's input codes; the last always emits f32. A *float*
+        // parameterised layer breaks the chain — it consumes f32, so the
+        // quantized layer before it must emit f32 even when a later layer of
+        // the list is quantized again.
+        let lists = net.segments().iter().zip(&mut segments);
+        for (layers, list) in lists.chain(net.branches().iter().zip(&mut branches)) {
+            let mut next_input: Option<QuantParams> = None;
+            for (layer, entry) in layers.iter().zip(list.iter_mut()).rev() {
+                match entry {
+                    Some(ql) => {
+                        ql.out = next_input;
+                        next_input = Some(ql.input);
                     }
-                }
-                if part {
-                    segments.push(list);
-                } else {
-                    branches.push(list);
+                    None if layer.is_parameterised() => next_input = None,
+                    None => {}
                 }
             }
         }
@@ -462,7 +428,7 @@ impl QuantizedModel {
 /// which is what an `f32` plan holds.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct QuantBuffers {
-    /// Activation-code ping-pong slots (indexed like the f32 workspace slots).
+    /// Activation-code ping-pong pair (indexed like the `f32` pair).
     pub(crate) codes: [Vec<i8>; 2],
     /// Column scratch of the quantized `im2col` (`[k, n]` i8).
     pub(crate) col8: Vec<i8>,
@@ -531,27 +497,17 @@ impl QuantBuffers {
 }
 
 /// Which representation currently holds the activation while a layer list
-/// runs: real values in the `f32` workspace, or quantized codes (with their
-/// parameters) in the plan's code slots. Lists always start and end in
+/// runs: real values in the `f32` ping-pong pair, or quantized codes (with
+/// their parameters) in the plan's code pair. Lists always start and end in
 /// [`Domain::F32`]; the code domain exists only between chained quantized
 /// layers.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Domain {
-    /// Activation lives in the `f32` ping-pong workspace.
+    /// Activation lives in the `f32` ping-pong pair.
     F32,
-    /// Activation lives in the code ping-pong slots, quantized with the given
+    /// Activation lives in the code ping-pong pair, quantized with the given
     /// parameters.
     Codes(QuantParams),
-}
-
-/// Splits the code ping-pong array into `(current, other)` slot borrows.
-pub(crate) fn code_pair(codes: &mut [Vec<i8>; 2], slot: usize) -> (&mut Vec<i8>, &mut Vec<i8>) {
-    let (a, b) = codes.split_at_mut(1);
-    if slot == 0 {
-        (&mut a[0], &mut b[0])
-    } else {
-        (&mut b[0], &mut a[0])
-    }
 }
 
 /// Quantizes an `f32` activation slice into codes (elementwise; layout-
@@ -914,38 +870,24 @@ pub fn config_from_bits(
     net: &MultiExitNetwork,
     entries: &[Option<(u8, QuantParams)>],
 ) -> Result<QuantConfig> {
-    let specs = net.architecture().compressible_layers();
-    if entries.len() != specs.len() {
+    let expected = net.architecture().compressible_layers().len();
+    if entries.len() != expected {
         return Err(NnError::InvalidSpec(format!(
-            "{} quant entries for {} compressible layers",
-            entries.len(),
-            specs.len()
+            "{} quant entries for {expected} compressible layers",
+            entries.len()
         )));
     }
-    let mut layers = Vec::with_capacity(entries.len());
-    let mut index = 0usize;
-    for exit in 0..net.num_exits() {
-        for part in [true, false] {
-            let list = if part { &net.segments()[exit] } else { &net.branches()[exit] };
-            for layer in list {
-                let weights = match layer {
-                    Layer::Conv2d(conv) => conv.weight(),
-                    Layer::Dense(dense) => dense.weight(),
-                    _ => continue,
-                };
-                let entry = entries[index].map(|(bits, input)| {
-                    let max_abs = weights.as_slice().iter().fold(0.0f32, |m, &w| m.max(w.abs()));
-                    let hi = if bits == 1 { 1.0 } else { ((1i64 << (bits - 1)) - 1) as f32 };
-                    let weight_scale =
-                        if max_abs > 0.0 { (max_abs / hi).max(f32::MIN_POSITIVE) } else { 1.0 };
-                    LayerQuantConfig { weight_bits: bits, weight_scale, input }
-                });
-                layers.push(entry);
-                index += 1;
-            }
-        }
-    }
-    Ok(QuantConfig::from_layers(layers))
+    let weights = net.compressible_layers().filter_map(Layer::weight);
+    let layers = weights.zip(entries).map(|(weights, entry)| {
+        entry.map(|(bits, input)| {
+            let max_abs = weights.as_slice().iter().fold(0.0f32, |m, &w| m.max(w.abs()));
+            let hi = if bits == 1 { 1.0 } else { ((1i64 << (bits - 1)) - 1) as f32 };
+            let weight_scale =
+                if max_abs > 0.0 { (max_abs / hi).max(f32::MIN_POSITIVE) } else { 1.0 };
+            LayerQuantConfig { weight_bits: bits, weight_scale, input }
+        })
+    });
+    Ok(QuantConfig::from_layers(layers.collect()))
 }
 
 #[cfg(test)]
@@ -1022,6 +964,23 @@ mod tests {
             input: QuantParams::from_range(0.0, 1.0, 8),
         });
         assert!(QuantizedModel::for_network(&net, &QuantConfig::from_layers(layers)).is_err());
+    }
+
+    #[test]
+    fn a_configured_site_without_weights_is_a_spec_error() {
+        // A list rebuilt through `segments_mut` can leave a compressible site
+        // holding a layer without weights: the builder refuses the config
+        // instead of packing another layer, and a refused repack keeps the
+        // plan's quantized model.
+        let net = tiny_net(5);
+        let cfg = all_i8_config(&net);
+        let mut plan = net.batch_plan_quantized(&cfg, 2).unwrap();
+        let mut rebuilt = net.clone();
+        rebuilt.segments_mut()[0][0] = crate::Relu::new().into();
+        let refused = |r: Result<()>| matches!(r, Err(NnError::InvalidSpec(_)));
+        assert!(refused(QuantizedModel::for_network(&rebuilt, &cfg).map(|_| ())));
+        assert!(refused(plan.repack_quantized(&rebuilt, &cfg)));
+        assert!(plan.quantized_model().is_some(), "the refused repack kept the model");
     }
 
     #[test]

@@ -131,21 +131,33 @@ pub struct CompressibleLayer {
     pub macs: u64,
     /// Weight parameters of the uncompressed layer.
     pub weight_params: u64,
-    /// The shallowest exit whose computation includes this layer.
-    pub first_exit: usize,
-    /// `true` when the layer sits on the shared trunk (and therefore feeds
-    /// every exit at or beyond [`Self::first_exit`]); `false` when it belongs
-    /// to a single exit's branch.
-    pub in_trunk: bool,
+    /// Where the layer sits: its trunk segment or exit branch, and its
+    /// position in that layer list.
+    pub site: LayerSite,
 }
 
 impl CompressibleLayer {
+    /// The shallowest exit whose computation includes this layer.
+    pub fn first_exit(&self) -> usize {
+        match self.site {
+            LayerSite::Trunk { segment, .. } => segment,
+            LayerSite::Branch { exit, .. } => exit,
+        }
+    }
+
+    /// `true` when the layer sits on the shared trunk (and therefore feeds
+    /// every exit at or beyond [`Self::first_exit`]); `false` when it belongs
+    /// to a single exit's branch.
+    pub fn in_trunk(&self) -> bool {
+        matches!(self.site, LayerSite::Trunk { .. })
+    }
+
     /// Returns `true` when this layer is executed on the path to `exit`.
     pub fn used_by_exit(&self, exit: usize) -> bool {
-        if self.in_trunk {
-            exit >= self.first_exit
+        if self.in_trunk() {
+            exit >= self.first_exit()
         } else {
-            exit == self.first_exit
+            exit == self.first_exit()
         }
     }
 }
@@ -167,6 +179,18 @@ pub enum LayerSite {
         /// Layer index within the branch.
         layer: usize,
     },
+}
+
+impl LayerSite {
+    /// `trunk` for a trunk site and `branch` for a branch site, with the
+    /// index of the site's list and its position in that list: how every
+    /// structure aligned with the segments and branches is indexed by site.
+    pub(crate) fn pick<T>(self, trunk: T, branch: T) -> (T, usize, usize) {
+        match self {
+            LayerSite::Trunk { segment, layer } => (trunk, segment, layer),
+            LayerSite::Branch { exit, layer } => (branch, exit, layer),
+        }
+    }
 }
 
 /// A multi-exit network architecture: trunk segments plus one branch per exit.
@@ -266,36 +290,38 @@ impl MultiExitArchitecture {
 
     /// The parameterised layers in canonical execution order: for each exit
     /// `i`, trunk segment `i` followed by branch `i`. This is the layer-by-
-    /// layer order in which the compression agents act.
+    /// layer order in which the compression agents act, and the one place it
+    /// is written on the spec side;
+    /// [`crate::MultiExitNetwork::compressible_layers`] walks a network's
+    /// layers in the same order.
     pub fn compressible_layers(&self) -> Vec<CompressibleLayer> {
         let mut out = Vec::new();
         for (exit, (segment, branch)) in self.segments.iter().zip(&self.branches).enumerate() {
-            let trunk_len = segment.len();
-            for (pos, spec) in segment.iter().chain(branch.iter()).enumerate() {
-                if !spec.is_parameterised() {
-                    continue;
-                }
-                let in_trunk = pos < trunk_len;
-                let (is_conv, cin, cout, kernel) = match &spec.kind {
+            let trunk = segment.iter().enumerate();
+            let trunk =
+                trunk.map(|(layer, spec)| (LayerSite::Trunk { segment: exit, layer }, spec));
+            let branch = branch.iter().enumerate();
+            let branch = branch.map(|(layer, spec)| (LayerSite::Branch { exit, layer }, spec));
+            for (site, spec) in trunk.chain(branch) {
+                let (is_conv, in_channels, out_channels, kernel) = match &spec.kind {
                     LayerSpecKind::Conv { in_channels, out_channels, kernel, .. } => {
                         (true, *in_channels, *out_channels, *kernel)
                     }
                     LayerSpecKind::Dense { in_features, out_features } => {
                         (false, *in_features, *out_features, 1)
                     }
-                    _ => unreachable!("non-parameterised layers filtered above"),
+                    _ => continue,
                 };
                 out.push(CompressibleLayer {
                     index: out.len(),
                     name: spec.name.clone(),
                     is_conv,
-                    in_channels: cin,
-                    out_channels: cout,
+                    in_channels,
+                    out_channels,
                     kernel,
                     macs: spec.macs(),
                     weight_params: spec.weight_params(),
-                    first_exit: exit,
-                    in_trunk,
+                    site,
                 });
             }
         }
@@ -672,15 +698,15 @@ mod tests {
         let layers = arch.compressible_layers();
         let conv1 = layers.iter().find(|l| l.name == "Conv1").unwrap();
         let fcb31 = layers.iter().find(|l| l.name == "FC-B31").unwrap();
-        assert_eq!(conv1.first_exit, 0);
-        assert_eq!(fcb31.first_exit, 2);
+        assert_eq!(conv1.first_exit(), 0);
+        assert_eq!(fcb31.first_exit(), 2);
         assert!(conv1.is_conv);
         assert!(!fcb31.is_conv);
         // Conv1 sits on the trunk and therefore feeds every exit; FC-B1 is
         // private to exit 0.
         let fcb1 = layers.iter().find(|l| l.name == "FC-B1").unwrap();
-        assert!(conv1.in_trunk && conv1.used_by_exit(2));
-        assert!(!fcb1.in_trunk && fcb1.used_by_exit(0) && !fcb1.used_by_exit(1));
+        assert!(conv1.in_trunk() && conv1.used_by_exit(2));
+        assert!(!fcb1.in_trunk() && fcb1.used_by_exit(0) && !fcb1.used_by_exit(1));
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! across machines, thread counts and repeated runs.
 //!
 //! Knobs (all environment variables):
-//! * `IE_SERVE_THREADS` — worker threads (default: machine parallelism, ≤4)
-//! * `IE_SERVE_WINDOW` — max requests per batch (default 8)
+//! * `IE_SERVE_THREADS` — worker threads (default: machine parallelism, ≤4;
+//!   at most 256)
+//! * `IE_SERVE_WINDOW` — max requests per batch (default 8; at most 256)
 //! * `IE_SERVE_DEADLINE_MS` — window deadline in milliseconds (default 2)
 //! * `IE_SERVE_REQUESTS` — number of requests to replay (default 512)
 //! * `IE_SERVE_QUEUE_CAP` — bounded queue capacity (default 0 = unbounded)
@@ -17,7 +18,8 @@
 //!
 //! An unparsable value warns on stderr and keeps the default. A zero passes
 //! through: a zero window or request count is refused with an error, a zero
-//! deadline closes every window at once.
+//! deadline closes every window at once. A window or worker count above its
+//! maximum is refused with an error too.
 //!
 //! `--out <path>` writes the deterministic slice of the run (counters,
 //! virtual-clock percentiles, a response digest) as JSON — the CI chaos

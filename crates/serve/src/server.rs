@@ -66,12 +66,19 @@ const RETRY_BUDGET: u32 = 1;
 /// the worker or the clock, so chaos replays stay reproducible.
 const RETRY_BACKOFF: Duration = Duration::from_millis(1);
 
+/// Most worker threads [`ServeConfig::validate`] accepts. Each worker is one
+/// OS thread that owns one warmed plan, all built before the first request,
+/// so an absurd count would exhaust memory or thread ids at construction
+/// instead of failing validation.
+pub(crate) const MAX_WORKERS: usize = 256;
+
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeConfig {
     /// The dynamic batching window (size-N / deadline-T close rule).
     pub window: WindowConfig,
-    /// Worker threads; each owns one warmed [`BatchPlan`].
+    /// Worker threads; each owns one warmed [`BatchPlan`], built before the
+    /// first request. Must be in `1..=256`.
     pub threads: usize,
     /// Overload protection: queue bound and shed policy. The default
     /// (unbounded, [`ShedPolicy::Reject`]) reproduces the original
@@ -90,13 +97,19 @@ impl ServeConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::InvalidConfig`] for a zero thread count or an
-    /// invalid window/overload configuration.
+    /// Returns [`ServeError::InvalidConfig`] for a zero thread count or one
+    /// above 256, or an invalid window/overload configuration.
     pub fn validate(&self) -> Result<()> {
         self.window.validate()?;
         self.overload.validate()?;
         if self.threads == 0 {
             return Err(ServeError::InvalidConfig("server needs at least one worker".into()));
+        }
+        if self.threads > MAX_WORKERS {
+            return Err(ServeError::InvalidConfig(format!(
+                "{} workers exceed the maximum of {MAX_WORKERS}",
+                self.threads
+            )));
         }
         Ok(())
     }
@@ -964,6 +977,23 @@ fn live_worker(ctx: &LiveCtx<'_>, plan: &mut BatchPlan) -> Result<()> {
             let wait_s = (start - req.arrival).as_secs_f64();
             let latency_s = (done - req.arrival).as_secs_f64();
             tally.serve(req.id, req.id, verdict, wait_s, latency_s, latency_s <= req.budget_s);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn worker_counts_above_the_maximum_are_config_errors() {
+        let window = WindowConfig { max_batch: 4, deadline_s: 0.001 };
+        assert!(ServeConfig::new(window, MAX_WORKERS).validate().is_ok());
+        for threads in [0, MAX_WORKERS + 1, usize::MAX] {
+            assert!(matches!(
+                ServeConfig::new(window, threads).validate(),
+                Err(ServeError::InvalidConfig(_))
+            ));
         }
     }
 }

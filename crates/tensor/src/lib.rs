@@ -37,7 +37,6 @@ mod ops;
 pub mod quant;
 mod shape;
 mod tensor;
-mod workspace;
 
 pub use backward::{
     accumulate_slice_into, cross_entropy_grad_into, max_pool_backward_into, outer_accumulate_into,
@@ -60,7 +59,6 @@ pub use quant::{
 };
 pub use shape::Shape;
 pub use tensor::Tensor;
-pub use workspace::Workspace;
 
 /// Explicit-tier entry points of every dispatched kernel (each clamps the
 /// requested [`IsaTier`] to what the hardware supports). The unsuffixed

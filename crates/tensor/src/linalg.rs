@@ -4,8 +4,8 @@
 //!
 //! * slice-level out-parameter kernels ([`gemm_into`], [`gemm_sparse_into`],
 //!   [`matvec_batch_into`]) that never allocate — these are what the
-//!   execution-plan hot path in `ie_nn` drives against reusable
-//!   [`crate::Workspace`] buffers; a single vector is a batch of one;
+//!   execution-plan hot path in `ie_nn` drives against its own pre-sized
+//!   buffers; a single vector is a batch of one;
 //! * the allocating [`Tensor`] methods ([`Tensor::matmul`],
 //!   [`Tensor::matvec`], …), which are thin wrappers that allocate the output
 //!   once and delegate to the same kernels, so both paths produce bit-identical

@@ -1,8 +1,6 @@
 //! Property-based tests of the tensor substrate.
 
-use ie_tensor::{
-    col2im, col2im_into, im2col, im2col_batch_into, Conv2dGeometry, Tensor, Workspace,
-};
+use ie_tensor::{col2im, col2im_into, im2col, im2col_batch_into, Conv2dGeometry, Tensor};
 use proptest::prelude::*;
 
 fn arb_matrix(max_dim: usize) -> impl Strategy<Value = Tensor> {
@@ -74,7 +72,7 @@ proptest! {
     }
 
     /// `matmul_into` is bit-identical to the allocating `matmul` across random
-    /// shapes, and a reused `Workspace` slot carries no stale state between
+    /// shapes, and a reused grow-only buffer carries no stale state between
     /// back-to-back calls.
     #[test]
     fn matmul_into_is_bit_identical_and_workspace_reuse_is_clean(
@@ -82,7 +80,7 @@ proptest! {
         a2 in arb_matrix(6),
         n in 1usize..6,
     ) {
-        let mut ws = Workspace::new();
+        let mut buf: Vec<f32> = Vec::new();
         for a in [&a1, &a2] {
             let (m, k) = (a.dims()[0], a.dims()[1]);
             // A rhs whose contents depend on the lhs, so the two rounds differ.
@@ -95,10 +93,12 @@ proptest! {
             let mut out = Tensor::zeros(&[m, n]);
             a.matmul_into(&b, &mut out).expect("compatible shapes");
             prop_assert_eq!(out.as_slice(), reference.as_slice());
-            // Reused (possibly dirty, possibly oversized) workspace slot.
-            ws.ensure_slot(0, m * n);
-            ie_tensor::gemm_into(a.as_slice(), b.as_slice(), &mut ws.slot_mut(0)[..m * n], m, k, n);
-            for (w, r) in ws.slot(0)[..m * n].iter().zip(reference.as_slice()) {
+            // Reused (possibly dirty, possibly oversized) grow-only buffer.
+            if buf.len() < m * n {
+                buf.resize(m * n, 0.0);
+            }
+            ie_tensor::gemm_into(a.as_slice(), b.as_slice(), &mut buf[..m * n], m, k, n);
+            for (w, r) in buf[..m * n].iter().zip(reference.as_slice()) {
                 prop_assert_eq!(w.to_bits(), r.to_bits());
             }
             // Sparse-aware kernel agrees with the dense kernel.
@@ -137,20 +137,16 @@ proptest! {
             &[c, hw, hw],
         ).expect("length matches shape");
         let cols_ref = im2col(&image, &geom).expect("valid geometry");
-        let mut ws = Workspace::new();
-        ws.ensure_slot(0, geom.col_len());
-        ws.slot_mut(0).fill(f32::NAN); // poison: stale state must not leak
-        im2col_batch_into(image.as_slice(), 1, &geom, &mut ws.slot_mut(0)[..geom.col_len()])
-            .expect("valid geometry");
-        for (w, r) in ws.slot(0)[..geom.col_len()].iter().zip(cols_ref.as_slice()) {
+        // Poisoned buffers: stale state must not leak.
+        let mut cols = vec![f32::NAN; geom.col_len()];
+        im2col_batch_into(image.as_slice(), 1, &geom, &mut cols).expect("valid geometry");
+        for (w, r) in cols.iter().zip(cols_ref.as_slice()) {
             prop_assert_eq!(w.to_bits(), r.to_bits());
         }
         let back_ref = col2im(&cols_ref, &geom).expect("valid geometry");
-        ws.ensure_slot(1, image.len());
-        ws.slot_mut(1).fill(f32::NAN);
-        col2im_into(cols_ref.as_slice(), &geom, &mut ws.slot_mut(1)[..image.len()])
-            .expect("valid geometry");
-        for (w, r) in ws.slot(1)[..image.len()].iter().zip(back_ref.as_slice()) {
+        let mut back = vec![f32::NAN; image.len()];
+        col2im_into(cols_ref.as_slice(), &geom, &mut back).expect("valid geometry");
+        for (w, r) in back.iter().zip(back_ref.as_slice()) {
             prop_assert_eq!(w.to_bits(), r.to_bits());
         }
     }

@@ -107,7 +107,7 @@ fn ie_bench_reference(
         .iter()
         .map(|l| {
             if l.is_conv {
-                if l.first_exit == 0 {
+                if l.first_exit() == 0 {
                     LayerPolicy::new(0.5, 8, 8).expect("valid")
                 } else {
                     LayerPolicy::new(0.25, 4, 8).expect("valid")

@@ -22,7 +22,7 @@ fn nonuniform_policy(config: &ExperimentConfig) -> CompressionPolicy {
         .iter()
         .map(|l| {
             if l.is_conv {
-                if l.first_exit == 0 {
+                if l.first_exit() == 0 {
                     LayerPolicy::new(0.5, 8, 8).expect("valid policy")
                 } else {
                     LayerPolicy::new(0.25, 4, 8).expect("valid policy")
