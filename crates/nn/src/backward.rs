@@ -22,12 +22,12 @@
 //! Gradients are accumulated into the store and flushed into the network's
 //! per-layer gradient tensors only on success, through the same dispatched
 //! slice kernels ([`ie_tensor::gemm_into`],
-//! [`ie_tensor::matvec_t_into`], [`ie_tensor::relu_backward_into`],
+//! [`ie_tensor::matvec_t_batch_into`], [`ie_tensor::relu_backward_into`],
 //! [`ie_tensor::max_pool_backward_into`],
-//! [`ie_tensor::outer_accumulate_into`],
-//! [`ie_tensor::cross_entropy_grad_into`], …) on every ISA tier. Dense data
-//! gradients go through the transposed-operand [`ie_tensor::matvec_t_into`],
-//! which consumes the weight matrix in its stored layout — no weight
+//! [`ie_tensor::outer_accumulate_batch_into`],
+//! [`ie_tensor::cross_entropy_grad_into`], …) on every ISA tier, the batched
+//! ones at a batch of one. Dense data gradients go through the
+//! transposed-operand [`ie_tensor::matvec_t_batch_into`], which consumes the weight matrix in its stored layout — no weight
 //! transpose; the first layer of the network additionally skips its data
 //! gradient entirely (the input image's gradient is never read). The planned
 //! step is
@@ -161,7 +161,7 @@ pub struct BackwardPlan {
     colt: Vec<f32>,
     /// Weight-transpose scratch for the convolution data-gradient GEMM,
     /// sized to the widest conv filter (dense layers use the
-    /// transposed-operand [`ie_tensor::matvec_t_into`] and need none).
+    /// transposed-operand [`ie_tensor::matvec_t_batch_into`] and need none).
     wt: Vec<f32>,
     regions: Vec<ParamRegion>,
     trunk_param: Vec<Vec<Option<usize>>>,

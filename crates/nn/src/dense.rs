@@ -244,10 +244,11 @@ impl Dense {
     /// master weights keep receiving the gradient (straight-through
     /// estimator). With `weight == self.weight`, every arithmetic operation
     /// matches [`Self::backward`] bit for bit: the accumulating outer
-    /// product is one multiply + add per element like
-    /// `outer` + `add_scaled_inplace(·, 1.0)`, and
-    /// [`ie_tensor::matvec_t_into`] reproduces the lane-parallel dot product
-    /// `Tensor::matvec` runs on the transposed rows, element for element.
+    /// product ([`ie_tensor::outer_accumulate_batch_into`] at batch 1) is one
+    /// multiply + add per element like `outer` + `add_scaled_inplace(·, 1.0)`,
+    /// and [`ie_tensor::matvec_t_batch_into`] reproduces the lane-parallel dot
+    /// product `Tensor::matvec` runs on the transposed rows, element for
+    /// element.
     ///
     /// Buffer lengths are enforced by the underlying kernels (panics on
     /// mismatch — the plan pre-sizes everything).
@@ -260,10 +261,11 @@ impl Dense {
         grad_w: &mut [f32],
         grad_b: &mut [f32],
     ) {
-        ie_tensor::outer_accumulate_into(grad_out, input, grad_w);
+        let (n_in, n_out) = (self.in_features, self.out_features);
+        ie_tensor::outer_accumulate_batch_into(grad_out, input, grad_w, n_out, n_in, 1);
         ie_tensor::accumulate_slice_into(grad_b, grad_out);
         if let Some(dx) = dx {
-            ie_tensor::matvec_t_into(weight, grad_out, dx, self.in_features, self.out_features);
+            ie_tensor::matvec_t_batch_into(weight, grad_out, dx, n_in, n_out, 1);
         }
     }
 

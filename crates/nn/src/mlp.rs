@@ -20,22 +20,28 @@ pub enum OutputActivation {
 /// This is the function approximator behind the DDPG actor and critic in
 /// `ie-rl`. It supports forward evaluation, backward propagation of an output
 /// gradient, SGD updates and the soft ("Polyak") parameter blending DDPG uses
-/// for its target networks. The passes run one sample at a time through
-/// allocating [`Tensor`]s, or a whole batch at a time through a
-/// caller-owned [`MlpScratch`] without allocating; the two agree bit for
-/// bit.
+/// for its target networks.
+///
+/// The passes run a whole batch at a time through a caller-owned
+/// [`MlpScratch`] without allocating, with one kernel call per layer
+/// ([`ie_tensor::matvec_t_batch_into`] for the forward pass of a layer at
+/// least 8 outputs wide and for the input gradients,
+/// [`ie_tensor::outer_accumulate_batch_into`] for the weight gradients); a
+/// single sample is a batch of one. The allocating single-sample passes
+/// ([`Mlp::forward`], [`Mlp::backward`]) are their oracle in tests, and the
+/// two agree bit for bit.
 ///
 /// # Example
 ///
 /// ```
-/// use ie_nn::{Mlp, OutputActivation};
-/// use ie_tensor::Tensor;
+/// use ie_nn::{Mlp, MlpScratch, OutputActivation};
 /// use rand::SeedableRng;
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
 /// let mlp = Mlp::new(&mut rng, &[4, 8, 2], OutputActivation::Tanh);
-/// let y = mlp.forward(&Tensor::zeros(&[4]))?;
-/// assert_eq!(y.len(), 2);
+/// let mut scratch = MlpScratch::default();
+/// let y = mlp.forward_batch(&[0.0; 12], 3, &mut scratch)?;
+/// assert_eq!(y.len(), 3 * 2);
 /// # Ok::<(), ie_nn::NnError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -66,7 +72,16 @@ pub struct MlpScratch {
     grad: Vec<f32>,
     /// Gradient rows at its input (swapped with `grad` after each layer).
     dx: Vec<f32>,
+    /// `[in, out]` transposed weights of the wide layer running forward.
+    wt: Vec<f32>,
 }
+
+/// Outputs from which a layer's forward pass runs the transposed kernel
+/// ([`ie_tensor::matvec_t_batch_into`] over a transposed copy of the
+/// weights, whose tiles span 8 or 16 outputs). A narrower layer keeps
+/// [`Dense::forward_batch_into`], which is faster there; both give the same
+/// bits.
+const TRANSPOSED_MIN_OUTPUTS: usize = 8;
 
 /// The first `len` elements of `buf`, growing it first when it is shorter.
 fn rows(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
@@ -128,7 +143,8 @@ impl Mlp {
         })
     }
 
-    /// Forward pass.
+    /// Allocating single-sample forward pass: the oracle the tests hold
+    /// [`Self::forward_batch`] to. Nothing else runs it.
     ///
     /// # Errors
     ///
@@ -154,8 +170,10 @@ impl Mlp {
         Ok((self.apply_output(&x), (caches, pre)))
     }
 
-    /// Backward pass: accumulates parameter gradients for `dL/d_output` and
-    /// returns `dL/d_input`.
+    /// Allocating single-sample backward pass: accumulates parameter
+    /// gradients for `dL/d_output` and returns `dL/d_input`. The oracle the
+    /// tests hold [`Self::backward_batch`] and [`Self::input_grad_batch`] to;
+    /// nothing else runs it.
     ///
     /// # Errors
     ///
@@ -187,9 +205,13 @@ impl Mlp {
     /// `scratch` for [`Self::backward_batch`] and [`Self::input_grad_batch`].
     ///
     /// Each row of the result is bit-identical to [`Self::forward`] on that
-    /// input row: every layer runs [`Dense::forward_batch_into`] with the
-    /// hidden ReLU fused, and the output activation is the same scalar
-    /// function.
+    /// input row. A layer at least 8 outputs wide copies its weights,
+    /// transposed, into `scratch` and runs [`ie_tensor::matvec_t_batch_into`]
+    /// over the copy, which shares each weight load across 4 samples; a
+    /// narrower one runs [`Dense::forward_batch_into`]. Both replay the same
+    /// lane-parallel dot product per output, and both end in the same bias
+    /// epilogue with the hidden ReLU fused. The output activation is the same
+    /// scalar function.
     ///
     /// # Errors
     ///
@@ -222,10 +244,19 @@ impl Mlp {
         }
         rows(&mut scratch.acts[0], input.len()).copy_from_slice(input);
         for (i, layer) in self.layers.iter().enumerate() {
+            let (n_in, n_out) = (layer.in_features(), layer.out_features());
             let (done, next) = scratch.acts.split_at_mut(i + 1);
-            let x = &done[i][..batch * layer.in_features()];
-            let y = rows(&mut next[0], batch * layer.out_features());
-            layer.forward_batch_into(x, y, batch, i + 1 < depth)?;
+            let x = &done[i][..batch * n_in];
+            let y = rows(&mut next[0], batch * n_out);
+            let relu = i + 1 < depth;
+            if n_out < TRANSPOSED_MIN_OUTPUTS {
+                layer.forward_batch_into(x, y, batch, relu)?;
+            } else {
+                let wt = rows(&mut scratch.wt, n_in * n_out);
+                ie_tensor::transpose_into(layer.weight().as_slice(), n_out, n_in, wt);
+                ie_tensor::matvec_t_batch_into(wt, x, y, n_out, n_in, batch);
+                ie_tensor::add_bias_samples(y, layer.bias().as_slice(), relu);
+            }
         }
         let out = &mut scratch.acts[depth][..batch * self.output_size()];
         match self.output_activation {
@@ -244,11 +275,11 @@ impl Mlp {
     /// (`[batch, output_size]`) and computes no input gradient.
     ///
     /// Every layer adds the samples' contributions in ascending sample order
-    /// with the kernels the training plans use
-    /// ([`ie_tensor::outer_accumulate_into`],
-    /// [`ie_tensor::accumulate_slice_into`] and
-    /// [`ie_tensor::matvec_t_into`]), so the gradients are bit-identical to
-    /// calling [`Self::backward`] on every row in order.
+    /// with the kernels the training plans use, each called once per layer
+    /// ([`ie_tensor::outer_accumulate_batch_into`] and
+    /// [`ie_tensor::matvec_t_batch_into`]; the bias takes one
+    /// [`ie_tensor::accumulate_slice_into`] per sample), so the gradients are
+    /// bit-identical to calling [`Self::backward`] on every row in order.
     ///
     /// # Errors
     ///
@@ -261,10 +292,12 @@ impl Mlp {
         for i in (0..self.layers.len()).rev() {
             let layer = &mut self.layers[i];
             let (n_in, n_out) = (layer.in_features(), layer.out_features());
+            let g = &scratch.grad[..batch * n_out];
+            let x = &scratch.acts[i][..batch * n_in];
+            let grad_w = layer.grad_weight_mut().as_mut_slice();
+            ie_tensor::outer_accumulate_batch_into(g, x, grad_w, n_out, n_in, batch);
             for s in 0..batch {
-                let g = &scratch.grad[s * n_out..(s + 1) * n_out];
-                let x = &scratch.acts[i][s * n_in..(s + 1) * n_in];
-                ie_tensor::outer_accumulate_into(g, x, layer.grad_weight_mut().as_mut_slice());
+                let g = &g[s * n_out..(s + 1) * n_out];
                 ie_tensor::accumulate_slice_into(layer.grad_bias_mut().as_mut_slice(), g);
             }
             if i > 0 {
@@ -328,22 +361,16 @@ impl Mlp {
     }
 
     /// Back-propagates the gradient rows in `scratch.grad` through layer `i`
-    /// (`dx = Wᵀ·g` per sample), masks them with the ReLU of layer `i - 1`
-    /// when there is one, and leaves the result in `scratch.grad`.
+    /// (`dx = Wᵀ·g` for every sample in one kernel call), masks them with the
+    /// ReLU of layer `i - 1` when there is one, and leaves the result in
+    /// `scratch.grad`.
     fn propagate(&self, i: usize, scratch: &mut MlpScratch) {
         let layer = &self.layers[i];
         let (n_in, n_out) = (layer.in_features(), layer.out_features());
         let batch = scratch.batch;
         let dx = &mut scratch.dx[..batch * n_in];
-        for s in 0..batch {
-            ie_tensor::matvec_t_into(
-                layer.weight().as_slice(),
-                &scratch.grad[s * n_out..(s + 1) * n_out],
-                &mut dx[s * n_in..(s + 1) * n_in],
-                n_in,
-                n_out,
-            );
-        }
+        let g = &scratch.grad[..batch * n_out];
+        ie_tensor::matvec_t_batch_into(layer.weight().as_slice(), g, dx, n_in, n_out, batch);
         if i > 0 {
             // Layer i's input is the ReLU output of layer i - 1, which is
             // positive exactly where that layer's pre-activation was. The
@@ -502,57 +529,89 @@ mod tests {
         values.iter().map(|v| v.to_bits()).collect()
     }
 
+    /// Asserts that every layer's accumulated gradients match the oracle's
+    /// bit for bit.
+    fn assert_same_grads(got: &Mlp, want: &Mlp, what: &str) {
+        for (i, (got, want)) in got.layers().iter().zip(want.layers()).enumerate() {
+            assert_eq!(
+                bits(got.grad_weight().as_slice()),
+                bits(want.grad_weight().as_slice()),
+                "{what} layer {i}: weight grads"
+            );
+            assert_eq!(
+                bits(got.grad_bias().as_slice()),
+                bits(want.grad_bias().as_slice()),
+                "{what} layer {i}: bias grads"
+            );
+        }
+    }
+
     #[test]
     fn batched_passes_match_per_sample_passes_bit_for_bit() {
         let mut r = rng();
-        // One scratch for every case, so it also serves smaller batches after
-        // larger ones.
+        // One scratch for every case, so it also serves smaller batches and
+        // narrower networks after larger ones.
         let mut scratch = MlpScratch::default();
-        for output in [OutputActivation::Linear, OutputActivation::Sigmoid, OutputActivation::Tanh]
-        {
-            for batch in 1..=16 {
-                let mut mlp = Mlp::new(&mut r, &[5, 7, 6, 3], output);
-                // A zero weight row gives an exact-zero pre-activation (the
-                // biases start at zero) on every sample, in both hidden layers.
-                for layer in &mut mlp.layers[..2] {
-                    let n_in = layer.in_features();
-                    layer.weight_mut().as_mut_slice()[..n_in].fill(0.0);
-                }
-                // Every third sample is all zeros, so whole rows of both hidden
-                // layers sit exactly at zero.
-                let mut input = Tensor::randn(&mut r, &[batch * 5], 0.0, 1.0).into_vec();
-                for row in input.chunks_exact_mut(5).skip(2).step_by(3) {
-                    row.fill(0.0);
-                }
-                let grad_output = Tensor::randn(&mut r, &[batch * 3], 0.0, 1.0).into_vec();
+        // Narrow layers only; the DDPG critic's shape (a 14-wide input, two
+        // 48-wide layers with full 16-column tiles); and widths that leave
+        // every narrower tile and a lane tail.
+        let shapes: [&[usize]; 3] = [&[5, 7, 6, 3], &[14, 48, 48, 2], &[13, 37, 21, 1]];
+        for sizes in shapes {
+            let (n_in, n_out) = (sizes[0], sizes[sizes.len() - 1]);
+            for output in
+                [OutputActivation::Linear, OutputActivation::Sigmoid, OutputActivation::Tanh]
+            {
+                for batch in 1..=16 {
+                    let case = format!("{sizes:?} {output:?} batch {batch}");
+                    let mut mlp = Mlp::new(&mut r, sizes, output);
+                    // A zero weight row gives an exact-zero pre-activation (the
+                    // biases start at zero) on every sample, in every hidden
+                    // layer.
+                    let hidden = mlp.layers.len() - 1;
+                    for layer in &mut mlp.layers[..hidden] {
+                        let row = layer.in_features();
+                        layer.weight_mut().as_mut_slice()[..row].fill(0.0);
+                    }
+                    // Every third sample is all zeros, so whole rows of every
+                    // hidden layer sit exactly at zero.
+                    let mut input = Tensor::randn(&mut r, &[batch * n_in], 0.0, 1.0).into_vec();
+                    for row in input.chunks_exact_mut(n_in).skip(2).step_by(3) {
+                        row.fill(0.0);
+                    }
+                    let grad_outputs: [Vec<f32>; 2] = std::array::from_fn(|_| {
+                        Tensor::randn(&mut r, &[batch * n_out], 0.0, 1.0).into_vec()
+                    });
 
-                let mut oracle = mlp.clone();
-                let (mut want_y, mut want_dx) = (Vec::new(), Vec::new());
-                for s in 0..batch {
-                    let x = Tensor::from_vec(input[s * 5..(s + 1) * 5].to_vec(), &[5]).unwrap();
-                    let g =
-                        Tensor::from_vec(grad_output[s * 3..(s + 1) * 3].to_vec(), &[3]).unwrap();
-                    want_y.extend(mlp.forward(&x).unwrap().into_vec());
-                    want_dx.extend(oracle.backward(&x, &g).unwrap().into_vec());
-                }
+                    let mut oracle = mlp.clone();
+                    let (mut want_y, mut want_dx) = (Vec::new(), Vec::new());
+                    let sample = |s: usize, g: &[f32]| {
+                        let x = &input[s * n_in..(s + 1) * n_in];
+                        let g = &g[s * n_out..(s + 1) * n_out];
+                        (
+                            Tensor::from_vec(x.to_vec(), &[n_in]).unwrap(),
+                            Tensor::from_vec(g.to_vec(), &[n_out]).unwrap(),
+                        )
+                    };
+                    for s in 0..batch {
+                        let (x, g) = sample(s, &grad_outputs[0]);
+                        want_y.extend(mlp.forward(&x).unwrap().into_vec());
+                        want_dx.extend(oracle.backward(&x, &g).unwrap().into_vec());
+                    }
 
-                let y = mlp.forward_batch(&input, batch, &mut scratch).unwrap();
-                assert_eq!(bits(y), bits(&want_y), "{output:?} batch {batch}: outputs");
-                let dx = mlp.input_grad_batch(&grad_output, &mut scratch).unwrap();
-                assert_eq!(bits(dx), bits(&want_dx), "{output:?} batch {batch}: input grads");
-                mlp.backward_batch(&grad_output, &mut scratch).unwrap();
-                for (i, (got, want)) in mlp.layers().iter().zip(oracle.layers()).enumerate() {
-                    let what = format!("{output:?} batch {batch} layer {i}");
-                    assert_eq!(
-                        bits(got.grad_weight().as_slice()),
-                        bits(want.grad_weight().as_slice()),
-                        "{what}: weight grads"
-                    );
-                    assert_eq!(
-                        bits(got.grad_bias().as_slice()),
-                        bits(want.grad_bias().as_slice()),
-                        "{what}: bias grads"
-                    );
+                    let y = mlp.forward_batch(&input, batch, &mut scratch).unwrap();
+                    assert_eq!(bits(y), bits(&want_y), "{case}: outputs");
+                    let dx = mlp.input_grad_batch(&grad_outputs[0], &mut scratch).unwrap();
+                    assert_eq!(bits(dx), bits(&want_dx), "{case}: input grads");
+                    mlp.backward_batch(&grad_outputs[0], &mut scratch).unwrap();
+                    assert_same_grads(&mlp, &oracle, &case);
+                    // A second pass with no `zero_grad` in between: the
+                    // accumulation starts from nonzero gradients.
+                    for s in 0..batch {
+                        let (x, g) = sample(s, &grad_outputs[1]);
+                        oracle.backward(&x, &g).unwrap();
+                    }
+                    mlp.backward_batch(&grad_outputs[1], &mut scratch).unwrap();
+                    assert_same_grads(&mlp, &oracle, &format!("{case} (second pass)"));
                 }
             }
         }

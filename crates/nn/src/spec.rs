@@ -329,8 +329,12 @@ impl MultiExitArchitecture {
     }
 
     /// Looks up the site of a layer by name (parameterised layers carry the
-    /// names assigned in the builder; anonymous layers cannot be found).
+    /// names assigned in the builder; anonymous layers, whose name is empty,
+    /// cannot be found, so an empty `name` finds nothing).
     pub fn find_layer(&self, name: &str) -> Option<LayerSite> {
+        if name.is_empty() {
+            return None;
+        }
         for (si, segment) in self.segments.iter().enumerate() {
             for (li, l) in segment.iter().enumerate() {
                 if l.name == name {
@@ -768,6 +772,8 @@ mod tests {
         assert!(arch.find_layer("Conv1").is_some());
         assert!(arch.find_layer("FC-B21").is_some());
         assert!(arch.find_layer("nope").is_none());
+        // ReLU, max-pool and flatten layers are anonymous.
+        assert!(arch.find_layer("").is_none());
     }
 
     #[test]

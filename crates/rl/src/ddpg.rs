@@ -3,7 +3,6 @@
 
 use crate::{OrnsteinUhlenbeck, ReplayBuffer};
 use ie_nn::{Mlp, MlpScratch, NnError, OutputActivation, Result as NnResult};
-use ie_tensor::Tensor;
 use rand::Rng;
 
 /// One experience tuple collected while exploring compression policies.
@@ -165,14 +164,14 @@ impl DdpgAgent {
         self.noise.set_sigma(sigma);
     }
 
-    /// Deterministic (exploitation) action for a state.
+    /// Deterministic (exploitation) action for a state: the actor's batched
+    /// forward pass at a batch of one, through the agent's own scratch.
     ///
     /// # Errors
     ///
     /// Returns an error when `state` has the wrong dimension.
-    pub fn act(&self, state: &[f32]) -> NnResult<Vec<f32>> {
-        let s = Tensor::from_vec(state.to_vec(), &[state.len()]).map_err(NnError::from)?;
-        Ok(self.actor.forward(&s)?.into_vec())
+    pub fn act(&mut self, state: &[f32]) -> NnResult<Vec<f32>> {
+        Ok(self.actor.forward_batch(state, 1, &mut self.buffers.actor)?.to_vec())
     }
 
     /// Exploratory action: the deterministic action plus OU noise, clamped to
@@ -204,17 +203,18 @@ impl DdpgAgent {
         self.noise.reset();
     }
 
-    /// Critic value `Q(s, a)`.
+    /// Critic value `Q(s, a)`: the critic's batched forward pass at a batch
+    /// of one, through the agent's own scratch.
     ///
     /// # Errors
     ///
     /// Returns an error when the concatenated input has the wrong dimension.
-    pub fn q_value(&self, state: &[f32], action: &[f32]) -> NnResult<f32> {
-        let mut input = state.to_vec();
-        input.extend_from_slice(action);
-        let len = input.len();
-        let x = Tensor::from_vec(input, &[len]).map_err(NnError::from)?;
-        Ok(self.critic.forward(&x)?.as_slice()[0])
+    pub fn q_value(&mut self, state: &[f32], action: &[f32]) -> NnResult<f32> {
+        let b = &mut self.buffers;
+        b.state_actions.clear();
+        b.state_actions.extend_from_slice(state);
+        b.state_actions.extend_from_slice(action);
+        Ok(self.critic.forward_batch(&b.state_actions, 1, &mut b.critic)?[0])
     }
 
     /// Performs one mini-batch update of the critic and actor and soft-updates
@@ -225,9 +225,12 @@ impl DdpgAgent {
     /// The batch holds `batch_size.max(1)` transitions drawn uniformly with
     /// replacement, and each network pass runs once over the whole batch
     /// ([`Mlp::forward_batch`], [`Mlp::backward_batch`],
-    /// [`Mlp::input_grad_batch`]). Gradients accumulate in ascending sample
-    /// order, so every weight and the returned error are bit-identical to
-    /// updating from one transition at a time. Once warm, an update
+    /// [`Mlp::input_grad_batch`]), with one
+    /// [`ie_tensor::matvec_t_batch_into`] or
+    /// [`ie_tensor::outer_accumulate_batch_into`] call per layer that shares
+    /// each weight load across samples. Gradients accumulate in ascending
+    /// sample order, so every weight and the returned error are bit-identical
+    /// to updating from one transition at a time. Once warm, an update
     /// allocates nothing.
     ///
     /// # Errors
@@ -327,6 +330,7 @@ fn check_len(field: &str, expected: usize, values: &[f32]) -> NnResult<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ie_tensor::Tensor;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -15,9 +15,10 @@
 //! * [`max_pool_backward_into`] routes each output gradient to the window
 //!   argmax found by a row-major strict-`>` scan (first maximum wins), the
 //!   same order the allocating pool backward uses.
-//! * [`outer_accumulate_into`] / [`accumulate_slice_into`] accumulate with a
-//!   single product/add per element, matching `outer` +
-//!   `add_scaled_inplace(·, 1.0)` bit for bit (`1.0 * x == x`).
+//! * [`outer_accumulate_batch_into`] / [`accumulate_slice_into`] accumulate
+//!   with a single product/add per element and sample, in ascending sample
+//!   order, matching one `outer` + `add_scaled_inplace(·, 1.0)` per sample
+//!   bit for bit (`1.0 * x == x`).
 //! * [`cross_entropy_grad_into`] fuses the `probs − one_hot(label)` epilogue
 //!   with the per-exit loss weight: `out[j] = probs[j] * w` except
 //!   `out[label] = (probs[label] − 1.0) * w`.
@@ -215,7 +216,8 @@ pub fn max_pool_backward_into_tier(
 // Accumulating outer product / slice accumulate
 // ---------------------------------------------------------------------------
 
-/// Portable body of [`outer_accumulate_into`].
+/// The batch-of-one body of [`outer_accumulate_batch_into`]:
+/// `acc[i·n + j] += u[i] * v[j]` row by row.
 #[inline(always)]
 fn outer_accumulate_body(u: &[f32], v: &[f32], acc: &mut [f32]) {
     let n = v.len();
@@ -227,39 +229,148 @@ fn outer_accumulate_body(u: &[f32], v: &[f32], acc: &mut [f32]) {
     }
 }
 
-/// Accumulates the outer product `u ⊗ v` into the row-major
-/// `[u.len(), v.len()]` buffer `acc`: `acc[i·n + j] += u[i] * v[j]`. One
-/// product and one add per element, so bit-identical to the allocating
-/// `outer` + `add_scaled_inplace(·, 1.0)` dense-layer gradient path.
-///
-/// # Panics
-///
-/// Panics when `acc.len() != u.len() * v.len()`.
-pub fn outer_accumulate_into(u: &[f32], v: &[f32], acc: &mut [f32]) {
-    outer_accumulate_into_tier(dispatch::active(), u, v, acc);
+/// Rows of a full [`outer_accumulate_batch_into`] tile.
+const OA_ROWS: usize = 4;
+
+/// Columns of a full [`outer_accumulate_batch_into`] tile (two 8-lane vectors
+/// per row, so the 4×16 tile fills 8 `ymm` registers).
+const OA_COLS: usize = 16;
+
+/// `MR` rows × `NR` columns of `acc`, from row `i` and column `jb`: the tile
+/// is loaded from `acc` first, takes one rounded product and one add per
+/// element for every sample in ascending order while it stays in
+/// registers, and is stored once.
+#[inline(always)]
+fn outer_tile<const MR: usize, const NR: usize>(
+    us: &[f32],
+    vs: &[f32],
+    acc: &mut [f32],
+    rows: usize,
+    cols: usize,
+    i: usize,
+    jb: usize,
+) {
+    let mut tile = [[0.0f32; NR]; MR];
+    for (r, t) in tile.iter_mut().enumerate() {
+        let off = (i + r) * cols + jb;
+        t.copy_from_slice(&acc[off..off + NR]);
+    }
+    for (u, v) in us.chunks_exact(rows).zip(vs.chunks_exact(cols)) {
+        let u: &[f32; MR] = u[i..i + MR].try_into().expect("tile rows");
+        let v: &[f32; NR] = v[jb..jb + NR].try_into().expect("tile width");
+        for (t, &a) in tile.iter_mut().zip(u) {
+            for j in 0..NR {
+                t[j] += a * v[j];
+            }
+        }
+    }
+    for (r, t) in tile.iter().enumerate() {
+        let off = (i + r) * cols + jb;
+        acc[off..off + NR].copy_from_slice(t);
+    }
 }
 
-/// [`outer_accumulate_into`] on an explicitly chosen ISA tier (clamped to
-/// the hardware).
+/// The tiles of the `MR` rows of `acc` from row `i`: 16 columns at a time,
+/// then 8, 4 and single columns for the rest of the row.
+#[inline(always)]
+fn outer_row_tiles<const MR: usize>(
+    us: &[f32],
+    vs: &[f32],
+    acc: &mut [f32],
+    rows: usize,
+    cols: usize,
+    i: usize,
+) {
+    let mut jb = 0;
+    while jb + OA_COLS <= cols {
+        outer_tile::<MR, OA_COLS>(us, vs, acc, rows, cols, i, jb);
+        jb += OA_COLS;
+    }
+    if jb + 8 <= cols {
+        outer_tile::<MR, 8>(us, vs, acc, rows, cols, i, jb);
+        jb += 8;
+    }
+    if jb + 4 <= cols {
+        outer_tile::<MR, 4>(us, vs, acc, rows, cols, i, jb);
+        jb += 4;
+    }
+    for j in jb..cols {
+        outer_tile::<MR, 1>(us, vs, acc, rows, cols, i, j);
+    }
+}
+
+/// Portable body of [`outer_accumulate_batch_into`] for two or more samples
+/// (recompiled for AVX2 by the dispatcher): [`OA_ROWS`]-row tiles, then
+/// single rows for the rest.
+#[inline(always)]
+fn outer_accumulate_tiles(us: &[f32], vs: &[f32], acc: &mut [f32], rows: usize, cols: usize) {
+    let mut i = 0;
+    while i + OA_ROWS <= rows {
+        outer_row_tiles::<OA_ROWS>(us, vs, acc, rows, cols, i);
+        i += OA_ROWS;
+    }
+    for i in i..rows {
+        outer_row_tiles::<1>(us, vs, acc, rows, cols, i);
+    }
+}
+
+/// Accumulates the outer products of `batch` sample pairs into the
+/// row-major `[rows, cols]` buffer `acc`:
+/// `acc[i·cols + j] += us[s·rows + i] * vs[s·cols + j]` for each sample `s`
+/// in ascending order. `us` is `[batch, rows]` and `vs` is `[batch, cols]`,
+/// both sample-major.
+///
+/// Every element takes one rounded product and one add per sample, so the
+/// result is bit-identical to `batch` single-sample calls in order, each the
+/// allocating `outer` + `add_scaled_inplace(·, 1.0)` dense-layer gradient
+/// path. From two samples on, 4×16 tiles of `acc` stay in registers across
+/// the whole batch; a batch of one runs the row-by-row kernel.
 ///
 /// # Panics
 ///
-/// Panics under the same conditions as [`outer_accumulate_into`].
-pub fn outer_accumulate_into_tier(tier: IsaTier, u: &[f32], v: &[f32], acc: &mut [f32]) {
-    assert_eq!(
-        acc.len(),
-        u.len() * v.len(),
-        "outer accumulate: acc length {} != {}x{}",
-        acc.len(),
-        u.len(),
-        v.len()
-    );
+/// Panics when a buffer length does not match its dimensions.
+pub fn outer_accumulate_batch_into(
+    us: &[f32],
+    vs: &[f32],
+    acc: &mut [f32],
+    rows: usize,
+    cols: usize,
+    batch: usize,
+) {
+    outer_accumulate_batch_into_tier(dispatch::active(), us, vs, acc, rows, cols, batch);
+}
+
+/// [`outer_accumulate_batch_into`] on an explicitly chosen ISA tier
+/// (clamped to the hardware).
+///
+/// # Panics
+///
+/// Panics under the same conditions as [`outer_accumulate_batch_into`].
+pub fn outer_accumulate_batch_into_tier(
+    tier: IsaTier,
+    us: &[f32],
+    vs: &[f32],
+    acc: &mut [f32],
+    rows: usize,
+    cols: usize,
+    batch: usize,
+) {
+    assert_eq!(us.len(), batch * rows, "outer: us length {} != {batch}x{rows}", us.len());
+    assert_eq!(vs.len(), batch * cols, "outer: vs length {} != {batch}x{cols}", vs.len());
+    assert_eq!(acc.len(), rows * cols, "outer: acc length {} != {rows}x{cols}", acc.len());
+    if rows == 0 || cols == 0 {
+        return;
+    }
     #[cfg(target_arch = "x86_64")]
-    if x86::try_outer_accumulate(tier, u, v, acc) {
+    if x86::try_outer_accumulate_batch(tier, us, vs, acc, rows, cols, batch) {
         return;
     }
     let _ = tier;
-    outer_accumulate_body(u, v, acc);
+    if batch == 1 {
+        outer_accumulate_body(us, vs, acc);
+    } else {
+        outer_accumulate_tiles(us, vs, acc, rows, cols);
+    }
 }
 
 /// Portable body of [`accumulate_slice_into`].
@@ -467,20 +578,45 @@ mod x86 {
         max_pool_backward_body(src, planes, h, w, size, grad_out, dst);
     }
 
-    /// AVX2 accumulating-outer-product attempt; see [`try_transpose`].
-    pub(super) fn try_outer_accumulate(
+    /// AVX2 batched accumulating-outer-product attempt; see
+    /// [`try_transpose`]. A batch of one runs the explicit-intrinsics row
+    /// kernel, a larger one the recompiled tiles.
+    pub(super) fn try_outer_accumulate_batch(
         tier: IsaTier,
-        u: &[f32],
-        v: &[f32],
+        us: &[f32],
+        vs: &[f32],
         acc: &mut [f32],
+        rows: usize,
+        cols: usize,
+        batch: usize,
     ) -> bool {
         if dispatch::clamp(tier) < IsaTier::Avx2 {
             return false;
         }
         // SAFETY: `clamp` only returns Avx2 or above when AVX2 is detected;
         // lengths were validated by the dispatching wrapper.
-        unsafe { outer_accumulate_avx2(u, v, acc) };
+        unsafe {
+            if batch == 1 {
+                outer_accumulate_avx2(us, vs, acc);
+            } else {
+                outer_accumulate_tiles_avx2(us, vs, acc, rows, cols);
+            }
+        }
         true
+    }
+
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 is supported.
+    #[target_feature(enable = "avx2")]
+    unsafe fn outer_accumulate_tiles_avx2(
+        us: &[f32],
+        vs: &[f32],
+        acc: &mut [f32],
+        rows: usize,
+        cols: usize,
+    ) {
+        outer_accumulate_tiles(us, vs, acc, rows, cols);
     }
 
     /// Broadcast `u[i]`, multiply against 8 lanes of `v`, add into the
@@ -619,8 +755,11 @@ mod tests {
         let u = [2.0, -1.0];
         let v = [3.0, 0.5, 1.0];
         let mut acc = vec![1.0f32; 6];
-        outer_accumulate_into(&u, &v, &mut acc);
+        outer_accumulate_batch_into(&u, &v, &mut acc, 2, 3, 1);
         assert_eq!(acc, [7.0, 2.0, 3.0, -2.0, 0.5, 0.0]);
+        // A second sample adds on top of the first.
+        outer_accumulate_batch_into(&[u, [1.0, 0.0]].concat(), &[v, v].concat(), &mut acc, 2, 3, 2);
+        assert_eq!(acc, [16.0, 3.5, 6.0, -5.0, 0.0, -1.0]);
         let mut dst = vec![1.0f32, 2.0];
         accumulate_slice_into(&mut dst, &[0.5, -2.0]);
         assert_eq!(dst, [1.5, 0.0]);

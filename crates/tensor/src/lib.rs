@@ -39,15 +39,15 @@ mod shape;
 mod tensor;
 
 pub use backward::{
-    accumulate_slice_into, cross_entropy_grad_into, max_pool_backward_into, outer_accumulate_into,
-    relu_backward_into, transpose_into,
+    accumulate_slice_into, cross_entropy_grad_into, max_pool_backward_into,
+    outer_accumulate_batch_into, relu_backward_into, transpose_into,
 };
 pub use dispatch::IsaTier;
 pub use error::TensorError;
 pub use im2col::{
     col2im, col2im_into, im2col, im2col_batch_into, im2col_quant_select_batch_into, Conv2dGeometry,
 };
-pub use linalg::{gemm_into, gemm_sparse_into, matvec_batch_into, matvec_t_into};
+pub use linalg::{gemm_into, gemm_sparse_into, matvec_batch_into, matvec_t_batch_into};
 pub use ops::{
     add_bias_rows, add_bias_samples, max_pool_planes_i8_into, max_pool_planes_into,
     relu_codes_floor, relu_slice, softmax_slice_into,
@@ -70,12 +70,13 @@ pub mod tiered {
         accumulate_slice_into_tier as accumulate_slice_into,
         cross_entropy_grad_into_tier as cross_entropy_grad_into,
         max_pool_backward_into_tier as max_pool_backward_into,
-        outer_accumulate_into_tier as outer_accumulate_into,
+        outer_accumulate_batch_into_tier as outer_accumulate_batch_into,
         relu_backward_into_tier as relu_backward_into, transpose_into_tier as transpose_into,
     };
     pub use crate::linalg::{
         gemm_into_tier as gemm_into, gemm_sparse_into_tier as gemm_sparse_into,
-        matvec_batch_into_tier as matvec_batch_into, matvec_t_into_tier as matvec_t_into,
+        matvec_batch_into_tier as matvec_batch_into,
+        matvec_t_batch_into_tier as matvec_t_batch_into,
     };
     pub use crate::ops::{
         add_bias_rows_tier as add_bias_rows, add_bias_samples_tier as add_bias_samples,

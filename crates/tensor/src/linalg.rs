@@ -277,20 +277,21 @@ mod x86 {
         true
     }
 
-    /// AVX2 transposed matvec attempt; see [`try_gemm_accumulate`].
-    pub(super) fn try_matvec_t(
+    /// AVX2 batched transposed matvec attempt; see [`try_gemm_accumulate`].
+    pub(super) fn try_matvec_t_batch(
         tier: IsaTier,
         a: &[f32],
-        x: &[f32],
+        xs: &[f32],
         out: &mut [f32],
         m: usize,
         k: usize,
+        batch: usize,
     ) -> bool {
         if dispatch::clamp(tier) < IsaTier::Avx2 {
             return false;
         }
         // SAFETY: `clamp` only returns Avx2 or above when AVX2 is detected.
-        unsafe { matvec_t_avx2(a, x, out, m, k) };
+        unsafe { matvec_t_batch_avx2(a, xs, out, m, k, batch) };
         true
     }
 
@@ -298,8 +299,15 @@ mod x86 {
     ///
     /// Caller must ensure AVX2 is supported.
     #[target_feature(enable = "avx2")]
-    unsafe fn matvec_t_avx2(a: &[f32], x: &[f32], out: &mut [f32], m: usize, k: usize) {
-        matvec_t_body(a, x, out, m, k);
+    unsafe fn matvec_t_batch_avx2(
+        a: &[f32],
+        xs: &[f32],
+        out: &mut [f32],
+        m: usize,
+        k: usize,
+        batch: usize,
+    ) {
+        matvec_t_batch_body(a, xs, out, m, k, batch);
     }
 
     /// # Safety
@@ -586,11 +594,20 @@ pub fn matvec_batch_into_tier(
     matvec_batch_body(a, xs, out, m, k, batch);
 }
 
-/// Output rows [`matvec_t_into`] processes per pass (8 lane-partials of this
+/// Output rows [`matvec_t_body`] processes per pass (8 lane-partials of this
 /// width live on the stack: 2 KB).
 const MT_BLOCK: usize = 64;
 
-/// Portable body of [`matvec_t_into`]: for every output column block it
+/// Samples one [`matvec_t_batch_into`] tile covers: each weight row it loads
+/// feeds this many samples.
+const MT_SAMPLES: usize = 4;
+
+/// Output columns of a full [`matvec_t_batch_into`] tile (two 8-lane vectors
+/// per sample, so one lane's partials for the whole tile fill 8 `ymm`
+/// registers).
+const MT_COLS: usize = 16;
+
+/// One sample of [`matvec_t_batch_into`]: for every output column block it
 /// replays [`dot_lanes`] on the *columns* of `a` — lane `t` accumulates depth
 /// indices `p ≡ t (mod 8)` in ascending order, the lanes combine through the
 /// identical fixed reduction tree, and the `k % 8` tail folds in afterwards —
@@ -629,51 +646,145 @@ fn matvec_t_body(a: &[f32], x: &[f32], out: &mut [f32], m: usize, k: usize) {
     }
 }
 
-/// Transposed matrix–vector product: writes `Aᵀ·x` into `out` without
-/// materializing the transpose. `a` is `[k, m]` row-major, `x` has `k`
-/// elements and `out` has `m`. Never allocates.
+/// [`MT_SAMPLES`] samples × `NR` output columns (starting at column `jb`) of
+/// [`matvec_t_batch_into`]; `xs` and `out` hold exactly the tile's sample
+/// rows.
+///
+/// The loop runs lane-major: for lane `t` it sweeps the depth indices
+/// `p ≡ t (mod 8)` in ascending order with the tile's partials in registers,
+/// so each weight row segment is loaded once for all the samples. The lanes
+/// then combine through [`dot_lanes`]'s tree and the `k % 8` tail folds in,
+/// per sample — every element takes the operations [`matvec_t_body`] gives
+/// it, in the same order.
+#[inline(always)]
+fn matvec_t_tile<const NR: usize>(
+    a: &[f32],
+    xs: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    jb: usize,
+) {
+    let chunks = k / DOT_LANES;
+    let mut lanes = [[[0.0f32; NR]; MT_SAMPLES]; DOT_LANES];
+    for (t, lane) in lanes.iter_mut().enumerate() {
+        let mut acc = [[0.0f32; NR]; MT_SAMPLES];
+        for c in 0..chunks {
+            let p = c * DOT_LANES + t;
+            let arow: &[f32; NR] = a[p * m + jb..p * m + jb + NR].try_into().expect("tile width");
+            for (s, acc_s) in acc.iter_mut().enumerate() {
+                let xv = xs[s * k + p];
+                for j in 0..NR {
+                    acc_s[j] += xv * arow[j];
+                }
+            }
+        }
+        *lane = acc;
+    }
+    for s in 0..MT_SAMPLES {
+        let orow: &mut [f32; NR] =
+            (&mut out[s * m + jb..s * m + jb + NR]).try_into().expect("tile width");
+        for (j, o) in orow.iter_mut().enumerate() {
+            let l = |t: usize| lanes[t][s][j];
+            *o = ((l(0) + l(4)) + (l(2) + l(6))) + ((l(1) + l(5)) + (l(3) + l(7)));
+        }
+        for p in chunks * DOT_LANES..k {
+            let xv = xs[s * k + p];
+            let arow = &a[p * m + jb..p * m + jb + NR];
+            for (o, &av) in orow.iter_mut().zip(arow) {
+                *o += xv * av;
+            }
+        }
+    }
+}
+
+/// Portable body of [`matvec_t_batch_into`] (recompiled for AVX2 by the
+/// dispatcher): full groups of [`MT_SAMPLES`] samples run the tiles — 16
+/// columns at a time, then 8, 4 and single columns for the rest of the row —
+/// and the leftover samples run [`matvec_t_body`] one at a time.
+#[inline(always)]
+fn matvec_t_batch_body(a: &[f32], xs: &[f32], out: &mut [f32], m: usize, k: usize, batch: usize) {
+    let full = batch - batch % MT_SAMPLES;
+    let (tiled, rest) = (&xs[..full * k], &xs[full * k..]);
+    for (x, o) in tiled.chunks_exact(MT_SAMPLES * k).zip(out.chunks_exact_mut(MT_SAMPLES * m)) {
+        let mut jb = 0;
+        while jb + MT_COLS <= m {
+            matvec_t_tile::<MT_COLS>(a, x, o, m, k, jb);
+            jb += MT_COLS;
+        }
+        if jb + 8 <= m {
+            matvec_t_tile::<8>(a, x, o, m, k, jb);
+            jb += 8;
+        }
+        if jb + 4 <= m {
+            matvec_t_tile::<4>(a, x, o, m, k, jb);
+            jb += 4;
+        }
+        for j in jb..m {
+            matvec_t_tile::<1>(a, x, o, m, k, j);
+        }
+    }
+    for (x, o) in rest.chunks_exact(k).zip(out[full * m..].chunks_exact_mut(m)) {
+        matvec_t_body(a, x, o, m, k);
+    }
+}
+
+/// Batched transposed matrix–vector product: writes `Aᵀ·x` for each of
+/// `batch` vectors without materializing the transpose. `a` is `[k, m]`
+/// row-major; `xs` holds the vectors sample-major (`[batch, k]`) and `out`
+/// receives the products sample-major (`[batch, m]`). Never allocates.
 ///
 /// Each output element reproduces [`matvec_batch_into`]'s lane-parallel dot
 /// product (same lane assignment, same reduction tree, same tail order) on
 /// the corresponding column of `a` — bit-identical to
-/// [`transpose_into`](crate::transpose_into) + [`matvec_batch_into`] at
-/// `batch == 1`, minus the transposed copy. This is what the training plans
-/// use for the dense input-gradient product `dx = Wᵀ·g`.
+/// [`transpose_into`](crate::transpose_into) + [`matvec_batch_into`], minus
+/// the transposed copy — and does not depend on the other samples, so each
+/// sample's result is bit-identical to a batch of one holding it alone.
+/// Groups of 4 samples share every weight load; a batch of one (the training
+/// plans' dense input gradient `dx = Wᵀ·g`) runs the single-sample body.
 ///
 /// # Panics
 ///
 /// Panics when a buffer length does not match its dimensions.
-pub fn matvec_t_into(a: &[f32], x: &[f32], out: &mut [f32], m: usize, k: usize) {
-    matvec_t_into_tier(dispatch::active(), a, x, out, m, k);
+pub fn matvec_t_batch_into(
+    a: &[f32],
+    xs: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    batch: usize,
+) {
+    matvec_t_batch_into_tier(dispatch::active(), a, xs, out, m, k, batch);
 }
 
-/// [`matvec_t_into`] on an explicitly chosen ISA tier (clamped to the
+/// [`matvec_t_batch_into`] on an explicitly chosen ISA tier (clamped to the
 /// hardware).
 ///
 /// # Panics
 ///
 /// Panics when a buffer length does not match its dimensions.
-pub fn matvec_t_into_tier(
+pub fn matvec_t_batch_into_tier(
     tier: IsaTier,
     a: &[f32],
-    x: &[f32],
+    xs: &[f32],
     out: &mut [f32],
     m: usize,
     k: usize,
+    batch: usize,
 ) {
     assert_eq!(a.len(), k * m, "matvec_t: matrix buffer length {} != {k}x{m}", a.len());
-    assert_eq!(x.len(), k, "matvec_t: vector length {} != {k}", x.len());
-    assert_eq!(out.len(), m, "matvec_t: out length {} != {m}", out.len());
-    if k == 0 {
+    assert_eq!(xs.len(), batch * k, "matvec_t: vectors length {} != {batch}x{k}", xs.len());
+    assert_eq!(out.len(), batch * m, "matvec_t: out length {} != {batch}x{m}", out.len());
+    if k == 0 || m == 0 {
         out.fill(0.0);
         return;
     }
     #[cfg(target_arch = "x86_64")]
-    if x86::try_matvec_t(tier, a, x, out, m, k) {
+    if x86::try_matvec_t_batch(tier, a, xs, out, m, k, batch) {
         return;
     }
     let _ = tier;
-    matvec_t_body(a, x, out, m, k);
+    matvec_t_batch_body(a, xs, out, m, k, batch);
 }
 
 impl Tensor {
@@ -960,26 +1071,36 @@ mod tests {
     #[test]
     fn transposed_matvec_is_bit_identical_to_transpose_then_matvec() {
         let mut rng = StdRng::seed_from_u64(22);
-        // Exercise the lane tail (k % 8 != 0) and the MT_BLOCK row remainder.
-        for (m, k) in [(1, 1), (3, 9), (64, 64), (65, 8), (512, 128), (100, 70), (130, 257)] {
+        // Exercise the lane tail (k % 8 != 0), the MT_BLOCK row remainder,
+        // every tile width (16, 8, 4, 1) and the leftover samples.
+        for (m, k, batch) in [
+            (1, 1, 1),
+            (3, 9, 5),
+            (64, 64, 4),
+            (65, 8, 1),
+            (512, 128, 2),
+            (100, 70, 9),
+            (130, 257, 3),
+            (29, 48, 8),
+        ] {
             let a = Tensor::randn(&mut rng, &[k, m], 0.0, 1.0);
-            let x = Tensor::randn(&mut rng, &[k], 0.0, 1.0);
+            let xs = Tensor::randn(&mut rng, &[batch, k], 0.0, 1.0);
             let mut at = vec![0.0f32; k * m];
             crate::transpose_into(a.as_slice(), k, m, &mut at);
-            let mut reference = vec![0.0f32; m];
-            matvec_batch_into(&at, x.as_slice(), &mut reference, m, k, 1);
-            let mut out = vec![f32::NAN; m];
-            matvec_t_into(a.as_slice(), x.as_slice(), &mut out, m, k);
+            let mut reference = vec![0.0f32; batch * m];
+            matvec_batch_into(&at, xs.as_slice(), &mut reference, m, k, batch);
+            let mut out = vec![f32::NAN; batch * m];
+            matvec_t_batch_into(a.as_slice(), xs.as_slice(), &mut out, m, k, batch);
             assert_eq!(
                 out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "shape {m}x{k}"
+                "shape {m}x{k} batch {batch}"
             );
         }
         // k == 0 zero-fills like matvec_batch_into.
-        let mut out = vec![1.0f32; 4];
-        matvec_t_into(&[], &[], &mut out, 4, 0);
-        assert_eq!(out, vec![0.0; 4]);
+        let mut out = vec![1.0f32; 8];
+        matvec_t_batch_into(&[], &[], &mut out, 4, 0, 2);
+        assert_eq!(out, vec![0.0; 8]);
     }
 
     #[test]

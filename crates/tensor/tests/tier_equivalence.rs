@@ -265,10 +265,16 @@ proptest! {
     /// The training-side backward kernels: transpose, ReLU mask-multiply,
     /// argmax-routed pool backward, accumulating outer product, slice
     /// accumulate and the fused cross-entropy gradient epilogue.
+    ///
+    /// The outer product runs batched, on batches below and above its
+    /// 4×16 tile and on widths past 16, into a nonzero accumulator: on every
+    /// tier one batched call must equal a batch-of-one call per sample in
+    /// ascending order, and those must equal the portable tier's.
     #[test]
     fn backward_kernel_tiers_are_bit_identical(
         rows in 1usize..12,
         cols in 1usize..40,
+        batch in 1usize..11,
         seed in 0u64..1000,
     ) {
         let len = rows * cols;
@@ -276,6 +282,22 @@ proptest! {
         let (a, b) = data.split_at(len);
         let label = (seed as usize) % cols;
         let weight = 0.25 + (seed % 7) as f32 * 0.37;
+        let us = mulberry(seed ^ 0x55, batch * rows);
+        let vs = mulberry(seed ^ 0x99, batch * cols);
+        let per_sample = |tier: IsaTier| {
+            let mut acc = b.to_vec();
+            for (u, v) in us.chunks_exact(rows).zip(vs.chunks_exact(cols)) {
+                tiered::outer_accumulate_batch_into(tier, u, v, &mut acc, rows, cols, 1);
+            }
+            acc
+        };
+        let base_o = per_sample(IsaTier::Portable);
+        for &tier in supported_tiers() {
+            let mut out_o = b.to_vec();
+            tiered::outer_accumulate_batch_into(tier, &us, &vs, &mut out_o, rows, cols, batch);
+            prop_assert_eq!(bits_f32(&per_sample(tier)), bits_f32(&out_o), "outer {:?}", tier);
+            prop_assert_eq!(bits_f32(&base_o), bits_f32(&out_o), "outer {:?}", tier);
+        }
         for &tier in &supported_tiers()[1..] {
             let mut base = vec![0.0f32; len];
             tiered::transpose_into(IsaTier::Portable, a, rows, cols, &mut base);
@@ -288,12 +310,6 @@ proptest! {
             let mut out_r = vec![0.0f32; len];
             tiered::relu_backward_into(tier, a, b, &mut out_r);
             prop_assert_eq!(bits_f32(&base_r), bits_f32(&out_r), "relu bwd {:?}", tier);
-
-            let mut base_o = b.to_vec();
-            tiered::outer_accumulate_into(IsaTier::Portable, &a[..rows], &a[..cols], &mut base_o);
-            let mut out_o = b.to_vec();
-            tiered::outer_accumulate_into(tier, &a[..rows], &a[..cols], &mut out_o);
-            prop_assert_eq!(bits_f32(&base_o), bits_f32(&out_o), "outer {:?}", tier);
 
             let mut base_acc = a.to_vec();
             tiered::accumulate_slice_into(IsaTier::Portable, &mut base_acc, b);
@@ -309,22 +325,33 @@ proptest! {
         }
     }
 
-    /// The transposed-`A` training kernel (`dx = Wᵀ·g`) is bit-identical
-    /// across tiers and to transpose-then-multiply.
+    /// The batched transposed-`A` kernel (`dx = Wᵀ·g`, and the `Mlp`
+    /// forward over a transposed copy of `W`) is bit-identical across tiers
+    /// and to transpose-then-multiply, on batches below and above its
+    /// 4-sample tile and on widths past its 16-column tile; on every tier
+    /// each sample of a batched call equals a batch-of-one call on it.
     #[test]
     fn transposed_product_tiers_are_bit_identical(
         m in 1usize..80,
-        k in 1usize..24,
+        k in 1usize..40,
+        batch in 1usize..11,
         seed in 0u64..1000,
     ) {
         let a = mulberry(seed, k * m);
-        let x = mulberry(seed ^ 0x77, k);
-        let mut base_v = vec![0.0f32; m];
-        tiered::matvec_t_into(IsaTier::Portable, &a, &x, &mut base_v, m, k);
-        for &tier in &supported_tiers()[1..] {
-            let mut out_v = vec![0.0f32; m];
-            tiered::matvec_t_into(tier, &a, &x, &mut out_v, m, k);
+        let xs = mulberry(seed ^ 0x77, batch * k);
+        let mut at = vec![0.0f32; k * m];
+        tiered::transpose_into(IsaTier::Portable, &a, k, m, &mut at);
+        let mut base_v = vec![0.0f32; batch * m];
+        tiered::matvec_batch_into(IsaTier::Portable, &at, &xs, &mut base_v, m, k, batch);
+        for &tier in supported_tiers() {
+            let mut out_v = vec![f32::NAN; batch * m];
+            tiered::matvec_t_batch_into(tier, &a, &xs, &mut out_v, m, k, batch);
             prop_assert_eq!(bits_f32(&base_v), bits_f32(&out_v), "matvec_t {:?}", tier);
+            for (x, out) in xs.chunks_exact(k).zip(out_v.chunks_exact(m)) {
+                let mut one = vec![f32::NAN; m];
+                tiered::matvec_t_batch_into(tier, &a, x, &mut one, m, k, 1);
+                prop_assert_eq!(bits_f32(&one), bits_f32(out), "batch of one {:?}", tier);
+            }
         }
     }
 
