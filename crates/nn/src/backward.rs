@@ -27,10 +27,10 @@
 //! [`ie_tensor::outer_accumulate_batch_into`],
 //! [`ie_tensor::cross_entropy_grad_into`], …) on every ISA tier, the batched
 //! ones at a batch of one. Dense data gradients go through the
-//! transposed-operand [`ie_tensor::matvec_t_batch_into`], which consumes the weight matrix in its stored layout — no weight
-//! transpose; the first layer of the network additionally skips its data
-//! gradient entirely (the input image's gradient is never read). The planned
-//! step is
+//! transposed-operand [`ie_tensor::matvec_t_batch_into`], which consumes the
+//! weight matrix in its stored layout — no weight transpose; the first layer
+//! of the network additionally skips its data gradient entirely (the input
+//! image's gradient is never read). The planned step is
 //! **bit-identical** to the allocating [`MultiExitNetwork::backward`] —
 //! same loss, same gradient bits — and performs zero heap allocations once
 //! warm.

@@ -73,6 +73,11 @@ pub struct DdpgAgent {
 
 /// The rows of one mini-batch, packed once per update, and the scratch of
 /// the batched network passes; all reused from update to update.
+///
+/// [`DdpgAgent::act`] and [`DdpgAgent::q_value`] reuse `actor`, `critic`
+/// and `state_actions` at a batch of one between updates. That is safe
+/// because every update clears the rows and repacks them before it reads
+/// them.
 #[derive(Debug, Clone, Default)]
 struct UpdateBuffers {
     /// `[n, state_dim]` states.
@@ -80,7 +85,8 @@ struct UpdateBuffers {
     /// `[n, state_dim]` next states.
     next_states: Vec<f32>,
     /// `[n, state_dim + action_dim]` critic inputs: `(s, a)` for the critic
-    /// update, then `(s, µ(s))` for the actor update.
+    /// update, then `(s, µ(s))` for the actor update; between updates, the
+    /// one row `(s, a)` of a [`DdpgAgent::q_value`] call.
     state_actions: Vec<f32>,
     /// `[n, state_dim + action_dim]` target-critic inputs `(s', µ'(s'))`.
     next_state_actions: Vec<f32>,
@@ -90,9 +96,11 @@ struct UpdateBuffers {
     done: Vec<bool>,
     /// Output-gradient rows of the pass being back-propagated.
     grad: Vec<f32>,
-    /// Scratch of the actor-shaped passes (actor and target actor).
+    /// Scratch of the actor-shaped passes (actor and target actor), and of
+    /// [`DdpgAgent::act`].
     actor: MlpScratch,
-    /// Scratch of the critic-shaped passes (critic and target critic).
+    /// Scratch of the critic-shaped passes (critic and target critic), and
+    /// of [`DdpgAgent::q_value`].
     critic: MlpScratch,
 }
 

@@ -216,19 +216,6 @@ pub fn max_pool_backward_into_tier(
 // Accumulating outer product / slice accumulate
 // ---------------------------------------------------------------------------
 
-/// The batch-of-one body of [`outer_accumulate_batch_into`]:
-/// `acc[i·n + j] += u[i] * v[j]` row by row.
-#[inline(always)]
-fn outer_accumulate_body(u: &[f32], v: &[f32], acc: &mut [f32]) {
-    let n = v.len();
-    for (i, &a) in u.iter().enumerate() {
-        let row = &mut acc[i * n..(i + 1) * n];
-        for (o, &b) in row.iter_mut().zip(v) {
-            *o += a * b;
-        }
-    }
-}
-
 /// Rows of a full [`outer_accumulate_batch_into`] tile.
 const OA_ROWS: usize = 4;
 
@@ -299,11 +286,28 @@ fn outer_row_tiles<const MR: usize>(
     }
 }
 
-/// Portable body of [`outer_accumulate_batch_into`] for two or more samples
-/// (recompiled for AVX2 by the dispatcher): [`OA_ROWS`]-row tiles, then
-/// single rows for the rest.
+/// Portable body of [`outer_accumulate_batch_into`] (recompiled for AVX2 by
+/// the dispatcher). A batch of one runs row by row: a tile pays for its
+/// bookkeeping only by reusing its registers across samples, and at batch 1
+/// it made LeNet's dense weight gradients up to 2× slower. From two
+/// samples on, [`OA_ROWS`]-row tiles, then single rows for the rest.
 #[inline(always)]
-fn outer_accumulate_tiles(us: &[f32], vs: &[f32], acc: &mut [f32], rows: usize, cols: usize) {
+fn outer_accumulate_body(
+    us: &[f32],
+    vs: &[f32],
+    acc: &mut [f32],
+    rows: usize,
+    cols: usize,
+    batch: usize,
+) {
+    if batch == 1 {
+        for (row, &a) in acc.chunks_exact_mut(cols).zip(us) {
+            for (o, &b) in row.iter_mut().zip(vs) {
+                *o += a * b;
+            }
+        }
+        return;
+    }
     let mut i = 0;
     while i + OA_ROWS <= rows {
         outer_row_tiles::<OA_ROWS>(us, vs, acc, rows, cols, i);
@@ -324,7 +328,7 @@ fn outer_accumulate_tiles(us: &[f32], vs: &[f32], acc: &mut [f32], rows: usize, 
 /// result is bit-identical to `batch` single-sample calls in order, each the
 /// allocating `outer` + `add_scaled_inplace(·, 1.0)` dense-layer gradient
 /// path. From two samples on, 4×16 tiles of `acc` stay in registers across
-/// the whole batch; a batch of one runs the row-by-row kernel.
+/// the whole batch; a batch of one runs row by row.
 ///
 /// # Panics
 ///
@@ -366,11 +370,7 @@ pub fn outer_accumulate_batch_into_tier(
         return;
     }
     let _ = tier;
-    if batch == 1 {
-        outer_accumulate_body(us, vs, acc);
-    } else {
-        outer_accumulate_tiles(us, vs, acc, rows, cols);
-    }
+    outer_accumulate_body(us, vs, acc, rows, cols, batch);
 }
 
 /// Portable body of [`accumulate_slice_into`].
@@ -579,8 +579,7 @@ mod x86 {
     }
 
     /// AVX2 batched accumulating-outer-product attempt; see
-    /// [`try_transpose`]. A batch of one runs the explicit-intrinsics row
-    /// kernel, a larger one the recompiled tiles.
+    /// [`try_transpose`].
     pub(super) fn try_outer_accumulate_batch(
         tier: IsaTier,
         us: &[f32],
@@ -595,13 +594,7 @@ mod x86 {
         }
         // SAFETY: `clamp` only returns Avx2 or above when AVX2 is detected;
         // lengths were validated by the dispatching wrapper.
-        unsafe {
-            if batch == 1 {
-                outer_accumulate_avx2(us, vs, acc);
-            } else {
-                outer_accumulate_tiles_avx2(us, vs, acc, rows, cols);
-            }
-        }
+        unsafe { outer_accumulate_avx2(us, vs, acc, rows, cols, batch) };
         true
     }
 
@@ -609,44 +602,15 @@ mod x86 {
     ///
     /// Caller must ensure AVX2 is supported.
     #[target_feature(enable = "avx2")]
-    unsafe fn outer_accumulate_tiles_avx2(
+    unsafe fn outer_accumulate_avx2(
         us: &[f32],
         vs: &[f32],
         acc: &mut [f32],
         rows: usize,
         cols: usize,
+        batch: usize,
     ) {
-        outer_accumulate_tiles(us, vs, acc, rows, cols);
-    }
-
-    /// Broadcast `u[i]`, multiply against 8 lanes of `v`, add into the
-    /// accumulator row — separate `vmulps` + `vaddps` (no FMA), one rounded
-    /// product and add per element like the scalar body.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is supported; lengths are validated by the
-    /// dispatching wrapper.
-    #[target_feature(enable = "avx2")]
-    unsafe fn outer_accumulate_avx2(u: &[f32], v: &[f32], acc: &mut [f32]) {
-        let n = v.len();
-        let chunks = n / 8;
-        for (i, &a) in u.iter().enumerate() {
-            let row = &mut acc[i * n..(i + 1) * n];
-            let va = _mm256_set1_ps(a);
-            // SAFETY: chunk c covers [8c, 8c+8) with 8c+8 <= n for both the
-            // row and `v`.
-            unsafe {
-                for c in 0..chunks {
-                    let p = row.as_mut_ptr().add(c * 8);
-                    let prod = _mm256_mul_ps(va, _mm256_loadu_ps(v.as_ptr().add(c * 8)));
-                    _mm256_storeu_ps(p, _mm256_add_ps(_mm256_loadu_ps(p), prod));
-                }
-            }
-            for (o, &b) in row[chunks * 8..].iter_mut().zip(&v[chunks * 8..]) {
-                *o += a * b;
-            }
-        }
+        outer_accumulate_body(us, vs, acc, rows, cols, batch);
     }
 
     /// AVX2 slice-accumulate attempt; see [`try_transpose`].
