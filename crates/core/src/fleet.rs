@@ -40,7 +40,7 @@ use ie_energy::{
     HarvestSimulator, KineticBurstTrace, PowerTrace, SolarTrace, StochasticArrivalTrace,
 };
 use ie_mcu::{FaultInjector, FaultPlan};
-use ie_nn::train::run_sharded;
+use ie_nn::train::{run_sharded, MAX_WORKERS};
 use rand::Rng;
 
 /// Purpose component of a device's fork path: the spec (heterogeneity) draws.
@@ -91,7 +91,8 @@ pub struct FleetConfig {
     pub device_duration_s: f64,
     /// Fraction of devices that carry a random fault plan, in `[0, 1]`.
     pub fault_fraction: f64,
-    /// Worker threads (see [`fleet_threads`] for the env-driven default).
+    /// Worker threads, in `1..=`[`MAX_WORKERS`] (see [`fleet_threads`] for
+    /// the env-driven default).
     pub threads: usize,
     /// Optional device id whose in-fleet outcome is captured in the report,
     /// so an isolated [`FleetSimulator::replay_device`] can be checked
@@ -120,9 +121,10 @@ impl FleetConfig {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] for an empty fleet, a zero
-    /// event count or worker count, a window that is not positive and
-    /// finite or is longer than [`MAX_DURATION_S`], a fault fraction outside
-    /// `[0, 1]`, or a probe id outside the fleet.
+    /// event count or worker count, more than [`MAX_WORKERS`] workers, a
+    /// window that is not positive and finite or is longer than
+    /// [`MAX_DURATION_S`], a fault fraction outside `[0, 1]`, or a probe id
+    /// outside the fleet.
     pub fn validate(&self) -> Result<()> {
         if self.num_devices == 0 {
             return Err(CoreError::InvalidConfig("fleet needs at least one device".into()));
@@ -146,6 +148,12 @@ impl FleetConfig {
         }
         if self.threads == 0 {
             return Err(CoreError::InvalidConfig("fleet needs at least one worker".into()));
+        }
+        if self.threads > MAX_WORKERS {
+            return Err(CoreError::InvalidConfig(format!(
+                "{} workers exceed the maximum of {MAX_WORKERS}",
+                self.threads
+            )));
         }
         if let Some(probe) = self.probe_device {
             if probe >= self.num_devices {
@@ -947,6 +955,12 @@ mod tests {
         assert!(FleetSimulator::new(&c).run(&m).is_err());
         c = FleetConfig::new(4, 1);
         c.threads = 0;
+        assert!(FleetSimulator::new(&c).run(&m).is_err());
+        // One worker past the bound fails validation before any thread starts.
+        c.threads = MAX_WORKERS;
+        assert!(c.validate().is_ok());
+        c.threads = MAX_WORKERS + 1;
+        assert!(matches!(c.validate(), Err(CoreError::InvalidConfig(_))));
         assert!(FleetSimulator::new(&c).run(&m).is_err());
         c = FleetConfig::new(4, 1);
         c.events_per_device = 0;

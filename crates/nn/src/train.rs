@@ -98,16 +98,26 @@ pub enum ThreadOverride {
     },
 }
 
+/// Most worker threads a thread knob ([`threads_from_env`]), the fleet
+/// simulator's config or the server's config accepts. Each worker is one OS
+/// thread, most with a warmed plan of their own, so an absurd count would
+/// exhaust memory or thread ids instead of failing validation.
+pub const MAX_WORKERS: usize = 256;
+
 /// Classifies a thread-count override: `None` is [`ThreadOverride::Unset`],
-/// a positive integer is [`ThreadOverride::Threads`], and anything else —
-/// including an explicit `0`, which would deadlock a sharded evaluation —
-/// is [`ThreadOverride::Invalid`] with the reason.
+/// an integer in `1..=`[`MAX_WORKERS`] is [`ThreadOverride::Threads`], and
+/// anything else — including an explicit `0`, which would deadlock a
+/// sharded evaluation — is [`ThreadOverride::Invalid`] with the reason.
 pub fn classify_thread_override(value: Option<&str>) -> ThreadOverride {
     let Some(raw) = value else { return ThreadOverride::Unset };
     match raw.trim().parse::<usize>() {
         Ok(0) => ThreadOverride::Invalid {
             value: raw.to_string(),
             reason: "thread count must be at least 1",
+        },
+        Ok(n) if n > MAX_WORKERS => ThreadOverride::Invalid {
+            value: raw.to_string(),
+            reason: "thread count above the maximum of 256",
         },
         Ok(n) => ThreadOverride::Threads(n),
         Err(_) => {
@@ -124,10 +134,11 @@ pub fn default_threads() -> usize {
 
 /// Resolves a thread-count environment knob (`IE_EVAL_THREADS`,
 /// `IE_SERVE_THREADS`, `IE_FLEET_THREADS`, …): the variable's value when it
-/// is a positive integer, otherwise [`default_threads`]. A set-but-invalid
-/// value (including `0`, which would deadlock a sharded evaluation) falls
-/// back to the default and warns once *per variable* on stderr instead of
-/// being silently swallowed. Every consumer goes through this one helper so
+/// is an integer in `1..=`[`MAX_WORKERS`], otherwise [`default_threads`]. A
+/// set-but-invalid value (including `0`, which would deadlock a sharded
+/// evaluation, and a count above the maximum) falls back to the default and
+/// warns once *per variable* on stderr instead of being silently
+/// swallowed. Every consumer goes through this one helper so
 /// the knobs cannot drift in parsing or fallback behaviour; none of them
 /// ever changes results — the sharded reductions are deterministic — so
 /// these are pure throughput knobs.
@@ -1174,6 +1185,18 @@ mod tests {
                 reason: "thread count must be at least 1"
             }
         );
+        // Above the one worker bound: invalid like `0` (so the knob warns
+        // and falls back), never handed to a shard loop.
+        assert_eq!(classify_thread_override(Some("256")), ThreadOverride::Threads(MAX_WORKERS));
+        for big in ["257".to_string(), usize::MAX.to_string()] {
+            match classify_thread_override(Some(&big)) {
+                ThreadOverride::Invalid { value, reason } => {
+                    assert_eq!(value, big);
+                    assert!(reason.ends_with(&format!(" {MAX_WORKERS}")), "{reason}");
+                }
+                other => panic!("{big} must classify as invalid, got {other:?}"),
+            }
+        }
         for bad in ["-1", "lots", "", "4.5"] {
             assert!(
                 matches!(

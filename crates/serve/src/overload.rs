@@ -166,14 +166,18 @@ impl OverloadConfig {
 /// walks down to the shallowest exit exactly at the last slot:
 /// `cap = ceil((num_exits-1) · (queue_cap-1-backlog) / (queue_cap-1))`.
 /// All-integer arithmetic — monotone non-increasing in `backlog` and
-/// deterministic on every platform. A capacity of 1 (or an effectively
-/// unbounded queue) never degrades: there is no pressure gradient to read.
+/// deterministic on every platform. The product is taken in `u128`, so it
+/// cannot overflow however large the queue. A capacity of 1 (or an
+/// effectively unbounded queue) never degrades: there is no pressure
+/// gradient to read.
 pub fn pressure_exit_cap(backlog: usize, queue_cap: usize, num_exits: usize) -> usize {
     let deepest = num_exits.saturating_sub(1);
     if queue_cap <= 1 || queue_cap == usize::MAX || backlog >= queue_cap {
         return deepest;
     }
-    (deepest * (queue_cap - 1 - backlog.min(queue_cap - 1))).div_ceil(queue_cap - 1)
+    let headroom = (queue_cap - 1 - backlog) as u128;
+    // At most `deepest`, since `headroom <= queue_cap - 1`: the cast back is exact.
+    (deepest as u128 * headroom).div_ceil((queue_cap - 1) as u128) as usize
 }
 
 /// What the overload planner decided for one request.
@@ -529,6 +533,16 @@ mod tests {
         // No gradient to read: capacity 1 and unbounded queues never degrade.
         assert_eq!(pressure_exit_cap(0, 1, exits), 3);
         assert_eq!(pressure_exit_cap(1_000_000, usize::MAX, exits), 3);
+        // Queues too large for `deepest * headroom` in `usize` keep both ends
+        // and stay monotone instead of overflowing.
+        let huge = usize::MAX - 1;
+        assert_eq!(pressure_exit_cap(0, huge, 3), 2, "empty huge queue keeps full depth");
+        assert_eq!(pressure_exit_cap(0, usize::MAX / 2 + 2, 3), 2);
+        assert_eq!(pressure_exit_cap(huge / 2, huge, 3), 1, "half-full huge queue halves");
+        assert_eq!(pressure_exit_cap(huge - 1, huge, 3), 0, "last slot is shallowest-only");
+        let caps =
+            [0, 1, huge / 3, huge / 2, huge - 2, huge - 1].map(|b| pressure_exit_cap(b, huge, 3));
+        assert!(caps.windows(2).all(|w| w[1] <= w[0]), "cap must not grow with backlog: {caps:?}");
     }
 
     /// The plan of an all-admitted stream behind an unbounded queue.

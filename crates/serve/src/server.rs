@@ -46,7 +46,7 @@ use crate::overload::{
 use crate::window::WindowConfig;
 use crate::{percentile, Request, Response, Result, ServeError, ServeReport, Verdict};
 use ie_nn::quant::QuantConfig;
-use ie_nn::train::threads_from_env;
+use ie_nn::train::{threads_from_env, MAX_WORKERS};
 use ie_nn::train::{BatchPlanPool, QuantPlanPool};
 use ie_nn::{BatchPlan, MultiExitNetwork};
 use ie_runtime::LatencyAdmission;
@@ -66,19 +66,13 @@ const RETRY_BUDGET: u32 = 1;
 /// the worker or the clock, so chaos replays stay reproducible.
 const RETRY_BACKOFF: Duration = Duration::from_millis(1);
 
-/// Most worker threads [`ServeConfig::validate`] accepts. Each worker is one
-/// OS thread that owns one warmed plan, all built before the first request,
-/// so an absurd count would exhaust memory or thread ids at construction
-/// instead of failing validation.
-pub(crate) const MAX_WORKERS: usize = 256;
-
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeConfig {
     /// The dynamic batching window (size-N / deadline-T close rule).
     pub window: WindowConfig,
     /// Worker threads; each owns one warmed [`BatchPlan`], built before the
-    /// first request. Must be in `1..=256`.
+    /// first request. Must be in `1..=`[`MAX_WORKERS`].
     pub threads: usize,
     /// Overload protection: queue bound and shed policy. The default
     /// (unbounded, [`ShedPolicy::Reject`]) reproduces the original
@@ -98,7 +92,7 @@ impl ServeConfig {
     /// # Errors
     ///
     /// Returns [`ServeError::InvalidConfig`] for a zero thread count or one
-    /// above 256, or an invalid window/overload configuration.
+    /// above [`MAX_WORKERS`], or an invalid window/overload configuration.
     pub fn validate(&self) -> Result<()> {
         self.window.validate()?;
         self.overload.validate()?;

@@ -23,7 +23,7 @@
 //!   with the per-exit loss weight: `out[j] = probs[j] * w` except
 //!   `out[label] = (probs[label] − 1.0) * w`.
 
-use crate::dispatch::{self, IsaTier};
+use crate::dispatch::{self, tiered, IsaTier};
 
 // ---------------------------------------------------------------------------
 // Transpose
@@ -61,12 +61,7 @@ pub fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
 pub fn transpose_into_tier(tier: IsaTier, src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
     assert_eq!(src.len(), rows * cols, "transpose: src length {} != {rows}x{cols}", src.len());
     assert_eq!(dst.len(), rows * cols, "transpose: dst length {} != {cols}x{rows}", dst.len());
-    #[cfg(target_arch = "x86_64")]
-    if x86::try_transpose(tier, src, rows, cols, dst) {
-        return;
-    }
-    let _ = tier;
-    transpose_body(src, rows, cols, dst);
+    tiered!(tier, transpose_body(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]));
 }
 
 // ---------------------------------------------------------------------------
@@ -104,12 +99,11 @@ pub fn relu_backward_into(pre: &[f32], grad_out: &[f32], dst: &mut [f32]) {
 pub fn relu_backward_into_tier(tier: IsaTier, pre: &[f32], grad_out: &[f32], dst: &mut [f32]) {
     assert_eq!(pre.len(), grad_out.len(), "relu backward: pre/grad lengths differ");
     assert_eq!(pre.len(), dst.len(), "relu backward: pre/dst lengths differ");
-    #[cfg(target_arch = "x86_64")]
-    if x86::try_relu_backward(tier, pre, grad_out, dst) {
-        return;
-    }
-    let _ = tier;
-    relu_backward_body(pre, grad_out, dst);
+    tiered!(
+        tier,
+        avx2: x86::relu_backward_avx2(pre, grad_out, dst),
+        portable: relu_backward_body(pre, grad_out, dst),
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -204,12 +198,18 @@ pub fn max_pool_backward_into_tier(
         "pool backward: grad length {} mismatch",
         grad_out.len()
     );
-    #[cfg(target_arch = "x86_64")]
-    if x86::try_max_pool_backward(tier, src, planes, h, w, size, grad_out, dst) {
-        return;
-    }
-    let _ = tier;
-    max_pool_backward_body(src, planes, h, w, size, grad_out, dst);
+    tiered!(
+        tier,
+        max_pool_backward_body(
+            src: &[f32],
+            planes: usize,
+            h: usize,
+            w: usize,
+            size: usize,
+            grad_out: &[f32],
+            dst: &mut [f32],
+        )
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -365,15 +365,21 @@ pub fn outer_accumulate_batch_into_tier(
     if rows == 0 || cols == 0 {
         return;
     }
-    #[cfg(target_arch = "x86_64")]
-    if x86::try_outer_accumulate_batch(tier, us, vs, acc, rows, cols, batch) {
-        return;
-    }
-    let _ = tier;
-    outer_accumulate_body(us, vs, acc, rows, cols, batch);
+    tiered!(
+        tier,
+        outer_accumulate_body(
+            us: &[f32],
+            vs: &[f32],
+            acc: &mut [f32],
+            rows: usize,
+            cols: usize,
+            batch: usize,
+        )
+    );
 }
 
-/// Portable body of [`accumulate_slice_into`].
+/// Portable body of [`accumulate_slice_into`] (recompiled for AVX2 by the
+/// dispatcher).
 #[inline(always)]
 fn accumulate_body(dst: &mut [f32], src: &[f32]) {
     for (d, &s) in dst.iter_mut().zip(src) {
@@ -400,12 +406,7 @@ pub fn accumulate_slice_into(dst: &mut [f32], src: &[f32]) {
 /// Panics under the same conditions as [`accumulate_slice_into`].
 pub fn accumulate_slice_into_tier(tier: IsaTier, dst: &mut [f32], src: &[f32]) {
     assert_eq!(dst.len(), src.len(), "accumulate: dst/src lengths differ");
-    #[cfg(target_arch = "x86_64")]
-    if x86::try_accumulate(tier, dst, src) {
-        return;
-    }
-    let _ = tier;
-    accumulate_body(dst, src);
+    tiered!(tier, accumulate_body(dst: &mut [f32], src: &[f32]));
 }
 
 // ---------------------------------------------------------------------------
@@ -450,12 +451,10 @@ pub fn cross_entropy_grad_into_tier(
 ) {
     assert_eq!(probs.len(), out.len(), "ce grad: probs/out lengths differ");
     assert!(label < probs.len(), "ce grad: label {label} out of range {}", probs.len());
-    #[cfg(target_arch = "x86_64")]
-    if x86::try_cross_entropy_grad(tier, probs, label, weight, out) {
-        return;
-    }
-    let _ = tier;
-    cross_entropy_grad_body(probs, label, weight, out);
+    tiered!(
+        tier,
+        cross_entropy_grad_body(probs: &[f32], label: usize, weight: f32, out: &mut [f32])
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -468,64 +467,18 @@ mod x86 {
     use super::*;
     use core::arch::x86_64::*;
 
-    /// Runs the AVX2 transpose when the clamped tier allows; returns `false`
-    /// when the caller should take the portable path. Safe: the feature check
-    /// sits right next to the `unsafe` calls it justifies.
-    pub(super) fn try_transpose(
-        tier: IsaTier,
-        src: &[f32],
-        rows: usize,
-        cols: usize,
-        dst: &mut [f32],
-    ) -> bool {
-        if dispatch::clamp(tier) < IsaTier::Avx2 {
-            return false;
-        }
-        // SAFETY: `clamp` only returns Avx2 or above when AVX2 is detected.
-        unsafe { transpose_avx2(src, rows, cols, dst) };
-        true
-    }
-
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is supported.
-    #[target_feature(enable = "avx2")]
-    unsafe fn transpose_avx2(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
-        transpose_body(src, rows, cols, dst);
-    }
-
-    /// AVX2 ReLU-backward attempt; see [`try_transpose`].
-    pub(super) fn try_relu_backward(
-        tier: IsaTier,
-        pre: &[f32],
-        grad_out: &[f32],
-        dst: &mut [f32],
-    ) -> bool {
-        if dispatch::clamp(tier) < IsaTier::Avx2 {
-            return false;
-        }
-        // SAFETY: `clamp` only returns Avx2 or above when AVX2 is detected;
-        // lengths were validated by the dispatching wrapper.
-        unsafe { relu_backward_avx2(pre, grad_out, dst) };
-        true
-    }
-
     /// Vector mask-multiply: `cmp_gt` builds the same `{1.0, 0.0}` mask as
     /// the scalar select (NaN compares false, exactly like `x > 0.0`), and
     /// the multiply — not a bitwise AND — preserves the `-0.0`/NaN behaviour
     /// of the reference.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is supported; lengths are validated by the
-    /// dispatching wrapper.
     #[target_feature(enable = "avx2")]
-    unsafe fn relu_backward_avx2(pre: &[f32], grad_out: &[f32], dst: &mut [f32]) {
+    pub(super) fn relu_backward_avx2(pre: &[f32], grad_out: &[f32], dst: &mut [f32]) {
+        let (grad_out, dst) = (&grad_out[..pre.len()], &mut dst[..pre.len()]);
         let zero = _mm256_setzero_ps();
         let one = _mm256_set1_ps(1.0);
         let chunks = pre.len() / 8;
         // SAFETY: chunk c covers [8c, 8c+8) with 8c+8 <= len for all three
-        // equally sized slices.
+        // slices, re-sliced to one length above.
         unsafe {
             for c in 0..chunks {
                 let x = _mm256_loadu_ps(pre.as_ptr().add(c * 8));
@@ -536,135 +489,6 @@ mod x86 {
             }
         }
         relu_backward_body(&pre[chunks * 8..], &grad_out[chunks * 8..], &mut dst[chunks * 8..]);
-    }
-
-    /// AVX2 max-pool-backward attempt; see [`try_transpose`].
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn try_max_pool_backward(
-        tier: IsaTier,
-        src: &[f32],
-        planes: usize,
-        h: usize,
-        w: usize,
-        size: usize,
-        grad_out: &[f32],
-        dst: &mut [f32],
-    ) -> bool {
-        if dispatch::clamp(tier) < IsaTier::Avx2 {
-            return false;
-        }
-        // SAFETY: `clamp` only returns Avx2 or above when AVX2 is detected.
-        unsafe { max_pool_backward_avx2(src, planes, h, w, size, grad_out, dst) };
-        true
-    }
-
-    /// The argmax scatter is irregular, so this tier recompiles the portable
-    /// body (the `dst.fill` and window scans still vectorize) rather than
-    /// hand-scheduling it — reduction order is untouched by construction.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is supported.
-    #[target_feature(enable = "avx2")]
-    unsafe fn max_pool_backward_avx2(
-        src: &[f32],
-        planes: usize,
-        h: usize,
-        w: usize,
-        size: usize,
-        grad_out: &[f32],
-        dst: &mut [f32],
-    ) {
-        max_pool_backward_body(src, planes, h, w, size, grad_out, dst);
-    }
-
-    /// AVX2 batched accumulating-outer-product attempt; see
-    /// [`try_transpose`].
-    pub(super) fn try_outer_accumulate_batch(
-        tier: IsaTier,
-        us: &[f32],
-        vs: &[f32],
-        acc: &mut [f32],
-        rows: usize,
-        cols: usize,
-        batch: usize,
-    ) -> bool {
-        if dispatch::clamp(tier) < IsaTier::Avx2 {
-            return false;
-        }
-        // SAFETY: `clamp` only returns Avx2 or above when AVX2 is detected;
-        // lengths were validated by the dispatching wrapper.
-        unsafe { outer_accumulate_avx2(us, vs, acc, rows, cols, batch) };
-        true
-    }
-
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is supported.
-    #[target_feature(enable = "avx2")]
-    unsafe fn outer_accumulate_avx2(
-        us: &[f32],
-        vs: &[f32],
-        acc: &mut [f32],
-        rows: usize,
-        cols: usize,
-        batch: usize,
-    ) {
-        outer_accumulate_body(us, vs, acc, rows, cols, batch);
-    }
-
-    /// AVX2 slice-accumulate attempt; see [`try_transpose`].
-    pub(super) fn try_accumulate(tier: IsaTier, dst: &mut [f32], src: &[f32]) -> bool {
-        if dispatch::clamp(tier) < IsaTier::Avx2 {
-            return false;
-        }
-        // SAFETY: `clamp` only returns Avx2 or above when AVX2 is detected;
-        // lengths were validated by the dispatching wrapper.
-        unsafe { accumulate_avx2(dst, src) };
-        true
-    }
-
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is supported; lengths are validated by the
-    /// dispatching wrapper.
-    #[target_feature(enable = "avx2")]
-    unsafe fn accumulate_avx2(dst: &mut [f32], src: &[f32]) {
-        let chunks = dst.len() / 8;
-        // SAFETY: chunk c covers [8c, 8c+8) with 8c+8 <= len for both slices.
-        unsafe {
-            for c in 0..chunks {
-                let p = dst.as_mut_ptr().add(c * 8);
-                let s = _mm256_loadu_ps(src.as_ptr().add(c * 8));
-                _mm256_storeu_ps(p, _mm256_add_ps(_mm256_loadu_ps(p), s));
-            }
-        }
-        accumulate_body(&mut dst[chunks * 8..], &src[chunks * 8..]);
-    }
-
-    /// AVX2 cross-entropy-gradient attempt; see [`try_transpose`].
-    pub(super) fn try_cross_entropy_grad(
-        tier: IsaTier,
-        probs: &[f32],
-        label: usize,
-        weight: f32,
-        out: &mut [f32],
-    ) -> bool {
-        if dispatch::clamp(tier) < IsaTier::Avx2 {
-            return false;
-        }
-        // SAFETY: `clamp` only returns Avx2 or above when AVX2 is detected;
-        // lengths were validated by the dispatching wrapper.
-        unsafe { cross_entropy_grad_avx2(probs, label, weight, out) };
-        true
-    }
-
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is supported.
-    #[target_feature(enable = "avx2")]
-    unsafe fn cross_entropy_grad_avx2(probs: &[f32], label: usize, weight: f32, out: &mut [f32]) {
-        cross_entropy_grad_body(probs, label, weight, out);
     }
 }
 

@@ -1,14 +1,28 @@
 //! Runtime ISA dispatch: one binary, the best kernel the machine can run.
 //!
 //! The hot kernels of this crate (GEMM, the sparse axpy, max-pool, softmax,
-//! the quantize/dequantize epilogues and the integer madd GEMM) each exist in
-//! up to three **tiers**:
+//! the quantize/dequantize epilogues, the integer madd GEMM and the training
+//! kernels) each exist in up to three **tiers**:
 //!
 //! | tier | requires | what it buys |
 //! |------|----------|--------------|
 //! | [`IsaTier::Portable`] | nothing (baseline x86-64 / any arch) | safe Rust, LLVM autovectorization at the baseline width |
 //! | [`IsaTier::Avx2`] | AVX2 (+FMA present, unused — see below) | 8-lane `f32` / 16-lane `i16` kernels via explicit or recompiled-for-AVX2 code |
 //! | [`IsaTier::Vnni`] | AVX-512 F/BW/VL/VNNI | `vpdpwssd` for the i16 madd GEMM: fuses `vpmaddwd`'s multiply-add-pairs with the accumulate into one instruction, at 512-bit width (twice AVX2's lanes) |
+//!
+//! # One dispatch point
+//!
+//! Every kernel entry point hands its call to the crate-private `tiered!`
+//! macro, the only code that decides whether a tier may run: it clamps the
+//! requested tier to the hardware and makes the one `unsafe` call per tier
+//! (AVX2, VNNI) that the clamp justifies. Most kernels have one portable
+//! `#[inline(always)]` body, which the macro recompiles inside a named
+//! `#[target_feature(enable = "avx2")]` function — the compiler vectorizes
+//! the same loops 8 lanes wide, with the same per-element operations. The
+//! kernels where that code timed slower than hand-written intrinsics (the
+//! 2×2 pools, ReLU and its backward, softmax, the activation quantize, both
+//! requantize epilogues and the madd dots) keep explicit AVX2 (and VNNI)
+//! functions, as does the sparse axpy; the macro calls those instead.
 //!
 //! The running machine's best supported tier is detected once with `cpuid`
 //! (via `is_x86_feature_detected!`) and cached in a [`std::sync::OnceLock`];
@@ -83,19 +97,22 @@ impl IsaTier {
     }
 }
 
-/// Best tier the running machine supports, detected once via `cpuid`.
+/// Best tier the running machine supports, detected once via `cpuid`. A
+/// tier is returned only with every lower tier's features too, so any tier
+/// at or above `Avx2` means AVX2 is present — the ordering `tiered!`'s
+/// SAFETY arguments rely on.
 #[cfg(target_arch = "x86_64")]
 fn detect() -> IsaTier {
-    if std::is_x86_feature_detected!("avx512f")
+    if !std::is_x86_feature_detected!("avx2") {
+        IsaTier::Portable
+    } else if std::is_x86_feature_detected!("avx512f")
         && std::is_x86_feature_detected!("avx512bw")
         && std::is_x86_feature_detected!("avx512vl")
         && std::is_x86_feature_detected!("avx512vnni")
     {
         IsaTier::Vnni
-    } else if std::is_x86_feature_detected!("avx2") {
-        IsaTier::Avx2
     } else {
-        IsaTier::Portable
+        IsaTier::Avx2
     }
 }
 
@@ -147,10 +164,63 @@ fn resolve_override(hw: IsaTier, value: Option<&str>) -> (IsaTier, Option<String
 
 /// Clamps an explicitly requested tier to what the hardware supports —
 /// running (say) an AVX2 kernel on a machine without AVX2 would be undefined
-/// behaviour, so every explicit-tier kernel entry point routes through this.
+/// behaviour, so `tiered!` routes every kernel call through this.
 pub(crate) fn clamp(tier: IsaTier) -> IsaTier {
     tier.min(detected())
 }
+
+/// Runs one kernel call on the requested tier, clamped to the hardware: the
+/// one place that decides whether a tier's code may run on this CPU, and the
+/// one `unsafe` call per tier that acts on that decision.
+///
+/// Two forms:
+///
+/// * `tiered!(tier, body(a: &[f32], n: usize))` recompiles the
+///   `#[inline(always)]` portable `body` inside a named
+///   `#[target_feature(enable = "avx2")]` function, where LLVM vectorizes the
+///   same loops 8 lanes wide, and calls it (or `body` itself, on the portable
+///   tier) with the caller's variables of the listed names.
+/// * `tiered!(tier, vnni: f(a, n), avx2: g(a, n), portable: expr)` calls a
+///   kernel's explicit-intrinsics functions — safe `#[target_feature]` fns
+///   compiled for exactly that tier's features — when the clamped tier
+///   reaches them, and evaluates `portable` otherwise. `vnni:` is optional;
+///   without it the VNNI tier runs the AVX2 call. Their arguments are plain
+///   variables, so each tier's `unsafe` block holds nothing but the call.
+macro_rules! tiered {
+    ($tier:expr, $body:ident($($arg:ident: $ty:ty),* $(,)?)) => {{
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx2")]
+        fn avx2($($arg: $ty),*) {
+            $body($($arg),*)
+        }
+        $crate::dispatch::tiered!($tier, avx2: avx2($($arg),*), portable: $body($($arg),*))
+    }};
+    (
+        $tier:expr,
+        $(vnni: $($vnni:ident)::+($($vnni_arg:ident),*),)?
+        avx2: $($avx2:ident)::+($($avx2_arg:ident),*),
+        portable: $portable:expr $(,)?
+    ) => {
+        match $crate::dispatch::clamp($tier) {
+            $(
+                #[cfg(target_arch = "x86_64")]
+                #[allow(unsafe_code)]
+                // SAFETY: `clamp` returns `Vnni` only when `detect` found
+                // AVX-512 F, BW, VL and VNNI on this CPU.
+                $crate::dispatch::IsaTier::Vnni => unsafe { $($vnni)::+($($vnni_arg),*) },
+            )?
+            #[cfg(target_arch = "x86_64")]
+            #[allow(unsafe_code)]
+            // SAFETY: `clamp` returns `Avx2` or above only when `detect`
+            // found AVX2 on this CPU.
+            tier if tier >= $crate::dispatch::IsaTier::Avx2 => unsafe {
+                $($avx2)::+($($avx2_arg),*)
+            },
+            _ => $portable,
+        }
+    };
+}
+pub(crate) use tiered;
 
 /// The tiers the running machine supports, lowest first — what the
 /// tier-equivalence tests iterate. `IE_ISA=vnni` on hardware without VNNI is

@@ -20,11 +20,13 @@
 //! # Ok::<(), ie_tensor::TensorError>(())
 //! ```
 
-// Unsafe code is denied crate-wide and allowed back in exactly four places:
-// the explicit-intrinsics ISA tier modules `linalg::x86`, `ops::x86`,
-// `backward::x86` and `quant::simd`, each of which documents its safety
-// contract (the dispatcher proves the required CPU features before calling
-// in).
+// Unsafe code is denied crate-wide and allowed back in two kinds of place:
+// the `tiered!` dispatch macro in `dispatch.rs`, which holds the one `unsafe`
+// call per ISA tier and makes it only after `clamp` has found the tier's CPU
+// features, and the explicit-intrinsics modules `linalg::x86`, `ops::x86`,
+// `backward::x86` and `quant::simd`, whose safe `#[target_feature]` kernels
+// wrap their raw-pointer vector loads and stores in `unsafe` blocks that each
+// state the bounds they rely on.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -27,7 +27,7 @@
 //! dimension, exactly like the naive triple loop, so neither the blocking nor
 //! the tile depth changes a single bit of the result for finite inputs.
 
-use crate::dispatch::{self, IsaTier};
+use crate::dispatch::{self, tiered, IsaTier};
 use crate::{Result, Tensor, TensorError};
 
 /// Rows of `A` processed together by the register-tiled micro-kernel.
@@ -210,147 +210,21 @@ fn gemm_sparse_body(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n
     }
 }
 
-/// AVX2 tier implementations. The GEMM and matvec wrappers recompile the
-/// shared portable bodies with AVX2 enabled; the sparse axpy is written with
-/// explicit intrinsics (broadcast + separate multiply and add per 8-lane
-/// chunk — the exact scalar operation sequence, so results match bit for
-/// bit).
+/// The sparse GEMM's explicit AVX2 axpy (the GEMM and matvec bodies above
+/// need none: [`tiered!`] recompiles them with AVX2 enabled). A broadcast,
+/// then a separate multiply and add per 8-lane chunk — the exact scalar
+/// operation sequence, so results match bit for bit.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod x86 {
-    use super::*;
     use core::arch::x86_64::*;
-
-    /// Runs the AVX2 dense accumulation when the clamped tier allows it;
-    /// returns `false` when the caller should take the portable path. Safe:
-    /// the feature check sits right next to the `unsafe` call it justifies.
-    pub(super) fn try_gemm_accumulate(
-        tier: IsaTier,
-        a: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) -> bool {
-        if dispatch::clamp(tier) < IsaTier::Avx2 {
-            return false;
-        }
-        // SAFETY: `clamp` only returns Avx2 or above when AVX2 is detected.
-        unsafe { gemm_accumulate_avx2(a, b, out, m, k, n) };
-        true
-    }
-
-    /// AVX2 sparse GEMM attempt; see [`try_gemm_accumulate`].
-    pub(super) fn try_gemm_sparse(
-        tier: IsaTier,
-        a: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) -> bool {
-        if dispatch::clamp(tier) < IsaTier::Avx2 {
-            return false;
-        }
-        // SAFETY: `clamp` only returns Avx2 or above when AVX2 is detected.
-        unsafe { gemm_sparse_avx2(a, b, out, m, k, n) };
-        true
-    }
-
-    /// AVX2 batched matvec attempt; see [`try_gemm_accumulate`].
-    pub(super) fn try_matvec_batch(
-        tier: IsaTier,
-        a: &[f32],
-        xs: &[f32],
-        out: &mut [f32],
-        m: usize,
-        k: usize,
-        batch: usize,
-    ) -> bool {
-        if dispatch::clamp(tier) < IsaTier::Avx2 {
-            return false;
-        }
-        // SAFETY: `clamp` only returns Avx2 or above when AVX2 is detected.
-        unsafe { matvec_batch_f32_avx2(a, xs, out, m, k, batch) };
-        true
-    }
-
-    /// AVX2 batched transposed matvec attempt; see [`try_gemm_accumulate`].
-    pub(super) fn try_matvec_t_batch(
-        tier: IsaTier,
-        a: &[f32],
-        xs: &[f32],
-        out: &mut [f32],
-        m: usize,
-        k: usize,
-        batch: usize,
-    ) -> bool {
-        if dispatch::clamp(tier) < IsaTier::Avx2 {
-            return false;
-        }
-        // SAFETY: `clamp` only returns Avx2 or above when AVX2 is detected.
-        unsafe { matvec_t_batch_avx2(a, xs, out, m, k, batch) };
-        true
-    }
-
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is supported.
-    #[target_feature(enable = "avx2")]
-    unsafe fn matvec_t_batch_avx2(
-        a: &[f32],
-        xs: &[f32],
-        out: &mut [f32],
-        m: usize,
-        k: usize,
-        batch: usize,
-    ) {
-        matvec_t_batch_body(a, xs, out, m, k, batch);
-    }
-
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is supported.
-    #[target_feature(enable = "avx2")]
-    unsafe fn gemm_accumulate_avx2(
-        a: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        gemm_accumulate_body(a, b, out, m, k, n);
-    }
-
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is supported.
-    #[target_feature(enable = "avx2")]
-    unsafe fn matvec_batch_f32_avx2(
-        a: &[f32],
-        xs: &[f32],
-        out: &mut [f32],
-        m: usize,
-        k: usize,
-        batch: usize,
-    ) {
-        matvec_batch_body(a, xs, out, m, k, batch);
-    }
 
     /// Sparsity-aware GEMM with the inner axpy in explicit 8-lane AVX2:
     /// `orow[j] += av · brow[j]` as a broadcast, a multiply and an add —
     /// two individually rounded operations per element, exactly like the
     /// scalar kernel (no FMA).
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is supported. Buffer lengths are validated by
-    /// the dispatching wrapper.
     #[target_feature(enable = "avx2")]
-    unsafe fn gemm_sparse_avx2(
+    pub(super) fn gemm_sparse_avx2(
         a: &[f32],
         b: &[f32],
         out: &mut [f32],
@@ -409,25 +283,6 @@ mod x86 {
     }
 }
 
-/// Dispatches the dense accumulation to the requested (hardware-clamped)
-/// tier. The VNNI tier has no dedicated `f32` GEMM — it runs the AVX2 one.
-fn gemm_accumulate_tier(
-    tier: IsaTier,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if x86::try_gemm_accumulate(tier, a, b, out, m, k, n) {
-        return;
-    }
-    let _ = tier;
-    gemm_accumulate_body(a, b, out, m, k, n);
-}
-
 /// Dense blocked GEMM: writes `A·B` into `out` without allocating.
 ///
 /// `a` is `[m, k]`, `b` is `[k, n]` and `out` is `[m, n]`, all row-major.
@@ -459,7 +314,10 @@ pub fn gemm_into_tier(
 ) {
     check_gemm_lens(a, b, out, m, k, n);
     out.fill(0.0);
-    gemm_accumulate_tier(tier, a, b, out, m, k, n);
+    tiered!(
+        tier,
+        gemm_accumulate_body(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize)
+    );
 }
 
 /// Sparsity-aware GEMM: like [`gemm_into`] but skips the whole `B`-row
@@ -497,12 +355,11 @@ pub fn gemm_sparse_into_tier(
 ) {
     check_gemm_lens(a, b, out, m, k, n);
     out.fill(0.0);
-    #[cfg(target_arch = "x86_64")]
-    if x86::try_gemm_sparse(tier, a, b, out, m, k, n) {
-        return;
-    }
-    let _ = tier;
-    gemm_sparse_body(a, b, out, m, k, n);
+    tiered!(
+        tier,
+        avx2: x86::gemm_sparse_avx2(a, b, out, m, k, n),
+        portable: gemm_sparse_body(a, b, out, m, k, n),
+    );
 }
 
 /// Lanes of the vectorised dot product.
@@ -586,12 +443,17 @@ pub fn matvec_batch_into_tier(
         out.fill(0.0);
         return;
     }
-    #[cfg(target_arch = "x86_64")]
-    if x86::try_matvec_batch(tier, a, xs, out, m, k, batch) {
-        return;
-    }
-    let _ = tier;
-    matvec_batch_body(a, xs, out, m, k, batch);
+    tiered!(
+        tier,
+        matvec_batch_body(
+            a: &[f32],
+            xs: &[f32],
+            out: &mut [f32],
+            m: usize,
+            k: usize,
+            batch: usize,
+        )
+    );
 }
 
 /// Output rows [`matvec_t_body`] processes per pass (8 lane-partials of this
@@ -779,12 +641,17 @@ pub fn matvec_t_batch_into_tier(
         out.fill(0.0);
         return;
     }
-    #[cfg(target_arch = "x86_64")]
-    if x86::try_matvec_t_batch(tier, a, xs, out, m, k, batch) {
-        return;
-    }
-    let _ = tier;
-    matvec_t_batch_body(a, xs, out, m, k, batch);
+    tiered!(
+        tier,
+        matvec_t_batch_body(
+            a: &[f32],
+            xs: &[f32],
+            out: &mut [f32],
+            m: usize,
+            k: usize,
+            batch: usize,
+        )
+    );
 }
 
 impl Tensor {
@@ -815,17 +682,9 @@ impl Tensor {
     /// dimensions disagree.
     pub fn matmul(&self, other: &Tensor) -> Result<Tensor> {
         let (m, k, n) = self.check_matmul(other)?;
-        let mut out = vec![0.0f32; m * n];
-        gemm_accumulate_tier(
-            dispatch::active(),
-            self.as_slice(),
-            other.as_slice(),
-            &mut out,
-            m,
-            k,
-            n,
-        );
-        Tensor::from_vec(out, &[m, n])
+        let mut out = Tensor::zeros(&[m, n]);
+        gemm_into(self.as_slice(), other.as_slice(), out.as_mut_slice(), m, k, n);
+        Ok(out)
     }
 
     /// Matrix product written into `out`, which must already be `[m, n]`.

@@ -13,7 +13,7 @@
 //! reduction order — columns first (ascending `dy`), then across the window
 //! row (ascending `dx`) — which every tier implements.
 
-use crate::dispatch::{self, IsaTier};
+use crate::dispatch::{self, tiered, IsaTier};
 use crate::{Result, Tensor, TensorError};
 
 /// The max-select every tier of the `f32` max kernels uses: `v` beats `acc`
@@ -31,13 +31,26 @@ fn sel_max(acc: f32, v: f32) -> f32 {
 // Max pooling
 // ---------------------------------------------------------------------------
 
-/// Portable plane scan shared by the dispatcher and the vector tiers' tail
-/// handling: pools one `[h, w]` plane into `[h/size, w/size]` with the fixed
-/// column-then-row window order.
+/// Portable body of [`max_pool_planes_into`]: pools each `[h, w]` plane
+/// into `[h/size, w/size]` with the fixed column-then-row window order.
 #[inline(always)]
-fn max_pool_plane_f32(src: &[f32], h: usize, w: usize, size: usize, dst: &mut [f32]) {
-    let _ = h;
-    let (oh, ow) = (src.len() / w / size, w / size);
+fn max_pool_f32_body(src: &[f32], planes: usize, h: usize, w: usize, size: usize, dst: &mut [f32]) {
+    let (oh, ow) = (h / size, w / size);
+    for p in 0..planes {
+        max_pool_plane_f32(
+            &src[p * h * w..(p + 1) * h * w],
+            oh,
+            ow,
+            w,
+            size,
+            &mut dst[p * oh * ow..(p + 1) * oh * ow],
+        );
+    }
+}
+
+/// One plane of [`max_pool_f32_body`].
+#[inline(always)]
+fn max_pool_plane_f32(src: &[f32], oh: usize, ow: usize, w: usize, size: usize, dst: &mut [f32]) {
     for oy in 0..oh {
         let dst_row = &mut dst[oy * ow..(oy + 1) * ow];
         for (ox, o) in dst_row.iter_mut().enumerate() {
@@ -54,12 +67,26 @@ fn max_pool_plane_f32(src: &[f32], h: usize, w: usize, size: usize, dst: &mut [f
     }
 }
 
-/// Portable `i8` (activation-code) plane scan; integer max is a total order,
-/// so the reduction order is irrelevant to the result.
+/// Portable body of [`max_pool_planes_i8_into`]; integer max is a total
+/// order, so the reduction order is irrelevant to the result.
 #[inline(always)]
-fn max_pool_plane_i8(src: &[i8], h: usize, w: usize, size: usize, dst: &mut [i8]) {
-    let _ = h;
-    let (oh, ow) = (src.len() / w / size, w / size);
+fn max_pool_i8_body(src: &[i8], planes: usize, h: usize, w: usize, size: usize, dst: &mut [i8]) {
+    let (oh, ow) = (h / size, w / size);
+    for p in 0..planes {
+        max_pool_plane_i8(
+            &src[p * h * w..(p + 1) * h * w],
+            oh,
+            ow,
+            w,
+            size,
+            &mut dst[p * oh * ow..(p + 1) * oh * ow],
+        );
+    }
+}
+
+/// One plane of [`max_pool_i8_body`].
+#[inline(always)]
+fn max_pool_plane_i8(src: &[i8], oh: usize, ow: usize, w: usize, size: usize, dst: &mut [i8]) {
     for oy in 0..oh {
         let dst_row = &mut dst[oy * ow..(oy + 1) * ow];
         for (ox, o) in dst_row.iter_mut().enumerate() {
@@ -125,21 +152,11 @@ pub fn max_pool_planes_into_tier(
     dst: &mut [f32],
 ) {
     check_pool(src.len(), planes, h, w, size, dst.len());
-    let (in_plane, out_plane) = (h * w, (h / size) * (w / size));
-    #[cfg(target_arch = "x86_64")]
-    if x86::try_max_pool_f32(tier, src, planes, in_plane, out_plane, w, size, dst) {
-        return;
-    }
-    let _ = tier;
-    for p in 0..planes {
-        max_pool_plane_f32(
-            &src[p * in_plane..(p + 1) * in_plane],
-            h,
-            w,
-            size,
-            &mut dst[p * out_plane..(p + 1) * out_plane],
-        );
-    }
+    tiered!(
+        tier,
+        avx2: x86::max_pool_f32_avx2(src, planes, h, w, size, dst),
+        portable: max_pool_f32_body(src, planes, h, w, size, dst),
+    );
 }
 
 /// [`max_pool_planes_into`] over `i8` activation codes (the quantized code
@@ -177,21 +194,11 @@ pub fn max_pool_planes_i8_into_tier(
     dst: &mut [i8],
 ) {
     check_pool(src.len(), planes, h, w, size, dst.len());
-    let (in_plane, out_plane) = (h * w, (h / size) * (w / size));
-    #[cfg(target_arch = "x86_64")]
-    if x86::try_max_pool_i8(tier, src, planes, in_plane, out_plane, w, size, dst) {
-        return;
-    }
-    let _ = tier;
-    for p in 0..planes {
-        max_pool_plane_i8(
-            &src[p * in_plane..(p + 1) * in_plane],
-            h,
-            w,
-            size,
-            &mut dst[p * out_plane..(p + 1) * out_plane],
-        );
-    }
+    tiered!(
+        tier,
+        avx2: x86::max_pool_i8_avx2(src, planes, h, w, size, dst),
+        portable: max_pool_i8_body(src, planes, h, w, size, dst),
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -206,11 +213,12 @@ pub fn relu_slice(values: &mut [f32]) {
 
 /// [`relu_slice`] on an explicitly chosen ISA tier (clamped to the hardware).
 pub fn relu_slice_tier(tier: IsaTier, values: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if x86::try_relu_slice(tier, values) {
-        return;
-    }
-    let _ = tier;
+    tiered!(tier, avx2: x86::relu_slice_avx2(values), portable: relu_body(values));
+}
+
+/// Portable body of [`relu_slice`]; also the AVX2 tier's tail.
+#[inline(always)]
+fn relu_body(values: &mut [f32]) {
     for v in values {
         *v = if *v > 0.0 { *v } else { 0.0 };
     }
@@ -225,12 +233,23 @@ pub fn relu_codes_floor(codes: &mut [i8], floor: i8) {
 /// [`relu_codes_floor`] on an explicitly chosen ISA tier (clamped to the
 /// hardware).
 pub fn relu_codes_floor_tier(tier: IsaTier, codes: &mut [i8], floor: i8) {
-    #[cfg(target_arch = "x86_64")]
-    if x86::try_relu_codes_floor(tier, codes, floor) {
-        return;
+    tiered!(tier, relu_codes_floor_body(codes: &mut [i8], floor: i8));
+}
+
+/// Portable body of [`relu_codes_floor`] (recompiled for AVX2 by the
+/// dispatcher). Each fixed 32-code chunk becomes one `vpmaxsb` there. A
+/// plain loop over the slice vectorizes 128 codes at a time instead and
+/// leaves shorter runs to an 8-code epilogue, which made 84–120 codes
+/// 1.3–1.45× slower than the hand-written 32-lane kernel.
+#[inline(always)]
+fn relu_codes_floor_body(codes: &mut [i8], floor: i8) {
+    let mut chunks = codes.chunks_exact_mut(32);
+    for chunk in &mut chunks {
+        for c in chunk {
+            *c = (*c).max(floor);
+        }
     }
-    let _ = tier;
-    for c in codes {
+    for c in chunks.into_remainder() {
         *c = (*c).max(floor);
     }
 }
@@ -289,12 +308,7 @@ pub fn add_bias_rows(out: &mut [f32], plane: usize, bias: &[f32], relu: bool) {
 /// [`add_bias_rows`] on an explicitly chosen ISA tier (clamped to the
 /// hardware).
 pub fn add_bias_rows_tier(tier: IsaTier, out: &mut [f32], plane: usize, bias: &[f32], relu: bool) {
-    #[cfg(target_arch = "x86_64")]
-    if x86::try_bias_rows(tier, out, plane, bias, relu) {
-        return;
-    }
-    let _ = tier;
-    bias_rows_body(out, plane, bias, relu);
+    tiered!(tier, bias_rows_body(out: &mut [f32], plane: usize, bias: &[f32], relu: bool));
 }
 
 /// Fused bias (+ ReLU) epilogue over the sample-major dense layout: `out` is
@@ -307,12 +321,7 @@ pub fn add_bias_samples(out: &mut [f32], bias: &[f32], relu: bool) {
 /// [`add_bias_samples`] on an explicitly chosen ISA tier (clamped to the
 /// hardware).
 pub fn add_bias_samples_tier(tier: IsaTier, out: &mut [f32], bias: &[f32], relu: bool) {
-    #[cfg(target_arch = "x86_64")]
-    if x86::try_bias_samples(tier, out, bias, relu) {
-        return;
-    }
-    let _ = tier;
-    bias_samples_body(out, bias, relu);
+    tiered!(tier, bias_samples_body(out: &mut [f32], bias: &[f32], relu: bool));
 }
 
 // ---------------------------------------------------------------------------
@@ -449,12 +458,7 @@ pub fn softmax_slice_into(logits: &[f32], out: &mut [f32]) {
 pub fn softmax_slice_into_tier(tier: IsaTier, logits: &[f32], out: &mut [f32]) {
     assert!(!logits.is_empty(), "softmax of an empty slice");
     assert_eq!(logits.len(), out.len(), "softmax: length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if x86::try_softmax(tier, logits, out) {
-        return;
-    }
-    let _ = tier;
-    softmax_body(logits, out);
+    tiered!(tier, avx2: x86::softmax_avx2(logits, out), portable: softmax_body(logits, out));
 }
 
 // ---------------------------------------------------------------------------
@@ -467,156 +471,65 @@ mod x86 {
     use super::*;
     use core::arch::x86_64::*;
 
-    /// Runs the AVX2 2×2 pool when the clamped tier and window size allow;
-    /// returns `false` when the caller should take the portable path. Safe:
-    /// the feature check sits right next to the `unsafe` calls it justifies.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn try_max_pool_f32(
-        tier: IsaTier,
+    /// [`max_pool_planes_into`] on AVX2: the 2×2 window, one
+    /// [`max_pool_plane2_f32_avx2`] per plane; any other window runs the
+    /// portable body.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn max_pool_f32_avx2(
         src: &[f32],
         planes: usize,
-        in_plane: usize,
-        out_plane: usize,
+        h: usize,
         w: usize,
         size: usize,
         dst: &mut [f32],
-    ) -> bool {
-        if size != 2 || dispatch::clamp(tier) < IsaTier::Avx2 {
-            return false;
+    ) {
+        if size != 2 {
+            return max_pool_f32_body(src, planes, h, w, size, dst);
         }
+        let (oh, ow) = (h / 2, w / 2);
         for p in 0..planes {
-            // SAFETY: `clamp` only returns Avx2 or above when AVX2 is
-            // detected; lengths were validated by the dispatching wrapper.
-            unsafe {
-                max_pool_plane2_f32_avx2(
-                    &src[p * in_plane..(p + 1) * in_plane],
-                    w,
-                    &mut dst[p * out_plane..(p + 1) * out_plane],
-                );
-            }
+            max_pool_plane2_f32_avx2(
+                &src[p * h * w..(p + 1) * h * w],
+                oh,
+                w,
+                &mut dst[p * oh * ow..(p + 1) * oh * ow],
+            );
         }
-        true
     }
 
-    /// `i8` counterpart of [`try_max_pool_f32`].
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn try_max_pool_i8(
-        tier: IsaTier,
+    /// `i8` counterpart of [`max_pool_f32_avx2`].
+    #[target_feature(enable = "avx2")]
+    pub(super) fn max_pool_i8_avx2(
         src: &[i8],
         planes: usize,
-        in_plane: usize,
-        out_plane: usize,
+        h: usize,
         w: usize,
         size: usize,
         dst: &mut [i8],
-    ) -> bool {
-        if size != 2 || dispatch::clamp(tier) < IsaTier::Avx2 {
-            return false;
+    ) {
+        if size != 2 {
+            return max_pool_i8_body(src, planes, h, w, size, dst);
         }
+        let (oh, ow) = (h / 2, w / 2);
         for p in 0..planes {
-            // SAFETY: `clamp` only returns Avx2 or above when AVX2 is
-            // detected; lengths were validated by the dispatching wrapper.
-            unsafe {
-                max_pool_plane2_i8_avx2(
-                    &src[p * in_plane..(p + 1) * in_plane],
-                    w,
-                    &mut dst[p * out_plane..(p + 1) * out_plane],
-                );
-            }
+            max_pool_plane2_i8_avx2(
+                &src[p * h * w..(p + 1) * h * w],
+                oh,
+                w,
+                &mut dst[p * oh * ow..(p + 1) * oh * ow],
+            );
         }
-        true
-    }
-
-    /// AVX2 ReLU attempt; see [`try_max_pool_f32`].
-    pub(super) fn try_relu_slice(tier: IsaTier, values: &mut [f32]) -> bool {
-        if dispatch::clamp(tier) < IsaTier::Avx2 {
-            return false;
-        }
-        // SAFETY: `clamp` only returns Avx2 or above when AVX2 is detected.
-        unsafe { relu_slice_avx2(values) };
-        true
-    }
-
-    /// AVX2 code-domain ReLU attempt; see [`try_max_pool_f32`].
-    pub(super) fn try_relu_codes_floor(tier: IsaTier, codes: &mut [i8], floor: i8) -> bool {
-        if dispatch::clamp(tier) < IsaTier::Avx2 {
-            return false;
-        }
-        // SAFETY: `clamp` only returns Avx2 or above when AVX2 is detected.
-        unsafe { relu_codes_floor_avx2(codes, floor) };
-        true
-    }
-
-    /// AVX2 conv-layout bias epilogue attempt; see [`try_max_pool_f32`].
-    pub(super) fn try_bias_rows(
-        tier: IsaTier,
-        out: &mut [f32],
-        plane: usize,
-        bias: &[f32],
-        relu: bool,
-    ) -> bool {
-        if dispatch::clamp(tier) < IsaTier::Avx2 {
-            return false;
-        }
-        // SAFETY: `clamp` only returns Avx2 or above when AVX2 is detected.
-        unsafe { bias_rows_avx2(out, plane, bias, relu) };
-        true
-    }
-
-    /// AVX2 dense-layout bias epilogue attempt; see [`try_max_pool_f32`].
-    pub(super) fn try_bias_samples(
-        tier: IsaTier,
-        out: &mut [f32],
-        bias: &[f32],
-        relu: bool,
-    ) -> bool {
-        if dispatch::clamp(tier) < IsaTier::Avx2 {
-            return false;
-        }
-        // SAFETY: `clamp` only returns Avx2 or above when AVX2 is detected.
-        unsafe { bias_samples_avx2(out, bias, relu) };
-        true
-    }
-
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is supported.
-    #[target_feature(enable = "avx2")]
-    unsafe fn bias_rows_avx2(out: &mut [f32], plane: usize, bias: &[f32], relu: bool) {
-        bias_rows_body(out, plane, bias, relu);
-    }
-
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is supported.
-    #[target_feature(enable = "avx2")]
-    unsafe fn bias_samples_avx2(out: &mut [f32], bias: &[f32], relu: bool) {
-        bias_samples_body(out, bias, relu);
-    }
-
-    /// AVX2 softmax attempt; see [`try_max_pool_f32`].
-    pub(super) fn try_softmax(tier: IsaTier, logits: &[f32], out: &mut [f32]) -> bool {
-        if dispatch::clamp(tier) < IsaTier::Avx2 {
-            return false;
-        }
-        // SAFETY: `clamp` only returns Avx2 or above when AVX2 is detected;
-        // lengths were validated by the dispatching wrapper.
-        unsafe { softmax_avx2(logits, out) };
-        true
     }
 
     /// Pools one `[h, w]` plane with a 2×2 window, 8 outputs per step:
     /// vertical `vmaxps` of the two source rows, even/odd deinterleave,
     /// horizontal pairwise `vmaxps` — the same column-then-row select order
-    /// as the portable scan, so ties and NaNs resolve identically.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is supported and the buffer lengths match
-    /// (`src` is `[h, w]` with even `h`/`w`, `dst` is `[h/2, w/2]`).
+    /// as the portable scan, so ties and NaNs resolve identically. `src` is
+    /// `[2·oh, w]` with even `w`, `dst` is `[oh, w/2]`. Kept out of line:
+    /// inlined into the plane loop, it pooled LeNet's planes 1.1× slower.
+    #[inline(never)]
     #[target_feature(enable = "avx2")]
-    unsafe fn max_pool_plane2_f32_avx2(src: &[f32], w: usize, dst: &mut [f32]) {
-        let oh = src.len() / w / 2;
+    fn max_pool_plane2_f32_avx2(src: &[f32], oh: usize, w: usize, dst: &mut [f32]) {
         let ow = w / 2;
         let ninf = _mm256_set1_ps(f32::NEG_INFINITY);
         for oy in 0..oh {
@@ -664,13 +577,9 @@ mod x86 {
 
     /// `i8` 2×2 pool, 16 outputs per step: vertical `vpmaxsb`, then the
     /// horizontal pair max via a sign-extending even/odd split to `i16`.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is supported and the buffer lengths match.
+    /// Shapes as in [`max_pool_plane2_f32_avx2`].
     #[target_feature(enable = "avx2")]
-    unsafe fn max_pool_plane2_i8_avx2(src: &[i8], w: usize, dst: &mut [i8]) {
-        let oh = src.len() / w / 2;
+    fn max_pool_plane2_i8_avx2(src: &[i8], oh: usize, w: usize, dst: &mut [i8]) {
         let ow = w / 2;
         for oy in 0..oh {
             let r0 = &src[(2 * oy) * w..(2 * oy + 1) * w];
@@ -707,11 +616,9 @@ mod x86 {
         }
     }
 
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is supported.
+    /// [`relu_slice`] as `vmaxps(v, 0)`, 8 lanes at a time.
     #[target_feature(enable = "avx2")]
-    unsafe fn relu_slice_avx2(values: &mut [f32]) {
+    pub(super) fn relu_slice_avx2(values: &mut [f32]) {
         let zero = _mm256_setzero_ps();
         let chunks = values.len() / 8;
         // SAFETY: chunk c covers [8c, 8c+8) with 8c+8 <= len.
@@ -721,40 +628,15 @@ mod x86 {
                 _mm256_storeu_ps(p, _mm256_max_ps(_mm256_loadu_ps(p), zero));
             }
         }
-        for v in &mut values[chunks * 8..] {
-            *v = if *v > 0.0 { *v } else { 0.0 };
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is supported.
-    #[target_feature(enable = "avx2")]
-    unsafe fn relu_codes_floor_avx2(codes: &mut [i8], floor: i8) {
-        let vfloor = _mm256_set1_epi8(floor);
-        let chunks = codes.len() / 32;
-        // SAFETY: chunk c covers [32c, 32c+32) with 32c+32 <= len.
-        unsafe {
-            for c in 0..chunks {
-                let p = codes.as_mut_ptr().add(c * 32).cast::<__m256i>();
-                _mm256_storeu_si256(p, _mm256_max_epi8(_mm256_loadu_si256(p), vfloor));
-            }
-        }
-        for c in &mut codes[chunks * 32..] {
-            *c = (*c).max(floor);
-        }
+        relu_body(&mut values[chunks * 8..]);
     }
 
     /// Vector exponential: the same constant chain as [`exp_m`], one rounded
     /// operation per step (multiplies and adds kept separate — no FMA), so
     /// each lane reproduces the scalar kernel bit for bit.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is supported.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn exp_ps(x: __m256) -> __m256 {
+    fn exp_ps(x: __m256) -> __m256 {
         let x0 = x;
         // min/max with x as the *second* operand: NaN passes through, exactly
         // like the scalar `if x > HI { HI } else { x }` chain.
@@ -787,16 +669,14 @@ mod x86 {
         _mm256_blendv_ps(result, _mm256_set1_ps(f32::NAN), nan)
     }
 
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is supported; lengths are validated by the
-    /// dispatching wrapper.
+    /// [`softmax_slice_into`] 8 lanes at a time through [`exp_ps`].
     #[target_feature(enable = "avx2")]
-    unsafe fn softmax_avx2(logits: &[f32], out: &mut [f32]) {
+    pub(super) fn softmax_avx2(logits: &[f32], out: &mut [f32]) {
+        let out = &mut out[..logits.len()];
         let chunks = logits.len() / SM_LANES;
         // SAFETY: every pointer access below covers [8c, 8c+8) with
-        // 8c+8 <= len for both slices (identical lengths, checked by the
-        // wrapper).
+        // 8c+8 <= len for both slices (`out` is re-sliced to `logits`'
+        // length above).
         unsafe {
             let mut vmax = _mm256_set1_ps(f32::NEG_INFINITY);
             for c in 0..chunks {
@@ -1022,6 +902,16 @@ mod tests {
         assert_eq!(pooled[0], 2.0);
         max_pool_planes_into(&[f32::NAN; 4], 1, 2, 2, 2, &mut pooled);
         assert_eq!(pooled[0], f32::NEG_INFINITY);
+    }
+
+    #[test]
+    fn pools_of_empty_planes_are_empty_on_every_tier() {
+        for &tier in crate::dispatch::supported_tiers() {
+            for (h, w, size) in [(4, 0, 2), (0, 4, 2), (0, 0, 3)] {
+                max_pool_planes_into_tier(tier, &[], 3, h, w, size, &mut []);
+                max_pool_planes_i8_into_tier(tier, &[], 3, h, w, size, &mut []);
+            }
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //! wrap at large depths, in which case every tier wraps identically to the
 //! naive loop — deterministic on every platform, never undefined behaviour.
 
-use crate::dispatch::{self, IsaTier};
+use crate::dispatch::{self, tiered, IsaTier};
 
 /// Affine quantization parameters of one activation tensor.
 ///
@@ -198,14 +198,13 @@ impl QuantParams {
     /// Panics when the slice lengths differ.
     pub fn quantize_slice_into_tier(&self, tier: IsaTier, src: &[f32], dst: &mut [i8]) {
         assert_eq!(src.len(), dst.len(), "quantize: length mismatch");
-        #[cfg(target_arch = "x86_64")]
-        if simd::try_quantize_slice(tier, self, src, dst) {
-            return;
-        }
-        let _ = tier;
-        for (d, &v) in dst.iter_mut().zip(src) {
-            *d = self.quantize(v) as i8;
-        }
+        tiered!(
+            tier,
+            avx2: simd::quantize_slice_avx2(self, src, dst),
+            portable: for (d, &v) in dst.iter_mut().zip(src) {
+                *d = self.quantize(v) as i8;
+            },
+        );
     }
 }
 
@@ -296,11 +295,23 @@ pub fn dequant_slice_into_tier(
     out: &mut [f32],
 ) {
     assert_eq!(acc.len(), out.len(), "dequant: length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if simd::try_dequant_slice(tier, acc, corr, scale, bias, relu, out) {
-        return;
-    }
-    let _ = tier;
+    tiered!(
+        tier,
+        dequant_slice_body(
+            acc: &[i32],
+            corr: i32,
+            scale: f32,
+            bias: f32,
+            relu: bool,
+            out: &mut [f32],
+        )
+    );
+}
+
+/// Portable body of [`dequant_slice_into`] (recompiled for AVX2 by the
+/// dispatcher).
+#[inline(always)]
+fn dequant_slice_body(acc: &[i32], corr: i32, scale: f32, bias: f32, relu: bool, out: &mut [f32]) {
     for (o, &a) in out.iter_mut().zip(acc) {
         *o = relu_sel(dequant_acc(a, corr, scale, bias), relu);
     }
@@ -345,14 +356,13 @@ pub fn requant_slice_into_tier(
     out: &mut [i8],
 ) {
     assert_eq!(acc.len(), out.len(), "requant: length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if simd::try_requant_slice(tier, acc, corr, scale, bias, p, floor, out) {
-        return;
-    }
-    let _ = tier;
-    for (o, &a) in out.iter_mut().zip(acc) {
-        *o = p.quantize(dequant_acc(a, corr, scale, bias)).max(floor) as i8;
-    }
+    tiered!(
+        tier,
+        avx2: simd::requant_slice_avx2(acc, corr, scale, bias, p, floor, out),
+        portable: for (o, &a) in out.iter_mut().zip(acc) {
+            *o = p.quantize(dequant_acc(a, corr, scale, bias)).max(floor) as i8;
+        },
+    );
 }
 
 /// Requantization epilogue over a sample-major accumulator row where the
@@ -392,11 +402,30 @@ pub fn dequant_rows_slice_into_tier(
     assert_eq!(acc.len(), out.len(), "dequant rows: acc length mismatch");
     assert_eq!(corrs.len(), out.len(), "dequant rows: corr length mismatch");
     assert_eq!(biases.len(), out.len(), "dequant rows: bias length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if simd::try_dequant_rows(tier, acc, corrs, biases, scale, relu, out) {
-        return;
-    }
-    let _ = tier;
+    tiered!(
+        tier,
+        dequant_rows_body(
+            acc: &[i32],
+            corrs: &[i32],
+            biases: &[f32],
+            scale: f32,
+            relu: bool,
+            out: &mut [f32],
+        )
+    );
+}
+
+/// Portable body of [`dequant_rows_slice_into`] (recompiled for AVX2 by the
+/// dispatcher).
+#[inline(always)]
+fn dequant_rows_body(
+    acc: &[i32],
+    corrs: &[i32],
+    biases: &[f32],
+    scale: f32,
+    relu: bool,
+    out: &mut [f32],
+) {
     for (o, ((&a, &corr), &bias)) in out.iter_mut().zip(acc.iter().zip(corrs).zip(biases)) {
         *o = relu_sel(dequant_acc(a, corr, scale, bias), relu);
     }
@@ -440,14 +469,13 @@ pub fn requant_rows_slice_into_tier(
     assert_eq!(acc.len(), out.len(), "requant rows: acc length mismatch");
     assert_eq!(corrs.len(), out.len(), "requant rows: corr length mismatch");
     assert_eq!(biases.len(), out.len(), "requant rows: bias length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if simd::try_requant_rows(tier, acc, corrs, biases, scale, p, floor, out) {
-        return;
-    }
-    let _ = tier;
-    for (i, o) in out.iter_mut().enumerate() {
-        *o = p.quantize(dequant_acc(acc[i], corrs[i], scale, biases[i])).max(floor) as i8;
-    }
+    tiered!(
+        tier,
+        avx2: simd::requant_rows_avx2(acc, corrs, biases, scale, p, floor, out),
+        portable: for (i, o) in out.iter_mut().enumerate() {
+            *o = p.quantize(dequant_acc(acc[i], corrs[i], scale, biases[i])).max(floor) as i8;
+        },
+    );
 }
 
 /// Depth alignment of the transposed madd GEMM operands: callers pad both
@@ -578,164 +606,49 @@ pub fn gemm_i16t_into_tier(
         out.fill(0);
         return;
     }
-    #[cfg(target_arch = "x86_64")]
-    if simd::try_gemm_i16t(tier, a, bt, out, m, kp, n) {
-        return;
-    }
-    let _ = tier;
-    for (j, brow) in bt.chunks_exact(kp).enumerate() {
-        for (i, arow) in a.chunks_exact(kp).enumerate() {
-            out[i * n + j] = dot_i16(arow, brow);
-        }
-    }
+    tiered!(
+        tier,
+        vnni: simd::gemm_i16t_vnni(a, bt, out, kp, n),
+        avx2: simd::gemm_i16t_avx2(a, bt, out, kp, n),
+        portable: for (j, brow) in bt.chunks_exact(kp).enumerate() {
+            for (i, arow) in a.chunks_exact(kp).enumerate() {
+                out[i * n + j] = dot_i16(arow, brow);
+            }
+        },
+    );
 }
 
 /// AVX2 / AVX-512-VNNI tier implementations of the integer kernels (explicit
 /// `core::arch` intrinsics). All integer accumulation is wrapping and
 /// associative, so any vector re-blocking is bit-identical to the portable
-/// loops; the `f32` steps of the quantize/dequantize kernels replicate the
-/// scalar operation sequence exactly (no FMA).
+/// loops; the `f32` steps of the quantize/requantize kernels replicate the
+/// scalar operation sequence exactly (no FMA). The dequantize epilogues need
+/// no intrinsics: [`tiered!`] recompiles their portable bodies with AVX2.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod simd {
     use super::*;
     use core::arch::x86_64::*;
 
-    /// Runs the AVX2 or VNNI madd GEMM when the clamped tier allows it;
-    /// returns `false` when the caller should take the portable path. Safe:
-    /// the feature check sits right next to the `unsafe` calls it justifies.
-    pub(super) fn try_gemm_i16t(
-        tier: IsaTier,
-        a: &[i16],
-        bt: &[i16],
-        out: &mut [i32],
-        m: usize,
-        kp: usize,
-        n: usize,
-    ) -> bool {
-        match dispatch::clamp(tier) {
-            // SAFETY: `clamp` never returns a tier above the detected
-            // features, so the required instruction sets are present.
-            IsaTier::Vnni => unsafe { gemm_i16t_vnni(a, bt, out, m, kp, n) },
-            IsaTier::Avx2 => unsafe { gemm_i16t_avx2(a, bt, out, m, kp, n) },
-            IsaTier::Portable => return false,
-        }
-        true
-    }
-
-    /// AVX2 activation-quantization attempt; see [`try_gemm_i16t`].
-    pub(super) fn try_quantize_slice(
-        tier: IsaTier,
-        p: &QuantParams,
-        src: &[f32],
-        dst: &mut [i8],
-    ) -> bool {
-        if dispatch::clamp(tier) < IsaTier::Avx2 {
-            return false;
-        }
-        // SAFETY: `clamp` only returns Avx2 or above when AVX2 is detected.
-        unsafe { quantize_slice_avx2(p, src, dst) };
-        true
-    }
-
-    /// AVX2 dequantization-epilogue attempt; see [`try_gemm_i16t`].
-    pub(super) fn try_dequant_slice(
-        tier: IsaTier,
-        acc: &[i32],
-        corr: i32,
-        scale: f32,
-        bias: f32,
-        relu: bool,
-        out: &mut [f32],
-    ) -> bool {
-        if dispatch::clamp(tier) < IsaTier::Avx2 {
-            return false;
-        }
-        // SAFETY: `clamp` only returns Avx2 or above when AVX2 is detected.
-        unsafe { dequant_slice_avx2(acc, corr, scale, bias, relu, out) };
-        true
-    }
-
-    /// AVX2 requantization-epilogue attempt; see [`try_gemm_i16t`].
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn try_requant_slice(
-        tier: IsaTier,
-        acc: &[i32],
-        corr: i32,
-        scale: f32,
-        bias: f32,
-        p: &QuantParams,
-        floor: i32,
-        out: &mut [i8],
-    ) -> bool {
-        if dispatch::clamp(tier) < IsaTier::Avx2 {
-            return false;
-        }
-        // SAFETY: `clamp` only returns Avx2 or above when AVX2 is detected.
-        unsafe { requant_slice_avx2(acc, corr, scale, bias, p, floor, out) };
-        true
-    }
-
-    /// AVX2 per-row dequantization attempt; see [`try_gemm_i16t`].
-    pub(super) fn try_dequant_rows(
-        tier: IsaTier,
-        acc: &[i32],
-        corrs: &[i32],
-        biases: &[f32],
-        scale: f32,
-        relu: bool,
-        out: &mut [f32],
-    ) -> bool {
-        if dispatch::clamp(tier) < IsaTier::Avx2 {
-            return false;
-        }
-        // SAFETY: `clamp` only returns Avx2 or above when AVX2 is detected.
-        unsafe { dequant_rows_avx2(acc, corrs, biases, scale, relu, out) };
-        true
-    }
-
-    /// AVX2 per-row requantization attempt; see [`try_gemm_i16t`].
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn try_requant_rows(
-        tier: IsaTier,
-        acc: &[i32],
-        corrs: &[i32],
-        biases: &[f32],
-        scale: f32,
-        p: &QuantParams,
-        floor: i32,
-        out: &mut [i8],
-    ) -> bool {
-        if dispatch::clamp(tier) < IsaTier::Avx2 {
-            return false;
-        }
-        // SAFETY: `clamp` only returns Avx2 or above when AVX2 is detected.
-        unsafe { requant_rows_avx2(acc, corrs, biases, scale, p, floor, out) };
-        true
-    }
-
     /// 256-bit `vpmaddwd` dot product (16 i16 per step).
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is supported.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn dot_i16_avx2(a: &[i16], b: &[i16]) -> i32 {
+    fn dot_i16_avx2(a: &[i16], b: &[i16]) -> i32 {
+        let b = &b[..a.len()];
         let chunks = a.len() / 16;
         let mut acc = _mm256_setzero_si256();
+        let mut lanes = [0i32; 8];
         // SAFETY: chunk c reads 16 i16 at 16c with 16c + 16 <= len from both
-        // equally long slices.
+        // slices (`b` is re-sliced to `a`'s length above), and `lanes` is
+        // exactly 32 bytes.
         unsafe {
             for c in 0..chunks {
                 let va = _mm256_loadu_si256(a.as_ptr().add(c * 16).cast());
                 let vb = _mm256_loadu_si256(b.as_ptr().add(c * 16).cast());
                 acc = _mm256_add_epi32(acc, _mm256_madd_epi16(va, vb));
             }
+            _mm256_storeu_si256(lanes.as_mut_ptr().cast(), acc);
         }
-        let mut lanes = [0i32; 8];
-        // SAFETY: `lanes` is exactly 32 bytes.
-        unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast(), acc) };
         let mut sum = lanes.iter().fold(0i32, |s, &l| s.wrapping_add(l));
         for i in chunks * 16..a.len() {
             sum = sum.wrapping_add(i32::from(a[i]) * i32::from(b[i]));
@@ -743,23 +656,12 @@ mod simd {
         sum
     }
 
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is supported; buffer lengths are validated by
-    /// the dispatching wrapper.
+    /// [`gemm_i16t_into`] with the 256-bit dot.
     #[target_feature(enable = "avx2")]
-    unsafe fn gemm_i16t_avx2(
-        a: &[i16],
-        bt: &[i16],
-        out: &mut [i32],
-        _m: usize,
-        kp: usize,
-        n: usize,
-    ) {
+    pub(super) fn gemm_i16t_avx2(a: &[i16], bt: &[i16], out: &mut [i32], kp: usize, n: usize) {
         for (j, brow) in bt.chunks_exact(kp).enumerate() {
             for (i, arow) in a.chunks_exact(kp).enumerate() {
-                // SAFETY: AVX2 is in effect in this function.
-                out[i * n + j] = unsafe { dot_i16_avx2(arow, brow) };
+                out[i * n + j] = dot_i16_avx2(arow, brow);
             }
         }
     }
@@ -768,18 +670,14 @@ mod simd {
     /// and accumulate in one instruction), with a 256-bit `vpdpwssd` step for
     /// a 16-element remainder — the common case for depth padded to
     /// [`MADD_DEPTH_ALIGN`] but not to 32.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX-512 F/BW/VL/VNNI are supported.
     #[inline]
     #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vnni")]
-    unsafe fn dot_i16_vnni(a: &[i16], b: &[i16]) -> i32 {
+    fn dot_i16_vnni(a: &[i16], b: &[i16]) -> i32 {
+        let b = &b[..a.len()];
         let chunks = a.len() / 32;
         let mut acc = _mm512_setzero_si512();
         // SAFETY: chunk c reads 32 i16 at 32c with 32c + 32 <= len from both
-        // equally long slices; the remainder step reads 16 more only when
-        // they exist.
+        // slices (`b` is re-sliced to `a`'s length above).
         unsafe {
             for c in 0..chunks {
                 let va = _mm512_loadu_si512(a.as_ptr().add(c * 32).cast());
@@ -790,7 +688,8 @@ mod simd {
         let mut sum = _mm512_reduce_add_epi32(acc);
         let mut done = chunks * 32;
         if a.len() - done >= 16 {
-            // SAFETY: 16 i16 remain at `done` in both slices.
+            // SAFETY: 16 i16 remain at `done` in both slices, and `lanes` is
+            // exactly 32 bytes.
             unsafe {
                 let va = _mm256_loadu_si256(a.as_ptr().add(done).cast());
                 let vb = _mm256_loadu_si256(b.as_ptr().add(done).cast());
@@ -807,23 +706,12 @@ mod simd {
         sum
     }
 
-    /// # Safety
-    ///
-    /// Caller must ensure AVX-512 F/BW/VL/VNNI are supported; buffer lengths
-    /// are validated by the dispatching wrapper.
+    /// [`gemm_i16t_into`] with the 512-bit `vpdpwssd` dot.
     #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vnni")]
-    unsafe fn gemm_i16t_vnni(
-        a: &[i16],
-        bt: &[i16],
-        out: &mut [i32],
-        _m: usize,
-        kp: usize,
-        n: usize,
-    ) {
+    pub(super) fn gemm_i16t_vnni(a: &[i16], bt: &[i16], out: &mut [i32], kp: usize, n: usize) {
         for (j, brow) in bt.chunks_exact(kp).enumerate() {
             for (i, arow) in a.chunks_exact(kp).enumerate() {
-                // SAFETY: the required features are in effect here.
-                out[i * n + j] = unsafe { dot_i16_vnni(arow, brow) };
+                out[i * n + j] = dot_i16_vnni(arow, brow);
             }
         }
     }
@@ -832,13 +720,9 @@ mod simd {
     /// nearest-even, clamp in the `f32` domain, force NaN lanes to the zero
     /// code, convert and add the zero point — the scalar
     /// [`QuantParams::quantize`] chain, lane for lane.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is supported.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn quantize8(p: &QuantParams, x: __m256) -> __m256i {
+    fn quantize8(p: &QuantParams, x: __m256) -> __m256i {
         let q = _mm256_mul_ps(x, _mm256_set1_ps(p.inv_scale));
         let r = _mm256_round_ps::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(q);
         // vmaxps/vminps return the second operand on NaN, so a NaN lane comes
@@ -851,34 +735,28 @@ mod simd {
     }
 
     /// Packs two 8-lane i32 code vectors (values within `i8`) into 16 `i8`.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is supported and `dst` has at least 16 bytes.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn store16_i8(q0: __m256i, q1: __m256i, dst: *mut i8) {
+    fn pack16_i8(q0: __m256i, q1: __m256i) -> __m128i {
         let p16 = _mm256_packs_epi32(q0, q1);
         let p16 = _mm256_permute4x64_epi64::<0b11_01_10_00>(p16);
         let p8 = _mm256_packs_epi16(p16, p16);
-        let p8 = _mm256_permute4x64_epi64::<0b00_00_10_00>(p8);
-        // SAFETY: caller guarantees 16 writable bytes at `dst`.
-        unsafe { _mm_storeu_si128(dst.cast(), _mm256_castsi256_si128(p8)) };
+        _mm256_castsi256_si128(_mm256_permute4x64_epi64::<0b00_00_10_00>(p8))
     }
 
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is supported and the slices are equally long.
+    /// [`QuantParams::quantize_slice_into`] 16 lanes at a time.
     #[target_feature(enable = "avx2")]
-    unsafe fn quantize_slice_avx2(p: &QuantParams, src: &[f32], dst: &mut [i8]) {
+    pub(super) fn quantize_slice_avx2(p: &QuantParams, src: &[f32], dst: &mut [i8]) {
+        let dst = &mut dst[..src.len()];
         let blocks = src.len() / 16;
         // SAFETY: block b covers [16b, 16b+16) with 16b+16 <= len of both
-        // slices.
+        // slices (`dst` is re-sliced to `src`'s length above).
         unsafe {
             for b in 0..blocks {
                 let x0 = _mm256_loadu_ps(src.as_ptr().add(16 * b));
                 let x1 = _mm256_loadu_ps(src.as_ptr().add(16 * b + 8));
-                store16_i8(quantize8(p, x0), quantize8(p, x1), dst.as_mut_ptr().add(16 * b));
+                let codes = pack16_i8(quantize8(p, x0), quantize8(p, x1));
+                _mm_storeu_si128(dst.as_mut_ptr().add(16 * b).cast(), codes);
             }
         }
         for (d, &v) in dst[blocks * 16..].iter_mut().zip(&src[blocks * 16..]) {
@@ -889,55 +767,16 @@ mod simd {
     /// Dequantizes 8 lanes: wrapping subtract, exact int→float convert, then
     /// separate multiply and add (two rounded ops, like the scalar
     /// [`dequant_acc`]).
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is supported.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn dequant8(acc: __m256i, corr: __m256i, scale: __m256, bias: __m256) -> __m256 {
+    fn dequant8(acc: __m256i, corr: __m256i, scale: __m256, bias: __m256) -> __m256 {
         let v = _mm256_cvtepi32_ps(_mm256_sub_epi32(acc, corr));
         _mm256_add_ps(_mm256_mul_ps(v, scale), bias)
     }
 
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is supported and the slices are equally long.
+    /// [`requant_slice_into`] 16 lanes at a time.
     #[target_feature(enable = "avx2")]
-    unsafe fn dequant_slice_avx2(
-        acc: &[i32],
-        corr: i32,
-        scale: f32,
-        bias: f32,
-        relu: bool,
-        out: &mut [f32],
-    ) {
-        let vcorr = _mm256_set1_epi32(corr);
-        let vscale = _mm256_set1_ps(scale);
-        let vbias = _mm256_set1_ps(bias);
-        let zero = _mm256_setzero_ps();
-        let chunks = acc.len() / 8;
-        // SAFETY: chunk c covers [8c, 8c+8) with 8c+8 <= len of both slices.
-        unsafe {
-            for c in 0..chunks {
-                let a = _mm256_loadu_si256(acc.as_ptr().add(c * 8).cast());
-                let mut f = dequant8(a, vcorr, vscale, vbias);
-                if relu {
-                    f = _mm256_max_ps(f, zero);
-                }
-                _mm256_storeu_ps(out.as_mut_ptr().add(c * 8), f);
-            }
-        }
-        for (o, &a) in out[chunks * 8..].iter_mut().zip(&acc[chunks * 8..]) {
-            *o = relu_sel(dequant_acc(a, corr, scale, bias), relu);
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is supported and the slices are equally long.
-    #[target_feature(enable = "avx2")]
-    unsafe fn requant_slice_avx2(
+    pub(super) fn requant_slice_avx2(
         acc: &[i32],
         corr: i32,
         scale: f32,
@@ -946,20 +785,21 @@ mod simd {
         floor: i32,
         out: &mut [i8],
     ) {
+        let out = &mut out[..acc.len()];
         let vcorr = _mm256_set1_epi32(corr);
         let vscale = _mm256_set1_ps(scale);
         let vbias = _mm256_set1_ps(bias);
         let vfloor = _mm256_set1_epi32(floor);
         let blocks = acc.len() / 16;
         // SAFETY: block b covers [16b, 16b+16) with 16b+16 <= len of both
-        // slices.
+        // slices (`out` is re-sliced to `acc`'s length above).
         unsafe {
             for b in 0..blocks {
                 let a0 = _mm256_loadu_si256(acc.as_ptr().add(16 * b).cast());
                 let a1 = _mm256_loadu_si256(acc.as_ptr().add(16 * b + 8).cast());
                 let q0 = _mm256_max_epi32(quantize8(p, dequant8(a0, vcorr, vscale, vbias)), vfloor);
                 let q1 = _mm256_max_epi32(quantize8(p, dequant8(a1, vcorr, vscale, vbias)), vfloor);
-                store16_i8(q0, q1, out.as_mut_ptr().add(16 * b));
+                _mm_storeu_si128(out.as_mut_ptr().add(16 * b).cast(), pack16_i8(q0, q1));
             }
         }
         for (o, &a) in out[blocks * 16..].iter_mut().zip(&acc[blocks * 16..]) {
@@ -967,44 +807,9 @@ mod simd {
         }
     }
 
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is supported and all slices are equally long.
+    /// [`requant_rows_slice_into`] 16 lanes at a time.
     #[target_feature(enable = "avx2")]
-    unsafe fn dequant_rows_avx2(
-        acc: &[i32],
-        corrs: &[i32],
-        biases: &[f32],
-        scale: f32,
-        relu: bool,
-        out: &mut [f32],
-    ) {
-        let vscale = _mm256_set1_ps(scale);
-        let zero = _mm256_setzero_ps();
-        let chunks = acc.len() / 8;
-        // SAFETY: chunk c covers [8c, 8c+8) with 8c+8 <= len of all slices.
-        unsafe {
-            for c in 0..chunks {
-                let a = _mm256_loadu_si256(acc.as_ptr().add(c * 8).cast());
-                let vcorr = _mm256_loadu_si256(corrs.as_ptr().add(c * 8).cast());
-                let vbias = _mm256_loadu_ps(biases.as_ptr().add(c * 8));
-                let mut f = dequant8(a, vcorr, vscale, vbias);
-                if relu {
-                    f = _mm256_max_ps(f, zero);
-                }
-                _mm256_storeu_ps(out.as_mut_ptr().add(c * 8), f);
-            }
-        }
-        for i in chunks * 8..out.len() {
-            out[i] = relu_sel(dequant_acc(acc[i], corrs[i], scale, biases[i]), relu);
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is supported and all slices are equally long.
-    #[target_feature(enable = "avx2")]
-    unsafe fn requant_rows_avx2(
+    pub(super) fn requant_rows_avx2(
         acc: &[i32],
         corrs: &[i32],
         biases: &[f32],
@@ -1013,11 +818,13 @@ mod simd {
         floor: i32,
         out: &mut [i8],
     ) {
+        let n = acc.len();
+        let (corrs, biases, out) = (&corrs[..n], &biases[..n], &mut out[..n]);
         let vscale = _mm256_set1_ps(scale);
         let vfloor = _mm256_set1_epi32(floor);
-        let blocks = acc.len() / 16;
+        let blocks = n / 16;
         // SAFETY: block b covers [16b, 16b+16) with 16b+16 <= len of all
-        // slices.
+        // slices, re-sliced to one length above.
         unsafe {
             for b in 0..blocks {
                 let a0 = _mm256_loadu_si256(acc.as_ptr().add(16 * b).cast());
@@ -1028,7 +835,7 @@ mod simd {
                 let b1 = _mm256_loadu_ps(biases.as_ptr().add(16 * b + 8));
                 let q0 = _mm256_max_epi32(quantize8(p, dequant8(a0, c0, vscale, b0)), vfloor);
                 let q1 = _mm256_max_epi32(quantize8(p, dequant8(a1, c1, vscale, b1)), vfloor);
-                store16_i8(q0, q1, out.as_mut_ptr().add(16 * b));
+                _mm_storeu_si128(out.as_mut_ptr().add(16 * b).cast(), pack16_i8(q0, q1));
             }
         }
         for i in blocks * 16..out.len() {

@@ -120,16 +120,18 @@ proptest! {
         }
     }
 
-    /// ReLU sweeps (`f32` and code floor) and the fused bias epilogues.
+    /// ReLU sweeps (`f32` and code floor, codes and floor over the whole
+    /// `i8` range) and the fused bias epilogues.
     #[test]
     fn relu_and_bias_tiers_are_bit_identical(
         rows in 1usize..6,
         plane in 1usize..40,
+        floor in i8::MIN..=i8::MAX,
         seed in 0u64..1000,
     ) {
         let src = mulberry(seed, rows * plane);
         let bias = mulberry(seed ^ 0x5a5a, rows);
-        let codes_src: Vec<i8> = src.iter().map(|&v| (v * 6.0) as i8).collect();
+        let codes_src: Vec<i8> = src.iter().map(|&v| (v * 16.0) as i8).collect();
         for &tier in &supported_tiers()[1..] {
             let mut base = src.clone();
             tiered::relu_slice(IsaTier::Portable, &mut base);
@@ -138,9 +140,9 @@ proptest! {
             prop_assert_eq!(bits_f32(&base), bits_f32(&out), "relu tier {:?}", tier);
 
             let mut base_codes = codes_src.clone();
-            tiered::relu_codes_floor(IsaTier::Portable, &mut base_codes, -5);
+            tiered::relu_codes_floor(IsaTier::Portable, &mut base_codes, floor);
             let mut out_codes = codes_src.clone();
-            tiered::relu_codes_floor(tier, &mut out_codes, -5);
+            tiered::relu_codes_floor(tier, &mut out_codes, floor);
             prop_assert_eq!(&base_codes, &out_codes, "relu codes tier {:?}", tier);
 
             for relu in [false, true] {
@@ -258,6 +260,71 @@ proptest! {
                     );
                     prop_assert_eq!(&base_rc, &out_rc, "requant rows tier {:?}", tier);
                 }
+            }
+        }
+    }
+
+    /// The dequantize and requantize epilogues at the ends of `i32`:
+    /// accumulators and corrections at `i32::MIN` and `i32::MAX`, where
+    /// `acc − corr` wraps, wrap identically on every tier.
+    #[test]
+    fn epilogues_wrap_identically_across_tiers(len in 1usize..80, seed in 0u64..1000) {
+        const EDGES: [i32; 6] = [i32::MIN, i32::MIN + 1, -1, 0, i32::MAX - 1, i32::MAX];
+        let draw = |salt: u64| -> Vec<i32> {
+            mulberry(seed ^ salt, len)
+                .iter()
+                .map(|&v| match v.to_bits() % 3 {
+                    0 => EDGES[(v.to_bits() / 3) as usize % EDGES.len()],
+                    _ => (v * 2.6e8) as i32,
+                })
+                .collect()
+        };
+        let (accs, corrs) = (draw(0x11), draw(0x22));
+        let biases = mulberry(seed ^ 0x33, len);
+        let p = QuantParams::from_range(-4.0, 4.0, 8);
+        let scale = 3.1e-9f32;
+        for &tier in &supported_tiers()[1..] {
+            for relu in [false, true] {
+                for corr in EDGES {
+                    let mut base = vec![0.0f32; len];
+                    tiered::dequant_slice_into(
+                        IsaTier::Portable, &accs, corr, scale, 0.37, relu, &mut base,
+                    );
+                    let mut out = vec![0.0f32; len];
+                    tiered::dequant_slice_into(tier, &accs, corr, scale, 0.37, relu, &mut out);
+                    prop_assert_eq!(bits_f32(&base), bits_f32(&out), "dequant {:?}", tier);
+
+                    let floor = if relu { p.zero_point() } else { p.lo() };
+                    let mut base_c = vec![0i8; len];
+                    tiered::requant_slice_into(
+                        IsaTier::Portable, &accs, corr, scale, 0.37, &p, floor, &mut base_c,
+                    );
+                    let mut out_c = vec![0i8; len];
+                    tiered::requant_slice_into(
+                        tier, &accs, corr, scale, 0.37, &p, floor, &mut out_c,
+                    );
+                    prop_assert_eq!(&base_c, &out_c, "requant {:?}", tier);
+                }
+                let mut base = vec![0.0f32; len];
+                tiered::dequant_rows_slice_into(
+                    IsaTier::Portable, &accs, &corrs, &biases, scale, relu, &mut base,
+                );
+                let mut out = vec![0.0f32; len];
+                tiered::dequant_rows_slice_into(
+                    tier, &accs, &corrs, &biases, scale, relu, &mut out,
+                );
+                prop_assert_eq!(bits_f32(&base), bits_f32(&out), "dequant rows {:?}", tier);
+
+                let floor = if relu { p.zero_point() } else { p.lo() };
+                let mut base_c = vec![0i8; len];
+                tiered::requant_rows_slice_into(
+                    IsaTier::Portable, &accs, &corrs, &biases, scale, &p, floor, &mut base_c,
+                );
+                let mut out_c = vec![0i8; len];
+                tiered::requant_rows_slice_into(
+                    tier, &accs, &corrs, &biases, scale, &p, floor, &mut out_c,
+                );
+                prop_assert_eq!(&base_c, &out_c, "requant rows {:?}", tier);
             }
         }
     }
@@ -382,17 +449,30 @@ proptest! {
     }
 
     /// Edge values — NaN, infinities, signed zeros, exact ties — resolve
-    /// identically on every tier (the `vmaxps` select semantics).
+    /// identically on every tier (the `vmaxps` select semantics, and the
+    /// ReLU backward's mask multiply with specials in both operands).
     #[test]
     fn edge_values_resolve_identically_across_tiers(seed in 0u64..200) {
         let mut src = mulberry(seed, 64);
+        let mut grad = mulberry(seed ^ 0x3c3c, 64);
         let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0, 1.0, -1.0];
         for (i, v) in src.iter_mut().enumerate() {
             if i % 3 == 0 {
                 *v = specials[i % specials.len()];
             }
         }
+        for (i, g) in grad.iter_mut().enumerate() {
+            if i % 2 == 0 {
+                *g = specials[(i / 2 + seed as usize) % specials.len()];
+            }
+        }
         for &tier in &supported_tiers()[1..] {
+            let mut base_b = vec![0.0f32; 64];
+            tiered::relu_backward_into(IsaTier::Portable, &src, &grad, &mut base_b);
+            let mut out_b = vec![0.0f32; 64];
+            tiered::relu_backward_into(tier, &src, &grad, &mut out_b);
+            prop_assert_eq!(bits_f32(&base_b), bits_f32(&out_b), "relu bwd specials {:?}", tier);
+
             let mut base = src.clone();
             tiered::relu_slice(IsaTier::Portable, &mut base);
             let mut out = src.clone();
