@@ -139,12 +139,6 @@ impl CalibratedAccuracyModel {
         }
     }
 
-    /// Sets the chance-level floor (e.g. `1 / num_classes`).
-    pub fn with_chance_level(mut self, chance: f64) -> Self {
-        self.chance_level = chance.clamp(0.0, 1.0);
-        self
-    }
-
     /// The full-precision ceiling of each exit.
     pub fn ceilings(&self) -> &[f64] {
         &self.max_accuracy

@@ -2,7 +2,8 @@
 //! heterogeneous energy-harvesting devices in parallel and print the merged,
 //! order-invariant aggregate.
 //!
-//! Knobs (all environment variables):
+//! Knobs (all environment variables, read by `ie_tensor::knobs::read`; an
+//! unparsable value warns once and keeps the default):
 //!
 //! * `IE_FLEET_DEVICES` — population size (default 4096),
 //! * `IE_FLEET_SEED`    — master seed every device stream forks from
@@ -20,16 +21,7 @@
 
 use ie_core::fleet::{fleet_threads, FleetConfig, FleetSimulator};
 use ie_core::{DeployedModel, ExperimentConfig};
-
-fn env_u64(var: &str, default: u64) -> u64 {
-    match std::env::var(var) {
-        Ok(raw) => raw.trim().parse().unwrap_or_else(|_| {
-            eprintln!("warning: ignoring {var}={raw:?} (not a non-negative integer)");
-            default
-        }),
-        Err(_) => default,
-    }
-}
+use ie_tensor::knobs;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -60,8 +52,9 @@ fn main() {
         }
     }
 
-    let mut config =
-        FleetConfig::new(env_u64("IE_FLEET_DEVICES", 4096), env_u64("IE_FLEET_SEED", 0xF1EE7));
+    let devices = knobs::read("IE_FLEET_DEVICES", "a non-negative integer", |s| s.parse().ok());
+    let seed = knobs::read("IE_FLEET_SEED", "a u64", |s| s.parse().ok());
+    let mut config = FleetConfig::new(devices.unwrap_or(4096), seed.unwrap_or(0xF1EE7));
     config.threads = fleet_threads();
     config.probe_device = probe;
 

@@ -63,11 +63,6 @@ impl HarvestSimulator {
         &self.storage
     }
 
-    /// Mutable access to the energy storage (inference draws go through here).
-    pub fn storage_mut(&mut self) -> &mut EnergyStorage {
-        &mut self.storage
-    }
-
     /// The underlying power trace.
     pub fn trace(&self) -> &dyn PowerTrace {
         self.trace.as_ref()

@@ -5,9 +5,12 @@
 //! comparable at all — run-to-run energy-trace variation would drown the
 //! effects under test). Tests draw their randomness through [`seeded_rng`],
 //! which always logs the seed it chose so a failure can be replayed exactly.
+//! The test seed knobs (`IE_TEST_SEED`, `IE_FAULT_SEED`) are read here, by
+//! [`seed_from_env`].
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::{Mutex, PoisonError};
 
 /// Seed used when neither an explicit seed nor `IE_TEST_SEED` is provided.
 pub const DEFAULT_TEST_SEED: u64 = 0x1E57_5EED;
@@ -19,34 +22,43 @@ pub const DEFAULT_TEST_SEED: u64 = 0x1E57_5EED;
 /// seed is logged to stderr (visible with `cargo test -- --nocapture`), so a
 /// failing stochastic test can be reproduced bit-for-bit by exporting
 /// `IE_TEST_SEED`. A set but unparsable `IE_TEST_SEED` falls back to the
-/// default and warns once per process on stderr, so a typo cannot quietly
-/// replay the default stream.
+/// default and warns once per process on stderr (see [`seed_from_env`]), so
+/// a typo cannot quietly replay the default stream.
 pub fn seeded_rng(seed: Option<u64>) -> StdRng {
-    let seed = seed.or_else(test_seed_from_env).unwrap_or(DEFAULT_TEST_SEED);
+    let seed = seed.or_else(|| seed_from_env("IE_TEST_SEED")).unwrap_or(DEFAULT_TEST_SEED);
     eprintln!("seeded_rng: RNG seed: {seed}");
     StdRng::seed_from_u64(seed)
 }
 
-/// Reads `IE_TEST_SEED`, warning once when it is set but not a `u64`.
-fn test_seed_from_env() -> Option<u64> {
-    parse_test_seed(std::env::var("IE_TEST_SEED").ok().as_deref()).unwrap_or_else(|warning| {
-        static WARNED: std::sync::Once = std::sync::Once::new();
-        WARNED.call_once(|| eprintln!("{warning}"));
-        None
-    })
+/// Reads the `u64` seed knob `var` (`IE_TEST_SEED`, `IE_FAULT_SEED`) by the
+/// rule of `ie_tensor::knobs::read`, which this crate cannot call (each is a
+/// root of the crate graph): unset gives `None`, a trimmed `u64` its value,
+/// and anything else `None` after a warning, once per variable per process.
+#[allow(clippy::disallowed_methods)]
+pub fn seed_from_env(var: &'static str) -> Option<u64> {
+    let raw = std::env::var(var).ok()?;
+    classify_seed(var, &raw)
+        .map_err(|warning| {
+            static WARNED: Mutex<Vec<&str>> = Mutex::new(Vec::new());
+            let mut warned = WARNED.lock().unwrap_or_else(PoisonError::into_inner);
+            if !warned.contains(&var) {
+                warned.push(var);
+                eprintln!("{warning}");
+            }
+        })
+        .ok()
 }
 
-/// Classifies an `IE_TEST_SEED` value: unset is `Ok(None)`, a `u64`
-/// (surrounding whitespace allowed) is `Ok(Some(seed))`, and anything else
-/// is `Err` with the warning to print.
-fn parse_test_seed(value: Option<&str>) -> Result<Option<u64>, String> {
-    let Some(raw) = value else { return Ok(None) };
-    raw.trim().parse().map(Some).map_err(|_| {
-        format!(
-            "warning: ignoring invalid IE_TEST_SEED={raw:?} (want a u64); \
-             using the default seed {DEFAULT_TEST_SEED}"
-        )
-    })
+/// The pure step of [`seed_from_env`] for a set value `raw`: the trimmed
+/// string as a `u64`, or the warning that names `var` and `raw`.
+///
+/// # Errors
+///
+/// Returns the warning text when the trimmed value is not a `u64`.
+pub fn classify_seed(var: &str, raw: &str) -> Result<u64, String> {
+    raw.trim()
+        .parse()
+        .map_err(|_| format!("warning: ignoring {var}={raw:?} (want a u64); using the default"))
 }
 
 #[cfg(test)]
@@ -65,11 +77,11 @@ mod tests {
 
     #[test]
     fn test_seed_parses_u64s_and_rejects_typos_with_a_warning() {
-        assert_eq!(parse_test_seed(None), Ok(None));
-        assert_eq!(parse_test_seed(Some("77")), Ok(Some(77)));
-        assert_eq!(parse_test_seed(Some(" 18446744073709551615 ")), Ok(Some(u64::MAX)));
+        let seed = |raw| classify_seed("IE_TEST_SEED", raw);
+        assert_eq!(seed("77"), Ok(77));
+        assert_eq!(seed(" 18446744073709551615 "), Ok(u64::MAX));
         for bad in ["", "-1", "1.5", "0x1E57", "seed7", "18446744073709551616"] {
-            let warning = parse_test_seed(Some(bad)).expect_err("invalid seeds are rejected");
+            let warning = seed(bad).expect_err("invalid seeds are rejected");
             assert!(warning.contains(&format!("IE_TEST_SEED={bad:?}")), "{warning}");
         }
     }
@@ -80,7 +92,7 @@ mod tests {
         // otherwise the tier-1 gate would flake.
         let x: u64 = seeded_rng(None).gen();
         let y: u64 = seeded_rng(None).gen();
-        if std::env::var("IE_TEST_SEED").is_err() {
+        if seed_from_env("IE_TEST_SEED").is_none() {
             assert_eq!(seeded_rng(Some(DEFAULT_TEST_SEED)).gen::<u64>(), x);
         }
         assert_eq!(x, y);

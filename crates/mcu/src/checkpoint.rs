@@ -118,11 +118,6 @@ impl TwoBankCheckpoint {
         TwoBankCheckpoint { bank_a: format!("{prefix}-a"), bank_b: format!("{prefix}-b") }
     }
 
-    /// Total NV bytes the two banks occupy once both have been written.
-    pub fn footprint_bytes(&self) -> usize {
-        2 * RECORD_BYTES
-    }
-
     /// Decodes both banks and returns each bank's valid record, if any.
     fn banks(&self, nv: &NonvolatileMemory) -> [Option<CheckpointRecord>; 2] {
         [

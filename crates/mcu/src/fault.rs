@@ -213,25 +213,12 @@ impl FaultInjector {
 ///
 /// Harnesses (CI fault-injection jobs, proptests) mix this into their plan
 /// seeds so the same suite exercises different fault schedules across runs
-/// without code changes. A set but unparsable value falls back to unset and
-/// warns once per process on stderr, so a typo cannot quietly run the unset
-/// schedule.
+/// without code changes. It is read by
+/// [`ie_energy::test_support::seed_from_env`], so a set but unparsable value
+/// falls back to unset and warns once per process on stderr, and a typo
+/// cannot quietly run the unset schedule.
 pub fn fault_seed_from_env() -> Option<u64> {
-    parse_fault_seed(std::env::var("IE_FAULT_SEED").ok().as_deref()).unwrap_or_else(|warning| {
-        static WARNED: std::sync::Once = std::sync::Once::new();
-        WARNED.call_once(|| eprintln!("{warning}"));
-        None
-    })
-}
-
-/// Classifies an `IE_FAULT_SEED` value: unset is `Ok(None)`, a `u64`
-/// (surrounding whitespace allowed) is `Ok(Some(seed))`, and anything else
-/// is `Err` with the warning to print.
-fn parse_fault_seed(value: Option<&str>) -> std::result::Result<Option<u64>, String> {
-    let Some(raw) = value else { return Ok(None) };
-    raw.trim().parse().map(Some).map_err(|_| {
-        format!("warning: ignoring invalid IE_FAULT_SEED={raw:?} (want a u64); running unseeded")
-    })
+    ie_energy::test_support::seed_from_env("IE_FAULT_SEED")
 }
 
 #[cfg(test)]
@@ -287,11 +274,11 @@ mod tests {
 
     #[test]
     fn fault_seed_parses_u64s_and_rejects_typos_with_a_warning() {
-        assert_eq!(parse_fault_seed(None), Ok(None));
-        assert_eq!(parse_fault_seed(Some("2")), Ok(Some(2)));
-        assert_eq!(parse_fault_seed(Some(" 18446744073709551615 ")), Ok(Some(u64::MAX)));
+        let seed = |raw| ie_energy::test_support::classify_seed("IE_FAULT_SEED", raw);
+        assert_eq!(seed("2"), Ok(2));
+        assert_eq!(seed(" 18446744073709551615 "), Ok(u64::MAX));
         for bad in ["", "-1", "1.5", "seed2", "18446744073709551616"] {
-            let warning = parse_fault_seed(Some(bad)).expect_err("invalid seeds are rejected");
+            let warning = seed(bad).expect_err("invalid seeds are rejected");
             assert!(warning.contains(&format!("IE_FAULT_SEED={bad:?}")), "{warning}");
         }
     }

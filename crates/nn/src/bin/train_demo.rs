@@ -7,7 +7,8 @@
 //! `train-determinism` job runs this demo with `IE_TRAIN_THREADS=1` and
 //! `IE_TRAIN_THREADS=4` under `IE_ISA=portable` and diffs the outputs.
 //!
-//! Knobs (all environment variables):
+//! Knobs (all environment variables, read by `ie_tensor::knobs::read`; an
+//! unparsable value warns once and keeps the default):
 //!
 //! * `IE_TRAIN_THREADS` — worker threads for the batched trainer
 //!   (default: available parallelism),
@@ -24,18 +25,9 @@ use ie_nn::dataset::SyntheticDataset;
 use ie_nn::spec::tiny_multi_exit;
 use ie_nn::train::{train, train_threads, BatchBackwardPlan, TrainConfig};
 use ie_nn::MultiExitNetwork;
+use ie_tensor::knobs;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-fn env_usize(var: &str, default: usize) -> usize {
-    match std::env::var(var) {
-        Ok(raw) => raw.trim().parse().unwrap_or_else(|_| {
-            eprintln!("warning: ignoring {var}={raw:?} (not a non-negative integer)");
-            default
-        }),
-        Err(_) => default,
-    }
-}
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -55,7 +47,7 @@ fn main() {
         }
     }
 
-    let seed = env_usize("IE_TRAIN_SEED", 2026) as u64;
+    let seed = knobs::read("IE_TRAIN_SEED", "a u64", |s| s.parse().ok()).unwrap_or(2026);
     let threads = train_threads();
     let arch = tiny_multi_exit(3);
     let data = SyntheticDataset::generate(3, 8, 200, 0.05, seed);
@@ -64,7 +56,8 @@ fn main() {
         MultiExitNetwork::from_architecture(&arch, &mut rng).expect("architecture builds");
 
     let mut config = TrainConfig::for_exits(arch.num_exits());
-    config.epochs = env_usize("IE_TRAIN_EPOCHS", 4);
+    config.epochs =
+        knobs::read("IE_TRAIN_EPOCHS", "a non-negative integer", |s| s.parse().ok()).unwrap_or(4);
     config.batch_size = 16;
     let mut plan = BatchBackwardPlan::new();
 

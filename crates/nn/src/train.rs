@@ -80,51 +80,21 @@ pub fn evaluate(network: &MultiExitNetwork, samples: &[Sample]) -> Result<Vec<f3
 /// Default batch size of the batched evaluators (8 samples per widened pass).
 pub const DEFAULT_EVAL_BATCH: usize = 8;
 
-/// Classification of a thread-count override read from the environment
-/// (see [`classify_thread_override`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ThreadOverride {
-    /// The variable is not set — use the default.
-    Unset,
-    /// A valid positive-integer override.
-    Threads(usize),
-    /// The variable is set but unusable. Callers fall back to the default
-    /// and should surface the problem once instead of swallowing it.
-    Invalid {
-        /// The raw value found in the environment.
-        value: String,
-        /// Why it was rejected.
-        reason: &'static str,
-    },
-}
-
 /// Most worker threads a thread knob ([`threads_from_env`]), the fleet
 /// simulator's config or the server's config accepts. Each worker is one OS
 /// thread, most with a warmed plan of their own, so an absurd count would
 /// exhaust memory or thread ids instead of failing validation.
 pub const MAX_WORKERS: usize = 256;
 
-/// Classifies a thread-count override: `None` is [`ThreadOverride::Unset`],
-/// an integer in `1..=`[`MAX_WORKERS`] is [`ThreadOverride::Threads`], and
-/// anything else — including an explicit `0`, which would deadlock a
-/// sharded evaluation — is [`ThreadOverride::Invalid`] with the reason.
-pub fn classify_thread_override(value: Option<&str>) -> ThreadOverride {
-    let Some(raw) = value else { return ThreadOverride::Unset };
-    match raw.trim().parse::<usize>() {
-        Ok(0) => ThreadOverride::Invalid {
-            value: raw.to_string(),
-            reason: "thread count must be at least 1",
-        },
-        Ok(n) if n > MAX_WORKERS => ThreadOverride::Invalid {
-            value: raw.to_string(),
-            reason: "thread count above the maximum of 256",
-        },
-        Ok(n) => ThreadOverride::Threads(n),
-        Err(_) => {
-            ThreadOverride::Invalid { value: raw.to_string(), reason: "not a positive integer" }
-        }
-    }
+/// The parse rule of the thread knobs: an integer in `1..=`[`MAX_WORKERS`].
+/// An explicit `0`, which would deadlock a sharded evaluation, is rejected
+/// like any other value outside that range.
+pub fn parse_threads(value: &str) -> Option<usize> {
+    value.parse().ok().filter(|n| (1..=MAX_WORKERS).contains(n))
 }
+
+/// What a thread knob accepts, as its warning states it.
+const THREADS_WANT: &str = "an integer in 1..=256";
 
 /// Default worker-thread count when no override is set: the machine's
 /// available parallelism capped at 4.
@@ -133,37 +103,13 @@ pub fn default_threads() -> usize {
 }
 
 /// Resolves a thread-count environment knob (`IE_EVAL_THREADS`,
-/// `IE_SERVE_THREADS`, `IE_FLEET_THREADS`, …): the variable's value when it
-/// is an integer in `1..=`[`MAX_WORKERS`], otherwise [`default_threads`]. A
-/// set-but-invalid value (including `0`, which would deadlock a sharded
-/// evaluation, and a count above the maximum) falls back to the default and
-/// warns once *per variable* on stderr instead of being silently
-/// swallowed. Every consumer goes through this one helper so
-/// the knobs cannot drift in parsing or fallback behaviour; none of them
-/// ever changes results — the sharded reductions are deterministic — so
-/// these are pure throughput knobs.
+/// `IE_SERVE_THREADS`, `IE_FLEET_THREADS`, …) through
+/// [`ie_tensor::knobs::read`] with [`parse_threads`]: the variable's value
+/// when the rule accepts it, otherwise [`default_threads`] (a rejected value
+/// warns once per variable). None of these knobs ever changes results — the
+/// sharded reductions are deterministic — so they are pure throughput knobs.
 pub fn threads_from_env(var: &'static str) -> usize {
-    match classify_thread_override(std::env::var(var).ok().as_deref()) {
-        ThreadOverride::Threads(n) => n,
-        ThreadOverride::Unset => default_threads(),
-        ThreadOverride::Invalid { value, reason } => {
-            let fallback = default_threads();
-            static WARNED: std::sync::OnceLock<std::sync::Mutex<Vec<&'static str>>> =
-                std::sync::OnceLock::new();
-            let mut warned = WARNED
-                .get_or_init(|| std::sync::Mutex::new(Vec::new()))
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            if !warned.contains(&var) {
-                warned.push(var);
-                eprintln!(
-                    "warning: ignoring {var}={value:?} ({reason}); \
-                     falling back to {fallback} worker threads"
-                );
-            }
-            fallback
-        }
-    }
+    ie_tensor::knobs::read(var, THREADS_WANT, parse_threads).unwrap_or_else(default_threads)
 }
 
 /// The one contiguous-shard loop behind the evaluators, the trainer and the
@@ -1173,39 +1119,19 @@ mod tests {
 
     #[test]
     fn thread_override_classifies_values_instead_of_swallowing_them() {
-        assert_eq!(classify_thread_override(Some("4")), ThreadOverride::Threads(4));
-        assert_eq!(classify_thread_override(Some(" 2 ")), ThreadOverride::Threads(2));
-        assert_eq!(classify_thread_override(None), ThreadOverride::Unset);
-        // `0` is rejected explicitly, with its own reason — a zero-thread
-        // evaluation cannot make progress.
-        assert_eq!(
-            classify_thread_override(Some("0")),
-            ThreadOverride::Invalid {
-                value: "0".into(),
-                reason: "thread count must be at least 1"
-            }
-        );
-        // Above the one worker bound: invalid like `0` (so the knob warns
-        // and falls back), never handed to a shard loop.
-        assert_eq!(classify_thread_override(Some("256")), ThreadOverride::Threads(MAX_WORKERS));
-        for big in ["257".to_string(), usize::MAX.to_string()] {
-            match classify_thread_override(Some(&big)) {
-                ThreadOverride::Invalid { value, reason } => {
-                    assert_eq!(value, big);
-                    assert!(reason.ends_with(&format!(" {MAX_WORKERS}")), "{reason}");
-                }
-                other => panic!("{big} must classify as invalid, got {other:?}"),
-            }
-        }
-        for bad in ["-1", "lots", "", "4.5"] {
-            assert!(
-                matches!(
-                    classify_thread_override(Some(bad)),
-                    ThreadOverride::Invalid { ref value, reason: "not a positive integer" }
-                        if value == bad
-                ),
-                "{bad:?} must classify as invalid"
-            );
+        let threads =
+            |raw| ie_tensor::knobs::classify("IE_EVAL_THREADS", raw, THREADS_WANT, parse_threads);
+        assert_eq!(threads("4"), Ok(4));
+        assert_eq!(threads(" 2 "), Ok(2));
+        assert_eq!(threads("256"), Ok(MAX_WORKERS));
+        // `0` and counts above the one worker bound warn and fall back like
+        // garbage: a zero-thread evaluation cannot make progress, and an
+        // absurd count is never handed to a shard loop.
+        let max = usize::MAX.to_string();
+        for bad in ["0", "257", max.as_str(), "-1", "lots", "", "4.5"] {
+            let warning = threads(bad).expect_err("an invalid count warns");
+            assert!(warning.contains(&format!("IE_EVAL_THREADS={bad:?}")), "{warning}");
+            assert!(warning.contains(&format!("1..={MAX_WORKERS}")), "{warning}");
         }
         assert!(eval_threads() >= 1);
         assert!(default_threads() >= 1);

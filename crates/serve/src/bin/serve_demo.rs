@@ -6,20 +6,21 @@
 //! table so the replay outcome (responses, sheds, counters) is byte-identical
 //! across machines, thread counts and repeated runs.
 //!
-//! Knobs (all environment variables):
+//! Knobs (all environment variables, read by `ie_tensor::knobs::read`):
 //! * `IE_SERVE_THREADS` — worker threads (default: machine parallelism, ≤4;
-//!   at most 256)
+//!   `0` or above 256 warns and keeps the default)
 //! * `IE_SERVE_WINDOW` — max requests per batch (default 8; at most 256)
 //! * `IE_SERVE_DEADLINE_MS` — window deadline in milliseconds (default 2)
-//! * `IE_SERVE_REQUESTS` — number of requests to replay (default 512)
+//! * `IE_SERVE_REQUESTS` — number of requests to replay (default 512; at
+//!   most 65,536)
 //! * `IE_SERVE_QUEUE_CAP` — bounded queue capacity (default 0 = unbounded)
 //! * `IE_SERVE_SHED` — shed policy: `reject` | `drop-oldest` | `degrade`
 //! * `IE_CHAOS_SEED` — chaos schedule seed (default 0 = no chaos)
 //!
-//! An unparsable value warns on stderr and keeps the default. A zero passes
-//! through: a zero window or request count is refused with an error, a zero
-//! deadline closes every window at once. A window or worker count above its
-//! maximum is refused with an error too.
+//! An unparsable value warns once on stderr and keeps the default, and a
+//! zero deadline closes every window at once. A zero window or one above
+//! 256, a request count of zero or above 65,536, an unknown argument and an
+//! `--out` without a path are refused with `error: …` and exit status 2.
 //!
 //! `--out <path>` writes the deterministic slice of the run (counters,
 //! virtual-clock percentiles, a response digest) as JSON — the CI chaos
@@ -34,30 +35,22 @@ use ie_serve::{
     serve_threads, ChaosPlan, OverloadConfig, Request, Response, ServeConfig, Server, Verdict,
     WindowConfig,
 };
+use ie_tensor::knobs;
 use std::time::Instant;
 
-/// Reads a non-negative integer knob, warning on stderr (and keeping
-/// `default`) when it is set but unparsable.
-fn env_usize(var: &str, default: usize) -> usize {
-    let (value, warning) = parse_usize_knob(var, std::env::var(var).ok().as_deref(), default);
-    if let Some(warning) = warning {
-        eprintln!("{warning}");
-    }
-    value
-}
+/// Most requests `IE_SERVE_REQUESTS` may ask for: every request holds a copy
+/// of its input, so an absurd count would abort the process on allocation.
+const MAX_REQUESTS: usize = 65_536;
 
-/// The value of a non-negative integer knob: unset is `default`; a zero
-/// passes through, so [`WindowConfig::validate`] rejects a zero window and
-/// accepts a zero deadline; an unparsable value is `default` plus the
-/// warning to print.
-fn parse_usize_knob(var: &str, value: Option<&str>, default: usize) -> (usize, Option<String>) {
-    let Some(raw) = value else { return (default, None) };
-    match raw.trim().parse() {
-        Ok(n) => (n, None),
-        Err(_) => {
-            (default, Some(format!("warning: ignoring {var}={raw:?} (not a non-negative integer)")))
-        }
-    }
+/// What the integer knobs accept, as their warnings state it. A zero passes
+/// through, so [`WindowConfig::validate`] rejects a zero window and accepts a
+/// zero deadline.
+const COUNT_WANT: &str = "a non-negative integer";
+
+/// Reports a refused input and exits with status 2.
+fn refuse(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2);
 }
 
 /// Measures each exit's single-input latency (seconds) on the planned path.
@@ -108,28 +101,25 @@ fn digest_responses(responses: &[Response]) -> u64 {
 }
 
 fn main() {
-    let out_path = {
-        let mut args = std::env::args().skip(1);
-        let mut out = None;
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--out" => out = Some(args.next().expect("--out needs a path")),
-                other => panic!("unknown argument {other:?} (only --out <path> is supported)"),
-            }
+    let mut out_path = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--out" => out_path = Some(args.next().unwrap_or_else(|| refuse("--out needs a path"))),
+            other => refuse(&format!("unknown argument {other:?} (expected --out <path>)")),
         }
-        out
-    };
+    }
+    let count = |var, default| knobs::read(var, COUNT_WANT, |s| s.parse().ok()).unwrap_or(default);
     let threads = serve_threads();
     let window = WindowConfig {
-        max_batch: env_usize("IE_SERVE_WINDOW", 8),
-        deadline_s: env_usize("IE_SERVE_DEADLINE_MS", 2) as f64 / 1000.0,
+        max_batch: count("IE_SERVE_WINDOW", 8),
+        deadline_s: count("IE_SERVE_DEADLINE_MS", 2) as f64 / 1000.0,
     };
     let overload = OverloadConfig::from_env();
     let chaos = ChaosPlan::from_env();
-    let total = env_usize("IE_SERVE_REQUESTS", 512);
-    if total == 0 {
-        eprintln!("error: IE_SERVE_REQUESTS must be at least 1");
-        std::process::exit(2);
+    let total = count("IE_SERVE_REQUESTS", 512);
+    if !(1..=MAX_REQUESTS).contains(&total) {
+        refuse(&format!("IE_SERVE_REQUESTS must be in 1..={MAX_REQUESTS}, got {total}"));
     }
 
     use rand::rngs::StdRng;
@@ -174,10 +164,7 @@ fn main() {
     let config = ServeConfig { window, threads, overload };
     let mut server = match Server::new(&network, config, &mut pool) {
         Ok(server) => server,
-        Err(err) => {
-            eprintln!("error: invalid serving config: {err}");
-            std::process::exit(2);
-        }
+        Err(err) => refuse(&format!("invalid serving config: {err}")),
     };
     let outcome = server.replay_chaotic(&mut admission, &requests, &chaos).expect("replay");
     for plan in server.into_plans() {
@@ -253,7 +240,10 @@ fn main() {
             r.wait_p99_s * 1e6,
             digest_responses(&outcome.responses),
         );
-        std::fs::write(&path, json).expect("write --out file");
+        if let Err(err) = std::fs::write(&path, json) {
+            eprintln!("error: cannot write {path}: {err}");
+            std::process::exit(1);
+        }
         println!("wrote {path}");
     }
 }
@@ -264,14 +254,12 @@ mod tests {
 
     #[test]
     fn knobs_pass_zero_through_and_warn_on_garbage() {
-        assert_eq!(parse_usize_knob("IE_SERVE_WINDOW", None, 8), (8, None));
-        assert_eq!(parse_usize_knob("IE_SERVE_WINDOW", Some(" 16 "), 8), (16, None));
+        let count = |var, raw| knobs::classify(var, raw, COUNT_WANT, |s| s.parse::<usize>().ok());
+        assert_eq!(count("IE_SERVE_WINDOW", " 16 "), Ok(16));
         // Zero reaches the config validation instead of becoming the default.
-        assert_eq!(parse_usize_knob("IE_SERVE_DEADLINE_MS", Some("0"), 2), (0, None));
+        assert_eq!(count("IE_SERVE_DEADLINE_MS", "0"), Ok(0));
         for bad in ["", "-1", "2ms", "1.5"] {
-            let (value, warning) = parse_usize_knob("IE_SERVE_DEADLINE_MS", Some(bad), 2);
-            assert_eq!(value, 2, "{bad:?} keeps the default");
-            let warning = warning.expect("an invalid value warns");
+            let warning = count("IE_SERVE_DEADLINE_MS", bad).expect_err("an invalid value warns");
             assert!(warning.contains(&format!("IE_SERVE_DEADLINE_MS={bad:?}")), "{warning}");
         }
         assert!(WindowConfig { max_batch: 0, deadline_s: 0.002 }.validate().is_err());

@@ -96,22 +96,11 @@ impl ChaosPlan {
         }
     }
 
-    /// Reads the `IE_CHAOS_SEED` knob (0, unset or unparsable → no chaos;
-    /// unparsable additionally warns on stderr).
+    /// Reads the `IE_CHAOS_SEED` knob through [`ie_tensor::knobs::read`]
+    /// (0, unset or unparsable → no chaos; unparsable also warns once).
     pub fn from_env() -> Self {
-        match std::env::var("IE_CHAOS_SEED") {
-            Ok(raw) => match raw.trim().parse::<u64>() {
-                Ok(seed) => ChaosPlan::seeded(seed),
-                Err(_) => {
-                    eprintln!(
-                        "warning: ignoring invalid IE_CHAOS_SEED={raw:?} (want a u64; 0 disables \
-                         chaos)"
-                    );
-                    ChaosPlan::none()
-                }
-            },
-            Err(_) => ChaosPlan::none(),
-        }
+        ie_tensor::knobs::read("IE_CHAOS_SEED", "a u64; 0 disables chaos", |s| s.parse().ok())
+            .map_or_else(ChaosPlan::none, ChaosPlan::seeded)
     }
 
     /// Whether any injection can ever fire.

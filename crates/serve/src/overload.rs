@@ -128,32 +128,26 @@ impl OverloadConfig {
     }
 
     /// Reads the `IE_SERVE_QUEUE_CAP` (0 or unset → unbounded) and
-    /// `IE_SERVE_SHED` (`reject`/`drop-oldest`/`degrade`) knobs on top of
-    /// the defaults. Unparsable values warn on stderr and keep the default,
-    /// mirroring the `IE_*_THREADS` convention of never silently swallowing
-    /// an override.
+    /// `IE_SERVE_SHED` (`reject`/`drop-oldest`/`degrade`) knobs through
+    /// [`ie_tensor::knobs::read`] on top of the defaults; an unparsable value
+    /// warns once and keeps the default.
     pub fn from_env() -> Self {
-        let mut cfg = OverloadConfig::default();
-        if let Ok(raw) = std::env::var("IE_SERVE_QUEUE_CAP") {
-            match raw.trim().parse::<usize>() {
-                Ok(0) => {}
-                Ok(cap) => cfg.queue_cap = cap,
-                Err(_) => eprintln!(
-                    "warning: ignoring invalid IE_SERVE_QUEUE_CAP={raw:?} (want a non-negative \
-                     integer; 0 means unbounded)"
-                ),
-            }
+        let default = OverloadConfig::default();
+        OverloadConfig {
+            queue_cap: ie_tensor::knobs::read(
+                "IE_SERVE_QUEUE_CAP",
+                "a non-negative integer; 0 means unbounded",
+                |s| s.parse().ok(),
+            )
+            .filter(|&cap| cap != 0)
+            .unwrap_or(default.queue_cap),
+            policy: ie_tensor::knobs::read(
+                "IE_SERVE_SHED",
+                "reject, drop-oldest or degrade",
+                ShedPolicy::parse,
+            )
+            .unwrap_or(default.policy),
         }
-        if let Ok(raw) = std::env::var("IE_SERVE_SHED") {
-            match ShedPolicy::parse(&raw) {
-                Some(policy) => cfg.policy = policy,
-                None => eprintln!(
-                    "warning: ignoring invalid IE_SERVE_SHED={raw:?} (want \
-                     reject|drop-oldest|degrade)"
-                ),
-            }
-        }
-        cfg
     }
 }
 

@@ -22,7 +22,7 @@
 //! kernels where that code timed slower than hand-written intrinsics (the
 //! 2×2 pools, ReLU and its backward, softmax, the activation quantize, both
 //! requantize epilogues and the madd dots) keep explicit AVX2 (and VNNI)
-//! functions, as does the sparse axpy; the macro calls those instead.
+//! functions; the macro calls those instead.
 //!
 //! The running machine's best supported tier is detected once with `cpuid`
 //! (via `is_x86_feature_detected!`) and cached in a [`std::sync::OnceLock`];
@@ -52,9 +52,9 @@
 //! # Overriding for tests and benchmarks
 //!
 //! The `IE_ISA` environment variable forces a *lower* tier: `portable`,
-//! `avx2` or `vnni` (values are case-insensitive; an unknown value is
-//! ignored with one warning on stderr, so a typo cannot pass for "unset"
-//! unnoticed). The override never raises the tier above what the hardware
+//! `avx2` or `vnni` (case-insensitive; read through [`crate::knobs::read`]
+//! like every knob, so an unknown value warns once and keeps the detected
+//! tier). The override never raises the tier above what the hardware
 //! supports — `IE_ISA=vnni` on an AVX2-only machine runs the AVX2 tier — so
 //! it is always safe to set. The CI portable-tier job runs the whole test
 //! suite under `IE_ISA=portable` to keep the fallback green, and in-process
@@ -131,36 +131,16 @@ pub fn detected() -> IsaTier {
 
 /// The tier the auto-dispatched kernels run: the detected tier, lowered by a
 /// valid `IE_ISA` override. Cached after the first call (the environment is
-/// read once per process, and an invalid value warns once on stderr), so a
-/// dispatch decision costs one atomic load.
+/// read once per process), so a dispatch decision costs one atomic load.
 pub fn active() -> IsaTier {
     static ACTIVE: OnceLock<IsaTier> = OnceLock::new();
     *ACTIVE.get_or_init(|| {
-        let (tier, warning) = resolve_override(detected(), std::env::var("IE_ISA").ok().as_deref());
-        if let Some(warning) = warning {
-            eprintln!("{warning}");
-        }
-        tier
+        crate::knobs::read("IE_ISA", ISA_WANT, IsaTier::parse).map_or_else(detected, clamp)
     })
 }
 
-/// The tier an `IE_ISA` value selects on hardware whose best tier is `hw`:
-/// unset keeps `hw`, a tier name lowers it (never raises it), and any other
-/// value keeps `hw` and comes back with the warning to print.
-fn resolve_override(hw: IsaTier, value: Option<&str>) -> (IsaTier, Option<String>) {
-    let Some(raw) = value else { return (hw, None) };
-    match IsaTier::parse(raw) {
-        Some(requested) => (requested.min(hw), None),
-        None => (
-            hw,
-            Some(format!(
-                "warning: ignoring invalid IE_ISA={raw:?} (want portable, avx2 or vnni); \
-                 running the {} tier",
-                hw.name()
-            )),
-        ),
-    }
-}
+/// What the `IE_ISA` knob accepts, as its warning states it.
+const ISA_WANT: &str = "portable, avx2 or vnni";
 
 /// Clamps an explicitly requested tier to what the hardware supports —
 /// running (say) an AVX2 kernel on a machine without AVX2 would be undefined
@@ -255,22 +235,21 @@ mod tests {
         assert!(active <= detected());
         // When the suite runs under an IE_ISA override (the CI portable-tier
         // job), the cached active tier must honour it.
-        if let Some(requested) = std::env::var("IE_ISA").ok().as_deref().and_then(IsaTier::parse) {
-            assert_eq!(active, requested.min(detected()));
+        if let Some(requested) = crate::knobs::read("IE_ISA", ISA_WANT, IsaTier::parse) {
+            assert_eq!(active, clamp(requested));
         }
     }
 
     #[test]
     fn isa_override_lowers_the_tier_and_warns_on_an_invalid_value() {
-        assert_eq!(resolve_override(IsaTier::Avx2, None), (IsaTier::Avx2, None));
-        assert_eq!(resolve_override(IsaTier::Avx2, Some("portable")), (IsaTier::Portable, None));
+        let isa = |raw| crate::knobs::classify("IE_ISA", raw, ISA_WANT, IsaTier::parse);
+        assert_eq!(isa("portable"), Ok(IsaTier::Portable));
         // An override never raises the tier above the hardware.
-        assert_eq!(resolve_override(IsaTier::Avx2, Some(" VNNI ")), (IsaTier::Avx2, None));
+        assert_eq!(isa(" VNNI ").map(|tier| tier.min(IsaTier::Avx2)), Ok(IsaTier::Avx2));
         for bad in ["portabel", "", "avx"] {
-            let (tier, warning) = resolve_override(IsaTier::Avx2, Some(bad));
-            assert_eq!(tier, IsaTier::Avx2, "{bad:?} keeps the detected tier");
-            let warning = warning.expect("an invalid value warns");
+            let warning = isa(bad).expect_err("an invalid value warns");
             assert!(warning.contains(&format!("IE_ISA={bad:?}")), "{warning}");
+            assert!(warning.contains(ISA_WANT), "{warning}");
         }
     }
 

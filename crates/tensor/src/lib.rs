@@ -23,10 +23,10 @@
 // Unsafe code is denied crate-wide and allowed back in two kinds of place:
 // the `tiered!` dispatch macro in `dispatch.rs`, which holds the one `unsafe`
 // call per ISA tier and makes it only after `clamp` has found the tier's CPU
-// features, and the explicit-intrinsics modules `linalg::x86`, `ops::x86`,
-// `backward::x86` and `quant::simd`, whose safe `#[target_feature]` kernels
-// wrap their raw-pointer vector loads and stores in `unsafe` blocks that each
-// state the bounds they rely on.
+// features, and the explicit-intrinsics modules `ops::x86`, `backward::x86`
+// and `quant::simd`, whose safe `#[target_feature]` kernels wrap their
+// raw-pointer vector loads and stores in `unsafe` blocks that each state the
+// bounds they rely on.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -34,6 +34,7 @@ mod backward;
 pub mod dispatch;
 mod error;
 mod im2col;
+pub mod knobs;
 mod linalg;
 mod ops;
 pub mod quant;

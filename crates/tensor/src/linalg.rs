@@ -15,9 +15,8 @@
 //! ([`crate::dispatch`]): the portable tier is the safe-Rust implementation
 //! below, the AVX2 tier recompiles the same register-tiled bodies with AVX2
 //! enabled (8-lane `f32` vectors) — same scalar semantics, same accumulation
-//! order, so results are bit-identical across tiers — and the sparse GEMM's
-//! inner axpy additionally has an explicit-intrinsics AVX2 implementation
-//! (separate multiply and add; no FMA contraction on any tier).
+//! order, so results are bit-identical across tiers (separate multiply and
+//! add; no FMA contraction on any tier).
 //!
 //! The dense GEMM is cache-blocked (column panels of `B`, depth blocks of the
 //! shared dimension) and register-tiled (6 rows of `A` per pass so each loaded
@@ -210,79 +209,6 @@ fn gemm_sparse_body(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n
     }
 }
 
-/// The sparse GEMM's explicit AVX2 axpy (the GEMM and matvec bodies above
-/// need none: [`tiered!`] recompiles them with AVX2 enabled). A broadcast,
-/// then a separate multiply and add per 8-lane chunk — the exact scalar
-/// operation sequence, so results match bit for bit.
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-mod x86 {
-    use core::arch::x86_64::*;
-
-    /// Sparsity-aware GEMM with the inner axpy in explicit 8-lane AVX2:
-    /// `orow[j] += av · brow[j]` as a broadcast, a multiply and an add —
-    /// two individually rounded operations per element, exactly like the
-    /// scalar kernel (no FMA).
-    #[target_feature(enable = "avx2")]
-    pub(super) fn gemm_sparse_avx2(
-        a: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        // Four independent 8-lane streams per step (32 floats): matches the
-        // unroll depth LLVM picks for the portable body, so the explicit
-        // kernel never falls behind it.
-        let blocks = n / 32;
-        let chunks = n / 8;
-        for i in 0..m {
-            let orow = &mut out[i * n..(i + 1) * n];
-            for p in 0..k {
-                let av = a[i * k + p];
-                if av == 0.0 {
-                    continue;
-                }
-                let brow = &b[p * n..(p + 1) * n];
-                let vav = _mm256_set1_ps(av);
-                // SAFETY: block t covers [32t, 32t+32) and chunk c covers
-                // [8c, 8c+8), both bounded by n — in bounds of `brow` and
-                // `orow` (each n long).
-                unsafe {
-                    for t in 0..blocks {
-                        let bp = brow.as_ptr().add(t * 32);
-                        let op = orow.as_mut_ptr().add(t * 32);
-                        let p0 = _mm256_mul_ps(vav, _mm256_loadu_ps(bp));
-                        let p1 = _mm256_mul_ps(vav, _mm256_loadu_ps(bp.add(8)));
-                        let p2 = _mm256_mul_ps(vav, _mm256_loadu_ps(bp.add(16)));
-                        let p3 = _mm256_mul_ps(vav, _mm256_loadu_ps(bp.add(24)));
-                        _mm256_storeu_ps(op, _mm256_add_ps(_mm256_loadu_ps(op), p0));
-                        _mm256_storeu_ps(op.add(8), _mm256_add_ps(_mm256_loadu_ps(op.add(8)), p1));
-                        _mm256_storeu_ps(
-                            op.add(16),
-                            _mm256_add_ps(_mm256_loadu_ps(op.add(16)), p2),
-                        );
-                        _mm256_storeu_ps(
-                            op.add(24),
-                            _mm256_add_ps(_mm256_loadu_ps(op.add(24)), p3),
-                        );
-                    }
-                    for c in blocks * 4..chunks {
-                        let bp = brow.as_ptr().add(c * 8);
-                        let op = orow.as_mut_ptr().add(c * 8);
-                        let prod = _mm256_mul_ps(vav, _mm256_loadu_ps(bp));
-                        _mm256_storeu_ps(op, _mm256_add_ps(_mm256_loadu_ps(op), prod));
-                    }
-                }
-                for j in chunks * 8..n {
-                    orow[j] += av * brow[j];
-                }
-            }
-        }
-    }
-}
-
 /// Dense blocked GEMM: writes `A·B` into `out` without allocating.
 ///
 /// `a` is `[m, k]`, `b` is `[k, n]` and `out` is `[m, n]`, all row-major.
@@ -328,8 +254,8 @@ pub fn gemm_into_tier(
 /// weights it is a pure branch-misprediction tax, which is why the dense path
 /// uses [`gemm_into`] instead. For finite inputs both kernels produce
 /// identical sums (a skipped term contributes exactly `±0.0`). The surviving
-/// rows' axpy runs 8 lanes wide on the AVX2 tier (explicit intrinsics,
-/// bit-identical to the portable loop).
+/// rows' axpy runs 8 lanes wide on the AVX2 tier (the portable loop
+/// recompiled, bit-identical to it).
 ///
 /// # Panics
 ///
@@ -357,8 +283,7 @@ pub fn gemm_sparse_into_tier(
     out.fill(0.0);
     tiered!(
         tier,
-        avx2: x86::gemm_sparse_avx2(a, b, out, m, k, n),
-        portable: gemm_sparse_body(a, b, out, m, k, n),
+        gemm_sparse_body(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize)
     );
 }
 
