@@ -10,6 +10,8 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::env::VarError;
+use std::fmt::Debug;
 use std::sync::{Mutex, PoisonError};
 
 /// Seed used when neither an explicit seed nor `IE_TEST_SEED` is provided.
@@ -33,11 +35,16 @@ pub fn seeded_rng(seed: Option<u64>) -> StdRng {
 /// Reads the `u64` seed knob `var` (`IE_TEST_SEED`, `IE_FAULT_SEED`) by the
 /// rule of `ie_tensor::knobs::read`, which this crate cannot call (each is a
 /// root of the crate graph): unset gives `None`, a trimmed `u64` its value,
-/// and anything else `None` after a warning, once per variable per process.
+/// and anything else, a value that is not Unicode included, `None` after a
+/// warning, once per variable per process.
 #[allow(clippy::disallowed_methods)]
 pub fn seed_from_env(var: &'static str) -> Option<u64> {
-    let raw = std::env::var(var).ok()?;
-    classify_seed(var, &raw)
+    let verdict = match std::env::var(var) {
+        Ok(raw) => classify_seed(var, &raw),
+        Err(VarError::NotPresent) => return None,
+        Err(VarError::NotUnicode(raw)) => Err(warning(var, &raw)),
+    };
+    verdict
         .map_err(|warning| {
             static WARNED: Mutex<Vec<&str>> = Mutex::new(Vec::new());
             let mut warned = WARNED.lock().unwrap_or_else(PoisonError::into_inner);
@@ -56,9 +63,12 @@ pub fn seed_from_env(var: &'static str) -> Option<u64> {
 ///
 /// Returns the warning text when the trimmed value is not a `u64`.
 pub fn classify_seed(var: &str, raw: &str) -> Result<u64, String> {
-    raw.trim()
-        .parse()
-        .map_err(|_| format!("warning: ignoring {var}={raw:?} (want a u64); using the default"))
+    raw.trim().parse().map_err(|_| warning(var, raw))
+}
+
+/// The warning for a rejected seed `raw` of `var`.
+fn warning(var: &str, raw: &(impl Debug + ?Sized)) -> String {
+    format!("warning: ignoring {var}={raw:?} (want a u64); using the default")
 }
 
 #[cfg(test)]
@@ -84,6 +94,25 @@ mod tests {
             let warning = seed(bad).expect_err("invalid seeds are rejected");
             assert!(warning.contains(&format!("IE_TEST_SEED={bad:?}")), "{warning}");
         }
+    }
+
+    /// A seed that is not Unicode warns like any other rejected value. The
+    /// environment is shared by every test of the process, so this re-runs
+    /// one test of this binary in a child process with the seed set.
+    #[cfg(unix)]
+    #[test]
+    fn a_seed_that_is_not_unicode_warns_instead_of_passing_for_unset() {
+        use std::os::unix::ffi::OsStrExt;
+        let output = std::process::Command::new(std::env::current_exe().expect("test binary"))
+            .args(["--exact", "test_support::tests::default_seed_is_stable_across_calls"])
+            .arg("--nocapture")
+            .env("IE_TEST_SEED", std::ffi::OsStr::from_bytes(b"7\xff"))
+            .output()
+            .expect("the test binary starts");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(output.status.success(), "{stderr}");
+        let warning = r#"warning: ignoring IE_TEST_SEED="7\xFF" (want a u64); using the default"#;
+        assert!(stderr.contains(warning), "{stderr}");
     }
 
     #[test]

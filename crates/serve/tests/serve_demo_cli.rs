@@ -35,3 +35,20 @@ fn a_request_count_outside_its_range_is_refused_before_any_allocation() {
         assert_refused(&output, &format!("IE_SERVE_REQUESTS must be in 1..=65536, got {count}"));
     }
 }
+
+/// A knob value that is not Unicode warns like any other rejected value
+/// instead of passing for unset; the zero request count then stops the run.
+#[cfg(unix)]
+#[test]
+fn a_knob_value_that_is_not_unicode_warns_instead_of_passing_for_unset() {
+    use std::os::unix::ffi::OsStrExt;
+    let output = Command::new(env!("CARGO_BIN_EXE_serve_demo"))
+        .env("IE_SERVE_WINDOW", std::ffi::OsStr::from_bytes(b"16\xff"))
+        .env("IE_SERVE_REQUESTS", "0")
+        .output()
+        .expect("serve_demo starts");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "stderr: {stderr}");
+    let warning = r#"warning: ignoring IE_SERVE_WINDOW="16\xFF" (want a non-negative integer)"#;
+    assert!(stderr.contains(warning), "stderr: {stderr}");
+}

@@ -134,13 +134,18 @@ pub fn detected() -> IsaTier {
 /// read once per process), so a dispatch decision costs one atomic load.
 pub fn active() -> IsaTier {
     static ACTIVE: OnceLock<IsaTier> = OnceLock::new();
-    *ACTIVE.get_or_init(|| {
-        crate::knobs::read("IE_ISA", ISA_WANT, IsaTier::parse).map_or_else(detected, clamp)
-    })
+    *ACTIVE
+        .get_or_init(|| resolve(detected(), crate::knobs::read("IE_ISA", ISA_WANT, IsaTier::parse)))
 }
 
 /// What the `IE_ISA` knob accepts, as its warning states it.
 const ISA_WANT: &str = "portable, avx2 or vnni";
+
+/// The tier an `IE_ISA` request selects on hardware whose best tier is `hw`:
+/// no request keeps `hw`, and a request lowers it but never raises it.
+fn resolve(hw: IsaTier, requested: Option<IsaTier>) -> IsaTier {
+    requested.map_or(hw, |tier| tier.min(hw))
+}
 
 /// Clamps an explicitly requested tier to what the hardware supports —
 /// running (say) an AVX2 kernel on a machine without AVX2 would be undefined
@@ -243,13 +248,15 @@ mod tests {
     #[test]
     fn isa_override_lowers_the_tier_and_warns_on_an_invalid_value() {
         let isa = |raw| crate::knobs::classify("IE_ISA", raw, ISA_WANT, IsaTier::parse);
-        assert_eq!(isa("portable"), Ok(IsaTier::Portable));
+        assert_eq!(resolve(IsaTier::Avx2, None), IsaTier::Avx2);
+        assert_eq!(resolve(IsaTier::Avx2, isa("portable").ok()), IsaTier::Portable);
         // An override never raises the tier above the hardware.
-        assert_eq!(isa(" VNNI ").map(|tier| tier.min(IsaTier::Avx2)), Ok(IsaTier::Avx2));
+        assert_eq!(resolve(IsaTier::Avx2, isa(" VNNI ").ok()), IsaTier::Avx2);
         for bad in ["portabel", "", "avx"] {
             let warning = isa(bad).expect_err("an invalid value warns");
             assert!(warning.contains(&format!("IE_ISA={bad:?}")), "{warning}");
             assert!(warning.contains(ISA_WANT), "{warning}");
+            assert_eq!(resolve(IsaTier::Avx2, isa(bad).ok()), IsaTier::Avx2, "{bad:?}");
         }
     }
 

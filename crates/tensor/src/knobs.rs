@@ -6,8 +6,8 @@
 //!
 //! * an unset variable gives `None`, and the caller keeps its default;
 //! * a set value is trimmed and handed to the knob's own parse rule;
-//! * a value the rule rejects gives `None` too, after one warning per
-//!   variable per process on stderr,
+//! * a value the rule rejects, or one that is not Unicode, gives `None` too,
+//!   after one warning per variable per process on stderr,
 //!   `warning: ignoring VAR="raw" (want …); using the default`, so a typo
 //!   never passes for "unset" unnoticed.
 //!
@@ -18,16 +18,22 @@
 //! environment; the workspace's `clippy.toml` disallows `std::env::var`
 //! everywhere else.
 
+use std::env::VarError;
+use std::fmt::Debug;
 use std::sync::{Mutex, PoisonError};
 
-/// Reads the knob `var`: `None` when it is unset (or not Unicode), the value
-/// `parse` gives the trimmed string when it accepts it, and `None` after a
-/// warning (once per variable per process) when it does not. `want` names
-/// what the knob accepts, for that warning.
+/// Reads the knob `var`: `None` when it is unset, the value `parse` gives the
+/// trimmed string when it accepts it, and `None` after a warning (once per
+/// variable per process) when it does not or the value is not Unicode.
+/// `want` names what the knob accepts, for that warning.
 #[allow(clippy::disallowed_methods)]
 pub fn read<T>(var: &'static str, want: &str, parse: impl FnOnce(&str) -> Option<T>) -> Option<T> {
-    let raw = std::env::var(var).ok()?;
-    classify(var, &raw, want, parse)
+    let verdict = match std::env::var(var) {
+        Ok(raw) => classify(var, &raw, want, parse),
+        Err(VarError::NotPresent) => return None,
+        Err(VarError::NotUnicode(raw)) => Err(warning(var, &raw, want)),
+    };
+    verdict
         .map_err(|warning| {
             static WARNED: Mutex<Vec<&str>> = Mutex::new(Vec::new());
             let mut warned = WARNED.lock().unwrap_or_else(PoisonError::into_inner);
@@ -51,6 +57,10 @@ pub fn classify<T>(
     want: &str,
     parse: impl FnOnce(&str) -> Option<T>,
 ) -> Result<T, String> {
-    parse(raw.trim())
-        .ok_or_else(|| format!("warning: ignoring {var}={raw:?} (want {want}); using the default"))
+    parse(raw.trim()).ok_or_else(|| warning(var, raw, want))
+}
+
+/// The warning for a rejected value `raw` of `var`.
+fn warning(var: &str, raw: &(impl Debug + ?Sized), want: &str) -> String {
+    format!("warning: ignoring {var}={raw:?} (want {want}); using the default")
 }

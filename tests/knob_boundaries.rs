@@ -1,6 +1,8 @@
-//! The boundary of every `IE_*` knob: whatever string a variable holds, the
-//! reader's pure step with the knob's parse rule gives either a value inside
-//! the knob's range or a warning naming `VAR="raw"`, and never panics.
+//! The boundary of the parse rules the `IE_*` knobs use: whatever string a
+//! variable holds, each rule through its reader's pure step gives either a
+//! value inside the rule's range or a warning naming `VAR="raw"`, and never
+//! panics. It does not see which rule a knob's caller passes; the cases each
+//! knob pins are tested beside its reader.
 
 use intermittent_multiexit::energy::test_support::classify_seed;
 use intermittent_multiexit::nn::train::{parse_threads, MAX_WORKERS};
@@ -9,63 +11,61 @@ use intermittent_multiexit::tensor::knobs::classify;
 use intermittent_multiexit::tensor::IsaTier;
 use proptest::prelude::*;
 
-/// The 17 knobs, each with the parse rule its reader applies.
-const KNOBS: [&str; 17] = [
-    "IE_ISA",
-    "IE_EVAL_THREADS",
-    "IE_TRAIN_THREADS",
-    "IE_SERVE_THREADS",
-    "IE_FLEET_THREADS",
-    "IE_TEST_SEED",
-    "IE_FAULT_SEED",
-    "IE_CHAOS_SEED",
-    "IE_SERVE_QUEUE_CAP",
-    "IE_SERVE_SHED",
-    "IE_SERVE_WINDOW",
-    "IE_SERVE_DEADLINE_MS",
-    "IE_SERVE_REQUESTS",
-    "IE_TRAIN_SEED",
-    "IE_TRAIN_EPOCHS",
-    "IE_FLEET_DEVICES",
-    "IE_FLEET_SEED",
+/// One parse rule as its reader applies it.
+struct Rule {
+    /// A knob that uses the rule; only the warning names it.
+    var: &'static str,
+    /// The reader's pure step with the rule: the value as text, or the
+    /// warning.
+    outcome: fn(&str, &str) -> Result<String, String>,
+    /// The values an integer rule accepts (`None` for the named-value rules).
+    range: Option<(u128, u128)>,
+}
+
+const WANT: &str = "…";
+
+/// The five parse rules of the knobs, with the `u64` rule once more through
+/// the seed reader's pure step.
+const RULES: [Rule; 6] = [
+    Rule {
+        var: "IE_ISA",
+        outcome: |var, raw| classify(var, raw, WANT, IsaTier::parse).map(|t| t.name().into()),
+        range: None,
+    },
+    Rule {
+        var: "IE_SERVE_SHED",
+        outcome: |var, raw| classify(var, raw, WANT, ShedPolicy::parse).map(|p| p.name().into()),
+        range: None,
+    },
+    Rule {
+        var: "IE_EVAL_THREADS",
+        outcome: |var, raw| classify(var, raw, WANT, parse_threads).map(|n| n.to_string()),
+        range: Some((1, MAX_WORKERS as u128)),
+    },
+    Rule {
+        var: "IE_CHAOS_SEED",
+        outcome: |var, raw| {
+            classify(var, raw, WANT, |s| s.parse::<u64>().ok()).map(|n| n.to_string())
+        },
+        range: Some((0, u64::MAX as u128)),
+    },
+    Rule {
+        var: "IE_SERVE_WINDOW",
+        outcome: |var, raw| {
+            classify(var, raw, WANT, |s| s.parse::<usize>().ok()).map(|n| n.to_string())
+        },
+        range: Some((0, usize::MAX as u128)),
+    },
+    Rule {
+        var: "IE_TEST_SEED",
+        outcome: |var, raw| classify_seed(var, raw).map(|n| n.to_string()),
+        range: Some((0, u64::MAX as u128)),
+    },
 ];
 
-/// Knob `var`'s outcome for the set value `raw`: the value as text, or the
-/// warning.
-fn outcome(var: &str, raw: &str) -> Result<String, String> {
-    const WANT: &str = "…";
-    match var {
-        "IE_ISA" => classify(var, raw, WANT, IsaTier::parse).map(|tier| tier.name().to_string()),
-        "IE_SERVE_SHED" => {
-            classify(var, raw, WANT, ShedPolicy::parse).map(|policy| policy.name().to_string())
-        }
-        "IE_EVAL_THREADS" | "IE_TRAIN_THREADS" | "IE_SERVE_THREADS" | "IE_FLEET_THREADS" => {
-            classify(var, raw, WANT, parse_threads).map(|n| n.to_string())
-        }
-        "IE_TEST_SEED" | "IE_FAULT_SEED" => classify_seed(var, raw).map(|n| n.to_string()),
-        "IE_CHAOS_SEED" | "IE_TRAIN_SEED" | "IE_FLEET_DEVICES" | "IE_FLEET_SEED" => {
-            classify(var, raw, WANT, |s| s.parse::<u64>().ok()).map(|n| n.to_string())
-        }
-        _ => classify(var, raw, WANT, |s| s.parse::<usize>().ok()).map(|n| n.to_string()),
-    }
-}
-
-/// The range of an integer knob (`None` for the two named-value knobs).
-fn integer_range(var: &str) -> Option<(u128, u128)> {
-    match var {
-        "IE_ISA" | "IE_SERVE_SHED" => None,
-        "IE_EVAL_THREADS" | "IE_TRAIN_THREADS" | "IE_SERVE_THREADS" | "IE_FLEET_THREADS" => {
-            Some((1, MAX_WORKERS as u128))
-        }
-        "IE_TEST_SEED" | "IE_FAULT_SEED" | "IE_CHAOS_SEED" | "IE_TRAIN_SEED"
-        | "IE_FLEET_DEVICES" | "IE_FLEET_SEED" => Some((0, u128::from(u64::MAX))),
-        _ => Some((0, usize::MAX as u128)),
-    }
-}
-
-/// What an integer knob must accept, worked out without `str::parse`: the
+/// What an integer rule must accept, worked out without `str::parse`: the
 /// trimmed value is an optional `+` and ASCII digits, and their value lies in
-/// the knob's range.
+/// the rule's range.
 fn expected_integer(raw: &str, (min, max): (u128, u128)) -> Option<String> {
     let trimmed = raw.trim();
     let digits = trimmed.strip_prefix('+').unwrap_or(trimmed);
@@ -78,13 +78,13 @@ fn expected_integer(raw: &str, (min, max): (u128, u128)) -> Option<String> {
     (min..=max).contains(&value).then(|| value.to_string())
 }
 
-/// The boundary property for one value across every knob: an integer knob
+/// The boundary property for one value across every rule: an integer rule
 /// accepts exactly the integers in its range, and every rejection is a
 /// warning that names the variable and the raw value.
-fn holds_for_every_knob(raw: &str) {
-    for var in KNOBS {
+fn holds_for_every_rule(raw: &str) {
+    for Rule { var, outcome, range } in RULES {
         let outcome = outcome(var, raw);
-        if let Some(range) = integer_range(var) {
+        if let Some(range) = range {
             assert_eq!(outcome.clone().ok(), expected_integer(raw, range), "{var}={raw:?}");
         }
         if let Err(warning) = outcome {
@@ -164,8 +164,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
-    fn every_knob_gives_a_value_in_range_or_a_warning_naming_it(raw in arb_value()) {
-        holds_for_every_knob(&raw);
+    fn every_rule_gives_a_value_in_range_or_a_warning_naming_it(raw in arb_value()) {
+        holds_for_every_rule(&raw);
     }
 }
 
@@ -202,47 +202,6 @@ fn adversarial_values_give_a_value_in_range_or_a_warning_naming_them() {
         "portabel",
         "DropOldest",
     ] {
-        holds_for_every_knob(raw);
+        holds_for_every_rule(raw);
     }
-}
-
-/// The cases the knobs' former per-parser unit tests pinned, and the
-/// outcome each must keep.
-#[test]
-fn pinned_cases_keep_their_values_and_warnings() {
-    let max = usize::MAX.to_string();
-    let threads = ["IE_EVAL_THREADS", "IE_TRAIN_THREADS", "IE_SERVE_THREADS", "IE_FLEET_THREADS"];
-    for var in threads {
-        assert_eq!(outcome(var, "4"), Ok("4".into()));
-        assert_eq!(outcome(var, " 2 "), Ok("2".into()));
-        assert_eq!(outcome(var, "256"), Ok(MAX_WORKERS.to_string()));
-        for bad in ["0", "257", max.as_str(), "-1", "lots", "", "4.5"] {
-            assert!(outcome(var, bad).is_err(), "{var}={bad:?} must warn");
-        }
-    }
-    assert_eq!(outcome("IE_ISA", "portable"), Ok("portable".into()));
-    assert_eq!(outcome("IE_ISA", " VNNI "), Ok("vnni".into()));
-    // On AVX2 hardware `vnni` runs the AVX2 tier: an override only lowers.
-    assert_eq!(IsaTier::parse(" VNNI ").map(|tier| tier.min(IsaTier::Avx2)), Some(IsaTier::Avx2));
-    for bad in ["portabel", "", "avx"] {
-        assert!(outcome("IE_ISA", bad).is_err(), "IE_ISA={bad:?} must warn");
-    }
-    for var in ["IE_TEST_SEED", "IE_FAULT_SEED"] {
-        assert_eq!(outcome(var, "77"), Ok("77".into()));
-        assert_eq!(outcome(var, " 18446744073709551615 "), Ok(u64::MAX.to_string()));
-        for bad in ["", "-1", "1.5", "0x1E57", "seed7", "seed2", "18446744073709551616"] {
-            assert!(outcome(var, bad).is_err(), "{var}={bad:?} must warn");
-        }
-    }
-    // A zero passes through the serving knobs to validation (or, for the
-    // queue capacity, to "unbounded"); garbage warns.
-    assert_eq!(outcome("IE_SERVE_WINDOW", " 16 "), Ok("16".into()));
-    for var in ["IE_SERVE_DEADLINE_MS", "IE_SERVE_WINDOW", "IE_SERVE_QUEUE_CAP", "IE_CHAOS_SEED"] {
-        assert_eq!(outcome(var, "0"), Ok("0".into()));
-        for bad in ["", "-1", "2ms", "1.5"] {
-            assert!(outcome(var, bad).is_err(), "{var}={bad:?} must warn");
-        }
-    }
-    assert_eq!(outcome("IE_SERVE_SHED", " Drop-Oldest "), Ok("drop-oldest".into()));
-    assert!(outcome("IE_SERVE_SHED", "drop").is_err());
 }
