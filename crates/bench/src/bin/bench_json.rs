@@ -34,7 +34,7 @@
 //!   (`reference_eval_ns`), which the step never runs; the bare profile
 //!   evaluation the step wraps (`profile_eval_ns`) is recorded for context;
 //! * `simd_kernels/*` — each runtime-dispatched kernel (softmax, max-pool,
-//!   sparse axpy, activation quantize, the i16 madd GEMM) timed on the
+//!   activation quantize, the i16 madd GEMM) timed on the
 //!   active ISA tier against its own portable tier, after a bit-identity
 //!   assertion (the JSON records the active tier in `isa_tier`);
 //! * `sim_loop` — the `EventLoopSimulator` wake-window trace replay,
@@ -130,6 +130,25 @@ fn pre_pr_im2col(input: &Tensor, geom: &Conv2dGeometry) -> Tensor {
     Tensor::from_vec(out, &[rows, cols]).expect("bench shapes are valid")
 }
 
+/// Copy of the pre-planning zero-skip GEMM: `A·B` into a fresh buffer,
+/// skipping every `B` row whose `A` element is exactly zero.
+fn pre_pr_zero_skip_gemm(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; m * n];
+    for i in 0..m {
+        for p in 0..k {
+            let av = a[i * k + p];
+            if av == 0.0 {
+                continue;
+            }
+            let orow = &mut out[i * n..(i + 1) * n];
+            for (o, &bv) in orow.iter_mut().zip(&b[p * n..(p + 1) * n]) {
+                *o += av * bv;
+            }
+        }
+    }
+    out
+}
+
 /// Replica of the pre-planning convolution forward: `im2col` allocation,
 /// weight reshape (a full copy), the zero-skip GEMM, an output reshape
 /// (another copy) and a separate bias pass.
@@ -141,7 +160,9 @@ fn pre_pr_conv_forward(conv: &Conv2d, input: &Tensor) -> Tensor {
         .weight()
         .reshape(&[conv.out_channels(), geom.in_channels * k * k])
         .expect("bench shapes are valid");
-    let out = wmat.matmul_sparse_aware(&cols).expect("bench shapes are valid");
+    let (m, depth, n) = (conv.out_channels(), geom.in_channels * k * k, cols.dims()[1]);
+    let out = pre_pr_zero_skip_gemm(wmat.as_slice(), cols.as_slice(), m, depth, n);
+    let out = Tensor::from_vec(out, &[m, n]).expect("bench shapes are valid");
     let (oh, ow) = (geom.out_h(), geom.out_w());
     let mut out = out.reshape(&[conv.out_channels(), oh, ow]).expect("bench shapes are valid");
     let plane = oh * ow;
@@ -717,7 +738,7 @@ fn main() {
     // Quantized backend fixtures: the paper-style i8-dominant policy (8-bit
     // convs pruned to 0.5/0.25, 1–2-bit large FC layers — the Fig. 4 shape
     // that actually fits the MCU targets) executed once through the
-    // fake-quant f32 planned path (sparse-aware GEMM on the pruned convs)
+    // fake-quant f32 planned path (pruned convs at their kept width)
     // and once through the integer engine (pruned channels packed away, madd
     // GEMM on the kept ones).
     let compressible = arch.compressible_layers();
@@ -930,16 +951,6 @@ fn main() {
     // — the regime the pruned convolutions actually run in. (At very wide
     // shapes the axpy is memory-bandwidth-bound and vector width stops
     // mattering.)
-    let (sp_m, sp_k, sp_n) = (32usize, 75usize, 256usize);
-    let mut sp_a: Vec<f32> = (0..sp_m * sp_k).map(|i| ((i % 389) as f32 * 0.017).sin()).collect();
-    for (i, v) in sp_a.iter_mut().enumerate() {
-        // Zero every other 25-element input-channel block, like 0.5 pruning.
-        if (i % sp_k) / 25 % 2 == 0 {
-            *v = 0.0;
-        }
-    }
-    let sp_b: Vec<f32> = (0..sp_k * sp_n).map(|i| ((i % 523) as f32 * 0.011).cos()).collect();
-    let mut sp_out = vec![0.0f32; sp_m * sp_n];
     let q_params = QuantParams::from_range(0.0, 6.0, 8);
     let q_src: Vec<f32> =
         (0..16_384).map(|i| ((i % 741) as f32 * 0.009).sin() * 5.0 + 2.0).collect();
@@ -967,10 +978,6 @@ fn main() {
         );
         ie_tensor::max_pool_planes_into(&pool_src, pool_planes, pool_h, pool_w, 2, &mut pool_out);
         assert_eq!(pref, pool_out, "max-pool tiers diverged");
-        let mut sref = sp_out.clone();
-        tiered::gemm_sparse_into(IsaTier::Portable, &sp_a, &sp_b, &mut sref, sp_m, sp_k, sp_n);
-        ie_tensor::gemm_sparse_into(&sp_a, &sp_b, &mut sp_out, sp_m, sp_k, sp_n);
-        assert_eq!(sref, sp_out, "sparse GEMM tiers diverged");
         let mut qref = q_codes.clone();
         q_params.quantize_slice_into_tier(IsaTier::Portable, &q_src, &mut qref);
         q_params.quantize_slice_into(&q_src, &mut q_codes);
@@ -1247,25 +1254,6 @@ fn main() {
                     &mut pool_out_codes,
                 );
                 black_box(pool_out_codes[0]);
-            }
-        );
-        kernel_case!(
-            "sparse_gemm_32x75x256",
-            {
-                tiered::gemm_sparse_into(
-                    IsaTier::Portable,
-                    &sp_a,
-                    &sp_b,
-                    &mut sp_out,
-                    sp_m,
-                    sp_k,
-                    sp_n,
-                );
-                black_box(sp_out[0]);
-            },
-            {
-                ie_tensor::gemm_sparse_into(&sp_a, &sp_b, &mut sp_out, sp_m, sp_k, sp_n);
-                black_box(sp_out[0]);
             }
         );
         kernel_case!(

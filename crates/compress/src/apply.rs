@@ -1,10 +1,10 @@
 //! Applies a [`CompressionPolicy`] to the weights of a real
 //! [`ie_nn::MultiExitNetwork`].
 //!
-//! Pruned input channels are zeroed (equivalent to removal for the produced
-//! activations) and weights are passed through the quantize→dequantize round
-//! trip, so the compressed network computes exactly what the deployed integer
-//! model would.
+//! Pruned input channels are removed from their layer (zeroed, and skipped
+//! by the `f32` convolution kernels) and weights are passed through the
+//! quantize→dequantize round trip, so the compressed network computes
+//! exactly what the deployed integer model would.
 
 use crate::pruning::prune_weight;
 use crate::quantize::quantize_weights;
@@ -28,29 +28,30 @@ use ie_tensor::{QuantParams, Tensor};
 pub fn apply_policy(network: &mut MultiExitNetwork, policy: &CompressionPolicy) -> Result<()> {
     policy.validate(network.architecture().compressible_layers().len())?;
     for (layer, entry) in network.compressible_layers_mut().zip(policy.layers()) {
-        let (_, weight) = prune_layer(layer, entry.preserve_ratio);
+        let weight = prune_layer(layer, entry.preserve_ratio)?;
         *weight = quantize_weights(weight, entry.weight_bits).values;
     }
     Ok(())
 }
 
 /// The prune step every policy applier shares: zeroes the least important
-/// input channels of one compressible layer to `preserve_ratio`, and hands
-/// back the pruned channels and the layer's weights.
+/// input channels of one compressible layer to `preserve_ratio`, records
+/// them as the layer's pruned channels, and hands back the layer's weights.
 ///
-/// A convolution is flagged for the sparsity-aware GEMM exactly when a
-/// channel was pruned: that kernel skips zeroed channel blocks, while on an
-/// unpruned layer its zero test is pure cost. Both kernels give the same
-/// bits on finite inputs, so the flag only picks the kernel.
-pub(crate) fn prune_layer(layer: &mut Layer, preserve_ratio: f32) -> (Vec<usize>, &mut Tensor) {
+/// From then on a pruned convolution lowers and multiplies only its kept
+/// channels, and training gives every pruned weight a gradient of `+0.0`, so
+/// the pruned channels stay zero without being re-zeroed.
+pub(crate) fn prune_layer(layer: &mut Layer, preserve_ratio: f32) -> Result<&mut Tensor> {
     match layer {
         Layer::Conv2d(conv) => {
             let pruned = prune_weight(conv.weight_mut(), preserve_ratio);
-            conv.set_sparse_hint(!pruned.is_empty());
-            (pruned, conv.weight_mut())
+            conv.set_pruned_channels(&pruned)?;
+            Ok(conv.weight_mut())
         }
         Layer::Dense(dense) => {
-            (prune_weight(dense.weight_mut(), preserve_ratio), dense.weight_mut())
+            let pruned = prune_weight(dense.weight_mut(), preserve_ratio);
+            dense.set_pruned_channels(&pruned)?;
+            Ok(dense.weight_mut())
         }
         _ => unreachable!("the compressible-layer walk yields only conv and dense layers"),
     }
@@ -134,7 +135,7 @@ pub fn apply_policy_quantized(
     // fake-quant round trip.
     let mut weight_quant = Vec::with_capacity(expected);
     for (layer, entry) in network.compressible_layers_mut().zip(policy.layers()) {
-        let (_, weight) = prune_layer(layer, entry.preserve_ratio);
+        let weight = prune_layer(layer, entry.preserve_ratio)?;
         let q = quantize_weights(weight, entry.weight_bits);
         let integer = QuantKernel::for_weight_bits(entry.weight_bits).is_some()
             && entry.activation_bits <= MAX_ACT_BITS;
@@ -267,7 +268,7 @@ mod tests {
                 _ => None,
             })
             .unwrap();
-        assert!(conv2.sparse_hint());
+        assert!(!conv2.pruned_channels().is_empty());
         let zeros = conv2.weight().as_slice().iter().filter(|&&w| w == 0.0).count();
         assert!(zeros > 0, "pruning still zeroes channels in quantized mode");
         // The config drives a working quantized plan.

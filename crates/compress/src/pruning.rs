@@ -3,9 +3,11 @@
 //! The importance of input channel `j` is the sum of absolute weights applied
 //! to it across all filters, `s_j = Σ_i |W_{i,j}|`; the least important
 //! channels are pruned. On the deployed MCU the pruned channels are physically
-//! removed; in this simulation we zero them, which produces identical
-//! activations while keeping tensor shapes (and therefore the rest of the
-//! pipeline) unchanged.
+//! removed, and so they are here: the prune step zeroes them and records them
+//! on their layer (`ie_nn::Conv2d::set_pruned_channels`), after which the
+//! `f32` convolution kernels lower and multiply only the kept channels and
+//! the integer engine packs the zeroed code blocks away. Tensor shapes stay
+//! unchanged, so the rest of the pipeline never sees the difference.
 
 use ie_tensor::Tensor;
 

@@ -7,11 +7,12 @@
 //! training engine with **fake-quant-in-the-loop**: every forward pass sees
 //! the quantize→dequantize round trip of weights and input activations while
 //! the straight-through gradients update the full-precision master weights.
-//! Pruned channels are re-zeroed after every optimiser step, so the sparsity
-//! structure the policy chose survives finetuning.
+//! Pruned channels are removed from their layers, so the training step runs
+//! each pruned convolution at its kept width and gives every pruned weight a
+//! gradient of exactly `+0.0`: the sparsity structure the policy chose
+//! survives finetuning without being re-imposed.
 
 use crate::apply::{calibrated_config, prune_layer};
-use crate::pruning::zero_channels;
 use crate::quantize::quantize_weights;
 use crate::{CompressError, CompressionPolicy, Result};
 use ie_nn::dataset::Sample;
@@ -70,48 +71,36 @@ pub struct FinetuneOutcome {
 /// configuration: per-layer MSE-searched weight scales (on the pruned
 /// weights) plus activation ranges calibrated on `calibration`. Master
 /// weights stay full precision — quantization is applied inside the training
-/// forward pass, not to the stored tensors. Also returns each compressible
-/// layer's pruned input channels, in canonical order.
+/// forward pass, not to the stored tensors.
 fn prepare(
     network: &mut MultiExitNetwork,
     policy: &CompressionPolicy,
     calibration: &[Sample],
-) -> Result<(QuantConfig, Vec<Vec<usize>>)> {
+) -> Result<QuantConfig> {
     let expected = network.architecture().compressible_layers().len();
     policy.validate(expected)?;
     if calibration.is_empty() {
         return Err(CompressError::EmptyCalibrationSet);
     }
-    let mut masks = Vec::with_capacity(expected);
     let mut scales = Vec::with_capacity(expected);
     for (layer, entry) in network.compressible_layers_mut().zip(policy.layers()) {
-        let (pruned, weight) = prune_layer(layer, entry.preserve_ratio);
+        let weight = prune_layer(layer, entry.preserve_ratio)?;
         scales.push((entry.weight_bits <= MAX_FAKE_QUANT_WEIGHT_BITS).then(|| {
             let scale = quantize_weights(weight, entry.weight_bits).scale;
             (entry.weight_bits, scale, entry.activation_bits.min(MAX_FAKE_QUANT_ACT_BITS))
         }));
-        masks.push(pruned);
     }
-    Ok((calibrated_config(network, calibration, scales)?, masks))
-}
-
-/// Re-zeroes each compressible layer's pruned input channels (`masks`, in
-/// canonical order) in the master weights.
-fn reapply_masks(network: &mut MultiExitNetwork, masks: &[Vec<usize>]) {
-    for (layer, channels) in network.compressible_layers_mut().zip(masks) {
-        if let Some(weight) = layer.weight_mut() {
-            zero_channels(weight, channels);
-        }
-    }
+    calibrated_config(network, calibration, scales)
 }
 
 /// Prunes `network` per `policy` and finetunes it with
 /// fake-quant-in-the-loop so the surviving weights adapt to the quantization
 /// grid the policy imposes.
 ///
-/// After every optimiser step the pruned channels are re-zeroed, so the
-/// returned network has exactly the sparsity structure `policy` chose; its
-/// weights are full-precision masters whose quantize→dequantize round trip
+/// A pruned weight's gradient is exactly `+0.0`, so the returned network
+/// has exactly the sparsity structure `policy` chose, recorded in its layers'
+/// pruned channels; its weights are full-precision masters whose
+/// quantize→dequantize round trip
 /// (per the returned [`QuantConfig`]'s scales) is what the deployed integer
 /// model computes with.
 ///
@@ -128,10 +117,12 @@ pub fn finetune_compressed(
     calibration: &[Sample],
     config: &FinetuneConfig,
 ) -> Result<FinetuneOutcome> {
-    let (quant, masks) = prepare(network, policy, calibration)?;
+    let quant = prepare(network, policy, calibration)?;
     let mut plan = BatchBackwardPlan::fake_quant(quant.clone());
     let batch_size = config.batch_size.max(1);
-    let mut epoch_loss = Vec::with_capacity(config.epochs);
+    // Grown as epochs finish: an absurd epoch count must not reserve its
+    // whole history up front.
+    let mut epoch_loss = Vec::new();
     for _ in 0..config.epochs {
         let mut total = 0.0f32;
         let mut count = 0usize;
@@ -144,7 +135,6 @@ pub fn finetune_compressed(
                 config.threads,
             )?;
             count += batch.len();
-            reapply_masks(network, &masks);
         }
         epoch_loss.push(if count == 0 { 0.0 } else { total / count as f32 });
     }
@@ -201,9 +191,18 @@ mod tests {
                 _ => None,
             })
             .unwrap();
-        assert!(conv2.sparse_hint());
-        let zeros = conv2.weight().as_slice().iter().filter(|&&w| w == 0.0).count();
-        assert!(zeros > 0, "pruned channels were resurrected by finetuning");
+        let block = conv2.geometry().kernel * conv2.geometry().kernel;
+        let row = conv2.in_channels() * block;
+        assert!(!conv2.pruned_channels().is_empty());
+        for filter in conv2.weight().as_slice().chunks_exact(row) {
+            for &c in conv2.pruned_channels() {
+                let pruned = &filter[c * block..(c + 1) * block];
+                assert!(
+                    pruned.iter().all(|w| w.to_bits() == 0),
+                    "pruned channel {c} was resurrected by finetuning"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Property-based equivalence of batched and single-input inference on
 //! **compressed** networks: random pruning/quantization policies are applied
-//! through the real `apply_policy` path (which zeroes channels, fake-quantizes
-//! weights and sets the sparse GEMM hint), then every sample's batched logits
-//! must be bit-identical to a separate allocating pass
+//! through the real `apply_policy` path (which prunes channels, so the convs
+//! run at their kept width, and fake-quantizes weights), then every sample's
+//! batched logits must be bit-identical to a separate allocating pass
 //! (`MultiExitNetwork::forward_to_exit`), and the sharded batched dataset
 //! evaluation must equal the sequential one for every worker count.
 
@@ -27,7 +27,7 @@ fn arb_layer_policy() -> impl Strategy<Value = LayerPolicy> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Random compression policies (pruned + quantized, sparse-hinted convs):
+    /// Random compression policies (pruned + quantized, kept-width convs):
     /// batched logits stay bit-identical to N single-input allocating passes.
     #[test]
     fn batched_logits_match_single_planned_on_compressed_networks(

@@ -1,7 +1,6 @@
 //! The planned (allocation-free) forward path and the allocating path must
 //! agree bit for bit on *compressed* networks too — after `apply_policy` has
-//! pruned channels and flipped the affected conv layers onto the
-//! sparsity-aware GEMM.
+//! pruned channels, which the conv layers then skip in both paths.
 
 use ie_compress::{apply::apply_policy, pruning::channel_importance, CompressionPolicy};
 use ie_nn::spec::tiny_multi_exit;
@@ -16,32 +15,36 @@ fn network(seed: u64) -> MultiExitNetwork {
 }
 
 #[test]
-fn pruning_flips_conv_layers_onto_the_sparse_kernel() {
+fn pruning_records_exactly_the_zeroed_channels() {
     let mut net = network(1);
     let n = net.architecture().compressible_layers().len();
     apply_policy(&mut net, &CompressionPolicy::uniform(n, 0.5, 8, 8).unwrap()).unwrap();
-    // A conv takes the sparse-aware GEMM exactly when pruning zeroed one of
-    // its input-channel blocks; the tiny net's 1-channel Conv1 keeps its only
-    // channel at any ratio, so only Conv2 is flagged.
-    let mut flagged = 0;
+    // A conv's pruned channels are exactly the input-channel blocks pruning
+    // zeroed; the tiny net's 1-channel Conv1 keeps its only channel at any
+    // ratio, so only Conv2 prunes.
+    let mut pruned_convs = 0;
     for layer in net.segments().iter().flatten() {
         if let Layer::Conv2d(conv) = layer {
-            let pruned = channel_importance(conv.weight()).contains(&0.0);
-            assert_eq!(
-                conv.sparse_hint(),
-                pruned,
-                "sparse flag set exactly when a channel is pruned"
-            );
-            flagged += usize::from(pruned);
+            let zeroed: Vec<usize> = channel_importance(conv.weight())
+                .iter()
+                .enumerate()
+                .filter(|(_, &s)| s == 0.0)
+                .map(|(c, _)| c)
+                .collect();
+            assert_eq!(conv.pruned_channels(), zeroed, "pruned channels are the zeroed ones");
+            pruned_convs += usize::from(!zeroed.is_empty());
         }
     }
-    assert!(flagged > 0, "a uniform 0.5 policy prunes at least one conv");
+    assert!(pruned_convs > 0, "a uniform 0.5 policy prunes at least one conv");
     let mut untouched = network(1);
     apply_policy(&mut untouched, &CompressionPolicy::full_precision(n)).unwrap();
-    for layer in untouched.segments().iter().flatten() {
-        if let Layer::Conv2d(conv) = layer {
-            assert!(!conv.sparse_hint(), "unpruned conv layers keep the dense kernel");
-        }
+    for layer in untouched.segments().iter().chain(untouched.branches()).flatten() {
+        let pruned = match layer {
+            Layer::Conv2d(conv) => conv.pruned_channels(),
+            Layer::Dense(dense) => dense.pruned_channels(),
+            _ => continue,
+        };
+        assert!(pruned.is_empty(), "a full-precision policy prunes nothing");
     }
 }
 

@@ -12,6 +12,9 @@
 //! * a per-convolution `im2col` arena — the forward half lowers each conv
 //!   input once and the backward weight-gradient GEMM re-reads the cached
 //!   lowering instead of recomputing it,
+//! * a per-convolution filter arena holding a pruned conv's kept filter
+//!   columns, gathered once per step by [`BackwardPlan::refresh_weights`]
+//!   (grown by the first step that meets a pruned `f32` conv),
 //! * one transpose scratch sized to the widest lowering (the column
 //!   transpose the weight-gradient GEMM needs, reused as the `dcols`
 //!   staging buffer of the data-gradient `col2im`),
@@ -30,8 +33,12 @@
 //! transposed-operand [`ie_tensor::matvec_t_batch_into`], which consumes the
 //! weight matrix in its stored layout — no weight transpose; the first layer
 //! of the network additionally skips its data gradient entirely (the input
-//! image's gradient is never read). The planned step is
-//! **bit-identical** to the allocating [`MultiExitNetwork::backward`] —
+//! image's gradient is never read). A channel-pruned conv runs at its kept
+//! width in both halves: it lowers and multiplies its kept channels only,
+//! computes `dW` for its kept filter columns only and scatters its input
+//! gradient into its kept channels only, so a pruned weight's gradient and
+//! a pruned channel's input gradient are exactly `+0.0`. The planned step
+//! is **bit-identical** to the allocating [`MultiExitNetwork::backward`] —
 //! same loss, same gradient bits — and performs zero heap allocations once
 //! warm.
 //!
@@ -48,7 +55,7 @@ use crate::layer::Layer;
 use crate::loss::softmax_into;
 use crate::quant::QuantConfig;
 use crate::spec::{LayerSpec, LayerSpecKind, MultiExitArchitecture};
-use crate::{MultiExitNetwork, NnError, Result};
+use crate::{Conv2d, MultiExitNetwork, NnError, Result};
 use ie_tensor::{QuantParams, Tensor};
 
 /// One layer's input/output regions inside the activation arena.
@@ -70,6 +77,10 @@ struct StepIo {
     /// the backward half re-reads it for the weight-gradient GEMM — the
     /// input is never lowered twice per step.
     col_off: usize,
+    /// Convolution layers only: offset of this layer's region of the plan's
+    /// `kept_w` arena, which holds its kept filter columns when it is pruned
+    /// and not fake-quantized.
+    kw_off: usize,
 }
 
 /// A parameterised layer's slice of the gradient store. The bias region
@@ -111,7 +122,8 @@ impl GradStore {
 /// Fake-quant coverage of one parameterised layer.
 #[derive(Debug, Clone, Copy)]
 struct FqEntry {
-    /// Region of the dequantized weight codes inside [`FqState::weights`].
+    /// Region of the dequantized weight codes inside [`FqState::weights`]
+    /// (a conv's codes sit at its kept width, in the region's prefix).
     w_off: usize,
     w_len: usize,
     /// Region of the quantize–dequantize'd input inside [`FqState::acts`].
@@ -156,6 +168,9 @@ pub struct BackwardPlan {
     /// Arena of cached `im2col` lowerings, one region per convolution
     /// (see [`StepIo::col_off`]).
     cols: Vec<f32>,
+    /// Arena of kept-width filter matrices, one region per convolution
+    /// (see [`StepIo::kw_off`]); empty until a refresh needs a region.
+    kept_w: Vec<f32>,
     /// Transpose scratch sized to the widest lowering; doubles as the
     /// `dcols` staging buffer of the data-gradient `col2im`.
     colt: Vec<f32>,
@@ -180,6 +195,7 @@ struct PlanBuilder {
     max_col: usize,
     max_conv_w: usize,
     col_cursor: usize,
+    kw_cursor: usize,
     pcursor: usize,
     regions: Vec<ParamRegion>,
 }
@@ -207,14 +223,18 @@ impl PlanBuilder {
                 off
             };
             self.max_grad = self.max_grad.max(in_len).max(out_len);
-            let mut col_off = 0usize;
+            let (mut col_off, mut kw_off) = (0usize, 0usize);
             if let LayerSpecKind::Conv { in_channels, kernel, .. } = &spec.kind {
+                // Sized for the full width; a pruned conv uses a prefix.
                 let col_len =
                     in_channels * kernel * kernel * spec.output_dims[1] * spec.output_dims[2];
+                let w_len = spec.weight_params() as usize;
                 self.max_col = self.max_col.max(col_len);
-                self.max_conv_w = self.max_conv_w.max(spec.weight_params() as usize);
+                self.max_conv_w = self.max_conv_w.max(w_len);
                 col_off = self.col_cursor;
                 self.col_cursor += col_len;
+                kw_off = self.kw_cursor;
+                self.kw_cursor += w_len;
             }
             if spec.is_parameterised() {
                 let w_len = spec.weight_params() as usize;
@@ -227,7 +247,7 @@ impl PlanBuilder {
             } else {
                 params.push(None);
             }
-            steps.push(StepIo { in_off, in_len, out_off, out_len, in_dims, col_off });
+            steps.push(StepIo { in_off, in_len, out_off, out_len, in_dims, col_off, kw_off });
             *cur = (out_off, out_len);
         }
         (steps, params)
@@ -245,6 +265,7 @@ impl BackwardPlan {
             max_col: 0,
             max_conv_w: 0,
             col_cursor: 0,
+            kw_cursor: 0,
             pcursor: 0,
             regions: Vec::new(),
         };
@@ -289,6 +310,7 @@ impl BackwardPlan {
             trunk_grad_regions,
             trunk_grad_touched: vec![false; boundaries.len()],
             cols: vec![0.0; builder.col_cursor],
+            kept_w: Vec::new(),
             colt: vec![0.0; builder.max_col],
             wt: vec![0.0; builder.max_conv_w],
             regions: builder.regions,
@@ -428,27 +450,68 @@ impl BackwardPlan {
         floats * std::mem::size_of::<f32>() as u64
     }
 
-    /// Refreshes the dequantized weight codes from the network's current
-    /// full-precision weights. No-op for plans without fake-quant state.
+    /// Refreshes the weights the forward half reads from `net`'s current
+    /// master weights: the dequantized codes of every fake-quant-covered
+    /// layer (a conv's at its kept width) and the kept filter columns of
+    /// every pruned conv the configuration leaves in `f32`. Every other layer
+    /// reads its master weights directly, so a plan without fake-quant state
+    /// over an unpruned network has nothing to refresh.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::InvalidSpec`] when the plan was built for a
     /// different architecture (the refresh walks `net` with the plan's
     /// per-layer entries).
-    pub(crate) fn refresh_fake_quant(&mut self, net: &MultiExitNetwork) -> Result<()> {
+    pub(crate) fn refresh_weights(&mut self, net: &MultiExitNetwork) -> Result<()> {
         self.check_architecture(net)?;
-        let Some(fq) = &mut self.fq else { return Ok(()) };
-        let groups = [(net.segments(), &fq.trunk_entries), (net.branches(), &fq.branch_entries)];
-        for (layers, entries) in groups {
+        let Self { trunk_steps, branch_steps, kept_w, fq, .. } = self;
+        let (fq_w, fq_trunk, fq_branch) = match fq {
+            Some(FqState { weights, trunk_entries, branch_entries, .. }) => {
+                (&mut weights[..], Some(&*trunk_entries), Some(&*branch_entries))
+            }
+            None => (&mut [][..], None, None),
+        };
+        let groups = [
+            (net.segments(), &*trunk_steps, fq_trunk),
+            (net.branches(), &*branch_steps, fq_branch),
+        ];
+        for (layers, steps, entries) in groups {
             for (s, group) in layers.iter().enumerate() {
                 for (j, layer) in group.iter().enumerate() {
-                    let (Some(e), Some(w)) = (&entries[s][j], layer.weight()) else { continue };
-                    debug_assert_eq!(w.len(), e.w_len);
-                    let w = w.as_slice();
-                    for (q, &v) in fq.weights[e.w_off..e.w_off + e.w_len].iter_mut().zip(w) {
-                        *q = ie_tensor::weight_code(v, e.weight_scale, e.weight_bits) as f32
-                            * e.weight_scale;
+                    match (layer, entries.and_then(|e| e[s][j])) {
+                        (Layer::Conv2d(c), Some(e)) => {
+                            let region = &mut fq_w[e.w_off..e.w_off + e.w_len];
+                            let codes = c.compact_weight_into(c.weight().as_slice(), region);
+                            for q in codes.iter_mut() {
+                                *q = dequantized_code(*q, &e);
+                            }
+                        }
+                        (Layer::Dense(d), Some(e)) => {
+                            // A pruned feature's weights are zero, and so are
+                            // their codes: only the kept columns are rounded.
+                            let n_in = d.in_features();
+                            let region = &mut fq_w[e.w_off..e.w_off + e.w_len];
+                            let rows = d.weight().as_slice().chunks_exact(n_in);
+                            for (qrow, wrow) in region.chunks_exact_mut(n_in).zip(rows) {
+                                for run in d.pruning().kept_blocks(1) {
+                                    let (q, w) = (&mut qrow[run.clone()], &wrow[run]);
+                                    for (q, &v) in q.iter_mut().zip(w) {
+                                        *q = dequantized_code(v, &e);
+                                    }
+                                }
+                                for &c in d.pruning().pruned() {
+                                    qrow[c] = 0.0;
+                                }
+                            }
+                        }
+                        (Layer::Conv2d(c), None) if c.pruning().is_pruned() => {
+                            let off = steps[s][j].kw_off;
+                            if kept_w.len() < off + c.kept_weight_len() {
+                                kept_w.resize(off + c.kept_weight_len(), 0.0);
+                            }
+                            c.compact_weight_into(c.weight().as_slice(), &mut kept_w[off..]);
+                        }
+                        _ => {}
                     }
                 }
             }
@@ -469,9 +532,9 @@ impl BackwardPlan {
     /// trainable parameter into `store` (which is zeroed first) instead of
     /// the network's gradient tensors. Returns the weighted loss. Loss and
     /// gradient bits are identical to [`MultiExitNetwork::backward`];
-    /// performs no heap allocation. A fake-quant plan re-quantizes `net`'s
-    /// current weights on every call, so the weights may change between
-    /// calls.
+    /// performs no heap allocation. The plan re-reads `net`'s current
+    /// weights (re-quantizing them for a fake-quant plan) on every call, so
+    /// the weights may change between calls.
     ///
     /// # Errors
     ///
@@ -489,12 +552,12 @@ impl BackwardPlan {
         exit_weights: &[f32],
         store: &mut GradStore,
     ) -> Result<f32> {
-        self.refresh_fake_quant(net)?;
+        self.refresh_weights(net)?;
         self.backward_with_codes(net, input, label, exit_weights, store)
     }
 
-    /// [`Self::backward_into_store`] with the dequantized weight codes as the
-    /// last [`Self::refresh_fake_quant`] left them: every check, no refresh.
+    /// [`Self::backward_into_store`] with the forward weights as the last
+    /// [`Self::refresh_weights`] left them: every check, no refresh.
     /// A caller that changes no weight between samples refreshes once and
     /// runs each sample through here.
     pub(crate) fn backward_with_codes(
@@ -540,6 +603,7 @@ impl BackwardPlan {
             trunk_grad_regions,
             trunk_grad_touched,
             cols,
+            kept_w,
             colt,
             wt,
             regions,
@@ -573,7 +637,8 @@ impl BackwardPlan {
         for s in 0..trunk_steps.len() {
             for (j, step) in trunk_steps[s].iter().enumerate() {
                 let entry = fq_trunk.and_then(|t| t[s][j].as_ref());
-                forward_layer(&net.segments()[s][j], step, entry, fq_w, fq_a, acts, cols)?;
+                let layer = &net.segments()[s][j];
+                forward_layer(layer, step, entry, fq_w, kept_w, fq_a, acts, cols)?;
             }
             let w = exit_weights[s];
             if w == 0.0 {
@@ -584,7 +649,8 @@ impl BackwardPlan {
             }
             for (j, step) in branch_steps[s].iter().enumerate() {
                 let entry = fq_branch.and_then(|b| b[s][j].as_ref());
-                forward_layer(&net.branches()[s][j], step, entry, fq_w, fq_a, acts, cols)?;
+                let layer = &net.branches()[s][j];
+                forward_layer(layer, step, entry, fq_w, kept_w, fq_a, acts, cols)?;
             }
             let (loff, llen) = logits_regions[s];
             softmax_into(&acts[loff..loff + llen], probs)?;
@@ -601,6 +667,7 @@ impl BackwardPlan {
                     step,
                     entry,
                     fq_w,
+                    kept_w,
                     fq_a,
                     region,
                     &mut store.data,
@@ -649,6 +716,7 @@ impl BackwardPlan {
                     step,
                     entry,
                     fq_w,
+                    kept_w,
                     fq_a,
                     region,
                     &mut store.data,
@@ -697,11 +765,13 @@ impl BackwardPlan {
 /// Runs one layer's forward pass inside the activation arena. Convolutions
 /// write their `im2col` lowering into the layer's cached region of `cols`,
 /// where the backward weight-gradient GEMM re-reads it.
+#[allow(clippy::too_many_arguments)]
 fn forward_layer(
     layer: &Layer,
     step: &StepIo,
     entry: Option<&FqEntry>,
     fq_weights: &[f32],
+    kept_w: &[f32],
     fq_acts: &mut [f32],
     acts: &mut [f32],
     cols: &mut [f32],
@@ -721,37 +791,68 @@ fn forward_layer(
         Layer::MaxPool2d(p) => p.forward_batch_slice_into(input, step.in_dims, 1, out),
         Layer::Conv2d(c) => {
             let col = &mut cols[step.col_off..step.col_off + c.col_len()];
-            let (weight, x) = forward_operands(entry, fq_weights, fq_acts, c.weight(), input);
+            let weight = conv_weight(c, step, entry, fq_weights, kept_w);
+            // Only the kept channels' planes are lowered, so only they are
+            // rounded.
+            let plane = c.geometry().in_h * c.geometry().in_w;
+            let x = forward_input(entry, fq_acts, input, c.pruning().kept_blocks(plane));
             c.forward_batch_with(weight, x, out, col, 1, false)
         }
         Layer::Dense(d) => {
-            let (weight, x) = forward_operands(entry, fq_weights, fq_acts, d.weight(), input);
+            let weight = entry.map_or(d.weight().as_slice(), |e| &fq_weights[e.w_off..][..e.w_len]);
+            let x = forward_input(entry, fq_acts, input, std::iter::once(0..input.len()));
             d.forward_batch_with(weight, x, out, 1, false)
         }
         Layer::Flatten(_) => Ok(()),
     }
 }
 
-/// The weights and input a parameterised layer's forward pass reads: its own,
-/// or — for a layer the fake-quant mode covers — its dequantized weight
-/// codes and the quantize–dequantize round trip of its input, written into
-/// the layer's region of `fq_acts`.
-fn forward_operands<'a>(
+/// The `[O, kept·K·K]` filter matrix a conv's forward half multiplies by and
+/// its backward half transposes: the dequantized codes of a fake-quant
+/// layer, the gathered kept columns of a pruned `f32` layer, or the master
+/// weights of an unpruned one — each as [`BackwardPlan::refresh_weights`]
+/// last left it.
+fn conv_weight<'a>(
+    conv: &'a Conv2d,
+    step: &StepIo,
     entry: Option<&FqEntry>,
     fq_weights: &'a [f32],
+    kept_w: &'a [f32],
+) -> &'a [f32] {
+    let len = conv.kept_weight_len();
+    match entry {
+        Some(e) => &fq_weights[e.w_off..e.w_off + len],
+        None if conv.pruning().is_pruned() => &kept_w[step.kw_off..step.kw_off + len],
+        None => conv.weight().as_slice(),
+    }
+}
+
+/// One weight's dequantized code under `e`'s weight quantization.
+fn dequantized_code(v: f32, e: &FqEntry) -> f32 {
+    ie_tensor::weight_code(v, e.weight_scale, e.weight_bits) as f32 * e.weight_scale
+}
+
+/// The input a parameterised layer's forward pass reads: its own, or — for a
+/// layer the fake-quant mode covers — the quantize–dequantize round trip of
+/// the element ranges `read` (the rest of the layer's region of `fq_acts`
+/// is never read), written into that region.
+fn forward_input<'a>(
+    entry: Option<&FqEntry>,
     fq_acts: &'a mut [f32],
-    weight: &'a Tensor,
     input: &'a [f32],
-) -> (&'a [f32], &'a [f32]) {
+    read: impl Iterator<Item = std::ops::Range<usize>>,
+) -> &'a [f32] {
     match entry {
         Some(e) => {
             let xq = &mut fq_acts[e.x_off..e.x_off + input.len()];
-            for (q, &v) in xq.iter_mut().zip(input) {
-                *q = e.input.dequantize(e.input.quantize(v));
+            for run in read {
+                for (q, &v) in xq[run.clone()].iter_mut().zip(&input[run]) {
+                    *q = e.input.dequantize(e.input.quantize(v));
+                }
             }
-            (&fq_weights[e.w_off..e.w_off + e.w_len], xq)
+            xq
         }
-        None => (weight.as_slice(), input),
+        None => input,
     }
 }
 
@@ -770,6 +871,7 @@ fn backward_layer(
     step: &StepIo,
     entry: Option<&FqEntry>,
     fq_weights: &[f32],
+    kept_w: &[f32],
     fq_acts: &[f32],
     region: Option<ParamRegion>,
     store: &mut [f32],
@@ -802,10 +904,7 @@ fn backward_layer(
         Layer::Conv2d(conv) => {
             let r = region.expect("conv layer without a parameter region");
             let (gw, gb) = store[r.w_off..r.b_off + r.b_len].split_at_mut(r.w_len);
-            let weight = match entry {
-                Some(e) => &fq_weights[e.w_off..e.w_off + e.w_len],
-                None => conv.weight().as_slice(),
-            };
+            let weight = conv_weight(conv, step, entry, fq_weights, kept_w);
             let (clen, wlen) = (conv.col_len(), weight.len());
             let col = &cols[step.col_off..step.col_off + clen];
             let dx = need_dx.then_some(&mut dst[..]);
@@ -944,25 +1043,40 @@ mod tests {
     }
 
     #[test]
-    fn planned_backward_is_bit_identical_with_sparse_hint() {
+    fn planned_backward_is_bit_identical_with_pruned_channels() {
+        // Conv2 (4 input channels) loses two, FC-B21 every third feature:
+        // both paths then run Conv2 at its kept width, and every pruned
+        // weight's gradient is exactly +0.0, so training keeps it at zero.
         let arch = tiny_multi_exit(4);
-        let reference = net_for(&arch, 13);
-        let mut legacy = reference.clone();
-        let mut planned = reference.clone();
-        for net in [&mut legacy, &mut planned] {
-            for layer in net.segments_mut().iter_mut().flatten() {
-                if let Layer::Conv2d(c) = layer {
-                    c.set_sparse_hint(true);
-                }
-            }
-        }
+        let mut reference = net_for(&arch, 13);
+        let Layer::Conv2d(conv) = &mut reference.segments_mut()[1][0] else {
+            panic!("segment 1 opens with Conv2")
+        };
+        conv.set_pruned_channels(&[2, 0]).unwrap();
+        let Layer::Dense(fc) = &mut reference.branches_mut()[1][1] else {
+            panic!("branch 1's second layer is FC-B21")
+        };
+        let features: Vec<usize> = (0..fc.in_features()).step_by(3).collect();
+        fc.set_pruned_channels(&features).unwrap();
+        let (mut legacy, mut planned) = (reference.clone(), reference.clone());
         let mut plan = planned.backward_plan();
         let mut rng = StdRng::seed_from_u64(99);
-        let x = Tensor::randn(&mut rng, &[1, 8, 8], 0.0, 1.0);
-        let l = legacy.backward(&x, 2, &[1.0, 1.0]).unwrap();
-        let p = planned.backward_with(&mut plan, &x, 2, &[1.0, 1.0]).unwrap();
-        assert_eq!(l.to_bits(), p.to_bits());
-        assert_eq!(grad_bits(&legacy), grad_bits(&planned));
+        for step in 0..3 {
+            let x = Tensor::randn(&mut rng, &[1, 8, 8], 0.0, 1.0);
+            let l = legacy.backward(&x, step % 4, &[1.0, 1.0]).unwrap();
+            let p = planned.backward_with(&mut plan, &x, step % 4, &[1.0, 1.0]).unwrap();
+            assert_eq!(l.to_bits(), p.to_bits(), "loss diverged at step {step}");
+            assert_eq!(grad_bits(&legacy), grad_bits(&planned), "grads diverged at step {step}");
+            legacy.apply_gradients(0.05);
+            planned.apply_gradients(0.05);
+        }
+        let Layer::Conv2d(conv) = &planned.segments()[1][0] else { unreachable!() };
+        let block = 9;
+        for filter in conv.weight().as_slice().chunks_exact(4 * block) {
+            for c in [0, 2] {
+                assert!(filter[c * block..(c + 1) * block].iter().all(|w| w.to_bits() == 0));
+            }
+        }
     }
 
     #[test]

@@ -20,12 +20,15 @@
 //! [`MultiExitNetwork::forward_to_exit`]: the widened GEMM still accumulates
 //! each output element in ascending depth order, the batched dense kernel
 //! reuses the same lane-parallel dot product, and pooling/ReLU/bias apply the
-//! same per-element operations. Property tests assert this across random
-//! batch sizes and sparse-hint (pruned) networks.
+//! same per-element operations. A channel-pruned conv lowers and multiplies
+//! its kept channels only, gathering its kept filter columns into the plan's
+//! weight scratch once per pass; the first pass over a pruned network grows
+//! that scratch to the largest kept filter. Property tests assert all of this
+//! across random batch sizes and pruned networks.
 //!
 //! One `BatchPlan` per worker thread is the sharding unit of
-//! [`crate::train::evaluate_batched`]; after construction a pass performs
-//! zero heap allocations (asserted by the counting-allocator test).
+//! [`crate::train::evaluate_batched`]; once warm, a pass performs zero heap
+//! allocations (asserted by the counting-allocator test).
 //!
 //! ```
 //! use ie_nn::{spec::tiny_multi_exit, MultiExitNetwork};
@@ -203,6 +206,9 @@ pub struct BatchPlan {
     act_capacity: usize,
     /// Per-sample `im2col` column capacity.
     col_capacity: usize,
+    /// Kept-width filter scratch of the pruned convs: empty until a pass
+    /// meets one, then grown to the largest kept filter it has met.
+    wk: Vec<f32>,
     /// Trunk activation ping-pong pair, `max_batch` samples wide.
     trunk: [Vec<f32>; 2],
     /// Branch activation ping-pong pair, `max_batch` samples wide.
@@ -243,7 +249,8 @@ pub struct BatchPlan {
 impl BatchPlan {
     /// Builds a plan for `arch` holding up to `max_batch` samples per pass
     /// (clamped to at least 1), pre-sizing every buffer so that batched
-    /// forward passes never allocate.
+    /// forward passes never allocate — all but the pruned convs' filter
+    /// scratch, which the first pass over a pruned network grows.
     pub fn for_architecture(arch: &MultiExitArchitecture, max_batch: usize) -> Self {
         let max_batch = max_batch.max(1);
         let (act, col) = buffer_requirements(arch);
@@ -256,6 +263,7 @@ impl BatchPlan {
             classes,
             act_capacity: act,
             col_capacity: col,
+            wk: Vec::new(),
             trunk: slots(),
             branch: slots(),
             col: vec![0.0; col * max_batch],
@@ -498,11 +506,13 @@ impl BatchPlan {
     /// max-pool and flatten operate directly in the code domain between
     /// chained layers (quantization is elementwise and monotone, so all three
     /// commute with it exactly). Every list starts and ends in the f32 domain.
+    #[allow(clippy::too_many_arguments)]
     fn run_layers(
         layers: &[Layer],
         qlist: &[Option<QuantizedLayer>],
         ws: &mut [Vec<f32>; 2],
         col: &mut [f32],
+        wk: &mut Vec<f32>,
         qbufs: &mut QuantBuffers,
         act: &mut Act,
         batch: usize,
@@ -537,10 +547,14 @@ impl BatchPlan {
                     } else {
                         debug_assert_eq!(domain, Domain::F32, "float conv fed from code domain");
                         let (src, dst) = pair(ws, s);
+                        if !conv.pruned_channels().is_empty() && wk.len() < conv.kept_weight_len() {
+                            wk.resize(conv.kept_weight_len(), 0.0);
+                        }
                         conv.forward_batch_into(
                             &src[..in_len],
                             &mut dst[..out_len],
                             &mut col[..conv.col_len() * batch],
+                            wk,
                             batch,
                             fuse,
                         )?;
@@ -649,6 +663,7 @@ impl BatchPlan {
                 qlist,
                 &mut self.trunk,
                 &mut self.col,
+                &mut self.wk,
                 &mut self.qbufs,
                 &mut self.trunk_act,
                 self.batch,
@@ -673,6 +688,7 @@ impl BatchPlan {
             qlist,
             &mut self.branch,
             &mut self.col,
+            &mut self.wk,
             &mut self.qbufs,
             &mut act,
             batch,
@@ -944,20 +960,14 @@ mod tests {
         (0..n).map(|_| Tensor::randn(rng, dims, 0.0, 1.0)).collect()
     }
 
-    /// Zeroes every other filter of each conv and marks it sparse, emulating
-    /// what channel pruning does to the weights.
+    /// Prunes every odd input channel of each conv; a one-channel conv keeps
+    /// its only channel.
     fn prune_convs(layer_groups: &mut [&mut Vec<Layer>]) {
         for layers in layer_groups.iter_mut() {
             for layer in layers.iter_mut() {
                 if let Layer::Conv2d(conv) = layer {
-                    let out_ch = conv.out_channels();
-                    let per_filter = conv.weight().len() / out_ch;
-                    for (i, w) in conv.weight_mut().as_mut_slice().iter_mut().enumerate() {
-                        if (i / per_filter) % 2 == 0 {
-                            *w = 0.0;
-                        }
-                    }
-                    conv.set_sparse_hint(true);
+                    let pruned: Vec<usize> = (0..conv.in_channels()).skip(1).step_by(2).collect();
+                    conv.set_pruned_channels(&pruned).unwrap();
                 }
             }
         }
@@ -1033,9 +1043,9 @@ mod tests {
     }
 
     #[test]
-    fn batched_forward_matches_with_sparse_hints_and_pruned_weights() {
-        // Emulate what channel pruning does: zero whole filter rows and mark
-        // the convs sparse so the batched pass exercises gemm_sparse_into.
+    fn batched_forward_matches_with_pruned_channels() {
+        // Pruned convs lower and multiply only their kept channels, in the
+        // batched pass and in the allocating oracle alike.
         let mut net = tiny_net(4);
         let mut all_layers: Vec<&mut Vec<Layer>> = net.segments_mut().iter_mut().collect();
         prune_convs(&mut all_layers);

@@ -14,7 +14,8 @@
 //!   (default: available parallelism),
 //! * `IE_TRAIN_SEED`    — seed for the synthetic dataset and the weight
 //!   init (default 2026),
-//! * `IE_TRAIN_EPOCHS`  — epochs to run (default 4).
+//! * `IE_TRAIN_EPOCHS`  — epochs to run, 0 to 10,000 (default 4; a larger
+//!   count warns and keeps the default).
 //!
 //! Flags:
 //!
@@ -28,6 +29,10 @@ use ie_nn::MultiExitNetwork;
 use ie_tensor::knobs;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Largest `IE_TRAIN_EPOCHS` accepted: about a minute and a half of
+/// training in a release build, far beyond what the demo is for.
+const MAX_EPOCHS: usize = 10_000;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -56,8 +61,10 @@ fn main() {
         MultiExitNetwork::from_architecture(&arch, &mut rng).expect("architecture builds");
 
     let mut config = TrainConfig::for_exits(arch.num_exits());
-    config.epochs =
-        knobs::read("IE_TRAIN_EPOCHS", "a non-negative integer", |s| s.parse().ok()).unwrap_or(4);
+    config.epochs = knobs::read("IE_TRAIN_EPOCHS", "an integer in 0..=10000", |s| {
+        s.parse().ok().filter(|&epochs| epochs <= MAX_EPOCHS)
+    })
+    .unwrap_or(4);
     config.batch_size = 16;
     let mut plan = BatchBackwardPlan::new();
 

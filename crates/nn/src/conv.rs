@@ -1,6 +1,8 @@
+use crate::layer::Pruning;
 use crate::{NnError, Result};
 use ie_tensor::{
-    col2im, gemm_into, gemm_sparse_into, im2col, im2col_batch_into, Conv2dGeometry, Tensor,
+    col2im, col2im_into, col2im_select_into, gemm_into, im2col, im2col_batch_into,
+    im2col_select_batch_into, Conv2dGeometry, Tensor,
 };
 use rand::Rng;
 
@@ -10,6 +12,14 @@ use rand::Rng;
 /// pass lowers the input with `im2col` and performs a single matrix product,
 /// which is also how the MCU deployment in the paper executes convolutions.
 ///
+/// Channel pruning ([`Self::set_pruned_channels`]) removes input channels the
+/// way the deployed MCU does: from then on every forward and backward pass
+/// lowers only the kept channels and multiplies by the kept filter columns,
+/// at depth `kept·k²` instead of `in_channels·k²`. The filter tensor keeps
+/// its full shape, with the pruned channels' weights held at zero, so the
+/// result equals the full-width product bit for bit (see
+/// [`Self::forward_batch_into`]).
+///
 /// # Example
 ///
 /// ```
@@ -18,10 +28,12 @@ use rand::Rng;
 /// use rand::SeedableRng;
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-/// let conv = Conv2d::new(&mut rng, 3, 8, 3, 1, 1, 16, 16);
+/// let mut conv = Conv2d::new(&mut rng, 3, 8, 3, 1, 1, 16, 16);
 /// let x = Tensor::zeros(&[3, 16, 16]);
 /// let y = conv.forward(&x)?;
 /// assert_eq!(y.dims(), &[8, 16, 16]);
+/// conv.set_pruned_channels(&[1])?;
+/// assert_eq!(conv.forward(&x)?.dims(), &[8, 16, 16]);
 /// # Ok::<(), ie_nn::NnError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -32,7 +44,7 @@ pub struct Conv2d {
     grad_bias: Tensor,
     geom: Conv2dGeometry,
     out_channels: usize,
-    sparse_hint: bool,
+    pruning: Pruning,
 }
 
 impl Conv2d {
@@ -63,21 +75,37 @@ impl Conv2d {
             grad_bias: Tensor::zeros(&[out_channels]),
             geom,
             out_channels,
-            sparse_hint: false,
+            pruning: Pruning::none(in_channels),
         }
     }
 
-    /// Marks the layer's weights as sparse (set by the compression crate after
-    /// channel pruning). With the hint set, forward passes use the
-    /// sparsity-aware GEMM that skips zeroed weights; without it they use the
-    /// dense blocked kernel. Both kernels agree on all finite inputs.
-    pub fn set_sparse_hint(&mut self, sparse: bool) {
-        self.sparse_hint = sparse;
+    /// Removes the listed input channels (any order): their filter weights
+    /// are zeroed, and from then on the forward pass lowers and multiplies
+    /// only the kept channels, while the backward pass gives every pruned
+    /// weight a gradient of exactly `+0.0` and writes `+0.0` into the pruned
+    /// channels' input gradient. A pruned weight therefore stays zero through
+    /// training. An empty list keeps every channel again.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::InvalidPruning`] (and leaves the layer unchanged)
+    /// for a channel out of range, a channel listed twice, or a list that
+    /// names every input channel.
+    pub fn set_pruned_channels(&mut self, channels: &[usize]) -> Result<()> {
+        self.pruning = Pruning::new(self.geom.in_channels, channels)?;
+        let block = self.geom.kernel * self.geom.kernel;
+        self.pruning.zero_pruned(self.weight.as_mut_slice(), self.geom.col_rows(), block);
+        Ok(())
     }
 
-    /// Whether the pruned-weight (sparsity-aware) GEMM is selected.
-    pub fn sparse_hint(&self) -> bool {
-        self.sparse_hint
+    /// The input channels pruning removed, ascending (empty when none is).
+    pub fn pruned_channels(&self) -> &[usize] {
+        self.pruning.pruned()
+    }
+
+    /// The pruned and kept input channels, for the kernels that skip the pruned ones.
+    pub(crate) fn pruning(&self) -> &Pruning {
+        &self.pruning
     }
 
     /// The convolution geometry (input size, kernel, stride, padding).
@@ -100,7 +128,9 @@ impl Conv2d {
         &self.weight
     }
 
-    /// Mutable access to the filters (used by pruning / quantization).
+    /// Mutable access to the filters (used by pruning / quantization). The
+    /// forward pass never reads a pruned channel's weights, so they should
+    /// stay zero: the full-width and kept-width products agree only then.
     pub fn weight_mut(&mut self) -> &mut Tensor {
         &mut self.weight
     }
@@ -135,30 +165,79 @@ impl Conv2d {
         self.out_channels * self.geom.out_h() * self.geom.out_w()
     }
 
-    /// Number of elements the `im2col` scratch buffer needs.
-    pub fn col_len(&self) -> usize {
-        self.geom.col_len()
+    /// The GEMM depth: `k²` rows of the lowering per kept input channel.
+    fn depth(&self) -> usize {
+        self.pruning.kept_len() * self.geom.kernel * self.geom.kernel
     }
 
-    /// Allocation-free forward pass over `batch` samples: lowers them into
-    /// `col`, multiplies by the filter matrix with the bias add (and, when
-    /// `fuse_relu` is set, the ReLU of a following activation layer) fused
-    /// into the GEMM epilogue, and writes the activations into `out`.
+    /// Number of elements the `im2col` scratch buffer needs per sample: the
+    /// kept channels' rows only.
+    pub fn col_len(&self) -> usize {
+        self.depth() * self.geom.col_cols()
+    }
+
+    /// Number of elements of the filter matrix at the kept width,
+    /// `[out_channels, kept·k²]` (what [`Self::forward_batch_into`]'s weight
+    /// scratch must hold for a pruned layer).
+    pub fn kept_weight_len(&self) -> usize {
+        self.out_channels * self.depth()
+    }
+
+    /// Gathers the kept columns of `weight` (flattened `[O, C·K·K]`) into
+    /// `dst` as the `[O, kept·K·K]` filter matrix, and returns that prefix of
+    /// `dst`; for an unpruned layer this is a plain copy.
+    pub(crate) fn compact_weight_into<'a>(
+        &self,
+        weight: &[f32],
+        dst: &'a mut [f32],
+    ) -> &'a mut [f32] {
+        let block = self.geom.kernel * self.geom.kernel;
+        let dst = &mut dst[..self.kept_weight_len()];
+        let mut d = 0;
+        for row in weight.chunks_exact(self.geom.col_rows()) {
+            for run in self.pruning.kept_blocks(block) {
+                let src = &row[run];
+                dst[d..d + src.len()].copy_from_slice(src);
+                d += src.len();
+            }
+        }
+        dst
+    }
+
+    /// The filter matrix at the kept width: `weight` itself when no channel
+    /// is pruned, else its kept columns gathered into `scratch`.
+    pub(crate) fn kept_weight<'a>(&self, weight: &'a [f32], scratch: &'a mut [f32]) -> &'a [f32] {
+        if self.pruning.is_pruned() {
+            self.compact_weight_into(weight, scratch)
+        } else {
+            weight
+        }
+    }
+
+    /// Allocation-free forward pass over `batch` samples: lowers the kept
+    /// input channels into `col`, multiplies by the filter matrix with the
+    /// bias add (and, when `fuse_relu` is set, the ReLU of a following
+    /// activation layer) fused into the GEMM epilogue, and writes the
+    /// activations into `out`.
     ///
     /// Input and output use the channel-major wide layout `[C, batch, H, W]`
     /// (see [`ie_tensor::im2col_batch_into`]); at `batch == 1` that is the
     /// plain `[C, H, W]` layout, so a single sample is a batch of one. The
     /// batched `im2col` lowers all samples into one
-    /// `[C·K·K, batch·out_h·out_w]` activation matrix, a single GEMM
-    /// multiplies it against the filters (read in their native `[O, C·K·K]`
-    /// row-major layout, so no weight reshape/copy happens), and the bias
-    /// (+ fused ReLU) epilogue sweeps each output-channel row once. Per
-    /// sample the results are bit-identical to a batch of one holding that
-    /// sample alone: the GEMM accumulates every output element in ascending
-    /// depth order regardless of the matrix width. Buffer sizes must be
-    /// `batch` times [`Self::input_len`], [`Self::output_len`] and
-    /// [`Self::col_len`]. At `batch == 1` without fusion this is
-    /// [`Self::forward`].
+    /// `[kept·K·K, batch·out_h·out_w]` activation matrix, a single GEMM
+    /// multiplies it against the filters (read in place in their native
+    /// `[O, C·K·K]` row-major layout when nothing is pruned, else gathered at
+    /// the kept width into `wk`), and the bias (+ fused ReLU) epilogue sweeps
+    /// each output-channel row once. Per sample the results are bit-identical
+    /// to a batch of one holding that sample alone: the GEMM accumulates
+    /// every output element in ascending depth order regardless of the matrix
+    /// width. They are also bit-identical to the full-width product with the
+    /// pruned weights at zero: each skipped term is `±0·x` for a finite `x`,
+    /// added to a sum that starts at `+0.0` and so is never `-0.0`. Buffer
+    /// sizes must be `batch` times [`Self::input_len`], [`Self::output_len`]
+    /// and [`Self::col_len`]; `wk` must hold [`Self::kept_weight_len`]
+    /// elements when a channel is pruned (it is unused otherwise). At
+    /// `batch == 1` without fusion this is [`Self::forward`].
     ///
     /// # Errors
     ///
@@ -169,16 +248,18 @@ impl Conv2d {
         input: &[f32],
         out: &mut [f32],
         col: &mut [f32],
+        wk: &mut [f32],
         batch: usize,
         fuse_relu: bool,
     ) -> Result<()> {
-        self.forward_batch_with(self.weight.as_slice(), input, out, col, batch, fuse_relu)
+        let weight = self.kept_weight(self.weight.as_slice(), wk);
+        self.forward_batch_with(weight, input, out, col, batch, fuse_relu)
     }
 
-    /// [`Self::forward_batch_into`] with an explicit filter matrix (flattened
-    /// `[O, C·K·K]`, same length as [`Self::weight`]): the fake-quant
-    /// training path substitutes the dequantised weight codes here while the
-    /// bias stays full precision.
+    /// [`Self::forward_batch_into`] with an explicit filter matrix at the
+    /// kept width (flattened `[O, kept·K·K]`, [`Self::kept_weight_len`]
+    /// elements): the fake-quant training path substitutes the dequantised
+    /// weight codes here while the bias stays full precision.
     ///
     /// # Errors
     ///
@@ -193,7 +274,7 @@ impl Conv2d {
         batch: usize,
         fuse_relu: bool,
     ) -> Result<()> {
-        debug_assert_eq!(weight.len(), self.weight.len());
+        debug_assert_eq!(weight.len(), self.kept_weight_len());
         if input.len() != self.input_len() * batch {
             return Err(NnError::InputShapeMismatch {
                 layer: "conv2d(batch)".into(),
@@ -208,13 +289,13 @@ impl Conv2d {
                 actual: vec![out.len()],
             });
         }
-        im2col_batch_into(input, batch, &self.geom, col)?;
-        let (m, k, n) = (self.out_channels, self.geom.col_rows(), batch * self.geom.col_cols());
-        if self.sparse_hint {
-            gemm_sparse_into(weight, col, out, m, k, n);
+        if self.pruning.is_pruned() {
+            im2col_select_batch_into(input, batch, &self.geom, 0.0, self.pruning.kept(), col)?;
         } else {
-            gemm_into(weight, col, out, m, k, n);
+            im2col_batch_into(input, batch, &self.geom, col)?;
         }
+        let (m, k, n) = (self.out_channels, self.depth(), batch * self.geom.col_cols());
+        gemm_into(weight, col, out, m, k, n);
         ie_tensor::add_bias_rows(out, n, self.bias.as_slice(), fuse_relu);
         Ok(())
     }
@@ -238,12 +319,19 @@ impl Conv2d {
         }
         let mut out = Tensor::zeros(&self.output_dims());
         let mut col = vec![0.0f32; self.col_len()];
-        self.forward_batch_into(input.as_slice(), out.as_mut_slice(), &mut col, 1, false)?;
+        let mut wk =
+            vec![0.0f32; if self.pruning.is_pruned() { self.kept_weight_len() } else { 0 }];
+        self.forward_batch_into(input.as_slice(), out.as_mut_slice(), &mut col, &mut wk, 1, false)?;
         Ok(out)
     }
 
     /// Backward pass: accumulates filter/bias gradients and returns the
     /// gradient with respect to the input image.
+    ///
+    /// Runs at full width, so it is an independent oracle of the planned
+    /// kept-width backward: a pruned weight's gradient is set to `+0.0`, and
+    /// a pruned channel's input gradient is `+0.0` because its weights are
+    /// zero.
     ///
     /// # Errors
     ///
@@ -264,7 +352,8 @@ impl Conv2d {
         let go_mat = grad_output.reshape(&[self.out_channels, oh * ow])?;
         // dW = grad_output · colsᵀ
         let cols_t = cols.transpose()?;
-        let dw = go_mat.matmul(&cols_t)?;
+        let mut dw = go_mat.matmul(&cols_t)?;
+        self.pruning.zero_pruned(dw.as_mut_slice(), self.geom.col_rows(), k * k);
         let dw = dw.reshape(&[self.out_channels, self.geom.in_channels, k, k])?;
         self.grad_weight.add_scaled_inplace(&dw, 1.0)?;
         // dbias = row sums of grad_output
@@ -280,29 +369,35 @@ impl Conv2d {
         Ok(dx)
     }
 
-    /// Allocation-free backward pass used by the training plans. `col` holds
-    /// the layer input already lowered by `im2col` — the plan caches it from
-    /// the forward half of the same step, so the backward half never lowers
-    /// the input a second time. Computes `dW = grad_out · colᵀ` straight into
-    /// `grad_w` (the caller's zeroed store region), row-sums `grad_out` into
-    /// `grad_b`, then — when `dx` is present — forms `dcols = Wᵀ · grad_out`
-    /// (weight transposed into `wt`, GEMM into `colt`, whose contents are
-    /// dead after the `dW` product) and scatters it back to image layout.
-    /// `dx: None` skips the input-gradient products entirely; the plan passes
-    /// it for the network's first layer, whose input gradient nobody reads.
+    /// Allocation-free backward pass used by the training plans, at the kept
+    /// width. `col` holds the layer input's kept channels already lowered by
+    /// `im2col` — the plan caches it from the forward half of the same step,
+    /// so the backward half never lowers the input a second time. Computes
+    /// `dW = grad_out · colᵀ` into the kept columns of `grad_w` (the caller's
+    /// zeroed store region, whose pruned columns therefore keep `+0.0`),
+    /// row-sums `grad_out` into `grad_b`, then — when `dx` is present — forms
+    /// `dcols = W_keptᵀ · grad_out` (weight transposed into `wt`, GEMM into
+    /// `colt`, whose contents are dead after the `dW` product) and scatters
+    /// it back into the kept channels' planes of `dx`, whose pruned planes
+    /// read `+0.0`. `dx: None` skips the input-gradient products entirely;
+    /// the plan passes it for the network's first layer, whose input
+    /// gradient nobody reads.
     ///
-    /// `weight` is passed explicitly — normally [`Self::weight`], but the
+    /// `weight` is the `[O, kept·K·K]` filter matrix the forward half
+    /// multiplied by: normally the kept columns of [`Self::weight`], but the
     /// fake-quant training mode substitutes the quantize–dequantize round
-    /// trip for the dx product (straight-through estimator). With
-    /// `weight == self.weight` and `col == im2col(input)`, every step
-    /// matches [`Self::backward`] bit for bit: writing the `dW` GEMM into a
-    /// zeroed region equals the legacy accumulate (`0 + x == x` — the GEMM's
-    /// ascending-depth sums never produce `-0.0`), and the `dcols` product
-    /// runs the same transpose-then-GEMM sequence as the legacy path.
+    /// trip for the dx product (straight-through estimator). With the kept
+    /// columns of `self.weight` and `col` the kept lowering of `input`, every
+    /// step matches the full-width [`Self::backward`] bit for bit: writing
+    /// the `dW` GEMM into a zeroed region equals the allocating accumulate
+    /// (`0 + x == x` — the GEMM's ascending-depth sums never produce `-0.0`),
+    /// the `dcols` product runs the same transpose-then-GEMM sequence, and the
+    /// terms the kept width leaves out are `±0·x`, which change no sum (see
+    /// [`Self::forward_batch_into`]).
     ///
     /// Scratch lengths: `col`/`colt` hold [`Self::col_len`] elements, `wt`
-    /// holds `weight.len()`. Enforced by the underlying kernels (panics on
-    /// mismatch — the plan pre-sizes everything).
+    /// holds [`Self::kept_weight_len`]. Enforced by the underlying kernels
+    /// (panics on mismatch — the plan pre-sizes everything).
     ///
     /// # Errors
     ///
@@ -320,18 +415,36 @@ impl Conv2d {
         colt: &mut [f32],
         wt: &mut [f32],
     ) -> Result<()> {
-        let (m, ckk, ohw) =
-            (self.out_channels, self.geom.col_rows(), self.geom.out_h() * self.geom.out_w());
-        ie_tensor::transpose_into(col, ckk, ohw, colt);
-        ie_tensor::gemm_into(grad_out, colt, grad_w, m, ohw, ckk);
+        let (m, depth, ohw) = (self.out_channels, self.depth(), self.geom.col_cols());
+        ie_tensor::transpose_into(col, depth, ohw, colt);
+        if self.pruning.is_pruned() {
+            // The kept-width dW lands in `wt` (free until the dx product) and
+            // is copied into the kept columns of the zeroed store region.
+            ie_tensor::gemm_into(grad_out, colt, wt, m, ohw, depth);
+            let block = self.geom.kernel * self.geom.kernel;
+            let rows = grad_w.chunks_exact_mut(self.geom.col_rows()).zip(wt.chunks_exact(depth));
+            for (grow, drow) in rows {
+                let mut d = 0;
+                for run in self.pruning.kept_blocks(block) {
+                    grow[run.clone()].copy_from_slice(&drow[d..d + run.len()]);
+                    d += run.len();
+                }
+            }
+        } else {
+            ie_tensor::gemm_into(grad_out, colt, grad_w, m, ohw, depth);
+        }
         for c in 0..m {
             let s: f32 = grad_out[c * ohw..(c + 1) * ohw].iter().sum();
             grad_b[c] += s;
         }
         if let Some(dx) = dx {
-            ie_tensor::transpose_into(weight, m, ckk, wt);
-            ie_tensor::gemm_into(wt, grad_out, colt, ckk, m, ohw);
-            ie_tensor::col2im_into(colt, &self.geom, dx)?;
+            ie_tensor::transpose_into(weight, m, depth, wt);
+            ie_tensor::gemm_into(wt, grad_out, colt, depth, m, ohw);
+            if self.pruning.is_pruned() {
+                col2im_select_into(colt, &self.geom, self.pruning.kept(), dx)?;
+            } else {
+                col2im_into(colt, &self.geom, dx)?;
+            }
         }
         Ok(())
     }

@@ -1,3 +1,4 @@
+use crate::layer::Pruning;
 use crate::{NnError, Result};
 use ie_tensor::Tensor;
 use rand::Rng;
@@ -9,6 +10,12 @@ use rand::Rng;
 /// the caller passes the saved input back in for the backward pass, which
 /// keeps the layer usable from both the training loop and the incremental
 /// inference engine.
+///
+/// Pruning ([`Self::set_pruned_channels`]) removes input features: their
+/// weight columns are zeroed and receive a gradient of exactly `+0.0`. The
+/// forward pass stays full width, multiplying the zeroed columns: the
+/// lane-parallel dot product's reduction tree depends on the vector length,
+/// so a shorter, compacted row would change the sums' bits.
 ///
 /// # Example
 ///
@@ -32,6 +39,7 @@ pub struct Dense {
     grad_bias: Tensor,
     in_features: usize,
     out_features: usize,
+    pruning: Pruning,
 }
 
 impl Dense {
@@ -45,6 +53,7 @@ impl Dense {
             grad_bias: Tensor::zeros(&[out_features]),
             in_features,
             out_features,
+            pruning: Pruning::none(in_features),
         }
     }
 
@@ -77,7 +86,35 @@ impl Dense {
             bias,
             in_features,
             out_features,
+            pruning: Pruning::none(in_features),
         })
+    }
+
+    /// Removes the listed input features (any order): their weight columns
+    /// are zeroed, and from then on the backward pass gives them a gradient
+    /// of exactly `+0.0`, so they stay zero through training. The forward
+    /// pass keeps multiplying them (see the type docs). An empty list keeps
+    /// every feature again.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::InvalidPruning`] (and leaves the layer unchanged)
+    /// for a feature out of range, a feature listed twice, or a list that
+    /// names every input feature.
+    pub fn set_pruned_channels(&mut self, features: &[usize]) -> Result<()> {
+        self.pruning = Pruning::new(self.in_features, features)?;
+        self.pruning.zero_pruned(self.weight.as_mut_slice(), self.in_features, 1);
+        Ok(())
+    }
+
+    /// The input features pruning removed, ascending (empty when none is).
+    pub fn pruned_channels(&self) -> &[usize] {
+        self.pruning.pruned()
+    }
+
+    /// The pruned and kept input features, for the kernels that skip the pruned ones.
+    pub(crate) fn pruning(&self) -> &Pruning {
+        &self.pruning
     }
 
     /// Number of input features.
@@ -96,6 +133,7 @@ impl Dense {
     }
 
     /// Mutable access to the weight matrix (used by pruning / quantization).
+    /// A pruned feature's weights should stay zero.
     pub fn weight_mut(&mut self) -> &mut Tensor {
         &mut self.weight
     }
@@ -205,7 +243,8 @@ impl Dense {
     }
 
     /// Backward pass: accumulates weight/bias gradients and returns the
-    /// gradient with respect to the input.
+    /// gradient with respect to the input. A pruned feature's weight
+    /// gradient is set to `+0.0`.
     ///
     /// # Errors
     ///
@@ -222,7 +261,8 @@ impl Dense {
         let flat_in = input.reshape(&[self.in_features])?;
         let flat_go = grad_output.reshape(&[self.out_features])?;
         // dW = grad_output ⊗ input
-        let dw = flat_go.outer(&flat_in);
+        let mut dw = flat_go.outer(&flat_in);
+        self.pruning.zero_pruned(dw.as_mut_slice(), self.in_features, 1);
         self.grad_weight.add_scaled_inplace(&dw, 1.0)?;
         self.grad_bias.add_scaled_inplace(&flat_go, 1.0)?;
         // dx = Wᵀ · grad_output
@@ -232,7 +272,9 @@ impl Dense {
     }
 
     /// Allocation-free backward pass used by the training plans: accumulates
-    /// `dW = grad_out ⊗ input` into `grad_w`, `db = grad_out` into `grad_b`,
+    /// `dW = grad_out ⊗ input` into the kept columns of `grad_w` (a pruned
+    /// feature's column is skipped, so the caller's zeroed store keeps
+    /// `+0.0` there), `db = grad_out` into `grad_b`,
     /// and — when `dx` is present — writes `dx = Wᵀ · grad_out` without
     /// materializing the transpose. `dx: None` skips the input-gradient
     /// product; the plan passes it for the network's first layer, whose
@@ -262,7 +304,19 @@ impl Dense {
         grad_b: &mut [f32],
     ) {
         let (n_in, n_out) = (self.in_features, self.out_features);
-        ie_tensor::outer_accumulate_batch_into(grad_out, input, grad_w, n_out, n_in, 1);
+        if self.pruning.is_pruned() {
+            // The batch-1 outer product's arithmetic (one product and one
+            // add per element), over the kept runs only.
+            for (grow, &g) in grad_w.chunks_exact_mut(n_in).zip(grad_out) {
+                for run in self.pruning.kept_blocks(1) {
+                    for (w, &x) in grow[run.clone()].iter_mut().zip(&input[run]) {
+                        *w += g * x;
+                    }
+                }
+            }
+        } else {
+            ie_tensor::outer_accumulate_batch_into(grad_out, input, grad_w, n_out, n_in, 1);
+        }
         ie_tensor::accumulate_slice_into(grad_b, grad_out);
         if let Some(dx) = dx {
             ie_tensor::matvec_t_batch_into(weight, grad_out, dx, n_in, n_out, 1);

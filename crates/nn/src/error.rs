@@ -43,6 +43,9 @@ pub enum NnError {
     /// A planned continuation was requested before any planned forward pass
     /// populated the execution plan's cached trunk state.
     MissingPlannedState,
+    /// A pruned-channel list names a channel the layer does not have, names
+    /// one twice, or would remove every channel.
+    InvalidPruning(String),
     /// A worker thread of the shard loop ([`crate::train::run_sharded`])
     /// panicked: an evaluator's, the trainer's or the fleet simulator's.
     /// Instead of aborting the whole process on join, the panic is surfaced
@@ -79,6 +82,7 @@ impl fmt::Display for NnError {
                 write!(f, "label {label} out of range for {classes} classes")
             }
             NnError::InvalidSpec(msg) => write!(f, "invalid architecture spec: {msg}"),
+            NnError::InvalidPruning(msg) => write!(f, "invalid pruned channels: {msg}"),
             NnError::MissingPlannedState => write!(
                 f,
                 "continue_to_exit_batch_with called on a plan with no cached forward state"
@@ -125,6 +129,7 @@ mod tests {
             NnError::NonMonotonicExit { current: 2, requested: 1 },
             NnError::InvalidLabel { label: 12, classes: 10 },
             NnError::InvalidSpec("exit after missing layer".into()),
+            NnError::InvalidPruning("channel 9 of 4".into()),
             NnError::WorkerPanic {
                 worker: 1,
                 shard_start: 30,

@@ -1,5 +1,103 @@
-use crate::{Conv2d, Dense, MaxPool2d, Relu, Result};
+use crate::{Conv2d, Dense, MaxPool2d, NnError, Relu, Result};
 use ie_tensor::Tensor;
+use std::ops::Range;
+
+/// The input channels (or, for a dense layer, input features) that pruning
+/// removed from a layer, with their complement precomputed for the kernels
+/// that read only the kept ones. An unpruned layer's lists are empty, so
+/// the many unpruned layers a process builds allocate nothing for it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Pruning {
+    channels: usize,
+    /// Removed channels, ascending.
+    pruned: Vec<usize>,
+    /// Kept channels, ascending (empty when nothing is pruned).
+    kept: Vec<usize>,
+    /// Maximal runs of consecutive kept channels (empty when nothing is
+    /// pruned).
+    runs: Vec<Range<usize>>,
+}
+
+impl Pruning {
+    /// Every one of `channels` kept.
+    pub(crate) fn none(channels: usize) -> Self {
+        Pruning { channels, pruned: Vec::new(), kept: Vec::new(), runs: Vec::new() }
+    }
+
+    /// Removes `pruned` (in any order) from `channels` channels.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::InvalidPruning`] for a channel out of range, a
+    /// channel listed twice, or a list that removes every channel.
+    pub(crate) fn new(channels: usize, pruned: &[usize]) -> Result<Self> {
+        let mut sorted = pruned.to_vec();
+        sorted.sort_unstable();
+        if let Some(&bad) = sorted.last().filter(|&&c| c >= channels) {
+            return Err(NnError::InvalidPruning(format!(
+                "channel {bad} out of range for {channels} channels"
+            )));
+        }
+        if let Some(pair) = sorted.windows(2).find(|pair| pair[0] == pair[1]) {
+            return Err(NnError::InvalidPruning(format!("channel {} listed twice", pair[0])));
+        }
+        if channels > 0 && sorted.len() == channels {
+            return Err(NnError::InvalidPruning(format!(
+                "all {channels} channels pruned; at least one must stay"
+            )));
+        }
+        if sorted.is_empty() {
+            return Ok(Self::none(channels));
+        }
+        let kept: Vec<usize> = (0..channels).filter(|c| sorted.binary_search(c).is_err()).collect();
+        let mut runs: Vec<Range<usize>> = Vec::new();
+        for &c in &kept {
+            match runs.last_mut() {
+                Some(run) if run.end == c => run.end += 1,
+                _ => runs.push(c..c + 1),
+            }
+        }
+        Ok(Pruning { channels, pruned: sorted, kept, runs })
+    }
+
+    /// Removed channels, ascending (empty when nothing is pruned).
+    pub(crate) fn pruned(&self) -> &[usize] {
+        &self.pruned
+    }
+
+    /// Kept channels, ascending, of a pruned layer (empty when nothing is
+    /// pruned: then every channel is kept).
+    pub(crate) fn kept(&self) -> &[usize] {
+        &self.kept
+    }
+
+    /// Number of kept channels.
+    pub(crate) fn kept_len(&self) -> usize {
+        self.channels - self.pruned.len()
+    }
+
+    /// Whether any channel is removed.
+    pub(crate) fn is_pruned(&self) -> bool {
+        !self.pruned.is_empty()
+    }
+
+    /// The element ranges of the kept runs inside one weight row whose
+    /// channels each hold `block` consecutive values (`k²` for a conv filter
+    /// row, 1 for a dense row), in ascending order.
+    pub(crate) fn kept_blocks(&self, block: usize) -> impl Iterator<Item = Range<usize>> + '_ {
+        let all = (!self.is_pruned()).then_some(0..self.channels * block);
+        all.into_iter().chain(self.runs.iter().map(move |run| run.start * block..run.end * block))
+    }
+
+    /// Zeroes the removed channels of every `row_len`-wide row of `weight`.
+    pub(crate) fn zero_pruned(&self, weight: &mut [f32], row_len: usize, block: usize) {
+        for row in weight.chunks_exact_mut(row_len) {
+            for &c in &self.pruned {
+                row[c * block..(c + 1) * block].fill(0.0);
+            }
+        }
+    }
+}
 
 /// Flattens a multi-dimensional activation into a vector.
 ///

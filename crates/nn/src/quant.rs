@@ -35,8 +35,8 @@ use crate::spec::{CompressibleLayer, LayerSpecKind, MultiExitArchitecture};
 use crate::{Conv2d, Dense, Layer, MultiExitNetwork, NnError, Result};
 use ie_tensor::{
     dequant_acc, dequant_rows_slice_into, dequant_slice_into, gemm_i16t_into,
-    im2col_quant_select_batch_into, requant_rows_slice_into, requant_slice_into,
-    transpose_widen_into, weight_code, QuantParams, Tensor, MADD_DEPTH_ALIGN,
+    im2col_select_batch_into, requant_rows_slice_into, requant_slice_into, transpose_widen_into,
+    weight_code, QuantParams, Tensor, MADD_DEPTH_ALIGN,
 };
 
 /// Which integer kernel a quantized layer runs.
@@ -630,14 +630,7 @@ pub(crate) fn quant_conv_forward(
     let n = batch * geom.col_cols();
     let (m, k, kp) = (ql.rows, ql.cols, ql.kp);
     let cols = &mut col8[..k * n];
-    im2col_quant_select_batch_into(
-        codes_in,
-        batch,
-        geom,
-        ql.input.zero_point() as i8,
-        &ql.kept,
-        cols,
-    )?;
+    im2col_select_batch_into(codes_in, batch, geom, ql.input.zero_point() as i8, &ql.kept, cols)?;
     let patches = &mut rows16[..n * kp];
     transpose_widen_into(cols, k, n, kp, patches);
     gemm_i16t_into(&ql.w, patches, &mut acc[..m * n], m, kp, n);

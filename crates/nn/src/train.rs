@@ -514,8 +514,9 @@ pub fn train_threads() -> usize {
 /// makes every worker run the quantize–dequantize forward half (see
 /// [`BackwardPlan::for_architecture_fake_quant`]) — training with the
 /// deployment-time quantization in the loop. The weights change only after
-/// the batch, so each worker re-quantizes its plan's weight codes once per
-/// step, not once per sample.
+/// the batch, so each worker re-quantizes its plan's weight codes (and
+/// gathers its pruned convs' kept filter columns) once per step, not once
+/// per sample.
 #[derive(Debug, Default)]
 pub struct BatchBackwardPlan {
     pool: BackwardPlanPool,
@@ -601,8 +602,9 @@ impl BatchBackwardPlan {
             shards.zip(plans.iter_mut()),
             |range, ((stores, losses), plan)| -> Result<()> {
                 // The weights change only in `apply_gradients` below, so each
-                // worker's fake-quant codes are refreshed once per step.
-                plan.refresh_fake_quant(net)?;
+                // worker's fake-quant codes and kept-width filters are
+                // refreshed once per step.
+                plan.refresh_weights(net)?;
                 for ((sample, store), loss) in samples[range].iter().zip(stores).zip(losses) {
                     *loss = plan.backward_with_codes(
                         net,
@@ -654,7 +656,9 @@ pub fn train(
     plan: &mut BatchBackwardPlan,
 ) -> Result<Vec<EpochStats>> {
     let mut sgd = Sgd::new(config.learning_rate).with_decay(config.lr_decay);
-    let mut history = Vec::with_capacity(config.epochs);
+    // Grown as epochs finish: an absurd epoch count must not reserve its
+    // whole history before the first step.
+    let mut history = Vec::new();
     for epoch in 0..config.epochs {
         let mut total_loss = 0.0;
         let mut count = 0usize;

@@ -2,7 +2,7 @@
 //! forward path.
 //!
 //! The contract under test: for ANY batch size in `1..=16`, ANY inputs and
-//! ANY sparse-hint (pruned-weight) configuration, every sample's logits,
+//! ANY pruned-channel configuration, every sample's logits,
 //! probabilities, prediction and confidence from a [`ie_nn::BatchPlan`] pass
 //! are **bit-identical** to running that sample alone through the allocating
 //! [`ie_nn::MultiExitNetwork::forward_to_exit`] — an oracle that shares no
@@ -18,9 +18,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Builds a tiny network, optionally pruning a fraction of each conv's
-/// filters and setting the sparse hint (the layer state `ie_compress`'s
-/// channel pruning produces).
+/// Builds a tiny network, optionally pruning every `prune_mod`-th input
+/// channel of each conv (the layer state `ie_compress`'s channel pruning
+/// produces).
 fn build_net(seed: u64, prune_mod: usize) -> MultiExitNetwork {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut net = MultiExitNetwork::from_architecture(&tiny_multi_exit(3), &mut rng).unwrap();
@@ -42,14 +42,12 @@ fn bits(values: &[f32]) -> Vec<u32> {
 fn prune(layers: &mut [Layer], prune_mod: usize) {
     for layer in layers.iter_mut() {
         if let Layer::Conv2d(conv) = layer {
-            let out_ch = conv.out_channels();
-            let per_filter = conv.weight().len() / out_ch;
-            for (i, w) in conv.weight_mut().as_mut_slice().iter_mut().enumerate() {
-                if (i / per_filter) % prune_mod == 0 {
-                    *w = 0.0;
-                }
+            let pruned: Vec<usize> =
+                (0..conv.in_channels()).filter(|c| c % prune_mod == 0).collect();
+            // A one-channel conv keeps its only channel.
+            if pruned.len() < conv.in_channels() {
+                conv.set_pruned_channels(&pruned).unwrap();
             }
-            conv.set_sparse_hint(true);
         }
     }
 }
@@ -66,8 +64,8 @@ proptest! {
         prune_mod in 0usize..=3,
         data in proptest::collection::vec(-3.0f32..3.0, 16 * 64),
     ) {
-        // prune_mod 0 => dense weights; 2/3 => every 2nd/3rd filter zeroed
-        // with the sparse-aware GEMM selected.
+        // prune_mod 0 => nothing pruned; 2/3 => every 2nd/3rd input channel
+        // of each conv pruned, so the convs run at their kept width.
         let net = build_net(seed, if prune_mod == 1 { 2 } else { prune_mod });
         let inputs: Vec<Tensor> = (0..batch)
             .map(|s| {

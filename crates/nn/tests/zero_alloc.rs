@@ -8,7 +8,7 @@
 
 use ie_nn::quant::config_from_bits;
 use ie_nn::spec::{lenet_multi_exit, tiny_multi_exit};
-use ie_nn::MultiExitNetwork;
+use ie_nn::{Layer, MultiExitNetwork};
 use ie_tensor::{QuantParams, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -52,6 +52,24 @@ fn allocations_on_this_thread() -> u64 {
     THREAD_ALLOCS.with(Cell::get)
 }
 
+/// Prunes every other input channel (feature) of each conv and dense layer,
+/// so the measured passes run the convs at their kept width.
+fn prune_every_other(net: &mut MultiExitNetwork) {
+    for layer in net.compressible_layers_mut() {
+        match layer {
+            Layer::Conv2d(c) => {
+                let pruned: Vec<usize> = (1..c.in_channels()).step_by(2).collect();
+                c.set_pruned_channels(&pruned).unwrap();
+            }
+            Layer::Dense(d) => {
+                let pruned: Vec<usize> = (1..d.in_features()).step_by(2).collect();
+                d.set_pruned_channels(&pruned).unwrap();
+            }
+            _ => unreachable!("compressible layers are conv or dense"),
+        }
+    }
+}
+
 #[test]
 fn warmed_planned_forward_performs_zero_heap_allocations() {
     let mut rng = StdRng::seed_from_u64(42);
@@ -61,11 +79,17 @@ fn warmed_planned_forward_performs_zero_heap_allocations() {
     let lenet_input = Tensor::randn(&mut rng, &[3, 32, 32], 0.0, 1.0);
     let mut tiny_plan = tiny.execution_plan();
     let mut lenet_plan = lenet.execution_plan();
+    // A pruned backbone: its convs gather their kept filter columns into the
+    // plan's scratch and multiply at the kept width.
+    let mut pruned = lenet.clone();
+    prune_every_other(&mut pruned);
+    let mut pruned_plan = pruned.execution_plan();
 
     // Batched counterparts: the ref slices are built up front so the measured
     // loop only reuses them.
     let mut tiny_batch_plan = tiny.batch_plan(2);
     let mut lenet_batch_plan = lenet.batch_plan(4);
+    let mut pruned_batch_plan = pruned.batch_plan(4);
     let tiny_batch = [Tensor::randn(&mut rng, &[1, 8, 8], 0.0, 1.0), tiny_input.clone()];
     let tiny_refs: Vec<&Tensor> = tiny_batch.iter().collect();
     let lenet_batch: Vec<Tensor> =
@@ -102,6 +126,8 @@ fn warmed_planned_forward_performs_zero_heap_allocations() {
         tiny.forward_all_batch_with(&mut tiny_batch_plan, &tiny_refs, |_| {}).unwrap();
         lenet.forward_to_exit_batch_with(&mut lenet_batch_plan, &lenet_refs, 0).unwrap();
         lenet.continue_to_exit_batch_with(&mut lenet_batch_plan, 2).unwrap();
+        pruned.forward_to_exit_with(&mut pruned_plan, &lenet_input, 2).unwrap();
+        pruned.forward_to_exit_batch_with(&mut pruned_batch_plan, &lenet_refs, 2).unwrap();
         lenet.forward_to_exit_with(&mut quant_plan, &lenet_input, 0).unwrap();
         lenet.continue_to_exit_batch_with(&mut quant_plan, 2).unwrap();
         lenet.forward_to_exit_batch_with(&mut quant_batch_plan, &lenet_refs, 2).unwrap();
@@ -134,6 +160,13 @@ fn warmed_planned_forward_performs_zero_heap_allocations() {
             .prediction(3);
         checksum +=
             lenet.continue_to_exit_batch_with(&mut lenet_batch_plan, 2).unwrap().prediction(1);
+        // Pruned convs run at their kept width, single-input and batched.
+        checksum +=
+            pruned.forward_to_exit_with(&mut pruned_plan, &lenet_input, 2).unwrap().prediction;
+        checksum += pruned
+            .forward_to_exit_batch_with(&mut pruned_batch_plan, &lenet_refs, 2)
+            .unwrap()
+            .prediction(0);
         // A warmed quantized plan (integer kernels + requantization) is
         // equally allocation-free, single-input and batched.
         checksum +=

@@ -13,7 +13,7 @@ use ie_nn::dataset::Sample;
 use ie_nn::quant::config_from_bits;
 use ie_nn::spec::{lenet_multi_exit, tiny_multi_exit};
 use ie_nn::train::BatchBackwardPlan;
-use ie_nn::MultiExitNetwork;
+use ie_nn::{Layer, MultiExitNetwork};
 use ie_tensor::{QuantParams, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -57,6 +57,24 @@ fn allocations_on_this_thread() -> u64 {
     THREAD_ALLOCS.with(Cell::get)
 }
 
+/// Prunes every other input channel (feature) of each conv and dense layer,
+/// so the measured passes run the convs at their kept width.
+fn prune_every_other(net: &mut MultiExitNetwork) {
+    for layer in net.compressible_layers_mut() {
+        match layer {
+            Layer::Conv2d(c) => {
+                let pruned: Vec<usize> = (1..c.in_channels()).step_by(2).collect();
+                c.set_pruned_channels(&pruned).unwrap();
+            }
+            Layer::Dense(d) => {
+                let pruned: Vec<usize> = (1..d.in_features()).step_by(2).collect();
+                d.set_pruned_channels(&pruned).unwrap();
+            }
+            _ => unreachable!("compressible layers are conv or dense"),
+        }
+    }
+}
+
 #[test]
 fn warmed_planned_training_step_performs_zero_heap_allocations() {
     let mut rng = StdRng::seed_from_u64(7);
@@ -66,6 +84,17 @@ fn warmed_planned_training_step_performs_zero_heap_allocations() {
     let lenet_input = Tensor::randn(&mut rng, &[3, 32, 32], 0.0, 1.0);
     let mut tiny_plan = tiny.backward_plan();
     let mut lenet_plan = lenet.backward_plan();
+    // A pruned backbone, plain and fake-quant: its convs run at their kept
+    // width in both halves of the step.
+    let mut pruned = lenet.clone();
+    prune_every_other(&mut pruned);
+    let mut pruned_plan = pruned.backward_plan();
+    let lenet_layers = lenet.architecture().compressible_layers().len();
+    let lenet_act = QuantParams::from_range(-6.0, 6.0, 8);
+    let lenet_entries: Vec<Option<(u8, QuantParams)>> =
+        (0..lenet_layers).map(|i| (i % 2 == 0).then_some((4, lenet_act))).collect();
+    let pruned_cfg = config_from_bits(&pruned, &lenet_entries).unwrap();
+    let mut pruned_fq_plan = pruned.backward_plan_fake_quant(&pruned_cfg).unwrap();
 
     // A fake-quant plan on the tiny net: the quantize→dequantize round trip
     // of weights and activations runs inside the measured loop.
@@ -92,6 +121,9 @@ fn warmed_planned_training_step_performs_zero_heap_allocations() {
         tiny.apply_gradients(0.0);
         lenet.backward_with(&mut lenet_plan, &lenet_input, 2, &lenet_weights).unwrap();
         lenet.apply_gradients(0.0);
+        pruned.backward_with(&mut pruned_plan, &lenet_input, 2, &lenet_weights).unwrap();
+        pruned.backward_with(&mut pruned_fq_plan, &lenet_input, 2, &lenet_weights).unwrap();
+        pruned.apply_gradients(0.0);
         batch_plan.train_step(&mut tiny, &batch, &tiny_weights, 0.0, 1).unwrap();
     }
 
@@ -111,6 +143,13 @@ fn warmed_planned_training_step_performs_zero_heap_allocations() {
         checksum +=
             lenet.backward_with(&mut lenet_plan, &lenet_input, 2, &lenet_weights).unwrap() as f64;
         lenet.apply_gradients(0.0);
+        // The pruned backbone, plain and fake-quant.
+        checksum +=
+            pruned.backward_with(&mut pruned_plan, &lenet_input, 2, &lenet_weights).unwrap() as f64;
+        checksum += pruned
+            .backward_with(&mut pruned_fq_plan, &lenet_input, 2, &lenet_weights)
+            .unwrap() as f64;
+        pruned.apply_gradients(0.0);
         // The one-worker batched step: pool handout, inline shard, reduction.
         checksum += batch_plan.train_step(&mut tiny, &batch, &tiny_weights, 0.0, 1).unwrap() as f64;
     }

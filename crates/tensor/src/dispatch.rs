@@ -1,6 +1,6 @@
 //! Runtime ISA dispatch: one binary, the best kernel the machine can run.
 //!
-//! The hot kernels of this crate (GEMM, the sparse axpy, max-pool, softmax,
+//! The hot kernels of this crate (GEMM, matvec, max-pool, softmax,
 //! the quantize/dequantize epilogues, the integer madd GEMM and the training
 //! kernels) each exist in up to three **tiers**:
 //!

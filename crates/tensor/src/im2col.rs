@@ -4,7 +4,9 @@
 //! computed as a matrix product between the filter matrix `[O, C·K·K]` and
 //! the column matrix `[C·K·K, H_out·W_out]` produced by [`im2col`]. The
 //! backward pass uses [`col2im`] to scatter column gradients back into image
-//! layout.
+//! layout. A channel-pruned layer lowers and scatters only its kept input
+//! channels ([`im2col_select_batch_into`], [`col2im_select_into`]), so its
+//! product runs at depth `kept·K·K`.
 //!
 //! Unlike the arithmetic kernels, the lowerings deliberately have **no**
 //! runtime ISA tiers (see [`crate::dispatch`]): they move values without
@@ -160,7 +162,7 @@ impl KernelOffsetBounds {
 }
 
 /// The one lowering loop behind [`im2col_batch_into`] and
-/// [`im2col_quant_select_batch_into`]: validates lengths against `batch`
+/// [`im2col_select_batch_into`]: validates lengths against `batch`
 /// copies of `geom`, then fills the `[len(channels)·K², batch·out_h·out_w]`
 /// column buffer with the rows of the listed input channels, in list order
 /// (padding cells get `pad`). The full lowering passes
@@ -234,33 +236,33 @@ pub fn im2col_batch_into(
     lower_batch(input, batch, geom, 0.0, 0..geom.in_channels, out)
 }
 
-/// Channel-selective quantized batched `im2col`: lowers only the listed
-/// input channels of a batch of `i8` activation-code images, producing a
-/// `[len(channels)·K², batch·out_h·out_w]` column matrix of codes.
+/// Channel-selective batched `im2col`: lowers only the listed input channels
+/// of a batch of images, producing a `[len(channels)·K², batch·out_h·out_w]`
+/// column matrix with one row block per listed channel, in list order.
 ///
-/// Layouts match [`im2col_batch_into`] (channel-major wide input, one row
-/// block per kept channel); padding cells are filled with `pad` — the
-/// activation quantization's zero point, whose real value is exactly `0.0`,
-/// so the lowered codes represent the same padded image the `f32` path sees.
+/// Layouts match [`im2col_batch_into`] (channel-major wide input); padding
+/// cells are filled with `pad`: `0.0` for real activations, the activation
+/// quantization's zero point for `i8` codes (whose real value is exactly
+/// `0.0`, so the lowered codes represent the same padded image the `f32`
+/// path sees).
 ///
-/// Channel pruning zeroes whole input-channel blocks of the filter matrix;
-/// the quantized engine packs those blocks away from its weight codes and
-/// skips them here, so a pruned layer's integer GEMM does proportionally
-/// less work — the deployed-MCU behaviour ("pruned channels are physically
-/// removed") rather than the zero-multiplying simulation. With the identity
-/// channel list every cell matches the `f32` lowering of the same values.
+/// Channel pruning removes whole input channels: a pruned layer lowers its
+/// kept channels only, and its product runs over the matching columns of
+/// the filter matrix, so it does proportionally less work — the
+/// deployed-MCU behaviour ("pruned channels are physically removed"). With
+/// the identity channel list every cell matches [`im2col_batch_into`].
 ///
 /// # Errors
 ///
 /// Returns an error when the geometry is invalid, a channel index is out of
 /// range, or a buffer length does not match.
-pub fn im2col_quant_select_batch_into(
-    input: &[i8],
+pub fn im2col_select_batch_into<T: Copy>(
+    input: &[T],
     batch: usize,
     geom: &Conv2dGeometry,
-    pad: i8,
+    pad: T,
     channels: &[usize],
-    out: &mut [i8],
+    out: &mut [T],
 ) -> Result<()> {
     lower_batch(input, batch, geom, pad, channels.iter().copied(), out)
 }
@@ -291,35 +293,39 @@ pub fn im2col(input: &Tensor, geom: &Conv2dGeometry) -> Result<Tensor> {
     Tensor::from_vec(out, &[geom.col_rows(), geom.col_cols()])
 }
 
-/// Scatters a `[C·K·K, out_h·out_w]` column-gradient slice back into a
-/// caller-provided `[C, H, W]` image buffer (the adjoint of
-/// [`im2col_batch_into`] at `batch == 1`).
-/// The image buffer is zeroed first, then accumulated into; never allocates.
-///
-/// # Errors
-///
-/// Returns an error when the geometry is invalid or either buffer length does
-/// not match it.
-pub fn col2im_into(cols: &[f32], geom: &Conv2dGeometry, image: &mut [f32]) -> Result<()> {
+/// The one scatter loop behind [`col2im_into`], [`col2im_select_into`] and
+/// [`col2im`]: zeroes the `[C, H, W]` image, then adds the row block `ci` of
+/// `cols` into channel `channels[ci]`'s plane (the adjoint of
+/// [`lower_batch`] at `batch == 1`).
+fn scatter(
+    cols: &[f32],
+    geom: &Conv2dGeometry,
+    channels: impl ExactSizeIterator<Item = usize>,
+    image: &mut [f32],
+) -> Result<()> {
     geom.validate()?;
-    if cols.len() != geom.col_len() {
-        return Err(TensorError::DataShapeMismatch {
-            data_len: cols.len(),
-            shape_len: geom.col_len(),
-        });
+    let (out_h, out_w) = (geom.out_h(), geom.out_w());
+    let k = geom.kernel;
+    let ncols = out_h * out_w;
+    let expected = channels.len() * k * k * ncols;
+    if cols.len() != expected {
+        return Err(TensorError::DataShapeMismatch { data_len: cols.len(), shape_len: expected });
     }
     let image_len = geom.in_channels * geom.in_h * geom.in_w;
     if image.len() != image_len {
         return Err(TensorError::DataShapeMismatch { data_len: image.len(), shape_len: image_len });
     }
     image.fill(0.0);
-    let (out_h, out_w) = (geom.out_h(), geom.out_w());
-    let k = geom.kernel;
-    let ncols = out_h * out_w;
-    for c in 0..geom.in_channels {
+    for (ci, c) in channels.enumerate() {
+        if c >= geom.in_channels {
+            return Err(TensorError::InvalidConvGeometry(format!(
+                "selected channel {c} out of range for {} input channels",
+                geom.in_channels
+            )));
+        }
         for ky in 0..k {
             for kx in 0..k {
-                let row = (c * k + ky) * k + kx;
+                let row = (ci * k + ky) * k + kx;
                 for oy in 0..out_h {
                     let iy = (oy * geom.stride + ky) as isize - geom.padding as isize;
                     if iy < 0 || iy >= geom.in_h as isize {
@@ -341,6 +347,39 @@ pub fn col2im_into(cols: &[f32], geom: &Conv2dGeometry, image: &mut [f32]) -> Re
     Ok(())
 }
 
+/// Scatters a `[C·K·K, out_h·out_w]` column-gradient slice back into a
+/// caller-provided `[C, H, W]` image buffer (the adjoint of
+/// [`im2col_batch_into`] at `batch == 1`).
+/// The image buffer is zeroed first, then accumulated into; never allocates.
+///
+/// # Errors
+///
+/// Returns an error when the geometry is invalid or either buffer length does
+/// not match it.
+pub fn col2im_into(cols: &[f32], geom: &Conv2dGeometry, image: &mut [f32]) -> Result<()> {
+    scatter(cols, geom, 0..geom.in_channels, image)
+}
+
+/// Scatters a `[len(channels)·K·K, out_h·out_w]` column-gradient slice back
+/// into a caller-provided `[C, H, W]` image buffer: the adjoint of
+/// [`im2col_select_batch_into`] at `batch == 1`. The image is zeroed first
+/// and row block `ci` then accumulates into channel `channels[ci]`, so a
+/// channel the list leaves out (a pruned one) reads exactly `+0.0`. With the
+/// identity list this is [`col2im_into`]. Never allocates.
+///
+/// # Errors
+///
+/// Returns an error when the geometry is invalid, a channel index is out of
+/// range, or either buffer length does not match.
+pub fn col2im_select_into(
+    cols: &[f32],
+    geom: &Conv2dGeometry,
+    channels: &[usize],
+    image: &mut [f32],
+) -> Result<()> {
+    scatter(cols, geom, channels.iter().copied(), image)
+}
+
 /// Scatters a `[C·K·K, out_h·out_w]` column-gradient matrix back into a
 /// `[C, H, W]` image-gradient tensor (the adjoint of [`im2col`]).
 ///
@@ -360,7 +399,7 @@ pub fn col2im(cols: &Tensor, geom: &Conv2dGeometry) -> Result<Tensor> {
         });
     }
     let mut image = Tensor::zeros(&[geom.in_channels, geom.in_h, geom.in_w]);
-    col2im_into(cols.as_slice(), geom, image.as_mut_slice())?;
+    scatter(cols.as_slice(), geom, 0..geom.in_channels, image.as_mut_slice())?;
     Ok(image)
 }
 
@@ -497,7 +536,7 @@ mod tests {
         let pad: i8 = -7;
         let all = [0, 1];
         let mut lowered = vec![0i8; g.col_len() * batch];
-        im2col_quant_select_batch_into(&codes, batch, &g, pad, &all, &mut lowered).unwrap();
+        im2col_select_batch_into(&codes, batch, &g, pad, &all, &mut lowered).unwrap();
         let floats: Vec<f32> = codes.iter().map(|&c| f32::from(c)).collect();
         let mut lowered_f = vec![f32::NAN; g.col_len() * batch];
         im2col_batch_into(&floats, batch, &g, &mut lowered_f).unwrap();
@@ -507,14 +546,14 @@ mod tests {
         }
         // Length validation mirrors the float path.
         let mut short = vec![0i8; g.col_len()];
-        assert!(im2col_quant_select_batch_into(&codes, batch, &g, pad, &all, &mut short).is_err());
+        assert!(im2col_select_batch_into(&codes, batch, &g, pad, &all, &mut short).is_err());
         // Channel selection: a subset extracts exactly its channels' row
         // blocks of the full lowering.
         let rows_per_chan = g.kernel * g.kernel * g.col_cols() * batch;
         let mut chan1 = vec![0i8; rows_per_chan];
-        im2col_quant_select_batch_into(&codes, batch, &g, pad, &[1], &mut chan1).unwrap();
+        im2col_select_batch_into(&codes, batch, &g, pad, &[1], &mut chan1).unwrap();
         assert_eq!(chan1, lowered[rows_per_chan..]);
-        assert!(im2col_quant_select_batch_into(&codes, batch, &g, pad, &[2], &mut chan1).is_err());
+        assert!(im2col_select_batch_into(&codes, batch, &g, pad, &[2], &mut chan1).is_err());
     }
 
     #[test]

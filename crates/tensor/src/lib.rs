@@ -48,9 +48,10 @@ pub use backward::{
 pub use dispatch::IsaTier;
 pub use error::TensorError;
 pub use im2col::{
-    col2im, col2im_into, im2col, im2col_batch_into, im2col_quant_select_batch_into, Conv2dGeometry,
+    col2im, col2im_into, col2im_select_into, im2col, im2col_batch_into, im2col_select_batch_into,
+    Conv2dGeometry,
 };
-pub use linalg::{gemm_into, gemm_sparse_into, matvec_batch_into, matvec_t_batch_into};
+pub use linalg::{gemm_into, matvec_batch_into, matvec_t_batch_into};
 pub use ops::{
     add_bias_rows, add_bias_samples, max_pool_planes_i8_into, max_pool_planes_into,
     relu_codes_floor, relu_slice, softmax_slice_into,
@@ -77,8 +78,7 @@ pub mod tiered {
         relu_backward_into_tier as relu_backward_into, transpose_into_tier as transpose_into,
     };
     pub use crate::linalg::{
-        gemm_into_tier as gemm_into, gemm_sparse_into_tier as gemm_sparse_into,
-        matvec_batch_into_tier as matvec_batch_into,
+        gemm_into_tier as gemm_into, matvec_batch_into_tier as matvec_batch_into,
         matvec_t_batch_into_tier as matvec_t_batch_into,
     };
     pub use crate::ops::{

@@ -2,10 +2,10 @@
 //!
 //! The heavy kernels are exposed in two layers:
 //!
-//! * slice-level out-parameter kernels ([`gemm_into`], [`gemm_sparse_into`],
-//!   [`matvec_batch_into`]) that never allocate — these are what the
-//!   execution-plan hot path in `ie_nn` drives against its own pre-sized
-//!   buffers; a single vector is a batch of one;
+//! * slice-level out-parameter kernels ([`gemm_into`], [`matvec_batch_into`])
+//!   that never allocate — these are what the execution-plan hot path in
+//!   `ie_nn` drives against its own pre-sized buffers; a single vector is a
+//!   batch of one;
 //! * the allocating [`Tensor`] methods ([`Tensor::matmul`],
 //!   [`Tensor::matvec`], …), which are thin wrappers that allocate the output
 //!   once and delegate to the same kernels, so both paths produce bit-identical
@@ -21,10 +21,12 @@
 //! The dense GEMM is cache-blocked (column panels of `B`, depth blocks of the
 //! shared dimension) and register-tiled (6 rows of `A` per pass so each loaded
 //! `B` element feeds 6 independent multiply–accumulate streams — 12 of the 16
-//! AVX2 `ymm` registers hold accumulators). Per output element the
-//! contributions are still accumulated in ascending order of the shared
-//! dimension, exactly like the naive triple loop, so neither the blocking nor
-//! the tile depth changes a single bit of the result for finite inputs.
+//! AVX2 `ymm` registers hold accumulators). The last `n % 16` columns run the
+//! same tiles over a zero-padded copy of their panel, storing only the valid
+//! columns. Per output element the contributions are still accumulated in
+//! ascending order of the shared dimension, exactly like the naive triple
+//! loop, so neither the blocking, the tile depth nor the padding changes a
+//! single bit of the result for finite inputs.
 
 use crate::dispatch::{self, tiered, IsaTier};
 use crate::{Result, Tensor, TensorError};
@@ -44,35 +46,39 @@ fn check_gemm_lens(a: &[f32], b: &[f32], out: &[f32], m: usize, k: usize, n: usi
 }
 
 /// 6×16 register micro-kernel: accumulates rows `i..i+6`, columns
-/// `jb..jb+16` of the product over the depth range `kb..kend`.
+/// `jb..jb+cols` of the product over the depth range `kb..kend`.
 ///
 /// `panel` holds the `B` column panel for that range: depth index `p` reads
 /// `panel[(p - kb) * panel_stride ..][..16]` — either a view straight into
 /// `B` (`panel_stride == n`) or a packed contiguous copy
-/// (`panel_stride == GEMM_NR`).
+/// (`panel_stride == GEMM_NR`). All 16 lanes compute; only the first `cols`
+/// (16, or `n % 16` for the zero-padded last panel) are loaded from and
+/// stored to `out`, so a padding lane never reaches the result.
 ///
 /// The accumulators are *loaded from* and *stored back to* `out`, so across
 /// depth blocks every output element still receives its contributions in
 /// ascending depth order — bit-identical to the naive triple loop.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn gemm_tile_6x16(
+fn gemm_tile_6x16<const FULL: bool>(
     a: &[f32],
     panel: &[f32],
     panel_stride: usize,
     out: &mut [f32],
     i: usize,
     jb: usize,
+    cols: usize,
     kb: usize,
     kend: usize,
     k: usize,
     n: usize,
 ) {
+    let cols = if FULL { GEMM_NR } else { cols };
     let mut acc = [[0.0f32; GEMM_NR]; GEMM_MR];
     if kb > 0 {
         for (r, acc_row) in acc.iter_mut().enumerate() {
             let row = (i + r) * n + jb;
-            acc_row.copy_from_slice(&out[row..row + GEMM_NR]);
+            acc_row[..cols].copy_from_slice(&out[row..row + cols]);
         }
     }
     let rows: [&[f32]; GEMM_MR] = core::array::from_fn(|r| &a[(i + r) * k..(i + r + 1) * k]);
@@ -88,29 +94,31 @@ fn gemm_tile_6x16(
     }
     for (r, acc_row) in acc.iter().enumerate() {
         let row = (i + r) * n + jb;
-        out[row..row + GEMM_NR].copy_from_slice(acc_row);
+        out[row..row + cols].copy_from_slice(&acc_row[..cols]);
     }
 }
 
 /// 1×16 register micro-kernel for the row remainder (`m % 6` rows); `panel`
-/// addresses `B` exactly as in [`gemm_tile_6x16`].
+/// and `cols` address `B` and `out` exactly as in [`gemm_tile_6x16`].
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn gemm_tile_1x16(
+fn gemm_tile_1x16<const FULL: bool>(
     a: &[f32],
     panel: &[f32],
     panel_stride: usize,
     out: &mut [f32],
     i: usize,
     jb: usize,
+    cols: usize,
     kb: usize,
     kend: usize,
     k: usize,
     n: usize,
 ) {
+    let cols = if FULL { GEMM_NR } else { cols };
     let mut acc = [0.0f32; GEMM_NR];
     if kb > 0 {
-        acc.copy_from_slice(&out[i * n + jb..i * n + jb + GEMM_NR]);
+        acc[..cols].copy_from_slice(&out[i * n + jb..i * n + jb + cols]);
     }
     let arow = &a[i * k..(i + 1) * k];
     for (step, &v) in arow[kb..kend].iter().enumerate() {
@@ -120,7 +128,36 @@ fn gemm_tile_1x16(
             acc[t] += v * brow[t];
         }
     }
-    out[i * n + jb..i * n + jb + GEMM_NR].copy_from_slice(&acc);
+    out[i * n + jb..i * n + jb + cols].copy_from_slice(&acc[..cols]);
+}
+
+/// Runs the row tiles of one column panel: 6-row tiles, then single rows
+/// for the `m % 6` remainder. `FULL` panels store all 16 columns; the last,
+/// zero-padded panel stores its first `cols`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn gemm_panel<const FULL: bool>(
+    a: &[f32],
+    panel: &[f32],
+    panel_stride: usize,
+    out: &mut [f32],
+    jb: usize,
+    cols: usize,
+    kb: usize,
+    kend: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    let mut i = 0;
+    while i + GEMM_MR <= m {
+        gemm_tile_6x16::<FULL>(a, panel, panel_stride, out, i, jb, cols, kb, kend, k, n);
+        i += GEMM_MR;
+    }
+    while i < m {
+        gemm_tile_1x16::<FULL>(a, panel, panel_stride, out, i, jb, cols, kb, kend, k, n);
+        i += 1;
+    }
 }
 
 /// Row tiles that must share one column panel before packing it pays for
@@ -147,64 +184,34 @@ fn gemm_accumulate_body(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usiz
     // streaming. Packing only moves values; each tile still accumulates in
     // ascending depth order, so results stay bit-identical. With a single
     // row-tile sweep (or when the panel view is already the whole of `B`)
-    // the copy cannot be amortized and the kernels read `B` in place — in
-    // that case the buffer is never materialized, so small GEMMs skip its
-    // 16 KB zero-fill entirely.
+    // the copy cannot be amortized and the kernels read `B` in place. The
+    // last `n % 16` columns always go through the buffer, zero-padded to the
+    // tile width, so they run the same 16-lane tiles instead of a scalar
+    // tail; without such columns and without packing the buffer is never
+    // materialized, so small GEMMs skip its 16 KB zero-fill entirely.
     let pack = m >= GEMM_PACK_MIN_TILES * GEMM_MR && n > GEMM_NR;
-    let mut packed = if pack { Some([0.0f32; GEMM_KC * GEMM_NR]) } else { None };
+    let mut packed = if pack || n_main < n { Some([0.0f32; GEMM_KC * GEMM_NR]) } else { None };
     for kb in (0..k).step_by(GEMM_KC) {
         let kend = (kb + GEMM_KC).min(k);
         for jb in (0..n_main).step_by(GEMM_NR) {
-            let (panel, panel_stride): (&[f32], usize) = if let Some(packed) = packed.as_mut() {
-                for (p, row) in (kb..kend).zip(packed.chunks_exact_mut(GEMM_NR)) {
-                    row.copy_from_slice(&b[p * n + jb..p * n + jb + GEMM_NR]);
-                }
-                (&packed[..], GEMM_NR)
-            } else {
-                (&b[kb * n + jb..], n)
-            };
-            let mut i = 0;
-            while i + GEMM_MR <= m {
-                gemm_tile_6x16(a, panel, panel_stride, out, i, jb, kb, kend, k, n);
-                i += GEMM_MR;
-            }
-            while i < m {
-                gemm_tile_1x16(a, panel, panel_stride, out, i, jb, kb, kend, k, n);
-                i += 1;
-            }
-        }
-        // Column remainder (n % 16): plain row-major accumulation in the same
-        // ascending-depth order.
-        if n_main < n {
-            for i in 0..m {
-                let arow = &a[i * k..(i + 1) * k];
-                let orow = &mut out[i * n + n_main..(i + 1) * n];
-                for p in kb..kend {
-                    let v = arow[p];
-                    let brow = &b[p * n + n_main..(p + 1) * n];
-                    for (o, &bv) in orow.iter_mut().zip(brow) {
-                        *o += v * bv;
+            let (panel, panel_stride): (&[f32], usize) = match packed.as_mut() {
+                Some(packed) if pack => {
+                    for (p, row) in (kb..kend).zip(packed.chunks_exact_mut(GEMM_NR)) {
+                        row.copy_from_slice(&b[p * n + jb..p * n + jb + GEMM_NR]);
                     }
+                    (&packed[..], GEMM_NR)
                 }
-            }
+                _ => (&b[kb * n + jb..], n),
+            };
+            gemm_panel::<true>(a, panel, panel_stride, out, jb, GEMM_NR, kb, kend, m, k, n);
         }
-    }
-}
-
-/// The portable body of the sparsity-aware GEMM (see [`gemm_sparse_into`]).
-#[inline(always)]
-fn gemm_sparse_body(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    for i in 0..m {
-        for p in 0..k {
-            let av = a[i * k + p];
-            if av == 0.0 {
-                continue;
+        if let Some(packed) = packed.as_mut().filter(|_| n_main < n) {
+            let cols = n - n_main;
+            for (p, row) in (kb..kend).zip(packed.chunks_exact_mut(GEMM_NR)) {
+                row[..cols].copy_from_slice(&b[p * n + n_main..(p + 1) * n]);
+                row[cols..].fill(0.0);
             }
-            let brow = &b[p * n..(p + 1) * n];
-            let orow = &mut out[i * n..(i + 1) * n];
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o += av * bv;
-            }
+            gemm_panel::<false>(a, &packed[..], GEMM_NR, out, n_main, cols, kb, kend, m, k, n);
         }
     }
 }
@@ -212,9 +219,11 @@ fn gemm_sparse_body(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n
 /// Dense blocked GEMM: writes `A·B` into `out` without allocating.
 ///
 /// `a` is `[m, k]`, `b` is `[k, n]` and `out` is `[m, n]`, all row-major.
-/// The inner loop is an unconditional multiply–accumulate — no per-element
-/// zero test — which is what dense (unpruned) weights want. Dispatched to the
-/// active ISA tier; every tier is bit-identical (see [`crate::dispatch`]).
+/// The inner loop is an unconditional multiply–accumulate with no
+/// per-element zero test: a channel-pruned layer passes its kept columns
+/// only (see `ie_nn::Conv2d`), so it never multiplies a pruned weight.
+/// Dispatched to the active ISA tier; every tier is bit-identical (see
+/// [`crate::dispatch`]).
 ///
 /// # Panics
 ///
@@ -243,47 +252,6 @@ pub fn gemm_into_tier(
     tiered!(
         tier,
         gemm_accumulate_body(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize)
-    );
-}
-
-/// Sparsity-aware GEMM: like [`gemm_into`] but skips the whole `B`-row
-/// contribution whenever the corresponding `A` element is exactly zero.
-///
-/// Channel pruning zeroes large contiguous runs of the filter matrix, so on
-/// pruned weights the skip pays for its branch many times over; on dense
-/// weights it is a pure branch-misprediction tax, which is why the dense path
-/// uses [`gemm_into`] instead. For finite inputs both kernels produce
-/// identical sums (a skipped term contributes exactly `±0.0`). The surviving
-/// rows' axpy runs 8 lanes wide on the AVX2 tier (the portable loop
-/// recompiled, bit-identical to it).
-///
-/// # Panics
-///
-/// Panics when a buffer length does not match its `m`/`k`/`n` dimensions.
-pub fn gemm_sparse_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_sparse_into_tier(dispatch::active(), a, b, out, m, k, n);
-}
-
-/// [`gemm_sparse_into`] on an explicitly chosen ISA tier (clamped to the
-/// hardware).
-///
-/// # Panics
-///
-/// Panics when a buffer length does not match its `m`/`k`/`n` dimensions.
-pub fn gemm_sparse_into_tier(
-    tier: IsaTier,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    check_gemm_lens(a, b, out, m, k, n);
-    out.fill(0.0);
-    tiered!(
-        tier,
-        gemm_sparse_body(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize)
     );
 }
 
@@ -632,22 +600,6 @@ impl Tensor {
         Ok(())
     }
 
-    /// Matrix product that skips zero elements of `self` (see
-    /// [`gemm_sparse_into`]). Intended for the pruned-weight path, where
-    /// channel pruning has zeroed large runs of the left operand; on dense
-    /// operands prefer [`Tensor::matmul`]. Agrees with [`Tensor::matmul`] on
-    /// all finite inputs.
-    ///
-    /// # Errors
-    ///
-    /// Returns the same shape errors as [`Tensor::matmul`].
-    pub fn matmul_sparse_aware(&self, other: &Tensor) -> Result<Tensor> {
-        let (m, k, n) = self.check_matmul(other)?;
-        let mut out = Tensor::zeros(&[m, n]);
-        gemm_sparse_into(self.as_slice(), other.as_slice(), out.as_mut_slice(), m, k, n);
-        Ok(out)
-    }
-
     fn check_matvec(&self, vec: &Tensor) -> Result<(usize, usize)> {
         if self.shape().rank() != 2 {
             return Err(TensorError::RankMismatch { expected: 2, actual: self.shape().rank() });
@@ -765,22 +717,37 @@ mod tests {
     }
 
     #[test]
-    fn sparse_aware_matmul_agrees_with_dense_on_pruned_weights() {
-        // A pruned-looking matrix: whole input-channel blocks zeroed, exactly
-        // what channel pruning produces. Dense and sparse-aware kernels must
-        // agree bit for bit.
+    fn kept_columns_product_matches_the_zeroed_full_width_product() {
+        // Channel pruning zeroes whole column blocks of the filter matrix.
+        // Multiplying only the kept blocks (and the matching rows of `B`)
+        // must give the full-width product bit for bit: every skipped term
+        // is `±0·x` for a finite `x`, added to a sum that starts at +0.0 and
+        // is therefore never -0.0, which leaves the sum unchanged.
         let mut rng = StdRng::seed_from_u64(6);
-        let mut a = Tensor::randn(&mut rng, &[6, 20], 0.0, 1.0);
+        let (m, blocks, block, n) = (7, 6, 5, 37);
+        let k = blocks * block;
+        let kept_blocks = [1usize, 2, 4];
+        let mut a = Tensor::randn(&mut rng, &[m, k], 0.0, 1.0);
         for (i, v) in a.as_mut_slice().iter_mut().enumerate() {
-            if (i / 5) % 2 == 0 {
+            if !kept_blocks.contains(&((i % k) / block)) {
                 *v = 0.0;
             }
         }
-        let b = Tensor::randn(&mut rng, &[20, 13], 0.0, 1.0);
-        let dense = a.matmul(&b).unwrap();
-        let sparse = a.matmul_sparse_aware(&b).unwrap();
-        assert_eq!(dense.dims(), sparse.dims());
-        assert_eq!(dense.as_slice(), sparse.as_slice());
+        let b = Tensor::randn(&mut rng, &[k, n], 0.0, 1.0);
+        let full = a.matmul(&b).unwrap();
+        let kept_cols: Vec<usize> =
+            kept_blocks.iter().flat_map(|&c| c * block..(c + 1) * block).collect();
+        let kk = kept_cols.len();
+        let ak: Vec<f32> = (0..m)
+            .flat_map(|i| kept_cols.iter().map(move |&p| (i, p)))
+            .map(|(i, p)| a.as_slice()[i * k + p])
+            .collect();
+        let bk: Vec<f32> =
+            kept_cols.iter().flat_map(|&p| b.as_slice()[p * n..(p + 1) * n].to_vec()).collect();
+        let mut compact = vec![f32::NAN; m * n];
+        gemm_into(&ak, &bk, &mut compact, m, kk, n);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&compact), bits(full.as_slice()));
     }
 
     #[test]

@@ -1,6 +1,9 @@
 //! Property-based tests of the tensor substrate.
 
-use ie_tensor::{col2im, col2im_into, im2col, im2col_batch_into, Conv2dGeometry, Tensor};
+use ie_tensor::{
+    col2im, col2im_into, col2im_select_into, im2col, im2col_batch_into, im2col_select_batch_into,
+    Conv2dGeometry, Tensor,
+};
 use proptest::prelude::*;
 
 fn arb_matrix(max_dim: usize) -> impl Strategy<Value = Tensor> {
@@ -8,6 +11,11 @@ fn arb_matrix(max_dim: usize) -> impl Strategy<Value = Tensor> {
         proptest::collection::vec(-10.0f32..10.0, r * c)
             .prop_map(move |data| Tensor::from_vec(data, &[r, c]).expect("length matches shape"))
     })
+}
+
+/// Raw bit patterns, so a comparison tells +0.0 from -0.0.
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
 }
 
 proptest! {
@@ -101,9 +109,6 @@ proptest! {
             for (w, r) in buf[..m * n].iter().zip(reference.as_slice()) {
                 prop_assert_eq!(w.to_bits(), r.to_bits());
             }
-            // Sparse-aware kernel agrees with the dense kernel.
-            let sparse = a.matmul_sparse_aware(&b).expect("compatible shapes");
-            prop_assert_eq!(sparse.as_slice(), reference.as_slice());
         }
     }
 
@@ -123,10 +128,14 @@ proptest! {
 
     /// `im2col_batch_into` at batch 1 and `col2im_into` are bit-identical to
     /// the allocating versions across random geometries, including when the target buffers
-    /// start out dirty (reuse must fully overwrite them).
+    /// start out dirty (reuse must fully overwrite them). Over a channel
+    /// subset, the selective lowering holds exactly the subset's row blocks
+    /// and the scatter equals the full one with the other blocks zeroed,
+    /// leaving +0.0 in every left-out channel.
     #[test]
     fn im2col_and_col2im_into_are_bit_identical(
-        c in 1usize..3, hw in 3usize..7, k in 1usize..4, pad in 0usize..2, stride in 1usize..3,
+        c in 1usize..4, hw in 3usize..7, k in 1usize..4, pad in 0usize..2, stride in 1usize..3,
+        skip in 0usize..3,
     ) {
         prop_assume!(hw + 2 * pad >= k);
         let geom = Conv2dGeometry {
@@ -148,6 +157,31 @@ proptest! {
         col2im_into(cols_ref.as_slice(), &geom, &mut back).expect("valid geometry");
         for (w, r) in back.iter().zip(back_ref.as_slice()) {
             prop_assert_eq!(w.to_bits(), r.to_bits());
+        }
+
+        let kept: Vec<usize> = (0..c).filter(|&ch| c == 1 || ch != skip % c).collect();
+        let block = k * k * geom.col_cols();
+        let mut sel = vec![f32::NAN; kept.len() * block];
+        im2col_select_batch_into(image.as_slice(), 1, &geom, 0.0, &kept, &mut sel)
+            .expect("valid geometry");
+        let mut zeroed = cols_ref.as_slice().to_vec();
+        for ch in (0..c).filter(|ch| !kept.contains(ch)) {
+            zeroed[ch * block..(ch + 1) * block].fill(0.0);
+        }
+        for (ci, &ch) in kept.iter().enumerate() {
+            let (got, want) = (&sel[ci * block..][..block], &zeroed[ch * block..][..block]);
+            prop_assert_eq!(bits(got), bits(want));
+        }
+        let mut back_sel = vec![f32::NAN; image.len()];
+        col2im_select_into(&sel, &geom, &kept, &mut back_sel).expect("valid geometry");
+        let back_zeroed = col2im(
+            &Tensor::from_vec(zeroed, cols_ref.dims()).expect("same shape"),
+            &geom,
+        ).expect("valid geometry");
+        prop_assert_eq!(bits(&back_sel), bits(back_zeroed.as_slice()));
+        for ch in (0..c).filter(|ch| !kept.contains(ch)) {
+            let plane = &back_sel[ch * hw * hw..(ch + 1) * hw * hw];
+            prop_assert!(plane.iter().all(|v| v.to_bits() == 0), "left-out channel {} is +0.0", ch);
         }
     }
 

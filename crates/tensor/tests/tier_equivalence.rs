@@ -41,31 +41,6 @@ proptest! {
         }
     }
 
-    /// Sparse-aware GEMM (explicit AVX2 axpy) on pruned-looking operands.
-    #[test]
-    fn sparse_gemm_tiers_are_bit_identical(
-        m in 1usize..12,
-        k in 1usize..30,
-        n in 1usize..40,
-        seed in 0u64..1000,
-    ) {
-        let mut data = mulberry(seed, m * k + k * n);
-        // Zero whole blocks of the left operand, like channel pruning does.
-        for (i, v) in data[..m * k].iter_mut().enumerate() {
-            if (i / 3) % 2 == 0 {
-                *v = 0.0;
-            }
-        }
-        let (a, b) = data.split_at(m * k);
-        let mut base = vec![0.0f32; m * n];
-        tiered::gemm_sparse_into(IsaTier::Portable, a, b, &mut base, m, k, n);
-        for &tier in &supported_tiers()[1..] {
-            let mut out = vec![0.0f32; m * n];
-            tiered::gemm_sparse_into(tier, a, b, &mut out, m, k, n);
-            prop_assert_eq!(bits_f32(&base), bits_f32(&out), "tier {:?}", tier);
-        }
-    }
-
     /// Matrix–vector products (single and batched lane-parallel dot).
     #[test]
     fn matvec_tiers_are_bit_identical(
@@ -504,6 +479,35 @@ proptest! {
 /// Deterministic pseudo-random `f32` generator (mulberry32) so every shape
 /// gets stable, seed-addressable data without pulling a full RNG strategy
 /// through `prop_flat_map`.
+/// The GEMM's last `n % 16` columns run the 16-lane tiles over a
+/// zero-padded panel: on every tier each output must equal the naive
+/// ascending-depth loop, for every remainder 1..=15, for `n < 16` (no full
+/// panel), with and without panel packing (`m` below and above 12 rows), and
+/// for `k` past one 256-deep block, where the tiles reload their
+/// accumulators from `out`.
+#[test]
+fn gemm_column_remainder_matches_the_naive_loop_on_every_tier() {
+    for (m, k) in [(1usize, 3usize), (5, 17), (7, 256), (13, 300), (16, 513)] {
+        for n in (1..16).chain((1..16).map(|r| 32 + r)) {
+            let data = mulberry((m * 1_000 + k * 100 + n) as u64, m * k + k * n);
+            let (a, b) = data.split_at(m * k);
+            let mut naive = vec![0.0f32; m * n];
+            for i in 0..m {
+                for p in 0..k {
+                    for j in 0..n {
+                        naive[i * n + j] += a[i * k + p] * b[p * n + j];
+                    }
+                }
+            }
+            for &tier in supported_tiers() {
+                let mut out = vec![f32::NAN; m * n];
+                tiered::gemm_into(tier, a, b, &mut out, m, k, n);
+                assert_eq!(bits_f32(&out), bits_f32(&naive), "tier {tier:?} {m}x{k}x{n}");
+            }
+        }
+    }
+}
+
 fn mulberry(seed: u64, len: usize) -> Vec<f32> {
     let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
     (0..len)

@@ -68,7 +68,6 @@ fn dispatched_kernels_perform_zero_allocations_per_call() {
                    codes: &mut [i8],
                    accs: &mut [i32]| {
         ie_tensor::gemm_into(&a, &b, out, m, k, n);
-        ie_tensor::gemm_sparse_into(&a, &b, out, m, k, n);
         ie_tensor::matvec_batch_into(&a, &b[..k], &mut out[..m], m, k, 1);
         ie_tensor::max_pool_planes_into(&b[..m * n], 1, m, n, 2, pooled);
         ie_tensor::relu_slice(out);
