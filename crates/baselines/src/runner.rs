@@ -1,6 +1,6 @@
 use crate::{BaselineNetwork, Result};
 use ie_core::metrics::{EventOutcome, EventRecord, RecoveryStats, SimulationReport};
-use ie_core::ExperimentConfig;
+use ie_core::{ExperimentConfig, ReplayInputs};
 use ie_mcu::{CostModel, IntermittentExecutor, NonvolatileMemory};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -53,7 +53,8 @@ impl BaselineRunner {
         self.config.validate()?;
         let executor = IntermittentExecutor::new(self.cost.clone()).with_max_wait_s(MAX_WAIT_S);
         let graph = network.task_graph();
-        let mut sim = self.config.build_harvest_simulator();
+        let ReplayInputs { trace, events, total_harvestable_mj } = self.config.replay_inputs();
+        let mut sim = self.config.build_harvest_simulator(trace);
         let mut nv = NonvolatileMemory::new(self.config.device.nonvolatile_bytes() as usize);
         let mut rng = StdRng::seed_from_u64(self.config.simulation_seed);
         // One injector for the whole run: the cut schedule spans all events,
@@ -61,7 +62,6 @@ impl BaselineRunner {
         // monotone across the entire replay.
         let mut injector = self.config.fault_injector();
         let mut recovery = RecoveryStats::default();
-        let events = self.config.build_events();
         let mut records = Vec::with_capacity(events.len());
         // Time until which the device is still occupied by the previous event.
         let mut busy_until_s = 0.0f64;
@@ -108,8 +108,7 @@ impl BaselineRunner {
             }
         }
 
-        let total_harvested = self.config.total_harvestable_mj();
-        Ok(SimulationReport::from_records(records, 1, total_harvested).with_recovery(recovery))
+        Ok(SimulationReport::from_records(records, 1, total_harvestable_mj).with_recovery(recovery))
     }
 }
 

@@ -1,6 +1,7 @@
 use crate::{CoreError, Result};
 use ie_energy::{
-    EnergyStorage, Event, EventDistribution, EventGenerator, HarvestSimulator, SolarTrace,
+    EnergyStorage, Event, EventDistribution, EventGenerator, HarvestSimulator, PowerTrace,
+    SolarTrace,
 };
 use ie_mcu::{CostModel, FaultInjector, FaultPlan, McuDevice};
 use ie_nn::spec::{lenet_multi_exit, MultiExitArchitecture};
@@ -11,6 +12,13 @@ use ie_nn::spec::{lenet_multi_exit, MultiExitArchitecture};
 /// trace builders allocate one sample per minute or second of it and the
 /// harvest integral steps through every second.
 pub const MAX_DURATION_S: f64 = 366.0 * 24.0 * 3600.0;
+
+/// The most events a config may ask for: 2^20, over 2,000 times the paper's
+/// 500. [`ExperimentConfig::validate`] rejects a larger `num_events` and
+/// [`crate::FleetConfig::validate`] a larger `events_per_device`, because
+/// the event generator and the simulator's report allocate per event up
+/// front.
+pub const MAX_EVENTS: usize = 1 << 20;
 
 /// The full experimental setup of Section V-A of the paper, with every knob
 /// the benches, examples and ablations need.
@@ -84,12 +92,17 @@ pub struct FaultConfig {
     pub max_cuts: u64,
 }
 
-impl FaultConfig {
-    /// A moderate default schedule: 10% of opportunities are struck, at most
-    /// 64 cuts over the run.
-    pub fn from_seed(seed: u64) -> Self {
-        FaultConfig { seed, cut_probability: 0.1, max_cuts: 64 }
-    }
+/// What every replay of an [`ExperimentConfig`] reads and none changes,
+/// built together by [`ExperimentConfig::replay_inputs`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReplayInputs {
+    /// The solar power trace ([`ExperimentConfig::build_trace`]).
+    pub trace: SolarTrace,
+    /// The event arrivals ([`ExperimentConfig::build_events`]).
+    pub events: Vec<Event>,
+    /// Energy the trace offers over its whole duration, in millijoules: the
+    /// `E_total` denominator of the IEpmJ metric.
+    pub total_harvestable_mj: f64,
 }
 
 impl ExperimentConfig {
@@ -135,11 +148,17 @@ impl ExperimentConfig {
     /// Returns [`CoreError::InvalidConfig`] for nonsensical values (no events,
     /// non-positive durations or capacities, thresholds outside `[0, 1]`), for
     /// a trace duration, capacity, initial energy, peak power or cluster
-    /// centre or spread that is not finite, and for a trace duration above
-    /// [`MAX_DURATION_S`].
+    /// centre or spread that is not finite, for a trace duration above
+    /// [`MAX_DURATION_S`] and for more than [`MAX_EVENTS`] events.
     pub fn validate(&self) -> Result<()> {
         if self.num_events == 0 {
             return Err(CoreError::InvalidConfig("num_events must be non-zero".into()));
+        }
+        if self.num_events > MAX_EVENTS {
+            return Err(CoreError::InvalidConfig(format!(
+                "num_events must be at most {MAX_EVENTS}, got {}",
+                self.num_events
+            )));
         }
         // Only a clustered distribution has parameters; the others check 0.0.
         let (center, spread) = match self.event_distribution {
@@ -211,9 +230,18 @@ impl ExperimentConfig {
             .with_initial_level(self.initial_energy_mj)
     }
 
-    /// Builds a harvesting simulator over a fresh trace and storage.
-    pub fn build_harvest_simulator(&self) -> HarvestSimulator {
-        HarvestSimulator::new(Box::new(self.build_trace()), self.build_storage())
+    /// Builds a harvesting simulator over `trace` and a fresh storage.
+    pub fn build_harvest_simulator(&self, trace: SolarTrace) -> HarvestSimulator {
+        HarvestSimulator::new(Box::new(trace), self.build_storage())
+    }
+
+    /// Builds what every replay of the config reads and none changes: the
+    /// solar trace, the event arrivals and `E_total`, the trace's energy
+    /// over its whole duration. Call it after [`Self::validate`] passes.
+    pub fn replay_inputs(&self) -> ReplayInputs {
+        let trace = self.build_trace();
+        let total_harvestable_mj = trace.energy_mj(0.0, self.trace_duration_s);
+        ReplayInputs { trace, events: self.build_events(), total_harvestable_mj }
     }
 
     /// Builds the power-cut injector of [`Self::fault`] in its initial
@@ -228,14 +256,6 @@ impl ExperimentConfig {
     /// The cost model of the configured device.
     pub fn cost_model(&self) -> CostModel {
         CostModel::for_device(&self.device)
-    }
-
-    /// Total energy the trace offers over its full duration, in millijoules
-    /// (the `E_total` denominator of the IEpmJ metric).
-    pub fn total_harvestable_mj(&self) -> f64 {
-        use ie_energy::PowerTrace;
-        let trace = self.build_trace();
-        trace.energy_mj(0.0, self.trace_duration_s)
     }
 }
 
@@ -271,7 +291,7 @@ mod tests {
         let mut c = ExperimentConfig::paper_default();
         c.fault = Some(FaultConfig { seed: 1, cut_probability: 1.5, max_cuts: 4 });
         assert!(c.validate().is_err());
-        c.fault = Some(FaultConfig::from_seed(1));
+        c.fault = Some(FaultConfig { seed: 1, cut_probability: 0.1, max_cuts: 64 });
         c.validate().unwrap();
     }
 
@@ -324,6 +344,17 @@ mod tests {
     }
 
     #[test]
+    fn event_counts_above_the_bound_are_rejected() {
+        let with_events = |n| ExperimentConfig { num_events: n, ..ExperimentConfig::small_test() };
+        with_events(MAX_EVENTS).validate().unwrap();
+        for n in [MAX_EVENTS + 1, 1 << 40, usize::MAX] {
+            let message = with_events(n).validate().unwrap_err().to_string();
+            assert!(message.contains("num_events") && message.contains("1048576"));
+            assert_rejected(with_events(n));
+        }
+    }
+
+    #[test]
     fn nan_initial_energy_is_rejected() {
         assert_rejected(ExperimentConfig {
             initial_energy_mj: f64::NAN,
@@ -363,6 +394,9 @@ mod tests {
         assert_eq!(c.build_events(), c.build_events());
         assert_eq!(c.build_trace().samples(), c.build_trace().samples());
         assert_eq!(c.build_events().len(), 500);
+        let inputs = c.replay_inputs();
+        assert_eq!(inputs, c.replay_inputs());
+        assert_eq!((inputs.trace, inputs.events), (c.build_trace(), c.build_events()));
     }
 
     #[test]
@@ -371,7 +405,7 @@ mod tests {
         // full-network inferences. Full exit-3 inference ≈ 2.3 mJ; 500 of them
         // would need >1 J while the trace offers a few hundred mJ.
         let c = ExperimentConfig::paper_default();
-        let total = c.total_harvestable_mj();
+        let total = c.replay_inputs().total_harvestable_mj;
         let full_inference_mj = c.cost_model().inference_energy_mj(c.architecture.exit_flops()[2]);
         assert!(total > 50.0, "trace offers a usable budget: {total} mJ");
         assert!(

@@ -144,12 +144,6 @@ impl DeployedModel {
         self.profile.exit_accuracy.clone()
     }
 
-    /// The cheapest exit's energy cost (mJ) — the minimum energy needed to
-    /// produce *any* result for an event.
-    pub fn min_exit_energy_mj(&self) -> f64 {
-        self.exit_energies_mj().into_iter().fold(f64::INFINITY, f64::min)
-    }
-
     /// Additional FLOPs to continue from `from_exit` to the deeper `to_exit`.
     ///
     /// # Errors
@@ -252,7 +246,6 @@ mod tests {
             assert!(compressed.exit_accuracy(e) <= reference.exit_accuracy(e));
             assert!(compressed.exit_latency_s(e) < reference.exit_latency_s(e));
         }
-        assert!(compressed.min_exit_energy_mj() <= compressed.exit_energy_mj(0));
     }
 
     #[test]

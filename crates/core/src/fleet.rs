@@ -34,10 +34,11 @@
 use crate::metrics::{EventOutcome, RecoveryStats};
 use crate::policies::{FixedExitPolicy, GreedyAffordablePolicy, ReserveMarginPolicy};
 use crate::replay::Device;
-use crate::{CoreError, DeployedModel, ExitPolicy, Result, MAX_DURATION_S};
+use crate::{CoreError, DeployedModel, ExitPolicy, Result, MAX_DURATION_S, MAX_EVENTS};
 use ie_energy::{
     fork_rng, fork_seed, wrap_time, EnergyStorage, EventDistribution, EventGenerator,
-    HarvestSimulator, KineticBurstTrace, PowerTrace, SolarTrace, StochasticArrivalTrace,
+    HarvestSimulator, KineticBurstTrace, PowerTrace, SolarTrace, SolarTraceBuilder,
+    StochasticArrivalTrace,
 };
 use ie_mcu::{FaultInjector, FaultPlan};
 use ie_nn::train::{run_sharded, MAX_WORKERS};
@@ -53,6 +54,9 @@ const PURPOSE_EVENTS: u64 = 2;
 const PURPOSE_SIM: u64 = 3;
 /// Purpose component: the fault-injection schedule.
 const PURPOSE_FAULT: u64 = 4;
+
+/// Length of the diurnal solar day a device's window is cut from, seconds.
+const DAY_S: f64 = 24.0 * 3600.0;
 
 /// Fixed number of exit slots in the accumulator (covers any model the repo
 /// builds; unused slots stay zero).
@@ -121,16 +125,22 @@ impl FleetConfig {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] for an empty fleet, a zero
-    /// event count or worker count, more than [`MAX_WORKERS`] workers, a
-    /// window that is not positive and finite or is longer than
-    /// [`MAX_DURATION_S`], a fault fraction outside `[0, 1]`, or a probe id
-    /// outside the fleet.
+    /// event count or worker count, more than [`MAX_EVENTS`] events per
+    /// device or [`MAX_WORKERS`] workers, a window that is not positive and
+    /// finite or is longer than [`MAX_DURATION_S`], a fault fraction outside
+    /// `[0, 1]`, or a probe id outside the fleet.
     pub fn validate(&self) -> Result<()> {
         if self.num_devices == 0 {
             return Err(CoreError::InvalidConfig("fleet needs at least one device".into()));
         }
         if self.events_per_device == 0 {
             return Err(CoreError::InvalidConfig("devices need at least one event".into()));
+        }
+        if self.events_per_device > MAX_EVENTS {
+            return Err(CoreError::InvalidConfig(format!(
+                "events_per_device must be at most {MAX_EVENTS}, got {}",
+                self.events_per_device
+            )));
         }
         if !(self.device_duration_s.is_finite() && self.device_duration_s > 0.0) {
             return Err(CoreError::InvalidConfig(
@@ -270,20 +280,51 @@ impl DeviceSpec {
     }
 }
 
-/// A daylight slice of a full-day trace: the device's short window maps onto
-/// `[offset, offset + window)` of the inner trace, so a 30-minute fleet
+/// A daylight slice of a full-day solar trace: the device's short window
+/// maps onto `[offset, offset + window)` of the day, so a 30-minute fleet
 /// window can sample midday sun instead of the midnight start of the raw
-/// diurnal profile.
+/// diurnal profile. Only the minutes the window reads are built.
 #[derive(Debug)]
 struct WindowedTrace {
-    inner: SolarTrace,
+    /// The day's samples from `first_minute` on.
+    minutes: Vec<f64>,
+    first_minute: usize,
+    /// Samples in the whole day, which [`SolarTrace::minute_index`] clamps to.
+    day_minutes: usize,
     offset_s: f64,
     window_s: f64,
 }
 
+impl WindowedTrace {
+    /// Windows the day `day` builds. A window that ends before midnight
+    /// reads only the minutes from its start's to its end's: a time in
+    /// `[0, window]` maps to `offset` plus at most `window`, and the minute
+    /// index never falls as the time grows within the day. A window that
+    /// reaches midnight wraps onto the morning, so it builds the whole day.
+    fn new(day: SolarTraceBuilder, offset_s: f64, window_s: f64) -> Self {
+        let day_minutes = day.minute_count();
+        let read = if offset_s >= 0.0 && offset_s + window_s < DAY_S {
+            let minute = |t_s| SolarTrace::minute_index(t_s, DAY_S, day_minutes);
+            minute(offset_s)..minute(offset_s + window_s) + 1
+        } else {
+            0..day_minutes
+        };
+        WindowedTrace {
+            first_minute: read.start,
+            minutes: day.build_minutes(read),
+            day_minutes,
+            offset_s,
+            window_s,
+        }
+    }
+}
+
 impl PowerTrace for WindowedTrace {
     fn power_mw(&self, t_s: f64) -> f64 {
-        self.inner.power_mw(self.offset_s + wrap_time(t_s, self.window_s))
+        // Every finite time lands in the kept minutes (see `new`); the
+        // harvester only asks for finite ones.
+        let t = self.offset_s + wrap_time(t_s, self.window_s);
+        self.minutes[SolarTrace::minute_index(t, DAY_S, self.day_minutes) - self.first_minute]
     }
 
     fn duration_s(&self) -> f64 {
@@ -678,12 +719,12 @@ impl FleetSimulator {
                 let day = SolarTrace::builder()
                     .seed(seed)
                     .peak_power_mw(0.02 * spec.harvest_scale)
-                    .build();
-                Box::new(WindowedTrace {
-                    inner: day,
-                    offset_s: spec.solar_offset_fraction * 24.0 * 3600.0,
-                    window_s: duration,
-                })
+                    .duration_s(DAY_S);
+                Box::new(WindowedTrace::new(
+                    day,
+                    spec.solar_offset_fraction * 24.0 * 3600.0,
+                    duration,
+                ))
             }
             TraceKind::Kinetic => {
                 Box::new(KineticBurstTrace::new(duration, 0.02, 0.4 * spec.harvest_scale, seed))
@@ -788,6 +829,7 @@ impl FleetSimulator {
 mod tests {
     use super::*;
     use crate::ExperimentConfig;
+    use proptest::prelude::*;
 
     fn model() -> DeployedModel {
         DeployedModel::uncompressed_reference(&ExperimentConfig::paper_default()).unwrap()
@@ -797,6 +839,98 @@ mod tests {
         let mut c = FleetConfig::new(96, 2026);
         c.threads = 3;
         c
+    }
+
+    /// A solar window over the whole day, built in full: the oracle of
+    /// [`WindowedTrace`], which builds only the minutes it reads.
+    #[derive(Debug)]
+    struct FullDayWindow {
+        inner: SolarTrace,
+        offset_s: f64,
+        window_s: f64,
+    }
+
+    impl PowerTrace for FullDayWindow {
+        fn power_mw(&self, t_s: f64) -> f64 {
+            self.inner.power_mw(self.offset_s + wrap_time(t_s, self.window_s))
+        }
+
+        fn duration_s(&self) -> f64 {
+            self.window_s
+        }
+    }
+
+    /// A solar device's trace, windowed from the whole day.
+    fn full_day_window(config: &FleetConfig, spec: &DeviceSpec) -> FullDayWindow {
+        let seed = fork_seed(config.master_seed, &[spec.device_id, PURPOSE_TRACE]);
+        FullDayWindow {
+            inner: SolarTrace::builder()
+                .seed(seed)
+                .peak_power_mw(0.02 * spec.harvest_scale)
+                .build(),
+            offset_s: spec.solar_offset_fraction * 24.0 * 3600.0,
+            window_s: config.device_duration_s,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// A solar device's trace reads, bit for bit, what the full-day
+        /// window reads: the power at every whole second of the window and
+        /// at random fractional times (some before it or past its end), and
+        /// the energy over random intervals. Windows run from 1 s to about
+        /// 3.7 days, so many reach midnight and build the whole day.
+        #[test]
+        fn solar_windows_match_the_full_day_oracle_bit_for_bit(
+            master in any::<u64>(),
+            log10_window in 0.0f64..5.5,
+            from_device in 0u64..1 << 40,
+            times in proptest::collection::vec(-1.0f64..2.0, 64),
+        ) {
+            let config = FleetConfig {
+                device_duration_s: 10f64.powf(log10_window),
+                ..FleetConfig::new(1 << 41, master)
+            };
+            let spec = (from_device..)
+                .map(|id| DeviceSpec::derive(&config, id))
+                .find(|spec| spec.trace_kind == TraceKind::Solar)
+                .expect("about a third of the devices are solar");
+            let trace = FleetSimulator::new(&config).build_trace(&spec);
+            let oracle = full_day_window(&config, &spec);
+            let window = config.device_duration_s;
+            prop_assert_eq!(trace.duration_s().to_bits(), window.to_bits());
+            let power = |t: f64| (trace.power_mw(t).to_bits(), oracle.power_mw(t).to_bits());
+            for second in 0..=window as u64 {
+                let (got, want) = power(second as f64);
+                prop_assert_eq!(got, want, "second {}", second);
+            }
+            for &fraction in &times {
+                let (got, want) = power(fraction * window);
+                prop_assert_eq!(got, want, "t = {}", fraction * window);
+            }
+            for pair in times.chunks(2).take(8) {
+                let t0 = pair[0] * window;
+                let t1 = t0 + pair[1].abs().min(1.0) * window.min(20_000.0);
+                let (got, want) = (trace.energy_mj(t0, t1), oracle.energy_mj(t0, t1));
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "[{}, {}]", t0, t1);
+            }
+        }
+    }
+
+    #[test]
+    fn a_solar_window_builds_only_the_minutes_it_reads() {
+        let day = || SolarTrace::builder().seed(5);
+        // 06:00 to 06:30 reads minutes 360 to 390; 06:00:30 to 06:30:30 too.
+        for offset in [21_600.0, 21_630.0] {
+            let w = WindowedTrace::new(day(), offset, 1_800.0);
+            assert_eq!((w.first_minute, w.minutes.len()), (360, 31));
+        }
+        // A window that reaches midnight wraps onto the morning.
+        for (offset, window) in [(84_600.0, 1_800.0), (56_000.0, 40_000.0), (0.0, 86_400.0)] {
+            let w = WindowedTrace::new(day(), offset, window);
+            assert_eq!((w.first_minute, w.minutes.len()), (0, 1441));
+        }
     }
 
     #[test]
@@ -1005,6 +1139,21 @@ mod tests {
             let message = with_window(duration).validate().unwrap_err().to_string();
             assert!(message.contains("device_duration_s") && message.contains("31622400"));
             assert_window_rejected(duration);
+        }
+    }
+
+    #[test]
+    fn event_counts_above_the_bound_are_rejected() {
+        let m = model();
+        let with_events = |n| FleetConfig { events_per_device: n, ..FleetConfig::new(4, 1) };
+        with_events(MAX_EVENTS).validate().unwrap();
+        for n in [MAX_EVENTS + 1, 1 << 40, usize::MAX] {
+            let config = with_events(n);
+            let message = config.validate().unwrap_err().to_string();
+            assert!(message.contains("events_per_device") && message.contains("1048576"));
+            let sim = FleetSimulator::new(&config);
+            assert!(matches!(sim.run(&m), Err(CoreError::InvalidConfig(_))));
+            assert!(matches!(sim.replay_device(&m, 0), Err(CoreError::InvalidConfig(_))));
         }
     }
 

@@ -49,7 +49,7 @@ mod policy;
 mod replay;
 mod simulator;
 
-pub use config::{ExperimentConfig, FaultConfig, MAX_DURATION_S};
+pub use config::{ExperimentConfig, FaultConfig, ReplayInputs, MAX_DURATION_S, MAX_EVENTS};
 pub use deployed::DeployedModel;
 pub use error::CoreError;
 pub use fleet::{FleetAccumulator, FleetConfig, FleetReport, FleetSimulator};

@@ -1,8 +1,9 @@
 use crate::metrics::{RecoveryStats, SimulationReport};
 use crate::replay::Device;
-use crate::{CoreError, DeployedModel, ExitPolicy, ExperimentConfig, Result};
+use crate::{CoreError, DeployedModel, ExitPolicy, ExperimentConfig, ReplayInputs, Result};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::OnceLock;
 
 /// Replays the configured event sequence over the configured power trace,
 /// letting an [`ExitPolicy`] decide how each event is handled, and produces a
@@ -14,15 +15,21 @@ use rand::SeedableRng;
 /// sampled so that wrong answers tend to look less confident, which is what
 /// makes entropy-triggered incremental inference useful. The replay loop and
 /// the inference step are the ones [`crate::FleetSimulator`] runs per device.
+///
+/// The first run that passes validation builds the trace, the events and
+/// `E_total` ([`ExperimentConfig::replay_inputs`]); every run replays a copy
+/// of them, so a simulator reused across models and policies builds them
+/// once.
 #[derive(Debug, Clone)]
 pub struct EventLoopSimulator {
     config: ExperimentConfig,
+    inputs: OnceLock<ReplayInputs>,
 }
 
 impl EventLoopSimulator {
     /// Creates a simulator for the given experiment configuration.
     pub fn new(config: &ExperimentConfig) -> Self {
-        EventLoopSimulator { config: config.clone() }
+        EventLoopSimulator { config: config.clone(), inputs: OnceLock::new() }
     }
 
     /// The experiment configuration.
@@ -85,9 +92,10 @@ impl EventLoopSimulator {
         }
         let c = &self.config;
         c.validate()?;
+        let inputs = self.inputs.get_or_init(|| c.replay_inputs());
         let device = Device {
-            harvest: c.build_harvest_simulator(),
-            events: c.build_events(),
+            harvest: c.build_harvest_simulator(inputs.trace.clone()),
+            events: inputs.events.clone(),
             rng: StdRng::seed_from_u64(c.simulation_seed),
             faults: c.fault_injector(),
             continuation_threshold: c.incremental_enabled.then_some(c.confidence_threshold),
@@ -98,7 +106,7 @@ impl EventLoopSimulator {
             records.push(record);
             recovery.absorb(&cut);
         })?;
-        Ok(SimulationReport::from_records(records, model.num_exits(), c.total_harvestable_mj())
+        Ok(SimulationReport::from_records(records, model.num_exits(), inputs.total_harvestable_mj)
             .with_recovery(recovery))
     }
 }
@@ -407,7 +415,7 @@ mod tests {
         let model = DeployedModel::uncompressed_reference(&c).unwrap();
         let mut recorder = Recorder(Vec::new());
         EventLoopSimulator::new(&c).run(&model, &mut recorder).unwrap();
-        let mut harvest = c.build_harvest_simulator();
+        let mut harvest = c.build_harvest_simulator(c.build_trace());
         let want: Vec<u64> = c
             .build_events()
             .iter()
@@ -419,6 +427,50 @@ mod tests {
         let got: Vec<u64> = recorder.0.iter().map(|e| e.to_bits()).collect();
         assert_eq!(got, want);
         assert!(recorder.0.iter().any(|&e| e > 0.0), "daytime events see a positive value");
+    }
+
+    #[test]
+    fn a_reused_simulator_reports_what_a_fresh_one_does() {
+        // The first run builds the trace, the events and E_total, and every
+        // run replays copies of them: whatever ran before, a reused
+        // simulator's report is a fresh simulator's, bit for bit.
+        let faulted =
+            ExperimentConfig { fault: faults(5, 0.3, 20), ..ExperimentConfig::paper_default() };
+        for c in [config(), faulted] {
+            let halved: ie_compress::CompressionPolicy = c
+                .architecture
+                .compressible_layers()
+                .iter()
+                .map(|_| ie_compress::LayerPolicy::new(0.5, 4, 8).unwrap())
+                .collect();
+            let models = [
+                DeployedModel::uncompressed_reference(&c).unwrap(),
+                DeployedModel::from_policy(&c, &halved).unwrap(),
+            ];
+            let policies: [fn() -> Box<dyn ExitPolicy>; 4] = [
+                || Box::new(GreedyAffordablePolicy::new()),
+                || Box::new(FixedExitPolicy::new(2)),
+                || Box::new(ReserveMarginPolicy::new(0.3)),
+                || Box::new(Eager(GreedyAffordablePolicy::new())),
+            ];
+            let reused = EventLoopSimulator::new(&c);
+            for round in 0..2 {
+                for (m, model) in models.iter().enumerate() {
+                    for (p, policy) in policies.iter().enumerate() {
+                        for window in [1, 5] {
+                            let got = reused.run_batched(model, policy().as_mut(), window);
+                            let fresh = EventLoopSimulator::new(&c);
+                            let want = fresh.run_batched(model, policy().as_mut(), window);
+                            assert_eq!(
+                                format!("{:?}", got.unwrap()),
+                                format!("{:?}", want.unwrap()),
+                                "round {round}, model {m}, policy {p}, window {window}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

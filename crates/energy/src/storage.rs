@@ -80,11 +80,6 @@ impl EnergyStorage {
         self.level_mj
     }
 
-    /// Stored energy as a fraction of the capacity, in `[0, 1]`.
-    pub fn level_fraction(&self) -> f64 {
-        self.level_mj / self.capacity_mj
-    }
-
     /// The charging efficiency applied to harvested energy.
     pub fn charge_efficiency(&self) -> f64 {
         self.charge_efficiency
@@ -175,7 +170,6 @@ mod tests {
         // Overfill: only 8 mJ of room remain.
         assert_eq!(s.harvest(100.0), 8.0);
         assert_eq!(s.level_mj(), 10.0);
-        assert_eq!(s.level_fraction(), 1.0);
         assert_eq!(s.harvest(-3.0), 0.0);
     }
 

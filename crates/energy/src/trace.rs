@@ -3,6 +3,7 @@
 use crate::{EnergyError, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 
 /// Wraps `t_s` onto a trace of length `duration_s`. The result is bit for bit
 /// `t_s.rem_euclid(duration_s)` for every input, but the `fmod` call behind
@@ -167,18 +168,42 @@ impl SolarTraceBuilder {
         self
     }
 
+    /// Number of per-minute samples the trace holds: one per started minute
+    /// of the duration, plus one.
+    pub fn minute_count(&self) -> usize {
+        (self.duration_s / 60.0).ceil() as usize + 1
+    }
+
     /// Builds the trace by sampling the cloud/noise processes once per minute.
     pub fn build(self) -> SolarTrace {
-        let minutes = (self.duration_s / 60.0).ceil() as usize + 1;
+        SolarTrace {
+            samples: self.build_minutes(0..self.minute_count()),
+            duration_s: self.duration_s,
+        }
+    }
+
+    /// Builds only the samples of `minutes`, bit for bit
+    /// `build().samples()[minutes]`; a range past the last minute stops
+    /// there. Every earlier minute still draws its random values, so the
+    /// cloud state and each kept minute's noise are the full build's, but
+    /// nothing is computed or stored for it.
+    // Inlined so that `build`'s constant start folds the skip loop away: an
+    // out-of-line call made the full day about 1 % slower.
+    #[inline]
+    pub fn build_minutes(&self, minutes: Range<usize>) -> Vec<f64> {
+        let end = minutes.end.min(self.minute_count());
+        if minutes.start >= end {
+            return Vec::new();
+        }
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut samples = Vec::with_capacity(minutes);
         let mut clouded = false;
-        for m in 0..minutes {
-            // Cloud state persists with some stickiness so overcast periods last
-            // several minutes rather than flickering every sample.
-            if rng.gen::<f64>() < 0.2 {
-                clouded = rng.gen::<f64>() < self.cloud_probability;
-            }
+        for _ in 0..minutes.start {
+            clouded = self.next_cloud(&mut rng, clouded);
+            rng.gen::<f64>(); // the skipped minute's noise
+        }
+        let mut samples = Vec::with_capacity(end - minutes.start);
+        for m in minutes.start..end {
+            clouded = self.next_cloud(&mut rng, clouded);
             let t = m as f64 * 60.0;
             // Diurnal clear-sky irradiance: half-sine over the middle of the day,
             // zero at night (first and last quarter of the 24 h cycle).
@@ -193,7 +218,18 @@ impl SolarTraceBuilder {
             let noise = 1.0 + self.noise_fraction * (rng.gen::<f64>() * 2.0 - 1.0);
             samples.push((self.peak_power_mw * clear * cloud_factor * noise).max(0.0));
         }
-        SolarTrace { samples, duration_s: self.duration_s }
+        samples
+    }
+
+    /// The next minute's cloud state. It persists with some stickiness so
+    /// overcast periods last several minutes rather than flickering every
+    /// sample.
+    fn next_cloud(&self, rng: &mut StdRng, clouded: bool) -> bool {
+        if rng.gen::<f64>() < 0.2 {
+            rng.gen::<f64>() < self.cloud_probability
+        } else {
+            clouded
+        }
     }
 }
 
@@ -218,6 +254,14 @@ impl SolarTrace {
     pub fn samples(&self) -> &[f64] {
         &self.samples
     }
+
+    /// The sample that a trace of `minutes` samples over `duration_s` reads
+    /// at `t_s`: the minute of the wrapped time, clamped to the last sample.
+    /// `minutes` must be positive.
+    #[inline]
+    pub fn minute_index(t_s: f64, duration_s: f64, minutes: usize) -> usize {
+        ((wrap_time(t_s, duration_s) / 60.0) as usize).min(minutes - 1)
+    }
 }
 
 impl PowerTrace for SolarTrace {
@@ -225,9 +269,7 @@ impl PowerTrace for SolarTrace {
         if self.samples.is_empty() || self.duration_s <= 0.0 {
             return 0.0;
         }
-        let t = wrap_time(t_s, self.duration_s);
-        let idx = ((t / 60.0) as usize).min(self.samples.len() - 1);
-        self.samples[idx]
+        self.samples[Self::minute_index(t_s, self.duration_s, self.samples.len())]
     }
 
     fn duration_s(&self) -> f64 {

@@ -401,4 +401,41 @@ proptest! {
         prop_assert!(daily >= 0.0);
         prop_assert!((trace.mean_power_mw() - daily / trace.duration_s()).abs() < 1e-9);
     }
+
+    /// A minute-range build holds exactly the full build's samples of those
+    /// minutes: the skipped minutes draw what the full build draws, so the
+    /// cloud state and the noise of every kept minute match bit for bit.
+    /// The ranges cover the empty range, one minute, the first and the last
+    /// minute, the whole trace, an arbitrary span and one that runs past the
+    /// end.
+    #[test]
+    fn minute_range_build_matches_the_full_build_bit_for_bit(
+        seed in any::<u64>(),
+        peak in 0.001f64..5.0,
+        cloud_probability in 0.0f64..1.0,
+        cloud_attenuation in 0.0f64..1.0,
+        noise in 0.0f64..1.5,
+        whole_day in proptest::bool::ANY,
+        duration in 60.0f64..200_000.0,
+        (a, b) in (0.0f64..1.0, 0.0f64..1.0),
+    ) {
+        let duration = if whole_day { 86_400.0 } else { duration };
+        let builder = SolarTrace::builder()
+            .seed(seed)
+            .peak_power_mw(peak)
+            .cloud_probability(cloud_probability)
+            .cloud_attenuation(cloud_attenuation)
+            .noise_fraction(noise)
+            .duration_s(duration);
+        let full = builder.clone().build();
+        let n = full.samples().len();
+        prop_assert_eq!(n, builder.minute_count());
+        let (lo, hi) = ((a.min(b) * n as f64) as usize, (a.max(b) * n as f64) as usize);
+        let bits = |samples: &[f64]| samples.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        for range in [lo..lo, lo..lo + 1, 0..1, n - 1..n, 0..n, lo..hi] {
+            let want = bits(&full.samples()[range.clone()]);
+            prop_assert_eq!(bits(&builder.build_minutes(range.clone())), want, "{:?}", range);
+        }
+        prop_assert_eq!(bits(&builder.build_minutes(lo..n + 3)), bits(&full.samples()[lo..]));
+    }
 }

@@ -44,7 +44,8 @@ pub struct PolicyOutcome {
 /// EH power trace and event distribution and produces the exit-guided rewards.
 #[derive(Debug)]
 pub struct CompressionEnv {
-    config: ExperimentConfig,
+    /// The replay every evaluation runs, which builds its inputs once.
+    simulator: EventLoopSimulator,
     evaluator: PolicyEvaluator,
     layers: Vec<CompressibleLayer>,
     reward_mode: RewardMode,
@@ -67,7 +68,7 @@ impl CompressionEnv {
         );
         let layers = config.architecture.compressible_layers();
         Ok(CompressionEnv {
-            config: config.clone(),
+            simulator: EventLoopSimulator::new(config),
             evaluator,
             layers,
             reward_mode,
@@ -85,7 +86,7 @@ impl CompressionEnv {
 
     /// The experiment configuration.
     pub fn config(&self) -> &ExperimentConfig {
-        &self.config
+        self.simulator.config()
     }
 
     /// The compressible layers in canonical order.
@@ -100,7 +101,7 @@ impl CompressionEnv {
 
     /// Number of exits.
     pub fn num_exits(&self) -> usize {
-        self.config.architecture.num_exits()
+        self.config().architecture.num_exits()
     }
 
     /// The reward mode in use.
@@ -122,9 +123,10 @@ impl CompressionEnv {
         // estimators such as this environment's calibrated model fall back
         // to the plain path. Results are identical either way.
         let profile = self.evaluator.evaluate_batched(&snapped)?;
-        let model = DeployedModel::new(profile.clone(), self.config.cost_model());
+        let config = self.config();
+        let model = DeployedModel::new(profile.clone(), config.cost_model());
         let mut selection_policy = GreedyAffordablePolicy::new();
-        let report = EventLoopSimulator::new(&self.config).run(&model, &mut selection_policy)?;
+        let report = self.simulator.run(&model, &mut selection_policy)?;
         let exit_fractions = report.exit_fractions();
         let missed_fraction = report.missed_fraction();
 
@@ -135,8 +137,8 @@ impl CompressionEnv {
             }
         };
 
-        let flops_ok = profile.total_flops <= self.config.flops_target;
-        let size_ok = profile.model_size_bytes <= self.config.size_target_bytes;
+        let flops_ok = profile.total_flops <= config.flops_target;
+        let size_ok = profile.model_size_bytes <= config.size_target_bytes;
         let prune_reward =
             if flops_ok { self.lambda_prune * accuracy_reward } else { -self.lambda_prune };
         let quant_reward =
@@ -218,6 +220,20 @@ mod tests {
         // at least as large as the exit-guided reward.
         assert!(b.accuracy_reward >= a.accuracy_reward);
         assert_eq!(exit_guided.reward_mode(), RewardMode::ExitGuided);
+    }
+
+    #[test]
+    fn evaluating_twice_gives_equal_outcomes() {
+        // The first evaluation builds the replay's trace, events and E_total;
+        // later ones reuse them, whichever policy ran in between.
+        let reused = env();
+        let aggressive = aggressive_policy(&reused);
+        let full = CompressionPolicy::full_precision(reused.num_layers());
+        let first = format!("{:?}", reused.evaluate(&aggressive).unwrap());
+        let between = format!("{:?}", reused.evaluate(&full).unwrap());
+        assert_eq!(format!("{:?}", reused.evaluate(&aggressive).unwrap()), first);
+        assert_eq!(format!("{:?}", reused.evaluate(&full).unwrap()), between);
+        assert_eq!(format!("{:?}", env().evaluate(&full).unwrap()), between);
     }
 
     #[test]
