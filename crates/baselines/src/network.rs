@@ -66,11 +66,6 @@ impl BaselineNetwork {
         self.accuracy
     }
 
-    /// Weight storage footprint in bytes.
-    pub fn weight_bytes(&self) -> u64 {
-        self.weight_bytes
-    }
-
     /// Number of tasks the intermittent runtime splits one inference into.
     pub fn num_tasks(&self) -> usize {
         self.num_tasks

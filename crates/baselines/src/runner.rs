@@ -38,11 +38,6 @@ impl BaselineRunner {
         BaselineRunner { cost: CostModel::for_device(&config.device), config: config.clone() }
     }
 
-    /// The experiment configuration.
-    pub fn config(&self) -> &ExperimentConfig {
-        &self.config
-    }
-
     /// Runs the baseline over the full event sequence.
     ///
     /// # Errors

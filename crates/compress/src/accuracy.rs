@@ -21,9 +21,6 @@ use ie_nn::MultiExitNetwork;
 
 /// Maps a compression policy to the accuracy of every exit.
 pub trait ExitAccuracyEstimator {
-    /// Number of exits the estimator covers.
-    fn num_exits(&self) -> usize;
-
     /// Accuracy (fraction in `[0, 1]`) of each exit under `policy`.
     ///
     /// `layers` are the compressible layers of the architecture in canonical
@@ -42,10 +39,11 @@ pub trait ExitAccuracyEstimator {
     /// Batched, sharded variant of [`Self::exit_accuracy`]: estimators that
     /// measure accuracy by actually running a network (the empirical
     /// estimator) stream their calibration set through per-worker
-    /// [`ie_nn::BatchPlan`]s across `threads` threads. Results are identical
-    /// to [`Self::exit_accuracy`] for every `(batch, threads)` combination —
-    /// the batched forward path is bit-identical per sample and the shard
-    /// reduction is order-fixed — so this is purely a throughput knob.
+    /// [`ie_nn::BatchPlan`]s, [`ie_nn::train::DEFAULT_EVAL_BATCH`] samples
+    /// at a time across [`ie_nn::train::eval_threads`] threads. Results are
+    /// identical to [`Self::exit_accuracy`] for every batch size and thread
+    /// count — the batched forward path is bit-identical per sample and the
+    /// shard reduction is order-fixed — so this only changes throughput.
     /// Analytical estimators fall back to the plain path.
     ///
     /// # Errors
@@ -55,31 +53,7 @@ pub trait ExitAccuracyEstimator {
         &self,
         layers: &[CompressibleLayer],
         policy: &CompressionPolicy,
-        batch: usize,
-        threads: usize,
     ) -> Result<Vec<f64>> {
-        let _ = (batch, threads);
-        self.exit_accuracy(layers, policy)
-    }
-
-    /// Integer-execution variant: estimators that run a real network apply
-    /// the policy with [`crate::apply::apply_policy_quantized`] and measure
-    /// accuracy through the quantized plans (i8/i16 GEMM + requantization),
-    /// so the estimate reflects true integer inference — including
-    /// activation quantization, which the fake-quant `f32` round trip does
-    /// not model. Analytical estimators fall back to the plain path.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Self::exit_accuracy`].
-    fn exit_accuracy_quantized(
-        &self,
-        layers: &[CompressibleLayer],
-        policy: &CompressionPolicy,
-        batch: usize,
-        threads: usize,
-    ) -> Result<Vec<f64>> {
-        let _ = (batch, threads);
         self.exit_accuracy(layers, policy)
     }
 }
@@ -124,26 +98,6 @@ impl CalibratedAccuracyModel {
         }
     }
 
-    /// A model with custom per-exit ceilings and default sensitivities — used
-    /// for architectures other than the paper backbone (e.g. the tiny test
-    /// network).
-    pub fn with_ceilings(max_accuracy: Vec<f64>) -> Self {
-        let n = max_accuracy.len();
-        let exit_sensitivity =
-            (0..n).map(|i| 1.25 - 0.35 * i as f64 / (n.max(2) - 1) as f64).collect();
-        CalibratedAccuracyModel {
-            max_accuracy,
-            exit_sensitivity,
-            chance_level: 0.10,
-            ..Self::for_paper_backbone()
-        }
-    }
-
-    /// The full-precision ceiling of each exit.
-    pub fn ceilings(&self) -> &[f64] {
-        &self.max_accuracy
-    }
-
     fn quant_damage(bits: u8) -> f64 {
         if bits >= 8 {
             0.0
@@ -174,18 +128,14 @@ impl CalibratedAccuracyModel {
 }
 
 impl ExitAccuracyEstimator for CalibratedAccuracyModel {
-    fn num_exits(&self) -> usize {
-        self.max_accuracy.len()
-    }
-
     fn exit_accuracy(
         &self,
         layers: &[CompressibleLayer],
         policy: &CompressionPolicy,
     ) -> Result<Vec<f64>> {
         policy.validate(layers.len())?;
-        let mut out = Vec::with_capacity(self.num_exits());
-        for exit in 0..self.num_exits() {
+        let mut out = Vec::with_capacity(self.max_accuracy.len());
+        for exit in 0..self.max_accuracy.len() {
             let members: Vec<(&CompressibleLayer, &crate::LayerPolicy)> =
                 layers.iter().zip(policy.layers()).filter(|(l, _)| l.used_by_exit(exit)).collect();
             let total_macs: f64 = members.iter().map(|(l, _)| l.macs as f64).sum();
@@ -205,26 +155,18 @@ impl ExitAccuracyEstimator for CalibratedAccuracyModel {
     }
 }
 
-/// Calibration budget of the quantized path: activation ranges are observed
-/// on this many evaluation samples (the estimator's first ones) before the
-/// integer plans are built.
-const QUANT_CALIBRATION_SAMPLES: usize = 32;
-
 /// Measures exit accuracy by applying the policy to a real network and
 /// evaluating it on held-out samples.
 ///
 /// The batched path keeps one [`ie_nn::train::BatchPlanPool`] across calls:
 /// compression changes weights but never the architecture, so the per-worker
 /// plans warmed by the first candidate policy serve every later one instead
-/// of being re-allocated per evaluation. The quantized path keeps a
-/// [`ie_nn::train::QuantPlanPool`] the same way — each candidate policy's
-/// weight codes are re-packed into the pooled plans' existing buffers.
+/// of being re-allocated per evaluation.
 #[derive(Debug)]
 pub struct EmpiricalAccuracyEstimator {
     network: MultiExitNetwork,
     samples: Vec<Sample>,
     plan_pool: std::sync::Mutex<ie_nn::train::BatchPlanPool>,
-    quant_plan_pool: std::sync::Mutex<ie_nn::train::QuantPlanPool>,
 }
 
 impl Clone for EmpiricalAccuracyEstimator {
@@ -241,21 +183,11 @@ impl EmpiricalAccuracyEstimator {
             network,
             samples,
             plan_pool: std::sync::Mutex::new(ie_nn::train::BatchPlanPool::new()),
-            quant_plan_pool: std::sync::Mutex::new(ie_nn::train::QuantPlanPool::new()),
         }
-    }
-
-    /// The evaluation samples.
-    pub fn samples(&self) -> &[Sample] {
-        &self.samples
     }
 }
 
 impl ExitAccuracyEstimator for EmpiricalAccuracyEstimator {
-    fn num_exits(&self) -> usize {
-        self.network.num_exits()
-    }
-
     fn exit_accuracy(
         &self,
         layers: &[CompressibleLayer],
@@ -272,8 +204,6 @@ impl ExitAccuracyEstimator for EmpiricalAccuracyEstimator {
         &self,
         layers: &[CompressibleLayer],
         policy: &CompressionPolicy,
-        batch: usize,
-        threads: usize,
     ) -> Result<Vec<f64>> {
         policy.validate(layers.len())?;
         let mut compressed = self.network.clone();
@@ -281,30 +211,11 @@ impl ExitAccuracyEstimator for EmpiricalAccuracyEstimator {
         // A panicked evaluation must not brick the estimator: the pooled
         // plans are plain buffers, safe to reuse after a poisoned lock.
         let mut pool = self.plan_pool.lock().unwrap_or_else(|e| e.into_inner());
-        let accs =
-            ie_nn::train::evaluate_batched(&compressed, &self.samples, batch, threads, &mut pool)?;
-        Ok(accs.into_iter().map(f64::from).collect())
-    }
-
-    fn exit_accuracy_quantized(
-        &self,
-        layers: &[CompressibleLayer],
-        policy: &CompressionPolicy,
-        batch: usize,
-        threads: usize,
-    ) -> Result<Vec<f64>> {
-        policy.validate(layers.len())?;
-        let mut compressed = self.network.clone();
-        let calibration = &self.samples[..self.samples.len().min(QUANT_CALIBRATION_SAMPLES)];
-        let config = crate::apply::apply_policy_quantized(&mut compressed, policy, calibration)?;
-        // As for the batched pool: buffers survive a poisoned lock fine.
-        let mut pool = self.quant_plan_pool.lock().unwrap_or_else(|e| e.into_inner());
-        let accs = ie_nn::train::evaluate_quantized(
+        let accs = ie_nn::train::evaluate_batched(
             &compressed,
-            &config,
             &self.samples,
-            batch,
-            threads,
+            ie_nn::train::DEFAULT_EVAL_BATCH,
+            ie_nn::train::eval_threads(),
             &mut pool,
         )?;
         Ok(accs.into_iter().map(f64::from).collect())
@@ -409,13 +320,6 @@ mod tests {
         let model = CalibratedAccuracyModel::for_paper_backbone();
         let ls = layers();
         assert!(model.exit_accuracy(&ls, &CompressionPolicy::full_precision(2)).is_err());
-    }
-
-    #[test]
-    fn with_ceilings_builds_matching_sensitivities() {
-        let m = CalibratedAccuracyModel::with_ceilings(vec![0.8, 0.9]);
-        assert_eq!(m.num_exits(), 2);
-        assert_eq!(m.ceilings(), &[0.8, 0.9]);
     }
 
     #[test]

@@ -88,11 +88,6 @@ impl PolicyEvaluator {
         &self.layers
     }
 
-    /// Number of exits.
-    pub fn num_exits(&self) -> usize {
-        self.num_exits
-    }
-
     /// Evaluates a policy.
     ///
     /// # Errors
@@ -109,83 +104,19 @@ impl PolicyEvaluator {
     /// Evaluates a policy with the batched, sharded accuracy path: the
     /// estimator streams its calibration set through one
     /// [`ie_nn::BatchPlan`] per worker thread (see
-    /// [`crate::ExitAccuracyEstimator::exit_accuracy_batched`]). Results are
-    /// identical to [`Self::evaluate`] for every batch size and thread count;
-    /// whole-policy scoring just gets cheaper, which is what the compression
-    /// search loop cares about.
-    ///
-    /// Uses the default evaluation batch
-    /// ([`ie_nn::train::DEFAULT_EVAL_BATCH`]) and the environment-driven
-    /// worker count ([`ie_nn::train::eval_threads`], `IE_EVAL_THREADS`).
+    /// [`crate::ExitAccuracyEstimator::exit_accuracy_batched`]), at the
+    /// default evaluation batch ([`ie_nn::train::DEFAULT_EVAL_BATCH`]) and
+    /// the environment-driven worker count ([`ie_nn::train::eval_threads`],
+    /// `IE_EVAL_THREADS`). Results are identical to [`Self::evaluate`] for
+    /// every batch size and thread count; whole-policy scoring just gets
+    /// cheaper, which is what the compression search loop cares about.
     ///
     /// # Errors
     ///
     /// Same failure modes as [`Self::evaluate`].
     pub fn evaluate_batched(&self, policy: &CompressionPolicy) -> Result<CompressedProfile> {
-        self.evaluate_batched_with(
-            policy,
-            ie_nn::train::DEFAULT_EVAL_BATCH,
-            ie_nn::train::eval_threads(),
-        )
-    }
-
-    /// [`Self::evaluate_batched`] with explicit batch size and worker count.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Self::evaluate`].
-    pub fn evaluate_batched_with(
-        &self,
-        policy: &CompressionPolicy,
-        batch: usize,
-        threads: usize,
-    ) -> Result<CompressedProfile> {
         let mut profile = self.account_costs(policy)?;
-        profile.exit_accuracy =
-            self.estimator.exit_accuracy_batched(&self.layers, policy, batch, threads)?;
-        Ok(profile)
-    }
-
-    /// Evaluates a policy with the **integer** execution backend: the
-    /// accuracy estimate comes from running the compressed network through
-    /// the quantized plans (i8/i16 GEMM + requantization epilogues, see
-    /// [`crate::ExitAccuracyEstimator::exit_accuracy_quantized`]), so the
-    /// search's signal reflects MCU-class integer arithmetic — including
-    /// activation quantization, which the fake-quant `f32` round trip of
-    /// [`Self::evaluate`] does not model. Cost accounting (FLOPs/size) is
-    /// identical to the other paths; analytical estimators fall back to the
-    /// plain accuracy model.
-    ///
-    /// Uses the default evaluation batch and the environment-driven worker
-    /// count, like [`Self::evaluate_batched`].
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Self::evaluate`], plus
-    /// [`crate::CompressError::EmptyCalibrationSet`] when an empirical
-    /// estimator has no samples to calibrate on.
-    pub fn evaluate_quantized(&self, policy: &CompressionPolicy) -> Result<CompressedProfile> {
-        self.evaluate_quantized_with(
-            policy,
-            ie_nn::train::DEFAULT_EVAL_BATCH,
-            ie_nn::train::eval_threads(),
-        )
-    }
-
-    /// [`Self::evaluate_quantized`] with explicit batch size and worker count.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Self::evaluate_quantized`].
-    pub fn evaluate_quantized_with(
-        &self,
-        policy: &CompressionPolicy,
-        batch: usize,
-        threads: usize,
-    ) -> Result<CompressedProfile> {
-        let mut profile = self.account_costs(policy)?;
-        profile.exit_accuracy =
-            self.estimator.exit_accuracy_quantized(&self.layers, policy, batch, threads)?;
+        profile.exit_accuracy = self.estimator.exit_accuracy_batched(&self.layers, policy)?;
         Ok(profile)
     }
 
@@ -331,18 +262,13 @@ mod tests {
     }
 
     #[test]
-    fn batched_evaluation_is_identical_for_one_and_four_workers() {
+    fn batched_evaluation_matches_the_single_input_evaluation() {
+        // The worker count (IE_EVAL_THREADS or the machine default) only
+        // changes throughput: `ie_nn::train`'s own tests and
+        // `batch_equivalence.rs` hold the sharded pass at 1 to 6 workers.
         let ev = empirical_tiny_evaluator();
         let policy = CompressionPolicy::uniform(ev.layers().len(), 0.6, 8, 8).unwrap();
-        let plain = ev.evaluate(&policy).unwrap();
-        let one = ev.evaluate_batched_with(&policy, 8, 1).unwrap();
-        let four = ev.evaluate_batched_with(&policy, 8, 4).unwrap();
-        assert_eq!(one, plain, "1 worker must reproduce the single-input evaluation");
-        assert_eq!(four, plain, "4 workers must reproduce the single-input evaluation");
-        // The env-driven default path (IE_EVAL_THREADS or machine default)
-        // lands on the same result as well — the thread count is purely a
-        // throughput knob.
-        assert_eq!(ev.evaluate_batched(&policy).unwrap(), plain);
+        assert_eq!(ev.evaluate_batched(&policy).unwrap(), ev.evaluate(&policy).unwrap());
     }
 
     #[test]
@@ -350,27 +276,5 @@ mod tests {
         let ev = evaluator();
         let policy = CompressionPolicy::uniform(ev.layers().len(), 0.7, 6, 8).unwrap();
         assert_eq!(ev.evaluate_batched(&policy).unwrap(), ev.evaluate(&policy).unwrap());
-        // The integer backend likewise falls back for analytical estimators.
-        assert_eq!(ev.evaluate_quantized(&policy).unwrap(), ev.evaluate(&policy).unwrap());
-    }
-
-    #[test]
-    fn quantized_evaluation_runs_the_integer_backend_deterministically() {
-        let ev = empirical_tiny_evaluator();
-        let policy = CompressionPolicy::uniform(ev.layers().len(), 0.8, 8, 8).unwrap();
-        let one = ev.evaluate_quantized_with(&policy, 8, 1).unwrap();
-        let four = ev.evaluate_quantized_with(&policy, 4, 4).unwrap();
-        assert_eq!(one, four, "batch/thread counts are pure throughput knobs");
-        // Cost accounting is shared with the fake-quant path; only the
-        // accuracy estimate (now true integer inference) may differ.
-        let fake = ev.evaluate(&policy).unwrap();
-        assert_eq!(one.exit_flops, fake.exit_flops);
-        assert_eq!(one.model_size_bytes, fake.model_size_bytes);
-        assert!(one.exit_accuracy.iter().all(|&a| (0.0..=1.0).contains(&a)));
-        // 8-bit integer inference stays close to the fake-quant accuracy on
-        // the tiny network (activation quantization is the only extra error).
-        for (q, f) in one.exit_accuracy.iter().zip(&fake.exit_accuracy) {
-            assert!((q - f).abs() < 0.25, "integer {q} vs fake-quant {f}");
-        }
     }
 }

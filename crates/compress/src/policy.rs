@@ -68,11 +68,6 @@ impl LayerPolicy {
             activation_bits: clamp_bits(self.activation_bits),
         }
     }
-
-    /// Returns `true` when the layer is neither pruned nor quantized.
-    pub fn is_identity(&self) -> bool {
-        self.preserve_ratio >= 1.0 && self.weight_bits >= 32 && self.activation_bits >= 32
-    }
 }
 
 impl Default for LayerPolicy {
@@ -163,22 +158,6 @@ impl CompressionPolicy {
         }
         self.layers.iter().try_for_each(LayerPolicy::validate)
     }
-
-    /// Mean preserve ratio across layers (a coarse summary used in logs).
-    pub fn mean_preserve_ratio(&self) -> f32 {
-        if self.layers.is_empty() {
-            return 1.0;
-        }
-        self.layers.iter().map(|l| l.preserve_ratio).sum::<f32>() / self.layers.len() as f32
-    }
-
-    /// Mean weight bitwidth across layers.
-    pub fn mean_weight_bits(&self) -> f32 {
-        if self.layers.is_empty() {
-            return 32.0;
-        }
-        self.layers.iter().map(|l| l.weight_bits as f32).sum::<f32>() / self.layers.len() as f32
-    }
 }
 
 impl FromIterator<LayerPolicy> for CompressionPolicy {
@@ -198,8 +177,6 @@ mod tests {
         assert!(LayerPolicy::new(1.2, 8, 8).is_err());
         assert!(LayerPolicy::new(0.5, 0, 8).is_err());
         assert!(LayerPolicy::new(0.5, 8, 64).is_err());
-        assert!(LayerPolicy::identity().is_identity());
-        assert!(!LayerPolicy::new(0.5, 8, 8).unwrap().is_identity());
     }
 
     #[test]
@@ -218,11 +195,12 @@ mod tests {
     fn uniform_and_full_precision_constructors() {
         let u = CompressionPolicy::uniform(11, 0.7, 4, 6).unwrap();
         assert_eq!(u.len(), 11);
-        assert!(u.layers().iter().all(|l| l.weight_bits == 4 && l.activation_bits == 6));
-        assert!((u.mean_preserve_ratio() - 0.7).abs() < 1e-6);
+        assert!(u
+            .layers()
+            .iter()
+            .all(|l| l.preserve_ratio == 0.7 && l.weight_bits == 4 && l.activation_bits == 6));
         let fp = CompressionPolicy::full_precision(3);
-        assert!(fp.layers().iter().all(LayerPolicy::is_identity));
-        assert_eq!(fp.mean_weight_bits(), 32.0);
+        assert!(fp.layers().iter().all(|l| *l == LayerPolicy::identity()));
         assert!(CompressionPolicy::uniform(4, 2.0, 4, 4).is_err());
     }
 

@@ -1,11 +1,11 @@
-//! Linear quantization of weights and activations (Eq. 3 of the paper).
+//! Linear quantization of weights (Eq. 3 of the paper).
 //!
 //! Weights are quantized symmetrically into `k`-bit signed integers,
 //! `w' = clamp(round(w / s), −2^{k−1}, 2^{k−1} − 1) · s`, with the scale `s`
 //! chosen to minimise `‖w' − w‖²`. One-bit weights use the two nonzero
 //! levels `{−s, +s}` (a true binary quantizer; exact zeros from pruning stay
-//! zero). Activations (non-negative after ReLU) use the unsigned range
-//! `[0, 2^k − 1]`.
+//! zero). Activations are quantized inside the network's fake-quant and
+//! integer plans (`ie_nn::quant`), from ranges calibrated on samples.
 //!
 //! For bitwidths up to 16 the round trip goes through the **shared** integer
 //! code map [`ie_tensor::weight_code`] — the same function the quantized
@@ -104,34 +104,6 @@ pub fn quantize_weights(weights: &Tensor, bits: u8) -> Quantized {
     }
 }
 
-/// Quantizes a non-negative activation tensor to `bits` bits with the unsigned
-/// range `[0, 2^k − 1]`.
-///
-/// Bitwidths of 32 or more return the tensor unchanged.
-///
-/// # Panics
-///
-/// Panics if `bits` is zero.
-pub fn quantize_activations(activations: &Tensor, bits: u8) -> Quantized {
-    assert!(bits > 0, "bitwidth must be at least 1");
-    if bits >= 32 || activations.is_empty() {
-        return Quantized { values: activations.clone(), scale: 1.0, mse: 0.0 };
-    }
-    let data = activations.as_slice();
-    let max = data.iter().fold(0.0f32, |m, &v| m.max(v));
-    if max <= 0.0 {
-        return Quantized { values: activations.clone(), scale: 1.0, mse: 0.0 };
-    }
-    let hi = 2f32.powi(i32::from(bits)) - 1.0;
-    let initial = max / hi;
-    let (vals, scale, mse) = search_scale(data, initial, |v, s| (v / s).round().clamp(0.0, hi) * s);
-    Quantized {
-        values: Tensor::from_vec(vals, activations.dims()).expect("quantization preserves shape"),
-        scale,
-        mse,
-    }
-}
-
 /// Size in bytes of `params` weights stored at `bits` bits each.
 pub fn storage_bytes(params: u64, bits: u8) -> u64 {
     (params * u64::from(bits)).div_ceil(8)
@@ -213,15 +185,6 @@ mod tests {
         assert_eq!(q.mse, 0.0);
         let z = Tensor::zeros(&[8]);
         assert_eq!(quantize_weights(&z, 4).values, z);
-        assert_eq!(quantize_activations(&z, 4).values, z);
-    }
-
-    #[test]
-    fn activation_quantization_stays_non_negative() {
-        let a = t(&[0.0, 0.1, 0.5, 2.0, 3.7]);
-        let q = quantize_activations(&a, 4);
-        assert!(q.values.as_slice().iter().all(|&v| v >= 0.0));
-        assert!(q.mse < 0.05);
     }
 
     /// The per-candidate search — one full pass, and one allocation, per
@@ -268,22 +231,15 @@ mod tests {
         (out, err / data.len().max(1) as f32)
     }
 
-    /// [`quantize_weights`] (or, with `activations`, [`quantize_activations`])
-    /// through the oracle search, for `1..=31` bits.
-    fn oracle(tensor: &Tensor, bits: u8, activations: bool) -> Quantized {
+    /// [`quantize_weights`] through the oracle search, for `1..=31` bits.
+    fn oracle(tensor: &Tensor, bits: u8) -> Quantized {
         let data = tensor.as_slice();
-        let (max, hi) = if activations {
-            (data.iter().fold(0.0f32, |m, &v| m.max(v)), 2f32.powi(i32::from(bits)) - 1.0)
-        } else {
-            let max_abs = data.iter().fold(0.0f32, |m, &w| m.max(w.abs()));
-            (max_abs, (2f32.powi(i32::from(bits) - 1) - 1.0).max(1.0))
-        };
+        let max = data.iter().fold(0.0f32, |m, &w| m.max(w.abs()));
+        let hi = (2f32.powi(i32::from(bits) - 1) - 1.0).max(1.0);
         if max <= 0.0 {
             return Quantized { values: tensor.clone(), scale: 1.0, mse: 0.0 };
         }
-        let (vals, scale, mse) = if activations {
-            oracle_search(data, max / hi, |d, s| quantize_with_scale(d, s, 0.0, hi))
-        } else if bits <= 16 {
+        let (vals, scale, mse) = if bits <= 16 {
             oracle_search(data, max / hi, |d, s| quantize_codes_with_scale(d, s, bits))
         } else {
             let lo = -2f32.powi(i32::from(bits) - 1);
@@ -340,30 +296,19 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(160))]
 
         /// The one-pass sweep returns the per-candidate search's values,
-        /// scale and mse bit for bit, for every weight and activation width
-        /// the search runs at.
+        /// scale and mse bit for bit, for every weight width the search runs
+        /// at.
         #[test]
         fn one_pass_search_matches_the_per_candidate_oracle(vals in arb_tensor()) {
             let tensor = t(&vals);
             for bits in 1u8..=31 {
-                for activations in [false, true] {
-                    let got = if activations {
-                        quantize_activations(&tensor, bits)
-                    } else {
-                        quantize_weights(&tensor, bits)
-                    };
-                    let want = oracle(&tensor, bits, activations);
-                    let bits_of = |q: &Quantized| -> (Vec<u32>, u32, u32) {
-                        let values = q.values.as_slice().iter().map(|v| v.to_bits()).collect();
-                        (values, q.scale.to_bits(), q.mse.to_bits())
-                    };
-                    prop_assert_eq!(
-                        bits_of(&got),
-                        bits_of(&want),
-                        "{} bits {bits} on {vals:?}",
-                        if activations { "activation" } else { "weight" }
-                    );
-                }
+                let got = quantize_weights(&tensor, bits);
+                let want = oracle(&tensor, bits);
+                let bits_of = |q: &Quantized| -> (Vec<u32>, u32, u32) {
+                    let values = q.values.as_slice().iter().map(|v| v.to_bits()).collect();
+                    (values, q.scale.to_bits(), q.mse.to_bits())
+                };
+                prop_assert_eq!(bits_of(&got), bits_of(&want), "bits {bits} on {vals:?}");
             }
         }
     }

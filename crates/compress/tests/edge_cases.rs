@@ -116,15 +116,3 @@ fn one_bit_weight_quantization_round_trip_is_sane() {
     let q2 = quantize::quantize_weights(&weights, 1);
     assert_eq!(q, q2);
 }
-
-#[test]
-fn one_bit_activation_quantization_stays_unsigned() {
-    let acts = Tensor::from_vec(vec![0.0f32, 0.1, 0.4, 0.75, 1.2, 0.9], &[6]).expect("valid");
-    let q = quantize::quantize_activations(&acts, 1);
-    // Unsigned 1-bit range is {0, s}: nothing may go negative.
-    for &v in q.values.as_slice() {
-        assert!(v >= 0.0, "activation quantization produced a negative value {v}");
-        let on_grid = v == 0.0 || (v - q.scale).abs() < 1e-6;
-        assert!(on_grid, "value {v} is off the unsigned 1-bit grid for scale {}", q.scale);
-    }
-}

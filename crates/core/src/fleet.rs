@@ -634,11 +634,6 @@ impl FleetSimulator {
         FleetSimulator { config: config.clone() }
     }
 
-    /// The fleet configuration.
-    pub fn config(&self) -> &FleetConfig {
-        &self.config
-    }
-
     /// Runs the whole fleet, sharding contiguous device-id ranges across
     /// `config.threads` workers through the shared shard loop
     /// ([`ie_nn::train::run_sharded`]; one worker runs inline). Each worker
@@ -696,7 +691,6 @@ impl FleetSimulator {
     /// a malformed model (as [`Self::run`] does) or an id outside the fleet,
     /// and propagates simulation errors.
     pub fn replay_device(&self, model: &DeployedModel, device_id: u64) -> Result<DeviceOutcome> {
-        self.config.validate()?;
         if device_id >= self.config.num_devices {
             return Err(CoreError::InvalidConfig(format!(
                 "device {device_id} outside fleet of {}",
@@ -747,15 +741,18 @@ impl FleetSimulator {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfig`] for a malformed model
-    /// ([`DeployedModel::validate`]) and propagates energy-accounting errors
-    /// (which indicate a bug — every draw is affordability-checked first).
+    /// Returns [`CoreError::InvalidConfig`] for an invalid configuration
+    /// ([`FleetConfig::validate`]) or a malformed model
+    /// ([`DeployedModel::validate`]), before building anything, and
+    /// propagates energy-accounting errors (which indicate a bug — every draw
+    /// is affordability-checked first).
     pub fn simulate_device_into(
         &self,
         model: &DeployedModel,
         device_id: u64,
         acc: &mut FleetAccumulator,
     ) -> Result<DeviceOutcome> {
+        self.config.validate()?;
         model.validate()?;
         let master = self.config.master_seed;
         let spec = DeviceSpec::derive(&self.config, device_id);
@@ -1139,6 +1136,21 @@ mod tests {
             let message = with_window(duration).validate().unwrap_err().to_string();
             assert!(message.contains("device_duration_s") && message.contains("31622400"));
             assert_window_rejected(duration);
+        }
+    }
+
+    #[test]
+    fn a_single_device_refuses_a_config_that_validate_refuses() {
+        // perfbench and bench_json drive the devices one by one, not through
+        // `run`, so the per-device entry checks the config itself, before it
+        // builds a trace or an event list.
+        let m = model();
+        for n in [MAX_EVENTS + 1, 0] {
+            let config = FleetConfig { events_per_device: n, ..FleetConfig::new(4, 1) };
+            let mut acc = FleetAccumulator::default();
+            let result = FleetSimulator::new(&config).simulate_device_into(&m, 0, &mut acc);
+            assert!(matches!(result, Err(CoreError::InvalidConfig(_))), "{n} events: {result:?}");
+            assert_eq!(acc, FleetAccumulator::default(), "{n} events reached the accumulator");
         }
     }
 

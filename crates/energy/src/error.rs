@@ -22,8 +22,6 @@ pub enum EnergyError {
         /// Requested (earlier) time, seconds.
         requested_s: f64,
     },
-    /// A trace description (CSV text or sample list) could not be parsed.
-    InvalidTrace(String),
 }
 
 impl fmt::Display for EnergyError {
@@ -40,7 +38,6 @@ impl fmt::Display for EnergyError {
                 f,
                 "cannot advance simulator backwards from {current_s:.3} s to {requested_s:.3} s"
             ),
-            EnergyError::InvalidTrace(msg) => write!(f, "invalid power trace: {msg}"),
         }
     }
 }
@@ -57,7 +54,6 @@ mod tests {
             EnergyError::InsufficientEnergy { requested_mj: 5.0, available_mj: 1.0 },
             EnergyError::NegativeAmount { value: -1.0 },
             EnergyError::TimeRegression { current_s: 10.0, requested_s: 5.0 },
-            EnergyError::InvalidTrace("empty".into()),
         ];
         for e in errs {
             assert!(!e.to_string().is_empty());

@@ -45,11 +45,6 @@ impl EventGenerator {
         EventGenerator { distribution, seed }
     }
 
-    /// The configured distribution.
-    pub fn distribution(&self) -> EventDistribution {
-        self.distribution
-    }
-
     /// Generates `count` events over `[0, duration_s)`, sorted by time.
     pub fn generate(&self, count: usize, duration_s: f64) -> Vec<Event> {
         let mut rng = StdRng::seed_from_u64(self.seed);

@@ -4,8 +4,8 @@
 //! models that environment:
 //!
 //! * [`PowerTrace`] — harvested power as a function of time, with a synthetic
-//!   solar (diurnal + cloud noise) generator, constant and kinetic-burst
-//!   profiles, and piecewise traces loaded from samples or CSV text,
+//!   solar (diurnal + cloud noise) generator and constant, kinetic-burst and
+//!   stochastic-arrival profiles,
 //! * [`EnergyStorage`] — the capacitor that buffers harvested energy, with
 //!   charging losses and a hard capacity,
 //! * [`EventGenerator`] — the random "interesting event" arrivals that trigger
@@ -47,8 +47,8 @@ pub use seed::{fork_rng, fork_seed};
 pub use simulator::HarvestSimulator;
 pub use storage::EnergyStorage;
 pub use trace::{
-    wrap_time, ConstantTrace, KineticBurstTrace, PiecewiseTrace, PowerTrace, SolarTrace,
-    SolarTraceBuilder, StochasticArrivalTrace,
+    wrap_time, ConstantTrace, KineticBurstTrace, PowerTrace, SolarTrace, SolarTraceBuilder,
+    StochasticArrivalTrace,
 };
 
 /// Crate-wide result alias.

@@ -1,6 +1,10 @@
 use crate::{EnergyError, EnergyStorage, PowerTrace, Result};
 use std::sync::OnceLock;
 
+/// The window (seconds) over which [`HarvestSimulator::charging_efficiency`]
+/// averages the harvested power.
+const RECENT_WINDOW_S: f64 = 600.0;
+
 /// Combines a [`PowerTrace`] with an [`EnergyStorage`] and tracks simulated
 /// time.
 ///
@@ -16,20 +20,13 @@ pub struct HarvestSimulator {
     trace: Box<dyn PowerTrace>,
     storage: EnergyStorage,
     now_s: f64,
-    recent_window_s: f64,
     peak_power_mw: OnceLock<f64>,
 }
 
 impl HarvestSimulator {
     /// Creates a simulator at time zero.
     pub fn new(trace: Box<dyn PowerTrace>, storage: EnergyStorage) -> Self {
-        HarvestSimulator {
-            trace,
-            storage,
-            now_s: 0.0,
-            recent_window_s: 600.0,
-            peak_power_mw: OnceLock::new(),
-        }
+        HarvestSimulator { trace, storage, now_s: 0.0, peak_power_mw: OnceLock::new() }
     }
 
     /// The trace's peak power, estimated by coarse sampling on first use; it
@@ -44,13 +41,6 @@ impl HarvestSimulator {
             }
             peak.max(1e-9)
         })
-    }
-
-    /// Sets the averaging window (seconds) for the charging-efficiency
-    /// observable.
-    pub fn with_recent_window_s(mut self, window_s: f64) -> Self {
-        self.recent_window_s = window_s.max(1.0);
-        self
     }
 
     /// Current simulated time in seconds.
@@ -124,10 +114,10 @@ impl HarvestSimulator {
     }
 
     /// Charging efficiency observable in `[0, 1]`: mean harvested power over
-    /// the recent window divided by the trace's peak power. The first call
-    /// also estimates that peak (513 trace samples).
+    /// the last 600 s (or since time zero) divided by the trace's peak
+    /// power. The first call also estimates that peak (513 trace samples).
     pub fn charging_efficiency(&self) -> f64 {
-        let t0 = (self.now_s - self.recent_window_s).max(0.0);
+        let t0 = (self.now_s - RECENT_WINDOW_S).max(0.0);
         let window = (self.now_s - t0).max(1e-9);
         let mean = self.trace.energy_mj(t0, self.now_s.max(t0 + 1e-9)) / window;
         (mean / self.peak_power_mw()).clamp(0.0, 1.0)

@@ -80,11 +80,6 @@ impl EnergyStorage {
         self.level_mj
     }
 
-    /// The charging efficiency applied to harvested energy.
-    pub fn charge_efficiency(&self) -> f64 {
-        self.charge_efficiency
-    }
-
     /// Charges harvested energy into the storage, applying the charging
     /// efficiency and discarding whatever exceeds the capacity. Returns the
     /// energy actually stored.

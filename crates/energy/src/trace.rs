@@ -1,6 +1,5 @@
 //! Harvested-power traces.
 
-use crate::{EnergyError, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::ops::Range;
@@ -387,87 +386,6 @@ impl PowerTrace for StochasticArrivalTrace {
     }
 }
 
-/// A trace defined by explicit `(time_s, power_mw)` samples with
-/// piecewise-linear interpolation. Can be parsed from two-column CSV text, so
-/// real measured profiles (e.g. the NREL data) can be dropped in.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PiecewiseTrace {
-    points: Vec<(f64, f64)>,
-}
-
-impl PiecewiseTrace {
-    /// Creates a trace from `(time_s, power_mw)` samples.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EnergyError::InvalidTrace`] when fewer than two points are
-    /// given, times are not strictly increasing, or any power is negative.
-    pub fn from_points(points: Vec<(f64, f64)>) -> Result<Self> {
-        if points.len() < 2 {
-            return Err(EnergyError::InvalidTrace("need at least two samples".into()));
-        }
-        for w in points.windows(2) {
-            if w[1].0 <= w[0].0 {
-                return Err(EnergyError::InvalidTrace("times must be strictly increasing".into()));
-            }
-        }
-        if points.iter().any(|&(_, p)| p < 0.0) {
-            return Err(EnergyError::InvalidTrace("power must be non-negative".into()));
-        }
-        Ok(PiecewiseTrace { points })
-    }
-
-    /// Parses two-column CSV text (`time_s,power_mw`), ignoring empty lines
-    /// and lines starting with `#`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EnergyError::InvalidTrace`] for malformed rows or traces that
-    /// violate [`Self::from_points`]'s requirements.
-    pub fn from_csv(text: &str) -> Result<Self> {
-        let mut points = Vec::new();
-        for (lineno, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut cols = line.split(',');
-            let t = cols.next().and_then(|c| c.trim().parse::<f64>().ok()).ok_or_else(|| {
-                EnergyError::InvalidTrace(format!("bad time on line {}", lineno + 1))
-            })?;
-            let p = cols.next().and_then(|c| c.trim().parse::<f64>().ok()).ok_or_else(|| {
-                EnergyError::InvalidTrace(format!("bad power on line {}", lineno + 1))
-            })?;
-            points.push((t, p));
-        }
-        Self::from_points(points)
-    }
-}
-
-impl PowerTrace for PiecewiseTrace {
-    fn power_mw(&self, t_s: f64) -> f64 {
-        let duration = self.duration_s();
-        let t = if duration > 0.0 { wrap_time(t_s, duration) + self.points[0].0 } else { t_s };
-        if t <= self.points[0].0 {
-            return self.points[0].1;
-        }
-        for w in self.points.windows(2) {
-            let (t0, p0) = w[0];
-            let (t1, p1) = w[1];
-            if t <= t1 {
-                let alpha = (t - t0) / (t1 - t0);
-                return p0 + alpha * (p1 - p0);
-            }
-        }
-        self.points.last().map(|&(_, p)| p).unwrap_or(0.0)
-    }
-
-    fn duration_s(&self) -> f64 {
-        self.points.last().map(|&(t, _)| t).unwrap_or(0.0)
-            - self.points.first().map(|&(t, _)| t).unwrap_or(0.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -588,28 +506,5 @@ mod tests {
     fn stochastic_arrival_trace_wraps_beyond_duration() {
         let t = StochasticArrivalTrace::new(500.0, 10.0, 2.0, 1.0, 7);
         assert_eq!(t.power_mw(500.0 + 42.0).to_bits(), t.power_mw(42.0).to_bits());
-    }
-
-    #[test]
-    fn piecewise_trace_interpolates_linearly() {
-        let t = PiecewiseTrace::from_points(vec![(0.0, 0.0), (10.0, 10.0), (20.0, 0.0)]).unwrap();
-        assert!((t.power_mw(5.0) - 5.0).abs() < 1e-9);
-        assert!((t.power_mw(15.0) - 5.0).abs() < 1e-9);
-        assert_eq!(t.duration_s(), 20.0);
-    }
-
-    #[test]
-    fn piecewise_trace_validates_input() {
-        assert!(PiecewiseTrace::from_points(vec![(0.0, 1.0)]).is_err());
-        assert!(PiecewiseTrace::from_points(vec![(0.0, 1.0), (0.0, 2.0)]).is_err());
-        assert!(PiecewiseTrace::from_points(vec![(0.0, 1.0), (1.0, -2.0)]).is_err());
-    }
-
-    #[test]
-    fn csv_parsing_skips_comments_and_rejects_garbage() {
-        let t = PiecewiseTrace::from_csv("# header\n0,1.0\n\n10,2.0\n20,0.5\n").unwrap();
-        assert_eq!(t.duration_s(), 20.0);
-        assert!(PiecewiseTrace::from_csv("0,abc\n1,2\n").is_err());
-        assert!(PiecewiseTrace::from_csv("justonecolumn\n").is_err());
     }
 }

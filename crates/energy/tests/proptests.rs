@@ -3,7 +3,7 @@
 use ie_energy::test_support::seeded_rng;
 use ie_energy::{
     fork_rng, fork_seed, wrap_time, ConstantTrace, EnergyStorage, EventDistribution,
-    EventGenerator, HarvestSimulator, KineticBurstTrace, PiecewiseTrace, PowerTrace, SolarTrace,
+    EventGenerator, HarvestSimulator, KineticBurstTrace, PowerTrace, SolarTrace,
     StochasticArrivalTrace,
 };
 use proptest::prelude::*;
@@ -31,8 +31,9 @@ fn reference_energy_mj(trace: &dyn PowerTrace, t0_s: f64, t1_s: f64) -> f64 {
 }
 
 /// One trace of every kind: the paper's day-long solar trace (seed 17, peak
-/// 0.012 mW), a short solar trace that wraps at a fractional second, the
-/// fleet's 30-minute kinetic and stochastic traces, and a piecewise trace.
+/// 0.012 mW), a short solar trace that wraps at a fractional second, and the
+/// fleet's 30-minute kinetic and stochastic traces. The solar days start at
+/// midnight, at 0 mW.
 fn oracle_traces() -> Vec<Box<dyn PowerTrace>> {
     vec![
         Box::new(ConstantTrace::new(1.3, 86_400.0)),
@@ -40,18 +41,13 @@ fn oracle_traces() -> Vec<Box<dyn PowerTrace>> {
         Box::new(SolarTrace::builder().seed(5).duration_s(7.0 * 3600.0 + 0.5).build()),
         Box::new(KineticBurstTrace::new(1800.0, 0.3, 0.4, 11)),
         Box::new(StochasticArrivalTrace::new(1800.0, 120.0, 0.5, 3.0, 12)),
-        Box::new(
-            PiecewiseTrace::from_points(vec![(0.0, 0.0), (40_000.0, 2.0), (86_400.0, 0.5)])
-                .expect("valid"),
-        ),
     ]
 }
 
 /// The oracle of the charging efficiency: the simulator's former eager
 /// peak scan (513 samples over the trace, done at construction) and its
-/// efficiency formula over the window that `recent_window_s` sets (600 s,
-/// or the `with_recent_window_s` argument clamped to at least 1 s).
-fn reference_efficiency(trace: &dyn PowerTrace, now_s: f64, recent_window_s: Option<f64>) -> f64 {
+/// efficiency formula over the 600 s window.
+fn reference_efficiency(trace: &dyn PowerTrace, now_s: f64) -> f64 {
     let duration = trace.duration_s().max(1.0);
     let mut peak: f64 = 0.0;
     let samples = 512;
@@ -59,8 +55,7 @@ fn reference_efficiency(trace: &dyn PowerTrace, now_s: f64, recent_window_s: Opt
         peak = peak.max(trace.power_mw(duration * i as f64 / samples as f64));
     }
     let peak = peak.max(1e-9);
-    let recent_window_s = recent_window_s.map_or(600.0, |w| w.max(1.0));
-    let t0 = (now_s - recent_window_s).max(0.0);
+    let t0 = (now_s - 600.0).max(0.0);
     let window = (now_s - t0).max(1e-9);
     let mean = trace.energy_mj(t0, now_s.max(t0 + 1e-9)) / window;
     (mean / peak).clamp(0.0, 1.0)
@@ -113,21 +108,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The lazily estimated peak gives the eager oracle's efficiency bit for
-    /// bit on every trace kind: at t = 0 before any advance, along a random
-    /// advance schedule that runs past the trace's duration, and with the
-    /// default or a custom averaging window.
+    /// bit on every trace kind, one of which starts dark: at t = 0 before any
+    /// advance, and along a random advance schedule that runs past the
+    /// trace's duration.
     #[test]
     fn charging_efficiency_matches_the_eager_oracle_bit_for_bit(
         hops in proptest::collection::vec(0.0f64..0.4, 0..10),
-        custom_window in proptest::option::of(0.0f64..5_000.0),
         past in 1.0f64..3.0,
     ) {
-        for trace in oracle_traces() {
+        let traces = oracle_traces();
+        prop_assert!(traces.iter().any(|t| t.power_mw(0.0) == 0.0), "no trace starts at 0 mW");
+        for trace in traces {
             let d = trace.duration_s();
             let mut sim = HarvestSimulator::new(trace, EnergyStorage::new(10.0, 0.9));
-            if let Some(window) = custom_window {
-                sim = sim.with_recent_window_s(window);
-            }
             let mut times = vec![0.0];
             let mut t = 0.0;
             for hop in &hops {
@@ -138,7 +131,7 @@ proptest! {
             for t in times {
                 sim.advance_to(t);
                 let got = sim.charging_efficiency();
-                let want = reference_efficiency(sim.trace(), sim.now_s(), custom_window);
+                let want = reference_efficiency(sim.trace(), sim.now_s());
                 prop_assert_eq!(
                     got.to_bits(),
                     want.to_bits(),
@@ -159,7 +152,6 @@ proptest! {
         let traces: Vec<Box<dyn PowerTrace>> = vec![
             Box::new(ConstantTrace::new(1.3, 86_400.0)),
             Box::new(SolarTrace::builder().seed(seed).build()),
-            Box::new(PiecewiseTrace::from_points(vec![(0.0, 0.0), (40_000.0, 2.0), (86_400.0, 0.5)]).expect("valid")),
         ];
         for trace in &traces {
             let a = trace.energy_mj(t0, t0 + dt1);

@@ -27,12 +27,6 @@ impl CostModel {
         }
     }
 
-    /// Overrides the checkpoint footprint in bytes.
-    pub fn with_checkpoint_bytes(mut self, bytes: usize) -> Self {
-        self.checkpoint_bytes = bytes;
-        self
-    }
-
     /// Energy (mJ) consumed by an inference of `flops` FLOPs.
     pub fn inference_energy_mj(&self, flops: u64) -> f64 {
         flops as f64 / 1.0e6 * self.energy_per_mflop_mj
@@ -55,16 +49,6 @@ impl CostModel {
     pub fn checkpoint_latency_s(&self) -> f64 {
         // FRAM writes run at bus speed; approximate 1 µs per byte.
         self.checkpoint_bytes as f64 * 1e-6
-    }
-
-    /// The checkpoint footprint in bytes.
-    pub fn checkpoint_bytes(&self) -> usize {
-        self.checkpoint_bytes
-    }
-
-    /// Energy per million FLOPs in millijoules.
-    pub fn energy_per_mflop_mj(&self) -> f64 {
-        self.energy_per_mflop_mj
     }
 }
 
@@ -95,7 +79,5 @@ mod tests {
         assert!(c.checkpoint_energy_mj() > 0.0);
         assert!(c.checkpoint_energy_mj() < c.inference_energy_mj(100_000));
         assert!(c.checkpoint_latency_s() < 0.01);
-        let custom = c.clone().with_checkpoint_bytes(512);
-        assert!(custom.checkpoint_energy_mj() > c.checkpoint_energy_mj());
     }
 }

@@ -44,24 +44,6 @@ impl McuDevice {
         }
     }
 
-    /// A builder-style override of the weight-storage budget (bytes).
-    pub fn with_weight_storage_bytes(mut self, bytes: u64) -> Self {
-        self.weight_storage_bytes = bytes;
-        self
-    }
-
-    /// A builder-style override of the energy cost per million FLOPs.
-    pub fn with_energy_per_mflop_mj(mut self, mj: f64) -> Self {
-        self.energy_per_mflop_mj = mj;
-        self
-    }
-
-    /// A builder-style override of the effective FLOP throughput.
-    pub fn with_effective_flops_per_s(mut self, flops: f64) -> Self {
-        self.effective_flops_per_s = flops;
-        self
-    }
-
     /// Device name.
     pub fn name(&self) -> &str {
         &self.name
@@ -70,11 +52,6 @@ impl McuDevice {
     /// Bytes of storage available for model weights.
     pub fn weight_storage_bytes(&self) -> u64 {
         self.weight_storage_bytes
-    }
-
-    /// SRAM size in bytes.
-    pub fn sram_bytes(&self) -> u64 {
-        self.sram_bytes
     }
 
     /// Non-volatile (FRAM) size in bytes.
@@ -100,11 +77,6 @@ impl McuDevice {
     /// Energy cost of writing one byte to non-volatile memory, in millijoules.
     pub fn nv_write_energy_per_byte_mj(&self) -> f64 {
         self.nv_write_energy_per_byte_mj
-    }
-
-    /// Sleep power in milliwatts.
-    pub fn sleep_power_mw(&self) -> f64 {
-        self.sleep_power_mw
     }
 
     /// Checks that a model of `model_bytes` fits into the weight storage.
@@ -147,17 +119,5 @@ mod tests {
         let d = McuDevice::msp432();
         assert!(d.check_model_fits(580_000).is_err());
         assert!(d.check_model_fits(16_000).is_ok());
-    }
-
-    #[test]
-    fn builder_overrides_apply() {
-        let d = McuDevice::msp432()
-            .with_weight_storage_bytes(32 * 1024)
-            .with_energy_per_mflop_mj(2.0)
-            .with_effective_flops_per_s(1e6);
-        assert_eq!(d.weight_storage_bytes(), 32 * 1024);
-        assert_eq!(d.energy_per_mflop_mj(), 2.0);
-        assert_eq!(d.effective_flops_per_s(), 1e6);
-        assert!(d.check_model_fits(20_000).is_ok());
     }
 }

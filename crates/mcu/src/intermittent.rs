@@ -93,11 +93,6 @@ impl TaskGraph {
         TaskGraph { tasks }
     }
 
-    /// Appends a task.
-    pub fn push(&mut self, task: Task) {
-        self.tasks.push(task);
-    }
-
     /// The tasks in execution order.
     pub fn tasks(&self) -> &[Task] {
         &self.tasks
@@ -196,31 +191,9 @@ impl IntermittentExecutor {
         self
     }
 
-    /// The cost model in use.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
-    /// Runs `graph` to completion (or starvation) against the harvesting
-    /// simulator with no injected faults, committing a crash-consistent
-    /// checkpoint into `nv` after every task. Equivalent to
-    /// [`Self::execute_with_faults`] with [`FaultInjector::none`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`McuError::EmptyTaskGraph`] for an empty graph. Starvation is
-    /// *not* an error: it is reported through
-    /// [`ExecutionReport::completed`] so callers can count missed events.
-    pub fn execute(
-        &self,
-        graph: &TaskGraph,
-        sim: &mut HarvestSimulator,
-        nv: &mut NonvolatileMemory,
-    ) -> Result<ExecutionReport> {
-        self.execute_with_faults(graph, sim, nv, &mut FaultInjector::none())
-    }
-
-    /// Runs `graph` as a reboot loop under an injected fault schedule.
+    /// Runs `graph` as a reboot loop under an injected fault schedule
+    /// ([`FaultInjector::none`] for none), committing a crash-consistent
+    /// checkpoint into `nv` after every task.
     ///
     /// Every boot recovers the newest valid checkpoint from `nv` and resumes
     /// from its `next_task`; an injected cut (before a task, mid-task, or at
@@ -238,7 +211,8 @@ impl IntermittentExecutor {
     ///
     /// Returns [`McuError::EmptyTaskGraph`] for an empty graph, or a
     /// propagated NV-capacity error if the store cannot hold the two
-    /// checkpoint banks.
+    /// checkpoint banks. Starvation is *not* an error: it is reported through
+    /// [`ExecutionReport::completed`] so callers can count missed events.
     pub fn execute_with_faults(
         &self,
         graph: &TaskGraph,
@@ -525,7 +499,9 @@ mod tests {
         let graph = TaskGraph::split_evenly("net", 2_000_000, 10);
         let mut sim = sim_with(1.0, 100.0, 50.0);
         let mut nv = NonvolatileMemory::new(1024);
-        let report = exec.execute(&graph, &mut sim, &mut nv).unwrap();
+        let report = exec
+            .execute_with_faults(&graph, &mut sim, &mut nv, &mut FaultInjector::none())
+            .unwrap();
         assert!(report.completed);
         assert_eq!(report.power_cycles, 0);
         assert_eq!(report.checkpoints, 10);
@@ -542,7 +518,9 @@ mod tests {
         let graph = TaskGraph::split_evenly("net", 2_000_000, 10);
         let mut sim = sim_with(0.05, 0.5, 0.0);
         let mut nv = NonvolatileMemory::new(1024);
-        let report = exec.execute(&graph, &mut sim, &mut nv).unwrap();
+        let report = exec
+            .execute_with_faults(&graph, &mut sim, &mut nv, &mut FaultInjector::none())
+            .unwrap();
         assert!(report.completed);
         assert!(report.power_cycles >= 5, "power cycles {}", report.power_cycles);
         assert!(report.waiting_s > 0.0);
@@ -556,7 +534,9 @@ mod tests {
         // Zero harvest power and an empty capacitor: nothing can ever run.
         let mut sim = sim_with(0.0, 1.0, 0.0);
         let mut nv = NonvolatileMemory::new(1024);
-        let report = exec.execute(&graph, &mut sim, &mut nv).unwrap();
+        let report = exec
+            .execute_with_faults(&graph, &mut sim, &mut nv, &mut FaultInjector::none())
+            .unwrap();
         assert!(!report.completed);
         assert_eq!(report.failed_task, Some(0));
         assert_eq!(report.checkpoints, 0);
@@ -568,7 +548,12 @@ mod tests {
         let mut sim = sim_with(1.0, 10.0, 10.0);
         let mut nv = NonvolatileMemory::new(64);
         assert!(matches!(
-            exec.execute(&TaskGraph::new(), &mut sim, &mut nv),
+            exec.execute_with_faults(
+                &TaskGraph::new(),
+                &mut sim,
+                &mut nv,
+                &mut FaultInjector::none()
+            ),
             Err(McuError::EmptyTaskGraph)
         ));
     }
@@ -579,7 +564,9 @@ mod tests {
         let graph = TaskGraph::split_evenly("net", 2_000_000, 10);
         let mut sim = sim_with(1.0, 100.0, 50.0);
         let mut nv = NonvolatileMemory::new(1024);
-        let report = exec.execute(&graph, &mut sim, &mut nv).unwrap();
+        let report = exec
+            .execute_with_faults(&graph, &mut sim, &mut nv, &mut FaultInjector::none())
+            .unwrap();
         assert!(report.completed);
         assert_eq!(report.recovered_boots, 0);
         assert_eq!(report.torn_writes, 0);
@@ -626,7 +613,9 @@ mod tests {
         let graph = TaskGraph::split_evenly("net", 2_000_000, 6);
         let mut free_sim = sim_with(1.0, 100.0, 50.0);
         let mut free_nv = NonvolatileMemory::new(1024);
-        let fault_free = exec.execute(&graph, &mut free_sim, &mut free_nv).unwrap();
+        let fault_free = exec
+            .execute_with_faults(&graph, &mut free_sim, &mut free_nv, &mut FaultInjector::none())
+            .unwrap();
 
         let mut sim = sim_with(1.0, 100.0, 50.0);
         let mut nv = NonvolatileMemory::new(1024);
@@ -690,7 +679,9 @@ mod tests {
         .unwrap();
 
         let mut sim = sim_with(1.0, 100.0, 50.0);
-        let report = exec.execute(&graph, &mut sim, &mut nv).unwrap();
+        let report = exec
+            .execute_with_faults(&graph, &mut sim, &mut nv, &mut FaultInjector::none())
+            .unwrap();
         assert!(report.completed);
         assert_eq!(report.checkpoints, 3, "only tasks 5..8 run");
         assert_eq!(report.output_digest, task_digest(&graph, graph.len()));
@@ -722,7 +713,9 @@ mod tests {
         let graph = TaskGraph::split_evenly("net", 2_000_000, 4);
         let mut sim = sim_with(0.0, 1.0, 0.0);
         let mut nv = NonvolatileMemory::new(1024);
-        let report = exec.execute(&graph, &mut sim, &mut nv).unwrap();
+        let report = exec
+            .execute_with_faults(&graph, &mut sim, &mut nv, &mut FaultInjector::none())
+            .unwrap();
         assert!(!report.completed);
         // The clock advanced exactly while waiting; the report must agree
         // with the simulator instead of assuming the full budget was burned.
@@ -739,8 +732,12 @@ mod tests {
         let mut nv2 = NonvolatileMemory::new(1024);
         let mut sim1 = sim_with(1.0, 100.0, 100.0);
         let mut sim2 = sim_with(1.0, 100.0, 100.0);
-        let r1 = exec.execute(&coarse, &mut sim1, &mut nv1).unwrap();
-        let r2 = exec.execute(&fine, &mut sim2, &mut nv2).unwrap();
+        let r1 = exec
+            .execute_with_faults(&coarse, &mut sim1, &mut nv1, &mut FaultInjector::none())
+            .unwrap();
+        let r2 = exec
+            .execute_with_faults(&fine, &mut sim2, &mut nv2, &mut FaultInjector::none())
+            .unwrap();
         assert!(r2.energy_consumed_mj > r1.energy_consumed_mj);
     }
 }

@@ -137,11 +137,6 @@ impl NonvolatileMemory {
         self.entries.get(key).map(Vec::as_slice)
     }
 
-    /// Removes `key`, returning whether it existed.
-    pub fn erase(&mut self, key: &str) -> bool {
-        self.entries.remove(key).is_some()
-    }
-
     /// Records a power failure. Non-volatile contents are untouched; the
     /// counter exists so experiments can report how many power cycles an
     /// execution needed.
@@ -165,9 +160,9 @@ mod tests {
         nv.write("a", &[1, 2, 3]).unwrap();
         assert_eq!(nv.read("a"), Some(&[1, 2, 3][..]));
         assert_eq!(nv.used_bytes(), 3);
-        assert!(nv.erase("a"));
-        assert!(!nv.erase("a"));
+        nv.clear();
         assert_eq!(nv.read("a"), None);
+        assert_eq!(nv.used_bytes(), 0);
     }
 
     #[test]

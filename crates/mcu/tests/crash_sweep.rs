@@ -161,7 +161,9 @@ fn none_plan_injector_is_equivalent_to_plain_execute() {
         ie_energy::EnergyStorage::new(100.0, 1.0).with_initial_level(50.0),
     );
     let mut nv = NonvolatileMemory::new(1024);
-    let plain = executor().execute(&graph(), &mut sim, &mut nv).unwrap();
+    let plain = executor()
+        .execute_with_faults(&graph(), &mut sim, &mut nv, &mut FaultInjector::none())
+        .unwrap();
     assert_eq!(plain, scripted);
     let mut inj = FaultInjector::none();
     assert_eq!(inj.cuts_injected(), 0);

@@ -10,8 +10,8 @@
 //! CI can exercise disjoint schedule families without code changes.
 
 use ie_mcu::{
-    fault_seed_from_env, task_digest, CostModel, FaultPlan, IntermittentExecutor, McuDevice,
-    NonvolatileMemory, TaskGraph, TwoBankCheckpoint,
+    fault_seed_from_env, task_digest, CostModel, FaultInjector, FaultPlan, IntermittentExecutor,
+    McuDevice, NonvolatileMemory, TaskGraph, TwoBankCheckpoint,
 };
 use proptest::prelude::*;
 
@@ -46,7 +46,7 @@ proptest! {
 
         let mut free_sim = sim();
         let mut free_nv = NonvolatileMemory::new(1024);
-        let fault_free = exec.execute(&graph, &mut free_sim, &mut free_nv).unwrap();
+        let fault_free = exec.execute_with_faults(&graph, &mut free_sim, &mut free_nv, &mut FaultInjector::none()).unwrap();
         prop_assert!(fault_free.completed);
 
         let plan = FaultPlan::random(seed ^ env_seed(), cut_probability, max_cuts);

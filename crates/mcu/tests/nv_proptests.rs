@@ -1,5 +1,5 @@
 //! Property tests for `NonvolatileMemory` invariants under arbitrary
-//! interleavings of write / overwrite / erase / torn-write.
+//! interleavings of write / overwrite / torn-write / power failure.
 
 use ie_mcu::{McuError, NonvolatileMemory};
 use proptest::prelude::*;
@@ -8,18 +8,16 @@ use proptest::prelude::*;
 enum Op {
     Write { key: usize, len: usize },
     TornWrite { key: usize, len: usize, committed: usize },
-    Erase { key: usize },
     PowerFailure,
 }
 
 const KEYS: [&str; 4] = ["a", "bb", "ckpt-a", "ckpt-b"];
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    (0usize..4, 0usize..4, 0usize..48, 0usize..64).prop_map(
+    (0usize..3, 0usize..4, 0usize..48, 0usize..64).prop_map(
         |(kind, key, len, committed)| match kind {
             0 => Op::Write { key, len },
             1 => Op::TornWrite { key, len, committed },
-            2 => Op::Erase { key },
             _ => Op::PowerFailure,
         },
     )
@@ -66,10 +64,6 @@ proptest! {
                         }
                         Err(e) => prop_assert!(false, "unexpected error {:?}", e),
                     }
-                }
-                Op::Erase { key } => {
-                    nv.erase(KEYS[key]);
-                    prop_assert_eq!(nv.read(KEYS[key]), None);
                 }
                 Op::PowerFailure => nv.power_failure(),
             }

@@ -374,11 +374,6 @@ impl BatchPlan {
         self.max_batch
     }
 
-    /// Number of exits the plan covers.
-    pub fn num_exits(&self) -> usize {
-        self.num_exits
-    }
-
     /// Number of samples currently cached in the trunk buffers (0 before the
     /// first pass).
     pub fn batch(&self) -> usize {

@@ -70,27 +70,18 @@ pub fn cross_entropy(logits: &Tensor, label: usize) -> Result<(f32, Tensor)> {
     Ok((loss, grad))
 }
 
-/// Shannon entropy (in nats) of a probability vector.
+/// Shannon entropy (in nats) of a probability vector; never allocates.
 ///
 /// Low entropy means the exit is confident about its prediction; the runtime
 /// compares the *normalised* entropy against a threshold to decide whether an
 /// incremental inference to the next exit is worthwhile.
-pub fn entropy(probs: &Tensor) -> f32 {
-    entropy_slice(probs.as_slice())
-}
-
-/// Slice form of [`entropy`]; never allocates.
 pub fn entropy_slice(probs: &[f32]) -> f32 {
     probs.iter().filter(|&&p| p > 0.0).map(|&p| -p * p.ln()).sum()
 }
 
 /// Entropy of `probs` normalised to `[0, 1]` by the maximum possible entropy
-/// (`ln(num_classes)`), so thresholds are independent of the class count.
-pub fn normalized_entropy(probs: &Tensor) -> f32 {
-    normalized_entropy_slice(probs.as_slice())
-}
-
-/// Slice form of [`normalized_entropy`]; never allocates.
+/// (`ln(num_classes)`), so thresholds are independent of the class count;
+/// never allocates.
 pub fn normalized_entropy_slice(probs: &[f32]) -> f32 {
     let n = probs.len();
     if n <= 1 {
@@ -189,9 +180,9 @@ mod tests {
     fn entropy_extremes() {
         let uniform = t(&[0.25, 0.25, 0.25, 0.25]);
         let onehot = t(&[1.0, 0.0, 0.0, 0.0]);
-        assert!((entropy(&uniform) - (4.0f32).ln()).abs() < 1e-6);
-        assert_eq!(entropy(&onehot), 0.0);
-        assert!((normalized_entropy(&uniform) - 1.0).abs() < 1e-6);
+        assert!((entropy_slice(uniform.as_slice()) - (4.0f32).ln()).abs() < 1e-6);
+        assert_eq!(entropy_slice(onehot.as_slice()), 0.0);
+        assert!((normalized_entropy_slice(uniform.as_slice()) - 1.0).abs() < 1e-6);
         assert_eq!(confidence(&onehot), 1.0);
         assert!(confidence(&uniform).abs() < 1e-6);
     }

@@ -114,11 +114,6 @@ impl Mlp {
         self.layers.last().map(Dense::out_features).unwrap_or(0)
     }
 
-    /// Total number of trainable parameters.
-    pub fn parameter_count(&self) -> usize {
-        self.layers.iter().map(Dense::parameter_count).sum()
-    }
-
     fn apply_output(&self, x: &Tensor) -> Tensor {
         match self.output_activation {
             OutputActivation::Linear => x.clone(),
@@ -419,11 +414,6 @@ impl Mlp {
         }
     }
 
-    /// Copies all parameters from `other` (equivalent to `blend_from` with τ = 1).
-    pub fn copy_from(&mut self, other: &Mlp) {
-        self.blend_from(other, 1.0);
-    }
-
     /// The dense layers of the MLP (read-only).
     pub fn layers(&self) -> &[Dense] {
         &self.layers
@@ -521,7 +511,7 @@ mod tests {
         b.blend_from(&a, 0.5);
         let after = b.layers()[0].weight().as_slice()[0];
         assert!((after - (0.5 * target + 0.5 * before)).abs() < 1e-6);
-        b.copy_from(&a);
+        b.blend_from(&a, 1.0);
         assert_eq!(b.layers()[0].weight().as_slice()[0], target);
     }
 

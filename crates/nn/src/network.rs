@@ -29,17 +29,7 @@ pub struct ForwardState {
     last_exit: usize,
 }
 
-impl ForwardState {
-    /// The exit most recently evaluated from this state.
-    pub fn last_exit(&self) -> usize {
-        self.last_exit
-    }
-
-    /// Number of trunk segments whose output is cached.
-    pub fn segments_done(&self) -> usize {
-        self.segments_done
-    }
-}
+impl ForwardState {}
 
 /// An executable multi-exit network instantiated from a
 /// [`MultiExitArchitecture`].

@@ -327,30 +327,6 @@ impl MultiExitArchitecture {
         }
         out
     }
-
-    /// Looks up the site of a layer by name (parameterised layers carry the
-    /// names assigned in the builder; anonymous layers, whose name is empty,
-    /// cannot be found, so an empty `name` finds nothing).
-    pub fn find_layer(&self, name: &str) -> Option<LayerSite> {
-        if name.is_empty() {
-            return None;
-        }
-        for (si, segment) in self.segments.iter().enumerate() {
-            for (li, l) in segment.iter().enumerate() {
-                if l.name == name {
-                    return Some(LayerSite::Trunk { segment: si, layer: li });
-                }
-            }
-        }
-        for (bi, branch) in self.branches.iter().enumerate() {
-            for (li, l) in branch.iter().enumerate() {
-                if l.name == name {
-                    return Some(LayerSite::Branch { exit: bi, layer: li });
-                }
-            }
-        }
-        None
-    }
 }
 
 /// Builder for [`MultiExitArchitecture`].
@@ -769,11 +745,6 @@ mod tests {
         assert_eq!(arch.num_exits(), 2);
         assert_eq!(arch.num_classes(), 4);
         assert!(arch.exit_flops()[0] < arch.exit_flops()[1]);
-        assert!(arch.find_layer("Conv1").is_some());
-        assert!(arch.find_layer("FC-B21").is_some());
-        assert!(arch.find_layer("nope").is_none());
-        // ReLU, max-pool and flatten layers are anonymous.
-        assert!(arch.find_layer("").is_none());
     }
 
     #[test]

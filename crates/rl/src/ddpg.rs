@@ -152,19 +152,9 @@ impl DdpgAgent {
         }
     }
 
-    /// Dimension of the observation vector.
-    pub fn state_dim(&self) -> usize {
-        self.state_dim
-    }
-
     /// Dimension of the action vector.
     pub fn action_dim(&self) -> usize {
         self.action_dim
-    }
-
-    /// Number of stored transitions.
-    pub fn replay_len(&self) -> usize {
-        self.replay.len()
     }
 
     /// Anneals the exploration noise magnitude.
@@ -571,22 +561,5 @@ mod tests {
         }
         let q = agent.q_value(&[0.0], &[0.5]).unwrap();
         assert!((q - 2.0).abs() < 0.5, "critic should approach the reward, got {q}");
-    }
-
-    #[test]
-    fn replay_is_bounded() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let config = DdpgConfig { replay_capacity: 16, ..DdpgConfig::default() };
-        let mut agent = DdpgAgent::new(&mut rng, 1, 1, config);
-        for i in 0..100 {
-            agent.observe(Transition {
-                state: vec![i as f32],
-                action: vec![0.0],
-                reward: 0.0,
-                next_state: vec![0.0],
-                done: false,
-            });
-        }
-        assert_eq!(agent.replay_len(), 16);
     }
 }

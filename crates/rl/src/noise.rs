@@ -36,12 +36,6 @@ impl OrnsteinUhlenbeck {
         OrnsteinUhlenbeck { state: vec![0.0; dim], mu: 0.0, theta, sigma }
     }
 
-    /// Scales the noise magnitude (used to anneal exploration over episodes).
-    pub fn with_sigma(mut self, sigma: f32) -> Self {
-        self.sigma = sigma.max(0.0);
-        self
-    }
-
     /// The current noise magnitude.
     pub fn sigma(&self) -> f32 {
         self.sigma
@@ -110,7 +104,9 @@ mod tests {
     #[test]
     fn reset_returns_to_mean_and_sigma_accessors_work() {
         let mut rng = StdRng::seed_from_u64(1);
-        let mut noise = OrnsteinUhlenbeck::new(3, 0.15, 0.3).with_sigma(0.4);
+        let mut noise = OrnsteinUhlenbeck::new(3, 0.15, 0.3);
+        assert_eq!(noise.sigma(), 0.3);
+        noise.set_sigma(0.4);
         assert_eq!(noise.sigma(), 0.4);
         noise.sample(&mut rng);
         noise.reset();

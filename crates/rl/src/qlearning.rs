@@ -47,16 +47,6 @@ impl QTable {
         }
     }
 
-    /// Number of states.
-    pub fn num_states(&self) -> usize {
-        self.num_states
-    }
-
-    /// Number of actions.
-    pub fn num_actions(&self) -> usize {
-        self.num_actions
-    }
-
     /// Number of updates applied so far.
     pub fn updates(&self) -> u64 {
         self.updates
@@ -118,11 +108,6 @@ impl QTable {
         let current = self.values[idx];
         self.values[idx] = current + self.learning_rate * (reward + bootstrap - current);
         self.updates += 1;
-    }
-
-    /// Greedy policy over all states (one action per state).
-    pub fn greedy_policy(&self) -> Vec<usize> {
-        (0..self.num_states).map(|s| self.select_greedy(s)).collect()
     }
 }
 
@@ -191,7 +176,6 @@ mod tests {
         for s in 0..4 {
             assert_eq!(q.select_greedy(s), s % 3, "state {s}");
         }
-        assert_eq!(q.greedy_policy(), vec![0, 1, 2, 0]);
     }
 
     #[test]

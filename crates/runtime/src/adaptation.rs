@@ -66,11 +66,6 @@ impl RuntimeAdaptation {
         RuntimeAdaptation { config }
     }
 
-    /// The experiment configuration.
-    pub fn config(&self) -> &AdaptationConfig {
-        &self.config
-    }
-
     /// Runs the adaptation experiment for a deployed model under the given
     /// environment.
     ///

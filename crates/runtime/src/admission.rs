@@ -175,20 +175,6 @@ impl LatencyAdmission {
         }
     }
 
-    /// [`LatencyAdmission::admit`] under a degraded exit ceiling: the policy
-    /// decides as usual, then the decision is clamped to `max_exit`. This is
-    /// how an overload layer composes with admission — the policy still sees
-    /// the true budget (its state stays consistent across load levels), but
-    /// pressure caps how deep the admitted request may actually run.
-    pub fn admit_capped(
-        &mut self,
-        request_id: u64,
-        budget_s: f64,
-        max_exit: usize,
-    ) -> Option<usize> {
-        self.admit(request_id, budget_s).map(|exit| exit.min(max_exit))
-    }
-
     /// [`deepest_affordable`] over this admission table.
     pub fn deepest_affordable(&self, budget_s: f64) -> Option<usize> {
         deepest_affordable(self.exit_cost_s(), budget_s)
@@ -278,20 +264,6 @@ mod tests {
         assert_eq!(deepest_affordable(&c, f64::NAN), None, "NaN budgets afford nothing");
         let adm = LatencyAdmission::static_lut(c, a, StateDiscretizer::paper_default()).unwrap();
         assert_eq!(adm.deepest_affordable(0.005), Some(1));
-    }
-
-    #[test]
-    fn capped_admission_clamps_but_never_invents_an_exit() {
-        let (c, a) = costs();
-        let mut adm =
-            LatencyAdmission::static_lut(c, a, StateDiscretizer::paper_default()).unwrap();
-        // A generous budget admitted at depth 2 is degraded to the cap…
-        assert_eq!(adm.admit_capped(0, 0.010, 0), Some(0));
-        assert_eq!(adm.admit_capped(1, 0.010, 1), Some(1));
-        // …a cap above the decision changes nothing…
-        assert_eq!(adm.admit_capped(2, 0.002, 99), Some(0));
-        // …and a rejection stays a rejection no matter the cap.
-        assert_eq!(adm.admit_capped(3, 0.0, 2), None);
     }
 
     #[test]

@@ -45,7 +45,6 @@ pub struct QLearningExitPolicy {
     discretizer: StateDiscretizer,
     exit_table: QTable,
     continue_table: QTable,
-    config: QLearningConfig,
     schedule: EpsilonSchedule,
     rng: StdRng,
     learning: bool,
@@ -84,7 +83,6 @@ impl QLearningExitPolicy {
             discretizer,
             exit_table,
             continue_table,
-            config,
             schedule,
             rng,
             learning: true,
@@ -99,11 +97,6 @@ impl QLearningExitPolicy {
     /// learning disabled the agent acts greedily on its current tables.
     pub fn set_learning(&mut self, learning: bool) {
         self.learning = learning;
-    }
-
-    /// The Q-learning hyper-parameters the agent was created with.
-    pub fn config(&self) -> &QLearningConfig {
-        &self.config
     }
 
     /// The exit-selection Q-table.

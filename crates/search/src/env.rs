@@ -49,8 +49,6 @@ pub struct CompressionEnv {
     evaluator: PolicyEvaluator,
     layers: Vec<CompressibleLayer>,
     reward_mode: RewardMode,
-    lambda_prune: f64,
-    lambda_quant: f64,
 }
 
 impl CompressionEnv {
@@ -72,16 +70,7 @@ impl CompressionEnv {
             evaluator,
             layers,
             reward_mode,
-            lambda_prune: 1.0,
-            lambda_quant: 1.0,
         })
-    }
-
-    /// Overrides the reward scaling factors λ1 (pruning) and λ2 (quantization).
-    pub fn with_reward_scales(mut self, lambda_prune: f64, lambda_quant: f64) -> Self {
-        self.lambda_prune = lambda_prune;
-        self.lambda_quant = lambda_quant;
-        self
     }
 
     /// The experiment configuration.
@@ -97,11 +86,6 @@ impl CompressionEnv {
     /// Number of compressible layers (episode length).
     pub fn num_layers(&self) -> usize {
         self.layers.len()
-    }
-
-    /// Number of exits.
-    pub fn num_exits(&self) -> usize {
-        self.config().architecture.num_exits()
     }
 
     /// The reward mode in use.
@@ -139,10 +123,10 @@ impl CompressionEnv {
 
         let flops_ok = profile.total_flops <= config.flops_target;
         let size_ok = profile.model_size_bytes <= config.size_target_bytes;
-        let prune_reward =
-            if flops_ok { self.lambda_prune * accuracy_reward } else { -self.lambda_prune };
-        let quant_reward =
-            if size_ok { self.lambda_quant * accuracy_reward } else { -self.lambda_quant };
+        // Eqs. 11-12 with the scaling factors λ1 = λ2 = 1: each agent sees the
+        // accuracy reward when its constraint holds and -1 otherwise.
+        let prune_reward = if flops_ok { accuracy_reward } else { -1.0 };
+        let quant_reward = if size_ok { accuracy_reward } else { -1.0 };
 
         Ok(PolicyOutcome {
             policy: snapped,
@@ -202,6 +186,8 @@ mod tests {
         let outcome = env.evaluate(&aggressive_policy(&env)).unwrap();
         assert!(outcome.feasible, "profile: {:?}", outcome.profile.model_size_bytes);
         assert!(outcome.prune_reward > 0.0 && outcome.quant_reward > 0.0);
+        assert_eq!(outcome.prune_reward.to_bits(), outcome.accuracy_reward.to_bits());
+        assert_eq!(outcome.quant_reward.to_bits(), outcome.accuracy_reward.to_bits());
         assert!(outcome.accuracy_reward > 0.3);
         assert!(outcome.ie_pmj > 0.0);
         let total: f64 = outcome.exit_fractions.iter().sum::<f64>() + outcome.missed_fraction;
@@ -234,15 +220,5 @@ mod tests {
         assert_eq!(format!("{:?}", reused.evaluate(&aggressive).unwrap()), first);
         assert_eq!(format!("{:?}", reused.evaluate(&full).unwrap()), between);
         assert_eq!(format!("{:?}", env().evaluate(&full).unwrap()), between);
-    }
-
-    #[test]
-    fn reward_scales_are_applied() {
-        let env = CompressionEnv::new(&ExperimentConfig::small_test(), RewardMode::ExitGuided)
-            .unwrap()
-            .with_reward_scales(2.0, 0.5);
-        let outcome = env.evaluate(&CompressionPolicy::full_precision(env.num_layers())).unwrap();
-        assert_eq!(outcome.prune_reward, -2.0);
-        assert_eq!(outcome.quant_reward, -0.5);
     }
 }

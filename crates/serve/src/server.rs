@@ -193,11 +193,6 @@ impl<'n> Server<'n> {
         Ok(Server { network, config, plans, quant: quant.cloned() })
     }
 
-    /// The server's configuration.
-    pub fn config(&self) -> &ServeConfig {
-        &self.config
-    }
-
     /// Tears the server down, handing the worker plans back so the caller
     /// can [`ie_nn::train::PlanPool::put`] them for the next server. A plan
     /// recycled after a worker loss is handed back in place of the one that

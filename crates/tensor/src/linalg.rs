@@ -566,7 +566,7 @@ impl Tensor {
     /// Matrix product of two rank-2 tensors.
     ///
     /// Allocates the result once and delegates to the dense blocked kernel
-    /// ([`gemm_into`]); use [`Tensor::matmul_into`] to reuse an output buffer.
+    /// ([`gemm_into`], which writes into a caller's buffer).
     ///
     /// # Errors
     ///
@@ -578,26 +578,6 @@ impl Tensor {
         let mut out = Tensor::zeros(&[m, n]);
         gemm_into(self.as_slice(), other.as_slice(), out.as_mut_slice(), m, k, n);
         Ok(out)
-    }
-
-    /// Matrix product written into `out`, which must already be `[m, n]`.
-    ///
-    /// Bit-identical to [`Tensor::matmul`]; allocates nothing.
-    ///
-    /// # Errors
-    ///
-    /// Returns shape errors as [`Tensor::matmul`] does, plus
-    /// [`TensorError::ShapeMismatch`] when `out` has the wrong shape.
-    pub fn matmul_into(&self, other: &Tensor, out: &mut Tensor) -> Result<()> {
-        let (m, k, n) = self.check_matmul(other)?;
-        if out.dims() != [m, n] {
-            return Err(TensorError::ShapeMismatch {
-                left: out.dims().to_vec(),
-                right: vec![m, n],
-            });
-        }
-        gemm_into(self.as_slice(), other.as_slice(), out.as_mut_slice(), m, k, n);
-        Ok(())
     }
 
     fn check_matvec(&self, vec: &Tensor) -> Result<(usize, usize)> {
@@ -623,38 +603,6 @@ impl Tensor {
         let mut out = Tensor::zeros(&[m]);
         matvec_batch_into(self.as_slice(), vec.as_slice(), out.as_mut_slice(), m, k, 1);
         Ok(out)
-    }
-
-    /// Matrix–vector product written into `out`, which must have `m` elements.
-    ///
-    /// Bit-identical to [`Tensor::matvec`]; allocates nothing.
-    ///
-    /// # Errors
-    ///
-    /// Returns the same shape errors as [`Tensor::matvec`], plus
-    /// [`TensorError::ShapeMismatch`] when `out` has the wrong length.
-    pub fn matvec_into(&self, vec: &Tensor, out: &mut Tensor) -> Result<()> {
-        let (m, k) = self.check_matvec(vec)?;
-        if out.len() != m {
-            return Err(TensorError::ShapeMismatch { left: out.dims().to_vec(), right: vec![m] });
-        }
-        matvec_batch_into(self.as_slice(), vec.as_slice(), out.as_mut_slice(), m, k, 1);
-        Ok(())
-    }
-
-    /// Dot product of two equally sized tensors (flattened).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when the element counts differ.
-    pub fn dot(&self, other: &Tensor) -> Result<f32> {
-        if self.len() != other.len() {
-            return Err(TensorError::ShapeMismatch {
-                left: self.dims().to_vec(),
-                right: other.dims().to_vec(),
-            });
-        }
-        Ok(self.as_slice().iter().zip(other.as_slice()).map(|(&a, &b)| a * b).sum())
     }
 
     /// Outer product of two vectors: result is `[self.len(), other.len()]`.
@@ -701,19 +649,6 @@ mod tests {
         assert!(a.matmul(&b).is_err());
         let v = Tensor::zeros(&[3]);
         assert!(v.matmul(&a).is_err());
-    }
-
-    #[test]
-    fn matmul_into_matches_matmul_and_validates_out() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let a = Tensor::randn(&mut rng, &[7, 9], 0.0, 1.0);
-        let b = Tensor::randn(&mut rng, &[9, 11], 0.0, 1.0);
-        let reference = a.matmul(&b).unwrap();
-        let mut out = Tensor::zeros(&[7, 11]);
-        a.matmul_into(&b, &mut out).unwrap();
-        assert_eq!(out, reference);
-        let mut wrong = Tensor::zeros(&[7, 10]);
-        assert!(a.matmul_into(&b, &mut wrong).is_err());
     }
 
     #[test]
@@ -787,11 +722,7 @@ mod tests {
         let x = Tensor::from_vec(vec![1.0, 0.0, -1.0], &[3]).unwrap();
         let y = a.matvec(&x).unwrap();
         assert_eq!(y.as_slice(), &[-2.0, -2.0]);
-        let mut out = Tensor::zeros(&[2]);
-        a.matvec_into(&x, &mut out).unwrap();
-        assert_eq!(out.as_slice(), y.as_slice());
-        let mut wrong = Tensor::zeros(&[3]);
-        assert!(a.matvec_into(&x, &mut wrong).is_err());
+        assert_eq!(y, a.matmul(&x.reshape(&[3, 1]).unwrap()).unwrap().reshape(&[2]).unwrap());
     }
 
     #[test]
@@ -855,14 +786,11 @@ mod tests {
     }
 
     #[test]
-    fn dot_and_outer() {
+    fn outer_product() {
         let a = Tensor::from_vec(vec![1.0, 2.0], &[2]).unwrap();
         let b = Tensor::from_vec(vec![3.0, 4.0], &[2]).unwrap();
-        assert_eq!(a.dot(&b).unwrap(), 11.0);
         let o = a.outer(&b);
         assert_eq!(o.dims(), &[2, 2]);
         assert_eq!(o.as_slice(), &[3.0, 4.0, 6.0, 8.0]);
-        let c = Tensor::zeros(&[3]);
-        assert!(a.dot(&c).is_err());
     }
 }

@@ -777,11 +777,6 @@ impl Tensor {
         self.map(|x| x * factor)
     }
 
-    /// Adds a scalar to every element, returning a new tensor.
-    pub fn add_scalar(&self, value: f32) -> Tensor {
-        self.map(|x| x + value)
-    }
-
     /// Applies the rectified linear unit (`x` if `x > 0`, else `0.0` — the
     /// same select the dispatched [`relu_slice`] kernel uses on every tier).
     pub fn relu(&self) -> Tensor {
@@ -867,7 +862,6 @@ mod tests {
     fn scalar_ops() {
         let x = t(&[1.0, 2.0]);
         assert_eq!(x.scale(3.0).as_slice(), &[3.0, 6.0]);
-        assert_eq!(x.add_scalar(-1.0).as_slice(), &[0.0, 1.0]);
     }
 
     #[test]

@@ -74,11 +74,6 @@ impl Shape {
         }
         Some(flat)
     }
-
-    /// Size of dimension `axis`, or `None` when the axis does not exist.
-    pub fn dim(&self, axis: usize) -> Option<usize> {
-        self.dims.get(axis).copied()
-    }
 }
 
 impl fmt::Display for Shape {
