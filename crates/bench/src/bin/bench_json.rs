@@ -34,7 +34,8 @@
 //!   (`reference_eval_ns`), which the step never runs; the bare profile
 //!   evaluation the step wraps (`profile_eval_ns`) is recorded for context;
 //! * `simd_kernels/*` — each runtime-dispatched kernel (softmax, max-pool,
-//!   activation quantize, the i16 madd GEMM) timed on the
+//!   activation quantize, the quantized convolution's register-tiled i8
+//!   column GEMM) timed on the
 //!   active ISA tier against its own portable tier, after a bit-identity
 //!   assertion (the JSON records the active tier in `isa_tier`);
 //! * `sim_loop` — the `EventLoopSimulator` wake-window trace replay,
@@ -553,7 +554,7 @@ fn check_against_baseline(
     tolerance: f64,
 ) -> Vec<Regression> {
     // Tier-sensitive ratios are only meaningful against a baseline measured
-    // on the same ISA tier (e.g. a VNNI-recorded madd-GEMM ratio can never be
+    // on the same ISA tier (e.g. a VNNI-recorded conv-GEMM ratio can never be
     // reproduced by an AVX2-only runner, and would fail the gate on every
     // confirmation attempt with zero code change).
     let current_tier = dispatch::active().name();
@@ -739,8 +740,8 @@ fn main() {
     // convs pruned to 0.5/0.25, 1–2-bit large FC layers — the Fig. 4 shape
     // that actually fits the MCU targets) executed once through the
     // fake-quant f32 planned path (pruned convs at their kept width)
-    // and once through the integer engine (pruned channels packed away, madd
-    // GEMM on the kept ones).
+    // and once through the integer engine (pruned channels packed away, the
+    // integer GEMMs on the kept ones).
     let compressible = arch.compressible_layers();
     let i8_policy: CompressionPolicy = compressible
         .iter()
@@ -955,10 +956,13 @@ fn main() {
     let q_src: Vec<f32> =
         (0..16_384).map(|i| ((i % 741) as f32 * 0.009).sin() * 5.0 + 2.0).collect();
     let mut q_codes = vec![0i8; q_src.len()];
-    let (md_m, md_kp, md_n) = (32usize, 400usize, 1024usize);
-    let md_a: Vec<i16> = (0..md_m * md_kp).map(|i| ((i % 251) as i16) - 125).collect();
-    let md_bt: Vec<i16> = (0..md_n * md_kp).map(|i| ((i % 239) as i16) - 119).collect();
-    let mut md_out = vec![0i32; md_m * md_n];
+    // The quantized convolution's GEMM at a conv-shaped size: packed i16
+    // weight rows against the `[k, n]` i8 column matrix the quantized
+    // `im2col` writes.
+    let (cg_m, cg_k, cg_n) = (32usize, 400usize, 1024usize);
+    let cg_w: Vec<i16> = (0..cg_m * cg_k).map(|i| ((i % 251) as i16) - 125).collect();
+    let cg_cols: Vec<i8> = (0..cg_k * cg_n).map(|i| ((i % 239) as i32 - 119) as i8).collect();
+    let mut cg_out = vec![0i32; cg_m * cg_n];
     {
         // Bit-identity of every benchmarked kernel is asserted before any
         // timing is trusted, mirroring the plan verifications above.
@@ -982,10 +986,11 @@ fn main() {
         q_params.quantize_slice_into_tier(IsaTier::Portable, &q_src, &mut qref);
         q_params.quantize_slice_into(&q_src, &mut q_codes);
         assert_eq!(qref, q_codes, "quantize tiers diverged");
-        let mut mref = md_out.clone();
-        tiered::gemm_i16t_into(IsaTier::Portable, &md_a, &md_bt, &mut mref, md_m, md_kp, md_n);
-        ie_tensor::gemm_i16t_into(&md_a, &md_bt, &mut md_out, md_m, md_kp, md_n);
-        assert_eq!(mref, md_out, "madd GEMM tiers diverged");
+        let mut cref = cg_out.clone();
+        let (m, k, n) = (cg_m, cg_k, cg_n);
+        tiered::gemm_i8cols_into(IsaTier::Portable, &cg_w, &cg_cols, &mut cref, m, k, k, n);
+        ie_tensor::gemm_i8cols_into(&cg_w, &cg_cols, &mut cg_out, m, k, k, n);
+        assert_eq!(cref, cg_out, "conv GEMM tiers diverged");
     }
 
     // The whole measurement pass lives in a closure so the --check gate can
@@ -1267,23 +1272,25 @@ fn main() {
                 black_box(q_codes[0]);
             }
         );
+        let (m, k, n) = (cg_m, cg_k, cg_n);
         kernel_case!(
-            "madd_gemm_32x400x1024",
+            "i8cols_gemm_32x400x1024",
             {
-                tiered::gemm_i16t_into(
+                tiered::gemm_i8cols_into(
                     IsaTier::Portable,
-                    &md_a,
-                    &md_bt,
-                    &mut md_out,
-                    md_m,
-                    md_kp,
-                    md_n,
+                    &cg_w,
+                    &cg_cols,
+                    &mut cg_out,
+                    m,
+                    k,
+                    k,
+                    n,
                 );
-                black_box(md_out[0]);
+                black_box(cg_out[0]);
             },
             {
-                ie_tensor::gemm_i16t_into(&md_a, &md_bt, &mut md_out, md_m, md_kp, md_n);
-                black_box(md_out[0]);
+                ie_tensor::gemm_i8cols_into(&cg_w, &cg_cols, &mut cg_out, m, k, k, n);
+                black_box(cg_out[0]);
             }
         );
 

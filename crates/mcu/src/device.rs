@@ -11,13 +11,10 @@ use crate::{McuError, Result};
 pub struct McuDevice {
     name: String,
     weight_storage_bytes: u64,
-    sram_bytes: u64,
     nonvolatile_bytes: u64,
-    clock_hz: u64,
     effective_flops_per_s: f64,
     energy_per_mflop_mj: f64,
     nv_write_energy_per_byte_mj: f64,
-    sleep_power_mw: f64,
 }
 
 impl McuDevice {
@@ -25,22 +22,19 @@ impl McuDevice {
     ///
     /// * 16 KB of weight storage available to the model (the paper's
     ///   compression target `S_target`),
-    /// * 64 KB SRAM, 256 KB FRAM-like non-volatile memory,
-    /// * 48 MHz clock with an effective 0.2 MFLOP/s of floating-point
-    ///   inference throughput (software multiply–accumulate),
+    /// * 256 KB FRAM-like non-volatile memory,
+    /// * an effective 0.2 MFLOP/s of floating-point inference throughput
+    ///   (software multiply–accumulate),
     /// * 1.5 mJ of energy per million FLOPs (Section V-A of the paper),
     /// * a small per-byte cost for non-volatile checkpoint writes.
     pub fn msp432() -> Self {
         McuDevice {
             name: "TI MSP432 (model)".to_string(),
             weight_storage_bytes: 16 * 1024,
-            sram_bytes: 64 * 1024,
             nonvolatile_bytes: 256 * 1024,
-            clock_hz: 48_000_000,
             effective_flops_per_s: 0.2e6,
             energy_per_mflop_mj: 1.5,
             nv_write_energy_per_byte_mj: 2.0e-5,
-            sleep_power_mw: 0.001,
         }
     }
 
@@ -57,11 +51,6 @@ impl McuDevice {
     /// Non-volatile (FRAM) size in bytes.
     pub fn nonvolatile_bytes(&self) -> u64 {
         self.nonvolatile_bytes
-    }
-
-    /// Core clock frequency in hertz.
-    pub fn clock_hz(&self) -> u64 {
-        self.clock_hz
     }
 
     /// Effective floating-point throughput in FLOPs per second.
@@ -110,7 +99,6 @@ mod tests {
         let d = McuDevice::msp432();
         assert_eq!(d.weight_storage_bytes(), 16 * 1024);
         assert!((d.energy_per_mflop_mj() - 1.5).abs() < 1e-12);
-        assert_eq!(d.clock_hz(), 48_000_000);
     }
 
     #[test]

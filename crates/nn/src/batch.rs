@@ -527,7 +527,7 @@ impl BatchPlan {
                     let (s, in_len) = (act.slot, conv.input_len() * batch);
                     let out_len = conv.output_len() * batch;
                     if let Some(ql) = qentry {
-                        let QuantBuffers { codes, col8, rows16, acc, .. } = &mut *qbufs;
+                        let QuantBuffers { codes, col8, acc, .. } = &mut *qbufs;
                         let (src_c, dst_c) = pair(codes, s);
                         if domain == Domain::F32 {
                             quantize_slice(&ws[s][..in_len], &ql.input, &mut src_c[..in_len]);
@@ -537,7 +537,7 @@ impl BatchPlan {
                             Some(_) => QuantDst::Codes(&mut dst_c[..out_len]),
                         };
                         let src = &src_c[..in_len];
-                        quant_conv_forward(conv, ql, src, batch, fuse, col8, rows16, acc, dst)?;
+                        quant_conv_forward(conv, ql, src, batch, fuse, col8, acc, dst)?;
                         domain = ql.out.map_or(Domain::F32, Domain::Codes);
                     } else {
                         debug_assert_eq!(domain, Domain::F32, "float conv fed from code domain");

@@ -10,8 +10,8 @@
 //!   gets the i8 storage class when its weight bitwidth is ≤ 8 and the i16
 //!   class when it is ≤ 16; layers without a config (or with wider weights)
 //!   keep the `f32` kernels. Activation codes are always at most 8 bits and
-//!   are stored as `i8`. Both integer classes execute through the shared
-//!   transposed madd GEMM (see `QuantizedLayer`).
+//!   are stored as `i8`. Both integer classes execute through the same
+//!   integer GEMMs (see `QuantizedLayer`).
 //! * **Packed weights** — [`QuantizedModel::for_network`] quantizes every
 //!   configured layer's weights **once**, into depth-padded `[O, kp]` i16
 //!   code rows with pruned-away input channels dropped, together with the
@@ -34,9 +34,9 @@ use crate::batch::buffer_requirements;
 use crate::spec::{CompressibleLayer, LayerSpecKind, MultiExitArchitecture};
 use crate::{Conv2d, Dense, Layer, MultiExitNetwork, NnError, Result};
 use ie_tensor::{
-    dequant_acc, dequant_rows_slice_into, dequant_slice_into, gemm_i16t_into,
-    im2col_select_batch_into, requant_rows_slice_into, requant_slice_into, transpose_widen_into,
-    weight_code, QuantParams, Tensor, MADD_DEPTH_ALIGN,
+    dequant_acc, dequant_rows_slice_into, dequant_slice_into, gemm_i16t_into, gemm_i8cols_into,
+    im2col_select_batch_into, requant_rows_slice_into, requant_slice_into, weight_code,
+    QuantParams, Tensor, MADD_DEPTH_ALIGN,
 };
 
 /// Which integer kernel a quantized layer runs.
@@ -108,11 +108,12 @@ impl QuantConfig {
 ///
 /// Weight codes are stored **widened to `i16` and depth-padded** to
 /// [`ie_tensor::MADD_DEPTH_ALIGN`] regardless of the selected kernel: both
-/// the i8 and the i16 path execute through the transposed madd GEMM
-/// ([`ie_tensor::gemm_i16t_into`]), whose `vpmaddwd` inner product is what
-/// actually beats the `f32` kernels on AVX2 (see the kernel's docs). The
-/// [`QuantKernel`] tag still records the storage class the policy selected —
-/// it is what the 8-vs-16-bit deployment footprint accounting reflects.
+/// the i8 and the i16 path execute through the `vpmaddwd`-based integer
+/// GEMMs — [`ie_tensor::gemm_i8cols_into`] for convolutions,
+/// [`ie_tensor::gemm_i16t_into`] for dense layers, which also reads the
+/// zero pad. The [`QuantKernel`] tag still records the storage class the
+/// policy selected — it is what the 8-vs-16-bit deployment footprint
+/// accounting reflects.
 #[derive(Debug, Clone)]
 pub(crate) struct QuantizedLayer {
     /// Which integer kernel class this layer runs (storage semantics).
@@ -131,7 +132,8 @@ pub(crate) struct QuantizedLayer {
     pub(crate) block: usize,
     /// Packed real depth (`kept.len() · block`).
     pub(crate) cols: usize,
-    /// Padded depth (`cols` rounded up to the madd alignment; pads are 0).
+    /// Padded depth and row stride of `w` (`cols` rounded up to
+    /// [`MADD_DEPTH_ALIGN`]; pads are 0).
     pub(crate) kp: usize,
     /// Precomputed per-row zero-point corrections
     /// (`input.zero_point() · Σ_k w_code[row][k]`), so the epilogues can
@@ -401,7 +403,7 @@ impl QuantizedModel {
     }
 
     /// Counts of (i8, i16) kernel-class layers — the storage classes the
-    /// policy selected (both execute through the shared madd GEMM).
+    /// policy selected (both execute through the same integer GEMMs).
     pub fn kernel_counts(&self) -> (usize, usize) {
         let mut i8_count = 0;
         let mut i16_count = 0;
@@ -422,44 +424,35 @@ impl QuantizedModel {
 }
 
 /// Pre-sized integer scratch buffers of a quantized plan: activation-code
-/// ping-pong slots, the transposed `im2row` patch buffer, the widened
-/// sample-major dense-input buffer and the `i32` accumulator. Sized once at
-/// plan construction; forward passes never allocate. The default is empty,
-/// which is what an `f32` plan holds.
+/// ping-pong slots, the `i8` column matrix of the quantized `im2col`, the
+/// widened sample-major dense-input buffer and the `i32` accumulator. Sized
+/// once at plan construction; forward passes never allocate. The default is
+/// empty, which is what an `f32` plan holds.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct QuantBuffers {
     /// Activation-code ping-pong pair (indexed like the `f32` pair).
     pub(crate) codes: [Vec<i8>; 2],
-    /// Column scratch of the quantized `im2col` (`[k, n]` i8).
+    /// Column scratch of the quantized `im2col` (`[k, n]` i8), which the
+    /// convolution's GEMM reads directly.
     pub(crate) col8: Vec<i8>,
-    /// Transposed patch buffer of the quantized convolution (`[n, kp]` i16).
-    pub(crate) rows16: Vec<i16>,
     /// Widened, depth-padded sample-major dense inputs (`[batch, kp]` i16).
     pub(crate) xs16: Vec<i16>,
     /// `i32` accumulator the integer GEMM writes and the epilogue reads.
     pub(crate) acc: Vec<i32>,
 }
 
-/// Per-unit-batch element counts of the integer scratch a quantized plan
-/// needs for `arch`: `(rows16, xs16)` — the transposed conv patch buffer
-/// (`out positions · padded depth`) and the widened dense input row.
-fn integer_scratch_requirements(arch: &MultiExitArchitecture) -> (usize, usize) {
-    let mut rows16 = 0usize;
-    let mut xs16 = 0usize;
-    for spec in arch.all_layers() {
-        match &spec.kind {
-            LayerSpecKind::Conv { in_channels, kernel, .. } => {
-                let kp = (in_channels * kernel * kernel).next_multiple_of(MADD_DEPTH_ALIGN);
-                let cols = spec.output_dims[1] * spec.output_dims[2];
-                rows16 = rows16.max(cols * kp);
-            }
+/// Per-unit-batch element count of the widened dense input row a quantized
+/// plan needs for `arch`: the widest dense input, depth-padded.
+fn dense_input_requirement(arch: &MultiExitArchitecture) -> usize {
+    arch.all_layers()
+        .filter_map(|spec| match spec.kind {
             LayerSpecKind::Dense { in_features, .. } => {
-                xs16 = xs16.max(in_features.next_multiple_of(MADD_DEPTH_ALIGN));
+                Some(in_features.next_multiple_of(MADD_DEPTH_ALIGN))
             }
-            _ => {}
-        }
-    }
-    (rows16, xs16)
+            _ => None,
+        })
+        .max()
+        .unwrap_or(0)
 }
 
 impl QuantBuffers {
@@ -467,31 +460,26 @@ impl QuantBuffers {
     pub(crate) fn for_architecture(arch: &MultiExitArchitecture, max_batch: usize) -> Self {
         let mb = max_batch.max(1);
         let (max_act, max_col) = buffer_requirements(arch);
-        let (rows16, xs16) = integer_scratch_requirements(arch);
         QuantBuffers {
             codes: [vec![0i8; max_act * mb], vec![0i8; max_act * mb]],
             col8: vec![0i8; max_col * mb],
-            rows16: vec![0i16; rows16 * mb],
-            xs16: vec![0i16; xs16 * mb],
+            xs16: vec![0i16; dense_input_requirement(arch) * mb],
             acc: vec![0i32; max_act * mb],
         }
     }
 
     /// Returns `true` when these buffers can hold `arch` with `max_batch`
     /// samples per pass. The `f32`-side act/col capacities are checked by the
-    /// plan itself; this covers the **integer** scratch, whose requirements
-    /// (padded conv depth × output positions, widened dense rows) do not
-    /// follow from the `f32` ones — a repack that skipped this check could
-    /// pass the plan compatibility test and still overrun `rows16`/`xs16`
-    /// mid-forward.
+    /// plan itself; this covers the **integer** scratch, whose widened dense
+    /// rows (depth-padded to [`MADD_DEPTH_ALIGN`]) do not follow from the
+    /// `f32` ones — a repack that skipped this check could pass the plan
+    /// compatibility test and still overrun `xs16` mid-forward.
     pub(crate) fn fits(&self, arch: &MultiExitArchitecture, max_batch: usize) -> bool {
         let mb = max_batch.max(1);
         let (max_act, max_col) = buffer_requirements(arch);
-        let (rows16, xs16) = integer_scratch_requirements(arch);
         self.codes.iter().all(|c| c.len() >= max_act * mb)
             && self.col8.len() >= max_col * mb
-            && self.rows16.len() >= rows16 * mb
-            && self.xs16.len() >= xs16 * mb
+            && self.xs16.len() >= dense_input_requirement(arch) * mb
             && self.acc.len() >= max_act * mb
     }
 }
@@ -611,9 +599,9 @@ fn epilogue_samples(
 
 /// Runs one quantized convolution over `batch` samples of input codes (wide
 /// channel-major layout for `batch > 1`): the plane-major quantized
-/// `im2col` lowering, the blocked widening transpose into depth-padded i16
-/// patch rows, the madd GEMM into the `i32` accumulator, and the
-/// requantization epilogue into `dst`. Allocation-free.
+/// `im2col` lowering into the `[k, n]` i8 column matrix, the register-tiled
+/// integer GEMM straight from those columns into the `i32` accumulator, and
+/// the requantization epilogue into `dst`. Allocation-free.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn quant_conv_forward(
     conv: &Conv2d,
@@ -622,7 +610,6 @@ pub(crate) fn quant_conv_forward(
     batch: usize,
     fuse_relu: bool,
     col8: &mut [i8],
-    rows16: &mut [i16],
     acc: &mut [i32],
     dst: QuantDst<'_>,
 ) -> Result<()> {
@@ -631,15 +618,13 @@ pub(crate) fn quant_conv_forward(
     let (m, k, kp) = (ql.rows, ql.cols, ql.kp);
     let cols = &mut col8[..k * n];
     im2col_select_batch_into(codes_in, batch, geom, ql.input.zero_point() as i8, &ql.kept, cols)?;
-    let patches = &mut rows16[..n * kp];
-    transpose_widen_into(cols, k, n, kp, patches);
-    gemm_i16t_into(&ql.w, patches, &mut acc[..m * n], m, kp, n);
+    gemm_i8cols_into(&ql.w, cols, &mut acc[..m * n], m, k, kp, n);
     epilogue_rows(&acc[..m * n], ql, n, fuse_relu, dst);
     Ok(())
 }
 
 /// Runs one quantized dense layer over `batch` sample-major input code
-/// vectors: widens them into depth-padded i16 rows, runs the madd GEMM
+/// vectors: widens them into depth-padded i16 rows, runs the transposed GEMM
 /// (activations as the left operand, packed weight codes as the transposed
 /// right operand) into the `i32` accumulator, then the requantization
 /// epilogue into `dst`. Allocation-free.

@@ -1054,23 +1054,24 @@ mod tests {
         use crate::spec::ArchitectureBuilder;
         use ie_tensor::QuantParams;
 
-        // Arch A: conv depth 18 (padded 32) over 4x4 positions -> patch
-        // scratch 512; act capacity 128, col capacity 288.
+        // Arch A: conv to 8x4x4 (act capacity 128, col capacity 18·16 =
+        // 288), pooled to 32 dense inputs -> widened dense row 32.
         let arch_a = ArchitectureBuilder::new([2, 6, 6], 3)
             .conv("c", 8, 3, 1, 0)
             .relu()
+            .maxpool(2)
             .begin_branch()
             .flatten()
             .dense("d", 3)
             .end_exit()
             .build()
             .unwrap();
-        // Arch B: conv depth 8 (padded 16) over 6x6 positions -> patch
-        // scratch 576 (> A's 512) while act (108) and col (288) both fit A's
+        // Arch B: a 1x1 conv to 2x6x6 feeding 72 dense inputs -> widened
+        // dense row 80 (> A's 32) while act (72) and col (72) both fit A's
         // f32 capacities — exactly the case the f32-side compatibility check
         // cannot see.
-        let arch_b = ArchitectureBuilder::new([2, 7, 7], 3)
-            .conv("c", 3, 2, 1, 0)
+        let arch_b = ArchitectureBuilder::new([2, 6, 6], 3)
+            .conv("c", 2, 1, 1, 0)
             .relu()
             .begin_branch()
             .flatten()
@@ -1095,8 +1096,8 @@ mod tests {
         let mut plan = BatchPlan::for_network_quantized(&net_a, &cfg_a, 2).unwrap();
         // The f32-side capacities of an A-sized plan do hold B...
         assert!(BatchPlan::for_architecture(net_a.architecture(), 2).is_compatible(&net_b));
-        // ...but the integer patch scratch does not, so repacking must be
-        // refused instead of overrunning `rows16` mid-forward.
+        // ...but the widened dense-input scratch does not, so repacking must
+        // be refused instead of overrunning `xs16` mid-forward.
         assert!(!plan.can_repack_quantized(&net_b, 2));
         assert!(plan.repack_quantized(&net_b, &quant_cfg(&net_b)).is_err());
 

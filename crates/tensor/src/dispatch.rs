@@ -1,14 +1,14 @@
 //! Runtime ISA dispatch: one binary, the best kernel the machine can run.
 //!
 //! The hot kernels of this crate (GEMM, matvec, max-pool, softmax,
-//! the quantize/dequantize epilogues, the integer madd GEMM and the training
+//! the quantize/dequantize epilogues, the two integer GEMMs and the training
 //! kernels) each exist in up to three **tiers**:
 //!
 //! | tier | requires | what it buys |
 //! |------|----------|--------------|
 //! | [`IsaTier::Portable`] | nothing (baseline x86-64 / any arch) | safe Rust, LLVM autovectorization at the baseline width |
-//! | [`IsaTier::Avx2`] | AVX2 (+FMA present, unused — see below) | 8-lane `f32` / 16-lane `i16` kernels via explicit or recompiled-for-AVX2 code |
-//! | [`IsaTier::Vnni`] | AVX-512 F/BW/VL/VNNI | `vpdpwssd` for the i16 madd GEMM: fuses `vpmaddwd`'s multiply-add-pairs with the accumulate into one instruction, at 512-bit width (twice AVX2's lanes) |
+//! | [`IsaTier::Avx2`] | AVX2 (+FMA present, unused — see below) | 8-lane `f32` kernels via explicit or recompiled-for-AVX2 code; the integer GEMMs on 256-bit `vpmaddwd` (two `i16` MACs per `i32` lane) + `vpaddd`: the convolution's 4×16 register tile of broadcast weight pairs against interleaved `i8` column pairs, the dense layer's contiguous dot |
+//! | [`IsaTier::Vnni`] | AVX-512 F/BW/VL/VNNI | both integer GEMMs on `vpdpwssd`, which fuses `vpmaddwd`'s multiply-add-pairs with the accumulate: the convolution's 8×32 register tile at 512-bit width (twice AVX2's columns per instruction), with masked 16-column tiles for the remainder, and the dense layer's 512-bit dot |
 //!
 //! # One dispatch point
 //!
@@ -21,8 +21,8 @@
 //! the same loops 8 lanes wide, with the same per-element operations. The
 //! kernels where that code timed slower than hand-written intrinsics (the
 //! 2×2 pools, ReLU and its backward, softmax, the activation quantize, both
-//! requantize epilogues and the madd dots) keep explicit AVX2 (and VNNI)
-//! functions; the macro calls those instead.
+//! requantize epilogues and the two integer GEMMs) keep explicit AVX2 (and
+//! VNNI) functions; the macro calls those instead.
 //!
 //! The running machine's best supported tier is detected once with `cpuid`
 //! (via `is_x86_feature_detected!`) and cached in a [`std::sync::OnceLock`];

@@ -57,9 +57,8 @@ pub use ops::{
     relu_codes_floor, relu_slice, softmax_slice_into,
 };
 pub use quant::{
-    dequant_acc, dequant_rows_slice_into, dequant_slice_into, gemm_i16t_into,
-    requant_rows_slice_into, requant_slice_into, transpose_widen_into, weight_code, QuantParams,
-    MADD_DEPTH_ALIGN,
+    dequant_acc, dequant_rows_slice_into, dequant_slice_into, gemm_i16t_into, gemm_i8cols_into,
+    requant_rows_slice_into, requant_slice_into, weight_code, QuantParams, MADD_DEPTH_ALIGN,
 };
 pub use shape::Shape;
 pub use tensor::Tensor;
@@ -91,6 +90,7 @@ pub mod tiered {
     pub use crate::quant::{
         dequant_rows_slice_into_tier as dequant_rows_slice_into,
         dequant_slice_into_tier as dequant_slice_into, gemm_i16t_into_tier as gemm_i16t_into,
+        gemm_i8cols_into_tier as gemm_i8cols_into,
         requant_rows_slice_into_tier as requant_rows_slice_into,
         requant_slice_into_tier as requant_slice_into,
     };

@@ -15,12 +15,13 @@
 //!   fake-quant `f32` round trip in `ie_compress` and the integer plan
 //!   construction in `ie_nn`, so both paths derive bit-identical codes from
 //!   one scale;
-//! * one integer GEMM with `i32` accumulators, the **transposed madd**
-//!   kernel [`gemm_i16t_into`] (with [`transpose_widen_into`] to build its
-//!   right operand), which both the quantized convolution and the quantized
-//!   dense layer run — on AVX2 an `i32` lane multiply has no edge over `f32`
-//!   FMA, so the fast path is the `vpmaddwd`-shaped contiguous dot (see the
-//!   kernel docs);
+//! * two integer GEMMs with `i32` accumulators, both built on `vpmaddwd`
+//!   (AVX2) or `vpdpwssd` (VNNI), the paired `i16` multiply-add: the
+//!   register-tiled [`gemm_i8cols_into`], which multiplies the packed weight
+//!   rows into the `[k, n]` `i8` column matrix the quantized `im2col` writes
+//!   (the convolution), and the transposed dot [`gemm_i16t_into`], whose
+//!   every output is one contiguous dot (the dense layer, where `n` is the
+//!   batch and too narrow for a column tile);
 //! * [`dequant_acc`] — the requantization epilogue's scalar step, fixed here
 //!   so the optimized kernels and the naive fake-quant reference agree bit
 //!   for bit.
@@ -201,10 +202,17 @@ impl QuantParams {
         tiered!(
             tier,
             avx2: simd::quantize_slice_avx2(self, src, dst),
-            portable: for (d, &v) in dst.iter_mut().zip(src) {
-                *d = self.quantize(v) as i8;
-            },
+            portable: quantize_body(self, src, dst),
         );
+    }
+}
+
+/// Portable body of [`QuantParams::quantize_slice_into`]; the AVX2 tier runs
+/// it, compiled for AVX2, on the last `len % 16` elements.
+#[inline(always)]
+fn quantize_body(p: &QuantParams, src: &[f32], dst: &mut [i8]) {
+    for (d, &v) in dst.iter_mut().zip(src) {
+        *d = p.quantize(v) as i8;
     }
 }
 
@@ -359,10 +367,25 @@ pub fn requant_slice_into_tier(
     tiered!(
         tier,
         avx2: simd::requant_slice_avx2(acc, corr, scale, bias, p, floor, out),
-        portable: for (o, &a) in out.iter_mut().zip(acc) {
-            *o = p.quantize(dequant_acc(a, corr, scale, bias)).max(floor) as i8;
-        },
+        portable: requant_body(acc, corr, scale, bias, p, floor, out),
     );
+}
+
+/// Portable body of [`requant_slice_into`]; the AVX2 tier runs it, compiled
+/// for AVX2, on the last `len % 16` elements.
+#[inline(always)]
+fn requant_body(
+    acc: &[i32],
+    corr: i32,
+    scale: f32,
+    bias: f32,
+    p: &QuantParams,
+    floor: i32,
+    out: &mut [i8],
+) {
+    for (o, &a) in out.iter_mut().zip(acc) {
+        *o = p.quantize(dequant_acc(a, corr, scale, bias)).max(floor) as i8;
+    }
 }
 
 /// Requantization epilogue over a sample-major accumulator row where the
@@ -486,17 +509,12 @@ pub const MADD_DEPTH_ALIGN: usize = 16;
 /// Contiguous i16 dot product with `i32` wrapping accumulation.
 ///
 /// This exact shape — a single reduction over `sext(i16)·sext(i16)` products
-/// — is what LLVM lowers to the x86 `vpmaddwd` multiply-add-pairs
-/// instruction, which retires **two** integer MACs per lane per instruction:
-/// twice the multiply throughput of `f32` FMA at equal register width, and
-/// the entire reason the quantized engine beats the float kernels on wide
-/// layers. Any blocking/interleaving of this loop breaks the pattern match
-/// (measured: 2–3× slower), which is why the transposed GEMM calls the
-/// plain dot instead of register-tiling like the `f32` kernel. On the
-/// portable tier LLVM emits the 128-bit `pmaddwd` (SSE2 baseline); the AVX2
-/// tier uses the 256-bit form explicitly and the VNNI tier fuses the
-/// multiply-add-pairs *and* the accumulation into one 512-bit `vpdpwssd`.
-/// Integer addition is associative, so all tiers are bit-identical.
+/// — is what LLVM lowers to the x86 `pmaddwd` multiply-add-pairs
+/// instruction on the portable tier (SSE2 baseline), two MACs per lane per
+/// instruction; the AVX2 tier uses the 256-bit form explicitly and the VNNI
+/// tier fuses the multiply-add-pairs *and* the accumulation into one 512-bit
+/// `vpdpwssd`. Integer addition is associative, so all tiers are
+/// bit-identical.
 #[inline]
 fn dot_i16(a: &[i16], b: &[i16]) -> i32 {
     let mut sum = 0i32;
@@ -506,76 +524,144 @@ fn dot_i16(a: &[i16], b: &[i16]) -> i32 {
     sum
 }
 
-/// Cache-blocked widening transpose: turns the `[k, n]` column matrix the
-/// quantized `im2col` produces into the `[n, kp]` row-major, depth-padded
-/// `i16` right operand of [`gemm_i16t_into`].
+/// Register-tiled integer GEMM of the quantized convolution:
+/// `out[i][j] = Σ_{p<k} w[i][p] · cols[p][j]`, with `w` the packed `[m, kp]`
+/// row-major `i16` weight codes (only the first `k` codes of each row are
+/// read, so the depth pad may hold anything) and `cols` the `[k, n]`
+/// row-major `i8` column matrix the quantized `im2col` writes.
 ///
-/// The plane-major `im2col` lowering is fast (long contiguous copy runs) but
-/// emits columns; the madd GEMM needs contiguous depth **rows**. Fusing the
-/// transpose into either side is slower than doing it blocked here: 32×32
-/// tiles keep both the strided reads and the contiguous writes inside L1,
-/// and the depth tail `k..kp` of every row is zero-filled (exact against the
-/// zero-padded weight rows).
+/// The vector tiers take the depth rows in pairs `(2q, 2q + 1)`: they
+/// sign-extend 16 (AVX2) or 32 (VNNI) columns of both rows to `i16`,
+/// interleave them in registers, and multiply-add each interleaved pair
+/// against the broadcast 32-bit weight pair `w[i][2q..2q + 2]` of every row
+/// of the tile — `vpmaddwd` + `vpaddd` on AVX2, one `vpdpwssd` on VNNI, two
+/// MACs per lane per instruction. Each accumulator is stored once. An odd
+/// `k` pairs its last row with zeros. Row remainders run narrower tiles
+/// (VNNI 8/4/1 rows, AVX2 4/1), and column remainders run masked tiles
+/// (VNNI) or the portable body (AVX2); no byte beyond `[k, n]` is read.
+/// Wrapping `i32` accumulation; integer addition is associative, so every
+/// tier equals the naive triple loop bit for bit. Never allocates.
 ///
 /// # Panics
 ///
-/// Panics when `kp < k` or a buffer length does not match.
-pub fn transpose_widen_into(cols: &[i8], k: usize, n: usize, kp: usize, out: &mut [i16]) {
-    assert!(kp >= k, "padded depth {kp} below real depth {k}");
-    assert_eq!(cols.len(), k * n, "transpose: column buffer length {} != {k}x{n}", cols.len());
-    assert_eq!(out.len(), n * kp, "transpose: out buffer length {} != {n}x{kp}", out.len());
-    // 16(n) × 8(k) register tiles: every read is a contiguous 16-byte run of
-    // one source row, every write a contiguous 16-byte run of one output
-    // row; only the in-register tile is permuted. ~2.3× faster than a plain
-    // blocked scalar transpose (measured on the conv shapes of the paper
-    // backbone).
-    const TJ: usize = 16;
-    const TP: usize = 8;
-    let n_main = n - n % TJ;
-    let k_main = k - k % TP;
-    for pb in (0..k_main).step_by(TP) {
-        for jb in (0..n_main).step_by(TJ) {
-            let mut tile = [[0i16; TP]; TJ];
-            for pp in 0..TP {
-                let row = &cols[(pb + pp) * n + jb..(pb + pp) * n + jb + TJ];
-                for (j, t) in tile.iter_mut().enumerate() {
-                    t[pp] = i16::from(row[j]);
+/// Panics when `kp < k` or a buffer length does not match its
+/// `m`/`k`/`kp`/`n` dimensions.
+pub fn gemm_i8cols_into(
+    w: &[i16],
+    cols: &[i8],
+    out: &mut [i32],
+    m: usize,
+    k: usize,
+    kp: usize,
+    n: usize,
+) {
+    gemm_i8cols_into_tier(dispatch::active(), w, cols, out, m, k, kp, n);
+}
+
+/// [`gemm_i8cols_into`] on an explicitly chosen ISA tier (clamped to the
+/// hardware).
+///
+/// # Panics
+///
+/// Panics when `kp < k` or a buffer length does not match its
+/// `m`/`k`/`kp`/`n` dimensions.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_i8cols_into_tier(
+    tier: IsaTier,
+    w: &[i16],
+    cols: &[i8],
+    out: &mut [i32],
+    m: usize,
+    k: usize,
+    kp: usize,
+    n: usize,
+) {
+    assert!(kp >= k, "gemm_cols: padded depth {kp} below real depth {k}");
+    assert_eq!(w.len(), m * kp, "gemm_cols: weight buffer length {} != {m}x{kp}", w.len());
+    assert_eq!(cols.len(), k * n, "gemm_cols: column buffer length {} != {k}x{n}", cols.len());
+    assert_eq!(out.len(), m * n, "gemm_cols: out buffer length {} != {m}x{n}", out.len());
+    tiered!(
+        tier,
+        vnni: simd::gemm_i8cols_vnni(w, cols, out, m, k, kp, n),
+        avx2: simd::gemm_i8cols_avx2(w, cols, out, m, k, kp, n),
+        portable: gemm_i8cols_body(w, cols, out, m, k, kp, n, 0),
+    );
+}
+
+/// Portable body of [`gemm_i8cols_into`] over the columns `from..n`.
+///
+/// Baseline x86-64 has no widening `i32` lane multiply, and LLVM emits the
+/// SSE2 `pmaddwd` only for a contiguous `i16` dot-product reduction (see
+/// `dot_i16`). So each strip of 8 columns is widened and transposed, 256
+/// depth rows at a time, into a 4 KiB stack buffer, and each weight row runs
+/// its 8 dots against the strip at once: one weight load feeds 8 products.
+/// The vector tiers run this body (inlined, compiled for their features) on
+/// the columns their tiles leave.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn gemm_i8cols_body(
+    w: &[i16],
+    cols: &[i8],
+    out: &mut [i32],
+    m: usize,
+    k: usize,
+    kp: usize,
+    n: usize,
+    from: usize,
+) {
+    const NR: usize = 8;
+    const KB: usize = 256;
+    let mut strip = [[0i16; KB]; NR];
+    for j0 in (from..n).step_by(NR) {
+        let nr = NR.min(n - j0);
+        for i in 0..m {
+            out[i * n + j0..][..nr].fill(0);
+        }
+        for kb in (0..k).step_by(KB) {
+            let kl = KB.min(k - kb);
+            for p in 0..kl {
+                let src = &cols[(kb + p) * n + j0..][..nr];
+                for (dst, &c) in strip.iter_mut().zip(src) {
+                    dst[p] = i16::from(c);
                 }
             }
-            for (j, t) in tile.iter().enumerate() {
-                out[(jb + j) * kp + pb..(jb + j) * kp + pb + TP].copy_from_slice(t);
+            // Every slice below has the known length `kl`, so the dot loop
+            // carries no bounds check, and its indexed form is what LLVM
+            // turns into 8 `pmaddwd` reductions (zipping `acc` with `lanes`
+            // measured 3× slower). Lanes past `nr` of a narrow last strip
+            // hold stale codes; their dots are dropped.
+            let lanes: [&[i16]; NR] = core::array::from_fn(|l| &strip[l][..kl]);
+            for i in 0..m {
+                let wr = &w[i * kp + kb..][..kl];
+                let mut acc = [0i32; NR];
+                for p in 0..kl {
+                    let wv = i32::from(wr[p]);
+                    #[allow(clippy::needless_range_loop)]
+                    for l in 0..NR {
+                        acc[l] = acc[l].wrapping_add(wv * i32::from(lanes[l][p]));
+                    }
+                }
+                for (o, &a) in out[i * n + j0..][..nr].iter_mut().zip(&acc) {
+                    *o = o.wrapping_add(a);
+                }
             }
         }
-        // Column remainder (n % 16).
-        for j in n_main..n {
-            for pp in 0..TP {
-                out[j * kp + pb + pp] = i16::from(cols[(pb + pp) * n + j]);
-            }
-        }
-    }
-    // Depth remainder (k % 8) and the zero-filled pad tail of every row.
-    for p in k_main..k {
-        for j in 0..n {
-            out[j * kp + p] = i16::from(cols[p * n + j]);
-        }
-    }
-    for j in 0..n {
-        out[j * kp + k..(j + 1) * kp].fill(0);
     }
 }
 
 /// Transposed-operand integer GEMM: `out[i][j] = Σ_p a[i][p] · bt[j][p]`
 /// with `a` as `[m, kp]` and `bt` as `[n, kp]`, both row-major — i.e. `bt`
 /// is the **transposed** right operand, so every output element is a dot of
-/// two contiguous rows (see `dot_i16` for why that shape is the fast one
-/// on x86). `kp` is the padded depth; callers align it to
-/// [`MADD_DEPTH_ALIGN`] with zero fill, which changes no result.
+/// two contiguous rows (see `dot_i16`). `kp` is the padded depth; callers
+/// align it to [`MADD_DEPTH_ALIGN`] with zero fill, which changes no result.
 ///
-/// Serves both the quantized convolution (`a` = packed weight codes, `bt` =
-/// the `im2row`-lowered activation patches) and the quantized dense layer
-/// (`a` = sample-major activation vectors, `bt` = packed weight codes).
-/// Wrapping `i32` accumulation; integer addition is associative, so the
-/// result is bit-identical to any naive evaluation order. Never allocates.
+/// Serves the quantized dense layer only (`a` = sample-major activation
+/// vectors, `bt` = packed weight codes): there `n` is the output width and
+/// `m` the batch, so the dot keeps every lane busy at batch 1, where a
+/// column tile over the batch would leave most of its lanes idle. The
+/// convolution runs [`gemm_i8cols_into`]. Wrapping `i32` accumulation;
+/// integer addition is associative, so the result is bit-identical to any
+/// naive evaluation order. Never allocates.
 ///
 /// # Panics
 ///
@@ -716,6 +802,298 @@ mod simd {
         }
     }
 
+    /// Checks that the `rows × width` tile at `(i0, j0)` of
+    /// [`gemm_i8cols_into`] lies inside its operands — the bounds every raw
+    /// load and store of the tile kernels relies on.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn check_tile(
+        w: &[i16],
+        cols: &[i8],
+        out: &[i32],
+        (i0, rows): (usize, usize),
+        (j0, width): (usize, usize),
+        k: usize,
+        kp: usize,
+        n: usize,
+    ) {
+        // Checked products, so no wrapped size can pass for a fitting one.
+        let fits = |len: usize, rows: usize, stride: usize| {
+            rows.checked_mul(stride).is_some_and(|need| need <= len)
+        };
+        assert!(
+            kp >= k
+                && j0 + width <= n
+                && fits(cols.len(), k, n)
+                && fits(w.len(), i0 + rows, kp)
+                && fits(out.len(), i0 + rows, n),
+            "gemm_cols tile out of bounds"
+        );
+    }
+
+    /// The weight codes `w[at]` and `w[at + 1]` as one 32-bit lane, low half
+    /// first — the operand `vpmaddwd`/`vpdpwssd` multiply against an
+    /// interleaved `(row 2q, row 2q + 1)` column pair. Without `pair` (the
+    /// last row of an odd depth) only `w[at]` is read and the high half is 0.
+    ///
+    /// # Safety
+    ///
+    /// `at` must be in bounds of the slice behind `w`, and `at + 1` too when
+    /// `pair` is set.
+    #[inline(always)]
+    unsafe fn weight_pair(w: *const i16, at: usize, pair: bool) -> i32 {
+        // SAFETY: the caller guarantees `at` (and `at + 1` with `pair`) lie
+        // inside the weight slice.
+        unsafe {
+            if pair {
+                w.add(at).cast::<i32>().read_unaligned()
+            } else {
+                i32::from(w.add(at).read() as u16)
+            }
+        }
+    }
+
+    /// Sign-extends 16 columns of two depth rows to `i16` and interleaves
+    /// them: columns 0..8 and 8..16, each lane a `(row 2q, row 2q + 1)` pair.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn interleave16(x0: __m128i, x1: __m128i) -> [__m256i; 2] {
+        [
+            _mm256_cvtepi8_epi16(_mm_unpacklo_epi8(x0, x1)),
+            _mm256_cvtepi8_epi16(_mm_unpackhi_epi8(x0, x1)),
+        ]
+    }
+
+    /// [`gemm_i8cols_into`] on AVX2: 16-column strips of 4-row tiles, then
+    /// 1-row tiles; the last `n % 16` columns run the portable body.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn gemm_i8cols_avx2(
+        w: &[i16],
+        cols: &[i8],
+        out: &mut [i32],
+        m: usize,
+        k: usize,
+        kp: usize,
+        n: usize,
+    ) {
+        let strips = n / 16;
+        for j0 in (0..strips * 16).step_by(16) {
+            let mut i0 = 0;
+            while i0 + 4 <= m {
+                tile16_avx2::<4>(w, cols, out, i0, j0, k, kp, n);
+                i0 += 4;
+            }
+            for i in i0..m {
+                tile16_avx2::<1>(w, cols, out, i, j0, k, kp, n);
+            }
+        }
+        gemm_i8cols_body(w, cols, out, m, k, kp, n, strips * 16);
+    }
+
+    /// One `MR × 16` tile of [`gemm_i8cols_avx2`] at rows `i0..i0 + MR`,
+    /// columns `j0..j0 + 16`: per depth pair, `vpmaddwd` of the interleaved
+    /// columns against each row's broadcast weight pair, then `vpaddd`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
+    fn tile16_avx2<const MR: usize>(
+        w: &[i16],
+        cols: &[i8],
+        out: &mut [i32],
+        i0: usize,
+        j0: usize,
+        k: usize,
+        kp: usize,
+        n: usize,
+    ) {
+        check_tile(w, cols, out, (i0, MR), (j0, 16), k, kp, n);
+        let mut acc = [[_mm256_setzero_si256(); 2]; MR];
+        let madd = |acc: &mut [[__m256i; 2]; MR], b: [__m256i; 2], p: usize, pair: bool| {
+            for (r, a) in acc.iter_mut().enumerate() {
+                // SAFETY: `check_tile` bounds row i0 + r of `w` (length kp)
+                // and p < k <= kp, with p + 1 < k whenever `pair` is set.
+                let wp =
+                    _mm256_set1_epi32(unsafe { weight_pair(w.as_ptr(), (i0 + r) * kp + p, pair) });
+                a[0] = _mm256_add_epi32(a[0], _mm256_madd_epi16(b[0], wp));
+                a[1] = _mm256_add_epi32(a[1], _mm256_madd_epi16(b[1], wp));
+            }
+        };
+        let row = |p: usize| {
+            // SAFETY: p < k and j0 + 16 <= n (`check_tile`), so the 16 bytes
+            // at p·n + j0 lie inside the `[k, n]` column matrix.
+            unsafe { _mm_loadu_si128(cols.as_ptr().add(p * n + j0).cast()) }
+        };
+        for p in (0..k - k % 2).step_by(2) {
+            madd(&mut acc, interleave16(row(p), row(p + 1)), p, true);
+        }
+        if k % 2 == 1 {
+            madd(&mut acc, interleave16(row(k - 1), _mm_setzero_si128()), k - 1, false);
+        }
+        for (r, a) in acc.iter().enumerate() {
+            // SAFETY: row i0 + r of `out` holds n >= j0 + 16 lanes
+            // (`check_tile`), so both 8-lane stores stay inside it.
+            unsafe {
+                let dst = out.as_mut_ptr().add((i0 + r) * n + j0);
+                _mm256_storeu_si256(dst.cast(), a[0]);
+                _mm256_storeu_si256(dst.add(8).cast(), a[1]);
+            }
+        }
+    }
+
+    /// [`gemm_i8cols_into`] on AVX-512 VNNI: 32-column strips, then 16-column
+    /// strips whose last one is masked to the `n % 16` remainder; each strip
+    /// runs 8-row tiles, then 4-row and 1-row tiles.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vnni")]
+    pub(super) fn gemm_i8cols_vnni(
+        w: &[i16],
+        cols: &[i8],
+        out: &mut [i32],
+        m: usize,
+        k: usize,
+        kp: usize,
+        n: usize,
+    ) {
+        let wide = n / 32 * 32;
+        for j0 in (0..wide).step_by(32) {
+            let mut i0 = 0;
+            while i0 + 8 <= m {
+                tile32_vnni::<8>(w, cols, out, i0, j0, k, kp, n);
+                i0 += 8;
+            }
+            if i0 + 4 <= m {
+                tile32_vnni::<4>(w, cols, out, i0, j0, k, kp, n);
+                i0 += 4;
+            }
+            for i in i0..m {
+                tile32_vnni::<1>(w, cols, out, i, j0, k, kp, n);
+            }
+        }
+        for j0 in (wide..n).step_by(16) {
+            let width = (n - j0).min(16);
+            let mut i0 = 0;
+            while i0 + 8 <= m {
+                tile16_vnni::<8>(w, cols, out, i0, (j0, width), k, kp, n);
+                i0 += 8;
+            }
+            if i0 + 4 <= m {
+                tile16_vnni::<4>(w, cols, out, i0, (j0, width), k, kp, n);
+                i0 += 4;
+            }
+            for i in i0..m {
+                tile16_vnni::<1>(w, cols, out, i, (j0, width), k, kp, n);
+            }
+        }
+    }
+
+    /// One `MR × 32` tile of [`gemm_i8cols_vnni`]: per depth pair, one
+    /// 512-bit `vpdpwssd` per 16 columns and row.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vnni")]
+    #[allow(clippy::too_many_arguments)]
+    fn tile32_vnni<const MR: usize>(
+        w: &[i16],
+        cols: &[i8],
+        out: &mut [i32],
+        i0: usize,
+        j0: usize,
+        k: usize,
+        kp: usize,
+        n: usize,
+    ) {
+        check_tile(w, cols, out, (i0, MR), (j0, 32), k, kp, n);
+        let mut acc = [[_mm512_setzero_si512(); 2]; MR];
+        let dp = |acc: &mut [[__m512i; 2]; MR], x0: __m256i, x1: __m256i, p: usize, pair: bool| {
+            // Lane l of `lo`/`hi` interleaves columns 0..8 | 16..24 and
+            // 8..16 | 24..32; the lane permutes put them back in order.
+            let (lo, hi) = (_mm256_unpacklo_epi8(x0, x1), _mm256_unpackhi_epi8(x0, x1));
+            let b0 = _mm512_cvtepi8_epi16(_mm256_permute2x128_si256::<0x20>(lo, hi));
+            let b1 = _mm512_cvtepi8_epi16(_mm256_permute2x128_si256::<0x31>(lo, hi));
+            for (r, a) in acc.iter_mut().enumerate() {
+                // SAFETY: `check_tile` bounds row i0 + r of `w` (length kp)
+                // and p < k <= kp, with p + 1 < k whenever `pair` is set.
+                let wp =
+                    _mm512_set1_epi32(unsafe { weight_pair(w.as_ptr(), (i0 + r) * kp + p, pair) });
+                a[0] = _mm512_dpwssd_epi32(a[0], b0, wp);
+                a[1] = _mm512_dpwssd_epi32(a[1], b1, wp);
+            }
+        };
+        let row = |p: usize| {
+            // SAFETY: p < k and j0 + 32 <= n (`check_tile`), so the 32 bytes
+            // at p·n + j0 lie inside the `[k, n]` column matrix.
+            unsafe { _mm256_loadu_si256(cols.as_ptr().add(p * n + j0).cast()) }
+        };
+        for p in (0..k - k % 2).step_by(2) {
+            dp(&mut acc, row(p), row(p + 1), p, true);
+        }
+        if k % 2 == 1 {
+            dp(&mut acc, row(k - 1), _mm256_setzero_si256(), k - 1, false);
+        }
+        for (r, a) in acc.iter().enumerate() {
+            // SAFETY: row i0 + r of `out` holds n >= j0 + 32 lanes
+            // (`check_tile`), so both 16-lane stores stay inside it.
+            unsafe {
+                let dst = out.as_mut_ptr().add((i0 + r) * n + j0);
+                _mm512_storeu_si512(dst.cast(), a[0]);
+                _mm512_storeu_si512(dst.add(16).cast(), a[1]);
+            }
+        }
+    }
+
+    /// One `MR × width` tile of [`gemm_i8cols_vnni`] with `width <= 16`:
+    /// 256-bit `vpdpwssd`, with loads and stores masked to the first `width`
+    /// columns (masked-off lanes are neither read nor written).
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vnni")]
+    #[allow(clippy::too_many_arguments)]
+    fn tile16_vnni<const MR: usize>(
+        w: &[i16],
+        cols: &[i8],
+        out: &mut [i32],
+        i0: usize,
+        (j0, width): (usize, usize),
+        k: usize,
+        kp: usize,
+        n: usize,
+    ) {
+        check_tile(w, cols, out, (i0, MR), (j0, width), k, kp, n);
+        debug_assert!(width <= 16);
+        let mask = (u32::MAX >> (32 - width)) as u16;
+        let mut acc = [[_mm256_setzero_si256(); 2]; MR];
+        let dp = |acc: &mut [[__m256i; 2]; MR], b: [__m256i; 2], p: usize, pair: bool| {
+            for (r, a) in acc.iter_mut().enumerate() {
+                // SAFETY: `check_tile` bounds row i0 + r of `w` (length kp)
+                // and p < k <= kp, with p + 1 < k whenever `pair` is set.
+                let wp =
+                    _mm256_set1_epi32(unsafe { weight_pair(w.as_ptr(), (i0 + r) * kp + p, pair) });
+                a[0] = _mm256_dpwssd_epi32(a[0], b[0], wp);
+                a[1] = _mm256_dpwssd_epi32(a[1], b[1], wp);
+            }
+        };
+        let row = |p: usize| {
+            // SAFETY: p < k and j0 + width <= n (`check_tile`): the unmasked
+            // bytes at p·n + j0 lie inside the `[k, n]` column matrix, and a
+            // masked load does not access the masked-off ones.
+            unsafe { _mm_maskz_loadu_epi8(mask, cols.as_ptr().add(p * n + j0)) }
+        };
+        for p in (0..k - k % 2).step_by(2) {
+            dp(&mut acc, interleave16(row(p), row(p + 1)), p, true);
+        }
+        if k % 2 == 1 {
+            dp(&mut acc, interleave16(row(k - 1), _mm_setzero_si128()), k - 1, false);
+        }
+        let (mask_lo, mask_hi) = (mask as u8, (mask >> 8) as u8);
+        for (r, a) in acc.iter().enumerate() {
+            // SAFETY: row i0 + r of `out` holds n >= j0 + width lanes
+            // (`check_tile`), and the masked stores write only the first
+            // `width` lanes at j0.
+            unsafe {
+                let dst = out.as_mut_ptr().add((i0 + r) * n + j0);
+                _mm256_mask_storeu_epi32(dst, mask_lo, a[0]);
+                _mm256_mask_storeu_epi32(dst.wrapping_add(8), mask_hi, a[1]);
+            }
+        }
+    }
+
     /// Quantizes 8 lanes: multiply by the cached reciprocal scale, round to
     /// nearest-even, clamp in the `f32` domain, force NaN lanes to the zero
     /// code, convert and add the zero point — the scalar
@@ -759,9 +1137,18 @@ mod simd {
                 _mm_storeu_si128(dst.as_mut_ptr().add(16 * b).cast(), codes);
             }
         }
-        for (d, &v) in dst[blocks * 16..].iter_mut().zip(&src[blocks * 16..]) {
-            *d = p.quantize(v) as i8;
-        }
+        quantize_tail_avx2(p, &src[blocks * 16..], &mut dst[blocks * 16..]);
+    }
+
+    /// The last `len % 16` elements of [`quantize_slice_avx2`]: the portable
+    /// body compiled for AVX2 in a function of its own. Inlined into the
+    /// caller, LLVM sees a trip count below 16, leaves the loop scalar and
+    /// rounds through a call per element (10 elements read 71 ns; the
+    /// vectorized body 20 ns).
+    #[inline(never)]
+    #[target_feature(enable = "avx2")]
+    fn quantize_tail_avx2(p: &QuantParams, src: &[f32], dst: &mut [i8]) {
+        quantize_body(p, src, dst);
     }
 
     /// Dequantizes 8 lanes: wrapping subtract, exact int→float convert, then
@@ -802,9 +1189,25 @@ mod simd {
                 _mm_storeu_si128(out.as_mut_ptr().add(16 * b).cast(), pack16_i8(q0, q1));
             }
         }
-        for (o, &a) in out[blocks * 16..].iter_mut().zip(&acc[blocks * 16..]) {
-            *o = p.quantize(dequant_acc(a, corr, scale, bias)).max(floor) as i8;
-        }
+        let tail = blocks * 16;
+        requant_tail_avx2(&acc[tail..], corr, scale, bias, p, floor, &mut out[tail..]);
+    }
+
+    /// The last `len % 16` elements of [`requant_slice_avx2`]: the portable
+    /// body compiled for AVX2 in a function of its own (see
+    /// [`quantize_tail_avx2`]).
+    #[inline(never)]
+    #[target_feature(enable = "avx2")]
+    fn requant_tail_avx2(
+        acc: &[i32],
+        corr: i32,
+        scale: f32,
+        bias: f32,
+        p: &QuantParams,
+        floor: i32,
+        out: &mut [i8],
+    ) {
+        requant_body(acc, corr, scale, bias, p, floor, out);
     }
 
     /// [`requant_rows_slice_into`] 16 lanes at a time.

@@ -508,6 +508,137 @@ fn gemm_column_remainder_matches_the_naive_loop_on_every_tier() {
     }
 }
 
+/// Every length below and between two 16-lane blocks (1..=15, 17..=31)
+/// takes the quantize and requantize kernels' tail path: on every tier it
+/// must equal the portable loop, for unsigned and signed ranges and both
+/// floors. The proptest above draws lengths at random and may miss some.
+#[test]
+fn quantize_and_requant_tails_match_portable_at_every_short_length() {
+    for len in (1usize..=15).chain(17..=31) {
+        let src = mulberry(len as u64, len);
+        let accs: Vec<i32> = src.iter().map(|&v| (v * 100_000.0) as i32).collect();
+        let corrs: Vec<i32> = mulberry(len as u64 ^ 0x77, len).iter().map(|&v| v as i32).collect();
+        let biases = mulberry(len as u64 ^ 0x99, len);
+        let (scale, corr, bias) = (3.1e-3f32, 17i32, 0.37f32);
+        for params in [QuantParams::from_range(0.0, 9.5, 8), QuantParams::from_range(-4.0, 4.0, 5)]
+        {
+            let mut base = vec![0i8; len];
+            params.quantize_slice_into_tier(IsaTier::Portable, &src, &mut base);
+            for &tier in &supported_tiers()[1..] {
+                let mut out = vec![0i8; len];
+                params.quantize_slice_into_tier(tier, &src, &mut out);
+                assert_eq!(base, out, "quantize tier {tier:?} len {len}");
+            }
+            for floor in [params.zero_point(), params.lo()] {
+                let mut base = vec![0i8; len];
+                tiered::requant_slice_into(
+                    IsaTier::Portable,
+                    &accs,
+                    corr,
+                    scale,
+                    bias,
+                    &params,
+                    floor,
+                    &mut base,
+                );
+                let mut base_rows = vec![0i8; len];
+                tiered::requant_rows_slice_into(
+                    IsaTier::Portable,
+                    &accs,
+                    &corrs,
+                    &biases,
+                    scale,
+                    &params,
+                    floor,
+                    &mut base_rows,
+                );
+                for &tier in &supported_tiers()[1..] {
+                    let mut out = vec![0i8; len];
+                    tiered::requant_slice_into(
+                        tier, &accs, corr, scale, bias, &params, floor, &mut out,
+                    );
+                    assert_eq!(base, out, "requant tier {tier:?} len {len}");
+                    tiered::requant_rows_slice_into(
+                        tier, &accs, &corrs, &biases, scale, &params, floor, &mut out,
+                    );
+                    assert_eq!(base_rows, out, "requant rows tier {tier:?} len {len}");
+                }
+            }
+        }
+    }
+}
+
+/// The naive triple loop `out[i][j] = Σ_{p<k} w[i][p] · cols[p][j]` over
+/// `[m, kp]` weight rows and a `[k, n]` column matrix, in wrapping `i32`.
+fn naive_i8cols(w: &[i16], cols: &[i8], m: usize, k: usize, kp: usize, n: usize) -> Vec<i32> {
+    let mut out = vec![0i32; m * n];
+    for i in 0..m {
+        for p in 0..k {
+            for j in 0..n {
+                let prod = i32::from(w[i * kp + p]) * i32::from(cols[p * n + j]);
+                out[i * n + j] = out[i * n + j].wrapping_add(prod);
+            }
+        }
+    }
+    out
+}
+
+/// The convolution GEMM equals the naive triple loop on every tier, over
+/// every tile remainder: odd and even depths, padded (`kp > k`) and unpadded
+/// rows, `n % 32` in {0, 1, 15, 16, 17} (below and above one 32-column
+/// strip), and `m % 8` in 0..=7 (below and above one 8-row tile). The depth
+/// pad holds nonzero codes, which the kernel must not read.
+#[test]
+fn i8cols_gemm_matches_the_naive_loop_on_every_tier() {
+    let ms = (1..=9).chain([12, 15, 16, 23]);
+    let shapes: Vec<(usize, usize)> = [(1, 1), (2, 2), (5, 5), (75, 0), (50, 14), (144, 0)]
+        .into_iter()
+        .flat_map(|(k, pad)| [(k, k + pad), (k + 1, k + 1 + pad)])
+        .collect();
+    for m in ms {
+        for &(k, kp) in &shapes {
+            for n in [1usize, 15, 16, 17, 32, 33, 47, 48, 49, 64, 81] {
+                let data = mulberry((m * 10_000 + k * 100 + n) as u64, m * kp + k * n);
+                let (wf, cf) = data.split_at(m * kp);
+                let w: Vec<i16> = wf.iter().map(|&v| (v * 4096.0) as i16).collect();
+                let cols: Vec<i8> = cf.iter().map(|&v| (v * 16.0) as i8).collect();
+                let naive = naive_i8cols(&w, &cols, m, k, kp, n);
+                for &tier in supported_tiers() {
+                    let mut out = vec![7i32; m * n];
+                    tiered::gemm_i8cols_into(tier, &w, &cols, &mut out, m, k, kp, n);
+                    assert_eq!(out, naive, "tier {tier:?} m {m} k {k} kp {kp} n {n}");
+                }
+            }
+        }
+    }
+}
+
+/// Full-range `i16` weights against `i8` codes of −128, deep enough to wrap
+/// the `i32` accumulator: row 0 holds only −32768 and column 0 only −128, so
+/// cell (0, 0) sums `k` products of 2^22 past `i32::MAX`, and every tier
+/// must wrap exactly like the naive loop.
+#[test]
+fn i8cols_gemm_wraps_like_the_naive_loop_on_every_tier() {
+    let (m, k, n) = (9usize, 601usize, 49usize);
+    let kp = k.next_multiple_of(16);
+    let data = mulberry(17, m * kp + k * n);
+    let (wf, cf) = data.split_at(m * kp);
+    let mut w: Vec<i16> = wf.iter().map(|&v| (v * 4096.0) as i16).collect();
+    let mut cols: Vec<i8> = cf.iter().map(|&v| (v * 16.0) as i8).collect();
+    w[..kp].fill(i16::MIN);
+    for p in 0..k {
+        cols[p * n] = i8::MIN;
+    }
+    let naive = naive_i8cols(&w, &cols, m, k, kp, n);
+    assert_eq!(naive[0], (k as i64 * (1 << 22)) as i32, "cell (0, 0) wraps");
+    assert!(k as i64 * (1 << 22) > i64::from(i32::MAX));
+    for &tier in supported_tiers() {
+        let mut out = vec![0i32; m * n];
+        tiered::gemm_i8cols_into(tier, &w, &cols, &mut out, m, k, kp, n);
+        assert_eq!(out, naive, "tier {tier:?}");
+    }
+}
+
 fn mulberry(seed: u64, len: usize) -> Vec<f32> {
     let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
     (0..len)

@@ -60,6 +60,7 @@ fn dispatched_kernels_perform_zero_allocations_per_call() {
     let mut accs = vec![0i32; m * n];
     let a16: Vec<i16> = a.iter().map(|&v| (v * 100.0) as i16).collect();
     let bt16: Vec<i16> = b.iter().map(|&v| (v * 100.0) as i16).collect();
+    let cols8: Vec<i8> = b.iter().map(|&v| (v * 100.0) as i8).collect();
     let p = QuantParams::from_range(0.0, 4.0, 8);
 
     let run_all = |out: &mut [f32],
@@ -80,6 +81,10 @@ fn dispatched_kernels_perform_zero_allocations_per_call() {
         ie_tensor::dequant_slice_into(&accs[..n], 3, 1e-3, 0.1, true, &mut out[..n]);
         ie_tensor::requant_slice_into(&accs[..n], 3, 1e-3, 0.1, &p, p.lo(), &mut codes[..n]);
         ie_tensor::gemm_i16t_into(&a16[..m * k], &bt16[..n * k], &mut accs[..m * n], m, k, n);
+        // An odd depth below the row stride and a column remainder: the
+        // masked and narrow tiles must not allocate either.
+        let (kc, nc) = (k - 3, n - 7);
+        ie_tensor::gemm_i8cols_into(&a16, &cols8[..kc * nc], &mut accs[..m * nc], m, kc, k, nc);
         let mut pooled_codes = [0i8; 4];
         ie_tensor::max_pool_planes_i8_into(&codes[..16], 1, 4, 4, 2, &mut pooled_codes);
         ie_tensor::relu_codes_floor(codes, p.zero_point() as i8);
