@@ -8,7 +8,7 @@
 //! |------|----------|--------------|
 //! | [`IsaTier::Portable`] | nothing (baseline x86-64 / any arch) | safe Rust, LLVM autovectorization at the baseline width |
 //! | [`IsaTier::Avx2`] | AVX2 (+FMA present, unused — see below) | 8-lane `f32` kernels via explicit or recompiled-for-AVX2 code; the integer GEMMs on 256-bit `vpmaddwd` (two `i16` MACs per `i32` lane) + `vpaddd`: the convolution's 4×16 register tile of broadcast weight pairs against interleaved `i8` column pairs, the dense layer's contiguous dot |
-//! | [`IsaTier::Vnni`] | AVX-512 F/BW/VL/VNNI | both integer GEMMs on `vpdpwssd`, which fuses `vpmaddwd`'s multiply-add-pairs with the accumulate: the convolution's 8×32 register tile at 512-bit width (twice AVX2's columns per instruction), with masked 16-column tiles for the remainder, and the dense layer's 512-bit dot |
+//! | [`IsaTier::Vnni`] | AVX-512 F/BW/VL/VNNI | both integer GEMMs at 512-bit width (twice AVX2's lanes per instruction): the convolution's 8×32 register tile, whose last `n % 32` columns run the AVX2 strips, and the dense layer's dot. Both are written with `vpdpwssd`, which fuses `vpmaddwd`'s multiply-add-pairs with the accumulate, but LLVM's generic tuning compiles most of them to `vpmaddwd` + `vpaddd` (14 of 16 per depth pair in the conv tile, 3 of 4 in the dot) |
 //!
 //! # One dispatch point
 //!

@@ -15,8 +15,8 @@
 //!   fake-quant `f32` round trip in `ie_compress` and the integer plan
 //!   construction in `ie_nn`, so both paths derive bit-identical codes from
 //!   one scale;
-//! * two integer GEMMs with `i32` accumulators, both built on `vpmaddwd`
-//!   (AVX2) or `vpdpwssd` (VNNI), the paired `i16` multiply-add: the
+//! * two integer GEMMs with `i32` accumulators, both built on `vpmaddwd`,
+//!   the paired `i16` multiply-add (256-bit on AVX2, 512-bit on VNNI): the
 //!   register-tiled [`gemm_i8cols_into`], which multiplies the packed weight
 //!   rows into the `[k, n]` `i8` column matrix the quantized `im2col` writes
 //!   (the convolution), and the transposed dot [`gemm_i16t_into`], whose
@@ -208,7 +208,7 @@ impl QuantParams {
 }
 
 /// Portable body of [`QuantParams::quantize_slice_into`]; the AVX2 tier runs
-/// it, compiled for AVX2, on the last `len % 16` elements.
+/// it on the last `len % 16` elements.
 #[inline(always)]
 fn quantize_body(p: &QuantParams, src: &[f32], dst: &mut [i8]) {
     for (d, &v) in dst.iter_mut().zip(src) {
@@ -371,8 +371,8 @@ pub fn requant_slice_into_tier(
     );
 }
 
-/// Portable body of [`requant_slice_into`]; the AVX2 tier runs it, compiled
-/// for AVX2, on the last `len % 16` elements.
+/// Portable body of [`requant_slice_into`]; the AVX2 tier runs it on the last
+/// `len % 16` elements.
 #[inline(always)]
 fn requant_body(
     acc: &[i32],
@@ -512,8 +512,7 @@ pub const MADD_DEPTH_ALIGN: usize = 16;
 /// — is what LLVM lowers to the x86 `pmaddwd` multiply-add-pairs
 /// instruction on the portable tier (SSE2 baseline), two MACs per lane per
 /// instruction; the AVX2 tier uses the 256-bit form explicitly and the VNNI
-/// tier fuses the multiply-add-pairs *and* the accumulation into one 512-bit
-/// `vpdpwssd`. Integer addition is associative, so all tiers are
+/// tier the 512-bit one. Integer addition is associative, so all tiers are
 /// bit-identical.
 #[inline]
 fn dot_i16(a: &[i16], b: &[i16]) -> i32 {
@@ -534,13 +533,16 @@ fn dot_i16(a: &[i16], b: &[i16]) -> i32 {
 /// sign-extend 16 (AVX2) or 32 (VNNI) columns of both rows to `i16`,
 /// interleave them in registers, and multiply-add each interleaved pair
 /// against the broadcast 32-bit weight pair `w[i][2q..2q + 2]` of every row
-/// of the tile — `vpmaddwd` + `vpaddd` on AVX2, one `vpdpwssd` on VNNI, two
-/// MACs per lane per instruction. Each accumulator is stored once. An odd
-/// `k` pairs its last row with zeros. Row remainders run narrower tiles
-/// (VNNI 8/4/1 rows, AVX2 4/1), and column remainders run masked tiles
-/// (VNNI) or the portable body (AVX2); no byte beyond `[k, n]` is read.
-/// Wrapping `i32` accumulation; integer addition is associative, so every
-/// tier equals the naive triple loop bit for bit. Never allocates.
+/// of the tile — 256-bit `vpmaddwd` + `vpaddd` on AVX2, 512-bit on VNNI
+/// (written as `vpdpwssd`, mostly compiled to `vpmaddwd` + `vpaddd`), two
+/// MACs per lane per multiply. Each accumulator is stored once. An odd `k`
+/// pairs its last row with zeros. The AVX2 tiles are 4 × 16, the VNNI tiles
+/// 8 × 32, and both tiers finish a strip's last rows one at a time. The VNNI
+/// tier runs the AVX2 strips on its last `n % 32` columns, and the AVX2
+/// strips leave their last `n % 16` to the portable body; no byte beyond
+/// `[k, n]` is read. Wrapping `i32` accumulation; integer addition is
+/// associative, so every tier equals the naive triple loop bit for bit.
+/// Never allocates.
 ///
 /// # Panics
 ///
@@ -580,11 +582,14 @@ pub fn gemm_i8cols_into_tier(
     assert_eq!(w.len(), m * kp, "gemm_cols: weight buffer length {} != {m}x{kp}", w.len());
     assert_eq!(cols.len(), k * n, "gemm_cols: column buffer length {} != {k}x{n}", cols.len());
     assert_eq!(out.len(), m * n, "gemm_cols: out buffer length {} != {m}x{n}", out.len());
+    // All columns; the VNNI tier hands the AVX2 strips only those its
+    // 32-column tiles leave.
+    let from = 0;
     tiered!(
         tier,
         vnni: simd::gemm_i8cols_vnni(w, cols, out, m, k, kp, n),
-        avx2: simd::gemm_i8cols_avx2(w, cols, out, m, k, kp, n),
-        portable: gemm_i8cols_body(w, cols, out, m, k, kp, n, 0),
+        avx2: simd::gemm_i8cols_avx2(w, cols, out, m, k, kp, n, from),
+        portable: gemm_i8cols_body(w, cols, out, m, k, kp, n, from),
     );
 }
 
@@ -752,10 +757,12 @@ mod simd {
         }
     }
 
-    /// 512-bit `vpdpwssd` dot product (32 i16 per step, multiply-add-pairs
-    /// and accumulate in one instruction), with a 256-bit `vpdpwssd` step for
-    /// a 16-element remainder — the common case for depth padded to
-    /// [`MADD_DEPTH_ALIGN`] but not to 32.
+    /// 512-bit dot product (32 i16 per step), with a 256-bit step for a
+    /// 16-element remainder — the common case for depth padded to
+    /// [`MADD_DEPTH_ALIGN`] but not to 32. Written as `vpdpwssd`
+    /// (multiply-add-pairs and accumulate in one instruction); LLVM unrolls
+    /// the loop four times and keeps one of the four as `vpdpwssd`, the
+    /// others as `vpmaddwd` + `vpaddd`.
     #[inline]
     #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vnni")]
     fn dot_i16_vnni(a: &[i16], b: &[i16]) -> i32 {
@@ -792,7 +799,7 @@ mod simd {
         sum
     }
 
-    /// [`gemm_i16t_into`] with the 512-bit `vpdpwssd` dot.
+    /// [`gemm_i16t_into`] with the 512-bit dot.
     #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vnni")]
     pub(super) fn gemm_i16t_vnni(a: &[i16], bt: &[i16], out: &mut [i32], kp: usize, n: usize) {
         for (j, brow) in bt.chunks_exact(kp).enumerate() {
@@ -864,9 +871,11 @@ mod simd {
         ]
     }
 
-    /// [`gemm_i8cols_into`] on AVX2: 16-column strips of 4-row tiles, then
-    /// 1-row tiles; the last `n % 16` columns run the portable body.
+    /// [`gemm_i8cols_into`] on AVX2 over the columns `from..n`: 16-column
+    /// strips of 4-row tiles, then 1-row tiles; the last `(n - from) % 16`
+    /// columns run the portable body.
     #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
     pub(super) fn gemm_i8cols_avx2(
         w: &[i16],
         cols: &[i8],
@@ -875,9 +884,10 @@ mod simd {
         k: usize,
         kp: usize,
         n: usize,
+        from: usize,
     ) {
-        let strips = n / 16;
-        for j0 in (0..strips * 16).step_by(16) {
+        let end = from + (n - from) / 16 * 16;
+        for j0 in (from..end).step_by(16) {
             let mut i0 = 0;
             while i0 + 4 <= m {
                 tile16_avx2::<4>(w, cols, out, i0, j0, k, kp, n);
@@ -887,7 +897,7 @@ mod simd {
                 tile16_avx2::<1>(w, cols, out, i, j0, k, kp, n);
             }
         }
-        gemm_i8cols_body(w, cols, out, m, k, kp, n, strips * 16);
+        gemm_i8cols_body(w, cols, out, m, k, kp, n, end);
     }
 
     /// One `MR × 16` tile of [`gemm_i8cols_avx2`] at rows `i0..i0 + MR`,
@@ -940,9 +950,8 @@ mod simd {
         }
     }
 
-    /// [`gemm_i8cols_into`] on AVX-512 VNNI: 32-column strips, then 16-column
-    /// strips whose last one is masked to the `n % 16` remainder; each strip
-    /// runs 8-row tiles, then 4-row and 1-row tiles.
+    /// [`gemm_i8cols_into`] on AVX-512 VNNI: 32-column strips of 8-row
+    /// tiles, then 1-row tiles; the last `n % 32` columns run the AVX2 strips.
     #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vnni")]
     pub(super) fn gemm_i8cols_vnni(
         w: &[i16],
@@ -960,33 +969,18 @@ mod simd {
                 tile32_vnni::<8>(w, cols, out, i0, j0, k, kp, n);
                 i0 += 8;
             }
-            if i0 + 4 <= m {
-                tile32_vnni::<4>(w, cols, out, i0, j0, k, kp, n);
-                i0 += 4;
-            }
             for i in i0..m {
                 tile32_vnni::<1>(w, cols, out, i, j0, k, kp, n);
             }
         }
-        for j0 in (wide..n).step_by(16) {
-            let width = (n - j0).min(16);
-            let mut i0 = 0;
-            while i0 + 8 <= m {
-                tile16_vnni::<8>(w, cols, out, i0, (j0, width), k, kp, n);
-                i0 += 8;
-            }
-            if i0 + 4 <= m {
-                tile16_vnni::<4>(w, cols, out, i0, (j0, width), k, kp, n);
-                i0 += 4;
-            }
-            for i in i0..m {
-                tile16_vnni::<1>(w, cols, out, i, (j0, width), k, kp, n);
-            }
-        }
+        gemm_i8cols_avx2(w, cols, out, m, k, kp, n, wide);
     }
 
     /// One `MR × 32` tile of [`gemm_i8cols_vnni`]: per depth pair, one
-    /// 512-bit `vpdpwssd` per 16 columns and row.
+    /// 512-bit multiply-add per 16 columns and row. The source writes
+    /// `vpdpwssd`, but LLVM's generic x86-64 tuning splits 14 of the 16 per
+    /// depth pair of the 8-row tile into `vpmaddwd` + `vpaddd` (release
+    /// build); the tile gains over AVX2 by its width, not by fusing the add.
     #[inline]
     #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vnni")]
     #[allow(clippy::too_many_arguments)]
@@ -1039,61 +1033,6 @@ mod simd {
         }
     }
 
-    /// One `MR × width` tile of [`gemm_i8cols_vnni`] with `width <= 16`:
-    /// 256-bit `vpdpwssd`, with loads and stores masked to the first `width`
-    /// columns (masked-off lanes are neither read nor written).
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vnni")]
-    #[allow(clippy::too_many_arguments)]
-    fn tile16_vnni<const MR: usize>(
-        w: &[i16],
-        cols: &[i8],
-        out: &mut [i32],
-        i0: usize,
-        (j0, width): (usize, usize),
-        k: usize,
-        kp: usize,
-        n: usize,
-    ) {
-        check_tile(w, cols, out, (i0, MR), (j0, width), k, kp, n);
-        debug_assert!(width <= 16);
-        let mask = (u32::MAX >> (32 - width)) as u16;
-        let mut acc = [[_mm256_setzero_si256(); 2]; MR];
-        let dp = |acc: &mut [[__m256i; 2]; MR], b: [__m256i; 2], p: usize, pair: bool| {
-            for (r, a) in acc.iter_mut().enumerate() {
-                // SAFETY: `check_tile` bounds row i0 + r of `w` (length kp)
-                // and p < k <= kp, with p + 1 < k whenever `pair` is set.
-                let wp =
-                    _mm256_set1_epi32(unsafe { weight_pair(w.as_ptr(), (i0 + r) * kp + p, pair) });
-                a[0] = _mm256_dpwssd_epi32(a[0], b[0], wp);
-                a[1] = _mm256_dpwssd_epi32(a[1], b[1], wp);
-            }
-        };
-        let row = |p: usize| {
-            // SAFETY: p < k and j0 + width <= n (`check_tile`): the unmasked
-            // bytes at p·n + j0 lie inside the `[k, n]` column matrix, and a
-            // masked load does not access the masked-off ones.
-            unsafe { _mm_maskz_loadu_epi8(mask, cols.as_ptr().add(p * n + j0)) }
-        };
-        for p in (0..k - k % 2).step_by(2) {
-            dp(&mut acc, interleave16(row(p), row(p + 1)), p, true);
-        }
-        if k % 2 == 1 {
-            dp(&mut acc, interleave16(row(k - 1), _mm_setzero_si128()), k - 1, false);
-        }
-        let (mask_lo, mask_hi) = (mask as u8, (mask >> 8) as u8);
-        for (r, a) in acc.iter().enumerate() {
-            // SAFETY: row i0 + r of `out` holds n >= j0 + width lanes
-            // (`check_tile`), and the masked stores write only the first
-            // `width` lanes at j0.
-            unsafe {
-                let dst = out.as_mut_ptr().add((i0 + r) * n + j0);
-                _mm256_mask_storeu_epi32(dst, mask_lo, a[0]);
-                _mm256_mask_storeu_epi32(dst.wrapping_add(8), mask_hi, a[1]);
-            }
-        }
-    }
-
     /// Quantizes 8 lanes: multiply by the cached reciprocal scale, round to
     /// nearest-even, clamp in the `f32` domain, force NaN lanes to the zero
     /// code, convert and add the zero point — the scalar
@@ -1137,18 +1076,7 @@ mod simd {
                 _mm_storeu_si128(dst.as_mut_ptr().add(16 * b).cast(), codes);
             }
         }
-        quantize_tail_avx2(p, &src[blocks * 16..], &mut dst[blocks * 16..]);
-    }
-
-    /// The last `len % 16` elements of [`quantize_slice_avx2`]: the portable
-    /// body compiled for AVX2 in a function of its own. Inlined into the
-    /// caller, LLVM sees a trip count below 16, leaves the loop scalar and
-    /// rounds through a call per element (10 elements read 71 ns; the
-    /// vectorized body 20 ns).
-    #[inline(never)]
-    #[target_feature(enable = "avx2")]
-    fn quantize_tail_avx2(p: &QuantParams, src: &[f32], dst: &mut [i8]) {
-        quantize_body(p, src, dst);
+        quantize_body(p, &src[blocks * 16..], &mut dst[blocks * 16..]);
     }
 
     /// Dequantizes 8 lanes: wrapping subtract, exact int→float convert, then
@@ -1190,24 +1118,7 @@ mod simd {
             }
         }
         let tail = blocks * 16;
-        requant_tail_avx2(&acc[tail..], corr, scale, bias, p, floor, &mut out[tail..]);
-    }
-
-    /// The last `len % 16` elements of [`requant_slice_avx2`]: the portable
-    /// body compiled for AVX2 in a function of its own (see
-    /// [`quantize_tail_avx2`]).
-    #[inline(never)]
-    #[target_feature(enable = "avx2")]
-    fn requant_tail_avx2(
-        acc: &[i32],
-        corr: i32,
-        scale: f32,
-        bias: f32,
-        p: &QuantParams,
-        floor: i32,
-        out: &mut [i8],
-    ) {
-        requant_body(acc, corr, scale, bias, p, floor, out);
+        requant_body(&acc[tail..], corr, scale, bias, p, floor, &mut out[tail..]);
     }
 
     /// [`requant_rows_slice_into`] 16 lanes at a time.

@@ -82,7 +82,7 @@ fn dispatched_kernels_perform_zero_allocations_per_call() {
         ie_tensor::requant_slice_into(&accs[..n], 3, 1e-3, 0.1, &p, p.lo(), &mut codes[..n]);
         ie_tensor::gemm_i16t_into(&a16[..m * k], &bt16[..n * k], &mut accs[..m * n], m, k, n);
         // An odd depth below the row stride and a column remainder: the
-        // masked and narrow tiles must not allocate either.
+        // narrow tiles and the portable remainder must not allocate either.
         let (kc, nc) = (k - 3, n - 7);
         ie_tensor::gemm_i8cols_into(&a16, &cols8[..kc * nc], &mut accs[..m * nc], m, kc, k, nc);
         let mut pooled_codes = [0i8; 4];
