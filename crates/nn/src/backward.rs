@@ -18,6 +18,9 @@
 //! * one transpose scratch sized to the widest lowering (the column
 //!   transpose the weight-gradient GEMM needs, reused as the `dcols`
 //!   staging buffer of the data-gradient `col2im`),
+//! * one plane scratch, which every conv's lowering gathers from and its
+//!   data-gradient `col2im` scatters into, through the conv's lowering
+//!   table (built by the first step),
 //! * a flat [`GradStore`] holding one `f32` per trainable parameter, laid
 //!   out in the exact iteration order of
 //!   [`MultiExitNetwork::apply_gradients`].
@@ -56,7 +59,7 @@ use crate::loss::softmax_into;
 use crate::quant::QuantConfig;
 use crate::spec::{LayerSpec, LayerSpecKind, MultiExitArchitecture};
 use crate::{Conv2d, MultiExitNetwork, NnError, Result};
-use ie_tensor::{QuantParams, Tensor};
+use ie_tensor::{plane_scratch, QuantParams, Tensor, PLANE_CELLS};
 
 /// One layer's input/output regions inside the activation arena.
 ///
@@ -174,6 +177,9 @@ pub struct BackwardPlan {
     /// Transpose scratch sized to the widest lowering; doubles as the
     /// `dcols` staging buffer of the data-gradient `col2im`.
     colt: Vec<f32>,
+    /// Plane scratch of the convs' lowering and `col2im`; absent until the
+    /// first step meets a conv.
+    plane: Option<Box<[f32; PLANE_CELLS]>>,
     /// Weight-transpose scratch for the convolution data-gradient GEMM,
     /// sized to the widest conv filter (dense layers use the
     /// transposed-operand [`ie_tensor::matvec_t_batch_into`] and need none).
@@ -312,6 +318,7 @@ impl BackwardPlan {
             cols: vec![0.0; builder.col_cursor],
             kept_w: Vec::new(),
             colt: vec![0.0; builder.max_col],
+            plane: None,
             wt: vec![0.0; builder.max_conv_w],
             regions: builder.regions,
             trunk_param,
@@ -605,6 +612,7 @@ impl BackwardPlan {
             cols,
             kept_w,
             colt,
+            plane,
             wt,
             regions,
             trunk_param,
@@ -638,7 +646,7 @@ impl BackwardPlan {
             for (j, step) in trunk_steps[s].iter().enumerate() {
                 let entry = fq_trunk.and_then(|t| t[s][j].as_ref());
                 let layer = &net.segments()[s][j];
-                forward_layer(layer, step, entry, fq_w, kept_w, fq_a, acts, cols)?;
+                forward_layer(layer, step, entry, fq_w, kept_w, fq_a, acts, cols, plane)?;
             }
             let w = exit_weights[s];
             if w == 0.0 {
@@ -650,7 +658,7 @@ impl BackwardPlan {
             for (j, step) in branch_steps[s].iter().enumerate() {
                 let entry = fq_branch.and_then(|b| b[s][j].as_ref());
                 let layer = &net.branches()[s][j];
-                forward_layer(layer, step, entry, fq_w, kept_w, fq_a, acts, cols)?;
+                forward_layer(layer, step, entry, fq_w, kept_w, fq_a, acts, cols, plane)?;
             }
             let (loff, llen) = logits_regions[s];
             softmax_into(&acts[loff..loff + llen], probs)?;
@@ -676,6 +684,7 @@ impl BackwardPlan {
                     &mut gslot,
                     cols,
                     colt,
+                    plane,
                     wt,
                     true,
                 )?;
@@ -725,6 +734,7 @@ impl BackwardPlan {
                     &mut gslot,
                     cols,
                     colt,
+                    plane,
                     wt,
                     need_dx,
                 )?;
@@ -775,6 +785,7 @@ fn forward_layer(
     fq_acts: &mut [f32],
     acts: &mut [f32],
     cols: &mut [f32],
+    plane: &mut Option<Box<[f32; PLANE_CELLS]>>,
 ) -> Result<()> {
     if matches!(layer, Layer::Flatten(_)) {
         return Ok(());
@@ -794,9 +805,10 @@ fn forward_layer(
             let weight = conv_weight(c, step, entry, fq_weights, kept_w);
             // Only the kept channels' planes are lowered, so only they are
             // rounded.
-            let plane = c.geometry().in_h * c.geometry().in_w;
-            let x = forward_input(entry, fq_acts, input, c.pruning().kept_blocks(plane));
-            c.forward_batch_with(weight, x, out, col, 1, false)
+            let plane_len = c.geometry().in_h * c.geometry().in_w;
+            let x = forward_input(entry, fq_acts, input, c.pruning().kept_blocks(plane_len));
+            let scratch = &mut **plane.get_or_insert_with(plane_scratch);
+            c.forward_batch_with(weight, x, out, col, scratch, 1, false)
         }
         Layer::Dense(d) => {
             let weight = entry.map_or(d.weight().as_slice(), |e| &fq_weights[e.w_off..][..e.w_len]);
@@ -880,6 +892,7 @@ fn backward_layer(
     gslot: &mut usize,
     cols: &[f32],
     colt: &mut [f32],
+    plane: &mut Option<Box<[f32; PLANE_CELLS]>>,
     wt: &mut [f32],
     need_dx: bool,
 ) -> Result<()> {
@@ -917,6 +930,7 @@ fn backward_layer(
                 gb,
                 &mut colt[..clen],
                 &mut wt[..wlen],
+                &mut **plane.get_or_insert_with(plane_scratch),
             )?;
         }
         Layer::Dense(dense) => {

@@ -6,7 +6,7 @@
 //! input is a batch of one ([`crate::ExecutionPlan`] is this type, built with
 //! `max_batch = 1`). Spatial activations live in the *channel-major wide*
 //! layout `[C, batch, H, W]`, so the batched `im2col`
-//! ([`ie_tensor::im2col_batch_into`]) lowers all samples into a single
+//! ([`ie_tensor::ConvLowering::lower_into`]) lowers all samples into a single
 //! `[C·K·K, batch·out_h·out_w]` column block and the bias+ReLU epilogue
 //! sweeps each output-channel row once. Flat activations (after a `Flatten`)
 //! are sample-major `[batch, features]`, which is what the batched dense
@@ -54,7 +54,7 @@ use crate::quant::{
 };
 use crate::spec::{LayerSpecKind, MultiExitArchitecture};
 use crate::{Layer, MultiExitNetwork, NnError, PlannedOutput, Result};
-use ie_tensor::Tensor;
+use ie_tensor::{plane_scratch, Tensor, PLANE_CELLS};
 
 /// The slot of a ping-pong pair that a pass loads its inputs into.
 const SLOT_A: usize = 0;
@@ -209,6 +209,10 @@ pub struct BatchPlan {
     /// Kept-width filter scratch of the pruned convs: empty until a pass
     /// meets one, then grown to the largest kept filter it has met.
     wk: Vec<f32>,
+    /// Plane scratch the `f32` convs' lowering gathers from: absent until a
+    /// pass meets an `f32` conv (a quantized plan may never), then built
+    /// once, zeroed.
+    plane: Option<Box<[f32; PLANE_CELLS]>>,
     /// Trunk activation ping-pong pair, `max_batch` samples wide.
     trunk: [Vec<f32>; 2],
     /// Branch activation ping-pong pair, `max_batch` samples wide.
@@ -250,7 +254,9 @@ impl BatchPlan {
     /// Builds a plan for `arch` holding up to `max_batch` samples per pass
     /// (clamped to at least 1), pre-sizing every buffer so that batched
     /// forward passes never allocate — all but the pruned convs' filter
-    /// scratch, which the first pass over a pruned network grows.
+    /// scratch, which the first pass over a pruned network grows, and the
+    /// plane scratches of the lowering, which the first pass to meet an
+    /// `f32` (or an integer) conv builds.
     pub fn for_architecture(arch: &MultiExitArchitecture, max_batch: usize) -> Self {
         let max_batch = max_batch.max(1);
         let (act, col) = buffer_requirements(arch);
@@ -264,6 +270,7 @@ impl BatchPlan {
             act_capacity: act,
             col_capacity: col,
             wk: Vec::new(),
+            plane: None,
             trunk: slots(),
             branch: slots(),
             col: vec![0.0; col * max_batch],
@@ -508,6 +515,7 @@ impl BatchPlan {
         ws: &mut [Vec<f32>; 2],
         col: &mut [f32],
         wk: &mut Vec<f32>,
+        plane: &mut Option<Box<[f32; PLANE_CELLS]>>,
         qbufs: &mut QuantBuffers,
         act: &mut Act,
         batch: usize,
@@ -519,6 +527,9 @@ impl BatchPlan {
             let qentry = qlist.get(i).and_then(Option::as_ref);
             match &layers[i] {
                 Layer::Conv2d(conv) => {
+                    // Before any output length: a geometry no table lowers
+                    // (a zero stride) would divide by zero computing one.
+                    conv.lowering()?;
                     let geom = conv.geometry();
                     let expected = [geom.in_channels, geom.in_h, geom.in_w];
                     if act.dims != BatchDims::Spatial(expected) {
@@ -527,7 +538,8 @@ impl BatchPlan {
                     let (s, in_len) = (act.slot, conv.input_len() * batch);
                     let out_len = conv.output_len() * batch;
                     if let Some(ql) = qentry {
-                        let QuantBuffers { codes, col8, acc, .. } = &mut *qbufs;
+                        let QuantBuffers { codes, col8, plane8, acc, .. } = &mut *qbufs;
+                        let plane8 = plane8.get_or_insert_with(plane_scratch);
                         let (src_c, dst_c) = pair(codes, s);
                         if domain == Domain::F32 {
                             quantize_slice(&ws[s][..in_len], &ql.input, &mut src_c[..in_len]);
@@ -537,7 +549,7 @@ impl BatchPlan {
                             Some(_) => QuantDst::Codes(&mut dst_c[..out_len]),
                         };
                         let src = &src_c[..in_len];
-                        quant_conv_forward(conv, ql, src, batch, fuse, col8, acc, dst)?;
+                        quant_conv_forward(conv, ql, src, batch, fuse, col8, plane8, acc, dst)?;
                         domain = ql.out.map_or(Domain::F32, Domain::Codes);
                     } else {
                         debug_assert_eq!(domain, Domain::F32, "float conv fed from code domain");
@@ -550,6 +562,7 @@ impl BatchPlan {
                             &mut dst[..out_len],
                             &mut col[..conv.col_len() * batch],
                             wk,
+                            &mut **plane.get_or_insert_with(plane_scratch),
                             batch,
                             fuse,
                         )?;
@@ -659,6 +672,7 @@ impl BatchPlan {
                 &mut self.trunk,
                 &mut self.col,
                 &mut self.wk,
+                &mut self.plane,
                 &mut self.qbufs,
                 &mut self.trunk_act,
                 self.batch,
@@ -684,6 +698,7 @@ impl BatchPlan {
             &mut self.branch,
             &mut self.col,
             &mut self.wk,
+            &mut self.plane,
             &mut self.qbufs,
             &mut act,
             batch,
@@ -1234,5 +1249,24 @@ mod tests {
         let x = Tensor::zeros(&[3, 32, 32]);
         let err = lenet.forward_to_exit_batch_with(&mut tiny_plan, &[&x], 0).unwrap_err();
         assert!(matches!(err, NnError::InvalidSpec(_)), "got {err:?}");
+    }
+
+    #[test]
+    fn a_conv_no_table_lowers_fails_the_pass_instead_of_panicking() {
+        // A list rebuilt through `segments_mut` can hold a conv the spec
+        // builder would refuse: a zero kernel, or a zero stride.
+        for (kernel, stride) in [(0, 1), (3, 0)] {
+            let mut net = tiny_net(5);
+            let mut rng = StdRng::seed_from_u64(5);
+            net.segments_mut()[0][0] =
+                crate::Conv2d::new(&mut rng, 1, 4, kernel, stride, 1, 8, 8).into();
+            let mut plan = net.batch_plan(2);
+            let x = Tensor::zeros(&[1, 8, 8]);
+            let err = net.forward_to_exit_batch_with(&mut plan, &[&x, &x], 0).unwrap_err();
+            assert!(
+                matches!(err, NnError::Tensor(ie_tensor::TensorError::InvalidConvGeometry(_))),
+                "kernel {kernel} stride {stride}: {err:?}"
+            );
+        }
     }
 }

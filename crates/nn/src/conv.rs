@@ -1,9 +1,6 @@
 use crate::layer::Pruning;
 use crate::{NnError, Result};
-use ie_tensor::{
-    col2im, col2im_into, col2im_select_into, gemm_into, im2col, im2col_batch_into,
-    im2col_select_batch_into, Conv2dGeometry, Tensor,
-};
+use ie_tensor::{gemm_into, Conv2dGeometry, ConvLowering, Tensor, TensorError};
 use rand::Rng;
 
 /// A 2-D convolution layer over `[C, H, W]` inputs.
@@ -11,6 +8,9 @@ use rand::Rng;
 /// Filters are stored as `[out_channels, in_channels, k, k]`. The forward
 /// pass lowers the input with `im2col` and performs a single matrix product,
 /// which is also how the MCU deployment in the paper executes convolutions.
+/// The layer builds its geometry's [`ConvLowering`] table once, at
+/// construction, and every lowering and input-gradient scatter of every
+/// engine reads it.
 ///
 /// Channel pruning ([`Self::set_pruned_channels`]) removes input channels the
 /// way the deployed MCU does: from then on every forward and backward pass
@@ -43,6 +43,9 @@ pub struct Conv2d {
     grad_weight: Tensor,
     grad_bias: Tensor,
     geom: Conv2dGeometry,
+    /// The geometry's lowering table, or the error a geometry no table can
+    /// lower gives every pass.
+    lowering: std::result::Result<ConvLowering, TensorError>,
     out_channels: usize,
     pruning: Pruning,
 }
@@ -74,6 +77,7 @@ impl Conv2d {
             grad_weight: Tensor::zeros(&[out_channels, in_channels, kernel, kernel]),
             grad_bias: Tensor::zeros(&[out_channels]),
             geom,
+            lowering: ConvLowering::new(geom),
             out_channels,
             pruning: Pruning::none(in_channels),
         }
@@ -111,6 +115,16 @@ impl Conv2d {
     /// The convolution geometry (input size, kernel, stride, padding).
     pub fn geometry(&self) -> &Conv2dGeometry {
         &self.geom
+    }
+
+    /// The geometry's lowering table.
+    ///
+    /// # Errors
+    ///
+    /// Returns the geometry's [`TensorError::InvalidConvGeometry`] when no
+    /// table can lower it (see [`ConvLowering::new`]).
+    pub(crate) fn lowering(&self) -> Result<&ConvLowering> {
+        self.lowering.as_ref().map_err(|e| e.clone().into())
     }
 
     /// Number of output channels.
@@ -215,13 +229,16 @@ impl Conv2d {
     }
 
     /// Allocation-free forward pass over `batch` samples: lowers the kept
-    /// input channels into `col`, multiplies by the filter matrix with the
+    /// input channels into `col` through the layer's lowering table (one
+    /// plane at a time, staged in `scratch`: a `[f32; PLANE_CELLS]` gathers
+    /// without a bounds check, any slice longer than one input plane works;
+    /// see [`ConvLowering`]), multiplies by the filter matrix with the
     /// bias add (and, when `fuse_relu` is set, the ReLU of a following
     /// activation layer) fused into the GEMM epilogue, and writes the
     /// activations into `out`.
     ///
     /// Input and output use the channel-major wide layout `[C, batch, H, W]`
-    /// (see [`ie_tensor::im2col_batch_into`]); at `batch == 1` that is the
+    /// (see [`ConvLowering::lower_into`]); at `batch == 1` that is the
     /// plain `[C, H, W]` layout, so a single sample is a batch of one. The
     /// batched `im2col` lowers all samples into one
     /// `[kept·K·K, batch·out_h·out_w]` activation matrix, a single GEMM
@@ -242,18 +259,21 @@ impl Conv2d {
     /// # Errors
     ///
     /// Returns [`NnError::InputShapeMismatch`] when a buffer length does not
-    /// match `batch` copies of the layer geometry.
-    pub fn forward_batch_into(
+    /// match `batch` copies of the layer geometry, and the geometry's
+    /// [`TensorError::InvalidConvGeometry`] when no table can lower it.
+    #[allow(clippy::too_many_arguments)]
+    pub fn forward_batch_into<S: AsMut<[f32]> + ?Sized>(
         &self,
         input: &[f32],
         out: &mut [f32],
         col: &mut [f32],
         wk: &mut [f32],
+        scratch: &mut S,
         batch: usize,
         fuse_relu: bool,
     ) -> Result<()> {
         let weight = self.kept_weight(self.weight.as_slice(), wk);
-        self.forward_batch_with(weight, input, out, col, batch, fuse_relu)
+        self.forward_batch_with(weight, input, out, col, scratch, batch, fuse_relu)
     }
 
     /// [`Self::forward_batch_into`] with an explicit filter matrix at the
@@ -264,17 +284,23 @@ impl Conv2d {
     /// # Errors
     ///
     /// Returns [`NnError::InputShapeMismatch`] when a buffer length does not
-    /// match `batch` copies of the layer geometry.
-    pub(crate) fn forward_batch_with(
+    /// match `batch` copies of the layer geometry, and the geometry's
+    /// [`TensorError::InvalidConvGeometry`] when no table can lower it.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn forward_batch_with<S: AsMut<[f32]> + ?Sized>(
         &self,
         weight: &[f32],
         input: &[f32],
         out: &mut [f32],
         col: &mut [f32],
+        scratch: &mut S,
         batch: usize,
         fuse_relu: bool,
     ) -> Result<()> {
         debug_assert_eq!(weight.len(), self.kept_weight_len());
+        // Before the lengths: a geometry no table lowers (a zero stride)
+        // would divide by zero computing its output length.
+        let lowering = self.lowering()?;
         if input.len() != self.input_len() * batch {
             return Err(NnError::InputShapeMismatch {
                 layer: "conv2d(batch)".into(),
@@ -290,9 +316,10 @@ impl Conv2d {
             });
         }
         if self.pruning.is_pruned() {
-            im2col_select_batch_into(input, batch, &self.geom, 0.0, self.pruning.kept(), col)?;
+            let kept = self.pruning.kept().iter().copied();
+            lowering.lower_into(input, batch, 0.0, kept, scratch, col)?;
         } else {
-            im2col_batch_into(input, batch, &self.geom, col)?;
+            lowering.lower_into(input, batch, 0.0, 0..self.geom.in_channels, scratch, col)?;
         }
         let (m, k, n) = (self.out_channels, self.depth(), batch * self.geom.col_cols());
         gemm_into(weight, col, out, m, k, n);
@@ -302,13 +329,17 @@ impl Conv2d {
 
     /// Forward pass over a `[in_channels, in_h, in_w]` input.
     ///
-    /// Allocating wrapper over [`Self::forward_batch_into`] at `batch == 1`.
+    /// Allocating wrapper over [`Self::forward_batch_into`] at `batch == 1`,
+    /// whose plane scratch holds just one input plane and its pad cell.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::InputShapeMismatch`] when the input shape does not
-    /// match the layer geometry.
+    /// match the layer geometry, and the geometry's
+    /// [`TensorError::InvalidConvGeometry`] when no table can lower it.
     pub fn forward(&self, input: &Tensor) -> Result<Tensor> {
+        // As in `forward_batch_with`: fail before computing output dims.
+        self.lowering()?;
         let expected = [self.geom.in_channels, self.geom.in_h, self.geom.in_w];
         if input.dims() != expected {
             return Err(NnError::InputShapeMismatch {
@@ -321,7 +352,9 @@ impl Conv2d {
         let mut col = vec![0.0f32; self.col_len()];
         let mut wk =
             vec![0.0f32; if self.pruning.is_pruned() { self.kept_weight_len() } else { 0 }];
-        self.forward_batch_into(input.as_slice(), out.as_mut_slice(), &mut col, &mut wk, 1, false)?;
+        let mut scratch = vec![0.0f32; self.geom.in_h * self.geom.in_w + 1];
+        let (x, y) = (input.as_slice(), out.as_mut_slice());
+        self.forward_batch_into(x, y, &mut col, &mut wk, scratch.as_mut_slice(), 1, false)?;
         Ok(out)
     }
 
@@ -348,7 +381,7 @@ impl Conv2d {
             });
         }
         let k = self.geom.kernel;
-        let cols = im2col(input, &self.geom)?;
+        let cols = self.lowering()?.im2col(input)?;
         let go_mat = grad_output.reshape(&[self.out_channels, oh * ow])?;
         // dW = grad_output · colsᵀ
         let cols_t = cols.transpose()?;
@@ -365,8 +398,7 @@ impl Conv2d {
         let wmat = self.weight.reshape(&[self.out_channels, self.geom.in_channels * k * k])?;
         let wt = wmat.transpose()?;
         let dcols = wt.matmul(&go_mat)?;
-        let dx = col2im(&dcols, &self.geom)?;
-        Ok(dx)
+        Ok(self.lowering()?.col2im(&dcols)?)
     }
 
     /// Allocation-free backward pass used by the training plans, at the kept
@@ -378,8 +410,10 @@ impl Conv2d {
     /// row-sums `grad_out` into `grad_b`, then — when `dx` is present — forms
     /// `dcols = W_keptᵀ · grad_out` (weight transposed into `wt`, GEMM into
     /// `colt`, whose contents are dead after the `dW` product) and scatters
-    /// it back into the kept channels' planes of `dx`, whose pruned planes
-    /// read `+0.0`. `dx: None` skips the input-gradient products entirely;
+    /// it back through the layer's lowering table (staging each plane in
+    /// `scratch`, as the forward lowering does) into the kept channels' planes
+    /// of `dx`, whose pruned planes read `+0.0`. `dx: None` skips the
+    /// input-gradient products entirely;
     /// the plan passes it for the network's first layer, whose input
     /// gradient nobody reads.
     ///
@@ -397,14 +431,15 @@ impl Conv2d {
     ///
     /// Scratch lengths: `col`/`colt` hold [`Self::col_len`] elements, `wt`
     /// holds [`Self::kept_weight_len`]. Enforced by the underlying kernels
-    /// (panics on mismatch — the plan pre-sizes everything).
+    /// (panics on mismatch — the plan pre-sizes everything). `scratch` is a
+    /// plane scratch, as in [`Self::forward_batch_into`].
     ///
     /// # Errors
     ///
     /// Returns a tensor error when the col2im buffer lengths do not match
     /// the geometry.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn backward_slice_into(
+    pub(crate) fn backward_slice_into<S: AsMut<[f32]> + ?Sized>(
         &self,
         weight: &[f32],
         col: &[f32],
@@ -414,6 +449,7 @@ impl Conv2d {
         grad_b: &mut [f32],
         colt: &mut [f32],
         wt: &mut [f32],
+        scratch: &mut S,
     ) -> Result<()> {
         let (m, depth, ohw) = (self.out_channels, self.depth(), self.geom.col_cols());
         ie_tensor::transpose_into(col, depth, ohw, colt);
@@ -440,10 +476,12 @@ impl Conv2d {
         if let Some(dx) = dx {
             ie_tensor::transpose_into(weight, m, depth, wt);
             ie_tensor::gemm_into(wt, grad_out, colt, depth, m, ohw);
+            let lowering = self.lowering()?;
             if self.pruning.is_pruned() {
-                col2im_select_into(colt, &self.geom, self.pruning.kept(), dx)?;
+                let kept = self.pruning.kept().iter().copied();
+                lowering.scatter_into(colt, kept, scratch, dx)?;
             } else {
-                col2im_into(colt, &self.geom, dx)?;
+                lowering.scatter_into(colt, 0..self.geom.in_channels, scratch, dx)?;
             }
         }
         Ok(())
@@ -533,6 +571,33 @@ mod tests {
     fn forward_rejects_wrong_shape() {
         let conv = Conv2d::new(&mut rng(), 3, 6, 3, 1, 1, 8, 8);
         assert!(conv.forward(&Tensor::zeros(&[3, 9, 8])).is_err());
+    }
+
+    #[test]
+    fn an_unlowerable_geometry_builds_and_fails_at_forward() {
+        // (kernel, stride, in_h, in_w): a zero kernel, a zero stride, and a
+        // plane of 65,536 cells, one more than a `u16` table indexes.
+        for (k, s, h, w) in [(0, 1, 4, 4), (3, 0, 4, 4), (1, 1, 256, 256)] {
+            let conv = Conv2d::new(&mut rng(), 1, 2, k, s, 0, h, w);
+            let err = conv.forward(&Tensor::zeros(&[1, h, w])).unwrap_err();
+            assert!(
+                matches!(err, NnError::Tensor(TensorError::InvalidConvGeometry(_))),
+                "kernel {k} stride {s} {h}x{w}: {err}"
+            );
+            let mut out = [0.0f32; 1];
+            let err = conv
+                .forward_batch_into(
+                    &vec![0.0; h * w],
+                    &mut out,
+                    &mut [],
+                    &mut [],
+                    &mut [0.0],
+                    1,
+                    false,
+                )
+                .unwrap_err();
+            assert!(matches!(err, NnError::Tensor(TensorError::InvalidConvGeometry(_))), "{err}");
+        }
     }
 
     #[test]

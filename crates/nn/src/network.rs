@@ -84,9 +84,12 @@ impl MultiExitNetwork {
     ///
     /// # Errors
     ///
-    /// Currently infallible for architectures produced by
-    /// [`crate::spec::ArchitectureBuilder`]; the `Result` is kept for future
-    /// spec validation.
+    /// Infallible: every [`MultiExitArchitecture`] comes from
+    /// [`crate::spec::ArchitectureBuilder::build`], which refuses every layer
+    /// the kernels cannot run (a zero kernel or width, a zero input
+    /// dimension or class count, a convolution plane its lowering table
+    /// cannot index), so each convolution built here has a lowering table.
+    /// The `Result` is kept for future spec validation.
     pub fn from_architecture<R: Rng + ?Sized>(
         arch: &MultiExitArchitecture,
         rng: &mut R,

@@ -35,8 +35,8 @@ use crate::spec::{CompressibleLayer, LayerSpecKind, MultiExitArchitecture};
 use crate::{Conv2d, Dense, Layer, MultiExitNetwork, NnError, Result};
 use ie_tensor::{
     dequant_acc, dequant_rows_slice_into, dequant_slice_into, gemm_i16t_into, gemm_i8cols_into,
-    im2col_select_batch_into, requant_rows_slice_into, requant_slice_into, weight_code,
-    QuantParams, Tensor, MADD_DEPTH_ALIGN,
+    requant_rows_slice_into, requant_slice_into, weight_code, QuantParams, Tensor,
+    MADD_DEPTH_ALIGN, PLANE_CELLS,
 };
 
 /// Which integer kernel a quantized layer runs.
@@ -426,8 +426,9 @@ impl QuantizedModel {
 /// Pre-sized integer scratch buffers of a quantized plan: activation-code
 /// ping-pong slots, the `i8` column matrix of the quantized `im2col`, the
 /// widened sample-major dense-input buffer and the `i32` accumulator. Sized
-/// once at plan construction; forward passes never allocate. The default is
-/// empty, which is what an `f32` plan holds.
+/// once at plan construction, all but the lowering's plane scratch, which
+/// the first quantized conv a pass meets builds; warmed forward passes never
+/// allocate. The default is empty, which is what an `f32` plan holds.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct QuantBuffers {
     /// Activation-code ping-pong pair (indexed like the `f32` pair).
@@ -435,6 +436,9 @@ pub(crate) struct QuantBuffers {
     /// Column scratch of the quantized `im2col` (`[k, n]` i8), which the
     /// convolution's GEMM reads directly.
     pub(crate) col8: Vec<i8>,
+    /// Plane scratch the quantized `im2col` gathers from. It holds any
+    /// plane a lowering table indexes, so it has no capacity to check.
+    pub(crate) plane8: Option<Box<[i8; PLANE_CELLS]>>,
     /// Widened, depth-padded sample-major dense inputs (`[batch, kp]` i16).
     pub(crate) xs16: Vec<i16>,
     /// `i32` accumulator the integer GEMM writes and the epilogue reads.
@@ -463,6 +467,7 @@ impl QuantBuffers {
         QuantBuffers {
             codes: [vec![0i8; max_act * mb], vec![0i8; max_act * mb]],
             col8: vec![0i8; max_col * mb],
+            plane8: None,
             xs16: vec![0i16; dense_input_requirement(arch) * mb],
             acc: vec![0i32; max_act * mb],
         }
@@ -598,10 +603,11 @@ fn epilogue_samples(
 }
 
 /// Runs one quantized convolution over `batch` samples of input codes (wide
-/// channel-major layout for `batch > 1`): the plane-major quantized
-/// `im2col` lowering into the `[k, n]` i8 column matrix, the register-tiled
-/// integer GEMM straight from those columns into the `i32` accumulator, and
-/// the requantization epilogue into `dst`. Allocation-free.
+/// channel-major layout for `batch > 1`): the quantized `im2col` lowering of
+/// the kept channels into the `[k, n]` i8 column matrix, gathered through
+/// the conv's lowering table from `plane8`, the register-tiled integer GEMM
+/// straight from those columns into the `i32` accumulator, and the
+/// requantization epilogue into `dst`. Allocation-free.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn quant_conv_forward(
     conv: &Conv2d,
@@ -610,14 +616,15 @@ pub(crate) fn quant_conv_forward(
     batch: usize,
     fuse_relu: bool,
     col8: &mut [i8],
+    plane8: &mut [i8; PLANE_CELLS],
     acc: &mut [i32],
     dst: QuantDst<'_>,
 ) -> Result<()> {
-    let geom = conv.geometry();
-    let n = batch * geom.col_cols();
+    let n = batch * conv.geometry().col_cols();
     let (m, k, kp) = (ql.rows, ql.cols, ql.kp);
     let cols = &mut col8[..k * n];
-    im2col_select_batch_into(codes_in, batch, geom, ql.input.zero_point() as i8, &ql.kept, cols)?;
+    let (zp, kept) = (ql.input.zero_point() as i8, ql.kept.iter().copied());
+    conv.lowering()?.lower_into(codes_in, batch, zp, kept, plane8, cols)?;
     gemm_i8cols_into(&ql.w, cols, &mut acc[..m * n], m, k, kp, n);
     epilogue_rows(&acc[..m * n], ql, n, fuse_relu, dst);
     Ok(())

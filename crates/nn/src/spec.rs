@@ -12,6 +12,7 @@
 //! pooling costs are negligible and ignored).
 
 use crate::{NnError, Result};
+use ie_tensor::{Conv2dGeometry, PLANE_CELLS};
 
 /// The kind of a layer in an architecture description.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -405,17 +406,29 @@ impl ArchitectureBuilder {
             return self;
         }
         let (c, h, w) = (dims[0], dims[1], dims[2]);
-        if h + 2 * padding < kernel || w + 2 * padding < kernel || stride == 0 {
-            self.fail(format!("conv layer {name} has invalid geometry"));
+        let geom = Conv2dGeometry { in_channels: c, in_h: h, in_w: w, kernel, stride, padding };
+        if let Err(e) = geom.validate() {
+            self.fail(format!("conv layer {name} has invalid geometry: {e}"));
             return self;
         }
-        let oh = (h + 2 * padding - kernel) / stride + 1;
-        let ow = (w + 2 * padding - kernel) / stride + 1;
+        if out_channels == 0 {
+            self.fail(format!("conv layer {name} has no output channels"));
+            return self;
+        }
+        // The lowering indexes one input plane and its pad cell with a u16.
+        if h.checked_mul(w).is_none_or(|plane| plane >= PLANE_CELLS) {
+            self.fail(format!(
+                "conv layer {name}'s {h}x{w} input plane exceeds the {} cells a lowering table \
+                 indexes",
+                PLANE_CELLS - 1
+            ));
+            return self;
+        }
         self.push(LayerSpec {
             name: name.to_string(),
             kind: LayerSpecKind::Conv { in_channels: c, out_channels, kernel, stride, padding },
             input_dims: dims,
-            output_dims: vec![out_channels, oh, ow],
+            output_dims: vec![out_channels, geom.out_h(), geom.out_w()],
         });
         self
     }
@@ -455,7 +468,10 @@ impl ArchitectureBuilder {
     /// Appends a flatten layer.
     pub fn flatten(mut self) -> Self {
         let dims = self.dims().clone();
-        let n: usize = dims.iter().product();
+        let Some(n) = dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d)) else {
+            self.fail(format!("flatten of {dims:?} overflows the feature count"));
+            return self;
+        };
         self.push(LayerSpec {
             name: String::new(),
             kind: LayerSpecKind::Flatten,
@@ -470,6 +486,10 @@ impl ArchitectureBuilder {
         let dims = self.dims().clone();
         if dims.len() != 1 {
             self.fail(format!("dense layer {name} requires a flat input, found {dims:?}"));
+            return self;
+        }
+        if out_features == 0 {
+            self.fail(format!("dense layer {name} has no output features"));
             return self;
         }
         self.push(LayerSpec {
@@ -518,10 +538,21 @@ impl ArchitectureBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::InvalidSpec`] when any layer was inconsistent with
-    /// its input shape, when no exits were defined, or when a branch was left
-    /// open.
+    /// Returns [`NnError::InvalidSpec`] when an input dimension or the class
+    /// count is zero, when any layer was inconsistent with its input shape or
+    /// could not run (a zero kernel, no output channels or features, or a
+    /// convolution input plane beyond the 65,535 cells its lowering table
+    /// indexes), when no exits were defined, or when a branch was left open.
     pub fn build(self) -> Result<MultiExitArchitecture> {
+        if self.input_dims.contains(&0) {
+            return Err(NnError::InvalidSpec(format!(
+                "input dims {:?} must all be non-zero",
+                self.input_dims
+            )));
+        }
+        if self.num_classes == 0 {
+            return Err(NnError::InvalidSpec("an architecture needs at least one class".into()));
+        }
         if let Some(e) = self.error {
             return Err(e);
         }
@@ -737,6 +768,36 @@ mod tests {
         // Maxpool on a non-divisible input.
         let bad = ArchitectureBuilder::new([1, 7, 7], 2).maxpool(2);
         assert!(bad.build().is_err());
+        // Layers no kernel can run, and degenerate inputs or class counts;
+        // the same spec with one knob turned back builds.
+        let with = |input: [usize; 3], classes: usize, kernel: usize, out: usize, fc: usize| {
+            ArchitectureBuilder::new(input, classes)
+                .conv("c", out, kernel, 1, 0)
+                .begin_branch()
+                .flatten()
+                .dense("fc", fc)
+                .dense("logits", classes)
+                .end_exit()
+                .build()
+        };
+        assert!(with([1, 8, 8], 2, 3, 2, 4).is_ok());
+        let refused =
+            |spec: Result<MultiExitArchitecture>| matches!(spec, Err(NnError::InvalidSpec(_)));
+        assert!(refused(with([1, 8, 8], 2, 0, 2, 4)), "zero kernel");
+        assert!(refused(with([1, 8, 8], 2, 3, 0, 4)), "no output channels");
+        assert!(refused(with([1, 8, 8], 2, 3, 2, 0)), "no output features");
+        assert!(refused(with([0, 8, 8], 2, 3, 2, 4)), "zero input channels");
+        assert!(refused(with([1, 0, 8], 2, 3, 2, 4)), "zero input height");
+        assert!(refused(with([1, 8, 0], 2, 3, 2, 4)), "zero input width");
+        assert!(refused(with([1, 8, 8], 0, 3, 2, 4)), "zero classes");
+        // The plane boundary: 65,535 cells lower, 65,536 do not.
+        assert!(with([1, 65_535, 1], 2, 1, 1, 1).is_ok());
+        assert!(with([1, 5, 13_107], 2, 1, 1, 1).is_ok());
+        assert!(refused(with([1, 65_536, 1], 2, 1, 1, 1)), "65,536-cell plane");
+        assert!(refused(with([1, 256, 256], 2, 1, 1, 1)), "256x256 plane");
+        assert!(refused(with([1, usize::MAX, 2], 2, 1, 1, 1)), "overflowing plane");
+        let bad = ArchitectureBuilder::new([1, 8, 8], 2).conv("c", 2, 3, 1, usize::MAX / 2 + 1);
+        assert!(matches!(bad.build(), Err(NnError::InvalidSpec(_))), "overflowing padding");
     }
 
     #[test]

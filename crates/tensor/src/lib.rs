@@ -47,10 +47,7 @@ pub use backward::{
 };
 pub use dispatch::IsaTier;
 pub use error::TensorError;
-pub use im2col::{
-    col2im, col2im_into, col2im_select_into, im2col, im2col_batch_into, im2col_select_batch_into,
-    Conv2dGeometry,
-};
+pub use im2col::{plane_scratch, Conv2dGeometry, ConvLowering, PLANE_CELLS};
 pub use linalg::{gemm_into, matvec_batch_into, matvec_t_batch_into};
 pub use ops::{
     add_bias_rows, add_bias_samples, max_pool_planes_i8_into, max_pool_planes_into,

@@ -1,9 +1,6 @@
 //! Property-based tests of the tensor substrate.
 
-use ie_tensor::{
-    col2im, col2im_into, col2im_select_into, im2col, im2col_batch_into, im2col_select_batch_into,
-    Conv2dGeometry, Tensor,
-};
+use ie_tensor::{plane_scratch, Conv2dGeometry, ConvLowering, Tensor};
 use proptest::prelude::*;
 
 fn arb_matrix(max_dim: usize) -> impl Strategy<Value = Tensor> {
@@ -108,12 +105,14 @@ proptest! {
         }
     }
 
-    /// `im2col_batch_into` at batch 1 and `col2im_into` are bit-identical to
-    /// the allocating versions across random geometries, including when the target buffers
-    /// start out dirty (reuse must fully overwrite them). Over a channel
-    /// subset, the selective lowering holds exactly the subset's row blocks
-    /// and the scatter equals the full one with the other blocks zeroed,
-    /// leaving +0.0 in every left-out channel.
+    /// The planned lowering and scatter (a bounds-free `[f32; PLANE_CELLS]`
+    /// scratch) are bit-identical to the allocating `im2col`/`col2im` (a
+    /// scratch of one plane and its pad cell) across random geometries,
+    /// including when the target buffers and the scratch start out dirty
+    /// (reuse must fully overwrite them). Over a channel subset, the
+    /// selective lowering holds exactly the subset's row blocks and the
+    /// scatter equals the full one with the other blocks zeroed, leaving +0.0
+    /// in every left-out channel.
     #[test]
     fn im2col_and_col2im_into_are_bit_identical(
         c in 1usize..4, hw in 3usize..7, k in 1usize..4, pad in 0usize..2, stride in 1usize..3,
@@ -123,20 +122,25 @@ proptest! {
         let geom = Conv2dGeometry {
             in_channels: c, in_h: hw, in_w: hw, kernel: k, stride, padding: pad,
         };
+        let lowering = ConvLowering::new(geom).expect("valid geometry");
         let image = Tensor::from_vec(
             (0..c * hw * hw).map(|i| (i as f32).sin()).collect(),
             &[c, hw, hw],
         ).expect("length matches shape");
-        let cols_ref = im2col(&image, &geom).expect("valid geometry");
+        let cols_ref = lowering.im2col(&image).expect("valid geometry");
         // Poisoned buffers: stale state must not leak.
+        let mut scratch = plane_scratch::<f32>();
+        scratch.fill(f32::NAN);
         let mut cols = vec![f32::NAN; geom.col_len()];
-        im2col_batch_into(image.as_slice(), 1, &geom, &mut cols).expect("valid geometry");
+        lowering.lower_into(image.as_slice(), 1, 0.0, 0..c, &mut *scratch, &mut cols)
+            .expect("valid geometry");
         for (w, r) in cols.iter().zip(cols_ref.as_slice()) {
             prop_assert_eq!(w.to_bits(), r.to_bits());
         }
-        let back_ref = col2im(&cols_ref, &geom).expect("valid geometry");
+        let back_ref = lowering.col2im(&cols_ref).expect("valid geometry");
         let mut back = vec![f32::NAN; image.len()];
-        col2im_into(cols_ref.as_slice(), &geom, &mut back).expect("valid geometry");
+        lowering.scatter_into(cols_ref.as_slice(), 0..c, &mut *scratch, &mut back)
+            .expect("valid geometry");
         for (w, r) in back.iter().zip(back_ref.as_slice()) {
             prop_assert_eq!(w.to_bits(), r.to_bits());
         }
@@ -144,7 +148,7 @@ proptest! {
         let kept: Vec<usize> = (0..c).filter(|&ch| c == 1 || ch != skip % c).collect();
         let block = k * k * geom.col_cols();
         let mut sel = vec![f32::NAN; kept.len() * block];
-        im2col_select_batch_into(image.as_slice(), 1, &geom, 0.0, &kept, &mut sel)
+        lowering.lower_into(image.as_slice(), 1, 0.0, kept.iter().copied(), &mut *scratch, &mut sel)
             .expect("valid geometry");
         let mut zeroed = cols_ref.as_slice().to_vec();
         for ch in (0..c).filter(|ch| !kept.contains(ch)) {
@@ -155,11 +159,11 @@ proptest! {
             prop_assert_eq!(bits(got), bits(want));
         }
         let mut back_sel = vec![f32::NAN; image.len()];
-        col2im_select_into(&sel, &geom, &kept, &mut back_sel).expect("valid geometry");
-        let back_zeroed = col2im(
-            &Tensor::from_vec(zeroed, cols_ref.dims()).expect("same shape"),
-            &geom,
-        ).expect("valid geometry");
+        lowering.scatter_into(&sel, kept.iter().copied(), &mut *scratch, &mut back_sel)
+            .expect("valid geometry");
+        let back_zeroed = lowering
+            .col2im(&Tensor::from_vec(zeroed, cols_ref.dims()).expect("same shape"))
+            .expect("valid geometry");
         prop_assert_eq!(bits(&back_sel), bits(back_zeroed.as_slice()));
         for ch in (0..c).filter(|ch| !kept.contains(ch)) {
             let plane = &back_sel[ch * hw * hw..(ch + 1) * hw * hw];
@@ -177,7 +181,7 @@ proptest! {
         prop_assume!(pad < k);
         let geom = Conv2dGeometry { in_channels: c, in_h: hw, in_w: hw, kernel: k, stride: 1, padding: pad };
         let image = Tensor::full(&[c, hw, hw], 1.0);
-        let cols = im2col(&image, &geom).expect("valid geometry");
+        let cols = ConvLowering::new(geom).and_then(|l| l.im2col(&image)).expect("valid geometry");
         let rows = cols.dims()[0];
         let ncols = cols.dims()[1];
         prop_assert_eq!(rows, c * k * k);
