@@ -30,6 +30,12 @@
 //! [`crate::train::evaluate_batched`]; once warm, a pass performs zero heap
 //! allocations (asserted by the counting-allocator test).
 //!
+//! A batch whose inputs leave at different exits runs through
+//! [`MultiExitNetwork::forward_to_exits_batch_with`]: deepest first, each
+//! trunk segment over the inputs that go on past it and each branch over the
+//! inputs that leave there, the cached trunk activation compacted in place
+//! between segments.
+//!
 //! ```
 //! use ie_nn::{spec::tiny_multi_exit, MultiExitNetwork};
 //! use ie_tensor::Tensor;
@@ -55,6 +61,7 @@ use crate::quant::{
 use crate::spec::{LayerSpecKind, MultiExitArchitecture};
 use crate::{Layer, MultiExitNetwork, NnError, PlannedOutput, Result};
 use ie_tensor::{plane_scratch, Tensor, PLANE_CELLS};
+use std::ops::Range;
 
 /// The slot of a ping-pong pair that a pass loads its inputs into.
 const SLOT_A: usize = 0;
@@ -89,6 +96,15 @@ impl BatchDims {
         match self {
             BatchDims::Spatial([c, h, w]) => c * h * w,
             BatchDims::Flat(n) => *n,
+        }
+    }
+
+    /// `(channels, plane)` of the wide view `[channels, batch, plane]`: a
+    /// flat activation (sample-major) is its one-channel case.
+    fn wide(&self) -> (usize, usize) {
+        match *self {
+            BatchDims::Spatial([c, h, w]) => (c, h * w),
+            BatchDims::Flat(n) => (1, n),
         }
     }
 }
@@ -302,7 +318,8 @@ impl BatchPlan {
     /// # Errors
     ///
     /// Returns [`NnError::InvalidSpec`] when `config` does not match the
-    /// network's compressible layers.
+    /// network's compressible layers, and the geometry's error for a
+    /// configured conv no lowering table can lower.
     pub fn for_network_quantized(
         net: &MultiExitNetwork,
         config: &QuantConfig,
@@ -410,14 +427,19 @@ impl BatchPlan {
             self.generation > 0 && self.evaluated_gen[exit] == self.generation,
             "exit {exit} was not evaluated for the current batch"
         );
+        self.exit_output(exit, self.batch)
+    }
+
+    /// The results of exit `exit` over its first `batch` samples.
+    fn exit_output(&self, exit: usize, batch: usize) -> BatchOutput<'_> {
         BatchOutput {
             exit,
-            batch: self.batch,
+            batch,
             classes: self.classes,
-            logits: &self.logits[exit][..self.batch * self.classes],
-            probs: &self.probs[exit][..self.batch * self.classes],
-            predictions: &self.predictions[exit][..self.batch],
-            confidences: &self.confidences[exit][..self.batch],
+            logits: &self.logits[exit][..batch * self.classes],
+            probs: &self.probs[exit][..batch * self.classes],
+            predictions: &self.predictions[exit][..batch],
+            confidences: &self.confidences[exit][..batch],
         }
     }
 
@@ -527,9 +549,6 @@ impl BatchPlan {
             let qentry = qlist.get(i).and_then(Option::as_ref);
             match &layers[i] {
                 Layer::Conv2d(conv) => {
-                    // Before any output length: a geometry no table lowers
-                    // (a zero stride) would divide by zero computing one.
-                    conv.lowering()?;
                     let geom = conv.geometry();
                     let expected = [geom.in_channels, geom.in_h, geom.in_w];
                     if act.dims != BatchDims::Spatial(expected) {
@@ -681,15 +700,41 @@ impl BatchPlan {
         Ok(())
     }
 
-    /// Evaluates branch `exit` on the cached batched trunk activation,
-    /// filling the per-exit logits/probability/prediction buffers.
-    fn eval_branch(&mut self, net: &MultiExitNetwork, exit: usize) -> Result<()> {
-        // Copy the trunk activation into the branch ping-pong so the trunk
-        // stays intact for later incremental continuations.
-        let batch = self.batch;
-        let len = self.trunk_act.dims.per_sample() * batch;
-        let src = &self.trunk[self.trunk_act.slot][..len];
-        self.branch[SLOT_A][..len].copy_from_slice(src);
+    /// Keeps only the first `live` samples of the cached trunk activation,
+    /// compacting its wide layout in place: one move per channel after the
+    /// first (a flat activation's leading samples are already in place).
+    fn keep_leading(&mut self, live: usize) {
+        if live == self.batch {
+            return;
+        }
+        let (channels, plane) = self.trunk_act.dims.wide();
+        let buf = &mut self.trunk[self.trunk_act.slot];
+        for ch in 1..channels {
+            let from = ch * self.batch * plane;
+            buf.copy_within(from..from + live * plane, ch * live * plane);
+        }
+        self.batch = live;
+    }
+
+    /// Evaluates branch `exit` on samples `range` of the cached batched
+    /// trunk activation, filling the first `range.len()` entries of the
+    /// per-exit logits/probability/prediction buffers.
+    fn eval_branch(
+        &mut self,
+        net: &MultiExitNetwork,
+        exit: usize,
+        range: Range<usize>,
+    ) -> Result<()> {
+        // Gather the range into the branch ping-pong, one run per channel, so
+        // the trunk stays intact for later continuations and groups.
+        let batch = range.len();
+        let (channels, plane) = self.trunk_act.dims.wide();
+        let src = &self.trunk[self.trunk_act.slot];
+        for ch in 0..channels {
+            let from = (ch * self.batch + range.start) * plane;
+            let run = &src[from..from + batch * plane];
+            self.branch[SLOT_A][ch * batch * plane..][..batch * plane].copy_from_slice(run);
+        }
         let mut act = Act { slot: SLOT_A, dims: self.trunk_act.dims };
         let qlist = self.quant.as_ref().map_or(&[][..], |model| model.branch(exit));
         BatchPlan::run_layers(
@@ -797,7 +842,7 @@ impl BatchPlan {
         self.trunk_act = Act { slot: SLOT_A, dims };
         self.batch = inputs.len();
         self.run_segments(net, 0, exit)?;
-        self.eval_branch(net, exit)?;
+        self.eval_branch(net, exit, 0..self.batch)?;
         self.segments_done = exit + 1;
         self.last_exit = Some(exit);
         Ok(())
@@ -818,9 +863,69 @@ impl BatchPlan {
         self.last_exit = None;
         self.segments_done = 0;
         self.run_segments(net, segments_done, exit)?;
-        self.eval_branch(net, exit)?;
+        self.eval_branch(net, exit, 0..self.batch)?;
         self.segments_done = exit + 1;
         self.last_exit = Some(exit);
+        Ok(())
+    }
+
+    fn forward_to_exits<F: FnMut(usize, BatchOutput<'_>)>(
+        &mut self,
+        net: &MultiExitNetwork,
+        inputs: &[&Tensor],
+        exits: &[usize],
+        visit: F,
+    ) -> Result<()> {
+        // The walk leaves the trunk compacted to the deepest group and each
+        // exit's buffers holding its own group only, so nothing it leaves may
+        // be continued or read: the state is dropped before and after.
+        self.reset();
+        let walked = self.walk_to_exits(net, inputs, exits, visit);
+        self.reset();
+        walked
+    }
+
+    fn walk_to_exits<F: FnMut(usize, BatchOutput<'_>)>(
+        &mut self,
+        net: &MultiExitNetwork,
+        inputs: &[&Tensor],
+        exits: &[usize],
+        mut visit: F,
+    ) -> Result<()> {
+        self.check_compatible(net)?;
+        if exits.len() != inputs.len() {
+            return Err(NnError::InvalidSpec(format!(
+                "{} exits given for a batch of {} inputs",
+                exits.len(),
+                inputs.len()
+            )));
+        }
+        if let Some(i) = exits.windows(2).position(|pair| pair[0] < pair[1]) {
+            return Err(NnError::InvalidSpec(format!(
+                "exits must run deepest first, but input {i} leaves at exit {} and input {} at \
+                 exit {}",
+                exits[i],
+                i + 1,
+                exits[i + 1]
+            )));
+        }
+        let dims = self.load_inputs(inputs)?;
+        // Non-empty by now, and non-increasing: the first exit is the deepest.
+        let deepest = exits[0];
+        net.check_exit(deepest)?;
+        self.trunk_act = Act { slot: SLOT_A, dims };
+        self.batch = inputs.len();
+        for exit in 0..=deepest {
+            // The inputs that reach segment `exit` lead the batch; those of
+            // them that leave at branch `exit` close it.
+            self.keep_leading(exits.partition_point(|&e| e >= exit));
+            self.run_segments(net, exit, exit)?;
+            let leaving = exits.partition_point(|&e| e > exit);
+            if leaving < self.batch {
+                self.eval_branch(net, exit, leaving..self.batch)?;
+                visit(leaving, self.exit_output(exit, self.batch - leaving));
+            }
+        }
         Ok(())
     }
 }
@@ -928,6 +1033,55 @@ impl MultiExitNetwork {
     ) -> Result<BatchOutput<'p>> {
         plan.continue_to_exit(self, exit)?;
         Ok(plan.output(exit))
+    }
+
+    /// Runs each input of a batch only as deep as its own exit, the way the
+    /// paper's runtime pays for one exit per inference. `exits[i]` is the
+    /// exit of `inputs[i]`, deepest first (non-increasing). Trunk segment
+    /// `s` runs over the leading inputs whose exit is at least `s`, and
+    /// branch `e` over the trailing group of them whose exit is `e`.
+    /// `visit(first, out)` sees each group once, in ascending exit order:
+    /// `out.sample(i)` is the result of `inputs[first + i]`, bit-identical
+    /// to that input's lone [`MultiExitNetwork::forward_to_exit`]. Performs
+    /// zero heap allocations once the plan is warm.
+    ///
+    /// The walk leaves nothing to continue or read: afterwards
+    /// [`MultiExitNetwork::continue_to_exit_batch_with`] returns
+    /// [`NnError::MissingPlannedState`] and [`BatchPlan::output`] panics,
+    /// whether the walk succeeded or not.
+    ///
+    /// ```
+    /// use ie_nn::{spec::tiny_multi_exit, MultiExitNetwork};
+    /// use ie_tensor::Tensor;
+    /// use rand::SeedableRng;
+    ///
+    /// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+    /// let net = MultiExitNetwork::from_architecture(&tiny_multi_exit(3), &mut rng)?;
+    /// let mut plan = net.batch_plan(3);
+    /// let x = Tensor::zeros(&[1, 8, 8]);
+    /// let mut groups = Vec::new();
+    /// net.forward_to_exits_batch_with(&mut plan, &[&x, &x, &x], &[1, 0, 0], |first, out| {
+    ///     groups.push((out.exit(), first, out.len()));
+    /// })?;
+    /// assert_eq!(groups, [(0, 1, 2), (1, 0, 1)]);
+    /// # Ok::<(), ie_nn::NnError>(())
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::InvalidSpec`] when `exits` and `inputs` differ in
+    /// length, when an exit is deeper than the one before it, or for an
+    /// empty or oversized batch; [`NnError::InvalidExit`] for an unknown
+    /// exit; or a shape error when the inputs disagree with each other or
+    /// the architecture.
+    pub fn forward_to_exits_batch_with<F: FnMut(usize, BatchOutput<'_>)>(
+        &self,
+        plan: &mut BatchPlan,
+        inputs: &[&Tensor],
+        exits: &[usize],
+        visit: F,
+    ) -> Result<()> {
+        plan.forward_to_exits(self, inputs, exits, visit)
     }
 
     /// Planned counterpart of [`MultiExitNetwork::forward_all`]: evaluates
@@ -1254,19 +1408,32 @@ mod tests {
     #[test]
     fn a_conv_no_table_lowers_fails_the_pass_instead_of_panicking() {
         // A list rebuilt through `segments_mut` can hold a conv the spec
-        // builder would refuse: a zero kernel, or a zero stride.
-        for (kernel, stride) in [(0, 1), (3, 0)] {
+        // builder would refuse: a zero kernel, a zero stride, or a kernel
+        // wider than the padded input.
+        for (kernel, stride) in [(0, 1), (3, 0), (11, 1)] {
             let mut net = tiny_net(5);
             let mut rng = StdRng::seed_from_u64(5);
             net.segments_mut()[0][0] =
                 crate::Conv2d::new(&mut rng, 1, 4, kernel, stride, 1, 8, 8).into();
-            let mut plan = net.batch_plan(2);
             let x = Tensor::zeros(&[1, 8, 8]);
-            let err = net.forward_to_exit_batch_with(&mut plan, &[&x, &x], 0).unwrap_err();
-            assert!(
-                matches!(err, NnError::Tensor(ie_tensor::TensorError::InvalidConvGeometry(_))),
-                "kernel {kernel} stride {stride}: {err:?}"
-            );
+            let geometry_error = |err: NnError| {
+                let refused =
+                    matches!(err, NnError::Tensor(ie_tensor::TensorError::InvalidConvGeometry(_)));
+                assert!(refused, "kernel {kernel} stride {stride}: {err:?}");
+            };
+            let mut plan = net.batch_plan(2);
+            geometry_error(net.forward_to_exit_batch_with(&mut plan, &[&x, &x], 0).unwrap_err());
+            let walk = net.forward_to_exits_batch_with(&mut plan, &[&x, &x], &[1, 0], |_, _| {});
+            geometry_error(walk.unwrap_err());
+            let i8_layer = Some((8, ie_tensor::QuantParams::from_range(-3.0, 3.0, 8)));
+            let n = net.architecture().compressible_layers().len();
+            let cfg = crate::quant::config_from_bits(&net, &vec![i8_layer; n]).unwrap();
+            // A quantized plan refuses the conv as it packs the filters, and
+            // so does a warmed plan repacked for it.
+            geometry_error(net.batch_plan_quantized(&cfg, 2).unwrap_err());
+            let mut warmed = tiny_net(5).batch_plan_quantized(&cfg, 2).unwrap();
+            geometry_error(warmed.repack_quantized(&net, &cfg).unwrap_err());
+            assert!(warmed.quantized_model().is_some(), "a refused repack keeps the old model");
         }
     }
 }

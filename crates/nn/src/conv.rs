@@ -298,8 +298,8 @@ impl Conv2d {
         fuse_relu: bool,
     ) -> Result<()> {
         debug_assert_eq!(weight.len(), self.kept_weight_len());
-        // Before the lengths: a geometry no table lowers (a zero stride)
-        // would divide by zero computing its output length.
+        // Before the lengths: a geometry no table lowers has no output
+        // cells, so the length checks would report a shape error instead.
         let lowering = self.lowering()?;
         if input.len() != self.input_len() * batch {
             return Err(NnError::InputShapeMismatch {
@@ -338,8 +338,6 @@ impl Conv2d {
     /// match the layer geometry, and the geometry's
     /// [`TensorError::InvalidConvGeometry`] when no table can lower it.
     pub fn forward(&self, input: &Tensor) -> Result<Tensor> {
-        // As in `forward_batch_with`: fail before computing output dims.
-        self.lowering()?;
         let expected = [self.geom.in_channels, self.geom.in_h, self.geom.in_w];
         if input.dims() != expected {
             return Err(NnError::InputShapeMismatch {
@@ -371,6 +369,9 @@ impl Conv2d {
     /// Returns a shape error when `input` or `grad_output` have unexpected
     /// sizes.
     pub fn backward(&mut self, input: &Tensor, grad_output: &Tensor) -> Result<Tensor> {
+        // As in `forward_batch_with`: a geometry no table lowers has no
+        // output cells, so the shape check below would hide its error.
+        self.lowering()?;
         let (oh, ow) = (self.geom.out_h(), self.geom.out_w());
         let expected_out = [self.out_channels, oh, ow];
         if grad_output.dims() != expected_out {
@@ -575,28 +576,30 @@ mod tests {
 
     #[test]
     fn an_unlowerable_geometry_builds_and_fails_at_forward() {
-        // (kernel, stride, in_h, in_w): a zero kernel, a zero stride, and a
-        // plane of 65,536 cells, one more than a `u16` table indexes.
-        for (k, s, h, w) in [(0, 1, 4, 4), (3, 0, 4, 4), (1, 1, 256, 256)] {
-            let conv = Conv2d::new(&mut rng(), 1, 2, k, s, 0, h, w);
-            let err = conv.forward(&Tensor::zeros(&[1, h, w])).unwrap_err();
-            assert!(
-                matches!(err, NnError::Tensor(TensorError::InvalidConvGeometry(_))),
-                "kernel {k} stride {s} {h}x{w}: {err}"
-            );
-            let mut out = [0.0f32; 1];
+        // (kernel, stride, padding, in_h, in_w): a zero kernel, a zero
+        // stride, a kernel wider than the padded input, and a plane of
+        // 65,536 cells, one more than a `u16` table indexes.
+        let cases = [(0, 1, 0, 4, 4), (3, 0, 0, 4, 4), (7, 1, 1, 4, 4), (1, 1, 0, 256, 256)];
+        let geometry_error =
+            |err: &NnError| matches!(err, NnError::Tensor(TensorError::InvalidConvGeometry(_)));
+        for (k, s, p, h, w) in cases {
+            let mut conv = Conv2d::new(&mut rng(), 1, 2, k, s, p, h, w);
+            let at = format!("kernel {k} stride {s} padding {p} {h}x{w}");
+            // The size accessors are total: a refused geometry has no output.
+            if conv.geometry().validate().is_err() {
+                assert_eq!(conv.output_dims(), [2, 0, 0], "{at}");
+                assert_eq!((conv.output_len(), conv.col_len()), (0, 0), "{at}");
+            }
+            let x = Tensor::zeros(&[1, h, w]);
+            let err = conv.forward(&x).unwrap_err();
+            assert!(geometry_error(&err), "{at}: {err}");
+            let mut out = vec![0.0f32; conv.output_len()];
             let err = conv
-                .forward_batch_into(
-                    &vec![0.0; h * w],
-                    &mut out,
-                    &mut [],
-                    &mut [],
-                    &mut [0.0],
-                    1,
-                    false,
-                )
+                .forward_batch_into(x.as_slice(), &mut out, &mut [], &mut [], &mut [0.0], 1, false)
                 .unwrap_err();
-            assert!(matches!(err, NnError::Tensor(TensorError::InvalidConvGeometry(_))), "{err}");
+            assert!(geometry_error(&err), "{at}: {err}");
+            let err = conv.backward(&x, &Tensor::zeros(&conv.output_dims())).unwrap_err();
+            assert!(geometry_error(&err), "{at}: {err}");
         }
     }
 

@@ -239,8 +239,9 @@ fn pack_blocks(
 
 /// Validates a whole config against `net` — the exact error surface of
 /// [`QuantizedModel::for_network`]: the entry count, each entry's ranges, and
-/// that every configured site holds a convolution or dense layer (a list
-/// rebuilt through [`MultiExitNetwork::segments_mut`] may not). Returns the
+/// that every configured site holds a convolution a table lowers or a dense
+/// layer (a list rebuilt through [`MultiExitNetwork::segments_mut`] may
+/// not). Returns the
 /// compressible layers the entries belong to. Run before the recycling
 /// constructor consumes an old model's buffers, so
 /// [`crate::BatchPlan::repack_quantized`] can fail without destroying its
@@ -270,12 +271,18 @@ pub(crate) fn validate_config(
                 cfg.weight_bits, cfg.weight_scale, cfg.input
             )));
         }
-        if !net.layer_at(layer.site).is_some_and(Layer::is_parameterised) {
+        let site = net.layer_at(layer.site);
+        if !site.is_some_and(Layer::is_parameterised) {
             return Err(NnError::InvalidSpec(format!(
                 "compressible layer {index} ({}) is not a convolution or dense layer of the \
                  network",
                 layer.name
             )));
+        }
+        // A conv no table lowers is refused before any pass: a zero kernel
+        // has no filter block to pack.
+        if let Some(Layer::Conv2d(conv)) = site {
+            conv.lowering()?;
         }
     }
     Ok(compressible)
@@ -306,7 +313,9 @@ impl QuantizedModel {
     /// Returns [`NnError::InvalidSpec`] when the config length does not match
     /// the network's compressible layers, an entry is out of range (weight
     /// bits outside 1..=16, activation codes outside `i8`, or non-positive
-    /// scales), or a configured site holds no convolution or dense layer.
+    /// scales), or a configured site holds no convolution or dense layer, and
+    /// the geometry's [`ie_tensor::TensorError::InvalidConvGeometry`] for a
+    /// configured convolution no lowering table can lower.
     pub fn for_network(net: &MultiExitNetwork, config: &QuantConfig) -> Result<QuantizedModel> {
         QuantizedModel::for_network_recycling(net, config, None)
     }

@@ -112,6 +112,9 @@ fn warmed_planned_forward_performs_zero_heap_allocations() {
     let quant_cfg = config_from_bits(&lenet, &entries).unwrap();
     let mut quant_plan = lenet.execution_plan_quantized(&quant_cfg).unwrap();
     let mut quant_batch_plan = lenet.batch_plan_quantized(&quant_cfg, 4).unwrap();
+    // The per-exit walk: one input leaves at each shallower exit, two go on
+    // to the deepest, so every compaction and every group gather runs.
+    let exits = [2, 2, 1, 0];
 
     // Warm-up: touch every code path the measured section will run.
     for _ in 0..2 {
@@ -131,6 +134,12 @@ fn warmed_planned_forward_performs_zero_heap_allocations() {
         lenet.forward_to_exit_with(&mut quant_plan, &lenet_input, 0).unwrap();
         lenet.continue_to_exit_batch_with(&mut quant_plan, 2).unwrap();
         lenet.forward_to_exit_batch_with(&mut quant_batch_plan, &lenet_refs, 2).unwrap();
+        lenet
+            .forward_to_exits_batch_with(&mut lenet_batch_plan, &lenet_refs, &exits, |_, _| {})
+            .unwrap();
+        lenet
+            .forward_to_exits_batch_with(&mut quant_batch_plan, &lenet_refs, &exits, |_, _| {})
+            .unwrap();
     }
 
     let before = allocations_on_this_thread();
@@ -176,6 +185,14 @@ fn warmed_planned_forward_performs_zero_heap_allocations() {
             .forward_to_exit_batch_with(&mut quant_batch_plan, &lenet_refs, 2)
             .unwrap()
             .prediction(2);
+        // The per-exit walk is allocation-free on both engines.
+        for plan in [&mut lenet_batch_plan, &mut quant_batch_plan] {
+            lenet
+                .forward_to_exits_batch_with(plan, &lenet_refs, &exits, |first, out| {
+                    checksum += first + out.prediction(0);
+                })
+                .unwrap();
+        }
     }
     let after = allocations_on_this_thread();
 

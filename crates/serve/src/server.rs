@@ -48,9 +48,10 @@ use crate::{percentile, Request, Response, Result, ServeError, ServeReport, Verd
 use ie_nn::quant::QuantConfig;
 use ie_nn::train::{threads_from_env, MAX_WORKERS};
 use ie_nn::train::{BatchPlanPool, QuantPlanPool};
-use ie_nn::{BatchPlan, MultiExitNetwork};
+use ie_nn::{BatchPlan, MultiExitNetwork, PlannedOutput};
 use ie_runtime::LatencyAdmission;
 use ie_tensor::Tensor;
+use std::cmp::Reverse;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -506,38 +507,31 @@ fn join_workers(handles: Vec<ScopedJoinHandle<'_, Result<()>>>) -> Result<()> {
     results.into_iter().collect()
 }
 
-/// Runs one batch to every exit its requests were admitted to, shallowest
-/// first: the first exit pays the shared trunk once, deeper exits continue
-/// incrementally from the cached state (the paper's incremental inference,
-/// batched). `exits[i]` is the target exit of `inputs[i]`.
+/// Runs one batch with each request only as deep as its admitted exit,
+/// `exits[i]` being the exit of `inputs[i]`: each trunk segment runs over
+/// the requests that go on past it, each branch over the requests that leave
+/// there ([`MultiExitNetwork::forward_to_exits_batch_with`]). That walk
+/// wants the batch deepest first, so the members run in a stable
+/// deepest-first order and each verdict is put back at its member's place:
+/// the caller's chaos key, retry order and response order never see the
+/// sort.
 fn run_batch(
     network: &MultiExitNetwork,
     plan: &mut BatchPlan,
     inputs: &[&Tensor],
     exits: &[usize],
 ) -> Result<Vec<Verdict>> {
-    let mut targets = exits.to_vec();
-    targets.sort_unstable();
-    targets.dedup();
+    let mut order: Vec<usize> = (0..exits.len()).collect();
+    order.sort_by_key(|&i| Reverse(exits[i]));
+    let sorted_inputs: Vec<&Tensor> = order.iter().map(|&i| inputs[i]).collect();
+    let sorted_exits: Vec<usize> = order.iter().map(|&i| exits[i]).collect();
     let mut verdicts = vec![Verdict::Rejected; exits.len()];
-    let mut first = true;
-    for &exit in &targets {
-        let out = if first {
-            network.forward_to_exit_batch_with(plan, inputs, exit).map_err(ServeError::from)?
-        } else {
-            network.continue_to_exit_batch_with(plan, exit).map_err(ServeError::from)?
-        };
-        first = false;
-        for (i, &target) in exits.iter().enumerate() {
-            if target == exit {
-                verdicts[i] = Verdict::Served {
-                    exit,
-                    prediction: out.prediction(i),
-                    confidence: out.confidence(i),
-                };
-            }
+    network.forward_to_exits_batch_with(plan, &sorted_inputs, &sorted_exits, |first, out| {
+        for (k, &i) in order[first..first + out.len()].iter().enumerate() {
+            let PlannedOutput { exit, prediction, confidence } = out.sample(k);
+            verdicts[i] = Verdict::Served { exit, prediction, confidence };
         }
-    }
+    })?;
     Ok(verdicts)
 }
 

@@ -245,3 +245,80 @@ fn replay_refuses_a_wrong_shaped_input_naming_its_id() {
         other => panic!("expected InvalidRequest naming request 5, got {other:?}"),
     }
 }
+
+/// The serving oracle that batches nothing: a replay on the 3-exit LeNet
+/// whose windows each mix all three exits, f32 and int8. Every served
+/// verdict must equal, bit for bit, its request's input run alone to the
+/// same exit through `forward_to_exit_with` on a single-input plan of the
+/// same engine.
+#[test]
+fn mixed_exit_windows_serve_each_request_as_its_lone_run() {
+    use ie_nn::quant::config_from_bits;
+    use ie_nn::spec::lenet_multi_exit;
+    use ie_tensor::QuantParams;
+
+    let mut rng = StdRng::seed_from_u64(21);
+    let net = MultiExitNetwork::from_architecture(&lenet_multi_exit(), &mut rng).unwrap();
+    let costs = vec![0.001, 0.004, 0.009];
+    let lenet_admission = || {
+        LatencyAdmission::static_lut(
+            costs.clone(),
+            vec![0.6, 0.7, 0.75],
+            StateDiscretizer::paper_default(),
+        )
+        .unwrap()
+    };
+    // Bursts of 4 at one instant close one window each; the budget ladder,
+    // rotated per burst, puts every exit in every window at a different
+    // place, so the deepest-first order differs from the arrival order.
+    let ladder = [0.0015, 0.0045, 0.0095, 0.0045];
+    let requests: Vec<Request> = (0..24)
+        .map(|i| Request {
+            id: i as u64,
+            arrival_s: (i / 4) as f64 * 0.05,
+            budget_s: ladder[(i + i / 4) % 4],
+            input: Tensor::randn(&mut rng, &[3, 32, 32], 0.0, 1.0),
+        })
+        .collect();
+    let n = net.architecture().compressible_layers().len();
+    let first = QuantParams::from_range(-3.0, 3.0, 8);
+    let act = QuantParams::from_range(0.0, 8.0, 8);
+    let entries: Vec<_> = (0..n).map(|i| Some((8, if i == 0 { first } else { act }))).collect();
+    let cfg = config_from_bits(&net, &entries).unwrap();
+    let window = WindowConfig { max_batch: 4, deadline_s: 0.004 };
+    for quantized in [false, true] {
+        let outcome = if quantized {
+            let mut pool = QuantPlanPool::new();
+            let mut server =
+                Server::new_quantized(&net, &cfg, ServeConfig::new(window, 1), &mut pool).unwrap();
+            server.replay(&mut lenet_admission(), &requests).unwrap()
+        } else {
+            let mut pool = BatchPlanPool::new();
+            let mut server = Server::new(&net, ServeConfig::new(window, 1), &mut pool).unwrap();
+            server.replay(&mut lenet_admission(), &requests).unwrap()
+        };
+        assert_eq!(outcome.report.served, requests.len(), "every request is served");
+        assert_eq!(outcome.report.batches, requests.len() / 4, "one window per burst");
+        let mut lone = if quantized {
+            net.execution_plan_quantized(&cfg).unwrap()
+        } else {
+            net.execution_plan()
+        };
+        for (window, responses) in outcome.responses.chunks(4).enumerate() {
+            let mut exits = Vec::new();
+            for (r, request) in responses.iter().zip(&requests[window * 4..]) {
+                let Verdict::Served { exit, prediction, confidence } = r.verdict else {
+                    panic!("request {} was not served: {:?}", r.id, r.verdict);
+                };
+                let alone = net.forward_to_exit_with(&mut lone, &request.input, exit).unwrap();
+                let at = format!("request {} at exit {exit} (int8: {quantized})", r.id);
+                assert_eq!(prediction, alone.prediction, "{at}");
+                assert_eq!(confidence.to_bits(), alone.confidence.to_bits(), "{at}");
+                exits.push(exit);
+            }
+            exits.sort_unstable();
+            exits.dedup();
+            assert_eq!(exits, [0, 1, 2], "window {window} mixes every exit");
+        }
+    }
+}

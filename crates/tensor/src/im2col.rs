@@ -49,14 +49,27 @@ pub struct Conv2dGeometry {
 }
 
 impl Conv2dGeometry {
-    /// Output height of the convolution.
+    /// Output height of the convolution: 0 for a geometry
+    /// [`Self::validate`] refuses in height.
     pub fn out_h(&self) -> usize {
-        (self.in_h + 2 * self.padding - self.kernel) / self.stride + 1
+        self.out_size(self.in_h)
     }
 
-    /// Output width of the convolution.
+    /// Output width of the convolution: 0 for a geometry [`Self::validate`]
+    /// refuses in width.
     pub fn out_w(&self) -> usize {
-        (self.in_w + 2 * self.padding - self.kernel) / self.stride + 1
+        self.out_size(self.in_w)
+    }
+
+    /// Output cells along an input side of `size`, in checked arithmetic: a
+    /// zero stride or kernel, an overflowing padding or a kernel wider than
+    /// the padded side has none.
+    fn out_size(&self, size: usize) -> usize {
+        let padded = self.padding.checked_mul(2).and_then(|pad| pad.checked_add(size));
+        match padded.and_then(|padded| padded.checked_sub(self.kernel)) {
+            Some(span) if self.stride > 0 && self.kernel > 0 => span / self.stride + 1,
+            _ => 0,
+        }
     }
 
     /// Validates that the kernel fits in the padded input and the stride is
@@ -451,6 +464,24 @@ mod tests {
         let g2 =
             Conv2dGeometry { in_channels: 3, in_h: 32, in_w: 32, kernel: 5, stride: 2, padding: 0 };
         assert_eq!(g2.out_h(), 14);
+        // The widest kernel that fits leaves one cell per side.
+        let g = geom_3x3_stride1_nopad();
+        assert_eq!(Conv2dGeometry { kernel: 8, padding: 2, ..g }.out_h(), 1);
+        // A geometry `validate` refuses has no output cells, not a panic: a
+        // zero stride, a zero kernel, a kernel wider than the padded input
+        // (unchecked, 4 - 9 underflows) and an overflowing padding.
+        for bad in [
+            Conv2dGeometry { stride: 0, ..g },
+            Conv2dGeometry { kernel: 0, ..g },
+            Conv2dGeometry { kernel: 9, padding: 2, ..g },
+            Conv2dGeometry { padding: usize::MAX / 2 + 1, ..g },
+        ] {
+            assert!(bad.validate().is_err(), "{bad:?}");
+            assert_eq!((bad.out_h(), bad.out_w(), bad.col_cols(), bad.col_len()), (0, 0, 0, 0));
+        }
+        // Only the side the kernel overhangs is empty.
+        let tall = Conv2dGeometry { in_h: 9, in_w: 2, kernel: 3, ..g };
+        assert_eq!((tall.out_h(), tall.out_w()), (7, 0));
     }
 
     #[test]
