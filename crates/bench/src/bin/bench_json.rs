@@ -659,7 +659,7 @@ fn main() {
     // Every path must agree before any timing is trusted.
     for exit in 0..3 {
         let (pre_pred, _) = pre_pr_forward_to_exit(&net, &input, exit);
-        let (alloc_out, _) = net.forward_to_exit(&input, exit).unwrap();
+        let alloc_out = net.forward_to_exit(&input, exit).unwrap();
         let planned_out = net.forward_to_exit_with(&mut plan, &input, exit).unwrap();
         assert_eq!(pre_pred, alloc_out.prediction, "pre-PR replica diverged at exit {exit}");
         assert_eq!(planned_out.prediction, alloc_out.prediction, "planned diverged at {exit}");
@@ -679,7 +679,7 @@ fn main() {
     // lives in ie_nn's proptests).
     let mut train_net = net.clone();
     let train_weights = [0.2f32, 0.3, 0.5];
-    let train_classes = net.forward_to_exit(&input, 0).unwrap().0.logits.len();
+    let train_classes = net.forward_to_exit(&input, 0).unwrap().logits.len();
     let mut train_plan = train_net.backward_plan();
     let mut train_batch = BatchBackwardPlan::new();
     let train_samples: Vec<Sample> = batch_inputs
@@ -780,10 +780,9 @@ fn main() {
     // The integer engine must agree bit-for-bit with its naive fake-quant
     // reference before anything is timed.
     for exit in 0..3 {
-        int_net.forward_to_exit_with(&mut quant_plan, &input, exit).unwrap();
         let reference = fake_quant_logits(&int_net, &quant_model, &input, exit).unwrap();
-        let single = quant_plan.output(exit).logits(0);
-        assert_eq!(single, reference.as_slice(), "quantized diverged at {exit}");
+        let single = int_net.forward_to_exit_batch_with(&mut quant_plan, &[&input], exit).unwrap();
+        assert_eq!(single.logits(0), reference.as_slice(), "quantized diverged at {exit}");
         let batched =
             int_net.forward_to_exit_batch_with(&mut quant_batch_plan, &batch_refs, exit).unwrap();
         let batched_ref =
@@ -1002,7 +1001,7 @@ fn main() {
                 black_box(pre_pr_forward_to_exit(&net, &input, exit).0);
             });
             let allocating_ns = median_ns(warmup, samples, || {
-                black_box(net.forward_to_exit(&input, exit).unwrap().0.prediction);
+                black_box(net.forward_to_exit(&input, exit).unwrap().prediction);
             });
             let planned_ns = median_ns(warmup, samples, || {
                 black_box(net.forward_to_exit_with(&mut plan, &input, exit).unwrap().prediction);

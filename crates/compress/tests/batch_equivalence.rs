@@ -54,7 +54,7 @@ proptest! {
         for exit in 0..net.num_exits() {
             let out = net.forward_to_exit_batch_with(&mut batch_plan, &refs, exit).unwrap();
             for (i, input) in inputs.iter().enumerate() {
-                let (single, _) = net.forward_to_exit(input, exit).unwrap();
+                let single = net.forward_to_exit(input, exit).unwrap();
                 let batched: Vec<u32> = out.logits(i).iter().map(|v| v.to_bits()).collect();
                 let single: Vec<u32> =
                     single.logits.as_slice().iter().map(|v| v.to_bits()).collect();

@@ -59,11 +59,12 @@ fn planned_and_allocating_paths_agree_on_compressed_networks() {
         for _ in 0..3 {
             let x = Tensor::randn(&mut rng, &[1, 8, 8], 0.0, 1.0);
             for exit in 0..net.num_exits() {
-                let (reference, _) = net.forward_to_exit(&x, exit).unwrap();
+                let reference = net.forward_to_exit(&x, exit).unwrap();
                 let planned = net.forward_to_exit_with(&mut plan, &x, exit).unwrap();
                 assert_eq!(planned.prediction, reference.prediction);
-                assert_eq!(plan.output(exit).logits(0), reference.logits.as_slice());
-                assert_eq!(plan.output(exit).probs(0), reference.probs.as_slice());
+                let out = net.forward_to_exit_batch_with(&mut plan, &[&x], exit).unwrap();
+                assert_eq!(out.logits(0), reference.logits.as_slice());
+                assert_eq!(out.probs(0), reference.probs.as_slice());
             }
         }
     }

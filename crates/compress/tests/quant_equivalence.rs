@@ -45,7 +45,7 @@ fn policy_from(choices: &[(usize, usize, f32)]) -> CompressionPolicy {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The planned quantized path (including incremental continuation) is
+    /// The planned quantized path (to one exit and over every exit) is
     /// bit-identical to the naive fake-quant reference for arbitrary kernel
     /// mixes and batch sizes.
     #[test]
@@ -78,13 +78,22 @@ proptest! {
                 prop_assert_eq!(&batch_bits, &ref_bits, "exit {} sample {}", exit, i);
             }
         }
-        // Incremental continuation from exit 0 agrees with the reference too.
-        qnet.forward_to_exit_batch_with(&mut batched, &inputs, 0).expect("batched forward");
-        let deeper = qnet.continue_to_exit_batch_with(&mut batched, 1).expect("continuation");
-        for (i, input) in inputs.iter().enumerate() {
-            let reference = fake_quant_logits(&qnet, &model, input, 1).expect("reference");
-            prop_assert_eq!(deeper.logits(i), reference.as_slice(), "sample {}", i);
-        }
+        // The pass over every exit, which shares the trunk between them,
+        // agrees with the reference at each exit too.
+        let (mut visited, mut mismatches) = (Vec::new(), Vec::new());
+        qnet.forward_all_batch_with(&mut batched, &inputs, |out| {
+            visited.push(out.exit());
+            for (i, input) in inputs.iter().enumerate() {
+                let reference =
+                    fake_quant_logits(&qnet, &model, input, out.exit()).expect("reference");
+                if out.logits(i) != reference.as_slice() {
+                    mismatches.push((out.exit(), i));
+                }
+            }
+        })
+        .expect("batched forward over every exit");
+        prop_assert_eq!(visited, (0..qnet.num_exits()).collect::<Vec<_>>());
+        prop_assert!(mismatches.is_empty(), "(exit, sample) mismatches {:?}", mismatches);
     }
 }
 

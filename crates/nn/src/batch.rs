@@ -30,11 +30,17 @@
 //! [`crate::train::evaluate_batched`]; once warm, a pass performs zero heap
 //! allocations (asserted by the counting-allocator test).
 //!
-//! A batch whose inputs leave at different exits runs through
-//! [`MultiExitNetwork::forward_to_exits_batch_with`]: deepest first, each
-//! trunk segment over the inputs that go on past it and each branch over the
-//! inputs that leave there, the cached trunk activation compacted in place
-//! between segments.
+//! Every batched entry point is one walk over the trunk. It loads the batch,
+//! then, for each exit up to the deepest, keeps in the trunk the inputs that
+//! reach that segment (compacting the wide activation in place), runs the
+//! segment, and runs the branch over the span of inputs that read that exit.
+//! The entry points differ only in their span:
+//! [`MultiExitNetwork::forward_to_exit_batch_with`] reads every input at one
+//! exit, [`MultiExitNetwork::forward_all_batch_with`] every input at every
+//! exit, and [`MultiExitNetwork::forward_to_exits_batch_with`] each input at
+//! its own, deepest first. Results are read only through the [`BatchOutput`]
+//! a pass returns or visits; it borrows the plan, so the next pass cannot
+//! start while it is read.
 //!
 //! ```
 //! use ie_nn::{spec::tiny_multi_exit, MultiExitNetwork};
@@ -48,8 +54,9 @@
 //! let out = net.forward_to_exit_batch_with(&mut plan, &[&a, &b], 0)?;
 //! assert_eq!(out.len(), 2);
 //! assert_eq!(out.logits(1).len(), 3);
-//! let deeper = net.continue_to_exit_batch_with(&mut plan, 1)?;
-//! assert_eq!(deeper.exit(), 1);
+//! let mut exits = Vec::new();
+//! net.forward_all_batch_with(&mut plan, &[&a, &b], |out| exits.push(out.exit()))?;
+//! assert_eq!(exits, [0, 1]);
 //! # Ok::<(), ie_nn::NnError>(())
 //! ```
 
@@ -117,12 +124,9 @@ struct Act {
     dims: BatchDims,
 }
 
-impl Act {
-    const EMPTY: Act = Act { slot: SLOT_A, dims: BatchDims::Flat(0) };
-}
-
 /// The per-exit results of a batched planned pass, borrowed from the plan's
-/// pre-sized buffers (nothing is copied or allocated to produce it).
+/// pre-sized buffers (nothing is copied or allocated to produce it). The
+/// borrow is the only way to read them, and no pass can run while it lives.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchOutput<'a> {
     exit: usize,
@@ -204,15 +208,13 @@ impl<'a> BatchOutput<'a> {
     }
 }
 
-/// Pre-sized buffers plus cached trunk state for allocation-free batched
-/// inference over up to `max_batch` samples.
+/// Pre-sized buffers for allocation-free batched inference over up to
+/// `max_batch` samples.
 ///
 /// Build once per (architecture, worker thread) with
 /// [`BatchPlan::for_architecture`] or [`MultiExitNetwork::batch_plan`], then
-/// reuse across any number of batched passes. The plan caches the deepest
-/// trunk activation it has computed, so a batch can be continued to a deeper
-/// exit without recomputing the shared trunk (the paper's incremental
-/// inference).
+/// reuse across any number of batched passes. A pass keeps no state for the
+/// next: each runs the trunk once for all the exits it reads.
 #[derive(Debug, Clone)]
 pub struct BatchPlan {
     max_batch: usize,
@@ -243,21 +245,6 @@ pub struct BatchPlan {
     predictions: Vec<Vec<usize>>,
     /// Per-exit entropy confidences.
     confidences: Vec<Vec<f32>>,
-    /// Where the cached trunk activation lives, and its shape.
-    trunk_act: Act,
-    /// Number of samples currently cached in the trunk buffers.
-    batch: usize,
-    /// Trunk segments already executed (`0` when no state is cached).
-    segments_done: usize,
-    /// Exit most recently evaluated from the cached state.
-    last_exit: Option<usize>,
-    /// Pass generation: bumped by every fresh batched forward. Together with
-    /// the per-exit stamps below it lets [`BatchPlan::output`] reject reads
-    /// of an exit that was last evaluated for an *earlier* batch, instead of
-    /// silently relabeling stale results with the current batch size.
-    generation: u64,
-    /// Generation in which each exit's buffers were last filled (0 = never).
-    evaluated_gen: Vec<u64>,
     /// Quantized model whose covered layers run the ≤8/≤16-bit integer
     /// kernels (`None` → pure `f32` engine).
     quant: Option<QuantizedModel>,
@@ -294,12 +281,6 @@ impl BatchPlan {
             probs: vec![vec![0.0; classes * max_batch]; exits],
             predictions: vec![vec![0; max_batch]; exits],
             confidences: vec![vec![0.0; max_batch]; exits],
-            trunk_act: Act::EMPTY,
-            batch: 0,
-            segments_done: 0,
-            last_exit: None,
-            generation: 0,
-            evaluated_gen: vec![0; exits],
             quant: None,
             qbufs: QuantBuffers::default(),
         }
@@ -389,45 +370,12 @@ impl BatchPlan {
         let model = QuantizedModel::for_network_recycling(net, config, Some(old))
             .expect("for_network_recycling cannot fail on a validated config");
         self.quant = Some(model);
-        self.reset();
         Ok(())
     }
 
     /// Largest batch one pass can hold.
     pub fn max_batch(&self) -> usize {
         self.max_batch
-    }
-
-    /// Number of samples currently cached in the trunk buffers (0 before the
-    /// first pass).
-    pub fn batch(&self) -> usize {
-        self.batch
-    }
-
-    /// The exit most recently evaluated from the cached trunk state, if any.
-    pub fn last_exit(&self) -> Option<usize> {
-        self.last_exit
-    }
-
-    /// Number of trunk segments whose output is currently cached.
-    pub fn segments_done(&self) -> usize {
-        self.segments_done
-    }
-
-    /// The results of the most recent batched pass over `exit`, sized to the
-    /// current batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `exit` is out of range, or when `exit` was not evaluated
-    /// as part of the current batch (its buffers would otherwise be stale
-    /// results of an earlier pass relabeled with the current batch size).
-    pub fn output(&self, exit: usize) -> BatchOutput<'_> {
-        assert!(
-            self.generation > 0 && self.evaluated_gen[exit] == self.generation,
-            "exit {exit} was not evaluated for the current batch"
-        );
-        self.exit_output(exit, self.batch)
     }
 
     /// The results of exit `exit` over its first `batch` samples.
@@ -448,15 +396,6 @@ impl BatchPlan {
     /// a cached plan is reusable without paying a failed forward pass.
     pub fn is_compatible(&self, net: &MultiExitNetwork) -> bool {
         self.check_compatible(net).is_ok()
-    }
-
-    /// Drops the cached trunk state (buffers stay warm).
-    pub fn reset(&mut self) {
-        self.segments_done = 0;
-        self.last_exit = None;
-        self.trunk_act = Act::EMPTY;
-        self.batch = 0;
-        self.generation += 1;
     }
 
     /// Errors when `net` does not fit this plan's buffers (exit/class count or
@@ -681,61 +620,71 @@ impl BatchPlan {
         Ok(())
     }
 
-    /// Runs trunk segments `from..=exit` over the cached trunk activation.
-    fn run_segments(&mut self, net: &MultiExitNetwork, from: usize, exit: usize) -> Result<()> {
-        for (seg, segment) in net.segments().iter().enumerate().take(exit + 1).skip(from) {
-            let qlist = self.quant.as_ref().map_or(&[][..], |model| model.segment(seg));
-            BatchPlan::run_layers(
-                segment,
-                qlist,
-                &mut self.trunk,
-                &mut self.col,
-                &mut self.wk,
-                &mut self.plane,
-                &mut self.qbufs,
-                &mut self.trunk_act,
-                self.batch,
-            )?;
-        }
-        Ok(())
+    /// Runs trunk segment `seg` over the `live` samples of the trunk
+    /// activation `trunk`. A segment list rebuilt shorter than the
+    /// architecture has no segment `seg` to run.
+    fn run_segment(
+        &mut self,
+        net: &MultiExitNetwork,
+        seg: usize,
+        trunk: &mut Act,
+        live: usize,
+    ) -> Result<()> {
+        let Some(segment) = net.segments().get(seg) else {
+            return Ok(());
+        };
+        let qlist = self.quant.as_ref().map_or(&[][..], |model| model.segment(seg));
+        BatchPlan::run_layers(
+            segment,
+            qlist,
+            &mut self.trunk,
+            &mut self.col,
+            &mut self.wk,
+            &mut self.plane,
+            &mut self.qbufs,
+            trunk,
+            live,
+        )
     }
 
-    /// Keeps only the first `live` samples of the cached trunk activation,
-    /// compacting its wide layout in place: one move per channel after the
-    /// first (a flat activation's leading samples are already in place).
-    fn keep_leading(&mut self, live: usize) {
-        if live == self.batch {
+    /// Keeps only the first `keep` of the `live` samples of the trunk
+    /// activation `trunk`, compacting its wide layout in place: one move per
+    /// channel after the first (a flat activation's leading samples are
+    /// already in place).
+    fn keep_leading(&mut self, trunk: Act, live: usize, keep: usize) {
+        if keep == live {
             return;
         }
-        let (channels, plane) = self.trunk_act.dims.wide();
-        let buf = &mut self.trunk[self.trunk_act.slot];
+        let (channels, plane) = trunk.dims.wide();
+        let buf = &mut self.trunk[trunk.slot];
         for ch in 1..channels {
-            let from = ch * self.batch * plane;
-            buf.copy_within(from..from + live * plane, ch * live * plane);
+            let from = ch * live * plane;
+            buf.copy_within(from..from + keep * plane, ch * keep * plane);
         }
-        self.batch = live;
     }
 
-    /// Evaluates branch `exit` on samples `range` of the cached batched
-    /// trunk activation, filling the first `range.len()` entries of the
-    /// per-exit logits/probability/prediction buffers.
+    /// Evaluates branch `exit` on samples `span` of the `live` samples of the
+    /// trunk activation `trunk`, filling the first `span.len()` entries of
+    /// the per-exit logits/probability/prediction buffers.
     fn eval_branch(
         &mut self,
         net: &MultiExitNetwork,
         exit: usize,
-        range: Range<usize>,
+        trunk: Act,
+        live: usize,
+        span: Range<usize>,
     ) -> Result<()> {
-        // Gather the range into the branch ping-pong, one run per channel, so
-        // the trunk stays intact for later continuations and groups.
-        let batch = range.len();
-        let (channels, plane) = self.trunk_act.dims.wide();
-        let src = &self.trunk[self.trunk_act.slot];
+        // Gather the span into the branch ping-pong, one run per channel, so
+        // the trunk stays intact for the deeper segments.
+        let batch = span.len();
+        let (channels, plane) = trunk.dims.wide();
+        let src = &self.trunk[trunk.slot];
         for ch in 0..channels {
-            let from = (ch * self.batch + range.start) * plane;
+            let from = (ch * live + span.start) * plane;
             let run = &src[from..from + batch * plane];
             self.branch[SLOT_A][ch * batch * plane..][..batch * plane].copy_from_slice(run);
         }
-        let mut act = Act { slot: SLOT_A, dims: self.trunk_act.dims };
+        let mut act = Act { slot: SLOT_A, dims: trunk.dims };
         let qlist = self.quant.as_ref().map_or(&[][..], |model| model.branch(exit));
         BatchPlan::run_layers(
             &net.branches()[exit],
@@ -766,7 +715,6 @@ impl BatchPlan {
                 argmax_slice(probs).expect("exit produces at least one class");
             self.confidences[exit][s] = confidence_slice(probs);
         }
-        self.evaluated_gen[exit] = self.generation;
         Ok(())
     }
 
@@ -821,109 +769,32 @@ impl BatchPlan {
         }
     }
 
-    fn forward_to_exit(
+    /// The one pass every batched entry point runs. It loads `inputs`, then,
+    /// for each exit up to `deepest`, keeps in the trunk the inputs that
+    /// reach that segment, runs the segment, and runs the branch over
+    /// `reads(exit)`, the span of inputs that read the exit, handing their
+    /// results to `visit(span.start, out)`. No input past a span's end reads
+    /// a deeper exit, so the trunk keeps the inputs before it.
+    fn walk(
         &mut self,
         net: &MultiExitNetwork,
         inputs: &[&Tensor],
-        exit: usize,
+        deepest: usize,
+        reads: impl Fn(usize) -> Range<usize>,
+        mut visit: impl FnMut(usize, BatchOutput<'_>),
     ) -> Result<()> {
         self.check_compatible(net)?;
-        net.check_exit(exit)?;
-        // The trunk buffers are about to be clobbered: invalidate the cached
-        // state now and mark it valid again only when the whole pass succeeds,
-        // so a failed pass can never leave stale metadata pointing at a
-        // half-overwritten activation. A fresh pass also starts a new
-        // generation, so per-exit results of earlier batches stop being
-        // readable through `output`.
-        self.last_exit = None;
-        self.segments_done = 0;
-        self.generation += 1;
-        let dims = self.load_inputs(inputs)?;
-        self.trunk_act = Act { slot: SLOT_A, dims };
-        self.batch = inputs.len();
-        self.run_segments(net, 0, exit)?;
-        self.eval_branch(net, exit, 0..self.batch)?;
-        self.segments_done = exit + 1;
-        self.last_exit = Some(exit);
-        Ok(())
-    }
-
-    fn continue_to_exit(&mut self, net: &MultiExitNetwork, exit: usize) -> Result<()> {
-        self.check_compatible(net)?;
-        net.check_exit(exit)?;
-        let Some(last) = self.last_exit else {
-            return Err(NnError::MissingPlannedState);
-        };
-        if exit <= last {
-            return Err(NnError::NonMonotonicExit { current: last, requested: exit });
-        }
-        // As above: the trunk mutates below, so the cached state is invalid
-        // until the continuation completes.
-        let segments_done = self.segments_done;
-        self.last_exit = None;
-        self.segments_done = 0;
-        self.run_segments(net, segments_done, exit)?;
-        self.eval_branch(net, exit, 0..self.batch)?;
-        self.segments_done = exit + 1;
-        self.last_exit = Some(exit);
-        Ok(())
-    }
-
-    fn forward_to_exits<F: FnMut(usize, BatchOutput<'_>)>(
-        &mut self,
-        net: &MultiExitNetwork,
-        inputs: &[&Tensor],
-        exits: &[usize],
-        visit: F,
-    ) -> Result<()> {
-        // The walk leaves the trunk compacted to the deepest group and each
-        // exit's buffers holding its own group only, so nothing it leaves may
-        // be continued or read: the state is dropped before and after.
-        self.reset();
-        let walked = self.walk_to_exits(net, inputs, exits, visit);
-        self.reset();
-        walked
-    }
-
-    fn walk_to_exits<F: FnMut(usize, BatchOutput<'_>)>(
-        &mut self,
-        net: &MultiExitNetwork,
-        inputs: &[&Tensor],
-        exits: &[usize],
-        mut visit: F,
-    ) -> Result<()> {
-        self.check_compatible(net)?;
-        if exits.len() != inputs.len() {
-            return Err(NnError::InvalidSpec(format!(
-                "{} exits given for a batch of {} inputs",
-                exits.len(),
-                inputs.len()
-            )));
-        }
-        if let Some(i) = exits.windows(2).position(|pair| pair[0] < pair[1]) {
-            return Err(NnError::InvalidSpec(format!(
-                "exits must run deepest first, but input {i} leaves at exit {} and input {} at \
-                 exit {}",
-                exits[i],
-                i + 1,
-                exits[i + 1]
-            )));
-        }
-        let dims = self.load_inputs(inputs)?;
-        // Non-empty by now, and non-increasing: the first exit is the deepest.
-        let deepest = exits[0];
         net.check_exit(deepest)?;
-        self.trunk_act = Act { slot: SLOT_A, dims };
-        self.batch = inputs.len();
+        let mut trunk = Act { slot: SLOT_A, dims: self.load_inputs(inputs)? };
+        let mut live = inputs.len();
         for exit in 0..=deepest {
-            // The inputs that reach segment `exit` lead the batch; those of
-            // them that leave at branch `exit` close it.
-            self.keep_leading(exits.partition_point(|&e| e >= exit));
-            self.run_segments(net, exit, exit)?;
-            let leaving = exits.partition_point(|&e| e > exit);
-            if leaving < self.batch {
-                self.eval_branch(net, exit, leaving..self.batch)?;
-                visit(leaving, self.exit_output(exit, self.batch - leaving));
+            let span = reads(exit);
+            self.keep_leading(trunk, live, span.end);
+            live = span.end;
+            self.run_segment(net, exit, &mut trunk, live)?;
+            if !span.is_empty() {
+                self.eval_branch(net, exit, trunk, live, span.clone())?;
+                visit(span.start, self.exit_output(exit, span.len()));
             }
         }
         Ok(())
@@ -997,42 +868,21 @@ impl MultiExitNetwork {
     /// this performs zero heap allocations, and each sample's logits are
     /// bit-identical to the allocating path.
     ///
-    /// The plan caches the batched trunk activation, so
-    /// [`MultiExitNetwork::continue_to_exit_batch_with`] can resume the whole
-    /// batch at a deeper exit.
-    ///
     /// # Errors
     ///
-    /// Returns [`NnError::InvalidSpec`] for an empty or oversized batch,
-    /// [`NnError::InvalidExit`] for an unknown exit, or a shape error when the
-    /// inputs disagree with each other or the architecture.
+    /// Returns [`NnError::InvalidSpec`] for an empty or oversized batch or a
+    /// plan that does not fit the network, [`NnError::InvalidExit`] for an
+    /// unknown exit, or a shape error when the inputs disagree with each
+    /// other or the architecture.
     pub fn forward_to_exit_batch_with<'p>(
         &self,
         plan: &'p mut BatchPlan,
         inputs: &[&Tensor],
         exit: usize,
     ) -> Result<BatchOutput<'p>> {
-        plan.forward_to_exit(self, inputs, exit)?;
-        Ok(plan.output(exit))
-    }
-
-    /// Planned counterpart of [`MultiExitNetwork::continue_to_exit`]:
-    /// continues the cached batch to a strictly deeper exit without
-    /// recomputing the shared trunk and without allocating.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::MissingPlannedState`] when no batched pass has
-    /// populated the plan, [`NnError::NonMonotonicExit`] when `exit` is not
-    /// deeper than the cached one, or [`NnError::InvalidExit`] when it does
-    /// not exist.
-    pub fn continue_to_exit_batch_with<'p>(
-        &self,
-        plan: &'p mut BatchPlan,
-        exit: usize,
-    ) -> Result<BatchOutput<'p>> {
-        plan.continue_to_exit(self, exit)?;
-        Ok(plan.output(exit))
+        let n = inputs.len();
+        plan.walk(self, inputs, exit, |e| if e == exit { 0..n } else { n..n }, |_, _| {})?;
+        Ok(plan.exit_output(exit, n))
     }
 
     /// Runs each input of a batch only as deep as its own exit, the way the
@@ -1044,11 +894,6 @@ impl MultiExitNetwork {
     /// `out.sample(i)` is the result of `inputs[first + i]`, bit-identical
     /// to that input's lone [`MultiExitNetwork::forward_to_exit`]. Performs
     /// zero heap allocations once the plan is warm.
-    ///
-    /// The walk leaves nothing to continue or read: afterwards
-    /// [`MultiExitNetwork::continue_to_exit_batch_with`] returns
-    /// [`NnError::MissingPlannedState`] and [`BatchPlan::output`] panics,
-    /// whether the walk succeeded or not.
     ///
     /// ```
     /// use ie_nn::{spec::tiny_multi_exit, MultiExitNetwork};
@@ -1071,9 +916,9 @@ impl MultiExitNetwork {
     ///
     /// Returns [`NnError::InvalidSpec`] when `exits` and `inputs` differ in
     /// length, when an exit is deeper than the one before it, or for an
-    /// empty or oversized batch; [`NnError::InvalidExit`] for an unknown
-    /// exit; or a shape error when the inputs disagree with each other or
-    /// the architecture.
+    /// empty or oversized batch or a plan that does not fit the network;
+    /// [`NnError::InvalidExit`] for an unknown exit; or a shape error when
+    /// the inputs disagree with each other or the architecture.
     pub fn forward_to_exits_batch_with<F: FnMut(usize, BatchOutput<'_>)>(
         &self,
         plan: &mut BatchPlan,
@@ -1081,30 +926,51 @@ impl MultiExitNetwork {
         exits: &[usize],
         visit: F,
     ) -> Result<()> {
-        plan.forward_to_exits(self, inputs, exits, visit)
+        if exits.len() != inputs.len() {
+            return Err(NnError::InvalidSpec(format!(
+                "{} exits given for a batch of {} inputs",
+                exits.len(),
+                inputs.len()
+            )));
+        }
+        if let Some(i) = exits.windows(2).position(|pair| pair[0] < pair[1]) {
+            return Err(NnError::InvalidSpec(format!(
+                "exits must run deepest first, but input {i} leaves at exit {} and input {} at \
+                 exit {}",
+                exits[i],
+                i + 1,
+                exits[i + 1]
+            )));
+        }
+        // The first exit is the deepest. An empty batch has none, and the
+        // walk refuses it as it loads.
+        let deepest = exits.first().copied().unwrap_or(0);
+        // The inputs that reach segment `exit` lead the batch; those of them
+        // that leave at branch `exit` close it.
+        let reads =
+            |exit| exits.partition_point(|&e| e > exit)..exits.partition_point(|&e| e >= exit);
+        plan.walk(self, inputs, deepest, reads, visit)
     }
 
     /// Planned counterpart of [`MultiExitNetwork::forward_all`]: evaluates
-    /// every exit on the batch, invoking `visit` with each exit's
-    /// [`BatchOutput`] in order. Allocation-free like the other batched entry
-    /// points; per-exit results remain readable from the plan afterwards.
+    /// every exit on the batch in one pass over the trunk, invoking `visit`
+    /// with each exit's [`BatchOutput`] in order. Allocation-free like the
+    /// other batched entry points.
     ///
     /// # Errors
     ///
-    /// Propagates shape errors from the layers.
+    /// Returns [`NnError::InvalidSpec`] for an empty or oversized batch or a
+    /// plan that does not fit the network, or a shape error when the inputs
+    /// disagree with each other or the architecture.
     pub fn forward_all_batch_with<F: FnMut(BatchOutput<'_>)>(
         &self,
         plan: &mut BatchPlan,
         inputs: &[&Tensor],
         mut visit: F,
     ) -> Result<()> {
-        plan.forward_to_exit(self, inputs, 0)?;
-        visit(plan.output(0));
-        for exit in 1..self.num_exits() {
-            plan.continue_to_exit(self, exit)?;
-            visit(plan.output(exit));
-        }
-        Ok(())
+        let n = inputs.len();
+        let deepest = self.num_exits().saturating_sub(1);
+        plan.walk(self, inputs, deepest, |_| 0..n, |_, out| visit(out))
     }
 }
 
@@ -1147,7 +1013,7 @@ mod tests {
             .iter()
             .map(|x| {
                 (0..net.num_exits())
-                    .map(|exit| ExitOutputBits::of(&net.forward_to_exit(x, exit).unwrap().0))
+                    .map(|exit| ExitOutputBits::of(&net.forward_to_exit(x, exit).unwrap()))
                     .collect()
             })
             .collect();
@@ -1221,25 +1087,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_continuation_matches_batched_direct() {
-        let net = tiny_net(6);
-        let mut rng = StdRng::seed_from_u64(7);
-        let inputs = random_batch(&mut rng, &[1, 8, 8], 3);
-        let refs: Vec<&Tensor> = inputs.iter().collect();
-        let mut direct = net.batch_plan(3);
-        net.forward_to_exit_batch_with(&mut direct, &refs, 1).unwrap();
-        let mut incremental = net.batch_plan(3);
-        net.forward_to_exit_batch_with(&mut incremental, &refs, 0).unwrap();
-        let out = net.continue_to_exit_batch_with(&mut incremental, 1).unwrap();
-        assert_eq!(out.exit(), 1);
-        for i in 0..3 {
-            assert_eq!(out.logits(i), direct.output(1).logits(i), "sample {i}");
-        }
-        assert_eq!(incremental.segments_done(), 2);
-        assert_eq!(incremental.last_exit(), Some(1));
-    }
-
-    #[test]
     fn forward_all_batch_visits_every_exit_in_order() {
         let net = tiny_net(8);
         let mut rng = StdRng::seed_from_u64(9);
@@ -1247,16 +1094,17 @@ mod tests {
         let refs: Vec<&Tensor> = inputs.iter().collect();
         let mut plan = net.batch_plan(4);
         let mut seen = Vec::new();
+        let mut predictions = Vec::new();
         net.forward_all_batch_with(&mut plan, &refs, |out| {
             seen.push((out.exit(), out.len()));
+            predictions.push((0..out.len()).map(|i| out.prediction(i)).collect::<Vec<_>>());
         })
         .unwrap();
         assert_eq!(seen, vec![(0, 4), (1, 4)]);
         // And per-sample agreement with the allocating forward_all.
         for (i, input) in inputs.iter().enumerate() {
-            let reference = net.forward_all(input).unwrap();
-            for out in &reference {
-                assert_eq!(plan.output(out.exit).prediction(i), out.prediction);
+            for out in net.forward_all(input).unwrap() {
+                assert_eq!(predictions[out.exit][i], out.prediction);
             }
         }
     }
@@ -1275,19 +1123,14 @@ mod tests {
             net.forward_to_exit_batch_with(&mut plan, &[&x, &x, &x], 0),
             Err(NnError::InvalidSpec(_))
         ));
-        // Unknown exit, missing state, non-monotonic continuation.
+        // Unknown exit, on every entry point.
         assert!(matches!(
             net.forward_to_exit_batch_with(&mut plan, &[&x], 9),
             Err(NnError::InvalidExit { .. })
         ));
         assert!(matches!(
-            net.continue_to_exit_batch_with(&mut plan, 1),
-            Err(NnError::MissingPlannedState)
-        ));
-        net.forward_to_exit_batch_with(&mut plan, &[&x], 1).unwrap();
-        assert!(matches!(
-            net.continue_to_exit_batch_with(&mut plan, 0),
-            Err(NnError::NonMonotonicExit { .. })
+            net.forward_to_exits_batch_with(&mut plan, &[&x], &[9], |_, _| {}),
+            Err(NnError::InvalidExit { .. })
         ));
         // Mismatched input shapes within one batch.
         let y = Tensor::zeros(&[1, 8, 7]);
@@ -1295,16 +1138,13 @@ mod tests {
             net.forward_to_exit_batch_with(&mut plan, &[&x, &y], 0),
             Err(NnError::InputShapeMismatch { .. })
         ));
-        // A failed pass invalidates the cached state.
         assert!(matches!(
-            net.continue_to_exit_batch_with(&mut plan, 1),
-            Err(NnError::MissingPlannedState)
+            net.forward_all_batch_with(&mut plan, &[&x, &y], |_| {}),
+            Err(NnError::InputShapeMismatch { .. })
         ));
         // The plan stays usable after errors.
-        plan.reset();
-        net.forward_to_exit_batch_with(&mut plan, &[&x, &x], 0).unwrap();
-        assert_eq!(plan.last_exit(), Some(0));
-        assert_eq!(plan.batch(), 2);
+        let out = net.forward_to_exit_batch_with(&mut plan, &[&x, &x], 0).unwrap();
+        assert_eq!((out.exit(), out.len()), (0, 2));
     }
 
     fn mixed_quant_config(net: &MultiExitNetwork) -> crate::quant::QuantConfig {
@@ -1358,40 +1198,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn quantized_batched_continuation_matches_direct() {
-        let net = tiny_net(32);
-        let cfg = mixed_quant_config(&net);
-        let mut rng = StdRng::seed_from_u64(33);
-        let inputs = random_batch(&mut rng, &[1, 8, 8], 4);
-        let refs: Vec<&Tensor> = inputs.iter().collect();
-        let mut direct = net.batch_plan_quantized(&cfg, 4).unwrap();
-        net.forward_to_exit_batch_with(&mut direct, &refs, 1).unwrap();
-        let mut incremental = net.batch_plan_quantized(&cfg, 4).unwrap();
-        net.forward_to_exit_batch_with(&mut incremental, &refs, 0).unwrap();
-        let out = net.continue_to_exit_batch_with(&mut incremental, 1).unwrap();
-        for i in 0..4 {
-            assert_eq!(out.logits(i), direct.output(1).logits(i), "sample {i}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "not evaluated for the current batch")]
-    fn reading_an_exit_from_an_earlier_batch_panics_instead_of_relabeling() {
-        let net = tiny_net(12);
-        let mut plan = net.batch_plan(4);
-        let mut rng = StdRng::seed_from_u64(13);
-        let old = random_batch(&mut rng, &[1, 8, 8], 4);
-        let old_refs: Vec<&Tensor> = old.iter().collect();
-        net.forward_to_exit_batch_with(&mut plan, &old_refs, 1).unwrap();
-        let fresh = random_batch(&mut rng, &[1, 8, 8], 2);
-        let fresh_refs: Vec<&Tensor> = fresh.iter().collect();
-        net.forward_to_exit_batch_with(&mut plan, &fresh_refs, 0).unwrap();
-        // Exit 1 was only evaluated for the previous 4-sample batch; reading
-        // it now would relabel stale logits with the new batch size.
-        let _ = plan.output(1);
     }
 
     #[test]

@@ -22,8 +22,8 @@ pub enum NnError {
         /// The number of exits the network actually has.
         available: usize,
     },
-    /// Incremental inference was asked to continue to an exit that is not
-    /// strictly deeper than the one already evaluated.
+    /// An incremental step (from one exit on to a deeper one) was asked to
+    /// move to an exit that is not strictly deeper than where it starts.
     NonMonotonicExit {
         /// The exit already reached.
         current: usize,
@@ -40,9 +40,6 @@ pub enum NnError {
     /// The architecture specification is inconsistent (e.g. an exit attached
     /// to a non-existent trunk layer).
     InvalidSpec(String),
-    /// A planned continuation was requested before any planned forward pass
-    /// populated the execution plan's cached trunk state.
-    MissingPlannedState,
     /// A pruned-channel list names a channel the layer does not have, names
     /// one twice, or would remove every channel.
     InvalidPruning(String),
@@ -83,10 +80,6 @@ impl fmt::Display for NnError {
             }
             NnError::InvalidSpec(msg) => write!(f, "invalid architecture spec: {msg}"),
             NnError::InvalidPruning(msg) => write!(f, "invalid pruned channels: {msg}"),
-            NnError::MissingPlannedState => write!(
-                f,
-                "continue_to_exit_batch_with called on a plan with no cached forward state"
-            ),
             NnError::WorkerPanic { worker, shard_start, shard_len, message } => write!(
                 f,
                 "shard worker {worker} panicked on items \

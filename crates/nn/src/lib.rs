@@ -5,15 +5,15 @@
 //!
 //! * concrete layers ([`Conv2d`], [`Dense`], [`Relu`], [`MaxPool2d`],
 //!   [`Flatten`]) with forward *and* backward passes,
-//! * a [`MultiExitNetwork`] that mirrors the paper's early-exit LeNet backbone
-//!   and supports **incremental inference** (run to exit *i*, later continue to
-//!   exit *i + 1* without recomputing the shared trunk),
+//! * a [`MultiExitNetwork`] that mirrors the paper's early-exit LeNet backbone,
+//!   whose exits share one trunk,
 //! * one planned, **allocation-free** inference executor, [`BatchPlan`]: it
 //!   runs N inputs per pass through one widened GEMM per layer (f32 or
-//!   i8/i16 integer kernels) with fused bias+ReLU epilogues and cached trunk
-//!   state for incremental inference, bit-identical per sample to the
-//!   allocating path. A single input is a batch of one ([`ExecutionPlan`],
-//!   [`MultiExitNetwork::forward_to_exit_with`]),
+//!   i8/i16 integer kernels) with fused bias+ReLU epilogues, bit-identical
+//!   per sample to the allocating path. Every pass is one walk down the
+//!   trunk that runs each input only as deep as the deepest exit it reads,
+//!   so the exits of a pass share the trunk's work. A single input is a
+//!   batch of one ([`ExecutionPlan`], [`MultiExitNetwork::forward_to_exit_with`]),
 //! * three dataset evaluators over that executor ([`train::evaluate`],
 //!   [`train::evaluate_batched`], [`train::evaluate_quantized`]), the last
 //!   two sharded across worker threads with caller-owned plan pools,
@@ -71,7 +71,7 @@ pub use dense::Dense;
 pub use error::NnError;
 pub use layer::{Flatten, Layer};
 pub use mlp::{Mlp, MlpScratch, OutputActivation};
-pub use network::{ExitOutput, ForwardState, MultiExitNetwork};
+pub use network::{ExitOutput, MultiExitNetwork};
 pub use optim::Sgd;
 pub use plan::{ExecutionPlan, PlannedOutput};
 pub use pool::MaxPool2d;

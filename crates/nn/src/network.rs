@@ -19,18 +19,6 @@ pub struct ExitOutput {
     pub confidence: f32,
 }
 
-/// Cached trunk state that allows incremental inference: after exiting at
-/// exit `i`, the network can continue to a deeper exit without recomputing
-/// the trunk segments already executed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ForwardState {
-    trunk_activation: Tensor,
-    segments_done: usize,
-    last_exit: usize,
-}
-
-impl ForwardState {}
-
 /// An executable multi-exit network instantiated from a
 /// [`MultiExitArchitecture`].
 ///
@@ -44,10 +32,10 @@ impl ForwardState {}
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
 /// let net = MultiExitNetwork::from_architecture(&tiny_multi_exit(3), &mut rng)?;
 /// let x = Tensor::zeros(&[1, 8, 8]);
-/// let (out, state) = net.forward_to_exit(&x, 0)?;
+/// let out = net.forward_to_exit(&x, 0)?;
 /// assert_eq!(out.exit, 0);
-/// let (deeper, _) = net.continue_to_exit(&state, 1)?;
-/// assert_eq!(deeper.exit, 1);
+/// let all = net.forward_all(&x)?;
+/// assert_eq!(all[1].exit, 1);
 /// # Ok::<(), ie_nn::NnError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -209,59 +197,18 @@ impl MultiExitNetwork {
 
     /// Runs inference from the raw input up to (and including) `exit`.
     ///
-    /// Returns the exit output together with a [`ForwardState`] that caches
-    /// the trunk activation so a later [`Self::continue_to_exit`] call does
-    /// not repeat the shared work.
-    ///
     /// # Errors
     ///
     /// Returns [`NnError::InvalidExit`] for an unknown exit or a shape error
     /// if the input does not match the architecture.
-    pub fn forward_to_exit(
-        &self,
-        input: &Tensor,
-        exit: usize,
-    ) -> Result<(ExitOutput, ForwardState)> {
+    pub fn forward_to_exit(&self, input: &Tensor, exit: usize) -> Result<ExitOutput> {
         self.check_exit(exit)?;
         let mut trunk = input.clone();
         for segment in &self.segments[..=exit] {
             trunk = Self::run_layers(segment, &trunk)?;
         }
         let logits = Self::run_layers(&self.branches[exit], &trunk)?;
-        let out = self.exit_output(exit, logits)?;
-        Ok((
-            out,
-            ForwardState { trunk_activation: trunk, segments_done: exit + 1, last_exit: exit },
-        ))
-    }
-
-    /// Continues a previous inference to a strictly deeper exit, re-using the
-    /// cached trunk activation (the paper's *incremental inference*).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::NonMonotonicExit`] when `exit` is not deeper than
-    /// the state's last exit, or [`NnError::InvalidExit`] when it does not
-    /// exist.
-    pub fn continue_to_exit(
-        &self,
-        state: &ForwardState,
-        exit: usize,
-    ) -> Result<(ExitOutput, ForwardState)> {
-        self.check_exit(exit)?;
-        if exit <= state.last_exit {
-            return Err(NnError::NonMonotonicExit { current: state.last_exit, requested: exit });
-        }
-        let mut trunk = state.trunk_activation.clone();
-        for segment in &self.segments[state.segments_done..=exit] {
-            trunk = Self::run_layers(segment, &trunk)?;
-        }
-        let logits = Self::run_layers(&self.branches[exit], &trunk)?;
-        let out = self.exit_output(exit, logits)?;
-        Ok((
-            out,
-            ForwardState { trunk_activation: trunk, segments_done: exit + 1, last_exit: exit },
-        ))
+        self.exit_output(exit, logits)
     }
 
     /// Evaluates every exit on the same input (used for training and for
@@ -403,7 +350,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let x = Tensor::randn(&mut rng, &[1, 8, 8], 0.0, 1.0);
         for exit in 0..net.num_exits() {
-            let (out, _) = net.forward_to_exit(&x, exit).unwrap();
+            let out = net.forward_to_exit(&x, exit).unwrap();
             assert_eq!(out.exit, exit);
             assert_eq!(out.probs.len(), 3);
             assert!((out.probs.sum() - 1.0).abs() < 1e-5);
@@ -414,20 +361,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_inference_matches_direct_inference() {
-        let net = tiny_net(2);
-        let mut rng = StdRng::seed_from_u64(10);
-        let x = Tensor::randn(&mut rng, &[1, 8, 8], 0.0, 1.0);
-        let (_, state) = net.forward_to_exit(&x, 0).unwrap();
-        let (incremental, _) = net.continue_to_exit(&state, 1).unwrap();
-        let (direct, _) = net.forward_to_exit(&x, 1).unwrap();
-        for (a, b) in incremental.logits.as_slice().iter().zip(direct.logits.as_slice()) {
-            assert!((a - b).abs() < 1e-5, "incremental and direct logits must agree");
-        }
-        assert!(net.continue_to_exit(&state, 0).is_err());
-    }
-
-    #[test]
     fn forward_all_agrees_with_forward_to_exit() {
         let net = tiny_net(3);
         let mut rng = StdRng::seed_from_u64(11);
@@ -435,7 +368,7 @@ mod tests {
         let all = net.forward_all(&x).unwrap();
         assert_eq!(all.len(), 2);
         for out in &all {
-            let (direct, _) = net.forward_to_exit(&x, out.exit).unwrap();
+            let direct = net.forward_to_exit(&x, out.exit).unwrap();
             assert_eq!(direct.prediction, out.prediction);
         }
     }

@@ -74,10 +74,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut net = MultiExitNetwork::from_architecture(&tiny_multi_exit(2), &mut rng).unwrap();
         let x = Tensor::ones(&[1, 8, 8]);
-        let before = net.forward_to_exit(&x, 0).unwrap().0.logits;
+        let before = net.forward_to_exit(&x, 0).unwrap().logits;
         net.backward(&x, 0, &[1.0, 1.0]).unwrap();
         Sgd::new(0.5).step(&mut net);
-        let after = net.forward_to_exit(&x, 0).unwrap().0.logits;
+        let after = net.forward_to_exit(&x, 0).unwrap().logits;
         assert_ne!(before.as_slice(), after.as_slice());
     }
 

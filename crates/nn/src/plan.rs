@@ -5,10 +5,9 @@
 //! forward pass will ever touch, and [`MultiExitNetwork::forward_to_exit_with`]
 //! then runs one input entirely inside those buffers: after the plan is
 //! constructed, a forward pass performs **zero heap allocations** (asserted
-//! by a counting-allocator regression test). The plan caches the trunk
-//! activation, so [`MultiExitNetwork::continue_to_exit_batch_with`] resumes
-//! at a deeper exit without recomputing the shared trunk. Results are
-//! bit-identical to the allocating [`MultiExitNetwork::forward_to_exit`].
+//! by a counting-allocator regression test). Results are bit-identical to
+//! the allocating [`MultiExitNetwork::forward_to_exit`]; the batched entry
+//! points take a single input as `&[input]`.
 //!
 //! ```
 //! use ie_nn::{spec::tiny_multi_exit, MultiExitNetwork};
@@ -21,9 +20,8 @@
 //! let x = Tensor::zeros(&[1, 8, 8]);
 //! let out = net.forward_to_exit_with(&mut plan, &x, 0)?;
 //! assert_eq!(out.exit, 0);
-//! let deeper = net.continue_to_exit_batch_with(&mut plan, 1)?;
-//! assert_eq!(deeper.exit(), 1);
-//! assert_eq!(plan.output(1).probs(0).len(), 3);
+//! let deeper = net.forward_to_exit_batch_with(&mut plan, &[&x], 1)?;
+//! assert_eq!(deeper.probs(0).len(), 3);
 //! # Ok::<(), ie_nn::NnError>(())
 //! ```
 
@@ -38,7 +36,8 @@ pub type ExecutionPlan = BatchPlan;
 /// sample.
 ///
 /// The full logits and probabilities live in the plan's per-exit buffers;
-/// read them through [`BatchPlan::output`].
+/// read them through the [`crate::BatchOutput`] that
+/// [`MultiExitNetwork::forward_to_exit_batch_with`] returns.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlannedOutput {
     /// Which exit produced the result.
@@ -72,7 +71,8 @@ impl MultiExitNetwork {
     /// batched pass over a batch of one. After the plan's first (warm-up)
     /// use this performs zero heap allocations. Results are bit-identical to
     /// the allocating [`MultiExitNetwork::forward_to_exit`]; the full
-    /// logits/probabilities are available from [`BatchPlan::output`].
+    /// logits/probabilities are in the [`crate::BatchOutput`] of
+    /// [`MultiExitNetwork::forward_to_exit_batch_with`].
     ///
     /// # Errors
     ///
@@ -109,13 +109,14 @@ mod tests {
         for _ in 0..4 {
             let x = Tensor::randn(&mut rng, &[1, 8, 8], 0.0, 1.0);
             for exit in 0..net.num_exits() {
-                let (reference, _) = net.forward_to_exit(&x, exit).unwrap();
+                let reference = net.forward_to_exit(&x, exit).unwrap();
                 let planned = net.forward_to_exit_with(&mut plan, &x, exit).unwrap();
                 assert_eq!(planned.exit, reference.exit);
                 assert_eq!(planned.prediction, reference.prediction);
                 assert_eq!(planned.confidence.to_bits(), reference.confidence.to_bits());
-                assert_eq!(plan.output(exit).logits(0), reference.logits.as_slice());
-                assert_eq!(plan.output(exit).probs(0), reference.probs.as_slice());
+                let out = net.forward_to_exit_batch_with(&mut plan, &[&x], exit).unwrap();
+                assert_eq!(out.logits(0), reference.logits.as_slice());
+                assert_eq!(out.probs(0), reference.probs.as_slice());
             }
         }
     }
@@ -127,26 +128,12 @@ mod tests {
         let mut plan = net.execution_plan();
         let x = Tensor::randn(&mut rng, &[3, 32, 32], 0.0, 1.0);
         for exit in 0..3 {
-            let (reference, _) = net.forward_to_exit(&x, exit).unwrap();
+            let reference = net.forward_to_exit(&x, exit).unwrap();
             let planned = net.forward_to_exit_with(&mut plan, &x, exit).unwrap();
             assert_eq!(planned.prediction, reference.prediction);
-            assert_eq!(plan.output(exit).logits(0), reference.logits.as_slice());
+            let out = net.forward_to_exit_batch_with(&mut plan, &[&x], exit).unwrap();
+            assert_eq!(out.logits(0), reference.logits.as_slice());
         }
-    }
-
-    #[test]
-    fn planned_incremental_matches_allocating_incremental() {
-        let net = tiny_net(4);
-        let mut plan = net.execution_plan();
-        let mut rng = StdRng::seed_from_u64(5);
-        let x = Tensor::randn(&mut rng, &[1, 8, 8], 0.0, 1.0);
-        let (_, state) = net.forward_to_exit(&x, 0).unwrap();
-        let (reference, _) = net.continue_to_exit(&state, 1).unwrap();
-        net.forward_to_exit_with(&mut plan, &x, 0).unwrap();
-        let planned = net.continue_to_exit_batch_with(&mut plan, 1).unwrap();
-        assert_eq!(planned.prediction(0), reference.prediction);
-        assert_eq!(planned.logits(0), reference.logits.as_slice());
-        assert_eq!(planned.probs(0), reference.probs.as_slice());
     }
 
     #[test]
@@ -157,12 +144,15 @@ mod tests {
         let x = Tensor::randn(&mut rng, &[1, 8, 8], 0.0, 1.0);
         let reference = net.forward_all(&x).unwrap();
         let mut seen = Vec::new();
-        net.forward_all_batch_with(&mut plan, &[&x], |out| seen.push(out.sample(0))).unwrap();
+        net.forward_all_batch_with(&mut plan, &[&x], |out| {
+            seen.push((out.sample(0), out.probs(0).to_vec()));
+        })
+        .unwrap();
         assert_eq!(seen.len(), reference.len());
-        for (planned, reference) in seen.iter().zip(&reference) {
+        for ((planned, probs), reference) in seen.iter().zip(&reference) {
             assert_eq!(planned.exit, reference.exit);
             assert_eq!(planned.prediction, reference.prediction);
-            assert_eq!(plan.output(planned.exit).probs(0), reference.probs.as_slice());
+            assert_eq!(probs.as_slice(), reference.probs.as_slice());
         }
     }
 
@@ -175,41 +165,14 @@ mod tests {
             net.forward_to_exit_with(&mut plan, &x, 9),
             Err(NnError::InvalidExit { .. })
         ));
-        assert!(matches!(
-            net.continue_to_exit_batch_with(&mut plan, 1),
-            Err(NnError::MissingPlannedState)
-        ));
-        net.forward_to_exit_with(&mut plan, &x, 1).unwrap();
-        assert!(matches!(
-            net.continue_to_exit_batch_with(&mut plan, 0),
-            Err(NnError::NonMonotonicExit { .. })
-        ));
         // Wrong input shape is rejected by the first conv layer.
         assert!(net.forward_to_exit_with(&mut plan, &Tensor::zeros(&[1, 9, 8]), 0).is_err());
         // The plan remains usable after errors.
-        plan.reset();
-        assert!(net.forward_to_exit_with(&mut plan, &x, 0).is_ok());
-        assert_eq!(plan.last_exit(), Some(0));
-        assert_eq!(plan.segments_done(), 1);
-    }
-
-    #[test]
-    fn failed_forward_invalidates_the_cached_trunk_state() {
-        // A failed pass clobbers the trunk buffers before the error surfaces;
-        // the cached state must be invalidated so a continuation cannot
-        // silently compute from the half-overwritten activation.
-        let net = tiny_net(9);
-        let mut plan = net.execution_plan();
-        let good = Tensor::ones(&[1, 8, 8]);
-        net.forward_to_exit_with(&mut plan, &good, 0).unwrap();
-        assert_eq!(plan.last_exit(), Some(0));
-        let bad = Tensor::zeros(&[1, 9, 8]); // fits the buffer, fails the conv check
-        assert!(net.forward_to_exit_with(&mut plan, &bad, 0).is_err());
-        assert_eq!(plan.last_exit(), None);
-        assert!(matches!(
-            net.continue_to_exit_batch_with(&mut plan, 1),
-            Err(NnError::MissingPlannedState)
-        ));
+        let reference = net.forward_to_exit(&x, 1).unwrap();
+        assert_eq!(
+            net.forward_to_exit_with(&mut plan, &x, 1).unwrap().prediction,
+            reference.prediction
+        );
     }
 
     #[test]
@@ -239,20 +202,25 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(21);
         for _ in 0..3 {
             let x = Tensor::randn(&mut rng, &[1, 8, 8], 0.0, 1.0);
-            for exit in 0..net.num_exits() {
-                let out = net.forward_to_exit_with(&mut plan, &x, exit).unwrap();
-                let reference = fake_quant_logits(&net, &model, &x, exit).unwrap();
-                let plan_bits: Vec<u32> =
-                    plan.output(exit).logits(0).iter().map(|v| v.to_bits()).collect();
-                let ref_bits: Vec<u32> = reference.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(plan_bits, ref_bits, "exit {exit}");
-                assert_eq!(out.exit, exit);
+            let bits = |logits: &[f32]| logits.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+            let references: Vec<Vec<u32>> = (0..net.num_exits())
+                .map(|exit| bits(&fake_quant_logits(&net, &model, &x, exit).unwrap()))
+                .collect();
+            for (exit, reference) in references.iter().enumerate() {
+                assert_eq!(net.forward_to_exit_with(&mut plan, &x, exit).unwrap().exit, exit);
+                let out = net.forward_to_exit_batch_with(&mut plan, &[&x], exit).unwrap();
+                assert_eq!(&bits(out.logits(0)), reference, "exit {exit}");
             }
-            // Incremental continuation reuses the cached f32 trunk.
-            net.forward_to_exit_with(&mut plan, &x, 0).unwrap();
-            let deeper = net.continue_to_exit_batch_with(&mut plan, 1).unwrap();
-            let reference = fake_quant_logits(&net, &model, &x, 1).unwrap();
-            assert_eq!(deeper.logits(0), reference.as_slice());
+            // One pass over every exit shares the f32 trunk between them.
+            net.forward_all_batch_with(&mut plan, &[&x], |out| {
+                assert_eq!(
+                    &bits(out.logits(0)),
+                    &references[out.exit()],
+                    "all, exit {}",
+                    out.exit()
+                );
+            })
+            .unwrap();
         }
     }
 
@@ -273,9 +241,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(23);
         let x = Tensor::randn(&mut rng, &[1, 8, 8], 0.0, 1.0);
         for exit in 0..net.num_exits() {
-            net.forward_to_exit_with(&mut plan, &x, exit).unwrap();
+            let out = net.forward_to_exit_batch_with(&mut plan, &[&x], exit).unwrap();
             let reference = fake_quant_logits(&net, &model, &x, exit).unwrap();
-            assert_eq!(plan.output(exit).logits(0), reference.as_slice(), "exit {exit}");
+            assert_eq!(out.logits(0), reference.as_slice(), "exit {exit}");
         }
     }
 

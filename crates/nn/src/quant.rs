@@ -1028,8 +1028,8 @@ mod tests {
         let x = Tensor::ones(&[3, 32, 32]);
         let reference = fake_quant_logits(&net, &model, &x, 1).unwrap();
         let mut plan = net.execution_plan_quantized(&cfg).unwrap();
-        net.forward_to_exit_with(&mut plan, &x, 1).unwrap();
-        assert_eq!(plan.output(1).logits(0), reference.as_slice());
+        let out = net.forward_to_exit_batch_with(&mut plan, &[&x], 1).unwrap();
+        assert_eq!(out.logits(0), reference.as_slice());
     }
 
     #[test]

@@ -9,9 +9,11 @@
 //! code with the planned executor above the kernels. The same holds for the
 //! per-exit walk ([`ie_nn::MultiExitNetwork::forward_to_exits_batch_with`]),
 //! where each input stops at its own exit, on the `f32` and the integer
-//! engine. The compressed-policy variant (pruning + quantization applied
-//! through real `ie_compress` policies) lives in `ie_compress`'s tests to
-//! keep the dependency direction intact.
+//! engine, and the pass over every exit
+//! ([`ie_nn::MultiExitNetwork::forward_all_batch_with`]) reads at each exit
+//! what the pass to that exit reads. The compressed-policy variant (pruning
+//! and quantization applied through real `ie_compress` policies) lives in
+//! `ie_compress`'s tests to keep the dependency direction intact.
 
 use ie_nn::quant::{config_from_bits, QuantConfig};
 use ie_nn::spec::{lenet_multi_exit, tiny_multi_exit};
@@ -87,7 +89,7 @@ proptest! {
             let out = net.forward_to_exit_batch_with(&mut batch_plan, &refs, exit).unwrap();
             prop_assert_eq!(out.len(), batch);
             for (i, input) in inputs.iter().enumerate() {
-                let (single, _) = net.forward_to_exit(input, exit).unwrap();
+                let single = net.forward_to_exit(input, exit).unwrap();
                 prop_assert_eq!(out.prediction(i), single.prediction);
                 prop_assert_eq!(out.confidence(i).to_bits(), single.confidence.to_bits());
                 let at = format!("exit {exit} sample {i}");
@@ -97,12 +99,14 @@ proptest! {
         }
     }
 
-    /// A batched continuation equals the batched direct pass to the deeper
-    /// exit (and therefore, transitively, the allocating path).
+    /// The evaluators' pass over every exit reads, at each exit and for
+    /// every input, what the pass to that exit alone reads, bit for bit, on
+    /// the `f32` and the integer engine.
     #[test]
-    fn batched_continuation_equals_direct(
+    fn forward_all_equals_direct_at_every_exit(
         seed in 0u64..1_000,
         batch in 1usize..=8,
+        quantized in proptest::bool::ANY,
         data in proptest::collection::vec(-2.0f32..2.0, 8 * 64),
     ) {
         let net = build_net(seed, 0);
@@ -113,16 +117,25 @@ proptest! {
             })
             .collect();
         let refs: Vec<&Tensor> = inputs.iter().collect();
-        let mut direct = net.batch_plan(batch);
-        net.forward_to_exit_batch_with(&mut direct, &refs, 1).unwrap();
-        let mut incremental = net.batch_plan(batch);
-        net.forward_to_exit_batch_with(&mut incremental, &refs, 0).unwrap();
-        net.continue_to_exit_batch_with(&mut incremental, 1).unwrap();
-        for i in 0..batch {
-            let a: Vec<u32> =
-                incremental.output(1).logits(i).iter().map(|v| v.to_bits()).collect();
-            let b: Vec<u32> = direct.output(1).logits(i).iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(a, b, "sample {}", i);
+        let plan = || {
+            if quantized {
+                net.batch_plan_quantized(&mixed_config(&net), batch).unwrap()
+            } else {
+                net.batch_plan(batch)
+            }
+        };
+        let mut all: Vec<(usize, Vec<ExitBits>)> = Vec::new();
+        net.forward_all_batch_with(&mut plan(), &refs, |out| {
+            all.push((out.exit(), (0..out.len()).map(|i| ExitBits::of(&out, i)).collect()));
+        })
+        .unwrap();
+        prop_assert_eq!(all.len(), net.num_exits());
+        let mut direct = plan();
+        for (exit, (seen_exit, seen)) in all.into_iter().enumerate() {
+            prop_assert_eq!(seen_exit, exit);
+            let out = net.forward_to_exit_batch_with(&mut direct, &refs, exit).unwrap();
+            let expected: Vec<ExitBits> = (0..batch).map(|i| ExitBits::of(&out, i)).collect();
+            prop_assert_eq!(seen, expected, "exit {}", exit);
         }
     }
 }
@@ -188,7 +201,7 @@ fn assert_walk_matches_lone_runs(
     let mut lone_run = |x: &Tensor, exit: usize| match lone.as_mut() {
         Some(plan) => ExitBits::of(&net.forward_to_exit_batch_with(plan, &[x], exit).unwrap(), 0),
         None => {
-            let (out, _) = net.forward_to_exit(x, exit).unwrap();
+            let out = net.forward_to_exit(x, exit).unwrap();
             let (logits, probs) = (bits(out.logits.as_slice()), bits(out.probs.as_slice()));
             ExitBits {
                 prediction: out.prediction,
@@ -277,43 +290,55 @@ proptest! {
     }
 }
 
-/// Every `exits` the walk refuses is an error, never a panic, and a walk —
-/// refused or not — leaves nothing a continuation or `output` could misread.
+/// Every result of one pass of each batched entry point over `inputs` (two
+/// of them) on `plan`, as raw bits: to exit 1, over every exit, and at
+/// exits `[1, 0]`.
+fn every_result(net: &MultiExitNetwork, plan: &mut BatchPlan, inputs: &[&Tensor]) -> Vec<ExitBits> {
+    let all =
+        |out: &BatchOutput<'_>| (0..out.len()).map(|i| ExitBits::of(out, i)).collect::<Vec<_>>();
+    let mut seen = all(&net.forward_to_exit_batch_with(plan, inputs, 1).unwrap());
+    net.forward_all_batch_with(plan, inputs, |out| seen.extend(all(&out))).unwrap();
+    net.forward_to_exits_batch_with(plan, inputs, &[1, 0], |_, out| seen.extend(all(&out)))
+        .unwrap();
+    seen
+}
+
+/// Every `exits` the walk refuses is an error, never a panic, and no walk —
+/// refused or not — leaves state behind: the next passes on the same plan
+/// read, bit for bit, what they read on a fresh plan.
 #[test]
 fn a_refused_walk_is_an_error_and_leaves_no_state_to_read() {
     let net = build_net(3, 0);
     let mut plan = net.batch_plan(2);
     let x = Tensor::zeros(&[1, 8, 8]);
+    // Fits the plan's buffers, but not the first conv.
+    let misfit = Tensor::zeros(&[1, 9, 8]);
+    let mut rng = StdRng::seed_from_u64(4);
+    let probe: Vec<Tensor> =
+        (0..2).map(|_| Tensor::randn(&mut rng, &[1, 8, 8], 0.0, 1.0)).collect();
+    let probe: Vec<&Tensor> = probe.iter().collect();
+    let fresh = every_result(&net, &mut net.batch_plan(2), &probe);
     let refused = |err: &NnError, case: &str| match case {
         "unknown exit" => matches!(err, NnError::InvalidExit { requested: 2, available: 2 }),
+        "an input the first conv refuses" => matches!(err, NnError::InputShapeMismatch { .. }),
         _ => matches!(err, NnError::InvalidSpec(_)),
     };
-    let cases: [(&str, Vec<&Tensor>, Vec<usize>); 6] = [
+    let cases: [(&str, Vec<&Tensor>, Vec<usize>); 7] = [
         ("length mismatch", vec![&x, &x], vec![1]),
         ("an increasing pair", vec![&x, &x], vec![0, 1]),
         ("unknown exit", vec![&x, &x], vec![2, 0]),
         ("empty batch", vec![], vec![]),
         ("oversized batch", vec![&x, &x, &x], vec![1, 1, 1]),
+        ("an input the first conv refuses", vec![&misfit, &misfit], vec![1, 0]),
         ("a walk that succeeds", vec![&x, &x], vec![1, 0]),
     ];
     for (case, inputs, exits) in cases {
-        // A cached pass the walk must not leave readable.
-        net.forward_to_exit_batch_with(&mut plan, &[&x, &x], 0).unwrap();
         let walked = net.forward_to_exits_batch_with(&mut plan, &inputs, &exits, |_, _| {});
         match walked {
             Err(err) => assert!(refused(&err, case), "{case}: {err:?}"),
             Ok(()) => assert_eq!(case, "a walk that succeeds"),
         }
-        assert!(
-            matches!(
-                net.continue_to_exit_batch_with(&mut plan, 1),
-                Err(NnError::MissingPlannedState)
-            ),
-            "{case}: a continuation resumed the walk's state"
-        );
-        for exit in 0..net.num_exits() {
-            let read = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| plan.output(exit)));
-            assert!(read.is_err(), "{case}: exit {exit}'s results stayed readable");
-        }
+        let next = every_result(&net, &mut plan, &probe);
+        assert_eq!(next, fresh, "{case}: the next passes read what the walk left");
     }
 }

@@ -162,7 +162,7 @@ fn check(lenet: bool, seed: u64, batch: usize) {
                 exit,
                 i
             );
-            let (single, _) = compact.forward_to_exit(x, exit).unwrap();
+            let single = compact.forward_to_exit(x, exit).unwrap();
             prop_assert_eq!(
                 bits(single.logits.as_slice()),
                 bits(b.logits(i)),

@@ -119,20 +119,18 @@ fn warmed_planned_forward_performs_zero_heap_allocations() {
     // Warm-up: touch every code path the measured section will run.
     for _ in 0..2 {
         tiny.forward_to_exit_with(&mut tiny_plan, &tiny_input, 0).unwrap();
-        tiny.continue_to_exit_batch_with(&mut tiny_plan, 1).unwrap();
         tiny.forward_all_batch_with(&mut tiny_plan, &[&tiny_input], |_| {}).unwrap();
         for exit in 0..3 {
             lenet.forward_to_exit_with(&mut lenet_plan, &lenet_input, exit).unwrap();
         }
-        lenet.forward_to_exit_with(&mut lenet_plan, &lenet_input, 0).unwrap();
-        lenet.continue_to_exit_batch_with(&mut lenet_plan, 2).unwrap();
+        lenet.forward_all_batch_with(&mut lenet_plan, &[&lenet_input], |_| {}).unwrap();
         tiny.forward_all_batch_with(&mut tiny_batch_plan, &tiny_refs, |_| {}).unwrap();
         lenet.forward_to_exit_batch_with(&mut lenet_batch_plan, &lenet_refs, 0).unwrap();
-        lenet.continue_to_exit_batch_with(&mut lenet_batch_plan, 2).unwrap();
+        lenet.forward_all_batch_with(&mut lenet_batch_plan, &lenet_refs, |_| {}).unwrap();
         pruned.forward_to_exit_with(&mut pruned_plan, &lenet_input, 2).unwrap();
         pruned.forward_to_exit_batch_with(&mut pruned_batch_plan, &lenet_refs, 2).unwrap();
         lenet.forward_to_exit_with(&mut quant_plan, &lenet_input, 0).unwrap();
-        lenet.continue_to_exit_batch_with(&mut quant_plan, 2).unwrap();
+        lenet.forward_all_batch_with(&mut quant_plan, &[&lenet_input], |_| {}).unwrap();
         lenet.forward_to_exit_batch_with(&mut quant_batch_plan, &lenet_refs, 2).unwrap();
         lenet
             .forward_to_exits_batch_with(&mut lenet_batch_plan, &lenet_refs, &exits, |_, _| {})
@@ -146,7 +144,6 @@ fn warmed_planned_forward_performs_zero_heap_allocations() {
     let mut checksum = 0usize;
     for _ in 0..10 {
         checksum += tiny.forward_to_exit_with(&mut tiny_plan, &tiny_input, 0).unwrap().prediction;
-        checksum += tiny.continue_to_exit_batch_with(&mut tiny_plan, 1).unwrap().prediction(0);
         tiny.forward_all_batch_with(&mut tiny_plan, &[&tiny_input], |out| {
             checksum += out.prediction(0);
         })
@@ -155,9 +152,11 @@ fn warmed_planned_forward_performs_zero_heap_allocations() {
             checksum +=
                 lenet.forward_to_exit_with(&mut lenet_plan, &lenet_input, exit).unwrap().prediction;
         }
-        checksum +=
-            lenet.forward_to_exit_with(&mut lenet_plan, &lenet_input, 0).unwrap().prediction;
-        checksum += lenet.continue_to_exit_batch_with(&mut lenet_plan, 2).unwrap().prediction(0);
+        lenet
+            .forward_all_batch_with(&mut lenet_plan, &[&lenet_input], |out| {
+                checksum += out.prediction(0);
+            })
+            .unwrap();
         // A warmed batched pass is equally allocation-free.
         tiny.forward_all_batch_with(&mut tiny_batch_plan, &tiny_refs, |out| {
             checksum += out.prediction(0) + out.prediction(1);
@@ -167,8 +166,11 @@ fn warmed_planned_forward_performs_zero_heap_allocations() {
             .forward_to_exit_batch_with(&mut lenet_batch_plan, &lenet_refs, 0)
             .unwrap()
             .prediction(3);
-        checksum +=
-            lenet.continue_to_exit_batch_with(&mut lenet_batch_plan, 2).unwrap().prediction(1);
+        lenet
+            .forward_all_batch_with(&mut lenet_batch_plan, &lenet_refs, |out| {
+                checksum += out.prediction(1);
+            })
+            .unwrap();
         // Pruned convs run at their kept width, single-input and batched.
         checksum +=
             pruned.forward_to_exit_with(&mut pruned_plan, &lenet_input, 2).unwrap().prediction;
@@ -180,7 +182,11 @@ fn warmed_planned_forward_performs_zero_heap_allocations() {
         // equally allocation-free, single-input and batched.
         checksum +=
             lenet.forward_to_exit_with(&mut quant_plan, &lenet_input, 0).unwrap().prediction;
-        checksum += lenet.continue_to_exit_batch_with(&mut quant_plan, 2).unwrap().prediction(0);
+        lenet
+            .forward_all_batch_with(&mut quant_plan, &[&lenet_input], |out| {
+                checksum += out.prediction(0);
+            })
+            .unwrap();
         checksum += lenet
             .forward_to_exit_batch_with(&mut quant_batch_plan, &lenet_refs, 2)
             .unwrap()

@@ -55,7 +55,7 @@ mod tests {
         let errs: Vec<ServeError> = vec![
             ServeError::InvalidConfig("zero window".into()),
             ServeError::InvalidRequest("arrivals not sorted".into()),
-            ie_nn::NnError::MissingPlannedState.into(),
+            ie_nn::NnError::InvalidExit { requested: 3, available: 3 }.into(),
             ServeError::WorkerLost("worker 2".into()),
         ];
         for e in &errs {
