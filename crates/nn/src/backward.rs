@@ -18,9 +18,9 @@
 //! * one transpose scratch sized to the widest lowering (the column
 //!   transpose the weight-gradient GEMM needs, reused as the `dcols`
 //!   staging buffer of the data-gradient `col2im`),
-//! * one plane scratch, which every conv's lowering gathers from and its
-//!   data-gradient `col2im` scatters into, through the conv's lowering
-//!   table (built by the first step),
+//! * one plane scratch, sized for the largest padded input plane, in which
+//!   every conv's lowering stages a plane and its data-gradient `col2im`
+//!   adds one back,
 //! * a flat [`GradStore`] holding one `f32` per trainable parameter, laid
 //!   out in the exact iteration order of
 //!   [`MultiExitNetwork::apply_gradients`].
@@ -59,7 +59,7 @@ use crate::loss::softmax_into;
 use crate::quant::QuantConfig;
 use crate::spec::{LayerSpec, LayerSpecKind, MultiExitArchitecture};
 use crate::{Conv2d, MultiExitNetwork, NnError, Result};
-use ie_tensor::{plane_scratch, QuantParams, Tensor, PLANE_CELLS};
+use ie_tensor::{QuantParams, Tensor};
 
 /// One layer's input/output regions inside the activation arena.
 ///
@@ -177,9 +177,9 @@ pub struct BackwardPlan {
     /// Transpose scratch sized to the widest lowering; doubles as the
     /// `dcols` staging buffer of the data-gradient `col2im`.
     colt: Vec<f32>,
-    /// Plane scratch of the convs' lowering and `col2im`; absent until the
-    /// first step meets a conv.
-    plane: Option<Box<[f32; PLANE_CELLS]>>,
+    /// Plane scratch of the convs' lowering and `col2im`, sized for the
+    /// largest padded input plane.
+    plane: Vec<f32>,
     /// Weight-transpose scratch for the convolution data-gradient GEMM,
     /// sized to the widest conv filter (dense layers use the
     /// transposed-operand [`ie_tensor::matvec_t_batch_into`] and need none).
@@ -200,6 +200,7 @@ struct PlanBuilder {
     max_grad: usize,
     max_col: usize,
     max_conv_w: usize,
+    max_plane: usize,
     col_cursor: usize,
     kw_cursor: usize,
     pcursor: usize,
@@ -237,6 +238,7 @@ impl PlanBuilder {
                 let w_len = spec.weight_params() as usize;
                 self.max_col = self.max_col.max(col_len);
                 self.max_conv_w = self.max_conv_w.max(w_len);
+                self.max_plane = self.max_plane.max(spec.lowering_scratch_len());
                 col_off = self.col_cursor;
                 self.col_cursor += col_len;
                 kw_off = self.kw_cursor;
@@ -270,6 +272,7 @@ impl BackwardPlan {
             max_grad: input_len,
             max_col: 0,
             max_conv_w: 0,
+            max_plane: 0,
             col_cursor: 0,
             kw_cursor: 0,
             pcursor: 0,
@@ -318,7 +321,7 @@ impl BackwardPlan {
             cols: vec![0.0; builder.col_cursor],
             kept_w: Vec::new(),
             colt: vec![0.0; builder.max_col],
-            plane: None,
+            plane: vec![0.0; builder.max_plane],
             wt: vec![0.0; builder.max_conv_w],
             regions: builder.regions,
             trunk_param,
@@ -785,7 +788,7 @@ fn forward_layer(
     fq_acts: &mut [f32],
     acts: &mut [f32],
     cols: &mut [f32],
-    plane: &mut Option<Box<[f32; PLANE_CELLS]>>,
+    plane: &mut [f32],
 ) -> Result<()> {
     if matches!(layer, Layer::Flatten(_)) {
         return Ok(());
@@ -807,8 +810,7 @@ fn forward_layer(
             // rounded.
             let plane_len = c.geometry().in_h * c.geometry().in_w;
             let x = forward_input(entry, fq_acts, input, c.pruning().kept_blocks(plane_len));
-            let scratch = &mut **plane.get_or_insert_with(plane_scratch);
-            c.forward_batch_with(weight, x, out, col, scratch, 1, false)
+            c.forward_batch_with(weight, x, out, col, plane, 1, false)
         }
         Layer::Dense(d) => {
             let weight = entry.map_or(d.weight().as_slice(), |e| &fq_weights[e.w_off..][..e.w_len]);
@@ -892,7 +894,7 @@ fn backward_layer(
     gslot: &mut usize,
     cols: &[f32],
     colt: &mut [f32],
-    plane: &mut Option<Box<[f32; PLANE_CELLS]>>,
+    plane: &mut [f32],
     wt: &mut [f32],
     need_dx: bool,
 ) -> Result<()> {
@@ -930,7 +932,7 @@ fn backward_layer(
                 gb,
                 &mut colt[..clen],
                 &mut wt[..wlen],
-                &mut **plane.get_or_insert_with(plane_scratch),
+                plane,
             )?;
         }
         Layer::Dense(dense) => {

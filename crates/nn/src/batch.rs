@@ -67,7 +67,7 @@ use crate::quant::{
 };
 use crate::spec::{LayerSpecKind, MultiExitArchitecture};
 use crate::{Layer, MultiExitNetwork, NnError, PlannedOutput, Result};
-use ie_tensor::{plane_scratch, Tensor, PLANE_CELLS};
+use ie_tensor::Tensor;
 use std::ops::Range;
 
 /// The slot of a ping-pong pair that a pass loads its inputs into.
@@ -227,10 +227,9 @@ pub struct BatchPlan {
     /// Kept-width filter scratch of the pruned convs: empty until a pass
     /// meets one, then grown to the largest kept filter it has met.
     wk: Vec<f32>,
-    /// Plane scratch the `f32` convs' lowering gathers from: absent until a
-    /// pass meets an `f32` conv (a quantized plan may never), then built
-    /// once, zeroed.
-    plane: Option<Box<[f32; PLANE_CELLS]>>,
+    /// Scratch the `f32` convs' lowering stages each input plane in, sized
+    /// for the largest padded plane of the architecture.
+    plane: Vec<f32>,
     /// Trunk activation ping-pong pair, `max_batch` samples wide.
     trunk: [Vec<f32>; 2],
     /// Branch activation ping-pong pair, `max_batch` samples wide.
@@ -257,12 +256,10 @@ impl BatchPlan {
     /// Builds a plan for `arch` holding up to `max_batch` samples per pass
     /// (clamped to at least 1), pre-sizing every buffer so that batched
     /// forward passes never allocate — all but the pruned convs' filter
-    /// scratch, which the first pass over a pruned network grows, and the
-    /// plane scratches of the lowering, which the first pass to meet an
-    /// `f32` (or an integer) conv builds.
+    /// scratch, which the first pass over a pruned network grows.
     pub fn for_architecture(arch: &MultiExitArchitecture, max_batch: usize) -> Self {
         let max_batch = max_batch.max(1);
-        let (act, col) = buffer_requirements(arch);
+        let (act, col, plane) = buffer_requirements(arch);
         let slots = || [vec![0.0; act * max_batch], vec![0.0; act * max_batch]];
         let classes = arch.num_classes();
         let exits = arch.num_exits();
@@ -273,7 +270,7 @@ impl BatchPlan {
             act_capacity: act,
             col_capacity: col,
             wk: Vec::new(),
-            plane: None,
+            plane: vec![0.0; plane],
             trunk: slots(),
             branch: slots(),
             col: vec![0.0; col * max_batch],
@@ -325,7 +322,7 @@ impl BatchPlan {
     /// model check (which repacking replaces).
     pub fn can_repack_quantized(&self, net: &MultiExitNetwork, batch: usize) -> bool {
         let arch = net.architecture();
-        let (act, col) = buffer_requirements(arch);
+        let (act, col, plane) = buffer_requirements(arch);
         // The integer scratch (patch/widened-row buffers) has its own
         // capacity requirements that do not follow from act/col — a plan can
         // only be repacked when those fit too, for every batch size up to
@@ -337,6 +334,7 @@ impl BatchPlan {
             && self.classes == arch.num_classes()
             && act <= self.act_capacity
             && col <= self.col_capacity
+            && plane <= self.plane.len()
     }
 
     /// Re-bakes this **quantized** plan for `net` under a (possibly new)
@@ -404,20 +402,22 @@ impl BatchPlan {
     /// them), well under 0.1 % of one planned forward pass.
     fn check_compatible(&self, net: &MultiExitNetwork) -> Result<()> {
         let arch = net.architecture();
-        let (act, col) = buffer_requirements(arch);
+        let (act, col, plane) = buffer_requirements(arch);
         let compatible = self.num_exits == arch.num_exits()
             && self.classes == arch.num_classes()
             && act <= self.act_capacity
             && col <= self.col_capacity
+            && plane <= self.plane.len()
             && self.quant.as_ref().is_none_or(|model| model.matches(net));
         if !compatible {
             return Err(NnError::InvalidSpec(format!(
-                "batch plan ({} exits, {} classes, act {}, col {}) does not fit the network \
-                 ({} exits, {} classes, act {act}, col {col})",
+                "batch plan ({} exits, {} classes, act {}, col {}, plane {}) does not fit the \
+                 network ({} exits, {} classes, act {act}, col {col}, plane {plane})",
                 self.num_exits,
                 self.classes,
                 self.act_capacity,
                 self.col_capacity,
+                self.plane.len(),
                 arch.num_exits(),
                 arch.num_classes()
             )));
@@ -476,7 +476,7 @@ impl BatchPlan {
         ws: &mut [Vec<f32>; 2],
         col: &mut [f32],
         wk: &mut Vec<f32>,
-        plane: &mut Option<Box<[f32; PLANE_CELLS]>>,
+        plane: &mut [f32],
         qbufs: &mut QuantBuffers,
         act: &mut Act,
         batch: usize,
@@ -497,10 +497,16 @@ impl BatchPlan {
                     let out_len = conv.output_len() * batch;
                     if let Some(ql) = qentry {
                         let QuantBuffers { codes, col8, plane8, acc, .. } = &mut *qbufs;
-                        let plane8 = plane8.get_or_insert_with(plane_scratch);
                         let (src_c, dst_c) = pair(codes, s);
                         if domain == Domain::F32 {
-                            quantize_slice(&ws[s][..in_len], &ql.input, &mut src_c[..in_len]);
+                            // The lowering reads the kept channels only, and
+                            // in the wide layout each one's planes for the
+                            // whole batch are one run.
+                            let run = batch * geom.in_h * geom.in_w;
+                            for &c in &ql.kept {
+                                let (x, q) = (&ws[s][c * run..][..run], &mut src_c[c * run..]);
+                                quantize_slice(x, &ql.input, &mut q[..run]);
+                            }
                         }
                         let dst = match ql.out {
                             None => QuantDst::F32(&mut ws[1 - s][..out_len]),
@@ -520,7 +526,7 @@ impl BatchPlan {
                             &mut dst[..out_len],
                             &mut col[..conv.col_len() * batch],
                             wk,
-                            &mut **plane.get_or_insert_with(plane_scratch),
+                            plane,
                             batch,
                             fuse,
                         )?;
@@ -815,21 +821,22 @@ fn transpose_wide<T: Copy>(src: &[T], dst: &mut [T], channels: usize, plane: usi
     }
 }
 
-/// Largest activation and `im2col` column buffer (per-sample element counts)
-/// any layer of `arch` needs. Shared by plan construction, the per-call
-/// compatibility check and the integer scratch sizing; iterates the specs
-/// without allocating.
-pub(crate) fn buffer_requirements(arch: &MultiExitArchitecture) -> (usize, usize) {
+/// Largest activation and `im2col` column buffer (per-sample element
+/// counts), and largest lowering scratch, any layer of `arch` needs. Shared
+/// by plan construction, the per-call compatibility check and the integer
+/// scratch sizing; iterates the specs without allocating.
+pub(crate) fn buffer_requirements(arch: &MultiExitArchitecture) -> (usize, usize, usize) {
     let mut max_act: usize = arch.input_dims().iter().product();
-    let mut max_col = 0usize;
+    let (mut max_col, mut max_plane) = (0usize, 0usize);
     for spec in arch.all_layers() {
         max_act = max_act.max(spec.output_dims.iter().product());
         if let LayerSpecKind::Conv { in_channels, kernel, .. } = &spec.kind {
             let cols: usize = spec.output_dims[1] * spec.output_dims[2];
             max_col = max_col.max(in_channels * kernel * kernel * cols);
         }
+        max_plane = max_plane.max(spec.lowering_scratch_len());
     }
-    (max_act, max_col)
+    (max_act, max_col, max_plane)
 }
 
 fn shape_error(layer: &str, expected: &[usize], dims: &BatchDims) -> NnError {

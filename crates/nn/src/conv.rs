@@ -8,9 +8,9 @@ use rand::Rng;
 /// Filters are stored as `[out_channels, in_channels, k, k]`. The forward
 /// pass lowers the input with `im2col` and performs a single matrix product,
 /// which is also how the MCU deployment in the paper executes convolutions.
-/// The layer builds its geometry's [`ConvLowering`] table once, at
-/// construction, and every lowering and input-gradient scatter of every
-/// engine reads it.
+/// The layer builds its geometry's [`ConvLowering`] once, at construction,
+/// and every lowering and input-gradient scatter of every engine runs
+/// through it.
 ///
 /// Channel pruning ([`Self::set_pruned_channels`]) removes input channels the
 /// way the deployed MCU does: from then on every forward and backward pass
@@ -43,8 +43,8 @@ pub struct Conv2d {
     grad_weight: Tensor,
     grad_bias: Tensor,
     geom: Conv2dGeometry,
-    /// The geometry's lowering table, or the error a geometry no table can
-    /// lower gives every pass.
+    /// The geometry's lowering, or the error a geometry no lowering can
+    /// stage gives every pass.
     lowering: std::result::Result<ConvLowering, TensorError>,
     out_channels: usize,
     pruning: Pruning,
@@ -117,12 +117,12 @@ impl Conv2d {
         &self.geom
     }
 
-    /// The geometry's lowering table.
+    /// The geometry's lowering.
     ///
     /// # Errors
     ///
-    /// Returns the geometry's [`TensorError::InvalidConvGeometry`] when no
-    /// table can lower it (see [`ConvLowering::new`]).
+    /// Returns the geometry's [`TensorError::InvalidConvGeometry`] when
+    /// [`ConvLowering::new`] refuses it.
     pub(crate) fn lowering(&self) -> Result<&ConvLowering> {
         self.lowering.as_ref().map_err(|e| e.clone().into())
     }
@@ -229,13 +229,12 @@ impl Conv2d {
     }
 
     /// Allocation-free forward pass over `batch` samples: lowers the kept
-    /// input channels into `col` through the layer's lowering table (one
-    /// plane at a time, staged in `scratch`: a `[f32; PLANE_CELLS]` gathers
-    /// without a bounds check, any slice longer than one input plane works;
-    /// see [`ConvLowering`]), multiplies by the filter matrix with the
-    /// bias add (and, when `fuse_relu` is set, the ReLU of a following
-    /// activation layer) fused into the GEMM epilogue, and writes the
-    /// activations into `out`.
+    /// input channels into `col` by runs over a padded copy of each input
+    /// plane, staged in `scratch` (at least
+    /// [`ConvLowering::scratch_len`] cells; see [`ConvLowering`]),
+    /// multiplies by the filter matrix with the bias add (and, when
+    /// `fuse_relu` is set, the ReLU of a following activation layer) fused
+    /// into the GEMM epilogue, and writes the activations into `out`.
     ///
     /// Input and output use the channel-major wide layout `[C, batch, H, W]`
     /// (see [`ConvLowering::lower_into`]); at `batch == 1` that is the
@@ -259,16 +258,17 @@ impl Conv2d {
     /// # Errors
     ///
     /// Returns [`NnError::InputShapeMismatch`] when a buffer length does not
-    /// match `batch` copies of the layer geometry, and the geometry's
-    /// [`TensorError::InvalidConvGeometry`] when no table can lower it.
+    /// match `batch` copies of the layer geometry, the geometry's
+    /// [`TensorError::InvalidConvGeometry`] when [`ConvLowering::new`]
+    /// refuses it, and a tensor error when `scratch` is too short.
     #[allow(clippy::too_many_arguments)]
-    pub fn forward_batch_into<S: AsMut<[f32]> + ?Sized>(
+    pub fn forward_batch_into(
         &self,
         input: &[f32],
         out: &mut [f32],
         col: &mut [f32],
         wk: &mut [f32],
-        scratch: &mut S,
+        scratch: &mut [f32],
         batch: usize,
         fuse_relu: bool,
     ) -> Result<()> {
@@ -284,21 +284,22 @@ impl Conv2d {
     /// # Errors
     ///
     /// Returns [`NnError::InputShapeMismatch`] when a buffer length does not
-    /// match `batch` copies of the layer geometry, and the geometry's
-    /// [`TensorError::InvalidConvGeometry`] when no table can lower it.
+    /// match `batch` copies of the layer geometry, the geometry's
+    /// [`TensorError::InvalidConvGeometry`] when [`ConvLowering::new`]
+    /// refuses it, and a tensor error when `scratch` is too short.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn forward_batch_with<S: AsMut<[f32]> + ?Sized>(
+    pub(crate) fn forward_batch_with(
         &self,
         weight: &[f32],
         input: &[f32],
         out: &mut [f32],
         col: &mut [f32],
-        scratch: &mut S,
+        scratch: &mut [f32],
         batch: usize,
         fuse_relu: bool,
     ) -> Result<()> {
         debug_assert_eq!(weight.len(), self.kept_weight_len());
-        // Before the lengths: a geometry no table lowers has no output
+        // Before the lengths: a geometry no lowering stages has no output
         // cells, so the length checks would report a shape error instead.
         let lowering = self.lowering()?;
         if input.len() != self.input_len() * batch {
@@ -329,14 +330,14 @@ impl Conv2d {
 
     /// Forward pass over a `[in_channels, in_h, in_w]` input.
     ///
-    /// Allocating wrapper over [`Self::forward_batch_into`] at `batch == 1`,
-    /// whose plane scratch holds just one input plane and its pad cell.
+    /// Allocating wrapper over [`Self::forward_batch_into`] at `batch == 1`.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::InputShapeMismatch`] when the input shape does not
     /// match the layer geometry, and the geometry's
-    /// [`TensorError::InvalidConvGeometry`] when no table can lower it.
+    /// [`TensorError::InvalidConvGeometry`] when [`ConvLowering::new`]
+    /// refuses it.
     pub fn forward(&self, input: &Tensor) -> Result<Tensor> {
         let expected = [self.geom.in_channels, self.geom.in_h, self.geom.in_w];
         if input.dims() != expected {
@@ -350,9 +351,9 @@ impl Conv2d {
         let mut col = vec![0.0f32; self.col_len()];
         let mut wk =
             vec![0.0f32; if self.pruning.is_pruned() { self.kept_weight_len() } else { 0 }];
-        let mut scratch = vec![0.0f32; self.geom.in_h * self.geom.in_w + 1];
+        let mut scratch = vec![0.0f32; self.lowering()?.scratch_len()];
         let (x, y) = (input.as_slice(), out.as_mut_slice());
-        self.forward_batch_into(x, y, &mut col, &mut wk, scratch.as_mut_slice(), 1, false)?;
+        self.forward_batch_into(x, y, &mut col, &mut wk, &mut scratch, 1, false)?;
         Ok(out)
     }
 
@@ -369,7 +370,7 @@ impl Conv2d {
     /// Returns a shape error when `input` or `grad_output` have unexpected
     /// sizes.
     pub fn backward(&mut self, input: &Tensor, grad_output: &Tensor) -> Result<Tensor> {
-        // As in `forward_batch_with`: a geometry no table lowers has no
+        // As in `forward_batch_with`: a geometry no lowering stages has no
         // output cells, so the shape check below would hide its error.
         self.lowering()?;
         let (oh, ow) = (self.geom.out_h(), self.geom.out_w());
@@ -411,7 +412,7 @@ impl Conv2d {
     /// row-sums `grad_out` into `grad_b`, then — when `dx` is present — forms
     /// `dcols = W_keptᵀ · grad_out` (weight transposed into `wt`, GEMM into
     /// `colt`, whose contents are dead after the `dW` product) and scatters
-    /// it back through the layer's lowering table (staging each plane in
+    /// it back through the layer's lowering (staging each plane in
     /// `scratch`, as the forward lowering does) into the kept channels' planes
     /// of `dx`, whose pruned planes read `+0.0`. `dx: None` skips the
     /// input-gradient products entirely;
@@ -440,7 +441,7 @@ impl Conv2d {
     /// Returns a tensor error when the col2im buffer lengths do not match
     /// the geometry.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn backward_slice_into<S: AsMut<[f32]> + ?Sized>(
+    pub(crate) fn backward_slice_into(
         &self,
         weight: &[f32],
         col: &[f32],
@@ -450,7 +451,7 @@ impl Conv2d {
         grad_b: &mut [f32],
         colt: &mut [f32],
         wt: &mut [f32],
-        scratch: &mut S,
+        scratch: &mut [f32],
     ) -> Result<()> {
         let (m, depth, ohw) = (self.out_channels, self.depth(), self.geom.col_cols());
         ie_tensor::transpose_into(col, depth, ohw, colt);
@@ -577,9 +578,8 @@ mod tests {
     #[test]
     fn an_unlowerable_geometry_builds_and_fails_at_forward() {
         // (kernel, stride, padding, in_h, in_w): a zero kernel, a zero
-        // stride, a kernel wider than the padded input, and a plane of
-        // 65,536 cells, one more than a `u16` table indexes.
-        let cases = [(0, 1, 0, 4, 4), (3, 0, 0, 4, 4), (7, 1, 1, 4, 4), (1, 1, 0, 256, 256)];
+        // stride and a kernel wider than the padded input.
+        let cases = [(0, 1, 0, 4, 4), (3, 0, 0, 4, 4), (7, 1, 1, 4, 4)];
         let geometry_error =
             |err: &NnError| matches!(err, NnError::Tensor(TensorError::InvalidConvGeometry(_)));
         for (k, s, p, h, w) in cases {

@@ -36,7 +36,7 @@ use crate::{Conv2d, Dense, Layer, MultiExitNetwork, NnError, Result};
 use ie_tensor::{
     dequant_acc, dequant_rows_slice_into, dequant_slice_into, gemm_i16t_into, gemm_i8cols_into,
     requant_rows_slice_into, requant_slice_into, weight_code, QuantParams, Tensor,
-    MADD_DEPTH_ALIGN, PLANE_CELLS,
+    MADD_DEPTH_ALIGN,
 };
 
 /// Which integer kernel a quantized layer runs.
@@ -433,10 +433,9 @@ impl QuantizedModel {
 }
 
 /// Pre-sized integer scratch buffers of a quantized plan: activation-code
-/// ping-pong slots, the `i8` column matrix of the quantized `im2col`, the
-/// widened sample-major dense-input buffer and the `i32` accumulator. Sized
-/// once at plan construction, all but the lowering's plane scratch, which
-/// the first quantized conv a pass meets builds; warmed forward passes never
+/// ping-pong slots, the `i8` column matrix of the quantized `im2col` and
+/// its plane scratch, the widened sample-major dense-input buffer and the
+/// `i32` accumulator. Sized once at plan construction; forward passes never
 /// allocate. The default is empty, which is what an `f32` plan holds.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct QuantBuffers {
@@ -445,9 +444,9 @@ pub(crate) struct QuantBuffers {
     /// Column scratch of the quantized `im2col` (`[k, n]` i8), which the
     /// convolution's GEMM reads directly.
     pub(crate) col8: Vec<i8>,
-    /// Plane scratch the quantized `im2col` gathers from. It holds any
-    /// plane a lowering table indexes, so it has no capacity to check.
-    pub(crate) plane8: Option<Box<[i8; PLANE_CELLS]>>,
+    /// Scratch the quantized `im2col` stages each input plane in, sized for
+    /// the largest padded plane of the architecture.
+    pub(crate) plane8: Vec<i8>,
     /// Widened, depth-padded sample-major dense inputs (`[batch, kp]` i16).
     pub(crate) xs16: Vec<i16>,
     /// `i32` accumulator the integer GEMM writes and the epilogue reads.
@@ -472,11 +471,11 @@ impl QuantBuffers {
     /// Buffers sized for `arch` with up to `max_batch` samples per pass.
     pub(crate) fn for_architecture(arch: &MultiExitArchitecture, max_batch: usize) -> Self {
         let mb = max_batch.max(1);
-        let (max_act, max_col) = buffer_requirements(arch);
+        let (max_act, max_col, max_plane) = buffer_requirements(arch);
         QuantBuffers {
             codes: [vec![0i8; max_act * mb], vec![0i8; max_act * mb]],
             col8: vec![0i8; max_col * mb],
-            plane8: None,
+            plane8: vec![0i8; max_plane],
             xs16: vec![0i16; dense_input_requirement(arch) * mb],
             acc: vec![0i32; max_act * mb],
         }
@@ -490,9 +489,10 @@ impl QuantBuffers {
     /// compatibility test and still overrun `xs16` mid-forward.
     pub(crate) fn fits(&self, arch: &MultiExitArchitecture, max_batch: usize) -> bool {
         let mb = max_batch.max(1);
-        let (max_act, max_col) = buffer_requirements(arch);
+        let (max_act, max_col, max_plane) = buffer_requirements(arch);
         self.codes.iter().all(|c| c.len() >= max_act * mb)
             && self.col8.len() >= max_col * mb
+            && self.plane8.len() >= max_plane
             && self.xs16.len() >= dense_input_requirement(arch) * mb
             && self.acc.len() >= max_act * mb
     }
@@ -613,10 +613,10 @@ fn epilogue_samples(
 
 /// Runs one quantized convolution over `batch` samples of input codes (wide
 /// channel-major layout for `batch > 1`): the quantized `im2col` lowering of
-/// the kept channels into the `[k, n]` i8 column matrix, gathered through
-/// the conv's lowering table from `plane8`, the register-tiled integer GEMM
-/// straight from those columns into the `i32` accumulator, and the
-/// requantization epilogue into `dst`. Allocation-free.
+/// the kept channels into the `[k, n]` i8 column matrix, staging each plane
+/// in `plane8`, the register-tiled integer GEMM straight from those columns
+/// into the `i32` accumulator, and the requantization epilogue into `dst`.
+/// Allocation-free.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn quant_conv_forward(
     conv: &Conv2d,
@@ -625,7 +625,7 @@ pub(crate) fn quant_conv_forward(
     batch: usize,
     fuse_relu: bool,
     col8: &mut [i8],
-    plane8: &mut [i8; PLANE_CELLS],
+    plane8: &mut [i8],
     acc: &mut [i32],
     dst: QuantDst<'_>,
 ) -> Result<()> {

@@ -12,7 +12,10 @@
 //! pooling costs are negligible and ignored).
 
 use crate::{NnError, Result};
-use ie_tensor::{Conv2dGeometry, PLANE_CELLS};
+use ie_tensor::{Conv2dGeometry, ConvLowering};
+
+/// The most cells a conv layer's input plane may hold.
+const MAX_CONV_PLANE: usize = 65_535;
 
 /// The kind of a layer in an architecture description.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,6 +83,17 @@ impl LayerSpec {
     /// FLOPs of the layer (the paper counts MACs, so this equals [`Self::macs`]).
     pub fn flops(&self) -> u64 {
         self.macs()
+    }
+
+    /// Cells of the scratch a conv layer's lowering stages one input plane
+    /// in ([`ConvLowering::scratch_len`]); 0 for any other layer.
+    pub(crate) fn lowering_scratch_len(&self) -> usize {
+        let LayerSpecKind::Conv { in_channels, kernel, stride, padding, .. } = self.kind else {
+            return 0;
+        };
+        let (in_h, in_w) = (self.input_dims[1], self.input_dims[2]);
+        let geom = Conv2dGeometry { in_channels, in_h, in_w, kernel, stride, padding };
+        ConvLowering::new(geom).map_or(0, |lowering| lowering.scratch_len())
     }
 
     /// Number of weight parameters (excluding biases).
@@ -415,12 +429,12 @@ impl ArchitectureBuilder {
             self.fail(format!("conv layer {name} has no output channels"));
             return self;
         }
-        // The lowering indexes one input plane and its pad cell with a u16.
-        if h.checked_mul(w).is_none_or(|plane| plane >= PLANE_CELLS) {
+        // Every plan allocates a lowering scratch for the largest padded
+        // input plane of its architecture; the bound keeps that scratch small.
+        if h.checked_mul(w).is_none_or(|plane| plane > MAX_CONV_PLANE) {
             self.fail(format!(
-                "conv layer {name}'s {h}x{w} input plane exceeds the {} cells a lowering table \
-                 indexes",
-                PLANE_CELLS - 1
+                "conv layer {name}'s {h}x{w} input plane exceeds the {MAX_CONV_PLANE} cells a \
+                 lowering stages"
             ));
             return self;
         }
@@ -790,7 +804,7 @@ mod tests {
         assert!(refused(with([1, 0, 8], 2, 3, 2, 4)), "zero input height");
         assert!(refused(with([1, 8, 0], 2, 3, 2, 4)), "zero input width");
         assert!(refused(with([1, 8, 8], 0, 3, 2, 4)), "zero classes");
-        // The plane boundary: 65,535 cells lower, 65,536 do not.
+        // The plane bound: 65,535 cells lower, 65,536 do not.
         assert!(with([1, 65_535, 1], 2, 1, 1, 1).is_ok());
         assert!(with([1, 5, 13_107], 2, 1, 1, 1).is_ok());
         assert!(refused(with([1, 65_536, 1], 2, 1, 1, 1)), "65,536-cell plane");

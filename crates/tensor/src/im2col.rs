@@ -7,22 +7,24 @@
 //! layer lowers and scatters only its kept input channels, so its product
 //! runs at depth `kept·K·K`.
 //!
-//! Both directions go through one [`ConvLowering`] per geometry: a `u16`
-//! table, built once, naming the input-plane cell behind every
-//! `(ky, kx, oy, ox)`, or a pad cell just past the plane. A lowering copies
-//! each channel plane and the pad value into a scratch and gathers every
-//! column row through the table; the scatter adds back through the same
-//! table. The table replaced per-row padding bounds, whose hot region was a
-//! `copy_from_slice` per lowered row: after LeNet's first convolution the
-//! planes are 8×8 and 4×4, so each row was a 4- or 8-byte copy between two
-//! fills, and the per-row calls dominated. Pinned to one vCPU of the
-//! 2-vCPU VNNI dev box, best of 7 rounds, the six LeNet convolutions at the
-//! served policy's kept widths lowered at batch 8 in 498 µs (`i8`) and
-//! 365 µs (`f32`) by rows, and in 146 and 142 µs through the table; the
-//! full-width `f32` `col2im` at batch 1 went from 148 to 65 µs. A gathered
-//! cell costs no bounds check only because the scratch is a
-//! `[T; PLANE_CELLS]` indexed by a `u16`: the same gather over a
-//! bounds-checked slice of one plane and its pad cell was 1.6–1.7× slower.
+//! Both directions go through one [`ConvLowering`] per geometry, which
+//! works by runs over a padded copy of one input plane. A lowering fills a
+//! scratch with the pad value, copies each channel plane into its interior
+//! and copies every column row out as `out_h` runs of `out_w` contiguous
+//! cells; the scatter adds each run back into the same cells. A stride
+//! above 1 splits the padded plane into its `stride²` phase planes, so a
+//! strided column row is contiguous runs too (LeNet's stride-2 first
+//! convolution splits each input row into its even and odd cells). A run
+//! moves many cells per step where a gather through a per-cell index table
+//! reads one index and one cell per column cell: pinned to one vCPU of the
+//! 2-vCPU VNNI dev box, best of 7 rounds alternating the two in one binary,
+//! the six LeNet convolutions at the served policy's kept widths lowered at
+//! batch 8 in 38.6 µs (`i8`) and 70.0 µs (`f32`) by runs, against 87.6 and
+//! 93.5 µs through a `u16` table, and the kept-width scatter at batch 1
+//! took 11.9 µs against 23.4 µs. Those runs are fixed-size moves for
+//! LeNet's shapes (see [`ConvLowering`]): through the general loop alone,
+//! whose runs are `memcpy` calls, the served walk took 213–241 µs per batch
+//! of 8 against 125–149 µs, slower than through the table.
 //!
 //! Unlike the arithmetic kernels, the lowerings have **no** runtime ISA
 //! tiers (see [`crate::dispatch`]): they move values without computing on
@@ -120,51 +122,36 @@ impl Conv2dGeometry {
     }
 }
 
-/// Cells of a plane scratch: one for every `u16` index, so each read a
-/// [`ConvLowering`] gathers through its table is in bounds by type. A plane
-/// of at most `PLANE_CELLS - 1` cells can be lowered; its pad cell is the
-/// one at index `H·W`, just past the plane.
-pub const PLANE_CELLS: usize = 1 << 16;
-
-/// A zeroed plane scratch of [`PLANE_CELLS`] cells, the one a
-/// [`ConvLowering`] gathers from without a bounds check. It is allocated
-/// zeroed (`calloc`), and a lowering writes only one plane and its pad cell
-/// of it, so where the allocator maps fresh pages only those become
-/// resident.
-pub fn plane_scratch<T: Copy + Default>() -> Box<[T; PLANE_CELLS]> {
-    match vec![T::default(); PLANE_CELLS].into_boxed_slice().try_into() {
-        Ok(scratch) => scratch,
-        Err(_) => unreachable!("the vector holds exactly PLANE_CELLS cells"),
-    }
-}
-
-/// The lowering of one convolution geometry, in both directions: a `u16`
-/// table holding, for every kernel offset `(ky, kx)` and output cell
-/// `(oy, ox)`, the input-plane cell `iy·W + ix` that column reads, or the
-/// pad cell `H·W` when the read falls in the padding.
+/// The lowering of one convolution geometry, in both directions, by runs
+/// over a padded copy of one input plane.
 ///
-/// The table depends on the geometry alone, so it is built once per layer
-/// (a [`Conv2dGeometry`] fixes a convolution's shapes) and every pass reads
-/// it. [`Self::lower_into`] copies one channel plane and the pad value into a
-/// scratch and fills the channel's `K²` column rows by gathering through the
-/// table; [`Self::scatter_into`] adds each column row back through the same
-/// table. Neither loop computes a bound: a scratch of [`PLANE_CELLS`] cells
-/// (`[T; PLANE_CELLS]`) is in bounds for every `u16`, so the compiler drops
-/// the check on each gathered or scattered cell. Any slice longer than the
-/// plane also works, at the price of that check (the allocating
-/// [`Self::im2col`] and [`Self::col2im`] pass one of `H·W + 1` cells).
+/// The scratch holds the `stride²` phase planes of the padded input,
+/// `[stride², ⌈(H+2p)/stride⌉, ⌈(W+2p)/stride⌉]`: padded cell `(y, x)` lives
+/// in phase `(y mod stride, x mod stride)` at `(y div stride, x div
+/// stride)`. At stride 1 that is just the padded plane. Column row
+/// `(ky, kx)` of a channel then reads `out_h` runs of `out_w` contiguous
+/// cells, which start in phase `(ky mod stride, kx mod stride)` at offset
+/// `(ky div stride, kx div stride)` and lie one phase row apart.
+/// [`Self::lower_into`] fills the scratch with the pad value once per call,
+/// copies each listed plane into its interior (a copy writes only interior
+/// cells, so the border keeps the pad) and copies every column row out run
+/// by run; [`Self::scatter_into`] adds each run back into the same layout.
+/// LeNet's runs are 4, 8 or 16 cells long. The lowering of a square output
+/// of one of those sides, the scatter of one of side 4 or 8, the stride-2
+/// split and the copy of a 4×4 or 8×8 plane run loops of their own, whose
+/// runs are fixed-size moves; anything else takes the general loop.
 ///
 /// # Example
 ///
 /// ```
-/// use ie_tensor::{plane_scratch, Conv2dGeometry, ConvLowering};
+/// use ie_tensor::{Conv2dGeometry, ConvLowering};
 ///
 /// let geom = Conv2dGeometry { in_channels: 1, in_h: 2, in_w: 2, kernel: 2, stride: 1, padding: 1 };
 /// let lowering = ConvLowering::new(geom)?;
-/// let mut scratch = plane_scratch::<f32>();
+/// let mut scratch = vec![0.0f32; lowering.scratch_len()];
 /// let mut cols = vec![0.0; geom.col_len()];
-/// lowering.lower_into(&[1.0, 2.0, 3.0, 4.0], 1, 0.0, 0..1, &mut *scratch, &mut cols)?;
-/// // Kernel offset (0, 0) reads the pad cell except where the window's
+/// lowering.lower_into(&[1.0, 2.0, 3.0, 4.0], 1, 0.0, 0..1, &mut scratch, &mut cols)?;
+/// // Kernel offset (0, 0) reads the padding except where the window's
 /// // top-left corner lands on the plane.
 /// assert_eq!(cols[..9], [0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 0.0, 3.0, 4.0]);
 /// # Ok::<(), ie_tensor::TensorError>(())
@@ -172,88 +159,229 @@ pub fn plane_scratch<T: Copy + Default>() -> Box<[T; PLANE_CELLS]> {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConvLowering {
     geom: Conv2dGeometry,
-    /// `[K·K, out_h·out_w]` row-major plane indices.
-    table: Vec<u16>,
+    /// Output rows: the runs of one column row.
+    out_h: usize,
+    /// Output columns: the cells of one run.
+    out_w: usize,
+    /// Rows of one phase plane, `⌈(H+2p)/stride⌉`.
+    phase_h: usize,
+    /// Columns of one phase plane, `⌈(W+2p)/stride⌉`: the distance between
+    /// two runs of a column row.
+    phase_w: usize,
+    /// Cells of the scratch, `stride² · phase_h · phase_w`.
+    scratch_len: usize,
 }
 
 impl ConvLowering {
-    /// Builds the table of `geom`.
+    /// Builds the lowering of `geom`.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::InvalidConvGeometry`] when the geometry is
-    /// invalid ([`Conv2dGeometry::validate`]), its input plane has more than
-    /// `PLANE_CELLS - 1` cells (a `u16` cannot index it and its pad cell), or
-    /// its table cannot be allocated.
+    /// invalid ([`Conv2dGeometry::validate`]) or its scratch length
+    /// overflows.
     pub fn new(geom: Conv2dGeometry) -> Result<Self> {
         geom.validate()?;
-        let too_large = || {
-            TensorError::InvalidConvGeometry(format!(
-                "input plane {}x{} exceeds the {} cells a lowering table indexes",
-                geom.in_h,
-                geom.in_w,
-                PLANE_CELLS - 1
-            ))
-        };
-        let plane = geom.in_h.checked_mul(geom.in_w).ok_or_else(too_large)?;
-        let index = |cell: usize| u16::try_from(cell).map_err(|_| too_large());
-        let pad = index(plane)?;
-        let (out_h, out_w, k) = (geom.out_h(), geom.out_w(), geom.kernel);
-        let len = k.checked_mul(k).and_then(|n| n.checked_mul(out_h)?.checked_mul(out_w));
-        let mut table = Vec::new();
-        len.and_then(|n| table.try_reserve_exact(n).ok()).ok_or_else(|| {
-            TensorError::InvalidConvGeometry(format!(
-                "the {k}x{k} kernel's lowering table over a {out_h}x{out_w} output cannot be \
-                 allocated"
-            ))
-        })?;
-        // Input coordinate `o·stride + kernel offset − padding`, if it lies
-        // inside `0..size`.
-        let inside = |o: usize, offset: usize, size: usize| {
-            (o * geom.stride + offset).checked_sub(geom.padding).filter(|&i| i < size)
-        };
-        for ky in 0..k {
-            for kx in 0..k {
-                for oy in 0..out_h {
-                    let iy = inside(oy, ky, geom.in_h);
-                    for ox in 0..out_w {
-                        table.push(match (iy, inside(ox, kx, geom.in_w)) {
-                            (Some(iy), Some(ix)) => index(iy * geom.in_w + ix)?,
-                            _ => pad,
-                        });
-                    }
-                }
-            }
-        }
-        Ok(ConvLowering { geom, table })
+        let phase = |size: usize| (size + 2 * geom.padding).div_ceil(geom.stride);
+        let (phase_h, phase_w) = (phase(geom.in_h), phase(geom.in_w));
+        let scratch_len = geom
+            .stride
+            .checked_mul(geom.stride)
+            .and_then(|n| n.checked_mul(phase_h)?.checked_mul(phase_w))
+            .ok_or_else(|| {
+                TensorError::InvalidConvGeometry(format!(
+                    "the padded {}x{} input plane overflows a lowering scratch",
+                    geom.in_h, geom.in_w
+                ))
+            })?;
+        let (out_h, out_w) = (geom.out_h(), geom.out_w());
+        Ok(ConvLowering { geom, out_h, out_w, phase_h, phase_w, scratch_len })
     }
 
-    /// Cells of one input plane (`H·W`), which is also the pad cell's index.
+    /// Cells of the scratch [`Self::lower_into`] and [`Self::scatter_into`]
+    /// stage a plane in: the `stride²` phase planes of the padded input plane
+    /// (at stride 1, `(H+2p)·(W+2p)`).
+    pub fn scratch_len(&self) -> usize {
+        self.scratch_len
+    }
+
+    /// Cells of one input plane (`H·W`).
     fn plane(&self) -> usize {
         self.geom.in_h * self.geom.in_w
     }
 
-    /// Checks the channel list against the geometry and the scratch against
-    /// the plane, and returns the scratch as a slice.
-    fn check<'a, T, S: AsMut<[T]> + ?Sized>(
+    /// Calls `f(r, start)` for every column row `r = ky·K + kx` in order,
+    /// with the scratch offset of the row's first run: row `(ky, kx)` starts
+    /// in phase `(ky mod s, kx mod s)` at `(ky div s, kx div s)`, stepped
+    /// along each axis without a division.
+    #[inline(always)]
+    fn for_each_run_start(&self, mut f: impl FnMut(usize, usize)) {
+        let (k, s, pitch) = (self.geom.kernel, self.geom.stride, self.phase_w);
+        let plane = self.phase_h * pitch;
+        let (mut r, mut ya, mut yq) = (0, 0, 0);
+        for _ in 0..k {
+            let (mut xb, mut xq) = (0, 0);
+            for _ in 0..k {
+                f(r, (ya * s + xb) * plane + yq * pitch + xq);
+                r += 1;
+                (xb, xq) = if xb + 1 == s { (0, xq + 1) } else { (xb + 1, xq) };
+            }
+            (ya, yq) = if ya + 1 == s { (0, yq + 1) } else { (ya + 1, yq) };
+        }
+    }
+
+    /// The loops of [`Self::lower_into`] once its checks pass and the scratch
+    /// holds the pad value: each listed plane of each sample is staged in
+    /// the scratch and its `K²` column rows are copied out as `out_h` runs
+    /// of `out_w` cells each. `N` is the side of a square output fixed at
+    /// compile time, or 0 for the output's own sides (see [`copy_runs`]);
+    /// each `N` is a function of its own, so the loops of one output shape
+    /// stay together in the instruction cache.
+    #[inline(never)]
+    fn lower_runs<T: Copy, const N: usize>(
         &self,
-        mut channels: impl Iterator<Item = usize>,
-        scratch: &'a mut S,
-    ) -> Result<&'a mut [T]> {
+        input: &[T],
+        batch: usize,
+        channels: impl Iterator<Item = usize>,
+        scratch: &mut [T],
+        out: &mut [T],
+    ) {
+        let (plane, pitch, kk) = (self.plane(), self.phase_w, self.geom.kernel.pow(2));
+        let (h, w) = if N == 0 { (self.out_h, self.out_w) } else { (N, N) };
+        let row_stride = batch * h * w;
+        for (ci, c) in channels.enumerate() {
+            let rows = &mut out[ci * kk * row_stride..][..kk * row_stride];
+            for s in 0..batch {
+                self.load_plane(&input[(c * batch + s) * plane..][..plane], scratch);
+                self.for_each_run_start(|r, mut start| {
+                    for d in rows[r * row_stride + s * h * w..][..h * w].chunks_exact_mut(w) {
+                        d.copy_from_slice(&scratch[start..start + w]);
+                        start += pitch;
+                    }
+                });
+            }
+        }
+    }
+
+    /// The loops of [`Self::scatter_into`] once its checks pass and the
+    /// image is zeroed: each listed plane is staged in the scratch, its `K²`
+    /// column rows are added run by run into the cells the lowering copied
+    /// them from, and the plane is copied back out. `N` as in
+    /// [`Self::lower_runs`].
+    #[inline(never)]
+    fn scatter_runs<const N: usize>(
+        &self,
+        cols: &[f32],
+        channels: impl Iterator<Item = usize>,
+        scratch: &mut [f32],
+        image: &mut [f32],
+    ) {
+        let (plane, pitch, kk) = (self.plane(), self.phase_w, self.geom.kernel.pow(2));
+        let (h, w) = if N == 0 { (self.out_h, self.out_w) } else { (N, N) };
+        for (ci, c) in channels.enumerate() {
+            let dst = &mut image[c * plane..][..plane];
+            self.load_plane(dst, scratch);
+            let rows = &cols[ci * kk * h * w..][..kk * h * w];
+            self.for_each_run_start(|r, mut start| {
+                for run in rows[r * h * w..][..h * w].chunks_exact(w) {
+                    for (a, &v) in scratch[start..start + w].iter_mut().zip(run) {
+                        *a += v;
+                    }
+                    start += pitch;
+                }
+            });
+            self.store_plane(scratch, dst);
+        }
+    }
+
+    /// Copies one `[H, W]` plane into the interior of the scratch.
+    fn load_plane<T: Copy>(&self, plane: &[T], scratch: &mut [T]) {
+        let Conv2dGeometry { in_h, in_w, padding: p, .. } = self.geom;
+        match self.geom.stride {
+            _ if plane.is_empty() => {}
+            1 => copy_runs(
+                &mut scratch[p * self.phase_w + p..],
+                self.phase_w,
+                plane,
+                in_w,
+                in_w,
+                in_h,
+            ),
+            2 => self.split_rows::<T, 2>(plane, scratch),
+            _ => self.split_rows::<T, 0>(plane, scratch),
+        }
+    }
+
+    /// [`Self::load_plane`] at a stride above 1: each input row splits into
+    /// its `stride` phases, every `S`-th cell (`S = 0`: a stride known only
+    /// at run time).
+    #[inline(always)]
+    fn split_rows<T: Copy, const S: usize>(&self, plane: &[T], scratch: &mut [T]) {
+        let Conv2dGeometry { in_w, padding: p, .. } = self.geom;
+        let s = if S == 0 { self.geom.stride } else { S };
+        for (iy, row) in plane.chunks_exact(in_w).enumerate() {
+            let y = iy + p;
+            for b in 0..s {
+                // The input columns whose padded column `x = ix + p` has
+                // `x mod s == b`, the first of them at `ix0`.
+                let ix0 = (b + s - p % s) % s;
+                let Some(cells) = row.get(ix0..) else { continue };
+                let start = (((y % s) * s + b) * self.phase_h + y / s) * self.phase_w;
+                let dst = &mut scratch[start + (ix0 + p) / s..][..cells.len().div_ceil(s)];
+                let (firsts, last) = dst.split_at_mut(cells.len() / s);
+                for (d, run) in firsts.iter_mut().zip(cells.chunks_exact(s)) {
+                    *d = run[0];
+                }
+                if let (Some(d), Some(&v)) =
+                    (last.first_mut(), cells.chunks_exact(s).remainder().first())
+                {
+                    *d = v;
+                }
+            }
+        }
+    }
+
+    /// Copies the interior of the scratch back out into one `[H, W]` plane:
+    /// the inverse of [`Self::load_plane`].
+    fn store_plane(&self, scratch: &[f32], plane: &mut [f32]) {
+        let Conv2dGeometry { in_h, in_w, stride: s, padding: p, .. } = self.geom;
+        if plane.is_empty() {
+            return;
+        }
+        if s == 1 {
+            let src = &scratch[p * self.phase_w + p..];
+            copy_runs(plane, in_w, src, self.phase_w, in_w, in_h);
+            return;
+        }
+        for (iy, row) in plane.chunks_exact_mut(in_w).enumerate() {
+            let y = iy + p;
+            for b in 0..s {
+                let ix0 = (b + s - p % s) % s;
+                let start = (((y % s) * s + b) * self.phase_h + y / s) * self.phase_w;
+                let src = &scratch[start + (ix0 + p) / s..];
+                for (d, &v) in row.iter_mut().skip(ix0).step_by(s).zip(src) {
+                    *d = v;
+                }
+            }
+        }
+    }
+
+    /// Checks the channel list against the geometry and the scratch against
+    /// [`Self::scratch_len`].
+    fn check<T>(&self, mut channels: impl Iterator<Item = usize>, scratch: &[T]) -> Result<()> {
         if let Some(bad) = channels.find(|&c| c >= self.geom.in_channels) {
             return Err(TensorError::InvalidConvGeometry(format!(
                 "selected channel {bad} out of range for {} input channels",
                 self.geom.in_channels
             )));
         }
-        let scratch = scratch.as_mut();
-        if scratch.len() <= self.plane() {
+        if scratch.len() < self.scratch_len {
             return Err(TensorError::DataShapeMismatch {
                 data_len: scratch.len(),
-                shape_len: self.plane() + 1,
+                shape_len: self.scratch_len,
             });
         }
-        Ok(scratch)
+        Ok(())
     }
 
     /// Lowers the listed input channels of a batch of images into one wide
@@ -274,22 +402,21 @@ impl ConvLowering {
     ///
     /// Channel pruning removes whole input channels: a pruned layer lowers
     /// its kept channels only (`0..C` lowers them all), so its product runs
-    /// at depth `kept·K²`. `scratch` holds one plane and its pad cell at a
-    /// time; see [`ConvLowering`] for why a `[T; PLANE_CELLS]` is the fast
-    /// one.
+    /// at depth `kept·K²`. `scratch` stages one plane at a time and must hold
+    /// [`Self::scratch_len`] cells; its contents on entry do not matter.
     ///
     /// # Errors
     ///
-    /// Returns an error when a channel is out of range, the scratch is not
-    /// longer than one plane, or a buffer length does not match `batch`
-    /// copies of the geometry.
-    pub fn lower_into<T: Copy, S: AsMut<[T]> + ?Sized>(
+    /// Returns an error when a channel is out of range, the scratch is
+    /// shorter than [`Self::scratch_len`], or a buffer length does not match
+    /// `batch` copies of the geometry.
+    pub fn lower_into<T: Copy>(
         &self,
         input: &[T],
         batch: usize,
         pad: T,
         channels: impl ExactSizeIterator<Item = usize> + Clone,
-        scratch: &mut S,
+        scratch: &mut [T],
         out: &mut [T],
     ) -> Result<()> {
         let plane = self.plane();
@@ -300,28 +427,24 @@ impl ConvLowering {
                 shape_len: in_len,
             });
         }
-        let kk = self.geom.kernel * self.geom.kernel;
-        let cols = self.geom.col_cols();
+        let k = self.geom.kernel;
+        let cols = self.out_h * self.out_w;
         let row_stride = batch * cols;
-        let expected = channels.len() * kk * row_stride;
+        let expected = channels.len() * k * k * row_stride;
         if out.len() != expected {
             return Err(TensorError::DataShapeMismatch {
                 data_len: out.len(),
                 shape_len: expected,
             });
         }
-        let scratch = self.check(channels.clone(), scratch)?;
-        for (ci, c) in channels.enumerate() {
-            for s in 0..batch {
-                scratch[..plane].copy_from_slice(&input[(c * batch + s) * plane..][..plane]);
-                scratch[plane] = pad;
-                for (r, offsets) in self.table.chunks_exact(cols).enumerate() {
-                    let row = &mut out[(ci * kk + r) * row_stride + s * cols..][..cols];
-                    for (o, &i) in row.iter_mut().zip(offsets) {
-                        *o = scratch[usize::from(i)];
-                    }
-                }
-            }
+        self.check(channels.clone(), scratch)?;
+        let scratch = &mut scratch[..self.scratch_len];
+        scratch.fill(pad);
+        match (self.out_h, self.out_w) {
+            (4, 4) => self.lower_runs::<T, 4>(input, batch, channels, scratch, out),
+            (8, 8) => self.lower_runs::<T, 8>(input, batch, channels, scratch, out),
+            (16, 16) => self.lower_runs::<T, 16>(input, batch, channels, scratch, out),
+            _ => self.lower_runs::<T, 0>(input, batch, channels, scratch, out),
         }
         Ok(())
     }
@@ -330,30 +453,30 @@ impl ConvLowering {
     /// back into a `[C, H, W]` image: the adjoint of [`Self::lower_into`] at
     /// `batch == 1`. The image is zeroed first and row block `ci` then adds
     /// into channel `channels[ci]`'s plane, so a channel the list leaves out
-    /// (a pruned one) reads exactly `+0.0`. Each plane is staged in
-    /// `scratch`; a column the table sends to the pad cell adds nothing (one
-    /// compare per cell: adding it into the pad cell would chain every
-    /// padded add through that one cell, which made the 4×4 planes slower
-    /// than the bounds-checked scatter). Every plane cell receives its adds
-    /// in one fixed order: list position, then `ky`, `kx`, `oy`, `ox`, each
-    /// ascending. Never allocates.
+    /// (a pruned one) reads exactly `+0.0`. Each plane is staged in the
+    /// interior of `scratch` ([`Self::scratch_len`] cells, contents on entry
+    /// irrelevant); every column row adds run by run into the same cells the
+    /// lowering copied it from, and an add that lands in the border is
+    /// dropped with it. Every plane cell receives its adds in one fixed
+    /// order: list position, then `ky`, `kx`, `oy`, `ox`, each ascending.
+    /// Never allocates.
     ///
     /// # Errors
     ///
-    /// Returns an error when a channel is out of range, the scratch is not
-    /// longer than one plane, or either buffer length does not match the
-    /// geometry.
-    pub fn scatter_into<S: AsMut<[f32]> + ?Sized>(
+    /// Returns an error when a channel is out of range, the scratch is
+    /// shorter than [`Self::scratch_len`], or either buffer length does not
+    /// match the geometry.
+    pub fn scatter_into(
         &self,
         cols: &[f32],
         channels: impl ExactSizeIterator<Item = usize> + Clone,
-        scratch: &mut S,
+        scratch: &mut [f32],
         image: &mut [f32],
     ) -> Result<()> {
         let plane = self.plane();
-        let kk = self.geom.kernel * self.geom.kernel;
-        let ncols = self.geom.col_cols();
-        let expected = channels.len() * kk * ncols;
+        let k = self.geom.kernel;
+        let ncols = self.out_h * self.out_w;
+        let expected = channels.len() * k * k * ncols;
         if cols.len() != expected {
             return Err(TensorError::DataShapeMismatch {
                 data_len: cols.len(),
@@ -367,28 +490,19 @@ impl ConvLowering {
                 shape_len: image_len,
             });
         }
-        let scratch = self.check(channels.clone(), scratch)?;
+        self.check(channels.clone(), scratch)?;
         image.fill(0.0);
-        for (ci, c) in channels.enumerate() {
-            let dst = &mut image[c * plane..][..plane];
-            scratch[..plane].copy_from_slice(dst);
-            for (r, offsets) in self.table.chunks_exact(ncols).enumerate() {
-                let row = &cols[(ci * kk + r) * ncols..][..ncols];
-                for (&v, &i) in row.iter().zip(offsets) {
-                    let i = usize::from(i);
-                    if i != plane {
-                        scratch[i] += v;
-                    }
-                }
-            }
-            dst.copy_from_slice(&scratch[..plane]);
+        match (self.out_h, self.out_w) {
+            (4, 4) => self.scatter_runs::<4>(cols, channels, scratch, image),
+            (8, 8) => self.scatter_runs::<8>(cols, channels, scratch, image),
+            _ => self.scatter_runs::<0>(cols, channels, scratch, image),
         }
         Ok(())
     }
 
     /// Lowers a `[C, H, W]` image into a `[C·K·K, out_h·out_w]` column
     /// matrix: [`Self::lower_into`] over every channel at `batch == 1`, with
-    /// a scratch of `H·W + 1` cells allocated for the call.
+    /// a scratch allocated for the call.
     ///
     /// # Errors
     ///
@@ -407,16 +521,16 @@ impl ConvLowering {
             });
         }
         let mut out = vec![0.0f32; geom.col_len()];
-        let mut scratch = vec![0.0f32; self.plane() + 1];
+        let mut scratch = vec![0.0f32; self.scratch_len];
         let all = 0..geom.in_channels;
-        self.lower_into(input.as_slice(), 1, 0.0, all, scratch.as_mut_slice(), &mut out)?;
+        self.lower_into(input.as_slice(), 1, 0.0, all, &mut scratch, &mut out)?;
         Tensor::from_vec(out, &[geom.col_rows(), geom.col_cols()])
     }
 
     /// Scatters a `[C·K·K, out_h·out_w]` column-gradient matrix back into a
     /// `[C, H, W]` image-gradient tensor (the adjoint of [`Self::im2col`]):
-    /// [`Self::scatter_into`] over every channel, with a scratch of
-    /// `H·W + 1` cells allocated for the call.
+    /// [`Self::scatter_into`] over every channel, with a scratch allocated
+    /// for the call.
     ///
     /// # Errors
     ///
@@ -432,10 +546,48 @@ impl ConvLowering {
             });
         }
         let mut image = Tensor::zeros(&[geom.in_channels, geom.in_h, geom.in_w]);
-        let mut scratch = vec![0.0f32; self.plane() + 1];
+        let mut scratch = vec![0.0f32; self.scratch_len];
         let all = 0..geom.in_channels;
-        self.scatter_into(cols.as_slice(), all, scratch.as_mut_slice(), image.as_mut_slice())?;
+        self.scatter_into(cols.as_slice(), all, &mut scratch, image.as_mut_slice())?;
         Ok(image)
+    }
+}
+
+/// Copies `rows` runs of `width` cells, `src_pitch` apart in `src`, to runs
+/// `dst_pitch` apart in `dst`. The copy of a run whose width is a constant
+/// compiles to a few moves, where one of a width known only at run time is
+/// a `memcpy` call that costs more than a 4- or 8-cell run itself; and a
+/// constant run count unrolls the loop. So the 4×4 and 8×8 planes of
+/// LeNet's stride-1 convolutions get copies of their own, as the column
+/// rows of [`ConvLowering::lower_runs`] and [`ConvLowering::scatter_runs`]
+/// do; no stride-1 convolution of LeNet or the tiny net reads a 16×16
+/// plane.
+fn copy_runs<T: Copy>(
+    dst: &mut [T],
+    dst_pitch: usize,
+    src: &[T],
+    src_pitch: usize,
+    width: usize,
+    rows: usize,
+) {
+    #[inline(always)]
+    fn runs<T: Copy, const N: usize>(
+        dst: &mut [T],
+        dst_pitch: usize,
+        src: &[T],
+        src_pitch: usize,
+        width: usize,
+        rows: usize,
+    ) {
+        let (h, w) = if N == 0 { (rows, width) } else { (N, N) };
+        for r in 0..h {
+            dst[r * dst_pitch..][..w].copy_from_slice(&src[r * src_pitch..][..w]);
+        }
+    }
+    match (rows, width) {
+        (4, 4) => runs::<T, 4>(dst, dst_pitch, src, src_pitch, width, rows),
+        (8, 8) => runs::<T, 8>(dst, dst_pitch, src, src_pitch, width, rows),
+        _ => runs::<T, 0>(dst, dst_pitch, src, src_pitch, width, rows),
     }
 }
 
@@ -451,8 +603,8 @@ mod tests {
         ConvLowering::new(g).unwrap()
     }
 
-    fn scratch<T: Copy + Default>() -> Box<[T; PLANE_CELLS]> {
-        plane_scratch()
+    fn scratch<T: Copy + Default>(lowering: &ConvLowering) -> Vec<T> {
+        vec![T::default(); lowering.scratch_len()]
     }
 
     #[test]
@@ -494,7 +646,7 @@ mod tests {
         g.kernel = 9;
         assert!(g.validate().is_err());
         assert!(ConvLowering::new(g).is_err());
-        // A plane a `u16` cannot index together with its pad cell.
+        // The scratch holds the stride² phase planes of the padded plane.
         let g = Conv2dGeometry {
             in_channels: 1,
             in_h: 256,
@@ -503,11 +655,14 @@ mod tests {
             stride: 1,
             padding: 0,
         };
-        assert!(matches!(ConvLowering::new(g), Err(TensorError::InvalidConvGeometry(_))));
-        let g = Conv2dGeometry { in_h: 65_535, in_w: 1, ..g };
-        assert_eq!(ConvLowering::new(g).unwrap().table.len(), 65_535);
+        assert_eq!(ConvLowering::new(g).unwrap().scratch_len(), 65_536);
+        let lenet_conv1 =
+            Conv2dGeometry { in_h: 32, in_w: 32, kernel: 5, stride: 2, padding: 2, ..g };
+        assert_eq!(ConvLowering::new(lenet_conv1).unwrap().scratch_len(), 4 * 18 * 18);
+        let odd = Conv2dGeometry { in_h: 4, in_w: 5, kernel: 3, stride: 3, padding: 1, ..g };
+        assert_eq!(ConvLowering::new(odd).unwrap().scratch_len(), 9 * 2 * 3);
         let g = Conv2dGeometry { in_h: usize::MAX, in_w: 2, ..g };
-        assert!(ConvLowering::new(g).is_err(), "an overflowing plane is refused, not wrapped");
+        assert!(ConvLowering::new(g).is_err(), "an overflowing scratch is refused, not wrapped");
         let g = Conv2dGeometry { in_h: 4, in_w: 4, padding: usize::MAX / 2 + 1, ..g };
         assert!(g.validate().is_err(), "an overflowing padding is refused, not wrapped");
     }
@@ -556,14 +711,14 @@ mod tests {
         let g =
             Conv2dGeometry { in_channels: 2, in_h: 5, in_w: 4, kernel: 3, stride: 2, padding: 1 };
         let lowering = lowering(g);
-        let mut plane = scratch::<f32>();
+        let mut plane = scratch::<f32>(&lowering);
         let batch = 3;
         let plane_len = g.in_h * g.in_w;
         // Wide layout [C, batch, H, W] with distinct per-(channel, sample) data.
         let wide: Vec<f32> =
             (0..g.in_channels * batch * plane_len).map(|i| (i as f32).sin()).collect();
         let mut wide_cols = vec![f32::NAN; g.col_len() * batch];
-        lowering.lower_into(&wide, batch, 0.0, 0..2, &mut *plane, &mut wide_cols).unwrap();
+        lowering.lower_into(&wide, batch, 0.0, 0..2, &mut plane, &mut wide_cols).unwrap();
         let cols = g.col_cols();
         for s in 0..batch {
             // Reassemble sample s in plain [C, H, W] layout and lower it alone.
@@ -587,19 +742,19 @@ mod tests {
     fn batched_im2col_validates_lengths() {
         let g = geom_3x3_stride1_nopad();
         let lowering = lowering(g);
-        let mut plane = scratch::<f32>();
+        let mut plane = scratch::<f32>(&lowering);
         let mut out = vec![0.0f32; g.col_len() * 2];
-        assert!(lowering.lower_into(&[0.0; 16], 2, 0.0, 0..1, &mut *plane, &mut out).is_err());
+        assert!(lowering.lower_into(&[0.0; 16], 2, 0.0, 0..1, &mut plane, &mut out).is_err());
         let ok_input = vec![0.0; 32];
         let mut short = vec![0.0f32; g.col_len()];
-        assert!(lowering.lower_into(&ok_input, 2, 0.0, 0..1, &mut *plane, &mut short).is_err());
-        assert!(lowering.lower_into(&ok_input, 2, 0.0, 0..1, &mut *plane, &mut out).is_ok());
-        // A scratch must hold the plane and its pad cell.
-        let mut tight = [0.0f32; 17];
+        assert!(lowering.lower_into(&ok_input, 2, 0.0, 0..1, &mut plane, &mut short).is_err());
+        assert!(lowering.lower_into(&ok_input, 2, 0.0, 0..1, &mut plane, &mut out).is_ok());
+        // A scratch must hold the padded plane: 4x4 without padding here.
+        let mut tight = [0.0f32; 16];
         assert!(lowering.lower_into(&ok_input, 2, 0.0, 0..1, &mut tight[..], &mut out).is_ok());
-        assert!(lowering.lower_into(&ok_input, 2, 0.0, 0..1, &mut tight[..16], &mut out).is_err());
+        assert!(lowering.lower_into(&ok_input, 2, 0.0, 0..1, &mut tight[..15], &mut out).is_err());
         let mut image = vec![0.0f32; 16];
-        assert!(lowering.scatter_into(&out[..36], 0..1, &mut tight[..16], &mut image).is_err());
+        assert!(lowering.scatter_into(&out[..36], 0..1, &mut tight[..15], &mut image).is_err());
         assert!(lowering.scatter_into(&out[..36], 0..1, &mut tight[..], &mut image).is_ok());
     }
 
@@ -612,7 +767,7 @@ mod tests {
         let g =
             Conv2dGeometry { in_channels: 2, in_h: 4, in_w: 5, kernel: 3, stride: 2, padding: 1 };
         let lowering = lowering(g);
-        let (mut plane8, mut plane) = (scratch::<i8>(), scratch::<f32>());
+        let (mut plane8, mut plane) = (scratch::<i8>(&lowering), scratch::<f32>(&lowering));
         let batch = 2;
         let plane_len = g.in_h * g.in_w;
         // Strictly nonzero codes, so a zero in the float lowering can only be
@@ -631,24 +786,24 @@ mod tests {
         let all = [0, 1];
         let mut lowered = vec![0i8; g.col_len() * batch];
         let all_iter = all.iter().copied();
-        lowering.lower_into(&codes, batch, pad, all_iter, &mut *plane8, &mut lowered).unwrap();
+        lowering.lower_into(&codes, batch, pad, all_iter, &mut plane8, &mut lowered).unwrap();
         let floats: Vec<f32> = codes.iter().map(|&c| f32::from(c)).collect();
         let mut lowered_f = vec![f32::NAN; g.col_len() * batch];
-        lowering.lower_into(&floats, batch, 0.0, 0..2, &mut *plane, &mut lowered_f).unwrap();
+        lowering.lower_into(&floats, batch, 0.0, 0..2, &mut plane, &mut lowered_f).unwrap();
         for (i, (&c, &f)) in lowered.iter().zip(&lowered_f).enumerate() {
             let expected = if f == 0.0 { pad } else { f as i8 };
             assert_eq!(c, expected, "cell {i}");
         }
         // Length validation mirrors the float path.
         let mut short = vec![0i8; g.col_len()];
-        assert!(lowering.lower_into(&codes, batch, pad, 0..2, &mut *plane8, &mut short).is_err());
+        assert!(lowering.lower_into(&codes, batch, pad, 0..2, &mut plane8, &mut short).is_err());
         // Channel selection: a subset extracts exactly its channels' row
         // blocks of the full lowering.
         let rows_per_chan = g.kernel * g.kernel * g.col_cols() * batch;
         let mut chan1 = vec![0i8; rows_per_chan];
-        lowering.lower_into(&codes, batch, pad, 1..2, &mut *plane8, &mut chan1).unwrap();
+        lowering.lower_into(&codes, batch, pad, 1..2, &mut plane8, &mut chan1).unwrap();
         assert_eq!(chan1, lowered[rows_per_chan..]);
-        assert!(lowering.lower_into(&codes, batch, pad, 2..3, &mut *plane8, &mut chan1).is_err());
+        assert!(lowering.lower_into(&codes, batch, pad, 2..3, &mut plane8, &mut chan1).is_err());
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub use backward::{
 };
 pub use dispatch::IsaTier;
 pub use error::TensorError;
-pub use im2col::{plane_scratch, Conv2dGeometry, ConvLowering, PLANE_CELLS};
+pub use im2col::{Conv2dGeometry, ConvLowering};
 pub use linalg::{gemm_into, matvec_batch_into, matvec_t_batch_into};
 pub use ops::{
     add_bias_rows, add_bias_samples, max_pool_planes_i8_into, max_pool_planes_into,

@@ -31,26 +31,18 @@ fn sel_max(acc: f32, v: f32) -> f32 {
 // Max pooling
 // ---------------------------------------------------------------------------
 
-/// Portable body of [`max_pool_planes_into`]: pools each `[h, w]` plane
-/// into `[h/size, w/size]` with the fixed column-then-row window order.
+/// Portable body of [`max_pool_planes_into`]: pools the `planes·h` rows as
+/// one tall image, which is exact because `size` divides `h`, so no window
+/// straddles two planes.
 #[inline(always)]
 fn max_pool_f32_body(src: &[f32], planes: usize, h: usize, w: usize, size: usize, dst: &mut [f32]) {
-    let (oh, ow) = (h / size, w / size);
-    for p in 0..planes {
-        max_pool_plane_f32(
-            &src[p * h * w..(p + 1) * h * w],
-            oh,
-            ow,
-            w,
-            size,
-            &mut dst[p * oh * ow..(p + 1) * oh * ow],
-        );
-    }
+    max_pool_rows_f32(src, planes * (h / size), w / size, w, size, dst);
 }
 
-/// One plane of [`max_pool_f32_body`].
+/// Pools `oh` output rows of `ow` cells from the `[oh·size, w]` rows of
+/// `src` with the fixed column-then-row window order.
 #[inline(always)]
-fn max_pool_plane_f32(src: &[f32], oh: usize, ow: usize, w: usize, size: usize, dst: &mut [f32]) {
+fn max_pool_rows_f32(src: &[f32], oh: usize, ow: usize, w: usize, size: usize, dst: &mut [f32]) {
     for oy in 0..oh {
         let dst_row = &mut dst[oy * ow..(oy + 1) * ow];
         for (ox, o) in dst_row.iter_mut().enumerate() {
@@ -68,7 +60,9 @@ fn max_pool_plane_f32(src: &[f32], oh: usize, ow: usize, w: usize, size: usize, 
 }
 
 /// Portable body of [`max_pool_planes_i8_into`]; integer max is a total
-/// order, so the reduction order is irrelevant to the result.
+/// order, so the reduction order is irrelevant to the result. It pools plane
+/// by plane: one call over the whole stack pooled 64 planes of 32×32 1.12×
+/// slower.
 #[inline(always)]
 fn max_pool_i8_body(src: &[i8], planes: usize, h: usize, w: usize, size: usize, dst: &mut [i8]) {
     let (oh, ow) = (h / size, w / size);
@@ -116,10 +110,14 @@ fn check_pool(src_len: usize, planes: usize, h: usize, w: usize, size: usize, ds
 }
 
 /// Non-overlapping 2-D max pool over `planes` stacked `[h, w]` planes (the
-/// window equals the stride). Dispatched to the active ISA tier; on AVX2 the
-/// ubiquitous `size == 2` case runs an explicit 8-outputs-per-step vector
-/// kernel (vertical `vmaxps` of the two rows, then a pairwise horizontal
-/// `vmaxps` after an even/odd deinterleave).
+/// window equals the stride). The stack is pooled as one tall image of
+/// `planes·h` rows: `size` divides `h`, so no window straddles two planes.
+/// Dispatched to the active ISA tier; on AVX2 the ubiquitous `size == 2`
+/// case runs one explicit loop over the whole stack, 8 outputs per step
+/// (vertical `vmaxps` of the two rows, then a pairwise horizontal `vmaxps`
+/// after an even/odd deinterleave). A row of 4 or 8 cells packs `16/w` row
+/// pairs into each step, so LeNet's 8×8 planes (4 outputs per row) run at
+/// full vector width too.
 ///
 /// # Panics
 ///
@@ -162,7 +160,8 @@ pub fn max_pool_planes_into_tier(
 /// [`max_pool_planes_into`] over `i8` activation codes (the quantized code
 /// domain). Quantization is monotone, so pooling codes equals pooling the
 /// real values and quantizing after; on AVX2 the `size == 2` case reduces 32
-/// codes to 16 outputs per step with `vpmaxsb`.
+/// codes to 16 outputs per step with `vpmaxsb`, in one loop over the stacked
+/// planes; a row's last `(w/2) mod 16` outputs run scalar.
 ///
 /// # Panics
 ///
@@ -471,9 +470,16 @@ mod x86 {
     use super::*;
     use core::arch::x86_64::*;
 
-    /// [`max_pool_planes_into`] on AVX2: the 2×2 window, one
-    /// [`max_pool_plane2_f32_avx2`] per plane; any other window runs the
-    /// portable body.
+    /// [`max_pool_planes_into`] on AVX2: the 2×2 window over the stacked
+    /// planes as one tall image of `planes·h/2` row pairs, 8 outputs per
+    /// step; any other window runs the portable body. A row of 4 or 8 cells
+    /// (LeNet's second pool and both of the tiny net's) packs `16/w` row
+    /// pairs (32 contiguous cells) into a block, and the row pairs left
+    /// after the last block run scalar. Any other row pools each row pair on
+    /// its own, in blocks of 16 cells from each row, its last `ow mod 8`
+    /// outputs scalar. Either way each output is `sel(sel(-inf, even), odd)`
+    /// over the column folds `sel(sel(-inf, top), bottom)`, candidate first,
+    /// exactly the portable order, so ties and NaNs resolve identically.
     #[target_feature(enable = "avx2")]
     pub(super) fn max_pool_f32_avx2(
         src: &[f32],
@@ -486,18 +492,94 @@ mod x86 {
         if size != 2 {
             return max_pool_f32_body(src, planes, h, w, size, dst);
         }
-        let (oh, ow) = (h / 2, w / 2);
-        for p in 0..planes {
-            max_pool_plane2_f32_avx2(
-                &src[p * h * w..(p + 1) * h * w],
-                oh,
-                w,
-                &mut dst[p * oh * ow..(p + 1) * oh * ow],
-            );
+        let (pairs, ow) = (planes * (h / 2), w / 2);
+        let packed = matches!(w, 4 | 8);
+        let blocks = if packed { pairs / (16 / w) } else { ow / 8 };
+        let ninf = _mm256_set1_ps(f32::NEG_INFINITY);
+        // Column fold of two rows, then the row fold of the 16 column maxima
+        // `[v0, v1]` into 8 outputs: an even/odd deinterleave, then the pair
+        // select.
+        let fold = |t0: __m256, b0: __m256, t1: __m256, b1: __m256| {
+            let v0 = _mm256_max_ps(b0, _mm256_max_ps(t0, ninf));
+            let v1 = _mm256_max_ps(b1, _mm256_max_ps(t1, ninf));
+            let lo = _mm256_shuffle_ps::<0b10_00_10_00>(v0, v1);
+            let hi = _mm256_shuffle_ps::<0b11_01_11_01>(v0, v1);
+            let evens =
+                _mm256_castpd_ps(_mm256_permute4x64_pd::<0b11_01_10_00>(_mm256_castps_pd(lo)));
+            let odds =
+                _mm256_castpd_ps(_mm256_permute4x64_pd::<0b11_01_10_00>(_mm256_castps_pd(hi)));
+            _mm256_max_ps(odds, _mm256_max_ps(evens, ninf))
+        };
+        // SAFETY: `check_pool` fixed `src.len() = pairs·2w` and
+        // `dst.len() = pairs·ow`. Packed, block b reads cells [32b, 32b + 32)
+        // with 32·blocks = 2w·(16/w)·blocks <= 2w·pairs, and writes outputs
+        // [8b, 8b + 8) with 8·blocks = ow·(16/w)·blocks <= ow·pairs. By rows,
+        // block b of row pair r reads 16 cells at 16b of rows 2r and 2r + 1
+        // (16b + 16 <= w) and writes 8 outputs at r·ow + 8b (8b + 8 <= ow).
+        unsafe {
+            if packed {
+                // A w = 4 register holds `[tops | bottoms]` of 4 cells; two
+                // of them give the tops and bottoms of 8.
+                for b in 0..blocks {
+                    let p = src.as_ptr().add(32 * b);
+                    let x = [
+                        _mm256_loadu_ps(p),
+                        _mm256_loadu_ps(p.add(8)),
+                        _mm256_loadu_ps(p.add(16)),
+                        _mm256_loadu_ps(p.add(24)),
+                    ];
+                    let out = if w == 8 {
+                        fold(x[0], x[1], x[2], x[3])
+                    } else {
+                        fold(
+                            _mm256_permute2f128_ps::<0x20>(x[0], x[1]),
+                            _mm256_permute2f128_ps::<0x31>(x[0], x[1]),
+                            _mm256_permute2f128_ps::<0x20>(x[2], x[3]),
+                            _mm256_permute2f128_ps::<0x31>(x[2], x[3]),
+                        )
+                    };
+                    _mm256_storeu_ps(dst.as_mut_ptr().add(8 * b), out);
+                }
+            } else {
+                for r in 0..pairs {
+                    let (r0, r1) = (src.as_ptr().add(2 * r * w), src.as_ptr().add((2 * r + 1) * w));
+                    for b in 0..blocks {
+                        let out = fold(
+                            _mm256_loadu_ps(r0.add(16 * b)),
+                            _mm256_loadu_ps(r1.add(16 * b)),
+                            _mm256_loadu_ps(r0.add(16 * b + 8)),
+                            _mm256_loadu_ps(r1.add(16 * b + 8)),
+                        );
+                        _mm256_storeu_ps(dst.as_mut_ptr().add(r * ow + 8 * b), out);
+                    }
+                }
+            }
+        }
+        if packed {
+            let done = blocks * (16 / w);
+            let rest = &mut dst[done * ow..];
+            max_pool_rows_f32(&src[done * 2 * w..], pairs - done, ow, w, 2, rest);
+        } else if blocks * 8 < ow {
+            for r in 0..pairs {
+                let (rows, out) = (&src[2 * r * w..][..2 * w], &mut dst[r * ow..][..ow]);
+                for ox in blocks * 8..ow {
+                    let mut best = f32::NEG_INFINITY;
+                    for dx in 0..2 {
+                        let col = sel_max(f32::NEG_INFINITY, rows[2 * ox + dx]);
+                        best = sel_max(best, sel_max(col, rows[w + 2 * ox + dx]));
+                    }
+                    out[ox] = best;
+                }
+            }
         }
     }
 
-    /// `i8` counterpart of [`max_pool_f32_avx2`].
+    /// `i8` counterpart of [`max_pool_f32_avx2`], 16 outputs per step:
+    /// vertical `vpmaxsb`, then the horizontal pair max via a sign-extending
+    /// even/odd split to `i16`. Each row pair pools on its own, in blocks of
+    /// 32 codes from each row, its last `ow mod 16` outputs scalar. Every
+    /// trunk segment ends in `f32`, so no served or trained LeNet pool runs
+    /// here; a row narrower than 32 codes stays scalar.
     #[target_feature(enable = "avx2")]
     pub(super) fn max_pool_i8_avx2(
         src: &[i8],
@@ -510,90 +592,21 @@ mod x86 {
         if size != 2 {
             return max_pool_i8_body(src, planes, h, w, size, dst);
         }
-        let (oh, ow) = (h / 2, w / 2);
-        for p in 0..planes {
-            max_pool_plane2_i8_avx2(
-                &src[p * h * w..(p + 1) * h * w],
-                oh,
-                w,
-                &mut dst[p * oh * ow..(p + 1) * oh * ow],
-            );
-        }
-    }
-
-    /// Pools one `[h, w]` plane with a 2×2 window, 8 outputs per step:
-    /// vertical `vmaxps` of the two source rows, even/odd deinterleave,
-    /// horizontal pairwise `vmaxps` — the same column-then-row select order
-    /// as the portable scan, so ties and NaNs resolve identically. `src` is
-    /// `[2·oh, w]` with even `w`, `dst` is `[oh, w/2]`. Kept out of line:
-    /// inlined into the plane loop, it pooled LeNet's planes 1.1× slower.
-    #[inline(never)]
-    #[target_feature(enable = "avx2")]
-    fn max_pool_plane2_f32_avx2(src: &[f32], oh: usize, w: usize, dst: &mut [f32]) {
-        let ow = w / 2;
-        let ninf = _mm256_set1_ps(f32::NEG_INFINITY);
-        for oy in 0..oh {
-            let r0 = &src[(2 * oy) * w..(2 * oy + 1) * w];
-            let r1 = &src[(2 * oy + 1) * w..(2 * oy + 2) * w];
-            let dst_row = &mut dst[oy * ow..(oy + 1) * ow];
-            let blocks = ow / 8;
-            // SAFETY: block b reads 16 floats from each row starting at 16b
-            // (16b + 16 <= w) and writes 8 outputs at 8b (8b + 8 <= ow).
-            unsafe {
+        let (pairs, ow) = (planes * (h / 2), w / 2);
+        let blocks = ow / 16;
+        // SAFETY: `check_pool` fixed `src.len() = pairs·2w` and
+        // `dst.len() = pairs·ow`. Block b of row pair r reads 32 codes at 32b
+        // of rows 2r and 2r + 1 (32b + 32 <= w) and writes 16 outputs at
+        // r·ow + 16b (16b + 16 <= ow).
+        unsafe {
+            for r in 0..pairs {
+                let (r0, r1) = (src.as_ptr().add(2 * r * w), src.as_ptr().add((2 * r + 1) * w));
                 for b in 0..blocks {
-                    let a0 = _mm256_loadu_ps(r0.as_ptr().add(16 * b));
-                    let a1 = _mm256_loadu_ps(r0.as_ptr().add(16 * b + 8));
-                    let b0 = _mm256_loadu_ps(r1.as_ptr().add(16 * b));
-                    let b1 = _mm256_loadu_ps(r1.as_ptr().add(16 * b + 8));
-                    // Column fold: sel(sel(-inf, row0), row1), candidate first.
-                    let v0 = _mm256_max_ps(b0, _mm256_max_ps(a0, ninf));
-                    let v1 = _mm256_max_ps(b1, _mm256_max_ps(a1, ninf));
-                    // Deinterleave [x0..x15] into even/odd window columns.
-                    let lo = _mm256_shuffle_ps::<0b10_00_10_00>(v0, v1);
-                    let hi = _mm256_shuffle_ps::<0b11_01_11_01>(v0, v1);
-                    let evens = _mm256_castpd_ps(_mm256_permute4x64_pd::<0b11_01_10_00>(
-                        _mm256_castps_pd(lo),
-                    ));
-                    let odds = _mm256_castpd_ps(_mm256_permute4x64_pd::<0b11_01_10_00>(
-                        _mm256_castps_pd(hi),
-                    ));
-                    // Row fold: sel(sel(-inf, even), odd).
-                    let out = _mm256_max_ps(odds, _mm256_max_ps(evens, ninf));
-                    _mm256_storeu_ps(dst_row.as_mut_ptr().add(8 * b), out);
-                }
-            }
-            for ox in blocks * 8..ow {
-                let mut best = f32::NEG_INFINITY;
-                for dx in 0..2 {
-                    let mut col = f32::NEG_INFINITY;
-                    col = sel_max(col, r0[2 * ox + dx]);
-                    col = sel_max(col, r1[2 * ox + dx]);
-                    best = sel_max(best, col);
-                }
-                dst_row[ox] = best;
-            }
-        }
-    }
-
-    /// `i8` 2×2 pool, 16 outputs per step: vertical `vpmaxsb`, then the
-    /// horizontal pair max via a sign-extending even/odd split to `i16`.
-    /// Shapes as in [`max_pool_plane2_f32_avx2`].
-    #[target_feature(enable = "avx2")]
-    fn max_pool_plane2_i8_avx2(src: &[i8], oh: usize, w: usize, dst: &mut [i8]) {
-        let ow = w / 2;
-        for oy in 0..oh {
-            let r0 = &src[(2 * oy) * w..(2 * oy + 1) * w];
-            let r1 = &src[(2 * oy + 1) * w..(2 * oy + 2) * w];
-            let dst_row = &mut dst[oy * ow..(oy + 1) * ow];
-            let blocks = ow / 16;
-            // SAFETY: block b reads 32 codes from each row at 32b
-            // (32b + 32 <= w) and writes 16 outputs at 16b (16b + 16 <= ow).
-            unsafe {
-                for b in 0..blocks {
-                    let a = _mm256_loadu_si256(r0.as_ptr().add(32 * b).cast());
-                    let c = _mm256_loadu_si256(r1.as_ptr().add(32 * b).cast());
-                    let v = _mm256_max_epi8(a, c);
-                    // Sign-extend even/odd bytes to i16 and take the pair max.
+                    let v = _mm256_max_epi8(
+                        _mm256_loadu_si256(r0.add(32 * b).cast()),
+                        _mm256_loadu_si256(r1.add(32 * b).cast()),
+                    );
+                    // Sign-extend even/odd codes to i16 and take the pair max.
                     let evens = _mm256_srai_epi16::<8>(_mm256_slli_epi16::<8>(v));
                     let odds = _mm256_srai_epi16::<8>(v);
                     let pairs = _mm256_max_epi16(evens, odds);
@@ -602,16 +615,19 @@ mod x86 {
                     let packed = _mm256_packs_epi16(pairs, pairs);
                     let compact = _mm256_permute4x64_epi64::<0b00_00_10_00>(packed);
                     _mm_storeu_si128(
-                        dst_row.as_mut_ptr().add(16 * b).cast(),
+                        dst.as_mut_ptr().add(r * ow + 16 * b).cast(),
                         _mm256_castsi256_si128(compact),
                     );
                 }
             }
-            for ox in blocks * 16..ow {
-                let mut best = i8::MIN;
-                best = best.max(r0[2 * ox]).max(r0[2 * ox + 1]);
-                best = best.max(r1[2 * ox]).max(r1[2 * ox + 1]);
-                dst_row[ox] = best;
+        }
+        if blocks * 16 < ow {
+            for r in 0..pairs {
+                let (rows, out) = (&src[2 * r * w..][..2 * w], &mut dst[r * ow..][..ow]);
+                for ox in blocks * 16..ow {
+                    let top = rows[2 * ox].max(rows[2 * ox + 1]);
+                    out[ox] = top.max(rows[w + 2 * ox]).max(rows[w + 2 * ox + 1]);
+                }
             }
         }
     }

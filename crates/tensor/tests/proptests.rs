@@ -1,6 +1,6 @@
 //! Property-based tests of the tensor substrate.
 
-use ie_tensor::{plane_scratch, Conv2dGeometry, ConvLowering, Tensor};
+use ie_tensor::{Conv2dGeometry, ConvLowering, Tensor};
 use proptest::prelude::*;
 
 fn arb_matrix(max_dim: usize) -> impl Strategy<Value = Tensor> {
@@ -105,11 +105,11 @@ proptest! {
         }
     }
 
-    /// The planned lowering and scatter (a bounds-free `[f32; PLANE_CELLS]`
-    /// scratch) are bit-identical to the allocating `im2col`/`col2im` (a
-    /// scratch of one plane and its pad cell) across random geometries,
-    /// including when the target buffers and the scratch start out dirty
-    /// (reuse must fully overwrite them). Over a channel subset, the
+    /// The planned lowering and scatter (into a scratch longer than the
+    /// geometry needs, as a plan's is) are bit-identical to the allocating
+    /// `im2col`/`col2im` (a scratch of exactly the padded plane) across
+    /// random geometries, including when the target buffers and the scratch
+    /// start out dirty (reuse must fully overwrite them). Over a channel subset, the
     /// selective lowering holds exactly the subset's row blocks and the
     /// scatter equals the full one with the other blocks zeroed, leaving +0.0
     /// in every left-out channel.
@@ -129,17 +129,16 @@ proptest! {
         ).expect("length matches shape");
         let cols_ref = lowering.im2col(&image).expect("valid geometry");
         // Poisoned buffers: stale state must not leak.
-        let mut scratch = plane_scratch::<f32>();
-        scratch.fill(f32::NAN);
+        let mut scratch = vec![f32::NAN; lowering.scratch_len() + 7];
         let mut cols = vec![f32::NAN; geom.col_len()];
-        lowering.lower_into(image.as_slice(), 1, 0.0, 0..c, &mut *scratch, &mut cols)
+        lowering.lower_into(image.as_slice(), 1, 0.0, 0..c, &mut scratch, &mut cols)
             .expect("valid geometry");
         for (w, r) in cols.iter().zip(cols_ref.as_slice()) {
             prop_assert_eq!(w.to_bits(), r.to_bits());
         }
         let back_ref = lowering.col2im(&cols_ref).expect("valid geometry");
         let mut back = vec![f32::NAN; image.len()];
-        lowering.scatter_into(cols_ref.as_slice(), 0..c, &mut *scratch, &mut back)
+        lowering.scatter_into(cols_ref.as_slice(), 0..c, &mut scratch, &mut back)
             .expect("valid geometry");
         for (w, r) in back.iter().zip(back_ref.as_slice()) {
             prop_assert_eq!(w.to_bits(), r.to_bits());
@@ -148,7 +147,7 @@ proptest! {
         let kept: Vec<usize> = (0..c).filter(|&ch| c == 1 || ch != skip % c).collect();
         let block = k * k * geom.col_cols();
         let mut sel = vec![f32::NAN; kept.len() * block];
-        lowering.lower_into(image.as_slice(), 1, 0.0, kept.iter().copied(), &mut *scratch, &mut sel)
+        lowering.lower_into(image.as_slice(), 1, 0.0, kept.iter().copied(), &mut scratch, &mut sel)
             .expect("valid geometry");
         let mut zeroed = cols_ref.as_slice().to_vec();
         for ch in (0..c).filter(|ch| !kept.contains(ch)) {
@@ -159,7 +158,7 @@ proptest! {
             prop_assert_eq!(bits(got), bits(want));
         }
         let mut back_sel = vec![f32::NAN; image.len()];
-        lowering.scatter_into(&sel, kept.iter().copied(), &mut *scratch, &mut back_sel)
+        lowering.scatter_into(&sel, kept.iter().copied(), &mut scratch, &mut back_sel)
             .expect("valid geometry");
         let back_zeroed = lowering
             .col2im(&Tensor::from_vec(zeroed, cols_ref.dims()).expect("same shape"))

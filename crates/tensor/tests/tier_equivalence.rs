@@ -95,6 +95,56 @@ proptest! {
         }
     }
 
+    /// The 2×2 pools over tall stacks of up to 40 planes of widths 2–32 and
+    /// odd or even row-pair counts, so `f32` row pairs packed into one vector
+    /// block across planes (rows of 4 or 8 cells), the row pairs left after
+    /// the last block, and the scalar columns of every other width run on
+    /// every tier. The `f32` cells are drawn from a small set holding NaN,
+    /// `-0.0`, `+0.0` and repeated values, so each tier must keep the select
+    /// order (a NaN candidate loses, a tie keeps the accumulator), and every
+    /// tier's stacked result must equal pooling the planes one at a time.
+    #[test]
+    fn max_pool_stacks_are_bit_identical(
+        planes in 1usize..41,
+        pairs in 1usize..6,
+        ow in 1usize..17,
+        seed in 0u64..1000,
+    ) {
+        let (h, w) = (2 * pairs, 2 * ow);
+        let picks = [f32::NAN, -0.0, 0.0, 1.5, -1.5, 3.0, f32::NEG_INFINITY];
+        let src: Vec<f32> = mulberry(seed, planes * h * w)
+            .iter()
+            .map(|&v| if v < 2.0 { picks[(v.to_bits() % 7) as usize] } else { v })
+            .collect();
+        let codes: Vec<i8> = mulberry(seed ^ 0xc0de, planes * h * w)
+            .iter()
+            .map(|&v| if v < 0.0 { (v as i8).saturating_mul(16) } else { v as i8 })
+            .collect();
+        let (plane_in, plane_out) = (h * w, pairs * ow);
+        let mut base = vec![0.0f32; planes * plane_out];
+        tiered::max_pool_planes_into(IsaTier::Portable, &src, planes, h, w, 2, &mut base);
+        let mut base_codes = vec![0i8; planes * plane_out];
+        tiered::max_pool_planes_i8_into(IsaTier::Portable, &codes, planes, h, w, 2, &mut base_codes);
+        for &tier in supported_tiers() {
+            let mut out = vec![0.0f32; planes * plane_out];
+            tiered::max_pool_planes_into(tier, &src, planes, h, w, 2, &mut out);
+            prop_assert_eq!(bits_f32(&base), bits_f32(&out), "tier {:?} w {}", tier, w);
+            let mut out_codes = vec![0i8; planes * plane_out];
+            tiered::max_pool_planes_i8_into(tier, &codes, planes, h, w, 2, &mut out_codes);
+            prop_assert_eq!(&base_codes, &out_codes, "codes tier {:?} w {}", tier, w);
+            for p in 0..planes {
+                let mut one = vec![0.0f32; plane_out];
+                let plane = &src[p * plane_in..][..plane_in];
+                tiered::max_pool_planes_into(tier, plane, 1, h, w, 2, &mut one);
+                prop_assert_eq!(bits_f32(&one), bits_f32(&out[p * plane_out..][..plane_out]));
+                let mut one_codes = vec![0i8; plane_out];
+                let plane = &codes[p * plane_in..][..plane_in];
+                tiered::max_pool_planes_i8_into(tier, plane, 1, h, w, 2, &mut one_codes);
+                prop_assert_eq!(&one_codes[..], &out_codes[p * plane_out..][..plane_out]);
+            }
+        }
+    }
+
     /// ReLU sweeps (`f32` and code floor, codes and floor over the whole
     /// `i8` range) and the fused bias epilogues.
     #[test]
